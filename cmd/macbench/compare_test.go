@@ -81,27 +81,24 @@ func TestCompareReportsMissingBaselineCase(t *testing.T) {
 }
 
 // TestCheckStepCrossover pins the within-run crossover gate: at n ≥ 5000
-// the adaptive parallel driver may not lose to the sequential driver beyond
-// the tolerance, while pinned cases and small deployments are exempt.
+// the parallel driver may not lose to the sequential driver beyond the
+// tolerance, while small deployments are exempt.
 func TestCheckStepCrossover(t *testing.T) {
-	mk := func(parNs float64, pinned bool, n int) []stepCase {
+	mk := func(parNs float64, n int) []stepCase {
 		return []stepCase{
 			{Name: "engine_step_5k", Nodes: n, NsPerOp: 1000},
-			{Name: "engine_step_parallel_5k", Nodes: n, Parallel: true, Pinned: pinned, NsPerOp: parNs},
+			{Name: "engine_step_parallel_5k", Nodes: n, Parallel: true, NsPerOp: parNs},
 		}
 	}
-	if err := checkStepCrossover(mk(1100, false, 5000)); err != nil {
-		t.Fatalf("adaptive within tolerance failed the gate: %v", err)
+	if err := checkStepCrossover(mk(1100, 5000)); err != nil {
+		t.Fatalf("parallel within tolerance failed the gate: %v", err)
 	}
-	if err := checkStepCrossover(mk(1300, false, 5000)); err == nil {
-		t.Fatal("adaptive 1.3x slower than sequential passed the gate")
+	if err := checkStepCrossover(mk(1300, 5000)); err == nil {
+		t.Fatal("parallel 1.3x slower than sequential passed the gate")
 	} else if !strings.Contains(err.Error(), "engine_step_parallel_5k") {
 		t.Fatalf("gate error does not name the losing case: %v", err)
 	}
-	if err := checkStepCrossover(mk(5000, true, 5000)); err != nil {
-		t.Fatalf("pinned case is not exempt from the gate: %v", err)
-	}
-	if err := checkStepCrossover(mk(5000, false, 2000)); err != nil {
+	if err := checkStepCrossover(mk(5000, 2000)); err != nil {
 		t.Fatalf("small deployment is not exempt from the gate: %v", err)
 	}
 	// No sequential reference at the size: nothing to compare against.

@@ -30,19 +30,17 @@
 //     rebuilding it from scratch, in both cache regimes (the apply path is
 //     expected to stay allocation-free);
 //   - a steady-state sim.Engine.Step over pooled frames (ns/op and
-//     allocs/op, the latter expected to be zero): the sequential driver and
-//     the adaptive serial/parallel crossover at n = 2000 and n = 5000, plus
-//     the fused session driver pinned on so its machinery is measured even
-//     where the crossover would decline it, and the same serial workload
-//     with a zero-fault injector installed (engine_step_faults), which pins
-//     the fault layer's dispatch cost to healthy simulations;
-//   - the batched executor (engine_run_batch): the identical pinned
+//     allocs/op, the latter expected to be zero): the sequential and
+//     parallel drivers at n = 2000 and n = 5000 (Parallel on GOMAXPROCS
+//     workers, which is the sequential loop on one CPU), plus the fused
+//     session driver on four fixed workers so its machinery is measured on
+//     any host, and the same serial workload with a zero-fault injector
+//     installed (engine_step_faults), which pins the fault layer's
+//     dispatch cost to healthy simulations;
+//   - the batched executor (engine_run_batch): the identical four-worker
 //     fused-parallel workload driven slot-at-a-time via Engine.Step (one
 //     workpool session per slot) against Engine.RunBatch's 64-slot
-//     micro-batches (one session per batch), at n = 2000 and n = 5000,
-//     with a per-phase breakdown of the sequential step (tick / evaluate /
-//     receive ns per slot) measured in a separate profiled pass so the
-//     headline numbers stay clean;
+//     micro-batches (one session per batch), at n = 2000 and n = 5000;
 //   - the blocked (SIMD-friendly) kernel restructurings against the scalar
 //     loops they replaced, on the production entry points: the matrix
 //     totals gather (4 receivers per pass, breaking the loop-carried FP
@@ -53,9 +51,9 @@
 //     exponent.
 //
 // Several gates run on the fresh measurements themselves, independent of
-// any baseline: at n ≥ 5000 the adaptive engine-step driver must not be
-// slower than the sequential driver beyond stepCrossoverTolerance (the
-// crossover exists precisely to make "Parallel: true" safe to enable), each
+// any baseline: at n ≥ 5000 the parallel engine-step driver must not be
+// slower than the sequential driver beyond stepCrossoverTolerance (the gate
+// keeps "Parallel: true" safe to enable), each
 // integer-α path-loss kernel must beat the math.Pow reference, the
 // degenerate all-transmit slot (bounds_full) must not be slower under the
 // adaptive dispatch than under the pinned dense scan beyond
@@ -342,25 +340,13 @@ type stepCase struct {
 	// Nodes is the deployment size; TxPerSlot the mean transmitter count.
 	Nodes     int     `json:"nodes"`
 	TxPerSlot float64 `json:"tx_per_slot"`
-	// Parallel reports whether the worker-pool driver was enabled; Pinned
-	// whether the fused parallel driver was forced past the measured
-	// crossover (sim.Config.PinDriver).
+	// Parallel reports whether sim.Config.Parallel was set.
 	Parallel    bool    `json:"parallel"`
-	Pinned      bool    `json:"pinned,omitempty"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// TickNsPerSlot, EvalNsPerSlot and RecvNsPerSlot split the sequential
-	// driver's slot into its three phases (node ticks, SINR evaluation,
-	// frame deliveries + observers). They come from a separate profiled
-	// pass (sim.Config.Profile) over the same workload, so the time.Now
-	// instrumentation never pollutes NsPerOp, and they are set only on the
-	// hook-free sequential cases — the profiled driver is sequential-only.
-	TickNsPerSlot float64 `json:"tick_ns_per_slot,omitempty"`
-	EvalNsPerSlot float64 `json:"eval_ns_per_slot,omitempty"`
-	RecvNsPerSlot float64 `json:"recv_ns_per_slot,omitempty"`
 }
 
-// batchCase is one batched-executor measurement: the identical pinned
+// batchCase is one batched-executor measurement: the identical four-worker
 // fused-parallel engine workload driven slot-at-a-time via Engine.Step —
 // one workpool session (helper wake + park) per slot — and via
 // Engine.RunBatch, which keeps one session open across the whole
@@ -452,13 +438,12 @@ const compareTolerance = 2.0
 
 // stepCrossoverMinNodes and stepCrossoverTolerance define the within-run
 // engine-step crossover gate: at deployments of at least this size, the
-// adaptive (Parallel, unpinned) driver must not be slower than the
-// sequential driver by more than the tolerance. The adaptive driver times
-// both drivers and picks the cheaper one, so — modulo its 16-slot probe
-// overhead per 8192-slot window and benchmark noise — it can only lose by a
-// sliver; a larger loss means the crossover machinery itself broke. Pinned
-// cases are exempt: they exist to measure the fused session driver even
-// where the crossover would correctly decline it.
+// parallel driver (Parallel on GOMAXPROCS workers) must not be slower than
+// the sequential driver by more than the tolerance. The engine picks the
+// driver statically — parallel whenever more than one worker resolves — so
+// this gate is what keeps "Parallel: true" safe to enable. On a 2-CPU host
+// the parallel driver cost 1.11× at n = 2000 and won at n = 5000; smaller
+// deployments are exempt.
 const (
 	stepCrossoverMinNodes  = 5000
 	stepCrossoverTolerance = 1.2
@@ -493,7 +478,7 @@ const (
 )
 
 // batchRunMinSpeedup is the within-run gate on the batched executor: per
-// slot, Engine.RunBatch on the pinned fused-parallel workload may never be
+// slot, Engine.RunBatch on the four-worker fused-parallel workload may never be
 // slower than the slot-at-a-time Engine.Step loop — batching only removes
 // per-slot session overhead (helper wake + park), it adds no per-slot work.
 // The absolute win depends on how expensive a wake is on the host (it is
@@ -800,26 +785,25 @@ func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMo
 
 	// Steady-state Engine.Step over pooled frames: the whole pipeline —
 	// tick, sparse evaluation, deliveries — with its allocation count,
-	// which must stay at zero. The serial/adaptive pairs at n = 2000 and
+	// which must stay at zero. The serial/parallel pairs at n = 2000 and
 	// n = 5000 measure what a simulation actually gets from Parallel: true
-	// (the crossover settles on whichever driver measured cheaper); the
-	// pinned case forces the fused session driver so its cost is tracked
-	// even on hosts where the crossover declines it.
+	// on this host (GOMAXPROCS workers, the sequential loop on one CPU);
+	// fused4 runs the session driver on four fixed workers so its cost is
+	// tracked on any host.
 	for _, sc := range []struct {
 		name    string
 		n       int
 		workers int // 0 = GOMAXPROCS
 		par     bool
-		pin     bool
 	}{
-		{"engine_step", 2000, 1, false, false},
-		{"engine_step_parallel", 2000, 0, true, false},
-		{"engine_step_5k", 5000, 1, false, false},
-		{"engine_step_parallel_5k", 5000, 0, true, false},
-		{"engine_step_fused4", 2000, 4, true, true},
+		{"engine_step", 2000, 1, false},
+		{"engine_step_parallel", 2000, 0, true},
+		{"engine_step_5k", 5000, 1, false},
+		{"engine_step_parallel_5k", 5000, 0, true},
+		{"engine_step_fused4", 2000, 4, true},
 	} {
 		c, err := benchEngineStep(sc.name, seed, sc.n, sim.Config{
-			Seed: seed, Parallel: sc.par, Workers: sc.workers, PinDriver: sc.pin,
+			Seed: seed, Parallel: sc.par, Workers: sc.workers,
 		}, false)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
@@ -847,35 +831,8 @@ func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMo
 	fmt.Printf("%-23s n=%-5d k=%-6.1f %12.0f ns/op (%d allocs)\n",
 		fc.Name, fc.Nodes, fc.TxPerSlot, fc.NsPerOp, fc.AllocsPerOp)
 
-	// Per-phase breakdown of the sequential step at both deployment sizes,
-	// attached to the hook-free sequential cases above. Measured in a
-	// separate profiled pass (see benchEnginePhases) so the timed numbers
-	// stay instrumentation-free.
-	for _, n := range []int{2000, 5000} {
-		prof, err := benchEnginePhases(seed, n)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-			return 1
-		}
-		if prof.Slots == 0 {
-			fmt.Fprintf(os.Stderr, "macbench: phase profile at n=%d recorded no slots\n", n)
-			return 1
-		}
-		slots := float64(prof.Slots)
-		tick, eval, recv := float64(prof.TickNs)/slots, float64(prof.EvalNs)/slots, float64(prof.RecvNs)/slots
-		for i := range report.StepCases {
-			c := &report.StepCases[i]
-			if c.Parallel || c.Nodes != n || c.Name == "engine_step_faults" {
-				continue
-			}
-			c.TickNsPerSlot, c.EvalNsPerSlot, c.RecvNsPerSlot = tick, eval, recv
-		}
-		fmt.Printf("%-23s n=%-5d tick %6.0f ns/slot  eval %8.0f ns/slot  recv %6.0f ns/slot\n",
-			"engine_phases", n, tick, eval, recv)
-	}
-
-	// The batched executor vs the slot-at-a-time Step loop on the pinned
-	// fused-parallel workload, gated within-run (batchRunMinSpeedup, zero
+	// The batched executor vs the slot-at-a-time Step loop on the
+	// four-worker fused-parallel workload, gated within-run (batchRunMinSpeedup, zero
 	// steady-state allocations per micro-batch).
 	for _, sc := range []struct {
 		name string
@@ -1024,13 +981,8 @@ func writeSummary(path, baselinePath string, fresh benchReport) error {
 			c.Name, c.Nodes, c.Changed, c.ApplyNsPerOp, c.ApplyAllocsPerOp, c.SpeedupVsRebuild, ratioCell(c.Name, c.SpeedupVsRebuild))
 	}
 	for _, c := range fresh.StepCases {
-		label := c.Name
-		if c.TickNsPerSlot > 0 || c.EvalNsPerSlot > 0 || c.RecvNsPerSlot > 0 {
-			label = fmt.Sprintf("%s (tick %.0f / eval %.0f / recv %.0f ns)",
-				c.Name, c.TickNsPerSlot, c.EvalNsPerSlot, c.RecvNsPerSlot)
-		}
 		fmt.Fprintf(&b, "| %s | %d | %.1f | %.0f | %d | — | — | — |\n",
-			label, c.Nodes, c.TxPerSlot, c.NsPerOp, c.AllocsPerOp)
+			c.Name, c.Nodes, c.TxPerSlot, c.NsPerOp, c.AllocsPerOp)
 	}
 	for _, c := range fresh.BatchCases {
 		fmt.Fprintf(&b, "| %s (Run b=%d vs Step, per slot) | %d | %.1f | %.0f | %d | %.2fx | %s |\n",
@@ -1077,9 +1029,8 @@ func (n *stepBenchNode) Receive(slot int64, f *sim.Frame) {}
 
 // benchEngineStep measures a steady-state Engine.Step on an n-node sparse
 // workload (≈√n transmitters per slot) over the fast evaluator, under the
-// driver configuration in cfg. The warm-up runs past the adaptive
-// crossover's first probe window so the measured steady state is the driver
-// the engine settled on, not the probe schedule. With faultHook set, a
+// driver configuration in cfg, after a warm-up that fills the pool, the
+// buffers and the evaluator's caches. With faultHook set, a
 // zero-fault injector is installed the way a fault experiment would install
 // it (WrapNodes plus Config.Faults), measuring the hook dispatch cost.
 func benchEngineStep(name string, seed uint64, n int, cfg sim.Config, faultHook bool) (stepCase, error) {
@@ -1108,7 +1059,7 @@ func benchEngineStep(name string, seed uint64, n int, cfg sim.Config, faultHook 
 	if err != nil {
 		return stepCase{}, err
 	}
-	eng.Run(64, nil) // warm pool and buffers; complete the probe window
+	eng.Run(64, nil) // warm pool, buffers and caches
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -1120,7 +1071,6 @@ func benchEngineStep(name string, seed uint64, n int, cfg sim.Config, faultHook 
 		Nodes:       n,
 		TxPerSlot:   txPerSlot,
 		Parallel:    cfg.Parallel,
-		Pinned:      cfg.PinDriver,
 		NsPerOp:     float64(res.NsPerOp()),
 		AllocsPerOp: res.AllocsPerOp(),
 	}, nil
@@ -1167,43 +1117,9 @@ func benchEngineStepFaults(seed uint64) (stepCase, error) {
 	return faults, nil
 }
 
-// benchEnginePhases measures the sequential driver's per-phase split on
-// the benchEngineStep workload: a fresh engine with sim.Config.Profile
-// installed runs phaseProfileSlots slots after warm-up, and the accumulated
-// tick / evaluate / receive wall clock is divided back to ns per slot. A
-// separate engine is used on purpose — the profiled driver brackets every
-// phase with time.Now, and that instrumentation must not leak into the
-// headline NsPerOp of the timed cases.
-func benchEnginePhases(seed uint64, n int) (sim.PhaseStats, error) {
-	const phaseProfileSlots = 2048
-	ch, _, err := sinr.SparseBenchWorkload(n, seed)
-	if err != nil {
-		return sim.PhaseStats{}, err
-	}
-	kind := sim.RegisterFrameKind("macbench.step")
-	txPerSlot := math.Sqrt(float64(n))
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &stepBenchNode{p: txPerSlot / float64(n), kind: kind}
-	}
-	fast := sinr.NewFastChannel(ch)
-	defer fast.Close()
-	var prof sim.PhaseStats
-	eng, err := sim.NewEngine(ch, nodes, sim.Config{
-		Seed: seed, Workers: 1, Evaluator: fast, Profile: &prof,
-	})
-	if err != nil {
-		return sim.PhaseStats{}, err
-	}
-	eng.Run(64, nil) // warm pool, buffers and caches
-	prof = sim.PhaseStats{}
-	eng.Run(phaseProfileSlots, nil)
-	return prof, nil
-}
-
 // benchEngineRunBatch measures the batched executor against the
 // slot-at-a-time Step loop on the benchEngineStep workload with the fused
-// parallel driver pinned on: the Step side pays one workpool session
+// parallel driver on four workers: the Step side pays one workpool session
 // (helper wake + park) per slot, the RunBatch side one per batch-slot
 // micro-batch. Each side gets its own engine so both are measured in
 // steady state; the executions are bit-identical regardless (the
@@ -1225,7 +1141,7 @@ func benchEngineRunBatch(name string, seed uint64, n, batch int) (batchCase, err
 		}
 		fast := sinr.NewFastChannel(ch)
 		eng, err := sim.NewEngine(ch, nodes, sim.Config{
-			Seed: seed, Parallel: true, Workers: 4, PinDriver: true,
+			Seed: seed, Parallel: true, Workers: 4,
 			Batch: batchSize, Evaluator: fast,
 		})
 		if err != nil {
@@ -1520,10 +1436,8 @@ func measureShardCase(name string, n, k, shards int, seed uint64, withDense bool
 
 // checkStepCrossover enforces the engine-step crossover gate on the fresh
 // measurements: for every deployment size of at least stepCrossoverMinNodes
-// that has both a sequential case and an adaptive (unpinned parallel) case,
-// the adaptive driver must not exceed the sequential cost by more than
-// stepCrossoverTolerance. This is the user-facing contract of the adaptive
-// driver — enabling Parallel never costs more than a sliver, on any host.
+// that has both a sequential and a parallel case, the parallel driver must
+// not exceed the sequential cost by more than stepCrossoverTolerance.
 func checkStepCrossover(cases []stepCase) error {
 	serialByN := make(map[int]stepCase)
 	for _, c := range cases {
@@ -1533,7 +1447,7 @@ func checkStepCrossover(cases []stepCase) error {
 	}
 	var problems []string
 	for _, c := range cases {
-		if !c.Parallel || c.Pinned || c.Nodes < stepCrossoverMinNodes {
+		if !c.Parallel || c.Nodes < stepCrossoverMinNodes {
 			continue
 		}
 		ref, ok := serialByN[c.Nodes]
@@ -1542,7 +1456,7 @@ func checkStepCrossover(cases []stepCase) error {
 		}
 		if c.NsPerOp > ref.NsPerOp*stepCrossoverTolerance {
 			problems = append(problems, fmt.Sprintf(
-				"  %s: adaptive driver %.0f ns/op vs sequential %s %.0f ns/op exceeds %.1fx",
+				"  %s: parallel driver %.0f ns/op vs sequential %s %.0f ns/op exceeds %.1fx",
 				c.Name, c.NsPerOp, ref.Name, ref.NsPerOp, stepCrossoverTolerance))
 		}
 	}

@@ -58,7 +58,7 @@ func run() int {
 		broadcasters = flag.Int("broadcasters", 1, "number of nodes that broadcast one message each at slot 0")
 		slots        = flag.Int64("slots", 0, "number of slots to simulate (0 = a sensible default for the MAC)")
 		seed         = flag.Uint64("seed", 1, "random seed")
-		parallel     = flag.Bool("parallel", false, "use the goroutine-per-worker simulation driver")
+		parallel     = flag.Bool("parallel", false, "run each slot's phases on a GOMAXPROCS-wide worker pool (the sequential loop at GOMAXPROCS = 1; results are identical either way)")
 		batch        = flag.Int("batch", 0, "engine micro-batch size in slots (0 = auto; 1 = slot-at-a-time; results are identical at any value)")
 		evaluator    = flag.String("evaluator", "fast", "SINR slot evaluator: fast (arena/grid engine) or naive (reference scan)")
 		shards       = flag.Int("shards", 0, "spatial shards for the fast evaluator (0 = automatic above the scale threshold, -1 = disable sharding; requires -evaluator fast)")

@@ -115,14 +115,15 @@
 // fields are not cleared between slots, so receivers read only the fields
 // their Kind defines. The parallel driver runs tick, evaluation and
 // receive inside one fused worker-pool session (internal/workpool
-// Begin/End): helpers are woken once per slot and advance through the
-// phases on an atomic phase generation, chunk widths are sized from
-// EWMA-measured per-node phase costs, and a periodically recalibrated
-// serial-vs-parallel probe picks whichever driver measures cheaper on the
-// running workload (sim.Config.PinDriver bypasses the crossover;
-// sim.Engine.DriverStats exposes the measurements). Both drivers produce
-// bit-identical executions, and TestEngineStepAllocFree asserts zero
-// allocations per steady-state Engine.Step on all of them.
+// Begin/End): helpers are woken once per Step or micro-batch and advance
+// through the phases on an atomic phase generation, every phase split
+// across all workers. sim.Config.Parallel selects it whenever the resolved
+// worker count exceeds 1 (at GOMAXPROCS = 1 that is the sequential loop),
+// and the engine reads no wall clock. On a 2-CPU host the parallel driver
+// on 2 workers ran the combined MAC at n = 4096 in 1.24–1.58 s against
+// 2.31–2.41 s sequential. Both drivers produce bit-identical executions,
+// and TestEngineStepAllocFree asserts zero allocations per steady-state
+// Engine.Step on both.
 //
 // Path-loss arithmetic is pow-free on the hot paths: integer exponents
 // α ∈ {2, 3, 4} evaluate by multiplication, bit-identical to math.Pow
@@ -142,8 +143,8 @@
 //   - detrand: no math/rand (or crypto/rand) and no wall-clock reads
 //     (time.Now, time.Since, ...) in the decision-path packages — every
 //     outcome must derive from explicit seeds via internal/rng labelled
-//     splits. The driver-calibration timing probes, whose measurements
-//     only pick between bit-identical drivers, are annotated.
+//     splits. No site in those packages needs an exception: the engine
+//     selects its driver statically and reads no clock.
 //   - maporder: no `for range` over a map whose body appends to a slice,
 //     accumulates floating-point sums, prints, sends, emits sim.Frames or
 //     draws randomness — Go's randomized map order would leak into
@@ -178,10 +179,8 @@
 // batch and the phase barrier advances through all 3·b tick/evaluate/
 // receive phases before they park, amortising the per-slot wake/park the
 // per-slot driver pays (the engine_run_batch macbench cases gate that
-// batching never loses to the Step loop and stays allocation-free). The
-// adaptive serial/parallel probe is consulted once per batch (probe slots
-// still run one at a time, so the calibration schedule is byte-identical
-// to the Step loop's).
+// batching never loses to the Step loop and stays allocation-free). Step
+// is the same slot loop run for one slot.
 //
 // Batching is invisible to everything observing the simulation. Observers,
 // recorders, the fault hook, stat counters and stop-condition polls fire
@@ -255,8 +254,8 @@
 // stochastic fault decision draws from labelled rng streams derived from
 // the plan seed alone (fault/plan/{crash,jam,deliver,byz}), and the engine
 // consults the hook only in serial sections in slot order, so a faulty
-// execution is bit-identical across the serial, fused-parallel and adaptive
-// drivers at any worker count (TestFaultDifferentialDrivers). A zero-rate
+// execution is bit-identical across the serial and fused-parallel drivers
+// at any worker count (TestFaultDifferentialDrivers). A zero-rate
 // plan consumes no randomness, leaving the execution bit-identical to
 // running with no hook installed — and nearly free, which the
 // engine_step_faults macbench case gates at ≤ 1.05× the hook-free step.
@@ -319,12 +318,12 @@
 // sharded regime vs the per-pair dense scan at n = 100k (and an n = 10⁶
 // smoke behind -large) with its GC-settled rss_bytes/bytes_per_node heap
 // footprint, steady-state Engine.Step ns/op and allocs/op under the
-// sequential, adaptive and pinned-fused drivers at n ∈ {2000, 5000} with a
-// tick/evaluate/receive per-phase breakdown of the sequential step, the
-// batched executor vs the Step loop (engine_run_batch), the blocked
+// sequential and parallel drivers at n ∈ {2000, 5000} (plus the fused
+// driver on four fixed workers), the batched executor vs the Step loop
+// (engine_run_batch), the blocked
 // kernels vs their scalar predecessors (blocked_*), and the pow-free
 // path-loss kernel vs math.Pow — to BENCH_macbench.json for cross-PR
-// tracking. Within every run it gates that the adaptive driver never
+// tracking. Within every run it gates that the parallel driver never
 // loses to the sequential one beyond 1.2× at n ≥ 5000, that the
 // all-transmit bounds_full case stays at ≥ 0.95× the pinned dense scan,
 // that RunBatch never loses to the Step loop and allocates nothing per

@@ -7,9 +7,8 @@
 // sizes and fault plans, and one time.Now() or math/rand global on a
 // decision path silently breaks all of them. Randomness must come from
 // internal/rng sources threaded through labelled splits; time may only be
-// read by the annotated instrumentation sites (driver calibration probes,
-// profiling counters) whose results feed scheduling heuristics, never
-// protocol or channel decisions.
+// read by annotated instrumentation sites whose results are reported,
+// never acted on.
 package detrand
 
 import (
@@ -56,9 +55,9 @@ var forbiddenImports = map[string]string{
 }
 
 // forbiddenTime are the wall-clock entry points of package time. Reading
-// the clock is only legitimate for the timing probes that pick a driver or
-// size chunks — and those sites carry //sinrlint:allow detrand with a
-// justification.
+// the clock is only legitimate for instrumentation that reports timings
+// without acting on them — and such sites carry //sinrlint:allow detrand
+// with a justification.
 var forbiddenTime = map[string]bool{
 	"Now": true, "Since": true, "Until": true,
 	"Tick": true, "After": true, "AfterFunc": true,

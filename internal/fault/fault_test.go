@@ -152,7 +152,7 @@ func richPlan() Plan {
 
 // TestFaultDifferentialDrivers is the acceptance criterion: one fault plan
 // must produce bit-identical executions across worker counts and across the
-// serial, pinned-parallel and adaptive drivers, on both evaluator paths.
+// serial and fused parallel drivers, on both evaluator paths.
 func TestFaultDifferentialDrivers(t *testing.T) {
 	const n, topoSeed, slots = 60, 5, 300
 	plan := richPlan()
@@ -164,10 +164,9 @@ func TestFaultDifferentialDrivers(t *testing.T) {
 	variants := []variant{
 		{"serial/naive", false, sim.Config{Seed: 9, Workers: 1}},
 		{"serial/fast", true, sim.Config{Seed: 9, Workers: 1}},
-		{"parallel-pinned/w2", true, sim.Config{Seed: 9, Parallel: true, PinDriver: true, Workers: 2}},
-		{"parallel-pinned/w4", true, sim.Config{Seed: 9, Parallel: true, PinDriver: true, Workers: 4}},
-		{"adaptive/w4", true, sim.Config{Seed: 9, Parallel: true, Workers: 4}},
-		{"adaptive/gomaxprocs", true, sim.Config{Seed: 9, Parallel: true, Workers: runtime.GOMAXPROCS(0)}},
+		{"parallel/w2", true, sim.Config{Seed: 9, Parallel: true, Workers: 2}},
+		{"parallel/w4", true, sim.Config{Seed: 9, Parallel: true, Workers: 4}},
+		{"parallel/gomaxprocs", true, sim.Config{Seed: 9, Parallel: true, Workers: runtime.GOMAXPROCS(0)}},
 	}
 	var refStats sim.Stats
 	var refNodes []counters
@@ -205,7 +204,7 @@ func TestFaultDifferentialDrivers(t *testing.T) {
 func TestZeroFaultPlanBitIdentical(t *testing.T) {
 	const n, topoSeed, slots = 50, 11, 250
 	for _, parallel := range []bool{false, true} {
-		cfg := sim.Config{Seed: 7, Workers: 4, Parallel: parallel, PinDriver: parallel}
+		cfg := sim.Config{Seed: 7, Workers: 4, Parallel: parallel}
 		bareNodes, bareEng, _ := scenario(t, n, topoSeed, nil, true, cfg, nil)
 		zero := Plan{Seed: 99}
 		hookNodes, hookEng, inj := scenario(t, n, topoSeed, &zero, true, cfg, nil)
@@ -241,7 +240,7 @@ func TestTickPanicCrashesOnlyThatNode(t *testing.T) {
 	var refNodes []counters
 	for i, cfg := range []sim.Config{
 		{Seed: 4, Workers: 1},
-		{Seed: 4, Parallel: true, PinDriver: true, Workers: 4},
+		{Seed: 4, Parallel: true, Workers: 4},
 	} {
 		plan := Plan{Seed: 8}
 		inner, eng, inj := scenario(t, n, topoSeed, &plan, true, cfg, mk)

@@ -169,9 +169,9 @@ func batchTraceRun(t *testing.T, n int, cfg Config, fast, faults bool, batch int
 
 // TestRunBatchBitIdentity pins the batching contract: Run at batch sizes
 // {1, 7, 64} produces executions bit-identical to the slot-at-a-time Step
-// loop, across the sequential / pinned-fused / adaptive drivers, both
-// evaluator families, with and without a crash+jam fault plan, and with
-// mid-run ApplyEpoch flushes between Run legs.
+// loop, across the sequential and fused parallel drivers, both evaluator
+// families, with and without a crash+jam fault plan, and with mid-run
+// ApplyEpoch flushes between Run legs.
 func TestRunBatchBitIdentity(t *testing.T) {
 	const n = 24
 	drivers := []struct {
@@ -179,8 +179,7 @@ func TestRunBatchBitIdentity(t *testing.T) {
 		cfg  Config
 	}{
 		{"serial", Config{Seed: engineSeed, Workers: 1}},
-		{"fused4", Config{Seed: engineSeed, Parallel: true, PinDriver: true, Workers: 4}},
-		{"adaptive4", Config{Seed: engineSeed, Parallel: true, Workers: 4}},
+		{"fused4", Config{Seed: engineSeed, Parallel: true, Workers: 4}},
 	}
 	for _, fast := range []bool{false, true} {
 		for _, faults := range []bool{false, true} {
@@ -236,7 +235,7 @@ func TestBatchObserverOrdering(t *testing.T) {
 		cfg  Config
 	}{
 		{"serial", Config{Seed: engineSeed, Workers: 1}},
-		{"fused4", Config{Seed: engineSeed, Parallel: true, PinDriver: true, Workers: 4}},
+		{"fused4", Config{Seed: engineSeed, Parallel: true, Workers: 4}},
 	}
 	for _, drv := range drivers {
 		for _, batch := range []int{1, 7, 64} {
@@ -309,7 +308,7 @@ func TestRunBatchStopsWithinBatch(t *testing.T) {
 		cfg  Config
 	}{
 		{"serial", Config{Seed: 1, Batch: 64}},
-		{"fused", Config{Seed: 1, Batch: 64, Parallel: true, PinDriver: true, Workers: 2}},
+		{"fused", Config{Seed: 1, Batch: 64, Parallel: true, Workers: 2}},
 	} {
 		t.Run(drv.name, func(t *testing.T) {
 			ch := twoNodeChannel(t, 5)
@@ -404,7 +403,7 @@ func TestRunBatchAllocFree(t *testing.T) {
 		cfg  Config
 	}{
 		{"serial", Config{Seed: engineSeed, Workers: 1, Batch: 64}},
-		{"fused4", Config{Seed: engineSeed, Parallel: true, PinDriver: true, Workers: 4, Batch: 64}},
+		{"fused4", Config{Seed: engineSeed, Parallel: true, Workers: 4, Batch: 64}},
 	} {
 		t.Run(drv.name, func(t *testing.T) {
 			_, eng := buildScenario(t, 64, 7, true, drv.cfg)

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
-	"time"
 
 	"sinrmac/internal/geom"
 	"sinrmac/internal/rng"
@@ -10,8 +11,9 @@ import (
 )
 
 // TestEngineStepBothDrivers is the engine-step smoke the CI race job runs:
-// a few slots under the sequential driver, the pinned fused parallel driver
-// and the adaptive crossover must produce identical executions (stats and
+// a few slots through Step and Run under the sequential driver and the
+// fused parallel driver (on four workers, and on GOMAXPROCS, which is the
+// sequential loop on one CPU) must produce identical executions (stats and
 // per-node counters), with the fast evaluator sharing the engine's pool.
 func TestEngineStepBothDrivers(t *testing.T) {
 	type variant struct {
@@ -20,17 +22,17 @@ func TestEngineStepBothDrivers(t *testing.T) {
 	}
 	variants := []variant{
 		{"serial", Config{Seed: engineSeed}},
-		{"parallel-pinned", Config{Seed: engineSeed, Parallel: true, Workers: 4, PinDriver: true}},
-		{"parallel-adaptive", Config{Seed: engineSeed, Parallel: true, Workers: 4}},
+		{"parallel", Config{Seed: engineSeed, Parallel: true, Workers: 4}},
 		{"parallel-gomaxprocs", Config{Seed: engineSeed, Parallel: true}},
 	}
 	var refNodes []*randomNode
 	var refStats Stats
 	for i, v := range variants {
 		nodes, eng := buildScenario(t, 80, 7, true, v.cfg)
-		// Run past at least one full calibration window so the adaptive
-		// variant exercises probe slots, the decision and regular slots.
-		eng.Run(3*driverProbeSlots, nil)
+		for s := 0; s < 8; s++ {
+			eng.Step()
+		}
+		eng.Run(16, nil)
 		if i == 0 {
 			refNodes, refStats = nodes, eng.Stats()
 			continue
@@ -47,164 +49,109 @@ func TestEngineStepBothDrivers(t *testing.T) {
 	}
 }
 
-// TestDriverCrossoverCalibrates drives the adaptive crossover through its
-// probe window and checks the decision machinery: both drivers get timed,
-// a decision is recorded, and the driver reported by DriverStats is the
-// measured-cheaper one.
-func TestDriverCrossoverCalibrates(t *testing.T) {
-	_, eng := buildScenario(t, 120, 11, true, Config{Seed: engineSeed, Parallel: true, Workers: 2})
-	eng.Run(2*driverProbeSlots+2, nil)
-	st := eng.DriverStats()
-	if st.Calibrations != 1 {
-		t.Fatalf("calibrations = %d after the first window, want 1", st.Calibrations)
-	}
-	if st.SerialSlotNs <= 0 || st.ParallelSlotNs <= 0 {
-		t.Fatalf("probe means not recorded: serial=%v parallel=%v", st.SerialSlotNs, st.ParallelSlotNs)
-	}
-	if want := st.ParallelSlotNs < st.SerialSlotNs; st.Parallel != want {
-		t.Fatalf("driver choice %v contradicts measurements (serial=%v parallel=%v)",
-			st.Parallel, st.SerialSlotNs, st.ParallelSlotNs)
-	}
-	if st.TickNsPerNode <= 0 || st.RecvNsPerNode <= 0 {
-		t.Fatalf("phase costs not measured: tick=%v recv=%v", st.TickNsPerNode, st.RecvNsPerNode)
-	}
-	if st.TickWorkers < 1 || st.TickWorkers > 2 || st.RecvWorkers < 1 || st.RecvWorkers > 2 {
-		t.Fatalf("phase workers out of range: tick=%d recv=%d", st.TickWorkers, st.RecvWorkers)
-	}
+// boomEvaluator is the fast evaluator with a panic injected into its at-th
+// SlotReceptions call: a panic in a serial interlude, which on the parallel
+// driver runs inside the slot loop's open workpool session.
+type boomEvaluator struct {
+	*sinr.FastChannel
+	calls, at int
 }
 
-// TestDriverStatsPinnedAndSerial pins down DriverStats on the
-// non-adaptive configurations: a pinned-parallel engine always reports the
-// parallel driver and never calibrates; a sequential engine reports
-// neither.
-func TestDriverStatsPinnedAndSerial(t *testing.T) {
-	_, pinned := buildScenario(t, 60, 3, true, Config{Seed: engineSeed, Parallel: true, Workers: 4, PinDriver: true})
-	pinned.Run(40, nil)
-	if st := pinned.DriverStats(); !st.Parallel || st.Calibrations != 0 {
-		t.Fatalf("pinned engine stats = %+v, want Parallel with zero calibrations", st)
+// SlotReceptions implements sinr.ChannelEvaluator.
+func (b *boomEvaluator) SlotReceptions(transmitters []int) []sinr.Reception {
+	b.calls++
+	if b.calls == b.at {
+		panic("evaluator boom")
 	}
-	_, serial := buildScenario(t, 60, 3, true, Config{Seed: engineSeed})
-	serial.Run(40, nil)
-	if st := serial.DriverStats(); st.Parallel || st.Calibrations != 0 {
-		t.Fatalf("sequential engine stats = %+v, want no parallel driver", st)
-	}
+	return b.FastChannel.SlotReceptions(transmitters)
 }
 
-// TestResetClearsCalibration: a Reset engine re-measures from scratch, so a
-// replay is bit-reproducible including its probe schedule.
-func TestResetClearsCalibration(t *testing.T) {
-	nodes, eng := buildScenario(t, 60, 3, true, Config{Seed: engineSeed, Parallel: true, Workers: 2})
-	eng.Run(3*driverProbeSlots, nil)
-	if st := eng.DriverStats(); st.Calibrations != 1 {
-		t.Fatalf("calibrations = %d before Reset, want 1", st.Calibrations)
+// tickBoomNode is a randomNode whose Tick panics at one slot.
+type tickBoomNode struct {
+	randomNode
+	at int64
+}
+
+func (n *tickBoomNode) Tick(slot int64, f *Frame) bool {
+	if slot == n.at {
+		panic("tick boom")
 	}
-	ifaces := make([]Node, len(nodes))
+	return n.randomNode.Tick(slot, f)
+}
+
+// randomNodes returns n fresh randomNodes.
+func randomNodes(n int) []Node {
+	nodes := make([]Node, n)
 	for i := range nodes {
-		fresh := &randomNode{p: 0.2}
-		nodes[i] = fresh
-		ifaces[i] = fresh
+		nodes[i] = &randomNode{p: 0.2}
 	}
-	if err := eng.Reset(ifaces, engineSeed); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.DriverStats(); st.Calibrations != 0 || st.SerialSlotNs != 0 {
-		t.Fatalf("DriverStats after Reset = %+v, want zeroed calibration", st)
-	}
+	return nodes
 }
 
-// TestPhaseWorkersModel checks the chunk-sizing model's invariants as pure
-// properties over randomized measured costs: the worker count stays in
-// [1, max], and whenever the model splits at all (1 < w), every predicted
-// chunk cost lands in the documented band [minPhaseChunkNs, 2·minPhaseChunkNs)
-// — except when capped at max workers, where only the lower bound applies.
-func TestPhaseWorkersModel(t *testing.T) {
-	src := rng.New(0xc0de)
-	for i := 0; i < 5000; i++ {
-		nsPerNode := src.Float64() * 1000
-		n := 1 + src.Intn(20000)
-		max := 1 + src.Intn(16)
-		w := phaseWorkersFor(nsPerNode, n, max)
-		if w < 1 || w > max {
-			t.Fatalf("phaseWorkersFor(%v, %d, %d) = %d out of [1, %d]", nsPerNode, n, max, w, max)
-		}
-		if w <= 1 {
-			continue
-		}
-		chunk := (n + w - 1) / w
-		perChunk := nsPerNode * float64(chunk)
-		if perChunk < minPhaseChunkNs {
-			t.Fatalf("nsPerNode=%v n=%d max=%d: w=%d predicts %.0fns per chunk, below the %v floor",
-				nsPerNode, n, max, w, perChunk, minPhaseChunkNs)
-		}
-		if w < max {
-			// Uncapped: w = floor(total/floor), so total < (w+1)·floor and
-			// the mean chunk cost stays below 2× the floor; the ceil-chunk
-			// at most doubles that for tiny n, so bound the mean instead.
-			if mean := nsPerNode * float64(n) / float64(w); mean >= 2*minPhaseChunkNs {
-				t.Fatalf("nsPerNode=%v n=%d max=%d: w=%d mean chunk cost %.0fns ≥ 2×floor",
-					nsPerNode, n, max, w, mean)
-			}
-		}
-	}
-	// Boundary cases.
-	if w := phaseWorkersFor(0, 1000, 8); w != 8 {
-		t.Fatalf("unmeasured phase uses %d workers, want all 8", w)
-	}
-	if w := phaseWorkersFor(100, 1000, 1); w != 1 {
-		t.Fatalf("max=1 yields %d workers", w)
-	}
+// runRecovered runs eng for slots slots and returns the value of a panic
+// that escaped Run, or nil.
+func runRecovered(eng *Engine, slots int64) (v interface{}) {
+	defer func() { v = recover() }()
+	eng.Run(slots, nil)
+	return nil
 }
 
-// TestDriverCalibrationWithinFactor is the measured half of the
-// chunk-sizing property: on randomized deployments the per-slot cost the
-// calibrator recorded must stay within a documented factor (16×, generous
-// because CI machines are noisy and slots are microseconds) of a cost
-// re-measured directly around Step. The comparison uses the median of
-// several fresh windows so one descheduling hiccup cannot fail the test.
-func TestDriverCalibrationWithinFactor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-based")
+// TestPanicReleasesSlotLoop is the regression test for a panic escaping the
+// slot loop with no fault hook installed: from a node's Tick (slot 20),
+// from the evaluator (slot 10, a serial interlude of the parallel driver's
+// session) or from an observer (slot 40, in the middle of a micro-batch).
+// On both drivers the panic propagates out of Run, and the loop releases
+// its workpool session and re-entry guard, so the engine accepts Reset and
+// runs again.
+func TestPanicReleasesSlotLoop(t *testing.T) {
+	const n = 80
+	for _, drv := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"serial", Config{Seed: engineSeed, Workers: 1}},
+		{"parallel", Config{Seed: engineSeed, Parallel: true, Workers: 2}},
+	} {
+		for _, source := range []string{"tick", "evaluator", "observer"} {
+			t.Run(drv.name+"/"+source, func(t *testing.T) {
+				ch := scenarioChannel(t, n, 7)
+				ev := &boomEvaluator{FastChannel: sinr.NewFastChannel(ch)}
+				defer ev.Close()
+				nodes := randomNodes(n)
+				switch source {
+				case "tick":
+					nodes[5] = &tickBoomNode{randomNode: randomNode{p: 0.2}, at: 20}
+				case "evaluator":
+					ev.at = 11
+				}
+				cfg := drv.cfg
+				cfg.Evaluator = ev
+				eng, err := NewEngine(ch, nodes, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if source == "observer" {
+					eng.AddObserver(ObserverFunc(func(slot int64, _ []int, _ []sinr.Reception) {
+						if slot == 40 {
+							panic("observer boom")
+						}
+					}))
+				}
+				if v := runRecovered(eng, 100); !strings.Contains(fmt.Sprint(v), source+" boom") {
+					t.Fatalf("Run panicked with %v, want the %s panic", v, source)
+				}
+				if err := eng.Reset(randomNodes(n), engineSeed); err != nil {
+					t.Fatalf("Reset after the panic: %v", err)
+				}
+				if v := runRecovered(eng, 100); v != nil {
+					t.Fatalf("Run after Reset panicked: %v", v)
+				}
+				if got := eng.Slot(); got != 100 {
+					t.Fatalf("Run after Reset reached slot %d, want 100", got)
+				}
+			})
+		}
 	}
-	const factor = 16.0
-	src := rng.New(0xbea7)
-	for c := 0; c < 3; c++ {
-		n := 150 + int(src.Intn(300))
-		_, eng := buildScenario(t, n, 13+uint64(c), true, Config{Seed: engineSeed, Parallel: true, Workers: 2})
-		eng.Run(2*driverProbeSlots+2, nil) // through the probe window
-		st := eng.DriverStats()
-		recorded := st.SerialSlotNs
-		if st.Parallel {
-			recorded = st.ParallelSlotNs
-		}
-		if recorded <= 0 {
-			t.Fatalf("n=%d: no recorded slot cost", n)
-		}
-		// Re-measure: medians of three 8-slot windows under the driver the
-		// engine settled on.
-		var windows []float64
-		for w := 0; w < 3; w++ {
-			start := time.Now()
-			eng.Run(8, nil)
-			windows = append(windows, float64(time.Since(start))/8)
-		}
-		med := median(windows)
-		if med > recorded*factor || recorded > med*factor {
-			t.Errorf("n=%d: recorded %.0fns/slot vs re-measured %.0fns/slot exceeds factor %v",
-				n, recorded, med, factor)
-		}
-	}
-}
-
-func median(xs []float64) float64 {
-	m := append([]float64(nil), xs...)
-	for i := range m {
-		for j := i + 1; j < len(m); j++ {
-			if m[j] < m[i] {
-				m[i], m[j] = m[j], m[i]
-			}
-		}
-	}
-	return m[len(m)/2]
 }
 
 // BenchmarkEngineStepDrivers compares the slot drivers on one deployment:
@@ -216,8 +163,7 @@ func BenchmarkEngineStepDrivers(b *testing.B) {
 		cfg  Config
 	}{
 		{"serial", Config{Seed: engineSeed}},
-		{"fused-pinned", Config{Seed: engineSeed, Parallel: true, PinDriver: true}},
-		{"adaptive", Config{Seed: engineSeed, Parallel: true}},
+		{"parallel", Config{Seed: engineSeed, Parallel: true}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			src := rng.New(5)

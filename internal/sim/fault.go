@@ -3,7 +3,6 @@ package sim
 import (
 	"runtime/debug"
 	"sort"
-	"time"
 
 	"sinrmac/internal/sinr"
 )
@@ -91,11 +90,11 @@ func (e *Engine) drainPanics(slot int64) {
 	}
 }
 
-// tickChunkFaults is the tick phase under a fault hook: inert nodes do not
-// tick, and a panicking Tick is recovered and converted into a crash fault
-// instead of killing the engine. The panic recovery costs one deferred call
-// per chunk, not per node, so the zero-fault plan stays near the plain
-// loop's cost.
+// tickChunkFaults is the parallel tick phase under a fault hook: inert
+// nodes do not tick, and a panicking Tick is recovered and converted into a
+// crash fault instead of killing the engine. The panic recovery costs one
+// deferred call per chunk, not per node, so the zero-fault plan stays near
+// the plain loop's cost.
 func (e *Engine) tickChunkFaults(lo, hi, _ int) {
 	for i := lo; i < hi; {
 		i = e.tickRunFaults(i, hi)
@@ -131,41 +130,6 @@ func (e *Engine) tickRunFaults(lo, hi int) (next int) {
 	return hi
 }
 
-// tickSerialFaultsRun is the sequential driver's tick run under a fault
-// hook: like the plain serial loop it appends transmitters to txScratch
-// directly (no sent-flag pass — that extra O(n) sweep is what the
-// engine_step_faults benchmark gate polices), while keeping the per-run
-// panic recovery. A node that panics mid-Tick is simply never appended.
-func (e *Engine) tickSerialFaultsRun(lo, hi int) (next int) {
-	slot := e.tickSlot
-	i := lo
-	defer func() {
-		if r := recover(); r != nil {
-			e.recordPanic(i, "tick", r)
-			next = i + 1
-		}
-	}()
-	if inert := e.inert; inert != nil {
-		for ; i < hi; i++ {
-			if inert[i] {
-				continue
-			}
-			if e.nodes[i].Tick(slot, &e.frames[i]) {
-				e.frames[i].From = i
-				e.txScratch = append(e.txScratch, i)
-			}
-		}
-	} else {
-		for ; i < hi; i++ {
-			if e.nodes[i].Tick(slot, &e.frames[i]) {
-				e.frames[i].From = i
-				e.txScratch = append(e.txScratch, i)
-			}
-		}
-	}
-	return hi
-}
-
 // recvChunkFaults is the receive phase under a fault hook: every delivery
 // is routed through DeliverFrame, and a panicking Receive is recovered and
 // recorded. Inert receivers were already scrubbed by FilterReceptions.
@@ -195,82 +159,4 @@ func (e *Engine) recvRunFaults(lo, hi, worker int) (next int) {
 		}
 	}
 	return hi
-}
-
-// stepSerialFaults is the sequential driver with the fault hook wired into
-// every phase. Ordering matters for determinism and for the graceful-
-// degradation semantics: tick panics are drained (and the nodes marked
-// crashed) before FilterReceptions, so a node that died mid-Tick does not
-// receive in the same slot.
-func (e *Engine) stepSerialFaults() {
-	slot := e.slot
-	n := len(e.nodes)
-	e.inert = e.faults.SlotStart(slot, n)
-	e.tickSlot = slot
-	e.txScratch = e.txScratch[:0]
-	for i := 0; i < n; {
-		i = e.tickSerialFaultsRun(i, n)
-	}
-	e.realTx = len(e.txScratch)
-	e.txScratch = e.faults.PerturbTransmitters(slot, e.txScratch)
-	receptions := e.evaluator.SlotReceptions(e.txScratch)
-	e.drainPanics(slot)
-	e.faults.FilterReceptions(slot, receptions)
-	e.rxCounts[0] = 0
-	e.rxSlot, e.rxRec = slot, receptions
-	e.recvChunkFaults(0, n, 0)
-	e.rxRec = nil
-	e.stats.Receptions += e.rxCounts[0]
-	e.drainPanics(slot)
-	e.finishSlot(slot, receptions)
-}
-
-// stepParallelFaults is the fused worker-pool driver with the fault hook:
-// the hook's stochastic sections (SlotStart, PerturbTransmitters,
-// FilterReceptions, panic draining) all run on the leader between the
-// parallel phases, so the fault sequence is identical to the serial
-// driver's at any worker count.
-//
-//sinrlint:allow detrand chunk-calibration probes; EWMA phase costs size chunks, the slot outcome is bit-identical at any sizing
-func (e *Engine) stepParallelFaults() {
-	slot := e.slot
-	n := len(e.nodes)
-	e.inert = e.faults.SlotStart(slot, n)
-	probing := e.cal.probing
-	e.pool.Begin(e.workers)
-
-	e.txScratch = e.txScratch[:0]
-	e.tickSlot = slot
-	var t0 time.Time
-	if probing {
-		t0 = time.Now()
-	}
-	e.pool.Run(n, phaseWorkersFor(e.cal.tickNsPerNode, n, e.workers), &e.tickTask)
-	if probing {
-		observePhaseCost(&e.cal.tickNsPerNode, float64(time.Since(t0)), n)
-	}
-	for i, sent := range e.sent {
-		if sent {
-			e.sent[i] = false
-			e.frames[i].From = i
-			e.txScratch = append(e.txScratch, i)
-		}
-	}
-	e.realTx = len(e.txScratch)
-	e.txScratch = e.faults.PerturbTransmitters(slot, e.txScratch)
-
-	receptions := e.evaluator.SlotReceptions(e.txScratch)
-	e.drainPanics(slot)
-	e.faults.FilterReceptions(slot, receptions)
-
-	if probing {
-		t0 = time.Now()
-	}
-	e.stats.Receptions += e.receiveParallel(slot, receptions)
-	if probing {
-		observePhaseCost(&e.cal.recvNsPerNode, float64(time.Since(t0)), n)
-	}
-	e.pool.End()
-	e.drainPanics(slot)
-	e.finishSlot(slot, receptions)
 }

@@ -17,23 +17,20 @@
 //
 // # Parallel driver
 //
-// The parallel driver runs the whole slot — tick, evaluation, receive —
-// inside one fused workpool session: the pool's helpers are woken at most
-// once per slot and the phase hand-offs in between are spin-then-park
-// barriers instead of full park/unpark round trips. Phase chunking is
-// sized from measured per-node cost (an EWMA taken during calibration
-// slots): a phase is split only into chunks predicted to cost at least a
-// documented minimum, so cheap phases run inline instead of paying wake
-// overhead for sub-microsecond chunks.
+// Step, Run and RunBatch all go through one slot loop. It runs the phases
+// either inline (the sequential driver) or inside one fused workpool
+// session (the parallel driver). In the session the pool's helpers are
+// woken at most once per call, the phase hand-offs are spin-then-park
+// barriers instead of full park/unpark round trips, and every phase is
+// split across all resolved workers.
 //
-// Because both drivers produce bit-identical executions, the engine is
-// free to choose between them on measured wall-clock alone: with
-// Config.Parallel set (and PinDriver unset) it periodically times a few
-// slots under each driver and runs the cheaper one until the next
-// calibration window. On a machine where parallelism cannot win — one
-// core, tiny deployments — the engine settles on the sequential loop;
-// where it wins, it settles on the fused parallel driver. DriverStats
-// exposes the measurements and the current choice.
+// The choice is static: Config.Parallel runs the parallel driver whenever
+// the resolved worker count exceeds 1. At GOMAXPROCS = 1 (or Workers: 1)
+// that is the sequential loop. The engine reads no wall clock. On a 2-CPU
+// host the parallel driver on 2 workers ran the combined MAC at n = 4096 in
+// 1.24–1.58 s against 2.31–2.41 s sequential, and Decay in 1.68–2.63 s
+// against 2.25–2.91 s. On the synthetic √n-transmitter step it cost 1.11×
+// at n = 2000 (206 vs 186 µs/slot) and won at n = 5000.
 //
 // # Frame lifecycle
 //
@@ -59,11 +56,13 @@
 //
 // # Batched execution
 //
-// Run and RunBatch execute slots in micro-batches of Config.Batch slots:
-// on the parallel driver a whole micro-batch runs inside one fused
-// workpool session, so the helpers are woken once per batch (instead of
-// once per slot) and the phase barrier advances through 3·b phases before
-// the helpers park again. Batching changes wall clock only, never the
+// Run and RunBatch execute slots in micro-batches of Config.Batch slots,
+// each one call of the slot loop: on the parallel driver a whole
+// micro-batch runs inside one fused workpool session, so the helpers are
+// woken once per batch (instead of once per slot) and the phase barrier
+// advances through 3·b phases before the helpers park again. The session
+// closes on every exit path, including a panic out of a node or observer.
+// Batching changes wall clock only, never the
 // execution: observers, recorders, the fault hook's serial sections, stat
 // counters and the stop() poll all fire once per slot, in exact slot
 // order, at the same pipeline points as a slot-at-a-time Step loop — a
@@ -71,11 +70,12 @@
 // every other batch size (TestRunBatchBitIdentity pins it across drivers,
 // worker counts, fault plans and churn epochs).
 //
-// Because observers run between slots of an open session, they must not
-// re-enter the engine: Step, Run and RunBatch panic when called from an
-// observer mid-batch, and ApplyEpoch and Reset — state mutations that
-// require a batch flush — return an error instead. Between Run/RunBatch
-// calls the batch is always flushed, so the usual call sites (applying a
+// Because observers run inside the slot loop (on the parallel driver,
+// inside its open session), they must not re-enter the engine: Step, Run
+// and RunBatch panic when called from an observer, and ApplyEpoch and
+// Reset — state mutations that require a batch flush — return an error
+// instead. Between Step/Run/RunBatch calls the batch is always flushed, so
+// the usual call sites (applying a
 // churn epoch between Run legs, resetting for the next trial) need no
 // changes at any batch size.
 package sim
@@ -84,7 +84,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"sinrmac/internal/rng"
 	"sinrmac/internal/sinr"
@@ -158,18 +157,14 @@ type Config struct {
 	// Seed seeds the per-node random sources. Identical seeds and nodes
 	// reproduce identical executions.
 	Seed uint64
-	// Parallel enables the worker-pool driver, which runs the tick,
-	// evaluation and receive phases of each slot inside one fused workpool
-	// session. The execution is identical to the sequential driver; only
-	// wall-clock time differs. Because of that, the engine does not take
-	// Parallel on faith: it periodically times a few slots under each
-	// driver and falls back to the sequential loop whenever the parallel
-	// driver does not pay on the current machine and deployment.
+	// Parallel selects the worker-pool driver whenever the resolved worker
+	// count (see Workers) exceeds 1: the tick, evaluation and receive
+	// phases of each slot then run inside one fused workpool session, split
+	// across every worker. With one resolved worker — Workers: 1, or
+	// GOMAXPROCS = 1 — Parallel runs the sequential loop. The execution is
+	// identical to the sequential driver's; only wall-clock time differs.
 	Parallel bool
-	// PinDriver disables the measured serial/parallel crossover: the
-	// driver selected by Parallel runs unconditionally and no calibration
-	// slots are timed. Benchmarks and tests pin the driver they mean to
-	// exercise; simulations keep the adaptive default.
+	// Deprecated: has no effect; Parallel alone selects the driver.
 	PinDriver bool
 	// Workers bounds the number of pool workers used by the parallel
 	// driver and by a parallel channel evaluator. Zero means GOMAXPROCS.
@@ -204,33 +199,12 @@ type Config struct {
 	// at the same pipeline points regardless of batch size — so the knob
 	// trades nothing but wall clock.
 	Batch int
-	// Profile, when non-nil, makes the sequential driver accumulate its
-	// per-phase wall clock (tick / evaluate / receive) into the pointed-to
-	// PhaseStats. Profiling adds two clock reads per phase and perturbs
-	// nothing else; it applies to the plain sequential driver only — the
-	// parallel driver's phase costs are already measured by the adaptive
-	// probe (DriverStats), and the fault-path driver is left unprofiled.
-	// cmd/macbench uses it for the per-phase breakdown columns.
-	Profile *PhaseStats
-}
-
-// PhaseStats accumulates the sequential driver's per-phase wall clock when
-// Config.Profile points at one: tick covers every Node.Tick call plus
-// transmitter collection, eval covers ChannelEvaluator.SlotReceptions, and
-// recv covers every delivery. All fields are totals in nanoseconds over
-// Slots profiled slots.
-type PhaseStats struct {
-	Slots  int64
-	TickNs int64
-	EvalNs int64
-	RecvNs int64
 }
 
 // DefaultBatchSlots is the micro-batch size Run and RunBatch use when
 // Config.Batch is zero. Large enough to amortise the per-batch session
-// wake/park and probe bookkeeping down to noise, small enough that a stop
-// condition, SIGINT poll or churn boundary is never more than a few dozen
-// slots away.
+// wake/park down to noise, small enough that a stop condition, SIGINT poll
+// or churn boundary is never more than a few dozen slots away.
 const DefaultBatchSlots = 64
 
 // Engine drives a set of node automata over an SINR channel.
@@ -260,7 +234,7 @@ type Engine struct {
 	// phase); the sequential phase appends to txScratch directly.
 	sent      []bool
 	txScratch []int
-	rxCounts  []int64 // scratch: per-chunk reception subtotals (parallel driver)
+	rxCounts  []int64 // scratch: per-worker reception subtotals
 
 	// pool runs the parallel tick/receive phases; shared with the
 	// evaluator when it exposes one. tickTask/recvTask are the pool task
@@ -283,108 +257,10 @@ type Engine struct {
 	pendingPanics []panicRecord
 
 	// batch is the resolved micro-batch size (Config.Batch, defaulted);
-	// inBatch guards against engine re-entry from observers while a batch's
-	// workpool session is open. prof is Config.Profile.
+	// inBatch guards against engine re-entry from observers while the slot
+	// loop (and on the parallel driver its workpool session) is open.
 	batch   int
 	inBatch bool
-	prof    *PhaseStats
-
-	cal driverCal // serial/parallel crossover + phase-cost measurements
-}
-
-// Driver calibration constants. Every driverRecalPeriod slots the adaptive
-// driver times driverProbeSlots slots under the sequential loop and the
-// same number under the fused parallel driver, then runs whichever was
-// cheaper until the next window. The probes also feed the per-node phase
-// cost EWMA that sizes chunks: a phase is split only into chunks predicted
-// to cost at least minPhaseChunkNs, which keeps the per-chunk barrier and
-// wake overhead (single-digit microseconds at worst) a small fraction of
-// the chunk's work.
-const (
-	driverProbeSlots  = 8
-	driverRecalPeriod = 8192
-	minPhaseChunkNs   = 20000.0
-	phaseCostEWMA     = 0.25
-)
-
-// driverCal is the adaptive driver's measurement state.
-type driverCal struct {
-	pos            uint32  // slot position within the current recalibration period
-	useParallel    bool    // decision from the last probe window
-	decided        bool    // at least one probe window has completed
-	serialNs       float64 // accumulators for the current probe window
-	parallelNs     float64
-	serialSlotNs   float64 // mean per-slot ns from the last completed window
-	parallelSlotNs float64
-	calibrations   uint64
-	probing        bool    // current slot is a timed parallel probe
-	tickNsPerNode  float64 // EWMA per-node phase costs (parallel probes)
-	recvNsPerNode  float64
-}
-
-// DriverStats reports the adaptive driver's measurements: the per-slot
-// cost of each driver from the last calibration window, the per-node phase
-// cost EWMAs feeding the chunk-sizing model, the phase worker counts that
-// model currently yields, and which driver the next non-probe slot will
-// use. All times are in nanoseconds.
-type DriverStats struct {
-	// Parallel reports whether the next regular slot runs the parallel
-	// driver (true whenever the driver is pinned parallel).
-	Parallel bool
-	// Calibrations counts completed probe windows.
-	Calibrations uint64
-	// SerialSlotNs and ParallelSlotNs are the mean measured per-slot costs
-	// from the last completed probe window (zero before the first).
-	SerialSlotNs   float64
-	ParallelSlotNs float64
-	// TickNsPerNode and RecvNsPerNode are the EWMA per-node costs of the
-	// tick and receive phases measured during parallel probe slots.
-	TickNsPerNode float64
-	RecvNsPerNode float64
-	// TickWorkers and RecvWorkers are the phase worker counts the
-	// chunk-sizing model derives from those costs for the current
-	// deployment size.
-	TickWorkers int
-	RecvWorkers int
-}
-
-// DriverStats returns the adaptive driver's current measurements. It is
-// meaningful on engines configured with Parallel; on others it reports the
-// zero value with Parallel false.
-func (e *Engine) DriverStats() DriverStats {
-	c := &e.cal
-	par := e.cfg.Parallel && e.workers > 1 && (e.cfg.PinDriver || c.useParallel)
-	return DriverStats{
-		Parallel:       par,
-		Calibrations:   c.calibrations,
-		SerialSlotNs:   c.serialSlotNs,
-		ParallelSlotNs: c.parallelSlotNs,
-		TickNsPerNode:  c.tickNsPerNode,
-		RecvNsPerNode:  c.recvNsPerNode,
-		TickWorkers:    phaseWorkersFor(c.tickNsPerNode, len(e.nodes), e.workers),
-		RecvWorkers:    phaseWorkersFor(c.recvNsPerNode, len(e.nodes), e.workers),
-	}
-}
-
-// phaseWorkersFor sizes one parallel phase from its measured per-node cost:
-// the phase is split into at most max chunks, each predicted to cost at
-// least minPhaseChunkNs. An unmeasured phase (cost 0, before the first
-// parallel probe) uses every worker.
-func phaseWorkersFor(nsPerNode float64, n, max int) int {
-	if max <= 1 {
-		return 1
-	}
-	if nsPerNode <= 0 {
-		return max
-	}
-	w := int(nsPerNode * float64(n) / minPhaseChunkNs)
-	if w < 1 {
-		w = 1
-	}
-	if w > max {
-		w = max
-	}
-	return w
 }
 
 // phaseTask adapts one engine phase to workpool.Task. The fn indirection
@@ -449,7 +325,6 @@ func NewEngine(channel *sinr.Channel, nodes []Node, cfg Config) (*Engine, error)
 	e.workers = e.resolveWorkers()
 	e.rxCounts = make([]int64, e.workers)
 	e.batch = resolveBatch(cfg.Batch)
-	e.prof = cfg.Profile
 	for i := range e.frames {
 		e.frames[i].From = i
 	}
@@ -517,7 +392,6 @@ func (e *Engine) Reset(nodes []Node, seed uint64) error {
 		e.rxCounts = make([]int64, e.workers)
 	}
 	e.cfg.Seed = seed
-	e.cal = driverCal{}
 	e.epochs = 0
 	e.nextID = len(nodes)
 	if e.faults != nil {
@@ -675,48 +549,11 @@ func (e *Engine) Evaluator() sinr.ChannelEvaluator { return e.evaluator }
 // and for layering higher-level protocols on top of MAC automata.
 func (e *Engine) Node(id int) Node { return e.nodes[id] }
 
-// Step simulates exactly one slot. With Config.Parallel set and PinDriver
-// unset, the slot may be a timed calibration probe; the execution is
-// identical either way, only the driver (and the timing) differs. Step must
-// not be called from an observer while a Run/RunBatch micro-batch is open
-// (the batch's workpool session is still active); doing so panics.
-func (e *Engine) Step() {
-	if e.inBatch {
-		panic("sim: Step called from inside a running batch")
-	}
-	parallel, timed := e.driverForSlot()
-	if !timed {
-		e.stepOnce(parallel)
-		return
-	}
-	e.cal.probing = parallel
-	start := time.Now() //sinrlint:allow detrand driver-probe timing; feeds only the serial/parallel choice between bit-identical drivers
-	e.stepOnce(parallel)
-	elapsed := float64(time.Since(start)) //sinrlint:allow detrand driver-probe timing
-	e.cal.probing = false
-	if parallel {
-		e.cal.parallelNs += elapsed
-	} else {
-		e.cal.serialNs += elapsed
-	}
-}
-
-// stepOnce runs one slot on the selected driver, taking the fault-path
-// variant when a hook is installed (the plain paths stay branch-free).
-func (e *Engine) stepOnce(parallel bool) {
-	switch {
-	case parallel && e.faults != nil:
-		e.stepParallelFaults()
-	case parallel:
-		e.stepParallel()
-	case e.faults != nil:
-		e.stepSerialFaults()
-	case e.prof != nil:
-		e.stepSerialProfiled()
-	default:
-		e.stepSerial()
-	}
-}
+// Step simulates exactly one slot: it is the slot loop run for one slot, so
+// on the parallel driver every Step opens and closes one workpool session.
+// Step must not be called from an observer (the slot loop is still open);
+// doing so panics.
+func (e *Engine) Step() { e.runSlots(1, nil) }
 
 // resolveBatch derives the effective micro-batch size from the
 // configuration.
@@ -727,285 +564,115 @@ func resolveBatch(b int) int {
 	return b
 }
 
-// driverForSlot decides which driver runs the next slot and whether the
-// slot is a timed calibration probe. The schedule within each
-// driverRecalPeriod-slot window is: driverProbeSlots timed serial slots,
-// driverProbeSlots timed parallel slots, then the cheaper driver untimed
-// for the rest of the window.
-func (e *Engine) driverForSlot() (parallel, timed bool) {
-	if !e.cfg.Parallel || e.workers <= 1 {
-		return false, false
+// runSlots is the engine's one slot loop. It simulates up to take slots,
+// polling stop (when non-nil) before each, and reports how many ran and
+// whether stop ended the loop. Every slot runs tick → collect → (hook:
+// perturb) → evaluate → (hook: drain panics, filter) → receive → (hook:
+// drain panics) → finish. On the parallel driver the tick and receive
+// phases, and a parallel evaluator's chunks, run on one workpool session
+// that spans the whole call. Everything serial — transmitter collection,
+// the fault hook, stat counters, observers, the stop poll — runs on the
+// calling goroutine between the phases, in slot order, so the execution is
+// the same on either driver and at any take. The session and the re-entry
+// guard are released on every exit path, a panic included.
+func (e *Engine) runSlots(take int64, stop func() bool) (ran int64, stopped bool) {
+	if e.inBatch {
+		panic("sim: Step/Run/RunBatch called from inside a running batch")
 	}
-	if e.cfg.PinDriver {
-		return true, false
+	parallel := e.cfg.Parallel && e.workers > 1
+	e.inBatch = true
+	if parallel {
+		e.pool.Begin(e.workers)
 	}
-	c := &e.cal
-	pos := c.pos
-	if c.pos++; c.pos >= driverRecalPeriod {
-		c.pos = 0
-	}
-	switch {
-	case pos == 0:
-		c.serialNs, c.parallelNs = 0, 0
-		return false, true
-	case pos < driverProbeSlots:
-		return false, true
-	case pos < 2*driverProbeSlots:
-		return true, true
-	case pos == 2*driverProbeSlots:
-		c.serialSlotNs = c.serialNs / driverProbeSlots
-		c.parallelSlotNs = c.parallelNs / driverProbeSlots
-		c.useParallel = c.parallelNs < c.serialNs
-		c.decided = true
-		c.calibrations++
-	}
-	return c.useParallel, false
-}
-
-// planBatch is the batched analogue of driverForSlot: it decides the driver
-// of the next slot and how many consecutive slots (at most want) that
-// decision covers without crossing a probe-schedule boundary. Timed probe
-// slots are always planned one at a time so their measurements stay
-// per-slot, which keeps the calibration state byte-compatible with
-// interleaved Step calls. For untimed sub-batches planBatch does NOT
-// advance the window position — the caller credits the slots that actually
-// ran via calAdvance, so a batch cut short by its stop condition leaves
-// the probe schedule aligned with the slots executed.
-func (e *Engine) planBatch(want int64) (parallel, timed bool, take int64) {
-	if !e.cfg.Parallel || e.workers <= 1 {
-		return false, false, want
-	}
-	if e.cfg.PinDriver {
-		return true, false, want
-	}
-	c := &e.cal
-	pos := c.pos
-	switch {
-	case pos == 0:
-		c.serialNs, c.parallelNs = 0, 0
-		c.pos++
-		return false, true, 1
-	case pos < driverProbeSlots:
-		c.pos++
-		return false, true, 1
-	case pos < 2*driverProbeSlots:
-		c.pos++
-		return true, true, 1
-	case pos == 2*driverProbeSlots:
-		c.serialSlotNs = c.serialNs / driverProbeSlots
-		c.parallelSlotNs = c.parallelNs / driverProbeSlots
-		c.useParallel = c.parallelNs < c.serialNs
-		c.decided = true
-		c.calibrations++
-	}
-	take = int64(driverRecalPeriod - pos)
-	if take > want {
-		take = want
-	}
-	return c.useParallel, false, take
-}
-
-// calAdvance credits ran executed untimed slots to the calibration window
-// position (probe slots advance inside planBatch).
-func (e *Engine) calAdvance(ran int64) {
-	if !e.cfg.Parallel || e.workers <= 1 || e.cfg.PinDriver {
-		return
-	}
-	c := &e.cal
-	c.pos += uint32(ran)
-	if c.pos >= driverRecalPeriod {
-		c.pos = 0
-	}
-}
-
-// observePhaseCost folds one measured phase duration into the per-node
-// cost EWMA feeding the chunk-sizing model.
-func observePhaseCost(ewma *float64, elapsedNs float64, n int) {
-	if n <= 0 {
-		return
-	}
-	perNode := elapsedNs / float64(n)
-	if *ewma <= 0 {
-		*ewma = perNode
-		return
-	}
-	*ewma += phaseCostEWMA * (perNode - *ewma)
-}
-
-// stepSerial is the sequential driver: every phase runs inline on the
-// calling goroutine.
-func (e *Engine) stepSerial() {
-	slot := e.slot
-	e.txScratch = e.txScratch[:0]
-	for i, n := range e.nodes {
-		if n.Tick(slot, &e.frames[i]) {
-			e.frames[i].From = i
-			e.txScratch = append(e.txScratch, i)
-		}
-	}
-	receptions := e.evaluator.SlotReceptions(e.txScratch)
-	for i, rec := range receptions {
-		if rec.Sender >= 0 {
-			e.nodes[i].Receive(slot, &e.frames[rec.Sender])
-			e.stats.Receptions++
-		}
-	}
-	e.finishSlot(slot, receptions)
-}
-
-// stepSerialProfiled is stepSerial with the per-phase wall clock folded
-// into Config.Profile. The execution is identical to stepSerial — the only
-// additions are the clock reads between phases.
-//
-//sinrlint:allow detrand phase-profiling instrumentation; timings are reported, never consulted by decisions
-func (e *Engine) stepSerialProfiled() {
-	p := e.prof
-	slot := e.slot
-	e.txScratch = e.txScratch[:0]
-	t0 := time.Now()
-	for i, n := range e.nodes {
-		if n.Tick(slot, &e.frames[i]) {
-			e.frames[i].From = i
-			e.txScratch = append(e.txScratch, i)
-		}
-	}
-	t1 := time.Now()
-	receptions := e.evaluator.SlotReceptions(e.txScratch)
-	t2 := time.Now()
-	for i, rec := range receptions {
-		if rec.Sender >= 0 {
-			e.nodes[i].Receive(slot, &e.frames[rec.Sender])
-			e.stats.Receptions++
-		}
-	}
-	p.TickNs += int64(t1.Sub(t0))
-	p.EvalNs += int64(t2.Sub(t1))
-	p.RecvNs += int64(time.Since(t2))
-	p.Slots++
-	e.finishSlot(slot, receptions)
-}
-
-// stepParallel is the worker-pool driver: the whole slot runs inside one
-// fused workpool session, so the helpers are woken at most once and the
-// tick, evaluation-chunk and receive phases hand off through spin barriers.
-// A parallel evaluator sharing the engine's pool joins the session
-// transparently through Pool.Run; serial interludes (transmitter collection,
-// evaluator preparation) run on the leader while the helpers wait.
-//
-//sinrlint:allow detrand chunk-calibration probes; EWMA phase costs size chunks, the slot outcome is bit-identical at any sizing
-func (e *Engine) stepParallel() {
-	slot := e.slot
+	defer e.endSlots(parallel)
+	hook := e.faults
 	n := len(e.nodes)
-	probing := e.cal.probing
-	e.pool.Begin(e.workers)
-
-	e.txScratch = e.txScratch[:0]
-	e.tickSlot = slot
-	var t0 time.Time
-	if probing {
-		t0 = time.Now()
-	}
-	e.pool.Run(n, phaseWorkersFor(e.cal.tickNsPerNode, n, e.workers), &e.tickTask)
-	if probing {
-		observePhaseCost(&e.cal.tickNsPerNode, float64(time.Since(t0)), n)
-	}
-	for i, sent := range e.sent {
-		if sent {
-			e.sent[i] = false
-			e.frames[i].From = i
-			e.txScratch = append(e.txScratch, i)
+	for ; ran < take; ran++ {
+		if stop != nil && stop() {
+			return ran, true
 		}
-	}
-
-	receptions := e.evaluator.SlotReceptions(e.txScratch)
-
-	if probing {
-		t0 = time.Now()
-	}
-	e.stats.Receptions += e.receiveParallel(slot, receptions)
-	if probing {
-		observePhaseCost(&e.cal.recvNsPerNode, float64(time.Since(t0)), n)
-	}
-	e.pool.End()
-	e.finishSlot(slot, receptions)
-}
-
-// stepParallelBatch runs up to take untimed parallel slots inside ONE fused
-// workpool session: the helpers are woken at Begin, the phase barrier then
-// advances through three phases per slot (tick, evaluation chunks, receive),
-// and the helpers park again only at End. Everything serial — transmitter
-// collection, evaluator preparation, stat counters, observers, the stop
-// poll — runs on the leader between the parallel phases, in exact slot
-// order, so the execution is bit-identical to stepParallel called take
-// times; only the per-slot session wake/park is amortised away. stop is
-// polled before every slot after the first (the caller polled before the
-// batch); a batch cut short reports the slots that actually ran.
-func (e *Engine) stepParallelBatch(take int64, stop func() bool) (ran int64, stopped bool) {
-	n := len(e.nodes)
-	e.pool.Begin(e.workers)
-	for ran < take {
 		slot := e.slot
+		if hook != nil {
+			e.inert = hook.SlotStart(slot, n)
+		}
 		e.txScratch = e.txScratch[:0]
 		e.tickSlot = slot
-		e.pool.Run(n, phaseWorkersFor(e.cal.tickNsPerNode, n, e.workers), &e.tickTask)
-		for i, sent := range e.sent {
-			if sent {
-				e.sent[i] = false
+		if parallel {
+			e.pool.Run(n, e.workers, &e.tickTask)
+			for i, sent := range e.sent {
+				if sent {
+					e.sent[i] = false
+					e.frames[i].From = i
+					e.txScratch = append(e.txScratch, i)
+				}
+			}
+		} else {
+			for i := 0; i < n; {
+				i = e.tickRun(i, n)
+			}
+		}
+		if hook != nil {
+			e.realTx = len(e.txScratch)
+			e.txScratch = hook.PerturbTransmitters(slot, e.txScratch)
+		}
+		receptions := e.evaluator.SlotReceptions(e.txScratch)
+		if hook != nil {
+			e.drainPanics(slot)
+			hook.FilterReceptions(slot, receptions)
+		}
+		e.stats.Receptions += e.receive(slot, receptions, parallel)
+		if hook != nil {
+			e.drainPanics(slot)
+		}
+		e.finishSlot(slot, receptions)
+	}
+	return ran, false
+}
+
+// endSlots releases what runSlots opened: the re-entry guard and, on the
+// parallel driver, the workpool session. It is deferred, so neither stays
+// open when a node or observer panics out of the loop.
+func (e *Engine) endSlots(parallel bool) {
+	e.inBatch = false
+	if parallel {
+		e.pool.End()
+	}
+}
+
+// tickRun is the sequential tick phase over nodes [lo, hi). Transmitters
+// are appended to txScratch directly, in node order: a sent-flag sweep
+// would add an O(n) pass that the engine_step_faults benchmark gate
+// polices. Under a fault hook inert nodes do not tick, and a panicking Tick
+// is recovered — the node is never appended, the panic is queued for the
+// hook, and the index to resume from is returned. Without a hook a node
+// panic propagates.
+func (e *Engine) tickRun(lo, hi int) (next int) {
+	slot, inert := e.tickSlot, e.inert
+	i := lo
+	if e.faults != nil {
+		defer func() {
+			if r := recover(); r != nil {
+				e.recordPanic(i, "tick", r)
+				next = i + 1
+			}
+		}()
+	}
+	if inert != nil {
+		for ; i < hi; i++ {
+			if !inert[i] && e.nodes[i].Tick(slot, &e.frames[i]) {
 				e.frames[i].From = i
 				e.txScratch = append(e.txScratch, i)
 			}
 		}
-		receptions := e.evaluator.SlotReceptions(e.txScratch)
-		e.stats.Receptions += e.receiveParallel(slot, receptions)
-		e.finishSlot(slot, receptions)
-		ran++
-		if ran < take && stop != nil && stop() {
-			stopped = true
-			break
+		return hi
+	}
+	for ; i < hi; i++ {
+		if e.nodes[i].Tick(slot, &e.frames[i]) {
+			e.frames[i].From = i
+			e.txScratch = append(e.txScratch, i)
 		}
 	}
-	e.pool.End()
-	return ran, stopped
-}
-
-// stepParallelFaultsBatch is stepParallelBatch with the fault hook wired
-// in: per slot it mirrors stepParallelFaults exactly — the hook's
-// stochastic sections (SlotStart, PerturbTransmitters, FilterReceptions,
-// panic draining) run on the leader between the parallel phases, in the
-// same order — inside one shared session. Probe slots never batch, so the
-// probing branches of stepParallelFaults are omitted.
-func (e *Engine) stepParallelFaultsBatch(take int64, stop func() bool) (ran int64, stopped bool) {
-	n := len(e.nodes)
-	e.pool.Begin(e.workers)
-	for ran < take {
-		slot := e.slot
-		e.inert = e.faults.SlotStart(slot, n)
-		e.txScratch = e.txScratch[:0]
-		e.tickSlot = slot
-		e.pool.Run(n, phaseWorkersFor(e.cal.tickNsPerNode, n, e.workers), &e.tickTask)
-		for i, sent := range e.sent {
-			if sent {
-				e.sent[i] = false
-				e.frames[i].From = i
-				e.txScratch = append(e.txScratch, i)
-			}
-		}
-		e.realTx = len(e.txScratch)
-		e.txScratch = e.faults.PerturbTransmitters(slot, e.txScratch)
-		receptions := e.evaluator.SlotReceptions(e.txScratch)
-		e.drainPanics(slot)
-		e.faults.FilterReceptions(slot, receptions)
-		e.stats.Receptions += e.receiveParallel(slot, receptions)
-		e.drainPanics(slot)
-		e.finishSlot(slot, receptions)
-		ran++
-		if ran < take && stop != nil && stop() {
-			stopped = true
-			break
-		}
-	}
-	e.pool.End()
-	return ran, stopped
+	return hi
 }
 
 // finishSlot applies the per-slot bookkeeping shared by both drivers. Under
@@ -1051,8 +718,8 @@ func (e *Engine) tickChunk(lo, hi, _ int) {
 	}
 }
 
-// recvChunk is the parallel receive phase's loop body: receivers [lo, hi)
-// take their deliveries, counting them into the worker's private subtotal.
+// recvChunk is the receive phase's loop body: receivers [lo, hi) take their
+// deliveries, counting them into the worker's private subtotal.
 //
 //sinrlint:hotpath
 func (e *Engine) recvChunk(lo, hi, worker int) {
@@ -1067,16 +734,19 @@ func (e *Engine) recvChunk(lo, hi, worker int) {
 	e.rxCounts[worker] = count
 }
 
-// receiveParallel delivers decoded frames on the worker pool and returns the
-// number of successful decodes. Each chunk counts its own deliveries into a
-// private subtotal, so the receptions slice is scanned exactly once and the
-// sum is deterministic (integer addition over disjoint chunks).
-func (e *Engine) receiveParallel(slot int64, receptions []sinr.Reception) int64 {
-	for i := range e.rxCounts {
-		e.rxCounts[i] = 0
-	}
+// receive delivers the slot's decoded frames — on the worker pool under the
+// parallel driver, inline as one chunk otherwise — and returns the number
+// of deliveries. Each chunk counts into its worker's private subtotal, so
+// the receptions slice is scanned exactly once and the sum is deterministic
+// (integer addition over disjoint chunks).
+func (e *Engine) receive(slot int64, receptions []sinr.Reception, parallel bool) int64 {
+	clear(e.rxCounts)
 	e.rxSlot, e.rxRec = slot, receptions
-	e.pool.Run(len(e.nodes), phaseWorkersFor(e.cal.recvNsPerNode, len(e.nodes), e.workers), &e.recvTask)
+	if parallel {
+		e.pool.Run(len(e.nodes), e.workers, &e.recvTask)
+	} else {
+		e.recvTask.RunChunk(0, len(e.nodes), 0)
+	}
 	e.rxRec = nil
 	total := int64(0)
 	for _, c := range e.rxCounts {
@@ -1096,97 +766,29 @@ func (e *Engine) receiveParallel(slot int64, receptions []sinr.Reception) int64 
 // The execution — including exactly when stop is polled — is identical to
 // calling Step in a loop at any batch size.
 func (e *Engine) Run(maxSlots int64, stop func() bool) (int64, bool) {
-	start := e.slot
-	batch := int64(e.batch)
-	for e.slot-start < maxSlots {
-		want := maxSlots - (e.slot - start)
-		if want > batch {
-			want = batch
-		}
-		if _, stopped := e.runBatch(want, stop); stopped {
-			return e.slot - start, true
+	var done int64
+	for done < maxSlots {
+		ran, stopped := e.runSlots(min(maxSlots-done, int64(e.batch)), stop)
+		done += ran
+		if stopped {
+			return done, true
 		}
 	}
-	return e.slot - start, stop != nil && stop()
+	return done, stop != nil && stop()
 }
 
 // RunBatch simulates up to b slots as one micro-batch: on the parallel
 // driver the batch runs inside a single fused workpool session (helpers
-// woken once, the phase barrier advancing through 3·b phases), with the
-// adaptive probe consulted once per sub-batch instead of per slot.
-// Observers, fault hooks and stat counters fire per slot in exact slot
-// order, so the execution is bit-identical to b calls of Step; only wall
-// clock differs. It returns the number of slots simulated (b, unless
-// b <= 0). Calls between RunBatch/Run invocations — ApplyEpoch, Reset —
-// always see a flushed batch.
+// woken once, the phase barrier advancing through 3·b phases). Observers,
+// fault hooks and stat counters fire per slot in exact slot order, so the
+// execution is bit-identical to b calls of Step; only wall clock differs.
+// It returns the number of slots simulated (b, unless b <= 0). Calls
+// between RunBatch/Run invocations — ApplyEpoch, Reset — always see a
+// flushed batch.
 func (e *Engine) RunBatch(b int) int64 {
 	if b <= 0 {
 		return 0
 	}
-	ran, _ := e.runBatch(int64(b), nil)
+	ran, _ := e.runSlots(int64(b), nil)
 	return ran
-}
-
-// endBatch closes the batch re-entry guard (deferred by runBatch so the
-// guard clears even when a node or observer panics out of the batch).
-func (e *Engine) endBatch() { e.inBatch = false }
-
-// runBatch executes up to want slots in probe-schedule-aligned sub-batches:
-// timed calibration probes run one slot at a time with exactly Step's
-// timing, untimed stretches run as fused multi-slot sessions (parallel
-// driver) or plain loops (sequential driver). stop is polled once before
-// every slot, matching the slot-at-a-time Run loop poll for poll.
-func (e *Engine) runBatch(want int64, stop func() bool) (int64, bool) {
-	if e.inBatch {
-		panic("sim: Run/RunBatch called from inside a running batch")
-	}
-	e.inBatch = true
-	defer e.endBatch()
-	var done int64
-	for done < want {
-		if stop != nil && stop() {
-			return done, true
-		}
-		parallel, timed, take := e.planBatch(want - done)
-		switch {
-		case timed:
-			e.cal.probing = parallel
-			start := time.Now() //sinrlint:allow detrand driver-probe timing; feeds only the serial/parallel choice between bit-identical drivers
-			e.stepOnce(parallel)
-			elapsed := float64(time.Since(start)) //sinrlint:allow detrand driver-probe timing
-			e.cal.probing = false
-			if parallel {
-				e.cal.parallelNs += elapsed
-			} else {
-				e.cal.serialNs += elapsed
-			}
-			done++
-		case parallel:
-			var ran int64
-			var stopped bool
-			if e.faults != nil {
-				ran, stopped = e.stepParallelFaultsBatch(take, stop)
-			} else {
-				ran, stopped = e.stepParallelBatch(take, stop)
-			}
-			e.calAdvance(ran)
-			done += ran
-			if stopped {
-				return done, true
-			}
-		default:
-			var ran int64
-			for ran < take {
-				e.stepOnce(false)
-				ran++
-				if ran < take && stop != nil && stop() {
-					e.calAdvance(ran)
-					return done + ran, true
-				}
-			}
-			e.calAdvance(ran)
-			done += ran
-		}
-	}
-	return done, false
 }

@@ -228,10 +228,9 @@ func TestObserverSeesTraffic(t *testing.T) {
 // their engines also share this seed.
 const engineSeed = 99
 
-// buildScenario builds an n-node random deployment (drawn from the topology
-// seed) and an engine over it with the given config; fast selects the fast
-// evaluator instead of the naive reference path.
-func buildScenario(t *testing.T, n int, seed uint64, fast bool, cfg Config) ([]*randomNode, *Engine) {
+// scenarioChannel builds an n-node random deployment drawn from the
+// topology seed.
+func scenarioChannel(t *testing.T, n int, seed uint64) *sinr.Channel {
 	t.Helper()
 	src := rng.New(seed)
 	pos := make([]geom.Point, n)
@@ -242,6 +241,15 @@ func buildScenario(t *testing.T, n int, seed uint64, fast bool, cfg Config) ([]*
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ch
+}
+
+// buildScenario builds an engine over the scenarioChannel deployment with
+// the given config; fast selects the fast evaluator instead of the naive
+// reference path.
+func buildScenario(t *testing.T, n int, seed uint64, fast bool, cfg Config) ([]*randomNode, *Engine) {
+	t.Helper()
+	ch := scenarioChannel(t, n, seed)
 	if fast {
 		cfg.Evaluator = sinr.NewFastChannel(ch)
 	}
@@ -681,22 +689,20 @@ func TestEngineStepAllocFree(t *testing.T) {
 		name     string
 		parallel bool
 		workers  int
-		pin      bool
 		p        float64 // per-slot transmit probability (sets tx density)
 		shards   int     // force the sharded evaluator regime when > 0
 	}{
-		{"sequential/dense", false, 1, false, 0.5, 0},
-		{"sequential/sparse", false, 1, false, 0.02, 0},
-		{"parallel/sparse", true, 4, false, 0.02, 0},
-		// Pinned forces the fused session driver every slot regardless of
-		// what the crossover would decide, so the Begin/phase/End machinery
-		// itself is held to the zero-alloc budget.
-		{"parallel-pinned/sparse", true, 4, true, 0.02, 0},
-		{"parallel-pinned/dense", true, 4, true, 0.5, 0},
+		{"sequential/dense", false, 1, 0.5, 0},
+		{"sequential/sparse", false, 1, 0.02, 0},
+		// Four pinned workers run the fused session driver at any
+		// GOMAXPROCS, so the Begin/phase/End machinery itself is held to
+		// the zero-alloc budget.
+		{"parallel-pinned/sparse", true, 4, 0.02, 0},
+		{"parallel-pinned/dense", true, 4, 0.5, 0},
 		// The sharded regime's per-slot aggregation phases ride the same
 		// fused session and share the zero-alloc budget.
-		{"sequential/shard", false, 1, false, 0.5, 4},
-		{"parallel-pinned/shard", true, 4, true, 0.5, 8},
+		{"sequential/shard", false, 1, 0.5, 4},
+		{"parallel-pinned/shard", true, 4, 0.5, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := rng.New(31)
@@ -719,7 +725,7 @@ func TestEngineStepAllocFree(t *testing.T) {
 			}
 			eng, err := NewEngine(ch, nodes, Config{
 				Seed: 3, Parallel: tc.parallel, Workers: tc.workers,
-				PinDriver: tc.pin, Evaluator: fast,
+				Evaluator: fast,
 			})
 			if err != nil {
 				t.Fatal(err)

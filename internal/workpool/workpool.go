@@ -384,6 +384,10 @@ func (s *state) wakeParked() {
 
 // awaitArrived blocks the leader until every session helper has arrived at
 // the current phase barrier, spinning briefly before parking on leaderWake.
+// A wake can be stale: the last helper of the previous phase counts its
+// arrival, the leader moves on, and only then does that helper claim the
+// park flag the leader set for this phase. So a woken leader re-checks the
+// count and parks again until the barrier is really full.
 func (s *state) awaitArrived() {
 	target := int64(s.sessHelpers)
 	for i := 0; i < s.spins; i++ {
@@ -392,14 +396,19 @@ func (s *state) awaitArrived() {
 		}
 		runtime.Gosched()
 	}
-	atomic.StoreInt32(&s.leaderPark, 1)
-	if s.arrived.Load() >= target && atomic.CompareAndSwapInt32(&s.leaderPark, 1, 0) {
-		// The last helper arrived before it could claim the park flag, so
-		// no wake is coming (its CAS will fail); reclaiming the flag
-		// ourselves keeps the channel empty.
-		return
+	for {
+		atomic.StoreInt32(&s.leaderPark, 1)
+		if s.arrived.Load() >= target && atomic.CompareAndSwapInt32(&s.leaderPark, 1, 0) {
+			// The last helper arrived before it could claim the park flag,
+			// so no wake is coming (its CAS will fail); reclaiming the flag
+			// ourselves keeps the channel empty.
+			return
+		}
+		<-s.leaderWake
+		if s.arrived.Load() >= target {
+			return
+		}
 	}
-	<-s.leaderWake
 }
 
 // helperSession is a helper's life inside one fused session: wait for each
@@ -438,7 +447,10 @@ func (s *state) helperSession(w int, wake chan struct{}) bool {
 // channel. The park flag handoff mirrors wakeParked: the helper publishes
 // its flag, re-checks the generation, and either reclaims the flag itself
 // (no signal coming) or consumes the signal of the leader that claimed it.
-// It reports false when the pool is shutting down.
+// A signal can be stale: a leader descheduled inside wakeParked for the
+// previous phase may claim the flag this helper set for the next one, so a
+// woken helper re-checks the generation and parks again until it is
+// reached. It reports false when the pool is shutting down.
 func (s *state) awaitPhase(target uint64, w int, wake chan struct{}) bool {
 	for i := 0; i < s.spins; i++ {
 		if s.phase.Load() >= target {
@@ -447,14 +459,18 @@ func (s *state) awaitPhase(target uint64, w int, wake chan struct{}) bool {
 		runtime.Gosched()
 	}
 	idx := w - 1
-	atomic.StoreInt32(&s.parked[idx], 1)
-	if s.phase.Load() >= target && atomic.CompareAndSwapInt32(&s.parked[idx], 1, 0) {
-		return true
-	}
-	select {
-	case <-wake:
-		return true
-	case <-s.stop:
-		return false
+	for {
+		atomic.StoreInt32(&s.parked[idx], 1)
+		if s.phase.Load() >= target && atomic.CompareAndSwapInt32(&s.parked[idx], 1, 0) {
+			return true
+		}
+		select {
+		case <-wake:
+		case <-s.stop:
+			return false
+		}
+		if s.phase.Load() >= target {
+			return true
+		}
 	}
 }
