@@ -156,8 +156,8 @@ func benchSlotReceptions(b *testing.B, n int) {
 // (n below sinr.DefaultMatrixThreshold).
 func BenchmarkSlotReceptions1k(b *testing.B) { benchSlotReceptions(b, 1000) }
 
-// BenchmarkSlotReceptions5k exercises the spatial-grid far-field path with
-// the lazy column cache.
+// BenchmarkSlotReceptions5k exercises the cell lattice (n above
+// sinr.DefaultMatrixThreshold).
 func BenchmarkSlotReceptions5k(b *testing.B) { benchSlotReceptions(b, 5000) }
 
 // BenchmarkSlotReceptions10k is the node-count regime the ROADMAP's

@@ -24,7 +24,7 @@ func writeBaseline(t *testing.T, report benchReport) string {
 func baseReport() benchReport {
 	return benchReport{
 		Cases:       []benchCase{{Name: "matrix", SpeedupVsNaive: 20}},
-		SparseCases: []sparseCase{{Name: "sparse_grid", SpeedupVsDense: 10}},
+		SparseCases: []sparseCase{{Name: "sparse_lattice", SpeedupVsDense: 10}},
 		BoundsCases: []boundsCase{{Name: "bounds_quarter", SpeedupVsDense: 6}},
 		ChurnCases:  []churnCase{{Name: "churn_matrix", SpeedupVsRebuild: 40}},
 		StepCases:   []stepCase{{Name: "engine_step", AllocsPerOp: 0}},
@@ -39,7 +39,7 @@ func TestCompareReportsPasses(t *testing.T) {
 	// Fresh-only cases stay allowed: adding a benchmark must not break the
 	// first run against an old baseline.
 	fresh := baseReport()
-	fresh.ChurnCases = append(fresh.ChurnCases, churnCase{Name: "churn_grid", SpeedupVsRebuild: 3})
+	fresh.ChurnCases = append(fresh.ChurnCases, churnCase{Name: "churn_lattice", SpeedupVsRebuild: 3})
 	if err := compareReports(path, fresh); err != nil {
 		t.Fatalf("fresh-only case failed the gate: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestCompareReportsMissingBaselineCase(t *testing.T) {
 		mutate func(r *benchReport)
 	}{
 		{"matrix", func(r *benchReport) { r.Cases = nil }},
-		{"sparse_grid", func(r *benchReport) { r.SparseCases = nil }},
+		{"sparse_lattice", func(r *benchReport) { r.SparseCases = nil }},
 		{"bounds_quarter", func(r *benchReport) { r.BoundsCases = nil }},
 		{"churn_matrix", func(r *benchReport) { r.ChurnCases = nil }},
 		{"engine_step", func(r *benchReport) { r.StepCases = nil }},

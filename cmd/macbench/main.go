@@ -14,20 +14,21 @@
 // across PRs:
 //
 //   - the SINR slot hot path, naive reference vs fast evaluator, in the
-//     matrix and grid regimes (ns/op, allocs/op, speedup vs naive);
+//     matrix regime and on the cell lattice (ns/op, allocs/op, speedup vs
+//     naive);
 //   - the sparse sender-centric path vs the dense scan on the
 //     sinr.SparseBenchWorkload (|tx| = √n) in both regimes;
 //   - the hierarchical-bounds tier vs the dense scan on the
 //     sinr.DenseBenchWorkload at k = n/4 and k = n, with the measured
 //     exact-fallback (refine) rate per case;
-//   - the sharded regime at scale (n = 100k, and n = 10⁶ with -large): the
-//     certified sharded pipeline vs the per-pair dense scan, plus the
+//   - the cell lattice at scale (n = 100k, and n = 10⁶ with -large): the
+//     certified sharded pipeline vs the lattice's dense scan, plus the
 //     measured heap footprint of channel + evaluator (rss_bytes,
 //     bytes_per_node), which must stay within
 //     sinr.ShardBytesPerNodeBudget;
 //   - churn epochs on the sinr.ChurnBenchWorkload: incrementally applying
 //     a mobility epoch (1% of nodes moved) to a live evaluator vs
-//     rebuilding it from scratch, in both cache regimes (the apply path is
+//     rebuilding it from scratch, in both regimes (the apply path is
 //     expected to stay allocation-free);
 //   - a steady-state sim.Engine.Step over pooled frames (ns/op and
 //     allocs/op, the latter expected to be zero): the sequential and
@@ -41,10 +42,9 @@
 //     fused-parallel workload driven slot-at-a-time via Engine.Step (one
 //     workpool session per slot) against Engine.RunBatch's 64-slot
 //     micro-batches (one session per batch), at n = 2000 and n = 5000;
-//   - the blocked (SIMD-friendly) kernel restructurings against the scalar
-//     loops they replaced, on the production entry points: the matrix
-//     totals gather (4 receivers per pass, breaking the loop-carried FP
-//     add chain) and the power-column fill;
+//   - the blocked (SIMD-friendly) matrix totals gather against the scalar
+//     loop it replaced, on the production entry point (4 receivers per
+//     pass, breaking the loop-carried FP add chain);
 //   - the pow-free path-loss kernel (sinr.Params.ReceivedPower with its
 //     integer-α multiplication fast paths plus the Sqrt distance) against
 //     the pre-rewrite math.Pow+math.Hypot arithmetic, per fast-pathed
@@ -220,7 +220,7 @@ func run() int {
 // benchCase is one measured slot-path configuration in BENCH_macbench.json.
 type benchCase struct {
 	// Name identifies the regime: "matrix" (n below the power-matrix
-	// threshold) or "grid" (spatial-grid far-field path).
+	// threshold) or "lattice" (the cell lattice above it).
 	Name string `json:"name"`
 	// Nodes and Transmitters describe the workload.
 	Nodes        int `json:"nodes"`
@@ -239,7 +239,7 @@ type benchCase struct {
 // workload (|tx| = √n) evaluated with the sender-centric sparse path
 // disabled and enabled.
 type sparseCase struct {
-	// Name identifies the regime: "sparse_matrix" or "sparse_grid".
+	// Name identifies the regime: "sparse_matrix" or "sparse_lattice".
 	Name string `json:"name"`
 	// Nodes and Transmitters describe the workload (sinr.SparseBenchWorkload).
 	Nodes        int `json:"nodes"`
@@ -281,13 +281,13 @@ type boundsCase struct {
 	RefineRate float64 `json:"refine_rate"`
 }
 
-// shardCase is one sharded-regime measurement at scale: the same dense
-// workload evaluated by the per-pair grid regime (dense scan pinned, shards
-// disabled) and by the sharded evaluator, plus the sharded evaluator's
-// measured heap footprint (channel + evaluator + workload, GC-settled
-// HeapAlloc delta). The large case skips the dense side — a 10⁶-node
-// per-pair scan takes minutes per op — and documents footprint and absolute
-// slot cost only.
+// shardCase is one cell-lattice measurement at scale: the same dense
+// workload evaluated by the lattice's dense scan (sparse and certified
+// paths pinned off) and by the adaptive lattice, plus the adaptive
+// evaluator's measured heap footprint (channel + evaluator + workload,
+// GC-settled HeapAlloc delta). The large case skips the dense side — a
+// 10⁶-node dense scan takes minutes per op — and documents footprint and
+// absolute slot cost only.
 type shardCase struct {
 	// Name identifies the scale: "shard_n100k" or "shard_n1m" (-large only).
 	Name string `json:"name"`
@@ -295,8 +295,8 @@ type shardCase struct {
 	Nodes        int `json:"nodes"`
 	Transmitters int `json:"transmitters"`
 	Shards       int `json:"shards"`
-	// Dense is the per-pair grid regime's dense scan (absent for the large
-	// case); Shard the sharded evaluator with adaptive certificate dispatch.
+	// Dense is the lattice's dense scan (absent for the large case); Shard
+	// the lattice with adaptive certificate dispatch.
 	DenseNsPerOp     float64 `json:"dense_ns_per_op,omitempty"`
 	DenseAllocsPerOp int64   `json:"dense_allocs_per_op,omitempty"`
 	ShardNsPerOp     float64 `json:"shard_ns_per_op"`
@@ -318,7 +318,7 @@ type shardCase struct {
 // scratch over the post-epoch deployment, on sinr.ChurnBenchWorkload.
 type churnCase struct {
 	// Name identifies the regime: "churn_matrix" (power matrix patched in
-	// place) or "churn_grid" (grid buckets patched, column cache dropped).
+	// place) or "churn_lattice" (cell index patched in place).
 	Name string `json:"name"`
 	// Nodes is the deployment size; Changed how many nodes move per epoch.
 	Nodes   int `json:"nodes"`
@@ -379,8 +379,7 @@ type batchCase struct {
 // instruction-scheduling gain.
 type blockedCase struct {
 	Name string `json:"name"`
-	// Nodes is the workload size; Transmitters the gather's |tx| (absent
-	// for the column fill, which has no transmitter set).
+	// Nodes is the workload size; Transmitters the gather's |tx|.
 	Nodes        int `json:"nodes"`
 	Transmitters int `json:"transmitters,omitempty"`
 	// Scalar and Blocked are the per-op cost of the replaced scalar loop
@@ -497,13 +496,9 @@ const (
 // loop-carried floating-point add chain (one ~4-cycle add latency per
 // element scalar, four independent chains blocked), a microarchitectural
 // win that exists on any out-of-order host, so the gate demands a real
-// margin. The column fill's scalar loop already had independent
-// iterations, so its blocked form is gated only to not regress
-// (blockedFillMinSpeedup). Judged on per-side minima over interleaved
-// rounds, as above.
+// margin. Judged on per-side minima over interleaved rounds, as above.
 const (
 	blockedGatherMinSpeedup = 1.15
-	blockedFillMinSpeedup   = 0.95
 	blockedKernelRounds     = 5
 )
 
@@ -527,16 +522,15 @@ func benchSlot(ev sinr.ChannelEvaluator, tx []int) testing.BenchmarkResult {
 func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMode bool) int {
 	report := benchReport{GoMaxProcs: runtime.GOMAXPROCS(0), Seed: seed}
 
-	// Naive-vs-fast on the dense canonical workload, both cache regimes:
-	// below sinr.DefaultMatrixThreshold the fast path serves slots from the
-	// precomputed power matrix; above it, from the spatial grid with the
-	// lazy column cache.
+	// Naive-vs-fast on the dense canonical workload, both regimes: at most
+	// sinr.DefaultMatrixThreshold nodes the fast path serves slots from the
+	// precomputed power matrix; above it, from the cell lattice.
 	for _, reg := range []struct {
 		name string
 		n    int
 	}{
 		{"matrix", 1000},
-		{"grid", 4000},
+		{"lattice", 4000},
 	} {
 		ch, tx, err := sinr.BenchWorkload(reg.n, seed)
 		if err != nil {
@@ -567,14 +561,14 @@ func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMo
 	// Sparse-vs-dense on the sparse workload (|tx| = √n at n = 5000), both
 	// regimes. The matrix regime raises the threshold so the 5000-node
 	// deployment still uses the cached power matrix, isolating the receiver
-	// enumeration as the only difference.
+	// enumeration as the only difference; the lattice keeps the defaults.
 	const sparseN = 5000
 	for _, reg := range []struct {
 		name      string
 		threshold int
 	}{
 		{"sparse_matrix", sparseN},
-		{"sparse_grid", -1},
+		{"sparse_lattice", 0},
 	} {
 		ch, tx, err := sinr.SparseBenchWorkload(sparseN, seed)
 		if err != nil {
@@ -605,7 +599,7 @@ func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMo
 	}
 
 	// Bounds-vs-dense on the dense workload (k = n/4 and k = n at n = 5000,
-	// grid regime): the hierarchical-bounds tier against the pre-bounds
+	// on the lattice): the certified pipeline against the lattice's
 	// dense scan, with the sparse path pinned off on both sides so the tier
 	// is the only difference. The bounds side keeps the default adaptive
 	// dispatch — the number reported is what simulations actually get — and
@@ -681,8 +675,8 @@ func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMo
 			reg.name, c.Nodes, c.Transmitters, c.DenseNsPerOp, c.DenseAllocsPerOp, c.BoundsNsPerOp, c.BoundsAllocsPerOp, c.SpeedupVsDense, c.RefineRate)
 	}
 
-	// The sharded regime at scale: n = 100k (and n = 10⁶ with -large)
-	// against the per-pair dense scan where that scan is still affordable,
+	// The cell lattice at scale: n = 100k (and n = 10⁶ with -large)
+	// against its dense scan where that scan is still affordable,
 	// with the settled heap footprint of channel + evaluator measured and
 	// gated against the documented per-node budget.
 	shardScales := []struct {
@@ -718,7 +712,7 @@ func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMo
 	}
 
 	// Churn epochs: incremental apply vs from-scratch rebuild at n = 5000
-	// with 1% of the nodes moving per epoch, in both cache regimes. The
+	// with 1% of the nodes moving per epoch, in both regimes. The
 	// matrix regime raises the threshold so the power matrix — the O(n²)
 	// state the incremental path exists to avoid rebuilding — is in play at
 	// this size; the apply loop cycles a fixed away/back delta pair, so its
@@ -729,7 +723,7 @@ func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMo
 		threshold int
 	}{
 		{"churn_matrix", churnN},
-		{"churn_grid", -1},
+		{"churn_lattice", 0},
 	} {
 		ch, deltas, err := sinr.ChurnBenchWorkload(churnN, churnN/100, seed)
 		if err != nil {
@@ -851,18 +845,16 @@ func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMo
 			c.Name, c.Nodes, c.Batch, c.StepNsPerSlot, c.BatchNsPerSlot, c.BatchAllocsPerOp, c.SpeedupVsStep)
 	}
 
-	// The blocked kernel restructurings vs their scalar predecessors,
-	// gated within-run (blockedGatherMinSpeedup / blockedFillMinSpeedup).
-	for _, bench := range []func(uint64) (blockedCase, error){benchBlockedGather, benchBlockedFill} {
-		c, err := bench(seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-			return 1
-		}
-		report.BlockedCases = append(report.BlockedCases, c)
-		fmt.Printf("%-23s n=%-5d k=%-4d scalar %9.0f ns/op  blocked %9.0f ns/op  speedup %.2fx\n",
-			c.Name, c.Nodes, c.Transmitters, c.ScalarNsPerOp, c.BlockedNsPerOp, c.SpeedupVsScalar)
+	// The blocked matrix gather vs its scalar predecessor, gated within-run
+	// (blockedGatherMinSpeedup).
+	bc, err := benchBlockedGather(seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
+		return 1
 	}
+	report.BlockedCases = append(report.BlockedCases, bc)
+	fmt.Printf("%-23s n=%-5d k=%-4d scalar %9.0f ns/op  blocked %9.0f ns/op  speedup %.2fx\n",
+		bc.Name, bc.Nodes, bc.Transmitters, bc.ScalarNsPerOp, bc.BlockedNsPerOp, bc.SpeedupVsScalar)
 
 	// Pow-free path-loss kernel vs the pre-rewrite math.Pow + math.Hypot
 	// arithmetic, per fast-pathed exponent. The α = 2 entry is only
@@ -1287,29 +1279,6 @@ func benchBlockedGather(seed uint64) (blockedCase, error) {
 	})
 }
 
-// benchBlockedFill measures the blocked power-column fill (fillColumn's
-// 4-wide distance/path-loss lanes with the exponent dispatch hoisted)
-// against the scalar pairPower loop it replaced, on a grid-regime workload
-// where column fills are the cache-miss path.
-func benchBlockedFill(seed uint64) (blockedCase, error) {
-	const n = 4000
-	ch, _, err := sinr.BenchWorkload(n, seed)
-	if err != nil {
-		return blockedCase{}, err
-	}
-	f := sinr.NewFastChannel(ch)
-	defer f.Close()
-	dst := make([]float64, n)
-	c := blockedCase{Name: "blocked_fill_column", Nodes: n}
-	return benchBlockedKernel(c, blockedFillMinSpeedup, func(blocked bool) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f.BenchFillColumn(dst, i%16, blocked)
-			}
-		})
-	})
-}
-
 // kernelSink defeats dead-code elimination of the benchmark loops below.
 var kernelSink float64
 
@@ -1375,9 +1344,10 @@ func benchKernelPathLoss(alpha float64, seed uint64) kernelCase {
 // GC-settled runtime.MemStats HeapAlloc delta around the whole build — it is
 // what a simulation at this scale actually holds live, and it is the number
 // the sinr.ShardBytesPerNodeBudget gate judges. When withDense is set the
-// same slot is also timed over the per-pair dense scan (sharding and bounds
-// pinned off) so the case carries a within-run speedup ratio; at the -large
-// scale the dense scan is minutes per op and is skipped.
+// same slot is also timed over the lattice's dense scan (same shard count,
+// certified path pinned off) so the case carries a within-run speedup
+// ratio; at the -large scale the dense scan is minutes per op and is
+// skipped.
 func measureShardCase(name string, n, k, shards int, seed uint64, withDense bool) (shardCase, error) {
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -1390,7 +1360,7 @@ func measureShardCase(name string, n, k, shards int, seed uint64, withDense bool
 	shardCount := shard.Shards()
 	if shardCount == 0 {
 		shard.Close()
-		return shardCase{}, fmt.Errorf("%s: sharded configuration fell back to a per-pair regime", name)
+		return shardCase{}, fmt.Errorf("%s: sharded configuration fell back to the grid", name)
 	}
 	shard.SlotReceptions(tx) // warm: builds the shard index and scratch
 	runtime.GC()
@@ -1421,7 +1391,7 @@ func measureShardCase(name string, n, k, shards int, seed uint64, withDense bool
 	}
 	if withDense {
 		dense := sinr.NewFastChannel(ch, sinr.FastOptions{
-			MatrixThreshold: -1, SparseFactor: -1, BoundsFactor: -1, Shards: -1,
+			Shards: shardCount, SparseFactor: -1, BoundsFactor: -1,
 		})
 		denseRes := benchSlot(dense, tx)
 		dense.Close()

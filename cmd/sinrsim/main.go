@@ -60,12 +60,16 @@ func run() int {
 		seed         = flag.Uint64("seed", 1, "random seed")
 		parallel     = flag.Bool("parallel", false, "run each slot's phases on a GOMAXPROCS-wide worker pool (the sequential loop at GOMAXPROCS = 1; results are identical either way)")
 		batch        = flag.Int("batch", 0, "engine micro-batch size in slots (0 = auto; 1 = slot-at-a-time; results are identical at any value)")
-		evaluator    = flag.String("evaluator", "fast", "SINR slot evaluator: fast (arena/grid engine) or naive (reference scan)")
-		shards       = flag.Int("shards", 0, "spatial shards for the fast evaluator (0 = automatic above the scale threshold, -1 = disable sharding; requires -evaluator fast)")
+		evaluator    = flag.String("evaluator", "fast", fmt.Sprintf("SINR slot evaluator: fast (power matrix up to %d nodes, cell lattice above) or naive (reference scan)", sinr.DefaultMatrixThreshold))
+		shards       = flag.Int("shards", 0, "shards of the fast evaluator's cell lattice (0 = automatic: the lattice with its default count above the matrix threshold; N > 0 = the lattice with N shards at any size; requires -evaluator fast)")
 		maxNodes     = flag.Int("maxnodes", 2_000_000, "refuse deployments larger than this many nodes (0 = no limit)")
 	)
 	flag.Parse()
 
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "sinrsim: -shards %d is negative; use 0 for the automatic choice or a positive shard count\n", *shards)
+		return 2
+	}
 	if *shards != 0 && *evaluator != "fast" {
 		fmt.Fprintf(os.Stderr, "sinrsim: -shards requires -evaluator fast (the naive reference scan has no sharded regime)\n")
 		return 2

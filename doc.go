@@ -23,58 +23,66 @@
 //     recomputes every received power. It defines the semantics and is the
 //     default path of sim.Engine.
 //   - the fast engine: sinr.FastChannel, which reuses a per-channel scratch
-//     arena and selects one of four regimes at construction (see below):
-//     the cached power matrix for small deployments, the spatial-grid
-//     column-cache regime above it, and the sharded regime at scale.
+//     arena and selects one of two regimes at construction (see below):
+//     the cached power matrix for small deployments and the cell lattice
+//     above it.
 //
-// The regime decision tree, applied once at construction (FastOptions can
-// pin every branch):
+// The regime decision, applied once at construction (FastOptions can pin
+// either branch):
 //
-//   - n ≤ sinr.DefaultMatrixThreshold: the matrix regime — the full n×n
-//     received-power matrix is precomputed and every slot is served from
-//     it. Explicit small-n fast path; memory O(n²).
-//   - n above the matrix threshold but at most sinr.DefaultShardThreshold:
-//     the grid regime — a spatial grid (internal/geom) culls far-field
-//     receivers and per-sender power columns are cached lazily. The cache
-//     is bounded by FastOptions.ColumnCacheBytes (default
-//     sinr.DefaultColumnCacheBytes): a clock (second-chance) sweep evicts
-//     cold columns, columns referenced by the slot in flight are pinned,
-//     overflow past the budget is computed uncached, and
-//     FastChannel.ColumnStats exposes lifetime hit/miss/eviction counters.
-//     Memory O(n + budget).
-//   - n past sinr.DefaultShardThreshold (or FastOptions.Shards pinned):
-//     the sharded regime — the primary representation at scale, memory
-//     O(occupied cells + nodes) with no per-pair state (measured ~105 heap
-//     bytes/node at n = 10⁶ against the documented
-//     sinr.ShardBytesPerNodeBudget). The occupied-cell decomposition is
-//     partitioned into vertical cell-column stripes, one shard each, over
-//     a coarser supercell layer (8×8 cells). Each shard evaluates its
-//     receivers against exact near-field terms plus certified remote
-//     aggregates. Deployments whose lattice extent would overflow the
-//     per-offset tables (sinr's boundsMaxOffsets) latch the regime off and
-//     fall back to the grid regime.
+//   - n ≤ sinr.DefaultMatrixThreshold (FastOptions.MatrixThreshold): the
+//     matrix regime — the full n×n received-power matrix is precomputed
+//     and every slot is served from it, with a spatial grid
+//     (internal/geom) for the sparse path. Memory O(n²).
+//   - above the threshold (or FastOptions.Shards positive): the cell
+//     lattice — memory O(occupied cells + nodes) with no per-pair state
+//     (measured ~105 heap bytes/node at n = 10⁶ against the documented
+//     sinr.ShardBytesPerNodeBudget); every power is computed by the fused
+//     path-loss kernel. The occupied-cell decomposition is partitioned
+//     into vertical cell-column stripes, one shard each, over a coarser
+//     supercell layer (8×8 cells). Each shard evaluates its receivers
+//     against exact near-field terms plus certified remote aggregates.
 //
-// Per slot, every regime first takes the sparse dispatch when the estimated
+// Deployments whose lattice extent would overflow the per-offset tables
+// (sinr's boundsMaxOffsets) — outlier geometry such as clusters a million
+// ranges apart, at construction or after churn — fall back to a spatial
+// grid with every power recomputed. That fallback is exact but has no
+// certified tier; it is not a regime a workload is meant to run.
+//
+// The lattice replaced a third regime, a spatial grid with a clock-evicted
+// per-sender power-column cache that served 2048 < n ≤ 65536. Measured on
+// a 2-CPU host (GOMAXPROCS = 1, one evaluator, grid → lattice), a slot with
+// k = n/4 transmitters cost 7.9 → 5.4 ms at n = 4k, 141 → 64 ms at 16k and
+// 1.20 → 0.88 s at 64k; a 1 % churn epoch plus one slot 17.4 → 3.1 ms,
+// 239 → 40 ms and 920 → 410 ms, with no allocation on the lattice; and the
+// n = 4096 end-to-end workloads ran 2.10 → 1.97 s (combined MAC) and
+// 2.21 → 1.45 s (Decay) in 29.5 MB instead of 43.9 MB and 111 MB instead of
+// 278 MB. The grid won only sparse slots at 4k repeating one transmitter
+// set (268 vs 376 µs), which kept every column cached.
+//
+// Per slot, both regimes first take the sparse dispatch when the estimated
 // transmitter-ball coverage is below the documented crossover: sender-
 // centric enumeration of only the receivers inside some transmitter's
 // culling ball (every other receiver provably decodes nothing), making
 // sparse-slot cost output-sensitive instead of Θ(n·k). All-transmit slots
-// short-circuit in O(k) on every regime (half-duplex leaves no listener).
-// Dense slots then evaluate per the regime: matrix/grid stream receivers
-// against the cached powers, with the hierarchical-bounds tier taking over
-// inside the grid regime when k dwarfs the number of occupied cells (per
-// the cost model of sinr's prepareBounds) — transmitters aggregate per grid
-// cell in O(k) and each receiver evaluates in O(occupied cells), near cells
-// expanded exactly, far cells bounded via precomputed per-cell-offset power
-// bounds (geom.CellIndex, geom.CellOffsetDistBounds).
+// short-circuit in O(k) in both regimes (half-duplex leaves no listener).
+// Dense slots of the matrix regime stream receivers against the cached
+// powers, with the hierarchical-bounds tier taking over when k dwarfs the
+// number of occupied cells (per the cost model of sinr's prepareBounds) —
+// transmitters aggregate per cell in O(k) and each receiver evaluates in
+// O(occupied cells), near cells expanded exactly, far cells bounded via
+// precomputed per-cell-offset power bounds (geom.CellIndex,
+// geom.CellOffsetDistBounds). Dense slots of the lattice take its certified
+// pipeline under the analogous cost model, or its exact dense scan with
+// whole cells culled.
 //
-// The certificate invariant shared by the bounds tier and the sharded
-// regime makes both decision-exact: lower- and upper-bound interference
+// The certificate invariant shared by the bounds tier and the cell lattice
+// makes both decision-exact: lower- and upper-bound interference
 // aggregates are widened by the rounding slack ε_k = Θ(k)·ulp, so they
 // conservatively bracket the floating-point interference sum the exact
 // path computes in any summation order, and a decode/silence decision is
-// emitted directly whenever both certificates agree. In the sharded regime
-// this is also the cross-shard invariant: a shard sums exact per-cell
+// emitted directly whenever both certificates agree. On the lattice this is
+// also the cross-shard invariant: a shard sums exact per-cell
 // aggregates over its 3×3 supercell neighbourhood and certified
 // per-supercell-offset bounds for everything remote, so no shard ever
 // reads another shard's per-receiver state, yet the emitted decision is
@@ -86,7 +94,7 @@
 // Receivers are scanned by a persistent worker pool (internal/workpool)
 // wired to sim.Config.Workers.
 //
-// The regimes all produce bit-identical Reception slices at any shard and
+// Both regimes and the fallback produce bit-identical Reception slices at any shard and
 // worker count: culling, sparse enumeration and the certificates only skip
 // work whose outcome is provably fixed, and the differential property tests
 // (TestSlotReceptionsEquivalence, TestSparseSenderCentricEquivalence,
@@ -198,9 +206,8 @@
 // plans and mid-run churn epochs.
 //
 // The kernels under a batch are restructured SIMD-friendly without
-// changing a single emitted bit: the matrix totals gather, the grid
-// column fill, the bounds-tier per-cell aggregation and the sharded
-// regime's remote-aggregate sums all process four receivers (or receiver
+// changing a single emitted bit: the matrix totals gather, the bounds-tier
+// per-cell aggregation and the lattice's remote-aggregate sums all process four receivers (or receiver
 // cells) per pass over the transmitter data. Blocking is across receivers
 // only — each receiver's interference sum still adds the same terms in
 // the same tx order with one accumulator, so the float result is
@@ -224,16 +231,15 @@
 // Applying a delta to a live evaluator is incremental:
 // sinr.FastChannel.ApplyEpoch patches the dirty power-matrix rows/columns
 // (O(dirty·n) math.Pow instead of the O(n²/2) rebuild), moves the affected
-// spatial-grid buckets, re-buckets the bounds tier's cell index in place
+// spatial-grid buckets and re-buckets the shared cell index in place
 // (geom.CellIndex.ApplyChurn — the per-offset power tables survive
-// unchanged since they depend only on the lattice span) and drops only the
-// grid regime's stale column cache. Past sinr.ChurnRebuildFraction of the
+// unchanged since they depend only on the lattice span). Past sinr.ChurnRebuildFraction of the
 // deployment changing in one epoch the patch stops paying and ApplyEpoch
 // falls back to a full rebuild; both paths are held bit-identical to a
 // from-scratch evaluator by the differential churn suite
 // (TestChurnEpochEquivalence and friends in internal/sinr), and the
 // steady-state apply path of a fixed-size mobility cycle performs zero
-// heap allocations (TestChurnApplyAllocFree, the churn_matrix/churn_grid
+// heap allocations (TestChurnApplyAllocFree, the churn_matrix/churn_lattice
 // macbench cases). Applying an epoch is stop-the-world for an evaluator
 // fork family and invalidates pre-epoch forks.
 //
@@ -315,13 +321,13 @@
 // n = 1k/5k/10k via BenchmarkSlotReceptions. cmd/macbench -json writes the
 // slot-pipeline measurements — naive vs fast, sparse vs dense at |tx| = √n,
 // bounds vs dense at |tx| ∈ {n/4, n} with the per-case refine rate, the
-// sharded regime vs the per-pair dense scan at n = 100k (and an n = 10⁶
+// cell lattice vs its own dense scan at n = 100k (and an n = 10⁶
 // smoke behind -large) with its GC-settled rss_bytes/bytes_per_node heap
 // footprint, steady-state Engine.Step ns/op and allocs/op under the
 // sequential and parallel drivers at n ∈ {2000, 5000} (plus the fused
 // driver on four fixed workers), the batched executor vs the Step loop
-// (engine_run_batch), the blocked
-// kernels vs their scalar predecessors (blocked_*), and the pow-free
+// (engine_run_batch), the blocked matrix gather vs its scalar predecessor
+// (blocked_gather_totals), and the pow-free
 // path-loss kernel vs math.Pow — to BENCH_macbench.json for cross-PR
 // tracking. Within every run it gates that the parallel driver never
 // loses to the sequential one beyond 1.2× at n ≥ 5000, that the

@@ -43,11 +43,10 @@ func ShardScale(cfg Config) (Table, error) {
 			"n", "k", "shards", "cells", "receptions", "refine_rate",
 		},
 	}
-	// The full sizes sit above sinr.DefaultShardThreshold, so Shards: 0
-	// selects the regime (and its shard count) automatically — the table
-	// records what a simulation at that size actually gets. The quick sizes
-	// are below the threshold and pin a shard count explicitly so the quick
-	// suite still exercises the sharded code path.
+	// Every size sits above sinr.DefaultMatrixThreshold, so the cell
+	// lattice is selected automatically. The full sizes keep Shards: 0 —
+	// the default shard count, what a simulation at that size actually
+	// gets — and the quick sizes pin 8 shards.
 	type point struct {
 		n      int
 		shards int

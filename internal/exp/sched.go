@@ -42,8 +42,8 @@ import (
 // and shared by every trial: its strong graph, Λ, SINR channel and the fast
 // evaluator's n×n power matrix are all paid once per point. Each worker
 // additionally keeps, per point, a private fork of the point's fast
-// evaluator (sinr.FastChannel.Fork — shared immutable matrix, private
-// scratch and column cache) and one sim.Engine that later trials rewind
+// evaluator (sinr.FastChannel.Fork — shared immutable matrix or cell
+// index, private scratch) and one sim.Engine that later trials rewind
 // with Engine.Reset instead of reallocating.
 //
 // Sharing the deployment changes what "trials" sample: they average over

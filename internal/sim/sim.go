@@ -363,8 +363,8 @@ func NewEngine(channel *sinr.Channel, nodes []Node, cfg Config) (*Engine, error)
 // an engine that is Reset with the same nodes and seed replays the identical
 // execution a fresh engine would produce — this is what lets the experiment
 // scheduler run many trials on one engine without repaying its fixed costs.
-// Mutable per-execution state inside the evaluator (scratch arenas, lazy
-// power-column caches) is keyed only to the immutable deployment, so it
+// Mutable per-execution state inside the evaluator (scratch arenas, lazily
+// built cell indices) is keyed only to the immutable deployment, so it
 // carries over safely.
 func (e *Engine) Reset(nodes []Node, seed uint64) error {
 	if e.inBatch {

@@ -92,23 +92,6 @@ func SparseBenchWorkload(n int, seed uint64) (*Channel, []int, error) {
 	return ch, tx, nil
 }
 
-// BenchFillColumn fills dst[:n] with sender s's received power at every
-// node, either through the blocked 4-wide production kernel (the column
-// cache's fill path) or through the scalar pairPower loop it replaced. It
-// exists for cmd/macbench's within-run blocked-kernel gate and the
-// bit-identity tests; production paths always use the blocked kernel.
-func (f *FastChannel) BenchFillColumn(dst []float64, s int, blocked bool) {
-	dst = dst[:f.n]
-	sx, sy := f.px[s], f.py[s]
-	if blocked {
-		f.fillColumn(dst, sx, sy)
-		return
-	}
-	for r := range dst {
-		dst[r] = f.pairPower(sx, sy, f.px[r], f.py[r])
-	}
-}
-
 // BenchGatherTotals computes each listed receiver's total received power
 // over the transmitter set against the cached power matrix, either through
 // the blocked 4-receiver gather (the production matrix kernel's totals

@@ -12,7 +12,9 @@ import (
 // that emits the exact decode decision whenever conservative interference
 // bounds already determine it, and falls back to the exact per-receiver
 // arithmetic (identical to the dense chunk evaluators) only inside the thin
-// ambiguous band around the SINR threshold β.
+// ambiguous band around the SINR threshold β. The flat tier below serves
+// dense slots of the matrix regime; the cell lattice (shard.go) builds the
+// same index, offset tables and certificates with a supercell layer on top.
 //
 // # Structure
 //
@@ -158,7 +160,7 @@ type boundsIndex struct {
 	// cell).
 	nearStride   int
 	spanX, spanY int
-	// shard is the sharded regime's extension (supercell tables and the
+	// shard is the lattice's extension (supercell tables and the
 	// shard partition, see shard.go), attached under the holder lock when
 	// an evaluator family runs sharded; nil for the flat bounds tier.
 	shard *shardExt
@@ -466,98 +468,11 @@ func (f *FastChannel) boundsPrepChunk(lo, hi, _ int) {
 	}
 }
 
-// boundsGridChunk evaluates receivers [lo, hi) on the bounds tier in the
-// grid regime (powers from the lazy column cache, recomputed on a cache
-// miss). Certified receivers cost O(near transmitters); the rest re-run the
-// exact dense arithmetic of gridChunk — same power source, same tx-order
-// summation — so the emitted decisions are bit-identical to the dense scan.
-//
-//sinrlint:hotpath
-func (f *FastChannel) boundsGridChunk(lo, hi, worker int) {
-	tx := f.tx
-	dec := f.decoded[worker]
-	row := f.workerRow(worker)
-	bi := f.bidx
-	stride := bi.nearStride
-	var evaluated, refined uint64
-	for r := lo; r < hi; r++ {
-		if f.isTx[r] {
-			continue
-		}
-		evaluated++
-		rx, ry := f.px[r], f.py[r]
-		rc := bi.cells.CellOf(r)
-		exactNear := 0.0
-		best := -1
-		bestPow := 0.0
-		base := rc * stride
-		for i := 0; i < int(f.nearCnt[rc]); i++ {
-			c := f.nearCells[base+i]
-			cstart := f.txCellStart[c]
-			for _, s := range f.txByCell[cstart : cstart+f.txCellCnt[c]] {
-				var pw float64
-				if col := f.cols[s]; col != nil {
-					pw = col[r]
-				} else {
-					pw = f.pairPower(f.px[s], f.py[s], rx, ry)
-				}
-				exactNear += pw
-				if pw > bestPow {
-					bestPow = pw
-					best = int(s)
-				}
-			}
-		}
-		loW := (exactNear + f.loFar[rc]) * f.slackDown
-		hiW := (exactNear + f.hiFar[rc]) * f.slackUp
-		if best >= 0 && bestPow >= f.betaHi*(hiW-bestPow+f.noise) {
-			f.out[r].Sender = best
-			dec = append(dec, r)
-			continue
-		}
-		pMax := bestPow
-		if f.farMaxUB[rc] > pMax {
-			pMax = f.farMaxUB[rc]
-		}
-		itf := loW - pMax
-		if itf < 0 {
-			itf = 0
-		}
-		if pMax < f.betaLo*(itf+f.noise) {
-			continue // certified: nothing decodes here
-		}
-		// Ambiguous band: exact fallback, identical to gridChunk.
-		refined++
-		total := 0.0
-		for j, s := range tx {
-			var pw float64
-			if col := f.cols[s]; col != nil {
-				pw = col[r]
-			} else {
-				pw = f.pairPower(f.px[s], f.py[s], rx, ry)
-			}
-			row[j] = pw
-			total += pw
-		}
-		for j, s := range tx {
-			signal := row[j]
-			if signal < f.cullPower {
-				continue
-			}
-			if signal/(total-signal+f.noise) >= f.beta {
-				f.out[r].Sender = s
-				dec = append(dec, r)
-				break
-			}
-		}
-	}
-	f.decoded[worker] = dec
-	atomic.AddUint64(&f.boundsReceivers, evaluated)
-	atomic.AddUint64(&f.boundsRefined, refined)
-}
-
-// boundsMatrixChunk is boundsGridChunk with powers served from the cached
-// n×n matrix; the fallback is identical to matrixChunk.
+// boundsMatrixChunk evaluates receivers [lo, hi) on the bounds tier of the
+// matrix regime. Certified receivers cost O(near transmitters); the rest
+// re-run the exact dense arithmetic of matrixChunk — same matrix powers,
+// same tx-order summation — so the emitted decisions are bit-identical to
+// the dense scan.
 //
 //sinrlint:hotpath
 func (f *FastChannel) boundsMatrixChunk(lo, hi, worker int) {

@@ -10,14 +10,14 @@ import (
 	"sinrmac/internal/rng"
 )
 
-// boundsVariants returns bounds-tier evaluators (sparse pinned off, bounds
-// pinned on) in both cache regimes and at one and several workers.
+// boundsVariants returns flat bounds-tier evaluators of the matrix regime
+// (sparse pinned off, bounds pinned on) at one and several workers; the
+// lattice's certified pipeline runs the same workloads in
+// TestShardedEquivalence.
 func boundsVariants(t testing.TB, ch *Channel) map[string]*FastChannel {
 	variants := map[string]*FastChannel{
 		"matrix/1w": NewFastChannel(ch, FastOptions{Workers: 1, SparseFactor: -1, BoundsFactor: 1}),
 		"matrix/4w": NewFastChannel(ch, FastOptions{Workers: 4, SparseFactor: -1, BoundsFactor: 1}),
-		"grid/1w":   NewFastChannel(ch, FastOptions{Workers: 1, MatrixThreshold: -1, SparseFactor: -1, BoundsFactor: 1}),
-		"grid/4w":   NewFastChannel(ch, FastOptions{Workers: 4, MatrixThreshold: -1, SparseFactor: -1, BoundsFactor: 1}),
 	}
 	t.Cleanup(func() {
 		for _, f := range variants {

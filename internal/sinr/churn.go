@@ -25,9 +25,8 @@ import (
 // Applying a delta is a stop-the-world operation for an evaluator family:
 // it must not overlap with slot evaluation on the evaluator or any of its
 // forks, and forks taken before the epoch are invalidated (their private
-// scratch is sized for the old node count and, in the grid regime, their
-// column caches hold stale powers). Fork the evaluator again after the
-// apply; sim.Engine.ApplyEpoch calls ApplyEpoch between slots, which
+// scratch is sized for the old node count). Fork the evaluator again after
+// the apply; sim.Engine.ApplyEpoch calls ApplyEpoch between slots, which
 // satisfies the contract by construction.
 //
 // # Incremental maintenance vs rebuild
@@ -39,16 +38,19 @@ import (
 //     slots are recomputed — O(dirty·n) math.Pow against the O(n²/2) of a
 //     full rebuild — into a stride-addressed matrix whose stride grows with
 //     headroom when additions outpace capacity;
-//   - spatial grid: dirty nodes are moved/inserted and removed tail slots
-//     deleted, O(changed) bucket operations;
-//   - bounds tier: the shared cell index re-buckets the dirty nodes and
-//     rebuilds its CSR in O(n + occupied cells) (geom.CellIndex.ApplyChurn)
-//     while the per-offset power tables — the expensive math.Pow part — are
-//     reused unchanged, since they depend only on the lattice span; the
-//     per-cell transmitter aggregates are per-slot state and need no patch.
+//   - spatial grid (matrix regime and outlier fallback): dirty nodes are
+//     moved/inserted and removed tail slots deleted, O(changed) bucket
+//     operations;
+//   - bounds tier and cell lattice: the shared cell index re-buckets the
+//     dirty nodes and rebuilds its CSR in O(n + occupied cells)
+//     (geom.CellIndex.ApplyChurn) while the per-offset power tables — the
+//     expensive math.Pow part — are reused unchanged, since they depend
+//     only on the lattice span; the per-cell transmitter aggregates are
+//     per-slot state and need no patch.
 //     Only when a dirty node escapes the original lattice is the index
-//     dropped and lazily rebuilt;
-//   - grid-regime column cache: dropped (stale powers), lazily refilled.
+//     dropped and rebuilt (lazily in the matrix regime, eagerly on the
+//     lattice, which demotes to the grid fallback if the stretched
+//     deployment exceeds the offset-table cap).
 //
 // Past ChurnRebuildFraction the patch stops paying: recomputing a dirty row
 // and column costs about twice the per-node share of the symmetric full
@@ -256,12 +258,9 @@ func (f *FastChannel) patchAfterEpoch(d *EpochDelta, oldN int) {
 				f.mat[s*f.stride+i] = pw
 			}
 		}
-	} else if f.shards == 0 {
-		f.dropColumnCache()
 	}
-	// Spatial grid (per-pair regimes only; the sharded regime holds no
-	// grid): tail slots beyond the new count disappear, dirty slots move
-	// (or, for appended ids, insert).
+	// Spatial grid (the lattice holds none): tail slots beyond the new count
+	// disappear, dirty slots move (or, for appended ids, insert).
 	if f.grid != nil {
 		for id := n; id < oldN; id++ {
 			f.grid.Remove(id)
@@ -276,7 +275,7 @@ func (f *FastChannel) patchAfterEpoch(d *EpochDelta, oldN int) {
 	}
 	// Bounds tier: patch the shared cell index in place when it exists and
 	// the epoch stays inside its lattice; otherwise drop it for a lazy
-	// rebuild (sharded regime: an eager one — the index is the regime's
+	// rebuild (lattice: an eager one — the index is the regime's
 	// only spatial state, so it can never stay unresolved). The per-offset
 	// power tables survive a successful patch unchanged (they depend only
 	// on the lattice span and the physical parameters), and so do the
@@ -343,10 +342,10 @@ func (f *FastChannel) patchAfterEpoch(d *EpochDelta, oldN int) {
 func (f *FastChannel) rebuildAfterEpoch() {
 	n := f.n
 	if f.shards > 0 {
-		// Sharded regime: the cell index is the only spatial state, so it is
-		// rebuilt eagerly (the per-pair regimes below rebuild lazily via the
+		// Cell lattice: the cell index is the only spatial state, so it is
+		// rebuilt eagerly (the matrix regime below rebuilds lazily via the
 		// invalidated holder). A post-epoch deployment stretched past the
-		// offset-table cap demotes to the per-pair grid regime instead.
+		// offset-table cap demotes to the grid fallback instead.
 		f.bholder.invalidate()
 		if !f.ensureShardIndex() {
 			f.demoteToGrid()
@@ -355,10 +354,7 @@ func (f *FastChannel) rebuildAfterEpoch() {
 		f.updateCoverageModel()
 		return
 	}
-	f.grid = geom.NewGrid(f.cullRadius)
-	for i, p := range f.pos {
-		f.grid.Insert(i, p)
-	}
+	f.buildGrid()
 	if f.mat != nil {
 		if n > f.stride {
 			f.stride = n + n/4 + 8
@@ -372,49 +368,11 @@ func (f *FastChannel) rebuildAfterEpoch() {
 				f.mat[s*f.stride+r] = pw
 			}
 		}
-	} else {
-		f.dropColumnCache()
 	}
 	f.bholder.invalidate()
 	f.bidx, f.boundsOff = nil, false
 	f.box = geom.BoundingBox(f.pos)
 	f.updateCoverageModel()
-}
-
-// dropColumnCache invalidates the grid regime's lazy power columns: churn
-// makes cached powers stale, and the columns refill lazily as senders
-// transmit again. The resident ring, clock hand and slot stamps reset with
-// them, and the capacity is re-derived from the configured byte budget at
-// the new node count. (The hit/miss/eviction counters are lifetime
-// instrumentation and survive.)
-func (f *FastChannel) dropColumnCache() {
-	n := f.n
-	if n > cap(f.cols) {
-		f.cols = make([][]float64, n)
-	} else {
-		f.cols = f.cols[:n]
-	}
-	for i := range f.cols {
-		f.cols[i] = nil
-	}
-	if n > cap(f.colRef) {
-		f.colRef = make([]bool, n)
-		f.colStamp = make([]uint32, n)
-	} else {
-		f.colRef = f.colRef[:n]
-		f.colStamp = f.colStamp[:n]
-		for i := range f.colRef {
-			f.colRef[i] = false
-			f.colStamp[i] = 0
-		}
-	}
-	f.colGen = 0
-	f.colIDs = f.colIDs[:0]
-	f.colHand = 0
-	f.colBudgetInit = 0
-	if f.colBytes > 0 {
-		f.colBudgetInit = int(f.colBytes / int64(8*n))
-	}
 }
 
 // resizeChurnScratch resizes the per-evaluator slot scratch to the

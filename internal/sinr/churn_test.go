@@ -5,9 +5,9 @@ package sinr_test
 // incrementally patched FastChannels, which must produce slot receptions
 // bit-identical to (a) the naive reference over the updated channel and
 // (b) a FastChannel rebuilt from scratch over the post-epoch positions —
-// across the matrix and grid regimes, the sparse/bounds/dense dispatch
-// tiers, several worker counts, forks, and the incremental-vs-rebuild
-// crossover. This file lives in the external test package because it
+// across the matrix regime and the cell lattice, the sparse/bounds/dense
+// dispatch tiers, several worker counts, forks, and the
+// incremental-vs-rebuild crossover. This file lives in the external test package because it
 // drives the real topology commit path (topology imports sinr).
 
 import (
@@ -137,8 +137,9 @@ func (w *churnWorld) epoch(moves, adds, removes int) *sinr.EpochDelta {
 }
 
 // churnVariants builds the fast-evaluator configurations the churn suite
-// patches: both per-pair cache regimes and the sharded regime, each dispatch
-// tier pinned and the adaptive default, at one and several workers.
+// patches: the matrix regime and the cell lattice (pinned shard counts and
+// the automatic one), each dispatch tier pinned and the adaptive default, at
+// one and several workers.
 func churnVariants(ch *sinr.Channel) map[string]*sinr.FastChannel {
 	return map[string]*sinr.FastChannel{
 		"matrix/default":  sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2}),
@@ -146,13 +147,8 @@ func churnVariants(ch *sinr.Channel) map[string]*sinr.FastChannel {
 		"matrix/sparse":   sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, SparseFactor: 1}),
 		"matrix/bounds":   sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, SparseFactor: -1, BoundsFactor: 1}),
 		"matrix/dense":    sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, SparseFactor: -1, BoundsFactor: -1}),
-		"grid/default":    sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, MatrixThreshold: -1}),
-		"grid/4w":         sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 4, MatrixThreshold: -1}),
-		"grid/sparse":     sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, MatrixThreshold: -1, SparseFactor: 1}),
-		"grid/bounds":     sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, MatrixThreshold: -1, SparseFactor: -1, BoundsFactor: 1}),
-		"grid/nocache":    sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, MatrixThreshold: -1, ColumnCacheBytes: -1}),
-		"grid/dense":      sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, MatrixThreshold: -1, SparseFactor: -1, BoundsFactor: -1}),
 		"matrix/bounds1w": sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1, SparseFactor: -1, BoundsFactor: 1}),
+		"shard/auto":      sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 4, MatrixThreshold: -1}),
 		"shard/s4":        sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, Shards: 4}),
 		"shard/s2/cert":   sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, Shards: 2, SparseFactor: -1, BoundsFactor: 1}),
 		"shard/s4/dense":  sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: -1}),
@@ -238,7 +234,7 @@ func TestChurnEpochEquivalence(t *testing.T) {
 		}
 	}()
 	// Epoch 0: no churn yet — establish the baseline and force every lazily
-	// built index (bounds cell index, column caches) into existence so the
+	// built index (the bounds cell index) into existence so the
 	// later epochs exercise the patch paths rather than fresh builds.
 	assertChurnEquivalent(t, w, ch, variants, src, "epoch 0")
 
@@ -322,15 +318,13 @@ func TestChurnForkEquivalence(t *testing.T) {
 
 // TestChurnApplyAllocFree pins the benchmark acceptance property: on a
 // steady-state mobility cycle the incremental apply path performs zero heap
-// allocations, in both per-pair cache regimes and the sharded regime,
-// including the cell-index patch and the shard-partition append.
+// allocations, in the matrix regime and on the cell lattice, including the cell-index patch and the shard-partition append.
 func TestChurnApplyAllocFree(t *testing.T) {
 	for _, reg := range []struct {
 		name string
 		opts sinr.FastOptions
 	}{
 		{"matrix", sinr.FastOptions{Workers: 1, MatrixThreshold: 1200, SparseFactor: -1, BoundsFactor: 1}},
-		{"grid", sinr.FastOptions{Workers: 1, MatrixThreshold: -1, SparseFactor: -1, BoundsFactor: 1}},
 		{"shard", sinr.FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: 1}},
 	} {
 		t.Run(reg.name, func(t *testing.T) {
@@ -342,7 +336,7 @@ func TestChurnApplyAllocFree(t *testing.T) {
 			f := sinr.NewFastChannel(ch, reg.opts)
 			defer f.Close()
 			if reg.opts.Shards > 0 && f.Shards() == 0 {
-				t.Fatal("sharded configuration fell back to a per-pair regime")
+				t.Fatal("lattice configuration fell back to the grid")
 			}
 			// Build the bounds cell index and warm every bucket/arena the
 			// cycle will touch.
@@ -483,7 +477,7 @@ func TestChurnCrossShardMigration(t *testing.T) {
 	for name, opt := range shardOpts {
 		root := sinr.NewFastChannel(ch, opt)
 		if root.Shards() == 0 {
-			t.Fatalf("%s: construction fell back to a per-pair regime", name)
+			t.Fatalf("%s: construction fell back to the grid", name)
 		}
 		roots[name] = root
 		forks[name] = root.Fork()
@@ -548,8 +542,8 @@ func TestChurnCrossShardMigration(t *testing.T) {
 // rebuilds the index eagerly inside ApplyEpoch (the regime has no per-pair
 // state to fall back on, so it can never stay unresolved) and the evaluator
 // stays sharded; an escape that stretches the deployment past the
-// offset-table cap demotes the whole fork family to the per-pair grid
-// regime. Either way the results must keep matching the naive reference.
+// offset-table cap demotes the whole fork family to the grid fallback.
+// Either way the results must keep matching the naive reference.
 func TestChurnShardLatticeEscape(t *testing.T) {
 	build := func(t *testing.T) (*sinr.Channel, *sinr.FastChannel, *sinr.FastChannel, []int, []geom.Point) {
 		var pos []geom.Point
@@ -605,7 +599,7 @@ func TestChurnShardLatticeEscape(t *testing.T) {
 		defer root.Close()
 		defer fork.Close()
 		// ~500k cells away: the offset tables would exceed boundsMaxOffsets,
-		// so the whole family demotes to the per-pair grid regime.
+		// so the whole family demotes to the grid fallback.
 		apply(t, ch, root, fork, tx, pos, geom.Point{X: 3e6, Y: 3e6}, 0)
 	})
 }

@@ -10,18 +10,8 @@ import (
 
 // DefaultMatrixThreshold is the largest deployment size for which
 // FastChannel precomputes the full n×n received-power matrix (n = 2048 uses
-// 32 MiB). Larger deployments use the spatial-grid far-field path instead.
+// 32 MiB). Larger deployments run the cell-lattice regime of shard.go.
 const DefaultMatrixThreshold = 2048
-
-// DefaultColumnCacheBytes is the default memory budget of the lazy
-// received-power column cache used above the matrix threshold: the first
-// time a node transmits, its power column (towards every receiver) is
-// computed once and retained, eliminating math.Pow from that sender's hot
-// path for the rest of the execution. A column costs 8n bytes, so 256 MiB
-// holds 32M/n columns: the full column set up to n ≈ 5.8k, half of it at
-// n ≈ 8k. Beyond the budget the earliest transmitters keep their columns
-// and later ones fall back to recomputation.
-const DefaultColumnCacheBytes = 256 << 20
 
 // sparseCoverageMax is the crossover of the default (adaptive) sparse
 // heuristic: a slot takes the sender-centric sparse path when the estimated
@@ -62,15 +52,12 @@ type FastOptions struct {
 	// Zero or negative means GOMAXPROCS. sim.Engine overrides this with its
 	// own worker count via SetWorkers.
 	Workers int
-	// MatrixThreshold is the largest deployment size for which the full
-	// received-power matrix is cached. Zero means DefaultMatrixThreshold; a
-	// negative value disables the matrix entirely (forcing the grid path,
-	// which the differential tests use to exercise both paths at small n).
+	// MatrixThreshold is the largest deployment size served by the matrix
+	// regime; larger deployments run the cell lattice. Zero means
+	// DefaultMatrixThreshold; a negative value selects the lattice at any
+	// size (the differential tests use it to exercise both regimes at small
+	// n).
 	MatrixThreshold int
-	// ColumnCacheBytes bounds the memory of the grid path's lazy per-sender
-	// power-column cache. Zero means DefaultColumnCacheBytes; a negative
-	// value disables the cache (every power is recomputed each slot).
-	ColumnCacheBytes int64
 	// SparseFactor overrides the sparse-path crossover. Zero (the default)
 	// selects the adaptive heuristic: a slot is evaluated
 	// sender-centrically when the estimated ball coverage of its
@@ -82,25 +69,21 @@ type FastOptions struct {
 	// compare against). The differential tests use the overrides to pin
 	// each path; simulations keep the default.
 	SparseFactor int
-	// BoundsFactor overrides the hierarchical-bounds tier dispatch for the
-	// slots the sparse path declined. Zero (the default) selects the
-	// adaptive per-slot cost model of prepareBounds; a positive value
-	// forces the bounds tier onto every such slot (the differential tests
-	// pin it this way), and a negative value disables the tier (the
-	// pre-bounds dense scan the benchmarks compare against). The β guard
-	// (boundsBetaMin) is respected in every mode. In the sharded regime the
-	// same knob steers the certified pipeline vs the sharded dense scan.
+	// BoundsFactor overrides the certified-bounds dispatch for the slots
+	// the sparse path declined. Zero (the default) selects the adaptive
+	// per-slot cost model (prepareBounds in the matrix regime, prepareShard
+	// on the lattice); a positive value forces the certified path onto
+	// every such slot (the differential tests pin it this way), and a
+	// negative value disables it (the exact dense scan the benchmarks
+	// compare against). The β guard (boundsBetaMin) is respected in every
+	// mode.
 	BoundsFactor int
-	// Shards selects the sharded regime (shard.go): the matrix-free
-	// evaluator that holds only O(occupied cells + nodes) state and is the
-	// primary representation at scale. Zero (the default) engages it
-	// automatically above DefaultShardThreshold nodes with
-	// defaultShardCount shards; a positive value forces that shard count at
-	// any deployment size (the differential tests pin S ∈ {1, 2, 4, 8}),
-	// and a negative value disables the regime, keeping the per-pair
-	// matrix/grid representations regardless of n. The shard count is a
-	// work-partition width, not a correctness parameter: results are
-	// bit-identical at any value.
+	// Shards is the shard count of the cell lattice (shard.go). Zero or
+	// negative (the default) runs the lattice above MatrixThreshold with
+	// defaultShardCount shards; a positive value selects the lattice with
+	// that many shards at any deployment size (the differential tests pin
+	// S ∈ {1, 2, 4, 8}). The shard count is a work-partition width, not a
+	// correctness parameter: results are bit-identical at any value.
 	Shards int
 }
 
@@ -112,51 +95,45 @@ type FastOptions struct {
 //     reused across slots (no per-slot map or slice allocations), and only
 //     the receivers that decoded something in the previous slot are reset,
 //     so a quiet slot costs O(k) rather than O(n);
-//   - for deployments up to MatrixThreshold nodes the received powers are
-//     precomputed once into an n×n matrix, eliminating every math.Pow from
-//     the slot path;
-//   - above the threshold each receiver computes every received power
-//     exactly once (the naive path computes each twice), with a
-//     memory-bounded lazy cache keeping the power column of every node
-//     that has ever transmitted (positions are immutable, so the column
-//     never changes);
-//   - a uniform spatial grid (internal/geom) buckets the deployment in both
-//     regimes. On dense slots above the matrix threshold it culls receivers
-//     with no transmitter inside the transmission range before any
-//     interference is summed; on sparse slots (estimated transmitter-ball
-//     coverage below sparseCoverageMax, either regime) it drives the
-//     sender-centric path, which enumerates only the receivers inside some
-//     transmitter's ball — O(Σ_s |ball(s)|) grid work plus |candidates|·k
-//     arithmetic — instead of scanning all n receivers;
-//   - dense slots whose transmitter count dwarfs the number of occupied
-//     grid cells take the hierarchical-bounds tier (bounds.go): per-cell
-//     transmitter aggregates bound each receiver's interference from above
-//     and below in O(occupied cells), the decode decision is emitted
+//   - up to MatrixThreshold nodes (the matrix regime) the received powers
+//     are precomputed once into an n×n matrix, eliminating every path-loss
+//     evaluation from the slot path; a spatial grid (internal/geom) drives
+//     the sparse path, and dense slots whose transmitter count dwarfs the
+//     number of occupied cells take the hierarchical-bounds tier
+//     (bounds.go): per-cell transmitter aggregates bound each receiver's
+//     interference from above and below, the decode decision is emitted
 //     directly when the certificates agree under a k·ulp rounding slack,
 //     and only the thin ambiguous band around β refines through the exact
 //     per-receiver arithmetic;
-//   - above DefaultShardThreshold nodes (or when FastOptions.Shards forces
-//     it) the evaluator runs the sharded regime (shard.go): the bounds
-//     representation, extended with a supercell layer, becomes the primary
-//     one — no matrix, grid or column cache exists at all, memory is
-//     O(occupied cells + nodes), and receivers are scanned in spatial
-//     shards whose knowledge of remote transmitters is certified aggregate
-//     bounds;
+//   - above MatrixThreshold (or when FastOptions.Shards pins it) the
+//     evaluator runs the cell lattice (shard.go): the bounds
+//     representation, extended with a supercell layer, is the only spatial
+//     state — no matrix, grid or per-pair cache exists, memory is
+//     O(occupied cells + nodes), every power is computed by the fused
+//     pairPower kernel, and receivers are scanned in spatial shards whose
+//     knowledge of remote transmitters is certified aggregate bounds;
+//   - in either regime sparse slots (estimated transmitter-ball coverage
+//     below sparseCoverageMax) take the sender-centric path, which
+//     enumerates only the receivers inside some transmitter's ball —
+//     O(Σ_s |ball(s)|) work plus |candidates|·k arithmetic — instead of
+//     scanning all n receivers;
 //   - receivers are scanned by a persistent pool of worker goroutines
 //     (internal/workpool) woken by a channel handoff instead of spawned per
 //     slot; the partition is deterministic, so results are identical at any
 //     worker count.
 //
-// The regime decision is made once, at construction: sharded at scale (or
-// when forced), the per-pair representations otherwise, with the matrix
-// kept up to MatrixThreshold nodes and the grid plus bounded column cache
-// above it. Within the chosen regime each slot then dispatches — sparse
-// when the estimated candidate coverage is low, certified bounds when the
-// per-slot cost model wins, the exact dense scan otherwise — and no tier
-// changes results: a sender whose lone-transmitter SINR is below β cannot
-// be decoded under any interference (the denominator only grows), the
-// sparse path skips exactly the receivers whose every received power is
-// provably below that bound, the bounds and sharded tiers emit only
+// The regime decision is made once, at construction. A deployment whose
+// extent would make the lattice's offset tables exceed boundsMaxOffsets —
+// outlier geometry such as two clusters a million ranges apart, at
+// construction or after a churn epoch — falls back to a spatial grid with
+// every power recomputed (gridChunk); that fallback is exact but has no
+// certified tier. Within the chosen regime each slot then dispatches —
+// sparse when the estimated candidate coverage is low, certified bounds
+// when the per-slot cost model wins, the exact dense scan otherwise — and
+// no tier changes results: a sender whose lone-transmitter SINR is below β
+// cannot be decoded under any interference (the denominator only grows),
+// the sparse path skips exactly the receivers whose every received power is
+// provably below that bound, the bounds and lattice tiers emit only
 // decisions their conservative certificates prove identical to the exact
 // arithmetic's (bounds.go and shard.go document the argument), and every
 // threshold carries slack so borderline cases fall through to the exact
@@ -196,13 +173,16 @@ type FastChannel struct {
 	cullPower  float64
 	cullRadius float64
 
-	// mat is the received-power matrix (mat[r*stride+s]), nil in grid mode.
-	// stride equals n at construction and grows (with headroom) when churn
-	// epochs push the node count past it, so moderate add/remove churn
-	// patches the matrix in place instead of reshaping it.
+	// mat is the received-power matrix (mat[r*stride+s]) of the matrix
+	// regime, nil otherwise. stride equals n at construction and grows
+	// (with headroom) when churn epochs push the node count past it, so
+	// moderate add/remove churn patches the matrix in place instead of
+	// reshaping it.
 	mat    []float64
 	stride int
-	grid   *geom.Grid // all-node spatial index (both modes)
+	// grid buckets the deployment for the sparse path of the matrix regime
+	// and for the outlier-geometry fallback; nil on the lattice.
+	grid *geom.Grid
 
 	sparseFactor int
 	// box is the (monotonically expanded) bounding box of the deployment and
@@ -214,29 +194,6 @@ type FastChannel struct {
 	box         geom.Rect
 	logBallMiss float64
 
-	// Lazy column cache (grid mode): cols[s] is the received power of
-	// sender s at every node, filled the first time s transmits, with at
-	// most colBudgetInit columns resident. When the cache is full a
-	// second-chance (clock) sweep over the resident ring evicts a column
-	// that is neither referenced since its last sweep nor pinned by the
-	// current slot (colStamp == colGen), reusing its storage; a slot whose
-	// working set exceeds the capacity therefore keeps its first columns
-	// cached instead of thrashing. Columns are only written between
-	// parallel scans. The cache is private to each evaluator: forks sharing
-	// a deployment each fill their own columns, so concurrent trials never
-	// contend. colHits/colMisses/colEvictions are read via ColumnStats.
-	cols          [][]float64
-	colIDs        []int32  // resident ring: node ids that currently hold a column
-	colRef        []bool   // per node: referenced since the clock hand last passed
-	colStamp      []uint32 // per node: colGen of the last slot that used the column
-	colGen        uint32
-	colHand       int
-	colBudgetInit int
-	colBytes      int64 // configured byte budget, kept to re-derive colBudgetInit under churn
-	colHits       uint64
-	colMisses     uint64
-	colEvictions  uint64
-
 	pool *workpool.Pool
 	// chunkFn is the loop body of the current parallel scan; RunChunk
 	// dispatches to it. Method expressions rather than closures keep the
@@ -246,7 +203,7 @@ type FastChannel struct {
 	out    []Reception
 	isTx   []bool
 	txPred func(id int) bool // reusable predicate over isTx for grid queries
-	rows   [][]float64       // per-worker received-power scratch (grid mode)
+	rows   [][]float64       // per-worker received-power scratch
 	tx     []int             // transmitter set of the slot being evaluated
 
 	// decoded[w] lists the receivers worker w decoded a frame for in the
@@ -288,12 +245,12 @@ type FastChannel struct {
 	boundsReceivers    uint64
 	boundsRefined      uint64
 
-	// Sharded regime (shard.go): shards > 0 replaces the matrix / grid /
-	// column-cache representations with the cell decomposition plus the
-	// supercell layer of sext. The scratch below extends the bounds tier's
-	// per-cell aggregates with the per-supercell level; superFarLo/Hi/Max
-	// hold the far-field interference bounds of each receiver supercell for
-	// the slot being evaluated.
+	// Cell lattice (shard.go): shards > 0 replaces the matrix and grid
+	// with the cell decomposition plus the supercell layer of sext. The
+	// scratch below extends the bounds tier's per-cell aggregates with the
+	// per-supercell level; superFarLo/Hi/Max hold the far-field
+	// interference bounds of each receiver supercell for the slot being
+	// evaluated.
 	shards        int
 	sext          *shardExt
 	occS          []int32 // occupied transmitter supercells, in occT-encounter order
@@ -311,6 +268,9 @@ var _ ParallelEvaluator = (*FastChannel)(nil)
 
 // NewFastChannel returns a fast evaluator over the given channel. At most
 // one FastOptions value may be supplied; omitting it selects the defaults.
+// Deployments of at most MatrixThreshold nodes get the matrix regime,
+// larger ones (or any size when Shards is positive) the cell lattice, and
+// outlier geometry the lattice cannot index the grid fallback.
 func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	var opt FastOptions
 	if len(opts) > 0 {
@@ -350,42 +310,27 @@ func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	f.cullRadius = math.Max(c.params.Range(), 1) * (1 + cullSlack)
 	f.box = geom.BoundingBox(f.pos)
 	f.updateCoverageModel()
-	budget := opt.ColumnCacheBytes
-	if budget == 0 {
-		budget = DefaultColumnCacheBytes
-	}
-	f.colBytes = budget
-	if s := resolveShards(opt.Shards, n); s > 0 {
+	if s := resolveShards(opt.Shards, n, threshold); s > 0 {
 		f.shards = s
-		if f.ensureShardIndex() {
-			// Sharded regime: the cell decomposition plus the supercell
-			// layer is the only spatial state — no grid, matrix or column
-			// cache is built.
-			return f
+		if !f.ensureShardIndex() {
+			// Outlier geometry latched the offset tables off.
+			f.demoteToGrid()
 		}
-		// Outlier geometry latched the offset tables off: fall back to the
-		// per-pair regimes below.
-		f.shards = 0
+		return f
 	}
-	// The grid is built in both per-pair regimes: the matrix path uses it
-	// only for the sparse sender-centric enumeration, the grid path also
-	// for dense-slot receiver culling.
+	f.buildGrid()
+	f.mat = buildPowerMatrix(c)
+	f.stride = n
+	return f
+}
+
+// buildGrid buckets every node into a fresh spatial grid of cell side
+// cullRadius.
+func (f *FastChannel) buildGrid() {
 	f.grid = geom.NewGrid(f.cullRadius)
 	for i, p := range f.pos {
 		f.grid.Insert(i, p)
 	}
-	if n <= threshold {
-		f.mat = buildPowerMatrix(c)
-		f.stride = n
-	} else {
-		f.cols = make([][]float64, n)
-		f.colRef = make([]bool, n)
-		f.colStamp = make([]uint32, n)
-		if budget > 0 {
-			f.colBudgetInit = int(budget / int64(8*n))
-		}
-	}
-	return f
 }
 
 // alphaCase maps a path-loss exponent to the multiplication fast path
@@ -433,91 +378,6 @@ func (f *FastChannel) pairPower(ax, ay, bx, by float64) float64 {
 		return f.power / (dd * dd)
 	}
 	return f.power / math.Pow(d, f.alpha)
-}
-
-// dist4 is pairPower's clamped-distance prologue for four receivers at
-// once: per lane exactly the scalar operation sequence (subtractions,
-// dx²+dy², Sqrt, near-field clamp), so each lane's distance is bit-identical
-// to the scalar kernel's while the four Sqrt chains overlap.
-//
-//sinrlint:hotpath
-func dist4(sx, sy float64, px, py []float64, i int) (d0, d1, d2, d3 float64) {
-	dx0, dy0 := sx-px[i], sy-py[i]
-	dx1, dy1 := sx-px[i+1], sy-py[i+1]
-	dx2, dy2 := sx-px[i+2], sy-py[i+2]
-	dx3, dy3 := sx-px[i+3], sy-py[i+3]
-	d0 = math.Sqrt(dx0*dx0 + dy0*dy0)
-	d1 = math.Sqrt(dx1*dx1 + dy1*dy1)
-	d2 = math.Sqrt(dx2*dx2 + dy2*dy2)
-	d3 = math.Sqrt(dx3*dx3 + dy3*dy3)
-	if d0 < 1 {
-		d0 = 1
-	}
-	if d1 < 1 {
-		d1 = 1
-	}
-	if d2 < 1 {
-		d2 = 1
-	}
-	if d3 < 1 {
-		d3 = 1
-	}
-	return
-}
-
-// fillColumn computes the sender at (sx, sy)'s received power at every node
-// into col, processing receivers in 4-wide blocks over the SoA px/py
-// mirror with the α-specific multiplication sequence hoisted out of the
-// loop. Every lane performs exactly pairPower's operation sequence, so each
-// entry is bit-identical to the scalar call (the kernel differential tests
-// pin this, remainder lanes included); the blocked form overlaps the
-// independent Sqrt/divide chains and hoists the slice bounds checks.
-//
-//sinrlint:allow powfree generic-α fallback in the default case; shipped exponents take the blocked multiplication cases
-//sinrlint:hotpath
-func (f *FastChannel) fillColumn(col []float64, sx, sy float64) {
-	n := len(col)
-	px := f.px[:n]
-	py := f.py[:n]
-	i := 0
-	switch f.alphaK {
-	case 3:
-		for ; i+4 <= n; i += 4 {
-			d0, d1, d2, d3 := dist4(sx, sy, px, py, i)
-			col[i] = f.power / (d0 * d0 * d0)
-			col[i+1] = f.power / (d1 * d1 * d1)
-			col[i+2] = f.power / (d2 * d2 * d2)
-			col[i+3] = f.power / (d3 * d3 * d3)
-		}
-	case 2:
-		for ; i+4 <= n; i += 4 {
-			d0, d1, d2, d3 := dist4(sx, sy, px, py, i)
-			col[i] = f.power / (d0 * d0)
-			col[i+1] = f.power / (d1 * d1)
-			col[i+2] = f.power / (d2 * d2)
-			col[i+3] = f.power / (d3 * d3)
-		}
-	case 4:
-		for ; i+4 <= n; i += 4 {
-			d0, d1, d2, d3 := dist4(sx, sy, px, py, i)
-			dd0, dd1, dd2, dd3 := d0*d0, d1*d1, d2*d2, d3*d3
-			col[i] = f.power / (dd0 * dd0)
-			col[i+1] = f.power / (dd1 * dd1)
-			col[i+2] = f.power / (dd2 * dd2)
-			col[i+3] = f.power / (dd3 * dd3)
-		}
-	default:
-		for ; i+4 <= n; i += 4 {
-			d0, d1, d2, d3 := dist4(sx, sy, px, py, i)
-			col[i] = f.power / math.Pow(d0, f.alpha)
-			col[i+1] = f.power / math.Pow(d1, f.alpha)
-			col[i+2] = f.power / math.Pow(d2, f.alpha)
-			col[i+3] = f.power / math.Pow(d3, f.alpha)
-		}
-	}
-	for ; i < n; i++ {
-		col[i] = f.pairPower(sx, sy, px[i], py[i])
-	}
 }
 
 // syncSoAPositions brings px/py in step with pos. With a nil dirty list the
@@ -570,68 +430,60 @@ func (f *FastChannel) updateCoverageModel() {
 }
 
 // Fork returns an evaluator that shares f's immutable state — the underlying
-// channel, node positions, precomputed n×n power matrix, spatial grid and
-// (once built) the bounds tier's cell index and offset power tables — while
-// owning private mutable scratch (reception slice, transmitter flags,
-// per-worker rows, sparse candidate buffers, bounds-tier aggregates and
-// counters, worker pool) and, on the grid path, a private lazy column cache
-// with a fresh budget. Forks may evaluate
-// slots concurrently with each other and with f. The experiment scheduler
-// hands each trial worker its own fork, so the power matrix of a sweep
-// point's deployment is built once and shared across every parallel trial
-// instead of being rebuilt per trial.
+// channel, node positions, the precomputed n×n power matrix and spatial grid
+// of the matrix regime, and the cell index, offset power tables and shard
+// extension of the lattice (once built) — while owning private mutable
+// scratch (reception slice, transmitter flags, per-worker rows, sparse
+// candidate buffers, per-cell aggregates and counters, worker pool). Forks
+// may evaluate slots concurrently with each other and with f. The
+// experiment scheduler hands each trial worker its own fork, so the power
+// matrix or cell index of a sweep point's deployment is built once and
+// shared across every parallel trial instead of being rebuilt per trial.
 func (f *FastChannel) Fork() *FastChannel {
 	g := &FastChannel{
-		ch:            f.ch,
-		pos:           f.pos,
-		n:             f.n,
-		px:            f.px,
-		py:            f.py,
-		power:         f.power,
-		alpha:         f.alpha,
-		alphaK:        f.alphaK,
-		workers:       f.workers,
-		workersReq:    f.workersReq,
-		beta:          f.beta,
-		noise:         f.noise,
-		cullPower:     f.cullPower,
-		cullRadius:    f.cullRadius,
-		mat:           f.mat,
-		stride:        f.stride,
-		grid:          f.grid,
-		sparseFactor:  f.sparseFactor,
-		boundsFactor:  f.boundsFactor,
-		bholder:       f.bholder,
-		box:           f.box,
-		logBallMiss:   f.logBallMiss,
-		colBytes:      f.colBytes,
-		colBudgetInit: f.colBudgetInit,
-		out:           make([]Reception, f.n),
-		isTx:          make([]bool, f.n),
-		mark:          make([]uint32, f.n),
-		pool:          workpool.New(),
+		ch:           f.ch,
+		pos:          f.pos,
+		n:            f.n,
+		px:           f.px,
+		py:           f.py,
+		power:        f.power,
+		alpha:        f.alpha,
+		alphaK:       f.alphaK,
+		workers:      f.workers,
+		workersReq:   f.workersReq,
+		beta:         f.beta,
+		noise:        f.noise,
+		cullPower:    f.cullPower,
+		cullRadius:   f.cullRadius,
+		mat:          f.mat,
+		stride:       f.stride,
+		grid:         f.grid,
+		sparseFactor: f.sparseFactor,
+		boundsFactor: f.boundsFactor,
+		bholder:      f.bholder,
+		box:          f.box,
+		logBallMiss:  f.logBallMiss,
+		out:          make([]Reception, f.n),
+		isTx:         make([]bool, f.n),
+		mark:         make([]uint32, f.n),
+		pool:         workpool.New(),
 	}
 	g.txPred = func(id int) bool { return g.isTx[id] }
 	for i := range g.out {
 		g.out[i].Sender = -1
 	}
-	switch {
-	case f.shards > 0:
-		// Sharded regime: share the resolved index and shard extension
+	if f.shards > 0 {
+		// Cell lattice: share the resolved index and shard extension
 		// (immutable between epochs) and grow private per-slot scratch.
 		g.shards = f.shards
 		g.bidx, g.boundsOff = f.bidx, f.boundsOff
 		g.sext = f.sext
 		g.growShardScratch()
-	case f.mat == nil:
-		g.cols = make([][]float64, g.n)
-		g.colRef = make([]bool, g.n)
-		g.colStamp = make([]uint32, g.n)
 	}
-	// g shares f's boundsHolder: whichever fork first takes a dense slot
-	// builds the cell index and offset tables once for all of them, and
-	// each fork then grows private per-slot aggregates and counters (a
-	// fork's BoundsStats start at zero).
+	// g shares f's boundsHolder: in the matrix regime whichever fork first
+	// takes a dense slot builds the cell index and offset tables once for
+	// all of them, and each fork then grows private per-slot aggregates and
+	// counters (a fork's BoundsStats start at zero).
 	return g
 }
 
@@ -641,93 +493,11 @@ func (f *FastChannel) Fork() *FastChannel {
 // goroutine count deterministically.
 func (f *FastChannel) Close() { f.pool.Close() }
 
-// ensureColumns fills the power columns of any transmitter that does not
-// have one yet. It runs before the parallel receiver scan, so the scan sees
-// the cache as read-only. The cache is bounded: below capacity
-// (colBudgetInit columns) a fresh column is allocated; at capacity a
-// second-chance (clock) sweep evicts a resident column and reuses its
-// storage, so a long-running sweep's footprint stays at the configured byte
-// budget no matter how many distinct nodes ever transmit. Columns used by
-// the current slot are pinned (colStamp), so a slot whose transmitter set
-// exceeds the capacity keeps its first columns and serves the overflow by
-// recomputation instead of evicting what it just filled.
-func (f *FastChannel) ensureColumns(tx []int) {
-	if f.colBudgetInit <= 0 {
-		return
-	}
-	f.colGen++
-	if f.colGen == 0 { // stamp wraparound: reset once every 2^32 slots
-		for i := range f.colStamp {
-			f.colStamp[i] = 0
-		}
-		f.colGen = 1
-	}
-	gen := f.colGen
-	for _, s := range tx {
-		if f.cols[s] != nil {
-			f.colRef[s] = true
-			f.colStamp[s] = gen
-			f.colHits++
-			continue
-		}
-		f.colMisses++
-		var col []float64
-		if len(f.colIDs) < f.colBudgetInit {
-			col = make([]float64, f.n)
-			f.colIDs = append(f.colIDs, int32(s))
-		} else {
-			// Clock sweep: skip columns the current slot pinned, give
-			// referenced columns a second chance, evict the first column
-			// with neither. Bounded by two passes over the ring; if every
-			// resident column is pinned by this slot the sender goes
-			// uncached (the chunk evaluators recompute its powers).
-			scanned := 0
-			limit := 2 * len(f.colIDs)
-			for scanned < limit {
-				v := f.colIDs[f.colHand]
-				if f.colStamp[v] == gen {
-					f.colHand++
-					if f.colHand == len(f.colIDs) {
-						f.colHand = 0
-					}
-					scanned++
-					continue
-				}
-				if f.colRef[v] {
-					f.colRef[v] = false
-					f.colHand++
-					if f.colHand == len(f.colIDs) {
-						f.colHand = 0
-					}
-					scanned++
-					continue
-				}
-				col = f.cols[v]
-				f.cols[v] = nil
-				f.colIDs[f.colHand] = int32(s)
-				f.colHand++
-				if f.colHand == len(f.colIDs) {
-					f.colHand = 0
-				}
-				f.colEvictions++
-				break
-			}
-			if col == nil {
-				continue
-			}
-		}
-		f.colRef[s] = true
-		f.colStamp[s] = gen
-		f.fillColumn(col, f.px[s], f.py[s])
-		f.cols[s] = col
-	}
-}
-
-// ColumnStats reports the lifetime behaviour of the evaluator's lazy
-// power-column cache: transmitter lookups that found a resident column,
-// lookups that had to fill one, evictions performed by the clock sweep, and
-// the current resident count. All zeros in the matrix and sharded regimes
-// (which keep no column cache) and when the cache is disabled.
+// ColumnStats is the counter set of the per-sender power-column cache that
+// FastChannel no longer has.
+//
+// Deprecated: FastChannel keeps no column cache; FastChannel.ColumnStats
+// always returns the zero value.
 type ColumnStats struct {
 	Hits      uint64
 	Misses    uint64
@@ -735,16 +505,10 @@ type ColumnStats struct {
 	Resident  int
 }
 
-// ColumnStats returns the evaluator's column-cache counters. Like
-// BoundsStats the counters are per evaluator: forks start at zero.
-func (f *FastChannel) ColumnStats() ColumnStats {
-	return ColumnStats{
-		Hits:      f.colHits,
-		Misses:    f.colMisses,
-		Evictions: f.colEvictions,
-		Resident:  len(f.colIDs),
-	}
-}
+// ColumnStats returns the zero value.
+//
+// Deprecated: FastChannel keeps no column cache.
+func (f *FastChannel) ColumnStats() ColumnStats { return ColumnStats{} }
 
 // buildPowerMatrix precomputes ReceivedPower(Dist(s, r)) for every node
 // pair, exploiting symmetry to halve the math.Pow calls.
@@ -869,31 +633,22 @@ func (f *FastChannel) SlotReceptions(transmitters []int) []Reception {
 	switch {
 	case f.useSparse(len(transmitters)):
 		f.buildCandidates(transmitters)
-		switch {
-		case f.shards > 0:
-			f.runChunks(len(f.candidates), (*FastChannel).sparseShardChunk)
-		case f.mat == nil:
-			f.ensureColumns(transmitters)
-			f.runChunks(len(f.candidates), (*FastChannel).sparseGridChunk)
-		default:
+		if f.mat != nil {
 			f.runChunks(len(f.candidates), (*FastChannel).sparseMatrixChunk)
+		} else {
+			f.runChunks(len(f.candidates), (*FastChannel).sparsePairChunk)
 		}
 	case f.shards > 0:
 		f.shardSlot(transmitters)
+	case f.mat == nil:
+		// Outlier-geometry fallback: no cell index, so no certified tier.
+		f.runChunks(f.n, (*FastChannel).gridChunk)
 	case f.prepareBounds(len(transmitters)):
 		f.runChunks(f.bidx.cells.NumCells(), (*FastChannel).boundsPrepChunk)
-		if f.mat == nil {
-			f.ensureColumns(transmitters)
-			f.runChunks(f.n, (*FastChannel).boundsGridChunk)
-		} else {
-			f.runChunks(f.n, (*FastChannel).boundsMatrixChunk)
-		}
+		f.runChunks(f.n, (*FastChannel).boundsMatrixChunk)
 		f.finishBounds()
-	case f.mat != nil:
-		f.runChunks(f.n, (*FastChannel).matrixChunk)
 	default:
-		f.ensureColumns(transmitters)
-		f.runChunks(f.n, (*FastChannel).gridChunk)
+		f.runChunks(f.n, (*FastChannel).matrixChunk)
 	}
 	f.tx = nil
 	for _, t := range transmitters {
@@ -980,8 +735,8 @@ func (f *FastChannel) buildCandidates(tx []int) {
 // total is still added in exact transmitter order by its own accumulator,
 // so every total — and therefore every decode — is bit-identical to the
 // scalar loop's, while the four independent add chains overlap instead of
-// serialising on one accumulator's add latency. The grid paths keep their
-// own power source (cached column, recomputation) and enumeration inline.
+// serialising on one accumulator's add latency. Every other path computes
+// the powers with pairPower through decodeExact.
 
 // matrixTotals4 sums four receivers' row powers over the slot's
 // transmitters in one pass. Four independent accumulators, each added in
@@ -1104,14 +859,41 @@ func (f *FastChannel) sparseMatrixChunk(lo, hi, worker int) {
 	f.decoded[worker] = dec
 }
 
-// gridChunk evaluates receivers [lo, hi) on the spatial-grid far-field
-// path: receivers with no transmitter within the transmission range are
-// culled outright, and the rest compute each received power exactly once
-// into the worker's scratch row.
+// decodeExact is the exact per-receiver arithmetic of every path without a
+// power matrix: receiver r's power from each transmitter by pairPower into
+// the worker's row, the interference total summed in transmitter order,
+// then the first sender meeting the SINR threshold decodes. It returns dec
+// with r appended when r decoded a frame.
+//
+//sinrlint:hotpath
+func (f *FastChannel) decodeExact(r int, row []float64, dec []int) []int {
+	rx, ry := f.px[r], f.py[r]
+	total := 0.0
+	for j, s := range f.tx {
+		pw := f.pairPower(f.px[s], f.py[s], rx, ry)
+		row[j] = pw
+		total += pw
+	}
+	for j, s := range f.tx {
+		signal := row[j]
+		if signal < f.cullPower {
+			continue // cannot meet β even without interference
+		}
+		if signal/(total-signal+f.noise) >= f.beta {
+			f.out[r].Sender = s
+			dec = append(dec, r)
+			break
+		}
+	}
+	return dec
+}
+
+// gridChunk evaluates receivers [lo, hi) on the outlier-geometry fallback:
+// receivers with no transmitter within the culling radius are culled by a
+// grid probe, the rest pay the exact O(k) row.
 //
 //sinrlint:hotpath
 func (f *FastChannel) gridChunk(lo, hi, worker int) {
-	tx := f.tx
 	dec := f.decoded[worker]
 	row := f.workerRow(worker)
 	for r := lo; r < hi; r++ {
@@ -1121,41 +903,18 @@ func (f *FastChannel) gridChunk(lo, hi, worker int) {
 		if !f.grid.AnyWithin(f.pos[r], f.cullRadius, f.txPred) {
 			continue // far field: no transmitter can reach this receiver
 		}
-		rx, ry := f.px[r], f.py[r]
-		total := 0.0
-		for j, s := range tx {
-			var pw float64
-			if col := f.cols[s]; col != nil {
-				pw = col[r]
-			} else {
-				pw = f.pairPower(f.px[s], f.py[s], rx, ry)
-			}
-			row[j] = pw
-			total += pw
-		}
-		for j, s := range tx {
-			signal := row[j]
-			if signal < f.cullPower {
-				continue
-			}
-			if signal/(total-signal+f.noise) >= f.beta {
-				f.out[r].Sender = s
-				dec = append(dec, r)
-				break
-			}
-		}
+		dec = f.decodeExact(r, row, dec)
 	}
 	f.decoded[worker] = dec
 }
 
-// sparseGridChunk evaluates the slot's candidate receivers [lo, hi) (by
-// candidate index) on the grid path. Candidates are exactly the receivers
-// AnyWithin would pass, so the existence probe is skipped; the power
-// arithmetic is identical to gridChunk.
+// sparsePairChunk evaluates the slot's candidate receivers [lo, hi) (by
+// candidate index) on the lattice and the outlier fallback: candidates are
+// exactly the receivers a culling probe would pass, so each pays the exact
+// O(k) row directly.
 //
 //sinrlint:hotpath
-func (f *FastChannel) sparseGridChunk(lo, hi, worker int) {
-	tx := f.tx
+func (f *FastChannel) sparsePairChunk(lo, hi, worker int) {
 	dec := f.decoded[worker]
 	row := f.workerRow(worker)
 	for i := lo; i < hi; i++ {
@@ -1163,29 +922,7 @@ func (f *FastChannel) sparseGridChunk(lo, hi, worker int) {
 		if f.isTx[r] {
 			continue
 		}
-		rx, ry := f.px[r], f.py[r]
-		total := 0.0
-		for j, s := range tx {
-			var pw float64
-			if col := f.cols[s]; col != nil {
-				pw = col[r]
-			} else {
-				pw = f.pairPower(f.px[s], f.py[s], rx, ry)
-			}
-			row[j] = pw
-			total += pw
-		}
-		for j, s := range tx {
-			signal := row[j]
-			if signal < f.cullPower {
-				continue
-			}
-			if signal/(total-signal+f.noise) >= f.beta {
-				f.out[r].Sender = s
-				dec = append(dec, r)
-				break
-			}
-		}
+		dec = f.decodeExact(r, row, dec)
 	}
 	f.decoded[worker] = dec
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // fastVariants returns the fast-evaluator configurations the differential
-// tests exercise: the cached-matrix path and the spatial-grid far-field
-// path, each at one and several workers, with the sparse sender-centric
-// crossover and the hierarchical-bounds tier forced on, forced off and left
-// at their defaults. The evaluators' worker pools are released when the
+// tests exercise: the matrix regime and the cell lattice (pinned shard
+// counts, plus the automatic one MatrixThreshold -1 selects), each at one
+// and several workers, with the sparse sender-centric crossover and the
+// certified tier forced on, forced off and left at their defaults. The evaluators' worker pools are released when the
 // test finishes.
 func fastVariants(t testing.TB, ch *Channel) map[string]*FastChannel {
 	variants := map[string]*FastChannel{
@@ -23,13 +23,7 @@ func fastVariants(t testing.TB, ch *Channel) map[string]*FastChannel {
 		"matrix/sparse":    NewFastChannel(ch, FastOptions{Workers: 2, SparseFactor: 1}),
 		"matrix/bounds":    NewFastChannel(ch, FastOptions{Workers: 2, SparseFactor: -1, BoundsFactor: 1}),
 		"matrix/bounds/1w": NewFastChannel(ch, FastOptions{Workers: 1, SparseFactor: -1, BoundsFactor: 1}),
-		"grid/1w":          NewFastChannel(ch, FastOptions{Workers: 1, MatrixThreshold: -1}),
-		"grid/4w":          NewFastChannel(ch, FastOptions{Workers: 4, MatrixThreshold: -1}),
-		"grid/nosparse":    NewFastChannel(ch, FastOptions{Workers: 2, MatrixThreshold: -1, SparseFactor: -1}),
-		"grid/sparse":      NewFastChannel(ch, FastOptions{Workers: 2, MatrixThreshold: -1, SparseFactor: 1}),
-		"grid/nocache":     NewFastChannel(ch, FastOptions{Workers: 2, MatrixThreshold: -1, ColumnCacheBytes: -1}),
-		"grid/bounds":      NewFastChannel(ch, FastOptions{Workers: 2, MatrixThreshold: -1, SparseFactor: -1, BoundsFactor: 1}),
-		"grid/bounds/4w":   NewFastChannel(ch, FastOptions{Workers: 4, MatrixThreshold: -1, SparseFactor: -1, BoundsFactor: 1}),
+		"shard/auto":       NewFastChannel(ch, FastOptions{Workers: 4, MatrixThreshold: -1}),
 		"shard/s1":         NewFastChannel(ch, FastOptions{Workers: 2, Shards: 1}),
 		"shard/s2/dense":   NewFastChannel(ch, FastOptions{Workers: 2, Shards: 2, SparseFactor: -1, BoundsFactor: -1}),
 		"shard/s4/cert":    NewFastChannel(ch, FastOptions{Workers: 2, Shards: 4, SparseFactor: -1, BoundsFactor: 1}),
@@ -71,7 +65,7 @@ func assertEquivalent(t *testing.T, ch *Channel, variants map[string]*FastChanne
 
 // TestSlotReceptionsEquivalence is the differential property test of the
 // fast evaluator: across three density regimes it draws random topologies
-// and random transmitter sets and requires both fast paths, at one and
+// and random transmitter sets and requires both regimes, at one and
 // several workers, to reproduce the naive reference exactly. Half-duplex is
 // exercised by every case in which a transmitter is also a potential
 // receiver; the all-transmit case makes it total.
@@ -138,7 +132,7 @@ func TestSlotReceptionsEquivalence(t *testing.T) {
 // and n/4 and worker counts 1 and 4, the sparse path (forced on with
 // SparseFactor 1) must reproduce the naive reference — and therefore the
 // dense scan, which is held to the same reference elsewhere — bit for bit,
-// on both the matrix and the grid regime. Slots are evaluated repeatedly on
+// in both the matrix regime and the cell lattice. Slots are evaluated repeatedly on
 // the same evaluators so the second and later slots run on warm candidate
 // buffers and visit stamps.
 func TestSparseSenderCentricEquivalence(t *testing.T) {
@@ -166,7 +160,7 @@ func TestSparseSenderCentricEquivalence(t *testing.T) {
 		threshold int
 	}{
 		{"matrix", 0},
-		{"grid", -1},
+		{"lattice", -1},
 	} {
 		for _, workers := range []int{1, 4} {
 			sparse := NewFastChannel(ch, FastOptions{
@@ -211,8 +205,8 @@ func TestSparseSenderCentricEquivalence(t *testing.T) {
 }
 
 // TestForkMatchesParent checks that a fork of a (warm) fast evaluator keeps
-// producing receptions bit-identical to the naive reference on both the
-// matrix and grid paths, and that the fork and its parent do not share
+// producing receptions bit-identical to the naive reference in both the
+// matrix regime and the cell lattice, and that the fork and its parent do not share
 // mutable scratch: interleaved and concurrent evaluations of different
 // transmitter sets stay independent.
 func TestForkMatchesParent(t *testing.T) {
@@ -235,14 +229,14 @@ func TestForkMatchesParent(t *testing.T) {
 	} {
 		name := "matrix"
 		if opts.MatrixThreshold < 0 {
-			name = "grid"
+			name = "lattice"
 		}
 		if opts.BoundsFactor > 0 {
 			name += "/bounds"
 		}
 		t.Run(name, func(t *testing.T) {
 			parent := NewFastChannel(ch, opts)
-			// Warm the parent's scratch and column cache before forking.
+			// Warm the parent's scratch before forking.
 			warm := []int{1, 3, 5, 7}
 			parent.SlotReceptions(warm)
 			fork := parent.Fork()
@@ -398,8 +392,8 @@ func TestFastChannelReusesOutput(t *testing.T) {
 }
 
 // TestFastChannelAllocFree verifies the arena property: after the first
-// call, slot evaluation performs no allocations (single-worker, both paths;
-// the multi-worker path allocates only goroutine bookkeeping).
+// call, slot evaluation performs no allocations, in both regimes and at one
+// and several workers.
 func TestFastChannelAllocFree(t *testing.T) {
 	src := rng.New(11)
 	pos := make([]geom.Point, 300)
@@ -423,11 +417,7 @@ func TestFastChannelAllocFree(t *testing.T) {
 		{"matrix/dense", FastOptions{Workers: 1, SparseFactor: -1}},
 		{"matrix/sparse", FastOptions{Workers: 1, SparseFactor: 1}},
 		{"matrix/bounds", FastOptions{Workers: 1, SparseFactor: -1, BoundsFactor: 1}},
-		{"grid/dense", FastOptions{Workers: 1, MatrixThreshold: -1, SparseFactor: -1}},
-		{"grid/sparse", FastOptions{Workers: 1, MatrixThreshold: -1, SparseFactor: 1}},
-		{"grid/bounds", FastOptions{Workers: 1, MatrixThreshold: -1, SparseFactor: -1, BoundsFactor: 1}},
 		{"matrix/sparse/4w", FastOptions{Workers: 4, SparseFactor: 1}},
-		{"grid/bounds/4w", FastOptions{Workers: 4, MatrixThreshold: -1, SparseFactor: -1, BoundsFactor: 1}},
 		{"shard/cert", FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: 1}},
 		{"shard/dense", FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: -1}},
 		{"shard/sparse", FastOptions{Workers: 1, Shards: 4, SparseFactor: 1}},
@@ -441,111 +431,6 @@ func TestFastChannelAllocFree(t *testing.T) {
 		}
 		f.Close()
 	}
-}
-
-// TestColumnCacheEviction pins the bounded column cache of the grid regime:
-// the resident set never exceeds the configured capacity, the clock sweep
-// recycles column storage when the transmitting working set turns over, the
-// current slot's columns are pinned (a slot whose transmitter set exceeds
-// the capacity serves the overflow by recomputation instead of thrashing
-// the columns it just filled), and every decision stays bit-identical to
-// the naive reference throughout.
-func TestColumnCacheEviction(t *testing.T) {
-	src := rng.New(0xeb1c)
-	const n = 120
-	side := 4 * math.Sqrt(float64(n))
-	pos := make([]geom.Point, n)
-	for i := range pos {
-		pos[i] = geom.Point{X: src.Float64() * side, Y: src.Float64() * side}
-	}
-	ch, err := NewChannel(DefaultParams(10), pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Grid regime with dense dispatch pinned, so every slot runs
-	// ensureColumns + gridChunk; capacity counts whole columns (8n bytes
-	// each).
-	newEval := func(capacity int) *FastChannel {
-		f := NewFastChannel(ch, FastOptions{Workers: 1, MatrixThreshold: -1,
-			SparseFactor: -1, BoundsFactor: -1, ColumnCacheBytes: int64(8 * n * capacity)})
-		t.Cleanup(f.Close)
-		return f
-	}
-	slot := func(t *testing.T, f *FastChannel, tx []int, label string) {
-		t.Helper()
-		want := ch.SlotReceptions(tx)
-		got := f.SlotReceptions(tx)
-		for r := range want {
-			if got[r] != want[r] {
-				t.Fatalf("%s: node %d decoded sender %d, naive reference says %d",
-					label, r, got[r].Sender, want[r].Sender)
-			}
-		}
-	}
-	t.Run("working set turnover", func(t *testing.T) {
-		f := newEval(6)
-		a := []int{0, 1, 2, 3, 4, 5}
-		b := []int{6, 7, 8, 9, 10, 11}
-		slot(t, f, a, "A cold")
-		if st := f.ColumnStats(); st != (ColumnStats{Misses: 6, Resident: 6}) {
-			t.Fatalf("after cold slot: %+v", st)
-		}
-		slot(t, f, a, "A warm")
-		if st := f.ColumnStats(); st != (ColumnStats{Hits: 6, Misses: 6, Resident: 6}) {
-			t.Fatalf("after warm slot: %+v", st)
-		}
-		// A disjoint working set of the same size must displace every
-		// resident column while the resident count stays at capacity.
-		slot(t, f, b, "B")
-		if st := f.ColumnStats(); st != (ColumnStats{Hits: 6, Misses: 12, Evictions: 6, Resident: 6}) {
-			t.Fatalf("after turnover slot: %+v", st)
-		}
-	})
-	t.Run("slot pins its columns", func(t *testing.T) {
-		f := newEval(4)
-		tx := []int{0, 1, 2, 3, 4, 5, 6, 7}
-		slot(t, f, tx, "oversized cold")
-		if st := f.ColumnStats(); st != (ColumnStats{Misses: 8, Resident: 4}) {
-			t.Fatalf("after cold oversized slot: %+v", st)
-		}
-		for i := 0; i < 3; i++ {
-			slot(t, f, tx, "oversized warm")
-		}
-		// Each repeat hits the four pinned columns and recomputes the
-		// overflow; nothing is ever evicted just to be re-evicted within the
-		// same slot.
-		if st := f.ColumnStats(); st != (ColumnStats{Hits: 12, Misses: 20, Resident: 4}) {
-			t.Fatalf("after warm oversized slots: %+v", st)
-		}
-	})
-	t.Run("random sweep stays exact", func(t *testing.T) {
-		f := newEval(3)
-		for c := 0; c < 40; c++ {
-			var tx []int
-			for i := 0; i < n; i++ {
-				if src.Bernoulli(0.15) {
-					tx = append(tx, i)
-				}
-			}
-			slot(t, f, tx, fmt.Sprintf("case %d (k=%d)", c, len(tx)))
-		}
-		st := f.ColumnStats()
-		if st.Evictions == 0 {
-			t.Fatal("a 40-slot sweep over a 3-column cache never evicted")
-		}
-		if st.Resident > 3 {
-			t.Fatalf("resident columns %d exceed the capacity 3", st.Resident)
-		}
-	})
-	t.Run("disabled", func(t *testing.T) {
-		f := NewFastChannel(ch, FastOptions{Workers: 1, MatrixThreshold: -1,
-			SparseFactor: -1, BoundsFactor: -1, ColumnCacheBytes: -1})
-		t.Cleanup(f.Close)
-		slot(t, f, []int{0, 1, 2, 3}, "nocache")
-		if st := f.ColumnStats(); st != (ColumnStats{}) {
-			t.Fatalf("disabled cache reports activity: %+v", st)
-		}
-	})
 }
 
 func BenchmarkFastSlotReceptions200(b *testing.B) {

@@ -60,8 +60,8 @@ func TestReceivedPowerPowFree(t *testing.T) {
 // TestPairPowerKernelBitIdentical pins FastChannel's fused SoA kernel to
 // the reference composition params.ReceivedPower(Point.Dist) on random
 // deployments across fast-pathed and generic exponents. This is the
-// invariant that lets every SoA hot loop (grid chunks, bounds near
-// expansion, column fills, churn matrix patches) replace the reference
+// invariant that lets every SoA hot loop (lattice and fallback chunks,
+// bounds near expansion, churn matrix patches) replace the reference
 // composition without changing a single reception decision.
 func TestPairPowerKernelBitIdentical(t *testing.T) {
 	src := rng.New(0x50a6e4)
@@ -97,7 +97,7 @@ func TestPairPowerKernelBitIdentical(t *testing.T) {
 }
 
 // TestSlotReceptionsEquivalenceAlphaVariants runs the full differential
-// harness — matrix/grid × sparse/bounds/dense × worker counts — under every
+// harness — matrix/lattice × sparse/bounds/dense × worker counts — under every
 // fast-pathed path-loss exponent and a generic (math.Pow) one, so the
 // pow-free rewrite is held to the naive reference on whole-slot decisions,
 // not just on isolated power values.
@@ -136,70 +136,6 @@ func TestSlotReceptionsEquivalenceAlphaVariants(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFillColumnBlockedBitIdentical pins the blocked 4-wide column-fill
-// kernel to the scalar pairPower loop (and through it to the reference
-// composition params.ReceivedPower(Point.Dist)) bit for bit — across
-// fast-pathed and generic exponents, every remainder-lane count
-// (n mod 4 ∈ {0,1,2,3}), coincident/near-field clamp pairs, and receivers
-// planted exactly on power-threshold distances (the culling radius and the
-// transmission range, one ulp either side).
-func TestFillColumnBlockedBitIdentical(t *testing.T) {
-	src := rng.New(0xb10c4ed)
-	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
-	down := func(x float64) float64 { return math.Nextafter(x, 0) }
-	for _, alpha := range []float64{3, 4, 2.5, 5} {
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65, 66, 67} {
-			params := DefaultParams(12)
-			params.Alpha = alpha
-			params.Power = params.Beta * params.Noise * math.Pow(12, alpha)
-			r := params.Range()
-			cr := math.Max(r, 1) * (1 + cullSlack)
-			pos := make([]geom.Point, n)
-			for i := range pos {
-				pos[i] = geom.Point{X: src.Float64() * 40, Y: src.Float64() * 40}
-			}
-			// Overwrite a prefix with adversarial receivers relative to the
-			// sender at pos[0]: clamp boundary, culling radius, range, ± ulp.
-			boundary := []geom.Point{
-				pos[0],
-				{X: pos[0].X + 1, Y: pos[0].Y},
-				{X: up(pos[0].X + 1), Y: pos[0].Y},
-				{X: down(pos[0].X + 1), Y: pos[0].Y},
-				{X: pos[0].X + r, Y: pos[0].Y},
-				{X: up(pos[0].X + r), Y: pos[0].Y},
-				{X: pos[0].X + cr, Y: pos[0].Y},
-				{X: down(pos[0].X + cr), Y: pos[0].Y},
-			}
-			for i := 1; i < n && i-1 < len(boundary); i++ {
-				pos[i] = boundary[i-1]
-			}
-			ch, err := NewChannel(params, pos)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := NewFastChannel(ch, FastOptions{Workers: 1})
-			blocked := make([]float64, n)
-			scalar := make([]float64, n)
-			for _, s := range []int{0, n - 1} {
-				f.BenchFillColumn(blocked, s, true)
-				f.BenchFillColumn(scalar, s, false)
-				for i := 0; i < n; i++ {
-					if math.Float64bits(blocked[i]) != math.Float64bits(scalar[i]) {
-						t.Fatalf("alpha=%v n=%d s=%d r=%d: blocked=%x scalar=%x",
-							alpha, n, s, i, math.Float64bits(blocked[i]), math.Float64bits(scalar[i]))
-					}
-					want := params.ReceivedPower(pos[s].Dist(pos[i]))
-					if math.Float64bits(blocked[i]) != math.Float64bits(want) {
-						t.Fatalf("alpha=%v n=%d s=%d r=%d: blocked=%x reference=%x",
-							alpha, n, s, i, math.Float64bits(blocked[i]), math.Float64bits(want))
-					}
-				}
-			}
-			f.Close()
-		}
 	}
 }
 

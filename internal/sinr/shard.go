@@ -6,14 +6,25 @@ import (
 	"sinrmac/internal/geom"
 )
 
-// This file implements the sharded tier of FastChannel: the million-node
-// slot evaluator that promotes the hierarchical bounds representation of
-// bounds.go from an opportunistic per-slot tier to the primary regime. Above
-// DefaultShardThreshold nodes (or whenever FastOptions.Shards forces it) the
-// evaluator holds no per-pair state at all — no n×n matrix, no per-sender
-// power columns, no map-backed spatial grid — only the flat cell
-// decomposition (geom.CellIndex), the per-offset power-bound tables, and a
-// supercell layer on top, for O(occupied cells + nodes) memory.
+// This file implements the cell lattice, FastChannel's regime for every
+// deployment above the matrix threshold: the slot evaluator that promotes
+// the hierarchical bounds representation of bounds.go from an opportunistic
+// per-slot tier to the primary regime. Above MatrixThreshold nodes (or
+// whenever FastOptions.Shards pins it) the evaluator holds no per-pair
+// state at all — no n×n matrix, no per-sender power cache, no map-backed
+// spatial grid — only the flat cell decomposition (geom.CellIndex), the
+// per-offset power-bound tables, and a supercell layer on top, for
+// O(occupied cells + nodes) memory; every power it needs is computed by
+// pairPower.
+//
+// Between the matrix threshold and n = 65536 the lattice replaced a spatial
+// grid with a clock-evicted per-sender power-column cache: at GOMAXPROCS = 1
+// it was as fast or faster at n ∈ {4k, 16k, 64k} on k = n/4, k = n/10 and
+// churn slots, allocation-free under churn, and the n = 4096 end-to-end
+// workloads ran in a third to two thirds of the grid's peak memory (the
+// package doc of sinrmac has the numbers). The grid won only sparse 4k
+// slots that repeat one transmitter set, a pattern no simulated protocol
+// produces.
 //
 // # Structure
 //
@@ -66,14 +77,7 @@ import (
 // sender-centric path, with candidates enumerated by walking the cell
 // lattice instead of the map grid.
 
-// DefaultShardThreshold is the node count above which a FastChannel with
-// the default options switches to the sharded regime: below it the matrix /
-// column-cache regimes win on constant factors, above it their per-pair
-// state stops fitting a sane memory budget (the column cache alone would
-// need 8n bytes per transmitter).
-const DefaultShardThreshold = 1 << 16
-
-// defaultShardCount is the shard count of the automatic sharded regime.
+// defaultShardCount is the shard count of the automatic cell lattice.
 // Shards are work-partition units, not threads: the scan runs min(workers,
 // shards) chunks, so 64 stripes load-balance any worker count the pool is
 // likely to see while keeping the per-shard bookkeeping negligible.
@@ -96,7 +100,7 @@ const shardSuperSize = 8
 // and cmd/sinrsim's -maxnodes guard derives its refusal message from it.
 const ShardBytesPerNodeBudget = 128
 
-// shardExt is the sharded regime's extension of the bounds index: the
+// shardExt is the lattice's extension of the bounds index: the
 // supercell layer and the shard partition. It is built once per fork family
 // (attached to the shared boundsIndex under the holder lock) and mutated
 // only by churn epochs, which append entries for newly occupied cells.
@@ -187,24 +191,24 @@ func (f *FastChannel) buildShardExt(bi *boundsIndex) *shardExt {
 	return ext
 }
 
-// resolveShards maps the FastOptions.Shards knob to an effective shard
-// count: negative disables the regime, positive forces that count at any
-// deployment size (the differential tests pin S ∈ {1, 2, 4, 8} this way),
-// zero selects it automatically above DefaultShardThreshold.
-func resolveShards(opt, n int) int {
+// resolveShards maps the FastOptions.Shards knob to the lattice's shard
+// count for an n-node deployment under the resolved matrix threshold: a
+// positive value selects the lattice with that count at any size (the
+// differential tests pin S ∈ {1, 2, 4, 8} this way); otherwise the lattice
+// runs with defaultShardCount shards above the threshold and 0 (the matrix
+// regime) at or below it.
+func resolveShards(opt, n, threshold int) int {
 	switch {
-	case opt < 0:
-		return 0
 	case opt > 0:
 		return opt
-	case n > DefaultShardThreshold:
+	case n > threshold:
 		return defaultShardCount
 	}
 	return 0
 }
 
-// Shards returns the shard count of the sharded regime, or 0 when the
-// evaluator runs one of the per-pair regimes (matrix or grid column cache).
+// Shards returns the shard count of the cell lattice, or 0 when the
+// evaluator runs the matrix regime or the outlier-geometry grid fallback.
 func (f *FastChannel) Shards() int { return f.shards }
 
 // OccupiedCells returns the number of occupied cells in the bounds/shard
@@ -219,11 +223,11 @@ func (f *FastChannel) OccupiedCells() int {
 	return f.bidx.cells.NumCells()
 }
 
-// ensureShardIndex resolves the shared bounds index for the sharded regime
+// ensureShardIndex resolves the shared bounds index for the lattice
 // — building it eagerly, unlike the lazy bounds tier — and attaches the
 // shard extension. It reports false when the deployment's extent latches
-// the offset tables off (boundsMaxOffsets); the caller then falls back to
-// the per-pair regimes, which handle outlier geometry at per-pair cost.
+// the offset tables off (boundsMaxOffsets); the caller then demotes to the
+// grid fallback, which handles outlier geometry at per-pair cost.
 func (f *FastChannel) ensureShardIndex() bool {
 	h := f.bholder
 	h.mu.Lock()
@@ -244,7 +248,7 @@ func (f *FastChannel) ensureShardIndex() bool {
 	return true
 }
 
-// growShardScratch sizes the sharded regime's per-slot scratch: the
+// growShardScratch sizes the lattice's per-slot scratch: the
 // per-cell transmitter aggregates shared with the bounds tier plus the
 // per-supercell layer. Unlike growBoundsScratch it allocates no per-cell
 // far-sum or near-list arenas — the shard chunks compute those per receiver
@@ -272,21 +276,18 @@ func (f *FastChannel) growShardScratch() {
 	f.superFarMax = make([]float64, ns)
 }
 
-// demoteToGrid abandons the sharded regime for the per-pair grid regime:
-// the escape hatch for churn that stretches the deployment past the offset
-// table cap mid-life. It is deliberately rare and allocation-heavy; the
-// differential churn suite pins that the demoted evaluator still matches
-// the reference.
+// demoteToGrid abandons the cell lattice for the outlier-geometry fallback:
+// a spatial grid culls receivers and every power is recomputed by pairPower.
+// It runs at construction, and after churn that stretches the deployment
+// past the offset-table cap mid-life. It is deliberately rare and
+// allocation-heavy; the differential tests pin that the fallback still
+// matches the reference.
 func (f *FastChannel) demoteToGrid() {
 	f.shards, f.sext = 0, nil
-	f.grid = geom.NewGrid(f.cullRadius)
-	for i, p := range f.pos {
-		f.grid.Insert(i, p)
-	}
-	f.dropColumnCache()
+	f.buildGrid()
 }
 
-// shardSlot evaluates one non-sparse slot in the sharded regime: the
+// shardSlot evaluates one non-sparse slot in the lattice: the
 // certified bounds pipeline when the cost model (or BoundsFactor) selects
 // it, the cell-culled dense scan otherwise.
 func (f *FastChannel) shardSlot(transmitters []int) {
@@ -530,7 +531,6 @@ func (f *FastChannel) superFarChunk(lo, hi, _ int) {
 //
 //sinrlint:hotpath
 func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
-	tx := f.tx
 	dec := f.decoded[worker]
 	row := f.workerRow(worker)
 	bi := f.bidx
@@ -636,23 +636,7 @@ func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
 				// Ambiguous band: exact fallback, identical to the dense
 				// scan's arithmetic (pairPower in transmitter order).
 				refined++
-				total := 0.0
-				for j, s := range tx {
-					pw := f.pairPower(f.px[s], f.py[s], rx, ry)
-					row[j] = pw
-					total += pw
-				}
-				for j, s := range tx {
-					signal := row[j]
-					if signal < f.cullPower {
-						continue
-					}
-					if signal/(total-signal+f.noise) >= f.beta {
-						f.out[r].Sender = s
-						dec = append(dec, r)
-						break
-					}
-				}
+				dec = f.decodeExact(r, row, dec)
 			}
 		}
 	}
@@ -661,7 +645,7 @@ func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
 	atomic.AddUint64(&f.boundsRefined, refined)
 }
 
-// shardDenseChunk is the sharded regime's exact fallback scan for slots the
+// shardDenseChunk is the lattice's exact fallback scan for slots the
 // certificates decline: cells with no transmitter in any near-offset cell
 // are culled wholesale (the cell-pair distance lower bound proves every
 // received power there below cullPower — the same conservative argument as
@@ -670,7 +654,6 @@ func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
 //
 //sinrlint:hotpath
 func (f *FastChannel) shardDenseChunk(lo, hi, worker int) {
-	tx := f.tx
 	dec := f.decoded[worker]
 	row := f.workerRow(worker)
 	ext := f.sext
@@ -706,72 +689,18 @@ func (f *FastChannel) shardDenseChunk(lo, hi, worker int) {
 				if f.isTx[r] {
 					continue
 				}
-				rx, ry := f.px[r], f.py[r]
-				total := 0.0
-				for j, s := range tx {
-					pw := f.pairPower(f.px[s], f.py[s], rx, ry)
-					row[j] = pw
-					total += pw
-				}
-				for j, s := range tx {
-					signal := row[j]
-					if signal < f.cullPower {
-						continue
-					}
-					if signal/(total-signal+f.noise) >= f.beta {
-						f.out[r].Sender = s
-						dec = append(dec, r)
-						break
-					}
-				}
+				dec = f.decodeExact(r, row, dec)
 			}
 		}
 	}
 	f.decoded[worker] = dec
 }
 
-// sparseShardChunk evaluates the slot's candidate receivers [lo, hi) (by
-// candidate index) in the sharded regime: the arithmetic of the sparse grid
-// path with every power recomputed by the fused kernel (the regime keeps no
-// column cache by design).
-//
-//sinrlint:hotpath
-func (f *FastChannel) sparseShardChunk(lo, hi, worker int) {
-	tx := f.tx
-	dec := f.decoded[worker]
-	row := f.workerRow(worker)
-	for i := lo; i < hi; i++ {
-		r := f.candidates[i]
-		if f.isTx[r] {
-			continue
-		}
-		rx, ry := f.px[r], f.py[r]
-		total := 0.0
-		for j, s := range tx {
-			pw := f.pairPower(f.px[s], f.py[s], rx, ry)
-			row[j] = pw
-			total += pw
-		}
-		for j, s := range tx {
-			signal := row[j]
-			if signal < f.cullPower {
-				continue
-			}
-			if signal/(total-signal+f.noise) >= f.beta {
-				f.out[r].Sender = s
-				dec = append(dec, r)
-				break
-			}
-		}
-	}
-	f.decoded[worker] = dec
-}
-
-// appendCandidatesCells is the sharded regime's candidate enumeration: the
+// appendCandidatesCells is the lattice's candidate enumeration: the
 // transmitters' culling balls walked on the cell lattice (the 3×3 cell
 // window suffices because the ball radius equals the cell side) with the
 // same DistSq ≤ r² membership predicate as the grid's AppendWithin, so the
-// candidate set is identical to the grid path's.
+// candidate set is identical to the matrix regime's.
 func (f *FastChannel) appendCandidatesCells(tx []int, gen uint32) {
 	cells := f.bidx.cells
 	rr := f.cullRadius * f.cullRadius

@@ -151,17 +151,50 @@ func TestShardedThresholdRefine(t *testing.T) {
 // exceed the cap.
 func TestShardedDispatchAndGuards(t *testing.T) {
 	t.Run("auto-threshold", func(t *testing.T) {
-		if got := resolveShards(0, DefaultShardThreshold); got != 0 {
-			t.Errorf("resolveShards(0, threshold) = %d, want 0", got)
+		for _, tc := range []struct {
+			opt, n, threshold, want int
+		}{
+			{0, DefaultMatrixThreshold, DefaultMatrixThreshold, 0},
+			{0, DefaultMatrixThreshold + 1, DefaultMatrixThreshold, defaultShardCount},
+			{-1, DefaultMatrixThreshold + 1, DefaultMatrixThreshold, defaultShardCount},
+			{0, 1 << 20, 1 << 20, 0}, // a raised threshold keeps the matrix
+			{0, 1, -1, defaultShardCount},
+			{3, 100, DefaultMatrixThreshold, 3},
+		} {
+			if got := resolveShards(tc.opt, tc.n, tc.threshold); got != tc.want {
+				t.Errorf("resolveShards(%d, %d, %d) = %d, want %d", tc.opt, tc.n, tc.threshold, got, tc.want)
+			}
 		}
-		if got := resolveShards(0, DefaultShardThreshold+1); got != defaultShardCount {
-			t.Errorf("resolveShards(0, threshold+1) = %d, want %d", got, defaultShardCount)
+		// The same boundary through the constructor: n = MatrixThreshold
+		// gets the matrix, one node more the lattice, and raising the
+		// threshold past n keeps the matrix above the default.
+		regime := func(n, threshold int) string {
+			ch, _, err := DenseBenchWorkload(n, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := NewFastChannel(ch, FastOptions{Workers: 1, MatrixThreshold: threshold})
+			defer f.Close()
+			switch {
+			case f.mat != nil && f.Shards() == 0:
+				return "matrix"
+			case f.mat == nil && f.Shards() == defaultShardCount:
+				return "lattice"
+			}
+			return fmt.Sprintf("grid (S=%d)", f.Shards())
 		}
-		if got := resolveShards(-1, 1<<20); got != 0 {
-			t.Errorf("resolveShards(-1, 1M) = %d, want 0 (disabled)", got)
-		}
-		if got := resolveShards(3, 100); got != 3 {
-			t.Errorf("resolveShards(3, 100) = %d, want 3 (forced)", got)
+		for _, tc := range []struct {
+			n, threshold int
+			want         string
+		}{
+			{300, 300, "matrix"},
+			{301, 300, "lattice"},
+			{DefaultMatrixThreshold + 1, 0, "lattice"},
+			{DefaultMatrixThreshold + 1, DefaultMatrixThreshold + 1, "matrix"},
+		} {
+			if got := regime(tc.n, tc.threshold); got != tc.want {
+				t.Errorf("n=%d MatrixThreshold=%d: %s, want %s", tc.n, tc.threshold, got, tc.want)
+			}
 		}
 	})
 
@@ -200,27 +233,51 @@ func TestShardedDispatchAndGuards(t *testing.T) {
 
 	t.Run("outlier-geometry-fallback", func(t *testing.T) {
 		// Two clusters ~1e6 apart: the per-offset tables would span far past
-		// boundsMaxOffsets, so construction must fall back to the per-pair
-		// regimes even though Shards was forced — and still be exact.
-		pos := []geom.Point{
-			{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 0, Y: 5},
-			{X: 1e6, Y: 1e6}, {X: 1e6 + 5, Y: 1e6},
+		// boundsMaxOffsets, so construction must fall back to the grid with
+		// every power recomputed, even though Shards was forced. The
+		// fallback's dense and sparse kernels must match the reference on
+		// every slot and allocate nothing once warm.
+		src := rng.New(0x0071)
+		pos := make([]geom.Point, 80)
+		for i := range pos {
+			off := 0.0
+			if i%2 == 1 {
+				off = 1e6
+			}
+			pos[i] = geom.Point{X: off + src.Float64()*30, Y: off + src.Float64()*30}
 		}
 		ch, err := NewChannel(DefaultParams(10), pos)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := NewFastChannel(ch, FastOptions{Workers: 1, Shards: 8})
-		defer f.Close()
-		if f.Shards() != 0 {
-			t.Fatalf("outlier geometry kept the sharded regime (S=%d)", f.Shards())
-		}
-		tx := []int{0, 3}
-		want := ch.SlotReceptions(tx)
-		got := f.SlotReceptions(tx)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("node %d decoded %d, reference says %d", i, got[i].Sender, want[i].Sender)
+		for _, sparse := range []int{1, -1} {
+			for _, workers := range []int{1, 4} {
+				label := fmt.Sprintf("SparseFactor=%d Workers=%d", sparse, workers)
+				f := NewFastChannel(ch, FastOptions{Workers: workers, Shards: 8, SparseFactor: sparse})
+				if f.Shards() != 0 || f.mat != nil || f.grid == nil {
+					t.Fatalf("%s: outlier geometry did not fall back to the grid (S=%d)", label, f.Shards())
+				}
+				var tx []int
+				for slot := 0; slot < 6; slot++ {
+					tx = tx[:0]
+					for i := range pos {
+						if src.Bernoulli(0.2) {
+							tx = append(tx, i)
+						}
+					}
+					want := ch.SlotReceptions(tx)
+					got := f.SlotReceptions(tx)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s slot %d: node %d decoded %d, reference says %d",
+								label, slot, i, got[i].Sender, want[i].Sender)
+						}
+					}
+				}
+				if allocs := testing.AllocsPerRun(20, func() { f.SlotReceptions(tx) }); allocs != 0 {
+					t.Errorf("%s: fallback slot allocates %.1f objects, want 0", label, allocs)
+				}
+				f.Close()
 			}
 		}
 	})

@@ -12,22 +12,23 @@
 // induced graphs G_{1-ε} and G_{1-2ε}.
 //
 // Two slot evaluators implement the predicate: the naive reference
-// (Channel.SlotReceptions) and FastChannel, which picks one of four regimes
+// (Channel.SlotReceptions) and FastChannel, which picks one of two regimes
 // at construction — the precomputed power matrix up to
-// DefaultMatrixThreshold nodes, the spatial-grid regime with its bounded
-// lazy column cache above that, and past DefaultShardThreshold (or a pinned
-// FastOptions.Shards) the sharded regime (shard.go), whose memory is
-// O(occupied cells + nodes) with no per-pair state. Within a regime each
-// slot dispatches further: the sender-centric sparse path when the
-// transmitters' estimated ball coverage is low, an O(k) short-circuit on
-// all-transmit slots, the hierarchical-bounds tier (bounds.go) when the
-// transmitter count dwarfs the occupied grid cells, and the dense streaming
-// scan otherwise. All paths are decision-exact: because β > 1 at most one
+// DefaultMatrixThreshold nodes, and above it (or with a positive
+// FastOptions.Shards) the cell lattice (shard.go), whose memory is
+// O(occupied cells + nodes) with no per-pair state. Geometry too stretched
+// for the lattice's offset tables falls back to a spatial grid with every
+// power recomputed. Within a regime each slot dispatches further: the
+// sender-centric sparse path when the transmitters' estimated ball coverage
+// is low, an O(k) short-circuit on all-transmit slots, the certified
+// bounds tier (bounds.go, and the lattice's sharded form of it) when the
+// transmitter count dwarfs the occupied cells, and the exact dense scan
+// otherwise. All paths are decision-exact: because β > 1 at most one
 // sender can decode at a receiver, so the only output is a discrete
 // decision, and the optimised paths either prove their decision identical
 // to the reference's floating-point arithmetic (conservative culling slack;
-// interference bounds widened by a Θ(k)·ulp rounding slack — in the sharded
-// regime those certified bounds are also what crosses shard boundaries, so
+// interference bounds widened by a Θ(k)·ulp rounding slack — on the
+// lattice those certified bounds are also what crosses shard boundaries, so
 // shards never read each other's per-receiver state) or fall back to it.
 // The differential tests in this package hold every path bit-identical to
 // the reference at any shard and worker count.
