@@ -2,7 +2,8 @@
 // annotated //sinrlint:hotpath.
 //
 // The steady-state slot path — Step/RunBatch kernels, the sparse/bounds/
-// shard evaluation chunks, the ApplyEpoch steady-state patches — is held to
+// shard evaluation chunks, the ApplyEpoch steady-state patches, the
+// protocol automata's Tick bodies (20 annotated functions) — is held to
 // zero allocations per slot by dynamic gates (TestEngineStepAllocFree,
 // macbench allocs/op columns). Those gates only fire on the workloads they
 // run; this analyzer rejects the allocating constructs themselves, in any

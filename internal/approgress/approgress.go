@@ -30,6 +30,14 @@
 // whole node for the rest of the epoch — pruning keeps more senders alive
 // at small scale while preserving the "wrong neighbourhood" error mode the
 // paper analyses through its set W).
+//
+// Cost: NewAutomaton resolves the schedule — T, the block boundaries
+// within a phase, the phase and epoch lengths and the data-block
+// probability P/Q — once, and Tick and Receive read plain fields. The
+// Config methods T, Q, DataSlots, PhaseLen and EpochLen derive the same
+// schedule from scratch (logarithms, a power and the defaults) on every
+// call; they are for construction, deadlines and reports, not for per-slot
+// use.
 package approgress
 
 import (
@@ -197,36 +205,59 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// schedule is a Config's slot schedule: the block boundaries within a
+// phase, the phase and epoch lengths and the data-block probability. It is
+// the only place these constants are derived; the exported Config methods
+// read it, and NewAutomaton resolves it once so that Tick reads plain
+// fields.
+type schedule struct {
+	// t is the block length T: slots per discovery and confirmation block
+	// and per MIS round.
+	t int64
+	// discEnd, listEnd and misEnd are the phase positions at which the
+	// discovery, confirmation and MIS blocks end; the data block runs from
+	// misEnd to phaseLen.
+	discEnd, listEnd, misEnd int64
+	phaseLen, epochLen       int64
+	// q is the data-block probability divisor Q and dataP = P/Q the
+	// data-block transmission probability.
+	q, dataP  float64
+	dataSlots int
+}
+
+func (c Config) schedule() schedule {
+	c = c.withDefaults()
+	tv := c.TFactor * math.Log2(math.Max(2, c.Lambda/c.EpsApprog))
+	if tv < 4 {
+		tv = 4
+	}
+	qv := c.QScale * math.Pow(math.Log2(math.Max(2, c.Lambda)), c.Alpha)
+	if qv < 1 {
+		qv = 1
+	}
+	q := math.Ceil(qv)
+	dv := c.DataFactor * q * math.Log2(math.Max(2, 1/c.EpsApprog))
+	if dv < 8 {
+		dv = 8
+	}
+	s := schedule{t: int64(math.Ceil(tv)), q: q, dataP: c.P / q, dataSlots: int(math.Ceil(dv))}
+	s.discEnd = s.t
+	s.listEnd = 2 * s.t
+	s.misEnd = s.listEnd + int64(c.MISRounds)*s.t
+	s.phaseLen = s.misEnd + int64(s.dataSlots)
+	s.epochLen = int64(c.Phases) * s.phaseLen
+	return s
+}
+
 // T returns the block length T (slots per discovery/confirmation block and
 // per MIS round).
-func (c Config) T() int {
-	c = c.withDefaults()
-	v := c.TFactor * math.Log2(math.Max(2, c.Lambda/c.EpsApprog))
-	if v < 4 {
-		v = 4
-	}
-	return int(math.Ceil(v))
-}
+func (c Config) T() int { return int(c.schedule().t) }
 
 // Q returns the data-block probability divisor Q = Θ(log^α Λ).
-func (c Config) Q() float64 {
-	c = c.withDefaults()
-	v := c.QScale * math.Pow(math.Log2(math.Max(2, c.Lambda)), c.Alpha)
-	if v < 1 {
-		v = 1
-	}
-	return math.Ceil(v)
-}
+func (c Config) Q() float64 { return c.schedule().q }
 
 // DataSlots returns the number of slots in one data block.
-func (c Config) DataSlots() int {
-	c = c.withDefaults()
-	v := c.DataFactor * c.Q() * math.Log2(math.Max(2, 1/c.EpsApprog))
-	if v < 8 {
-		v = 8
-	}
-	return int(math.Ceil(v))
-}
+func (c Config) DataSlots() int { return c.schedule().dataSlots }
 
 // PhaseCount returns Φ, the number of phases per epoch.
 func (c Config) PhaseCount() int {
@@ -240,30 +271,19 @@ func (c Config) MISRoundCount() int {
 
 // PhaseLen returns the number of slots in one phase: discovery (T) +
 // confirmation (T) + MIS rounds (MISRounds·T) + data block.
-func (c Config) PhaseLen() int64 {
-	t := int64(c.T())
-	return 2*t + int64(c.MISRoundCount())*t + int64(c.DataSlots())
-}
+func (c Config) PhaseLen() int64 { return c.schedule().phaseLen }
 
 // EpochLen returns the number of slots in one epoch.
-func (c Config) EpochLen() int64 {
-	return int64(c.PhaseCount()) * c.PhaseLen()
-}
-
-// block boundaries within a phase.
-func (c Config) blockBounds() (discEnd, listEnd, misEnd int64) {
-	t := int64(c.T())
-	discEnd = t
-	listEnd = 2 * t
-	misEnd = listEnd + int64(c.MISRoundCount())*t
-	return
-}
+func (c Config) EpochLen() int64 { return c.schedule().epochLen }
 
 // Automaton is the per-node Algorithm 9.1 state machine, ticked once per
 // protocol slot. It never acknowledges; acknowledgment is provided by the
-// other half of the combined MAC (Algorithm 11.1).
+// other half of the combined MAC (Algorithm 11.1). Its schedule (block
+// boundaries, phase and epoch lengths, data probability) is resolved once
+// at construction; Tick and Receive read plain fields.
 type Automaton struct {
 	cfg    Config
+	sch    schedule
 	id     int
 	src    *rng.Source
 	onData func(core.Message)
@@ -308,6 +328,7 @@ func NewAutomaton(cfg Config, id int, src *rng.Source, onData func(core.Message)
 	}
 	return &Automaton{
 		cfg:    cfg.withDefaults(),
+		sch:    cfg.schedule(),
 		id:     id,
 		src:    src,
 		onData: onData,
@@ -354,17 +375,16 @@ func (a *Automaton) ProtocolSlot() int64 { return a.protoSlot }
 
 // Tick advances the automaton by one protocol slot; a transmission fills
 // the pooled frame f and returns true.
+//
+//sinrlint:hotpath
 func (a *Automaton) Tick(f *sim.Frame) bool {
 	slot := a.protoSlot
 	a.protoSlot++
 
-	epochLen := a.cfg.EpochLen()
-	phaseLen := a.cfg.PhaseLen()
-	epochPos := slot % epochLen
-	phase := int(epochPos / phaseLen)
-	phasePos := epochPos % phaseLen
-	discEnd, listEnd, misEnd := a.cfg.blockBounds()
-	t := int64(a.cfg.T())
+	s := &a.sch
+	epochPos := slot % s.epochLen
+	phase := int(epochPos / s.phaseLen)
+	phasePos := epochPos % s.phaseLen
 
 	// Epoch boundary: recompute S₁ membership.
 	if epochPos == 0 {
@@ -381,27 +401,28 @@ func (a *Automaton) Tick(f *sim.Frame) bool {
 	}
 
 	switch {
-	case phasePos < discEnd:
+	case phasePos < s.discEnd:
 		return a.tickDiscovery(phase, f)
-	case phasePos < listEnd:
-		if phasePos == discEnd {
+	case phasePos < s.listEnd:
+		if phasePos == s.discEnd {
 			a.finalizePotentials()
 		}
 		return a.tickList(phase, f)
-	case phasePos < misEnd:
-		round := int((phasePos - listEnd) / t)
-		if (phasePos-listEnd)%t == 0 {
+	case phasePos < s.misEnd:
+		round := int((phasePos - s.listEnd) / s.t)
+		if (phasePos-s.listEnd)%s.t == 0 {
 			if round == 0 {
 				a.finalizeNeighbors()
 			} else {
 				a.processMISRound()
 			}
 			a.curRound = round
+			//sinrlint:allow hotalloc one map per node per MIS round (every T-th slot of the MIS block), not per slot; reusing it with clear() measured no faster end to end and raised peak RSS
 			a.heardRound = make(map[int]MISPayload)
 		}
 		return a.tickMIS(phase, round, f)
 	default:
-		if phasePos == misEnd {
+		if phasePos == s.misEnd {
 			a.processMISRound()
 			a.finalizeMIS()
 		}
@@ -548,7 +569,7 @@ func (a *Automaton) tickData(f *sim.Frame) bool {
 	if !a.phaseSender || a.msg == nil {
 		return false
 	}
-	if !a.src.Bernoulli(a.cfg.P / a.cfg.Q()) {
+	if !a.src.Bernoulli(a.sch.dataP) {
 		return false
 	}
 	f.Kind = FrameData

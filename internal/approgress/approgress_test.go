@@ -1,6 +1,7 @@
 package approgress
 
 import (
+	"slices"
 	"testing"
 
 	"sinrmac/internal/core"
@@ -64,6 +65,47 @@ func TestConfigDerivedLengths(t *testing.T) {
 	// parameter: the epoch length is a function of Λ, ε and α only.
 	if cfg.EpochLen() != DefaultConfig(32, 0.1, 3).EpochLen() {
 		t.Fatal("epoch length not deterministic in its parameters")
+	}
+}
+
+// TestAutomatonScheduleMatchesConfig checks that the schedule an automaton
+// resolves at construction is the one its Config describes, including for
+// non-default structural constants, and pins the default schedule's values.
+func TestAutomatonScheduleMatchesConfig(t *testing.T) {
+	def := DefaultConfig(32, 0.1, 3)
+	tf, mis, data, phases, other := def, def, def, def, DefaultConfig(1000, 0.01, 4)
+	tf.TFactor = 2.5
+	mis.MISRounds = 9
+	data.DataFactor = 3.5
+	phases.Phases = 2
+	other.P, other.QScale = 0.3, 0.5
+	for i, cfg := range []Config{def, testConfig(8), tf, mis, data, phases, other} {
+		a, err := NewAutomaton(cfg, 0, rng.New(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, T := a.sch, int64(cfg.T())
+		if s.t != T || s.discEnd != T || s.listEnd != 2*T || s.misEnd != int64(2+cfg.MISRoundCount())*T {
+			t.Errorf("config %d: blocks end at %d/%d/%d with T = %d, want T = %d and MISRoundCount = %d",
+				i, s.discEnd, s.listEnd, s.misEnd, s.t, T, cfg.MISRoundCount())
+		}
+		if s.phaseLen != cfg.PhaseLen() || s.phaseLen != s.misEnd+int64(cfg.DataSlots()) {
+			t.Errorf("config %d: phase length %d, want %d", i, s.phaseLen, cfg.PhaseLen())
+		}
+		if s.epochLen != cfg.EpochLen() || s.epochLen != int64(cfg.PhaseCount())*s.phaseLen {
+			t.Errorf("config %d: epoch length %d, want %d", i, s.epochLen, cfg.EpochLen())
+		}
+		if s.q != cfg.Q() || s.dataP != cfg.withDefaults().P/cfg.Q() {
+			t.Errorf("config %d: data probability %v, want %v", i, s.dataP, cfg.withDefaults().P/cfg.Q())
+		}
+	}
+	// The default schedule's values: every golden signature depends on them.
+	s := def.schedule()
+	if s.t != 50 || s.q != 125 || s.dataSlots != 416 || s.phaseLen != 816 || s.epochLen != 4896 {
+		t.Errorf("default schedule %+v", s)
+	}
+	if mis.schedule().misEnd != 11*s.t || phases.EpochLen() != 2*s.phaseLen || tf.T() >= def.T() || data.DataSlots() <= def.DataSlots() {
+		t.Error("a non-default structural constant was not honoured")
 	}
 }
 
@@ -167,6 +209,86 @@ func TestAutomatonAbortStopsData(t *testing.T) {
 	for i := int64(0); i < cfg.EpochLen(); i++ {
 		if f := tick(aut); f != nil && f.Kind == FrameData {
 			t.Fatal("aborted automaton transmitted data")
+		}
+	}
+}
+
+// feedScript delivers the control frames of three neighbours (first,
+// first+1, first+2) that confirm id 0 as their neighbour, for the slot at
+// epoch position pos. In the MIS block of phase lose they undercut every
+// label and announce themselves dominators, so node 0 leaves the sender set
+// at the next phase; in every other phase node 0 is the local minimum.
+func feedScript(a *Automaton, pos int64, first, lose int) {
+	s := a.sch
+	phase, phasePos := int(pos/s.phaseLen), pos%s.phaseLen
+	id := first + int(pos%3)
+	f := sim.Frame{}
+	switch {
+	case phasePos < s.discEnd:
+		f.Kind, f.Payload = FrameID, &IDPayload{Phase: phase, ID: id}
+	case phasePos < s.listEnd:
+		f.Kind, f.Payload = FrameList, &ListPayload{Phase: phase, ID: id, Potentials: []int{0, id}}
+	case phasePos < s.misEnd:
+		p := &MISPayload{Phase: phase, ID: id, Label: ^uint64(0), State: StateUndecided}
+		if phase == lose {
+			p.Label, p.State = 0, StateDominator
+		}
+		f.Kind, f.Payload = FrameMIS, p
+	default:
+		return
+	}
+	a.Receive(&f)
+}
+
+// TestPhaseResetForgetsHistory checks that the epoch and phase boundaries
+// reset every piece of per-phase state: a broadcasting automaton that has
+// already run an epoch under other receptions and another random stream
+// traces the same S_φ membership, H̃̃-neighbour sets and transmissions over
+// the next two epochs as a fresh automaton given the same stream and
+// receptions.
+func TestPhaseResetForgetsHistory(t *testing.T) {
+	cfg := testConfig(8)
+	const lose = 2 // the traced epochs' losing phase; testConfig(8) has four
+	m := core.Message{ID: 1, Origin: 0}
+	for _, seed := range []uint64{1, 2, 3} {
+		fresh, err := NewAutomaton(cfg, 0, rng.New(seed), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used, err := NewAutomaton(cfg, 0, rng.New(seed+100), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch := fresh.sch.epochLen
+		used.Start(m)
+		for pos := int64(0); pos < epoch; pos++ {
+			tick(used)
+			feedScript(used, pos, 4, 0)
+		}
+		used.src = rng.New(seed)
+		fresh.Start(m)
+		active := 0
+		for slot := int64(0); slot < 2*epoch; slot++ {
+			ff, fu := tick(fresh), tick(used)
+			if (ff == nil) != (fu == nil) || (ff != nil && ff.Kind != fu.Kind) {
+				t.Fatalf("seed %d slot %d: fresh sent %v, used sent %v", seed, slot, ff, fu)
+			}
+			if fresh.SenderActive() != used.SenderActive() {
+				t.Fatalf("seed %d slot %d: SenderActive %v fresh, %v used", seed, slot, fresh.SenderActive(), used.SenderActive())
+			}
+			if nf, nu := fresh.Neighbors(), used.Neighbors(); !slices.Equal(nf, nu) {
+				t.Fatalf("seed %d slot %d: neighbours %v fresh, %v used", seed, slot, nf, nu)
+			}
+			if fresh.SenderActive() {
+				active++
+			}
+			feedScript(fresh, slot%epoch, 1, lose)
+			feedScript(used, slot%epoch, 1, lose)
+		}
+		// Node 0 is a sender up to phase lose of each epoch and drops out
+		// after it, so the trace exercises both branches of the reset.
+		if want := 2 * (lose + 1) * fresh.sch.phaseLen; int64(active) != want {
+			t.Fatalf("seed %d: sender in %d slots, want %d", seed, active, want)
 		}
 	}
 }

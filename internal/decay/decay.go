@@ -91,11 +91,13 @@ func (c Config) AckSlots() int64 {
 }
 
 // Automaton is the per-node Decay state machine, ticked once per protocol
-// slot.
+// slot. Its phase length and acknowledgment phase count are resolved once
+// at construction.
 type Automaton struct {
-	cfg    Config
-	src    *rng.Source
-	onData func(core.Message)
+	src       *rng.Source
+	onData    func(core.Message)
+	phaseLen  int
+	ackPhases int
 
 	active    bool
 	done      bool
@@ -113,7 +115,12 @@ func NewAutomaton(cfg Config, src *rng.Source, onData func(core.Message)) (*Auto
 	if src == nil {
 		return nil, fmt.Errorf("decay: nil random source")
 	}
-	return &Automaton{cfg: cfg.withDefaults(), src: src, onData: onData}, nil
+	return &Automaton{
+		src:       src,
+		onData:    onData,
+		phaseLen:  cfg.PhaseLen(),
+		ackPhases: cfg.AckPhases(),
+	}, nil
 }
 
 // Start begins the Decay broadcast of m.
@@ -139,17 +146,20 @@ func (a *Automaton) Done() bool { return a.active && a.done }
 
 // Tick advances the automaton one protocol slot; a transmission fills the
 // pooled frame f and returns true.
+//
+//sinrlint:hotpath
 func (a *Automaton) Tick(f *sim.Frame) bool {
 	if !a.Active() {
 		return false
 	}
-	p := math.Pow(2, -float64(a.slotInPh))
-	send := a.src.Bernoulli(p)
+	// 2^{-j}, exactly: Ldexp equals math.Pow(2, -j) bit for bit at every
+	// phase position (TestLdexpMatchesPow).
+	send := a.src.Bernoulli(math.Ldexp(1, -a.slotInPh))
 	a.slotInPh++
-	if a.slotInPh >= a.cfg.PhaseLen() {
+	if a.slotInPh >= a.phaseLen {
 		a.slotInPh = 0
 		a.phaseDone++
-		if a.phaseDone >= a.cfg.AckPhases() {
+		if a.phaseDone >= a.ackPhases {
 			a.done = true
 		}
 	}

@@ -1,6 +1,7 @@
 package decay
 
 import (
+	"math"
 	"testing"
 
 	"sinrmac/internal/core"
@@ -42,6 +43,32 @@ func TestConfigDerivedQuantities(t *testing.T) {
 	big := DefaultConfig(1024, 0.1)
 	if big.PhaseLen() <= cfg.PhaseLen() || big.AckPhases() <= cfg.AckPhases() {
 		t.Fatal("phase structure not monotone in DeltaBound")
+	}
+}
+
+// TestLdexpMatchesPow pins the Tick's transmission probability: Ldexp(1,
+// -j) is bit-identical to math.Pow(2, -j) at every position j of a phase.
+func TestLdexpMatchesPow(t *testing.T) {
+	for _, delta := range []float64{1, 16, 33, 4096, 1e300} {
+		cfg := DefaultConfig(delta, 0.1)
+		for j := 0; j <= cfg.PhaseLen(); j++ {
+			got, want := math.Ldexp(1, -j), math.Pow(2, -float64(j))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("DeltaBound %g, j = %d: Ldexp %v, Pow %v", delta, j, got, want)
+			}
+		}
+	}
+}
+
+func TestAutomatonResolvesConfig(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(16, 0.1), DefaultConfig(1000, 0.001), {DeltaBound: 33, EpsAck: 0.2, AckPhaseFactor: 2.5}} {
+		a, err := NewAutomaton(cfg, rng.New(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.phaseLen != cfg.PhaseLen() || a.ackPhases != cfg.AckPhases() {
+			t.Errorf("%+v: resolved %d slots x %d phases, want %d x %d", cfg, a.phaseLen, a.ackPhases, cfg.PhaseLen(), cfg.AckPhases())
+		}
 	}
 }
 

@@ -151,11 +151,20 @@ func (c Config) MaxSlots() int64 {
 
 // Automaton is the per-node algorithm state machine. It is ticked once per
 // protocol slot (which may be every engine slot for the standalone MAC, or
-// every other slot inside the combined MAC of Algorithm 11.1).
+// every other slot inside the combined MAC of Algorithm 11.1). The Config
+// constants it needs are resolved once at construction; Tick and Receive
+// read plain fields.
 type Automaton struct {
 	cfg    Config
 	src    *rng.Source
 	onData func(m core.Message)
+
+	// Resolved Config constants: Ñ, the halt budget, the fall-back
+	// threshold and the step length.
+	nTilde     float64
+	haltBudget float64
+	fallback   int
+	stepLen    int
 
 	active bool
 	done   bool
@@ -165,7 +174,6 @@ type Automaton struct {
 	totalProb  float64
 	rcvCount   int
 	slotInStep int
-	stepLen    int
 }
 
 // NewAutomaton returns an automaton with the given configuration. onData is
@@ -179,10 +187,13 @@ func NewAutomaton(cfg Config, src *rng.Source, onData func(core.Message)) (*Auto
 		return nil, fmt.Errorf("hmbcast: nil random source")
 	}
 	return &Automaton{
-		cfg:     cfg.withDefaults(),
-		src:     src,
-		onData:  onData,
-		stepLen: cfg.StepLen(),
+		cfg:        cfg.withDefaults(),
+		src:        src,
+		onData:     onData,
+		nTilde:     cfg.ContentionBound(),
+		haltBudget: cfg.HaltBudget(),
+		fallback:   cfg.FallbackThreshold(),
+		stepLen:    cfg.StepLen(),
 	}, nil
 }
 
@@ -195,8 +206,7 @@ func (a *Automaton) Start(m core.Message) {
 	a.rcvCount = 0
 	a.slotInStep = 0
 	// Line 2 followed by the first execution of line 4 of Algorithm B.1.
-	nTilde := a.cfg.ContentionBound()
-	a.p = math.Max(1/(128*nTilde), (1/(4*nTilde))/32)
+	a.p = math.Max(1/(128*a.nTilde), (1/(4*a.nTilde))/32)
 }
 
 // Abort cancels the ongoing broadcast.
@@ -219,6 +229,8 @@ func (a *Automaton) Probability() float64 { return a.p }
 
 // Tick advances the automaton by one protocol slot; a transmission fills
 // the pooled frame f and returns true.
+//
+//sinrlint:hotpath
 func (a *Automaton) Tick(f *sim.Frame) bool {
 	if !a.Active() {
 		return false
@@ -234,7 +246,7 @@ func (a *Automaton) Tick(f *sim.Frame) bool {
 		a.slotInStep = 0
 	}
 	// Line 14: halt once the probability budget is exhausted.
-	if a.totalProb > a.cfg.HaltBudget() {
+	if a.totalProb > a.haltBudget {
 		a.done = true
 	}
 	if !send {
@@ -260,9 +272,8 @@ func (a *Automaton) Receive(f *sim.Frame) {
 	// Lines 17-21: count overheard messages; fall back when the channel is
 	// evidently busy at the current probability level.
 	a.rcvCount++
-	if a.rcvCount > a.cfg.FallbackThreshold() {
-		nTilde := a.cfg.ContentionBound()
-		a.p = math.Max(1/(128*nTilde), a.p/32)
+	if a.rcvCount > a.fallback {
+		a.p = math.Max(1/(128*a.nTilde), a.p/32)
 		a.rcvCount = 0
 		a.slotInStep = 0
 	}

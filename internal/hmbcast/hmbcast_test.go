@@ -43,6 +43,20 @@ func TestConfigDerivedQuantities(t *testing.T) {
 	}
 }
 
+func TestAutomatonResolvesConfig(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(10, 0.1), DefaultConfig(1000, 0.001), {Lambda: 4, EpsAck: 0.2, StepFactor: 3, HaltFactor: 5, FallbackFactor: 0.5, PMax: 0.25}} {
+		a, err := NewAutomaton(cfg, rng.New(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.nTilde != cfg.ContentionBound() || a.haltBudget != cfg.HaltBudget() || a.fallback != cfg.FallbackThreshold() || a.stepLen != cfg.StepLen() {
+			t.Errorf("%+v: resolved Ñ %v, budget %v, fall-back %d, step %d; want %v, %v, %d, %d", cfg,
+				a.nTilde, a.haltBudget, a.fallback, a.stepLen,
+				cfg.ContentionBound(), cfg.HaltBudget(), cfg.FallbackThreshold(), cfg.StepLen())
+		}
+	}
+}
+
 func TestAutomatonConstructorErrors(t *testing.T) {
 	if _, err := NewAutomaton(Config{Lambda: 0, EpsAck: 0.1}, rng.New(1), nil); err == nil {
 		t.Fatal("invalid config accepted")

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // coverTask records, per index, how often it ran and which worker ran it.
@@ -178,17 +179,18 @@ func TestSessionSteadyStateAllocFree(t *testing.T) {
 }
 
 // waitGoroutines polls until the live goroutine count drops to at most
-// want, reporting the final count.
+// want or five seconds pass, reporting the final count. A closed pool's
+// helpers exit asynchronously, and under full-suite load the scheduler can
+// take a while to run them.
 func waitGoroutines(want int) int {
-	var g int
-	for i := 0; i < 2000; i++ {
-		g = runtime.NumGoroutine()
-		if g <= want {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g := runtime.NumGoroutine()
+		if g <= want || time.Now().After(deadline) {
 			return g
 		}
-		runtime.Gosched()
+		time.Sleep(time.Millisecond)
 	}
-	return g
 }
 
 func TestGoroutineLeakAcrossPoolLifecycles(t *testing.T) {
