@@ -8,87 +8,52 @@
 // shows how the epoch structure trades discovery reliability against data
 // throughput.
 //
-// With -json the command instead benchmarks the slot pipeline via
-// testing.Benchmark and writes the measurements to BENCH_macbench.json (or
-// the -out path), so the performance trajectory stays machine-readable
-// across PRs:
+// With -json it instead times the slot pipeline and writes one record per
+// case, {name, params, metrics}, to BENCH_macbench.json (or -out) under a
+// header stamping gomaxprocs, num_cpu, go_version and the seed. Every case
+// but the single-side engine-step rows pairs a reference side against an
+// optimised side on one workload: metrics <ref>_ns_per_op and
+// <ref>_allocs_per_op, the optimised side's ns_per_op and allocs_per_op,
+// speedup = reference ns / optimised ns, and any the case adds
+// (refine_rate, rss_bytes, bytes_per_node). The case table, benchCases:
 //
-//   - the SINR slot hot path, naive reference vs fast evaluator, in the
-//     matrix regime and on the cell lattice (ns/op, allocs/op, speedup vs
-//     naive);
-//   - the sparse sender-centric path vs the dense scan on the
-//     sinr.SparseBenchWorkload (|tx| = √n) in both regimes;
-//   - the hierarchical-bounds tier vs the dense scan on the
-//     sinr.DenseBenchWorkload at k = n/4 and k = n, with the measured
-//     exact-fallback (refine) rate per case;
-//   - the cell lattice at scale (n = 100k, and n = 10⁶ with -large): the
-//     certified sharded pipeline vs the lattice's dense scan, plus the
-//     measured heap footprint of channel + evaluator (rss_bytes,
-//     bytes_per_node), which must stay within
-//     sinr.ShardBytesPerNodeBudget;
-//   - churn epochs on the sinr.ChurnBenchWorkload: incrementally applying
-//     a mobility epoch (1% of nodes moved) to a live evaluator vs
-//     rebuilding it from scratch, in both regimes (the apply path is
-//     expected to stay allocation-free);
-//   - a steady-state sim.Engine.Step over pooled frames (ns/op and
-//     allocs/op, the latter expected to be zero): the sequential and
-//     parallel drivers at n = 2000 and n = 5000 (Parallel on GOMAXPROCS
-//     workers, which is the sequential loop on one CPU), plus the fused
-//     session driver on four fixed workers so its machinery is measured on
-//     any host, and the same serial workload with a zero-fault injector
-//     installed (engine_step_faults), which pins the fault layer's
-//     dispatch cost to healthy simulations;
-//   - the batched executor (engine_run_batch): the identical four-worker
-//     fused-parallel workload driven slot-at-a-time via Engine.Step (one
-//     workpool session per slot) against Engine.RunBatch's 64-slot
-//     micro-batches (one session per batch), at n = 2000 and n = 5000;
-//   - the blocked (SIMD-friendly) matrix totals gather against the scalar
-//     loop it replaced, on the production entry point (4 receivers per
-//     pass, breaking the loop-carried FP add chain);
-//   - the pow-free path-loss kernel (sinr.Params.ReceivedPower with its
-//     integer-α multiplication fast paths plus the Sqrt distance) against
-//     the pre-rewrite math.Pow+math.Hypot arithmetic, per fast-pathed
-//     exponent.
+//	case                          reference      optimised side
+//	matrix, lattice               naive channel  fast evaluator, n = 1000 / 4000
+//	sparse_{matrix,lattice}       dense scan     sparse path, |tx| = √n
+//	bounds_{quarter,full}         dense scan     bounds tier, k = n/4 / n
+//	shard_n100k, shard_n1m        dense scan     cell lattice at scale (n1m: -large, no reference)
+//	churn_{matrix,lattice}        rebuild        ApplyEpoch, 1 % of nodes moved
+//	engine_step{,_parallel,_5k}   —              steady-state Engine.Step
+//	engine_step_parallel_5k       serial driver  parallel driver
+//	engine_step_fused4            —              fused driver on four workers
+//	engine_step_faults            no hook        zero-fault injector
+//	engine_run_batch{,_5k}        Step loop      RunBatch(64), ns per slot
+//	kernel_pathloss_a{2,3,4}      math.Pow       pow-free path loss
 //
-// Several gates run on the fresh measurements themselves, independent of
-// any baseline: at n ≥ 5000 the parallel engine-step driver must not be
-// slower than the sequential driver beyond stepCrossoverTolerance (the gate
-// keeps "Parallel: true" safe to enable), each
-// integer-α path-loss kernel must beat the math.Pow reference, the
-// degenerate all-transmit slot (bounds_full) must not be slower under the
-// adaptive dispatch than under the pinned dense scan beyond
-// boundsFullMinSpeedup (both sides short-circuit on the half-duplex
-// early-out, so a real gap means a tier is paying setup cost before
-// declining), the zero-fault injector may not slow the serial engine step
-// beyond faultHookMaxOverhead, the batched executor must not lose to the
-// slot-at-a-time Step loop (batchRunMinSpeedup) and must stay
-// allocation-free in steady state, the blocked matrix gather must beat its
-// scalar predecessor by at least blockedGatherMinSpeedup, and the sharded
-// evaluator's measured bytes/node must stay within
-// sinr.ShardBytesPerNodeBudget.
+// Gates judged within every run: speedup ≥ 0.95 on bounds_full, ≥ 1/1.2 on
+// engine_step_parallel_5k, ≥ 1/1.05 on engine_step_faults, ≥ 1.0 on
+// engine_run_batch{,_5k} and kernel_pathloss_a{2,3,4}, each on per-side
+// minima over up to gateRounds interleaved rounds; zero allocations per
+// RunBatch on engine_run_batch{,_5k}; and bytes_per_node within
+// sinr.ShardBytesPerNodeBudget on the shard cases.
 //
-// With -compare FILE the fresh measurements are additionally checked
-// against a previously committed report on machine-invariant quantities:
-// the run fails if any matching case's speedup ratio (fast over naive,
-// sparse over dense, bounds over dense) shrank by more than the tolerance
-// (2×) or an optimised path started allocating. CI runs this against the
-// committed BENCH_macbench.json as a gross-regression smoke test, appends
-// the per-case baseline-vs-current table to the job summary via -summary,
-// and uploads the fresh JSON as an artifact.
-//
-// -cpuprofile and -memprofile capture pprof profiles of either mode, so a
-// hot-path regression flagged by the gate can be diagnosed from the same
-// binary that measured it.
+// -compare FILE also fails the run when a baseline case is missing, when a
+// speedup shrank by more than compareTolerance, or when allocs_per_op grew.
+// -summary appends the baseline-vs-current markdown table (CI's job
+// summary); -cpuprofile and -memprofile profile either mode.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -132,6 +97,10 @@ func run() int {
 		memProfile = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
 	flag.Parse()
+	if err := checkAblationFlags(*nodes, *trials); err != nil {
+		fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -217,659 +186,151 @@ func run() int {
 	return 0
 }
 
-// benchCase is one measured slot-path configuration in BENCH_macbench.json.
+// checkAblationFlags rejects sweep sizes that measure nothing: the cluster
+// needs a broadcaster besides the listener, and the median needs a trial.
+func checkAblationFlags(nodes, trials int) error {
+	if nodes < 2 {
+		return fmt.Errorf("-n must be at least 2 (the listener plus a broadcaster), got %d", nodes)
+	}
+	if trials < 1 {
+		return fmt.Errorf("-trials must be at least 1, got %d", trials)
+	}
+	return nil
+}
+
+// benchCase is one record of BENCH_macbench.json. encoding/json writes map
+// keys sorted, so the report is deterministic.
 type benchCase struct {
-	// Name identifies the regime: "matrix" (n below the power-matrix
-	// threshold) or "lattice" (the cell lattice above it).
-	Name string `json:"name"`
-	// Nodes and Transmitters describe the workload.
-	Nodes        int `json:"nodes"`
-	Transmitters int `json:"transmitters"`
-	// Naive and Fast are the per-slot cost of the reference and fast
-	// evaluators.
-	NaiveNsPerOp     float64 `json:"naive_ns_per_op"`
-	NaiveAllocsPerOp int64   `json:"naive_allocs_per_op"`
-	FastNsPerOp      float64 `json:"fast_ns_per_op"`
-	FastAllocsPerOp  int64   `json:"fast_allocs_per_op"`
-	// SpeedupVsNaive is NaiveNsPerOp / FastNsPerOp.
-	SpeedupVsNaive float64 `json:"speedup_vs_naive"`
+	Name    string             `json:"name"`
+	Params  map[string]float64 `json:"params"`
+	Metrics map[string]float64 `json:"metrics"`
 }
 
-// sparseCase is one sparse-vs-dense slot-path measurement: the same
-// workload (|tx| = √n) evaluated with the sender-centric sparse path
-// disabled and enabled.
-type sparseCase struct {
-	// Name identifies the regime: "sparse_matrix" or "sparse_lattice".
-	Name string `json:"name"`
-	// Nodes and Transmitters describe the workload (sinr.SparseBenchWorkload).
-	Nodes        int `json:"nodes"`
-	Transmitters int `json:"transmitters"`
-	// Dense and Sparse are the per-slot cost of the full receiver scan and
-	// the sender-centric candidate enumeration.
-	DenseNsPerOp      float64 `json:"dense_ns_per_op"`
-	DenseAllocsPerOp  int64   `json:"dense_allocs_per_op"`
-	SparseNsPerOp     float64 `json:"sparse_ns_per_op"`
-	SparseAllocsPerOp int64   `json:"sparse_allocs_per_op"`
-	// SpeedupVsDense is DenseNsPerOp / SparseNsPerOp.
-	SpeedupVsDense float64 `json:"speedup_vs_dense"`
-}
-
-// boundsCase is one bounds-vs-dense slot-path measurement: the same dense
-// workload (sinr.DenseBenchWorkload) evaluated with the hierarchical-bounds
-// tier disabled and with the default adaptive dispatch, plus the measured
-// exact-fallback fraction of the bounds run.
-type boundsCase struct {
-	// Name identifies the transmitter density: "bounds_quarter" (k = n/4)
-	// or "bounds_full" (k = n, everyone transmits — no listeners, so the
-	// adaptive dispatch correctly declines the tier and the entry mostly
-	// documents that the degenerate slot stays cheap).
-	Name string `json:"name"`
-	// Nodes and Transmitters describe the workload.
-	Nodes        int `json:"nodes"`
-	Transmitters int `json:"transmitters"`
-	// Dense and Bounds are the per-slot cost of the pre-bounds dense scan
-	// and the adaptive evaluator (bounds tier enabled).
-	DenseNsPerOp      float64 `json:"dense_ns_per_op"`
-	DenseAllocsPerOp  int64   `json:"dense_allocs_per_op"`
-	BoundsNsPerOp     float64 `json:"bounds_ns_per_op"`
-	BoundsAllocsPerOp int64   `json:"bounds_allocs_per_op"`
-	// SpeedupVsDense is DenseNsPerOp / BoundsNsPerOp.
-	SpeedupVsDense float64 `json:"speedup_vs_dense"`
-	// RefineRate is the fraction of bounds-evaluated receivers that fell
-	// back to the exact evaluator (sinr.BoundsStats.RefineRate over the
-	// measured slots).
-	RefineRate float64 `json:"refine_rate"`
-}
-
-// shardCase is one cell-lattice measurement at scale: the same dense
-// workload evaluated by the lattice's dense scan (sparse and certified
-// paths pinned off) and by the adaptive lattice, plus the adaptive
-// evaluator's measured heap footprint (channel + evaluator + workload,
-// GC-settled HeapAlloc delta). The large case skips the dense side — a
-// 10⁶-node dense scan takes minutes per op — and documents footprint and
-// absolute slot cost only.
-type shardCase struct {
-	// Name identifies the scale: "shard_n100k" or "shard_n1m" (-large only).
-	Name string `json:"name"`
-	// Nodes, Transmitters and Shards describe the workload and partition.
-	Nodes        int `json:"nodes"`
-	Transmitters int `json:"transmitters"`
-	Shards       int `json:"shards"`
-	// Dense is the lattice's dense scan (absent for the large case); Shard
-	// the lattice with adaptive certificate dispatch.
-	DenseNsPerOp     float64 `json:"dense_ns_per_op,omitempty"`
-	DenseAllocsPerOp int64   `json:"dense_allocs_per_op,omitempty"`
-	ShardNsPerOp     float64 `json:"shard_ns_per_op"`
-	ShardAllocsPerOp int64   `json:"shard_allocs_per_op"`
-	// SpeedupVsDense is DenseNsPerOp / ShardNsPerOp (0 when no dense side).
-	SpeedupVsDense float64 `json:"speedup_vs_dense,omitempty"`
-	// RefineRate is the certified pipeline's exact-fallback fraction.
-	RefineRate float64 `json:"refine_rate"`
-	// RSSBytes is the settled heap growth of building the channel plus the
-	// sharded evaluator and running one slot; BytesPerNode divides by n and
-	// is gated within-run against sinr.ShardBytesPerNodeBudget.
-	RSSBytes     uint64  `json:"rss_bytes"`
-	BytesPerNode float64 `json:"bytes_per_node"`
-}
-
-// churnCase is one churn-epoch measurement: the cost of incrementally
-// applying a mobility epoch to a live fast evaluator
-// (sinr.FastChannel.ApplyEpoch) against rebuilding the evaluator from
-// scratch over the post-epoch deployment, on sinr.ChurnBenchWorkload.
-type churnCase struct {
-	// Name identifies the regime: "churn_matrix" (power matrix patched in
-	// place) or "churn_lattice" (cell index patched in place).
-	Name string `json:"name"`
-	// Nodes is the deployment size; Changed how many nodes move per epoch.
-	Nodes   int `json:"nodes"`
-	Changed int `json:"changed_per_epoch"`
-	// Rebuild and Apply are the per-epoch cost of a from-scratch evaluator
-	// rebuild and of the incremental apply path.
-	RebuildNsPerOp     float64 `json:"rebuild_ns_per_op"`
-	RebuildAllocsPerOp int64   `json:"rebuild_allocs_per_op"`
-	ApplyNsPerOp       float64 `json:"apply_ns_per_op"`
-	ApplyAllocsPerOp   int64   `json:"apply_allocs_per_op"`
-	// SpeedupVsRebuild is RebuildNsPerOp / ApplyNsPerOp.
-	SpeedupVsRebuild float64 `json:"speedup_vs_rebuild"`
-}
-
-// stepCase is one steady-state Engine.Step measurement over the pooled
-// frame pipeline.
-type stepCase struct {
-	Name string `json:"name"`
-	// Nodes is the deployment size; TxPerSlot the mean transmitter count.
-	Nodes     int     `json:"nodes"`
-	TxPerSlot float64 `json:"tx_per_slot"`
-	// Parallel reports whether sim.Config.Parallel was set.
-	Parallel    bool    `json:"parallel"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// batchCase is one batched-executor measurement: the identical four-worker
-// fused-parallel engine workload driven slot-at-a-time via Engine.Step —
-// one workpool session (helper wake + park) per slot — and via
-// Engine.RunBatch, which keeps one session open across the whole
-// micro-batch. The two executions are bit-identical (pinned by the
-// differential suite in internal/sim), so the ratio isolates the
-// per-slot session overhead the batch amortises.
-type batchCase struct {
-	Name string `json:"name"`
-	// Nodes is the deployment size; TxPerSlot the mean transmitter count;
-	// Batch the micro-batch size the Run side executes per op.
-	Nodes     int     `json:"nodes"`
-	TxPerSlot float64 `json:"tx_per_slot"`
-	Batch     int     `json:"batch"`
-	// StepNsPerSlot is the slot-at-a-time cost (one Engine.Step op);
-	// BatchNsPerSlot the RunBatch cost divided by the batch size.
-	StepNsPerSlot     float64 `json:"step_ns_per_slot"`
-	StepAllocsPerSlot int64   `json:"step_allocs_per_slot"`
-	BatchNsPerSlot    float64 `json:"batch_ns_per_slot"`
-	// BatchAllocsPerOp counts allocations per whole RunBatch op (not per
-	// slot); the within-run gate pins it to zero.
-	BatchAllocsPerOp int64 `json:"batch_allocs_per_op"`
-	// SpeedupVsStep is StepNsPerSlot / BatchNsPerSlot.
-	SpeedupVsStep float64 `json:"speedup_vs_step"`
-}
-
-// blockedCase is one blocked-kernel measurement: a production hot loop
-// restructured into 4-wide receiver blocks against the scalar loop it
-// replaced, over the identical inputs. The two are bit-identical in result
-// (pinned by the kernel tests in internal/sinr), so the ratio is pure
-// instruction-scheduling gain.
-type blockedCase struct {
-	Name string `json:"name"`
-	// Nodes is the workload size; Transmitters the gather's |tx|.
-	Nodes        int `json:"nodes"`
-	Transmitters int `json:"transmitters,omitempty"`
-	// Scalar and Blocked are the per-op cost of the replaced scalar loop
-	// and the shipped blocked kernel.
-	ScalarNsPerOp  float64 `json:"scalar_ns_per_op"`
-	BlockedNsPerOp float64 `json:"blocked_ns_per_op"`
-	// SpeedupVsScalar is ScalarNsPerOp / BlockedNsPerOp.
-	SpeedupVsScalar float64 `json:"speedup_vs_scalar"`
-}
-
-// kernelCase is one path-loss kernel measurement: the pow-free arithmetic
-// (integer-α multiplication plus Sqrt distance) against the pre-rewrite
-// math.Pow + math.Hypot composition over the same point pairs. The two are
-// bit-identical in result (pinned by the differential tests in
-// internal/sinr), so the ratio is pure arithmetic cost.
-type kernelCase struct {
-	Name  string  `json:"name"`
-	Alpha float64 `json:"alpha"`
-	// Pairs is how many receiver pairs each op evaluates.
-	Pairs int `json:"pairs"`
-	// Pow and Fast are the per-op cost of the math.Pow+Hypot reference and
-	// the shipped ReceivedPower(Dist) composition.
-	PowNsPerOp  float64 `json:"pow_ns_per_op"`
-	FastNsPerOp float64 `json:"fast_ns_per_op"`
-	// SpeedupVsPow is PowNsPerOp / FastNsPerOp.
-	SpeedupVsPow float64 `json:"speedup_vs_pow"`
-}
-
-// benchReport is the top-level BENCH_macbench.json document.
+// benchReport is the top-level BENCH_macbench.json document. The host
+// fields record where the numbers were measured; -compare ignores them.
 type benchReport struct {
-	GoMaxProcs   int           `json:"gomaxprocs"`
-	Seed         uint64        `json:"seed"`
-	Cases        []benchCase   `json:"cases"`
-	SparseCases  []sparseCase  `json:"sparse_cases"`
-	BoundsCases  []boundsCase  `json:"bounds_cases"`
-	ShardCases   []shardCase   `json:"shard_cases,omitempty"`
-	ChurnCases   []churnCase   `json:"churn_cases"`
-	StepCases    []stepCase    `json:"step_cases"`
-	BatchCases   []batchCase   `json:"batch_cases,omitempty"`
-	BlockedCases []blockedCase `json:"blocked_cases,omitempty"`
-	KernelCases  []kernelCase  `json:"kernel_cases,omitempty"`
+	GoMaxProcs int         `json:"gomaxprocs"`
+	NumCPU     int         `json:"num_cpu,omitempty"`
+	GoVersion  string      `json:"go_version,omitempty"`
+	Seed       uint64      `json:"seed"`
+	Cases      []benchCase `json:"cases"`
 }
 
 // benchFile is where runJSONBench writes its report by default.
 const benchFile = "BENCH_macbench.json"
 
-// compareTolerance is the gross-regression threshold of -compare: a fresh
-// speedup ratio (fast over naive, sparse over dense) may be at most this
-// many times smaller than the committed baseline's. The gate compares
-// ratios measured within one run rather than absolute ns/op, so it is
-// invariant to how fast the machine running it is; the tolerance is
-// generous on purpose — the check has to survive workload-shape variance
-// across hosts and only catch order-of-magnitude breakage.
+// compareTolerance is how many times smaller than the baseline's a fresh
+// speedup may be. Ratios measured within one run do not depend on how fast
+// the host is; the tolerance is generous so the check survives workload
+// variance across hosts and catches only order-of-magnitude breakage.
 const compareTolerance = 2.0
 
-// stepCrossoverMinNodes and stepCrossoverTolerance define the within-run
-// engine-step crossover gate: at deployments of at least this size, the
-// parallel driver (Parallel on GOMAXPROCS workers) must not be slower than
-// the sequential driver by more than the tolerance. The engine picks the
-// driver statically — parallel whenever more than one worker resolves — so
-// this gate is what keeps "Parallel: true" safe to enable. On a 2-CPU host
-// the parallel driver cost 1.11× at n = 2000 and won at n = 5000; smaller
-// deployments are exempt.
-const (
-	stepCrossoverMinNodes  = 5000
-	stepCrossoverTolerance = 1.2
-)
+// gateRounds bounds the interleaved rounds of a pair with a speedup floor.
+// Single measurements swing tens of percent with host frequency state, so
+// the floor judges per-side minima, re-measured until it passes: a genuine
+// cost is persistent and survives the minimum, noise does not.
+const gateRounds = 5
 
-// boundsFullMinSpeedup is the within-run gate on the degenerate all-transmit
-// case: with every node transmitting, half-duplex leaves no listener and
-// both the pinned dense scan and the adaptive dispatch short-circuit on the
-// same O(k) early-out, so the adaptive side may not be meaningfully slower.
-// A ratio below this bound means a tier is paying per-slot setup cost before
-// declining the degenerate slot. Because the two sides are near-identical
-// ~10 µs loops whose single measurements swing tens of percent with host
-// frequency state, the gate judges the ratio of per-side minima over up to
-// boundsFullRounds interleaved measurement rounds (stopping early once it
-// passes): a genuine setup cost is persistent and survives the minimum.
-const (
-	boundsFullMinSpeedup = 0.95
-	boundsFullRounds     = 5
-)
-
-// faultHookMaxOverhead is the within-run gate on the fault-injection hook:
-// the serial engine-step workload with a zero-fault injector installed
-// (engine_step_faults) may cost at most this factor over the identical
-// workload with no hook. A zero-rate plan consumes no randomness and scrubs
-// nothing, so the measured gap is pure dispatch overhead — the price every
-// non-faulty simulation pays for the layer existing. Like bounds_full, the
-// two sides are near-identical loops, so the gate judges the ratio of
-// per-side minima over up to faultHookRounds interleaved rounds.
-const (
-	faultHookMaxOverhead = 1.05
-	faultHookRounds      = 5
-)
-
-// batchRunMinSpeedup is the within-run gate on the batched executor: per
-// slot, Engine.RunBatch on the four-worker fused-parallel workload may never be
-// slower than the slot-at-a-time Engine.Step loop — batching only removes
-// per-slot session overhead (helper wake + park), it adds no per-slot work.
-// The absolute win depends on how expensive a wake is on the host (it is
-// largest on few-core runners where helpers contend with the leader), so
-// the gate only pins the sign; the measured speedup is reported, not
-// gated, beyond that. Both sides are re-measured in interleaved rounds and
-// judged on per-side minima, like bounds_full. The batch side must also
-// stay allocation-free across a whole micro-batch.
-const (
-	batchRunMinSpeedup = 1.0
-	batchRunRounds     = 5
-)
-
-// blockedGatherMinSpeedup is the within-run gate on the blocked matrix
-// totals gather: processing 4 receivers per transmitter pass breaks the
-// loop-carried floating-point add chain (one ~4-cycle add latency per
-// element scalar, four independent chains blocked), a microarchitectural
-// win that exists on any out-of-order host, so the gate demands a real
-// margin. Judged on per-side minima over interleaved rounds, as above.
-const (
-	blockedGatherMinSpeedup = 1.15
-	blockedKernelRounds     = 5
-)
-
-// benchSlot measures one evaluator configuration over a fixed transmitter
-// set, warming the evaluator first so caches behave as in a running
-// simulation.
-func benchSlot(ev sinr.ChannelEvaluator, tx []int) testing.BenchmarkResult {
-	ev.SlotReceptions(tx)
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ev.SlotReceptions(tx)
-		}
-	})
+// gate is a case's within-run checks; the zero value checks nothing.
+type gate struct {
+	minSpeedup      float64 // floor on speedup, judged on per-side minima
+	zeroAllocs      bool    // allocs_per_op must be zero
+	maxBytesPerNode float64 // cap on bytes_per_node
 }
 
-// runJSONBench measures the slot pipeline via testing.Benchmark, writes the
-// report to outPath, appends a markdown table to summaryPath when set, and
-// — when comparePath is set — checks the fresh numbers against the
-// committed baseline.
-func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMode bool) int {
-	report := benchReport{GoMaxProcs: runtime.GOMAXPROCS(0), Seed: seed}
+// sample is one side's measured cost per op.
+type sample struct {
+	ns     float64
+	allocs int64
+}
 
-	// Naive-vs-fast on the dense canonical workload, both regimes: at most
-	// sinr.DefaultMatrixThreshold nodes the fast path serves slots from the
-	// precomputed power matrix; above it, from the cell lattice.
-	for _, reg := range []struct {
-		name string
-		n    int
-	}{
-		{"matrix", 1000},
-		{"lattice", 4000},
-	} {
-		ch, tx, err := sinr.BenchWorkload(reg.n, seed)
+// side times one side of a case.
+type side func() (sample, error)
+
+// pair is one built case. ref is nil on a single-side row; metrics holds
+// what the case records besides timing.
+type pair struct {
+	params  map[string]float64
+	refName string
+	ref     side
+	opt     side
+	metrics map[string]float64
+}
+
+// caseSpec is one row of the case table.
+type caseSpec struct {
+	name  string
+	large bool // measured only with -large
+	gate  gate
+	build func(seed uint64) (*pair, error)
+}
+
+// Engine configurations shared by the engine-step cases.
+var (
+	serial      = engineConf{workers: 1}
+	fused4      = engineConf{parallel: true, workers: 4, batch: 1}
+	fused4Batch = engineConf{parallel: true, workers: 4, batch: sim.DefaultBatchSlots}
+)
+
+// benchCases is the -json case table, in report order. Gate thresholds
+// are judged on speedup, the reference cost over the optimised one.
+var benchCases = []caseSpec{
+	{name: "matrix", build: naiveVsFast(1000)},
+	{name: "lattice", build: naiveVsFast(4000)},
+	{name: "sparse_matrix", build: denseVsSparse(5000)},
+	{name: "sparse_lattice", build: denseVsSparse(0)},
+	{name: "bounds_quarter", build: denseVsBounds(5000 / 4)},
+	// With every node transmitting both sides take the same O(k) early-out;
+	// a lower ratio means a tier pays setup cost before declining the slot.
+	{name: "bounds_full", build: denseVsBounds(5000), gate: gate{minSpeedup: 0.95}},
+	{name: "shard_n100k", build: denseVsShard(100_000, 8, true), gate: gate{maxBytesPerNode: sinr.ShardBytesPerNodeBudget}},
+	{name: "shard_n1m", large: true, build: denseVsShard(1_000_000, 0, false), gate: gate{maxBytesPerNode: sinr.ShardBytesPerNodeBudget}},
+	{name: "churn_matrix", build: rebuildVsApply(5000)},
+	{name: "churn_lattice", build: rebuildVsApply(0)},
+	{name: "engine_step", build: engineCase(2000, "", engineConf{}, serial)},
+	{name: "engine_step_parallel", build: engineCase(2000, "", engineConf{}, engineConf{parallel: true})},
+	{name: "engine_step_5k", build: engineCase(5000, "", engineConf{}, serial)},
+	// The engine runs the parallel driver whenever more than one worker
+	// resolves; this keeps "Parallel: true" safe to enable at n = 5000.
+	{name: "engine_step_parallel_5k", build: engineCase(5000, "serial", serial, engineConf{parallel: true}), gate: gate{minSpeedup: 1 / 1.2}},
+	{name: "engine_step_fused4", build: engineCase(2000, "", engineConf{}, engineConf{parallel: true, workers: 4})},
+	// A zero-rate fault plan draws no randomness and scrubs nothing: its cost
+	// is the dispatch overhead every healthy simulation pays for the layer.
+	{name: "engine_step_faults", build: engineCase(2000, "nohook", serial, engineConf{workers: 1, faults: true}), gate: gate{minSpeedup: 1 / 1.05}},
+	// Step pays one workpool session (helper wake + park) per slot, RunBatch
+	// one per micro-batch, over bit-identical executions: it may never lose.
+	{name: "engine_run_batch", build: engineCase(2000, "step", fused4, fused4Batch), gate: gate{minSpeedup: 1, zeroAllocs: true}},
+	{name: "engine_run_batch_5k", build: engineCase(5000, "step", fused4, fused4Batch), gate: gate{minSpeedup: 1, zeroAllocs: true}},
+	// Every integer-α path-loss kernel must beat math.Pow.
+	{name: "kernel_pathloss_a2", build: powVsFast(2), gate: gate{minSpeedup: 1}},
+	{name: "kernel_pathloss_a3", build: powVsFast(3), gate: gate{minSpeedup: 1}},
+	{name: "kernel_pathloss_a4", build: powVsFast(4), gate: gate{minSpeedup: 1}},
+}
+
+// runJSONBench measures the case table, writes the report to outPath,
+// appends a markdown table to summaryPath when set, and — when comparePath
+// is set — checks the fresh numbers against the committed baseline.
+func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, large bool) int {
+	report := benchReport{
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+		Seed:       seed,
+	}
+	for _, spec := range benchCases {
+		if spec.large && !large {
+			continue
+		}
+		c, err := measureCase(spec, seed)
+		if err == nil {
+			fmt.Printf("%-23s %s | %s\n", c.Name, formatValues(c.Params, nil), formatValues(c.Metrics, nil))
+			err = checkGate(c, spec.gate)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
 			return 1
-		}
-		naive := benchSlot(ch, tx)
-		fast := sinr.NewFastChannel(ch)
-		fastRes := benchSlot(fast, tx)
-		fast.Close()
-		c := benchCase{
-			Name:             reg.name,
-			Nodes:            reg.n,
-			Transmitters:     len(tx),
-			NaiveNsPerOp:     float64(naive.NsPerOp()),
-			NaiveAllocsPerOp: naive.AllocsPerOp(),
-			FastNsPerOp:      float64(fastRes.NsPerOp()),
-			FastAllocsPerOp:  fastRes.AllocsPerOp(),
-		}
-		if c.FastNsPerOp > 0 {
-			c.SpeedupVsNaive = c.NaiveNsPerOp / c.FastNsPerOp
 		}
 		report.Cases = append(report.Cases, c)
-		fmt.Printf("%-13s n=%-5d k=%-4d naive %12.0f ns/op (%d allocs)  fast %10.0f ns/op (%d allocs)  speedup %.1fx\n",
-			reg.name, c.Nodes, c.Transmitters, c.NaiveNsPerOp, c.NaiveAllocsPerOp, c.FastNsPerOp, c.FastAllocsPerOp, c.SpeedupVsNaive)
-	}
-
-	// Sparse-vs-dense on the sparse workload (|tx| = √n at n = 5000), both
-	// regimes. The matrix regime raises the threshold so the 5000-node
-	// deployment still uses the cached power matrix, isolating the receiver
-	// enumeration as the only difference; the lattice keeps the defaults.
-	const sparseN = 5000
-	for _, reg := range []struct {
-		name      string
-		threshold int
-	}{
-		{"sparse_matrix", sparseN},
-		{"sparse_lattice", 0},
-	} {
-		ch, tx, err := sinr.SparseBenchWorkload(sparseN, seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-			return 1
-		}
-		dense := sinr.NewFastChannel(ch, sinr.FastOptions{MatrixThreshold: reg.threshold, SparseFactor: -1})
-		denseRes := benchSlot(dense, tx)
-		dense.Close()
-		sparse := sinr.NewFastChannel(ch, sinr.FastOptions{MatrixThreshold: reg.threshold})
-		sparseRes := benchSlot(sparse, tx)
-		sparse.Close()
-		c := sparseCase{
-			Name:              reg.name,
-			Nodes:             sparseN,
-			Transmitters:      len(tx),
-			DenseNsPerOp:      float64(denseRes.NsPerOp()),
-			DenseAllocsPerOp:  denseRes.AllocsPerOp(),
-			SparseNsPerOp:     float64(sparseRes.NsPerOp()),
-			SparseAllocsPerOp: sparseRes.AllocsPerOp(),
-		}
-		if c.SparseNsPerOp > 0 {
-			c.SpeedupVsDense = c.DenseNsPerOp / c.SparseNsPerOp
-		}
-		report.SparseCases = append(report.SparseCases, c)
-		fmt.Printf("%-13s n=%-5d k=%-4d dense %12.0f ns/op (%d allocs)  sparse %9.0f ns/op (%d allocs)  speedup %.1fx\n",
-			reg.name, c.Nodes, c.Transmitters, c.DenseNsPerOp, c.DenseAllocsPerOp, c.SparseNsPerOp, c.SparseAllocsPerOp, c.SpeedupVsDense)
-	}
-
-	// Bounds-vs-dense on the dense workload (k = n/4 and k = n at n = 5000,
-	// on the lattice): the certified pipeline against the lattice's
-	// dense scan, with the sparse path pinned off on both sides so the tier
-	// is the only difference. The bounds side keeps the default adaptive
-	// dispatch — the number reported is what simulations actually get — and
-	// its refine rate (exact-fallback fraction) rides along.
-	const boundsN = 5000
-	for _, reg := range []struct {
-		name string
-		k    int
-	}{
-		{"bounds_quarter", boundsN / 4},
-		{"bounds_full", boundsN},
-	} {
-		runtime.GC() // settle the previous family's garbage before timing
-		ch, tx, err := sinr.DenseBenchWorkload(boundsN, reg.k, seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-			return 1
-		}
-		measure := func() boundsCase {
-			dense := sinr.NewFastChannel(ch, sinr.FastOptions{SparseFactor: -1, BoundsFactor: -1})
-			denseRes := benchSlot(dense, tx)
-			dense.Close()
-			bounds := sinr.NewFastChannel(ch, sinr.FastOptions{SparseFactor: -1})
-			boundsRes := benchSlot(bounds, tx)
-			st := bounds.BoundsStats()
-			bounds.Close()
-			c := boundsCase{
-				Name:              reg.name,
-				Nodes:             boundsN,
-				Transmitters:      len(tx),
-				DenseNsPerOp:      float64(denseRes.NsPerOp()),
-				DenseAllocsPerOp:  denseRes.AllocsPerOp(),
-				BoundsNsPerOp:     float64(boundsRes.NsPerOp()),
-				BoundsAllocsPerOp: boundsRes.AllocsPerOp(),
-				RefineRate:        st.RefineRate(),
-			}
-			if c.BoundsNsPerOp > 0 {
-				c.SpeedupVsDense = c.DenseNsPerOp / c.BoundsNsPerOp
-			}
-			return c
-		}
-		c := measure()
-		if reg.name == "bounds_full" {
-			// Both sides of the all-transmit slot run the identical O(k)
-			// early-out, so the true ratio is 1 — but at ~10 µs/op a single
-			// measurement swings tens of percent with host frequency state.
-			// Gate on the ratio of per-side minima over a few interleaved
-			// rounds: a real per-slot setup cost is persistent and survives
-			// the minimum, noise does not.
-			for round := 1; round < boundsFullRounds && c.SpeedupVsDense < boundsFullMinSpeedup; round++ {
-				m := measure()
-				if m.DenseNsPerOp < c.DenseNsPerOp {
-					c.DenseNsPerOp = m.DenseNsPerOp
-					c.DenseAllocsPerOp = m.DenseAllocsPerOp
-				}
-				if m.BoundsNsPerOp < c.BoundsNsPerOp {
-					c.BoundsNsPerOp = m.BoundsNsPerOp
-					c.BoundsAllocsPerOp = m.BoundsAllocsPerOp
-					c.RefineRate = m.RefineRate
-				}
-				if c.BoundsNsPerOp > 0 {
-					c.SpeedupVsDense = c.DenseNsPerOp / c.BoundsNsPerOp
-				}
-			}
-			if c.SpeedupVsDense < boundsFullMinSpeedup {
-				fmt.Fprintf(os.Stderr, "macbench: bounds_full gate failed: adaptive dispatch %.0f ns/op vs pinned dense %.0f ns/op (%.2fx < %.2fx) — the degenerate all-transmit slot is paying tier setup cost\n",
-					c.BoundsNsPerOp, c.DenseNsPerOp, c.SpeedupVsDense, boundsFullMinSpeedup)
-				return 1
-			}
-		}
-		report.BoundsCases = append(report.BoundsCases, c)
-		fmt.Printf("%-14s n=%-5d k=%-4d dense %12.0f ns/op (%d allocs)  bounds %9.0f ns/op (%d allocs)  speedup %.1fx  refine %.3f\n",
-			reg.name, c.Nodes, c.Transmitters, c.DenseNsPerOp, c.DenseAllocsPerOp, c.BoundsNsPerOp, c.BoundsAllocsPerOp, c.SpeedupVsDense, c.RefineRate)
-	}
-
-	// The cell lattice at scale: n = 100k (and n = 10⁶ with -large)
-	// against its dense scan where that scan is still affordable,
-	// with the settled heap footprint of channel + evaluator measured and
-	// gated against the documented per-node budget.
-	shardScales := []struct {
-		name      string
-		n, k      int
-		shards    int // 0 = automatic (n is above the threshold at both scales)
-		withDense bool
-	}{
-		{"shard_n100k", 100_000, 100_000 / 32, 8, true},
-	}
-	if largeMode {
-		shardScales = append(shardScales, struct {
-			name      string
-			n, k      int
-			shards    int
-			withDense bool
-		}{"shard_n1m", 1_000_000, 1_000_000 / 32, 0, false})
-	}
-	for _, sc := range shardScales {
-		c, err := measureShardCase(sc.name, sc.n, sc.k, sc.shards, seed, sc.withDense)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-			return 1
-		}
-		if c.BytesPerNode > sinr.ShardBytesPerNodeBudget {
-			fmt.Fprintf(os.Stderr, "macbench: %s memory gate failed: %.1f heap bytes/node exceeds the documented budget %d\n",
-				c.Name, c.BytesPerNode, sinr.ShardBytesPerNodeBudget)
-			return 1
-		}
-		report.ShardCases = append(report.ShardCases, c)
-		fmt.Printf("%-14s n=%-7d k=%-6d S=%-3d dense %12.0f ns/op  shard %12.0f ns/op (%d allocs)  speedup %.1fx  refine %.3f  %.1f B/node\n",
-			c.Name, c.Nodes, c.Transmitters, c.Shards, c.DenseNsPerOp, c.ShardNsPerOp, c.ShardAllocsPerOp, c.SpeedupVsDense, c.RefineRate, c.BytesPerNode)
-	}
-
-	// Churn epochs: incremental apply vs from-scratch rebuild at n = 5000
-	// with 1% of the nodes moving per epoch, in both regimes. The
-	// matrix regime raises the threshold so the power matrix — the O(n²)
-	// state the incremental path exists to avoid rebuilding — is in play at
-	// this size; the apply loop cycles a fixed away/back delta pair, so its
-	// steady state is allocation-free.
-	const churnN = 5000
-	for _, reg := range []struct {
-		name      string
-		threshold int
-	}{
-		{"churn_matrix", churnN},
-		{"churn_lattice", 0},
-	} {
-		ch, deltas, err := sinr.ChurnBenchWorkload(churnN, churnN/100, seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-			return 1
-		}
-		opts := sinr.FastOptions{MatrixThreshold: reg.threshold}
-		rebuildRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f := sinr.NewFastChannel(ch, opts)
-				f.Close()
-			}
-		})
-		f := sinr.NewFastChannel(ch, opts)
-		for _, d := range deltas { // warm buckets, arenas and capacities
-			if err := f.ApplyEpoch(d); err != nil {
-				fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-				return 1
-			}
-		}
-		var applyErr error
-		applyRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := f.ApplyEpoch(deltas[i%2]); err != nil {
-					applyErr = err
-					b.FailNow()
-				}
-			}
-		})
-		f.Close()
-		if applyErr != nil {
-			fmt.Fprintf(os.Stderr, "macbench: %v\n", applyErr)
-			return 1
-		}
-		c := churnCase{
-			Name:               reg.name,
-			Nodes:              churnN,
-			Changed:            churnN / 100,
-			RebuildNsPerOp:     float64(rebuildRes.NsPerOp()),
-			RebuildAllocsPerOp: rebuildRes.AllocsPerOp(),
-			ApplyNsPerOp:       float64(applyRes.NsPerOp()),
-			ApplyAllocsPerOp:   applyRes.AllocsPerOp(),
-		}
-		if c.ApplyNsPerOp > 0 {
-			c.SpeedupVsRebuild = c.RebuildNsPerOp / c.ApplyNsPerOp
-		}
-		report.ChurnCases = append(report.ChurnCases, c)
-		fmt.Printf("%-14s n=%-5d c=%-4d rebuild %11.0f ns/op (%d allocs)  apply %10.0f ns/op (%d allocs)  speedup %.1fx\n",
-			reg.name, c.Nodes, c.Changed, c.RebuildNsPerOp, c.RebuildAllocsPerOp, c.ApplyNsPerOp, c.ApplyAllocsPerOp, c.SpeedupVsRebuild)
-	}
-
-	// Steady-state Engine.Step over pooled frames: the whole pipeline —
-	// tick, sparse evaluation, deliveries — with its allocation count,
-	// which must stay at zero. The serial/parallel pairs at n = 2000 and
-	// n = 5000 measure what a simulation actually gets from Parallel: true
-	// on this host (GOMAXPROCS workers, the sequential loop on one CPU);
-	// fused4 runs the session driver on four fixed workers so its cost is
-	// tracked on any host.
-	for _, sc := range []struct {
-		name    string
-		n       int
-		workers int // 0 = GOMAXPROCS
-		par     bool
-	}{
-		{"engine_step", 2000, 1, false},
-		{"engine_step_parallel", 2000, 0, true},
-		{"engine_step_5k", 5000, 1, false},
-		{"engine_step_parallel_5k", 5000, 0, true},
-		{"engine_step_fused4", 2000, 4, true},
-	} {
-		c, err := benchEngineStep(sc.name, seed, sc.n, sim.Config{
-			Seed: seed, Parallel: sc.par, Workers: sc.workers,
-		}, false)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-			return 1
-		}
-		report.StepCases = append(report.StepCases, c)
-		fmt.Printf("%-23s n=%-5d k=%-6.1f %12.0f ns/op (%d allocs)\n",
-			c.Name, c.Nodes, c.TxPerSlot, c.NsPerOp, c.AllocsPerOp)
-	}
-	if err := checkStepCrossover(report.StepCases); err != nil {
-		fmt.Fprintf(os.Stderr, "macbench: engine-step crossover gate failed:\n%v\n", err)
-		return 1
-	}
-
-	// The fault-injection hook's cost to a healthy simulation: the serial
-	// n = 2000 workload with a zero-fault injector wired into the engine,
-	// gated within-run against an interleaved hook-free run of the same
-	// workload (faultHookMaxOverhead over per-side minima).
-	fc, err := benchEngineStepFaults(seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-		return 1
-	}
-	report.StepCases = append(report.StepCases, fc)
-	fmt.Printf("%-23s n=%-5d k=%-6.1f %12.0f ns/op (%d allocs)\n",
-		fc.Name, fc.Nodes, fc.TxPerSlot, fc.NsPerOp, fc.AllocsPerOp)
-
-	// The batched executor vs the slot-at-a-time Step loop on the
-	// four-worker fused-parallel workload, gated within-run (batchRunMinSpeedup, zero
-	// steady-state allocations per micro-batch).
-	for _, sc := range []struct {
-		name string
-		n    int
-	}{
-		{"engine_run_batch", 2000},
-		{"engine_run_batch_5k", 5000},
-	} {
-		c, err := benchEngineRunBatch(sc.name, seed, sc.n, int(sim.DefaultBatchSlots))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-			return 1
-		}
-		report.BatchCases = append(report.BatchCases, c)
-		fmt.Printf("%-23s n=%-5d b=%-4d step %9.0f ns/slot  batch %9.0f ns/slot (%d allocs/batch)  speedup %.2fx\n",
-			c.Name, c.Nodes, c.Batch, c.StepNsPerSlot, c.BatchNsPerSlot, c.BatchAllocsPerOp, c.SpeedupVsStep)
-	}
-
-	// The blocked matrix gather vs its scalar predecessor, gated within-run
-	// (blockedGatherMinSpeedup).
-	bc, err := benchBlockedGather(seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-		return 1
-	}
-	report.BlockedCases = append(report.BlockedCases, bc)
-	fmt.Printf("%-23s n=%-5d k=%-4d scalar %9.0f ns/op  blocked %9.0f ns/op  speedup %.2fx\n",
-		bc.Name, bc.Nodes, bc.Transmitters, bc.ScalarNsPerOp, bc.BlockedNsPerOp, bc.SpeedupVsScalar)
-
-	// Pow-free path-loss kernel vs the pre-rewrite math.Pow + math.Hypot
-	// arithmetic, per fast-pathed exponent. The α = 2 entry is only
-	// reachable through Params directly (channel validation requires
-	// α > 2) but pins the cheapest fast path.
-	for _, alpha := range []float64{2, 3, 4} {
-		c := benchKernelPathLoss(alpha, seed)
-		report.KernelCases = append(report.KernelCases, c)
-		fmt.Printf("%-23s α=%-3.0f pairs=%-5d pow %6.0f ns/op  fast %6.0f ns/op  speedup %.1fx\n",
-			c.Name, c.Alpha, c.Pairs, c.PowNsPerOp, c.FastNsPerOp, c.SpeedupVsPow)
-		if c.SpeedupVsPow < 1 {
-			fmt.Fprintf(os.Stderr, "macbench: %s: pow-free kernel is slower than math.Pow (%.2fx)\n",
-				c.Name, c.SpeedupVsPow)
-			return 1
-		}
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -899,103 +360,243 @@ func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, largeMo
 	return 0
 }
 
-// writeSummary appends a markdown per-case table of the fresh measurements
-// — and, when a baseline report is readable, the baseline speedup ratios
-// and the current/baseline ratio the -compare gate judges — to path. CI
-// points it at $GITHUB_STEP_SUMMARY so every run shows the full table, not
-// just the gate's pass/fail.
-func writeSummary(path, baselinePath string, fresh benchReport) error {
-	baseline := make(map[string]float64)
-	if baselinePath != "" {
-		if data, err := os.ReadFile(baselinePath); err == nil {
-			var base benchReport
-			if err := json.Unmarshal(data, &base); err == nil {
-				for _, c := range base.Cases {
-					baseline[c.Name] = c.SpeedupVsNaive
-				}
-				for _, c := range base.SparseCases {
-					baseline[c.Name] = c.SpeedupVsDense
-				}
-				for _, c := range base.BoundsCases {
-					baseline[c.Name] = c.SpeedupVsDense
-				}
-				for _, c := range base.ShardCases {
-					baseline[c.Name] = c.SpeedupVsDense
-				}
-				for _, c := range base.ChurnCases {
-					baseline[c.Name] = c.SpeedupVsRebuild
-				}
-				for _, c := range base.BatchCases {
-					baseline[c.Name] = c.SpeedupVsStep
-				}
-				for _, c := range base.BlockedCases {
-					baseline[c.Name] = c.SpeedupVsScalar
-				}
-				for _, c := range base.KernelCases {
-					baseline[c.Name] = c.SpeedupVsPow
-				}
+// measureCase builds spec's workload and times it.
+func measureCase(spec caseSpec, seed uint64) (benchCase, error) {
+	runtime.GC() // settle the previous case's garbage before timing
+	p, err := spec.build(seed)
+	if err != nil {
+		return benchCase{}, fmt.Errorf("%s: %w", spec.name, err)
+	}
+	m, err := timePair(p.refName, p.ref, p.opt, spec.gate.minSpeedup)
+	if err != nil {
+		return benchCase{}, fmt.Errorf("%s: %w", spec.name, err)
+	}
+	maps.Copy(m, p.metrics)
+	return benchCase{Name: spec.name, Params: p.params, Metrics: m}, nil
+}
+
+// timePair measures a case's sides and returns their metrics. Below a
+// floor it re-measures both, up to gateRounds rounds, keeping per-side
+// minima and the fastest round's allocations; rounds alternate which side
+// runs first, or the order would pin one heap layout to each side.
+func timePair(refName string, ref, opt side, floor float64) (map[string]float64, error) {
+	r, o := sample{ns: math.Inf(1)}, sample{ns: math.Inf(1)}
+	sides := []struct {
+		run  side
+		best *sample
+	}{{ref, &r}, {opt, &o}}
+	if ref == nil {
+		sides = sides[1:]
+	}
+	for round := 0; round < gateRounds; round++ {
+		for _, s := range sides {
+			got, err := s.run()
+			if err != nil {
+				return nil, err
+			}
+			if got.ns < s.best.ns {
+				*s.best = got
 			}
 		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "### macbench slot-pipeline benchmarks (GOMAXPROCS=%d)\n\n", fresh.GoMaxProcs)
-	b.WriteString("| case | n | k | optimised ns/op | allocs/op | speedup | baseline speedup | current/baseline |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|\n")
-	ratioCell := func(name string, speedup float64) string {
-		base, ok := baseline[name]
-		if !ok || base <= 0 {
-			return "— | —"
+		if ref == nil || floor == 0 || r.ns/o.ns >= floor {
+			break
 		}
-		return fmt.Sprintf("%.1fx | %.2f", base, speedup/base)
+		slices.Reverse(sides)
 	}
-	for _, c := range fresh.Cases {
-		fmt.Fprintf(&b, "| %s (fast vs naive) | %d | %d | %.0f | %d | %.1fx | %s |\n",
-			c.Name, c.Nodes, c.Transmitters, c.FastNsPerOp, c.FastAllocsPerOp, c.SpeedupVsNaive, ratioCell(c.Name, c.SpeedupVsNaive))
-	}
-	for _, c := range fresh.SparseCases {
-		fmt.Fprintf(&b, "| %s (sparse vs dense) | %d | %d | %.0f | %d | %.1fx | %s |\n",
-			c.Name, c.Nodes, c.Transmitters, c.SparseNsPerOp, c.SparseAllocsPerOp, c.SpeedupVsDense, ratioCell(c.Name, c.SpeedupVsDense))
-	}
-	for _, c := range fresh.BoundsCases {
-		fmt.Fprintf(&b, "| %s (bounds vs dense, refine %.3f) | %d | %d | %.0f | %d | %.1fx | %s |\n",
-			c.Name, c.RefineRate, c.Nodes, c.Transmitters, c.BoundsNsPerOp, c.BoundsAllocsPerOp, c.SpeedupVsDense, ratioCell(c.Name, c.SpeedupVsDense))
-	}
-	for _, c := range fresh.ShardCases {
-		ratio := "— | —"
-		if c.SpeedupVsDense > 0 {
-			ratio = ratioCell(c.Name, c.SpeedupVsDense)
+	m := map[string]float64{"ns_per_op": o.ns, "allocs_per_op": float64(o.allocs)}
+	if ref != nil {
+		m[refName+"_ns_per_op"] = r.ns
+		m[refName+"_allocs_per_op"] = float64(r.allocs)
+		if o.ns > 0 {
+			m["speedup"] = r.ns / o.ns
 		}
-		fmt.Fprintf(&b, "| %s (S=%d, refine %.3f, %.1f B/node) | %d | %d | %.0f | %d | %.1fx | %s |\n",
-			c.Name, c.Shards, c.RefineRate, c.BytesPerNode, c.Nodes, c.Transmitters, c.ShardNsPerOp, c.ShardAllocsPerOp, c.SpeedupVsDense, ratio)
 	}
-	for _, c := range fresh.ChurnCases {
-		fmt.Fprintf(&b, "| %s (apply vs rebuild) | %d | %d | %.0f | %d | %.1fx | %s |\n",
-			c.Name, c.Nodes, c.Changed, c.ApplyNsPerOp, c.ApplyAllocsPerOp, c.SpeedupVsRebuild, ratioCell(c.Name, c.SpeedupVsRebuild))
+	return m, nil
+}
+
+// checkGate applies g to a measured case; the error names the case.
+func checkGate(c benchCase, g gate) error {
+	var problems []string
+	if s := c.Metrics["speedup"]; g.minSpeedup > 0 && s < g.minSpeedup {
+		problems = append(problems, fmt.Sprintf("speedup %.3fx over per-side minima is below the floor %.3fx", s, g.minSpeedup))
 	}
-	for _, c := range fresh.StepCases {
-		fmt.Fprintf(&b, "| %s | %d | %.1f | %.0f | %d | — | — | — |\n",
-			c.Name, c.Nodes, c.TxPerSlot, c.NsPerOp, c.AllocsPerOp)
+	if a := c.Metrics["allocs_per_op"]; g.zeroAllocs && a != 0 {
+		problems = append(problems, fmt.Sprintf("%.0f allocs/op in steady state, want 0", a))
 	}
-	for _, c := range fresh.BatchCases {
-		fmt.Fprintf(&b, "| %s (Run b=%d vs Step, per slot) | %d | %.1f | %.0f | %d | %.2fx | %s |\n",
-			c.Name, c.Batch, c.Nodes, c.TxPerSlot, c.BatchNsPerSlot, c.BatchAllocsPerOp, c.SpeedupVsStep, ratioCell(c.Name, c.SpeedupVsStep))
+	if b := c.Metrics["bytes_per_node"]; g.maxBytesPerNode > 0 && b > g.maxBytesPerNode {
+		problems = append(problems, fmt.Sprintf("%.1f heap bytes/node exceeds the budget %.0f", b, g.maxBytesPerNode))
 	}
-	for _, c := range fresh.BlockedCases {
-		fmt.Fprintf(&b, "| %s (blocked vs scalar) | %d | %d | %.0f | 0 | %.2fx | %s |\n",
-			c.Name, c.Nodes, c.Transmitters, c.BlockedNsPerOp, c.SpeedupVsScalar, ratioCell(c.Name, c.SpeedupVsScalar))
+	if len(problems) > 0 {
+		return fmt.Errorf("%s gate failed: %s", c.Name, strings.Join(problems, "; "))
 	}
-	for _, c := range fresh.KernelCases {
-		fmt.Fprintf(&b, "| %s (fast vs pow) | — | %d | %.0f | 0 | %.1fx | %s |\n",
-			c.Name, c.Pairs, c.FastNsPerOp, c.SpeedupVsPow, ratioCell(c.Name, c.SpeedupVsPow))
+	return nil
+}
+
+// timeOps times op with testing.Benchmark.
+func timeOps(op func()) sample {
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
+	return sample{ns: float64(res.NsPerOp()), allocs: res.AllocsPerOp()}
+}
+
+// slotSide times a fresh evaluator built with opts over a fixed tx set,
+// warmed first so caches behave as in a running simulation. A non-nil
+// refine receives the bounds tier's exact-fallback rate as refine_rate.
+func slotSide(ch *sinr.Channel, tx []int, opts sinr.FastOptions, refine map[string]float64) side {
+	return func() (sample, error) {
+		f := sinr.NewFastChannel(ch, opts)
+		defer f.Close()
+		f.SlotReceptions(tx)
+		s := timeOps(func() { f.SlotReceptions(tx) })
+		if refine != nil {
+			refine["refine_rate"] = f.BoundsStats().RefineRate()
+		}
+		return s, nil
 	}
-	fmt.Fprintf(&b, "\nRegression gate: speedup ratios may shrink at most %.1fx vs the committed baseline; optimised paths may not allocate more than it.\n", compareTolerance)
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
+}
+
+// naiveVsFast times the naive channel against the fast evaluator on
+// sinr.BenchWorkload: up to sinr.DefaultMatrixThreshold nodes the fast path
+// reads the power matrix, above it the cell lattice.
+func naiveVsFast(n int) func(uint64) (*pair, error) {
+	return func(seed uint64) (*pair, error) {
+		ch, tx, err := sinr.BenchWorkload(n, seed)
+		if err != nil {
+			return nil, err
+		}
+		naive := func() (sample, error) {
+			ch.SlotReceptions(tx)
+			return timeOps(func() { ch.SlotReceptions(tx) }), nil
+		}
+		return &pair{params: map[string]float64{"nodes": float64(n), "transmitters": float64(len(tx))}, refName: "naive", ref: naive, opt: slotSide(ch, tx, sinr.FastOptions{}, nil)}, nil
 	}
-	defer f.Close()
-	_, err = f.WriteString(b.String())
-	return err
+}
+
+// denseVsSparse times the dense receiver scan against the sender-centric
+// sparse path on sinr.SparseBenchWorkload (|tx| = √n at n = 5000). A
+// positive threshold raises the matrix threshold so the deployment keeps
+// the power matrix, isolating the receiver enumeration; 0 runs the lattice.
+func denseVsSparse(threshold int) func(uint64) (*pair, error) {
+	return func(seed uint64) (*pair, error) {
+		const n = 5000
+		ch, tx, err := sinr.SparseBenchWorkload(n, seed)
+		if err != nil {
+			return nil, err
+		}
+		return &pair{
+			params:  map[string]float64{"nodes": float64(n), "transmitters": float64(len(tx))},
+			refName: "dense",
+			ref:     slotSide(ch, tx, sinr.FastOptions{MatrixThreshold: threshold, SparseFactor: -1}, nil),
+			opt:     slotSide(ch, tx, sinr.FastOptions{MatrixThreshold: threshold}, nil),
+		}, nil
+	}
+}
+
+// denseVsBounds times the lattice's dense scan against the bounds tier on
+// sinr.DenseBenchWorkload at n = 5000 with k transmitters, the sparse path
+// off on both sides. The bounds side keeps the default adaptive dispatch,
+// what simulations actually get, and records its refine rate.
+func denseVsBounds(k int) func(uint64) (*pair, error) {
+	return func(seed uint64) (*pair, error) {
+		const n = 5000
+		ch, tx, err := sinr.DenseBenchWorkload(n, k, seed)
+		if err != nil {
+			return nil, err
+		}
+		metrics := map[string]float64{}
+		return &pair{
+			params:  map[string]float64{"nodes": float64(n), "transmitters": float64(len(tx))},
+			refName: "dense",
+			ref:     slotSide(ch, tx, sinr.FastOptions{SparseFactor: -1, BoundsFactor: -1}, nil),
+			opt:     slotSide(ch, tx, sinr.FastOptions{SparseFactor: -1}, metrics),
+			metrics: metrics,
+		}, nil
+	}
+}
+
+// denseVsShard times the cell lattice at scale on sinr.DenseBenchWorkload
+// with k = n/32 and records the GC-settled heap growth of building channel
+// and evaluator and evaluating one slot: what a simulation at this scale
+// holds live. withDense adds the lattice's dense scan (certified path off)
+// as the reference; at n = 10⁶ it takes minutes per op.
+func denseVsShard(n, shards int, withDense bool) func(uint64) (*pair, error) {
+	return func(seed uint64) (*pair, error) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ch, tx, err := sinr.DenseBenchWorkload(n, n/32, seed)
+		if err != nil {
+			return nil, err
+		}
+		f := sinr.NewFastChannel(ch, sinr.FastOptions{Shards: shards, SparseFactor: -1})
+		s := f.Shards()
+		f.SlotReceptions(tx) // warm: builds the shard index and scratch
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		f.Close()
+		if s == 0 {
+			return nil, fmt.Errorf("the sharded configuration did not select the cell lattice")
+		}
+		heap := max(float64(after.HeapAlloc)-float64(before.HeapAlloc), 0)
+		metrics := map[string]float64{"rss_bytes": heap, "bytes_per_node": heap / float64(n)}
+		p := &pair{
+			params:  map[string]float64{"nodes": float64(n), "transmitters": float64(len(tx)), "shards": float64(s)},
+			opt:     slotSide(ch, tx, sinr.FastOptions{Shards: s, SparseFactor: -1}, metrics),
+			metrics: metrics,
+		}
+		if withDense {
+			p.refName = "dense"
+			p.ref = slotSide(ch, tx, sinr.FastOptions{Shards: s, SparseFactor: -1, BoundsFactor: -1}, nil)
+		}
+		return p, nil
+	}
+}
+
+// rebuildVsApply times rebuilding the fast evaluator against applying a
+// mobility epoch to a live one, on sinr.ChurnBenchWorkload at n = 5000 with
+// 1 % of the nodes moving. A positive threshold keeps the power matrix, the
+// O(n²) state the incremental path avoids rebuilding, in play. The apply
+// side cycles an away/back delta pair, so it stays allocation-free.
+func rebuildVsApply(threshold int) func(uint64) (*pair, error) {
+	return func(seed uint64) (*pair, error) {
+		const n, moved = 5000, 50
+		ch, deltas, err := sinr.ChurnBenchWorkload(n, moved, seed)
+		if err != nil {
+			return nil, err
+		}
+		opts := sinr.FastOptions{MatrixThreshold: threshold}
+		rebuild := func() (sample, error) {
+			return timeOps(func() { sinr.NewFastChannel(ch, opts).Close() }), nil
+		}
+		apply := func() (sample, error) {
+			f := sinr.NewFastChannel(ch, opts)
+			defer f.Close()
+			for _, d := range deltas { // warm buckets, arenas and capacities
+				if err := f.ApplyEpoch(d); err != nil {
+					return sample{}, err
+				}
+			}
+			var applyErr error
+			i := 0
+			s := timeOps(func() {
+				if err := f.ApplyEpoch(deltas[i%2]); err != nil {
+					applyErr = err
+				}
+				i++
+			})
+			return s, applyErr
+		}
+		return &pair{
+			params:  map[string]float64{"nodes": n, "changed_per_epoch": moved},
+			refName: "rebuild",
+			ref:     rebuild,
+			opt:     apply,
+		}, nil
+	}
 }
 
 // stepBenchNode is the minimal sim.Node used by the Engine.Step benchmark:
@@ -1019,524 +620,234 @@ func (n *stepBenchNode) Tick(slot int64, f *sim.Frame) bool {
 
 func (n *stepBenchNode) Receive(slot int64, f *sim.Frame) {}
 
-// benchEngineStep measures a steady-state Engine.Step on an n-node sparse
-// workload (≈√n transmitters per slot) over the fast evaluator, under the
-// driver configuration in cfg, after a warm-up that fills the pool, the
-// buffers and the evaluator's caches. With faultHook set, a
-// zero-fault injector is installed the way a fault experiment would install
-// it (WrapNodes plus Config.Faults), measuring the hook dispatch cost.
-func benchEngineStep(name string, seed uint64, n int, cfg sim.Config, faultHook bool) (stepCase, error) {
-	ch, _, err := sinr.SparseBenchWorkload(n, seed)
-	if err != nil {
-		return stepCase{}, err
-	}
-	kind := sim.RegisterFrameKind("macbench.step")
-	txPerSlot := math.Sqrt(float64(n))
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &stepBenchNode{p: txPerSlot / float64(n), kind: kind}
-	}
-	if faultHook {
-		inj, err := fault.NewInjector(fault.Plan{Seed: seed}, n)
-		if err != nil {
-			return stepCase{}, err
-		}
-		nodes = inj.WrapNodes(nodes)
-		cfg.Faults = inj
-	}
-	fast := sinr.NewFastChannel(ch)
-	defer fast.Close()
-	cfg.Evaluator = fast
-	eng, err := sim.NewEngine(ch, nodes, cfg)
-	if err != nil {
-		return stepCase{}, err
-	}
-	eng.Run(64, nil) // warm pool, buffers and caches
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng.Step()
-		}
-	})
-	return stepCase{
-		Name:        name,
-		Nodes:       n,
-		TxPerSlot:   txPerSlot,
-		Parallel:    cfg.Parallel,
-		NsPerOp:     float64(res.NsPerOp()),
-		AllocsPerOp: res.AllocsPerOp(),
-	}, nil
+// engineConf is one engine configuration of the engine-step workload.
+type engineConf struct {
+	parallel bool
+	workers  int  // 0 = GOMAXPROCS
+	batch    int  // above 1: one RunBatch(batch) per op instead of one Step
+	faults   bool // install a zero-fault injector
 }
 
-// benchEngineStepFaults measures engine_step_faults — the serial n = 2000
-// engine-step workload with a zero-fault injector installed — and enforces
-// the faultHookMaxOverhead gate against an interleaved hook-free run of the
-// identical workload. Both sides are re-measured in rounds and judged on
-// per-side minima, so a transient frequency dip cannot fail the gate while
-// a persistent per-slot dispatch cost still does.
-func benchEngineStepFaults(seed uint64) (stepCase, error) {
-	const n = 2000
-	cfg := sim.Config{Seed: seed, Workers: 1}
-	plain, err := benchEngineStep("engine_step", seed, n, cfg, false)
-	if err != nil {
-		return stepCase{}, err
-	}
-	faults, err := benchEngineStep("engine_step_faults", seed, n, cfg, true)
-	if err != nil {
-		return stepCase{}, err
-	}
-	for round := 1; round < faultHookRounds && faults.NsPerOp > plain.NsPerOp*faultHookMaxOverhead; round++ {
-		p, err := benchEngineStep("engine_step", seed, n, cfg, false)
-		if err != nil {
-			return stepCase{}, err
-		}
-		f, err := benchEngineStep("engine_step_faults", seed, n, cfg, true)
-		if err != nil {
-			return stepCase{}, err
-		}
-		if p.NsPerOp < plain.NsPerOp {
-			plain = p
-		}
-		if f.NsPerOp < faults.NsPerOp {
-			faults = f
-		}
-	}
-	if faults.NsPerOp > plain.NsPerOp*faultHookMaxOverhead {
-		return stepCase{}, fmt.Errorf(
-			"engine_step_faults gate failed: zero-fault hook %.0f ns/op vs hook-free %.0f ns/op exceeds %.2fx — the fault layer is taxing healthy simulations",
-			faults.NsPerOp, plain.NsPerOp, faultHookMaxOverhead)
-	}
-	return faults, nil
-}
-
-// benchEngineRunBatch measures the batched executor against the
-// slot-at-a-time Step loop on the benchEngineStep workload with the fused
-// parallel driver on four workers: the Step side pays one workpool session
-// (helper wake + park) per slot, the RunBatch side one per batch-slot
-// micro-batch. Each side gets its own engine so both are measured in
-// steady state; the executions are bit-identical regardless (the
-// differential suite in internal/sim pins that), so node-state divergence
-// between the two engines cannot skew the comparison. The
-// batchRunMinSpeedup gate and the zero-alloc check are enforced here, on
-// per-side minima over up to batchRunRounds interleaved rounds.
-func benchEngineRunBatch(name string, seed uint64, n, batch int) (batchCase, error) {
-	buildEngine := func(batchSize int) (*sim.Engine, func(), error) {
+// engineSide times the engine-step workload in steady state: n
+// stepBenchNodes transmitting with probability 1/√n over the fast evaluator
+// on sinr.SparseBenchWorkload's deployment, built fresh per call so every
+// round starts alike, then warmed to fill the frame pool, buffers and
+// caches. conf.faults installs a zero-fault injector as a fault experiment
+// does (WrapNodes plus Config.Faults). A batched side reports ns per slot
+// but allocations per whole micro-batch.
+func engineSide(n int, seed uint64, conf engineConf) side {
+	return func() (sample, error) {
 		ch, _, err := sinr.SparseBenchWorkload(n, seed)
 		if err != nil {
-			return nil, nil, err
+			return sample{}, err
 		}
 		kind := sim.RegisterFrameKind("macbench.step")
-		txPerSlot := math.Sqrt(float64(n))
 		nodes := make([]sim.Node, n)
 		for i := range nodes {
-			nodes[i] = &stepBenchNode{p: txPerSlot / float64(n), kind: kind}
+			nodes[i] = &stepBenchNode{p: math.Sqrt(float64(n)) / float64(n), kind: kind}
+		}
+		cfg := sim.Config{Seed: seed, Parallel: conf.parallel, Workers: conf.workers, Batch: conf.batch}
+		if conf.faults {
+			inj, err := fault.NewInjector(fault.Plan{Seed: seed}, n)
+			if err != nil {
+				return sample{}, err
+			}
+			nodes = inj.WrapNodes(nodes)
+			cfg.Faults = inj
 		}
 		fast := sinr.NewFastChannel(ch)
-		eng, err := sim.NewEngine(ch, nodes, sim.Config{
-			Seed: seed, Parallel: true, Workers: 4,
-			Batch: batchSize, Evaluator: fast,
-		})
+		defer fast.Close()
+		cfg.Evaluator = fast
+		eng, err := sim.NewEngine(ch, nodes, cfg)
 		if err != nil {
-			fast.Close()
-			return nil, nil, err
+			return sample{}, err
 		}
-		return eng, fast.Close, nil
-	}
-	// measure times one round of both sides: the per-slot Step loop and the
-	// batched Run, freshly built so every round starts from the same state.
-	measure := func() (step, batched testing.BenchmarkResult, err error) {
-		engS, closeS, err := buildEngine(1)
-		if err != nil {
-			return step, batched, err
+		if conf.batch <= 1 {
+			eng.Run(64, nil)
+			return timeOps(func() { eng.Step() }), nil
 		}
-		engS.Run(64, nil)
-		step = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engS.Step()
-			}
-		})
-		closeS()
-		engB, closeB, err := buildEngine(batch)
-		if err != nil {
-			return step, batched, err
-		}
-		engB.Run(int64(2*batch), nil)
-		batched = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engB.RunBatch(batch)
-			}
-		})
-		closeB()
-		return step, batched, nil
+		eng.Run(int64(2*conf.batch), nil)
+		s := timeOps(func() { eng.RunBatch(conf.batch) })
+		s.ns /= float64(conf.batch)
+		return s, nil
 	}
-	step, batched, err := measure()
-	if err != nil {
-		return batchCase{}, err
-	}
-	stepNs, batchNs := float64(step.NsPerOp()), float64(batched.NsPerOp())
-	stepAllocs, batchAllocs := step.AllocsPerOp(), batched.AllocsPerOp()
-	perSlot := func() float64 { return batchNs / float64(batch) }
-	for round := 1; round < batchRunRounds && stepNs < perSlot()*batchRunMinSpeedup; round++ {
-		s, b, err := measure()
-		if err != nil {
-			return batchCase{}, err
-		}
-		if float64(s.NsPerOp()) < stepNs {
-			stepNs, stepAllocs = float64(s.NsPerOp()), s.AllocsPerOp()
-		}
-		if float64(b.NsPerOp()) < batchNs {
-			batchNs, batchAllocs = float64(b.NsPerOp()), b.AllocsPerOp()
-		}
-	}
-	c := batchCase{
-		Name:              name,
-		Nodes:             n,
-		TxPerSlot:         math.Sqrt(float64(n)),
-		Batch:             batch,
-		StepNsPerSlot:     stepNs,
-		StepAllocsPerSlot: stepAllocs,
-		BatchNsPerSlot:    perSlot(),
-		BatchAllocsPerOp:  batchAllocs,
-	}
-	if c.BatchNsPerSlot > 0 {
-		c.SpeedupVsStep = c.StepNsPerSlot / c.BatchNsPerSlot
-	}
-	if c.BatchAllocsPerOp != 0 {
-		return batchCase{}, fmt.Errorf(
-			"%s gate failed: RunBatch(%d) allocates %d objects per batch in steady state, want 0",
-			name, batch, c.BatchAllocsPerOp)
-	}
-	if c.SpeedupVsStep < batchRunMinSpeedup {
-		return batchCase{}, fmt.Errorf(
-			"%s gate failed: batched executor %.0f ns/slot vs Step loop %.0f ns/slot (%.2fx < %.2fx) — batching is adding per-slot cost instead of amortising session overhead",
-			name, c.BatchNsPerSlot, c.StepNsPerSlot, c.SpeedupVsStep, batchRunMinSpeedup)
-	}
-	return c, nil
 }
 
-// benchBlockedKernel measures one blocked-vs-scalar kernel pair through the
-// exported bench entry points, enforcing minSpeedup on per-side minima over
-// up to blockedKernelRounds interleaved rounds.
-func benchBlockedKernel(c blockedCase, minSpeedup float64, run func(blocked bool) testing.BenchmarkResult) (blockedCase, error) {
-	scalar := float64(run(false).NsPerOp())
-	blocked := float64(run(true).NsPerOp())
-	for round := 1; round < blockedKernelRounds && scalar < blocked*minSpeedup; round++ {
-		if s := float64(run(false).NsPerOp()); s < scalar {
-			scalar = s
+// engineCase times the engine-step workload at n nodes under opt and, when
+// refName is set, under ref as the reference.
+func engineCase(n int, refName string, ref, opt engineConf) func(uint64) (*pair, error) {
+	return func(seed uint64) (*pair, error) {
+		p := &pair{
+			params: map[string]float64{"nodes": float64(n), "tx_per_slot": math.Sqrt(float64(n))},
+			opt:    engineSide(n, seed, opt),
 		}
-		if b := float64(run(true).NsPerOp()); b < blocked {
-			blocked = b
+		if refName != "" {
+			p.refName, p.ref = refName, engineSide(n, seed, ref)
 		}
+		if opt.batch > 1 {
+			p.params["batch"] = float64(opt.batch)
+		}
+		return p, nil
 	}
-	c.ScalarNsPerOp = scalar
-	c.BlockedNsPerOp = blocked
-	if c.BlockedNsPerOp > 0 {
-		c.SpeedupVsScalar = c.ScalarNsPerOp / c.BlockedNsPerOp
-	}
-	if c.SpeedupVsScalar < minSpeedup {
-		return blockedCase{}, fmt.Errorf(
-			"%s gate failed: blocked kernel %.0f ns/op vs scalar %.0f ns/op (%.2fx < %.2fx)",
-			c.Name, c.BlockedNsPerOp, c.ScalarNsPerOp, c.SpeedupVsScalar, minSpeedup)
-	}
-	return c, nil
 }
 
-// benchBlockedGather measures the blocked matrix totals gather
-// (matrixTotals4, 4 receivers per transmitter pass) against the scalar
-// per-receiver sum it replaced. The workload is kernel_pathloss-style:
-// small enough that the power matrix is cache-resident (n = 512, 2 MB) and
-// dense enough that rows are scanned contiguously (every node transmits,
-// the bounds_full slot shape), so the ratio isolates the restructuring —
-// scalar pays one loop-carried FP add latency per element, blocked runs
-// four independent chains. On workloads that stream the matrix from DRAM
-// both sides are bandwidth-bound and the ratio compresses toward 1; that
-// regime is already covered by the slot-path cases above.
-func benchBlockedGather(seed uint64) (blockedCase, error) {
-	const n = 512
-	ch, _, err := sinr.BenchWorkload(n, seed)
-	if err != nil {
-		return blockedCase{}, err
-	}
-	f := sinr.NewFastChannel(ch, sinr.FastOptions{MatrixThreshold: n, SparseFactor: -1})
-	defer f.Close()
-	tx := make([]int, n)
-	rs := make([]int, n)
-	for i := range tx {
-		tx[i] = i
-		rs[i] = i
-	}
-	f.SlotReceptions(tx[:1]) // warm: materialise the power matrix
-	out := make([]float64, n)
-	c := blockedCase{Name: "blocked_gather_totals", Nodes: n, Transmitters: len(tx)}
-	return benchBlockedKernel(c, blockedGatherMinSpeedup, func(blocked bool) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f.BenchGatherTotals(out, rs, tx, blocked)
-			}
-		})
-	})
-}
-
-// kernelSink defeats dead-code elimination of the benchmark loops below.
+// kernelSink defeats dead-code elimination of the path-loss loops.
 var kernelSink float64
 
-// benchKernelPathLoss measures the path-loss arithmetic over a fixed set of
-// random point pairs: the pre-rewrite composition (math.Hypot distance,
-// math.Pow loss) against the shipped one (Sqrt distance, integer-α
-// multiplication in Params.ReceivedPower). Both sides run the identical
-// loop shape over identical pairs, so the ratio isolates the arithmetic.
-func benchKernelPathLoss(alpha float64, seed uint64) kernelCase {
-	const pairs = 4096
-	params := sinr.Params{Alpha: alpha, Beta: 1.5, Noise: 1e-9, Power: 1, Epsilon: 0.1}
-	src := rng.New(seed)
-	ax := make([]float64, pairs)
-	ay := make([]float64, pairs)
-	bx := make([]float64, pairs)
-	by := make([]float64, pairs)
-	for i := 0; i < pairs; i++ {
-		ax[i] = src.Float64() * 200
-		ay[i] = src.Float64() * 200
-		bx[i] = src.Float64() * 200
-		by[i] = src.Float64() * 200
-	}
-	powRes := testing.Benchmark(func(b *testing.B) {
-		var s float64
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < pairs; j++ {
-				d := math.Hypot(ax[j]-bx[j], ay[j]-by[j])
-				if d < 1 {
-					d = 1
+// powVsFast times the path-loss arithmetic over fixed random point pairs:
+// math.Hypot distance and math.Pow loss against the shipped Sqrt distance
+// and integer-α Params.ReceivedPower, in identical loops, so the ratio
+// isolates the arithmetic. α = 2 is reachable only through Params directly
+// (channels require α > 2) but pins the cheapest fast path.
+func powVsFast(alpha float64) func(uint64) (*pair, error) {
+	return func(seed uint64) (*pair, error) {
+		const pairs = 4096
+		params := sinr.Params{Alpha: alpha, Beta: 1.5, Noise: 1e-9, Power: 1, Epsilon: 0.1}
+		src := rng.New(seed)
+		ax := make([]float64, pairs)
+		ay := make([]float64, pairs)
+		bx := make([]float64, pairs)
+		by := make([]float64, pairs)
+		for i := 0; i < pairs; i++ {
+			ax[i] = src.Float64() * 200
+			ay[i] = src.Float64() * 200
+			bx[i] = src.Float64() * 200
+			by[i] = src.Float64() * 200
+		}
+		pow := func() (sample, error) {
+			return timeOps(func() {
+				var s float64
+				for j := 0; j < pairs; j++ {
+					d := math.Hypot(ax[j]-bx[j], ay[j]-by[j])
+					if d < 1 {
+						d = 1
+					}
+					s += params.Power / math.Pow(d, params.Alpha)
 				}
-				s += params.Power / math.Pow(d, params.Alpha)
-			}
+				kernelSink = s
+			}), nil
 		}
-		kernelSink = s
-	})
-	fastRes := testing.Benchmark(func(b *testing.B) {
-		var s float64
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < pairs; j++ {
-				dx := ax[j] - bx[j]
-				dy := ay[j] - by[j]
-				s += params.ReceivedPower(math.Sqrt(dx*dx + dy*dy))
-			}
+		fast := func() (sample, error) {
+			return timeOps(func() {
+				var s float64
+				for j := 0; j < pairs; j++ {
+					dx := ax[j] - bx[j]
+					dy := ay[j] - by[j]
+					s += params.ReceivedPower(math.Sqrt(dx*dx + dy*dy))
+				}
+				kernelSink = s
+			}), nil
 		}
-		kernelSink = s
-	})
-	c := kernelCase{
-		Name:        fmt.Sprintf("kernel_pathloss_a%.0f", alpha),
-		Alpha:       alpha,
-		Pairs:       pairs,
-		PowNsPerOp:  float64(powRes.NsPerOp()),
-		FastNsPerOp: float64(fastRes.NsPerOp()),
+		return &pair{params: map[string]float64{"alpha": alpha, "pairs": pairs}, refName: "pow", ref: pow, opt: fast}, nil
 	}
-	if c.FastNsPerOp > 0 {
-		c.SpeedupVsPow = c.PowNsPerOp / c.FastNsPerOp
-	}
-	return c
 }
 
-// measureShardCase measures the sharded evaluator on an n-node dense
-// workload with k transmitters per slot, together with the settled heap
-// footprint of channel + evaluator + one evaluated slot. The footprint is a
-// GC-settled runtime.MemStats HeapAlloc delta around the whole build — it is
-// what a simulation at this scale actually holds live, and it is the number
-// the sinr.ShardBytesPerNodeBudget gate judges. When withDense is set the
-// same slot is also timed over the lattice's dense scan (same shard count,
-// certified path pinned off) so the case carries a within-run speedup
-// ratio; at the -large scale the dense scan is minutes per op and is
-// skipped.
-func measureShardCase(name string, n, k, shards int, seed uint64, withDense bool) (shardCase, error) {
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	ch, tx, err := sinr.DenseBenchWorkload(n, k, seed)
+// formatValues renders m's entries, sorted by key and minus skip, as
+// "key=value" pairs.
+func formatValues(m map[string]float64, skip []string) string {
+	var parts []string
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		if slices.Contains(skip, k) {
+			continue
+		}
+		v := m[k]
+		s := strconv.FormatFloat(v, 'g', 4, 64)
+		if v == math.Trunc(v) || math.Abs(v) >= 1000 {
+			s = strconv.FormatFloat(v, 'f', 0, 64)
+		}
+		parts = append(parts, k+"="+s)
+	}
+	return strings.Join(parts, " ")
+}
+
+// readReport parses a report file.
+func readReport(path string) (benchReport, error) {
+	var r benchReport
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return shardCase{}, err
+		return r, err
 	}
-	shard := sinr.NewFastChannel(ch, sinr.FastOptions{Shards: shards, SparseFactor: -1})
-	shardCount := shard.Shards()
-	if shardCount == 0 {
-		shard.Close()
-		return shardCase{}, fmt.Errorf("%s: sharded configuration fell back to the grid", name)
+	if err := json.Unmarshal(data, &r); err != nil {
+		return r, fmt.Errorf("parsing %s: %w", path, err)
 	}
-	shard.SlotReceptions(tx) // warm: builds the shard index and scratch
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	var heap uint64
-	if after.HeapAlloc > before.HeapAlloc {
-		heap = after.HeapAlloc - before.HeapAlloc
-	}
-	shard.ResetBoundsStats()
-	shardRes := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			shard.SlotReceptions(tx)
-		}
-	})
-	st := shard.BoundsStats()
-	shard.Close()
-	c := shardCase{
-		Name:             name,
-		Nodes:            n,
-		Transmitters:     len(tx),
-		Shards:           shardCount,
-		ShardNsPerOp:     float64(shardRes.NsPerOp()),
-		ShardAllocsPerOp: shardRes.AllocsPerOp(),
-		RefineRate:       st.RefineRate(),
-		RSSBytes:         heap,
-		BytesPerNode:     float64(heap) / float64(n),
-	}
-	if withDense {
-		dense := sinr.NewFastChannel(ch, sinr.FastOptions{
-			Shards: shardCount, SparseFactor: -1, BoundsFactor: -1,
-		})
-		denseRes := benchSlot(dense, tx)
-		dense.Close()
-		c.DenseNsPerOp = float64(denseRes.NsPerOp())
-		c.DenseAllocsPerOp = denseRes.AllocsPerOp()
-		if c.ShardNsPerOp > 0 {
-			c.SpeedupVsDense = c.DenseNsPerOp / c.ShardNsPerOp
-		}
-	}
-	return c, nil
+	return r, nil
 }
 
-// checkStepCrossover enforces the engine-step crossover gate on the fresh
-// measurements: for every deployment size of at least stepCrossoverMinNodes
-// that has both a sequential and a parallel case, the parallel driver must
-// not exceed the sequential cost by more than stepCrossoverTolerance.
-func checkStepCrossover(cases []stepCase) error {
-	serialByN := make(map[int]stepCase)
-	for _, c := range cases {
-		if !c.Parallel {
-			serialByN[c.Nodes] = c
+// writeSummary appends to path a markdown table of the fresh cases with,
+// when the baseline is readable, its speedup and the current/baseline ratio
+// -compare judges. CI points it at $GITHUB_STEP_SUMMARY.
+func writeSummary(path, baselinePath string, fresh benchReport) error {
+	baseline := make(map[string]float64)
+	if base, err := readReport(baselinePath); err == nil {
+		for _, c := range base.Cases {
+			baseline[c.Name] = c.Metrics["speedup"]
 		}
 	}
-	var problems []string
-	for _, c := range cases {
-		if !c.Parallel || c.Nodes < stepCrossoverMinNodes {
-			continue
+	var b strings.Builder
+	fmt.Fprintf(&b, "### macbench slot-pipeline benchmarks (GOMAXPROCS=%d, NumCPU=%d, %s)\n\n",
+		fresh.GoMaxProcs, fresh.NumCPU, fresh.GoVersion)
+	b.WriteString("| case | params | ns/op | allocs/op | speedup | baseline speedup | current/baseline | other metrics |\n")
+	b.WriteString("|---|---|---|---|---|---|---|---|\n")
+	for _, c := range fresh.Cases {
+		speedup, ratio := "—", "— | —"
+		if s, ok := c.Metrics["speedup"]; ok {
+			speedup = fmt.Sprintf("%.2fx", s)
+			if base := baseline[c.Name]; base > 0 {
+				ratio = fmt.Sprintf("%.2fx | %.2f", base, s/base)
+			}
 		}
-		ref, ok := serialByN[c.Nodes]
-		if !ok || ref.NsPerOp <= 0 {
-			continue
-		}
-		if c.NsPerOp > ref.NsPerOp*stepCrossoverTolerance {
-			problems = append(problems, fmt.Sprintf(
-				"  %s: parallel driver %.0f ns/op vs sequential %s %.0f ns/op exceeds %.1fx",
-				c.Name, c.NsPerOp, ref.Name, ref.NsPerOp, stepCrossoverTolerance))
-		}
+		fmt.Fprintf(&b, "| %s | %s | %.0f | %.0f | %s | %s | %s |\n",
+			c.Name, formatValues(c.Params, nil), c.Metrics["ns_per_op"], c.Metrics["allocs_per_op"], speedup, ratio,
+			formatValues(c.Metrics, []string{"ns_per_op", "allocs_per_op", "speedup"}))
 	}
-	if len(problems) > 0 {
-		return fmt.Errorf("%s", strings.Join(problems, "\n"))
-	}
-	return nil
-}
-
-// compareReports checks the fresh measurements against a committed
-// baseline using only machine-invariant quantities: the fast-over-naive,
-// sparse-over-dense, bounds-over-dense and apply-over-rebuild speedup
-// ratios (each measured within one run on one machine) must not shrink
-// beyond compareTolerance, and no optimised path or steady-state step may
-// allocate more than the baseline did.
-//
-// Every baseline case must reappear in the fresh report: a benchmark that
-// is deleted or renamed without refreshing the committed baseline would
-// otherwise silently slip past the regression gate, so a missing
-// counterpart is itself a gate failure. Fresh-only cases remain allowed —
-// adding a benchmark must not break the first run against an old baseline.
-func compareReports(baselinePath string, fresh benchReport) error {
-	data, err := os.ReadFile(baselinePath)
+	fmt.Fprintf(&b, "\nRegression gate: speedup ratios may shrink at most %.1fx vs the committed baseline; optimised paths may not allocate more than it.\n", compareTolerance)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	var base benchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing %s: %w", baselinePath, err)
+	defer f.Close()
+	_, err = f.WriteString(b.String())
+	return err
+}
+
+// compareReports checks the fresh report against a baseline on
+// machine-invariant quantities: a case's speedup may not shrink beyond
+// compareTolerance, nor its allocs_per_op exceed the baseline's. Every
+// baseline case must reappear, or a deleted or renamed benchmark would slip
+// past the gate; fresh-only cases are allowed, so adding one does not break
+// the first run against an old baseline.
+func compareReports(baselinePath string, fresh benchReport) error {
+	base, err := readReport(baselinePath)
+	if err != nil {
+		return err
+	}
+	freshByName := make(map[string]benchCase)
+	for _, c := range fresh.Cases {
+		freshByName[c.Name] = c
 	}
 	var problems []string
-	freshByKey := make(map[string]gateCase)
-	for _, f := range gateCases(fresh) {
-		freshByKey[f.family+"/"+f.name] = f
-	}
-	for _, b := range gateCases(base) {
-		f, ok := freshByKey[b.family+"/"+b.name]
+	for _, b := range base.Cases {
+		f, ok := freshByName[b.Name]
 		if !ok {
 			problems = append(problems, fmt.Sprintf(
-				"  %s case %q exists in the baseline but not in the fresh report: deleted or renamed benchmarks must refresh the committed baseline",
-				b.family, b.name))
+				"  case %q exists in the baseline but not in the fresh report: deleted or renamed benchmarks must refresh the committed baseline",
+				b.Name))
 			continue
 		}
-		if b.speedupLabel != "" && b.speedup > 0 && f.speedup < b.speedup/compareTolerance {
+		if bs, fs := b.Metrics["speedup"], f.Metrics["speedup"]; bs > 0 && fs < bs/compareTolerance {
 			problems = append(problems, fmt.Sprintf(
-				"  %s/%s: speedup %.1fx vs baseline %.1fx (shrank by more than %.1fx)",
-				f.name, f.speedupLabel, f.speedup, b.speedup, compareTolerance))
+				"  %s: speedup %.2fx vs baseline %.2fx (shrank by more than %.1fx)",
+				b.Name, fs, bs, compareTolerance))
 		}
-		if f.allocs > b.allocs {
-			name := f.name
-			if f.allocsLabel != "" {
-				name += "/" + f.allocsLabel
-			}
+		if ba, ok := b.Metrics["allocs_per_op"]; ok && f.Metrics["allocs_per_op"] > ba {
 			problems = append(problems, fmt.Sprintf(
-				"  %s: %d allocs/op vs baseline %d", name, f.allocs, b.allocs))
+				"  %s: %.0f allocs/op vs baseline %.0f", b.Name, f.Metrics["allocs_per_op"], ba))
 		}
 	}
 	if len(problems) > 0 {
 		return fmt.Errorf("%s", strings.Join(problems, "\n"))
 	}
 	return nil
-}
-
-// gateCase is one benchmark case flattened to the machine-invariant
-// quantities the -compare gate judges, so every case family goes through
-// one comparison loop.
-type gateCase struct {
-	family string
-	name   string
-	// speedupLabel names the checked ratio; empty means the family carries
-	// no speedup ratio (only the alloc check applies).
-	speedupLabel string
-	speedup      float64
-	allocsLabel  string
-	allocs       int64
-}
-
-// gateCases flattens a report into the gate's comparison entries.
-func gateCases(r benchReport) []gateCase {
-	var out []gateCase
-	for _, c := range r.Cases {
-		out = append(out, gateCase{"slot-path", c.Name, "fast-vs-naive", c.SpeedupVsNaive, "fast", c.FastAllocsPerOp})
-	}
-	for _, c := range r.SparseCases {
-		out = append(out, gateCase{"sparse", c.Name, "sparse-vs-dense", c.SpeedupVsDense, "sparse", c.SparseAllocsPerOp})
-	}
-	for _, c := range r.BoundsCases {
-		out = append(out, gateCase{"bounds", c.Name, "bounds-vs-dense", c.SpeedupVsDense, "bounds", c.BoundsAllocsPerOp})
-	}
-	for _, c := range r.ShardCases {
-		// Dense-less cases (the -large smoke) carry speedup 0, which the
-		// gate's speedup check already skips; the alloc check still applies.
-		out = append(out, gateCase{"shard", c.Name, "shard-vs-dense", c.SpeedupVsDense, "shard", c.ShardAllocsPerOp})
-	}
-	for _, c := range r.ChurnCases {
-		out = append(out, gateCase{"churn", c.Name, "apply-vs-rebuild", c.SpeedupVsRebuild, "apply", c.ApplyAllocsPerOp})
-	}
-	for _, c := range r.StepCases {
-		out = append(out, gateCase{"step", c.Name, "", 0, "", c.AllocsPerOp})
-	}
-	for _, c := range r.BatchCases {
-		out = append(out, gateCase{"batch", c.Name, "batch-vs-step", c.SpeedupVsStep, "batch", c.BatchAllocsPerOp})
-	}
-	for _, c := range r.BlockedCases {
-		out = append(out, gateCase{"blocked", c.Name, "blocked-vs-scalar", c.SpeedupVsScalar, "", 0})
-	}
-	for _, c := range r.KernelCases {
-		out = append(out, gateCase{"kernel", c.Name, "fast-vs-pow", c.SpeedupVsPow, "", 0})
-	}
-	return out
 }
 
 func measure(n, trials int, seed uint64, base func(float64) approgress.Config, mutate func(*approgress.Config)) ([]float64, int64, error) {

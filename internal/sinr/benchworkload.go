@@ -91,33 +91,3 @@ func SparseBenchWorkload(n int, seed uint64) (*Channel, []int, error) {
 	}
 	return ch, tx, nil
 }
-
-// BenchGatherTotals computes each listed receiver's total received power
-// over the transmitter set against the cached power matrix, either through
-// the blocked 4-receiver gather (the production matrix kernel's totals
-// pass, matrixTotals4) or through the scalar per-receiver loop it
-// replaced. Requires the matrix regime; exported for cmd/macbench's
-// within-run blocked-kernel gate.
-func (f *FastChannel) BenchGatherTotals(out []float64, rs, tx []int, blocked bool) {
-	if f.mat == nil {
-		panic("sinr: BenchGatherTotals requires the matrix regime")
-	}
-	i := 0
-	if blocked {
-		for ; i+4 <= len(rs); i += 4 {
-			row0 := f.mat[rs[i]*f.stride : rs[i]*f.stride+f.n]
-			row1 := f.mat[rs[i+1]*f.stride : rs[i+1]*f.stride+f.n]
-			row2 := f.mat[rs[i+2]*f.stride : rs[i+2]*f.stride+f.n]
-			row3 := f.mat[rs[i+3]*f.stride : rs[i+3]*f.stride+f.n]
-			out[i], out[i+1], out[i+2], out[i+3] = matrixTotals4(tx, row0, row1, row2, row3)
-		}
-	}
-	for ; i < len(rs); i++ {
-		row := f.mat[rs[i]*f.stride : rs[i]*f.stride+f.n]
-		total := 0.0
-		for _, s := range tx {
-			total += row[s]
-		}
-		out[i] = total
-	}
-}

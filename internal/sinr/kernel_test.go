@@ -140,9 +140,11 @@ func TestSlotReceptionsEquivalenceAlphaVariants(t *testing.T) {
 }
 
 // TestGatherTotalsBlockedBitIdentical pins the blocked 4-receiver totals
-// gather (the matrix paths' interference pass) to the scalar per-receiver
-// tx-order sum bit for bit, across receiver-list lengths covering every
-// remainder-lane count and transmitter sets of varied size and order.
+// gather (matrixTotals4, the matrix paths' interference pass) to the scalar
+// per-receiver tx-order sum bit for bit, across receiver-list lengths
+// covering every remainder-lane count and transmitter sets of varied size
+// and order. A final partial block fills its spare lanes with its last
+// receiver, so every receiver is summed in a lane.
 func TestGatherTotalsBlockedBitIdentical(t *testing.T) {
 	src := rng.New(0x9a73e5)
 	const n = 48
@@ -169,11 +171,19 @@ func TestGatherTotalsBlockedBitIdentical(t *testing.T) {
 		for i := range tx {
 			tx[i] = src.Intn(n)
 		}
-		blocked := make([]float64, nr)
+		row := func(i int) []float64 {
+			r := rs[min(i, nr-1)]
+			return f.mat[r*f.stride : r*f.stride+f.n]
+		}
+		blocked := make([]float64, nr+3)
+		for i := 0; i < nr; i += 4 {
+			blocked[i], blocked[i+1], blocked[i+2], blocked[i+3] = matrixTotals4(tx, row(i), row(i+1), row(i+2), row(i+3))
+		}
 		scalar := make([]float64, nr)
-		f.BenchGatherTotals(blocked, rs, tx, true)
-		f.BenchGatherTotals(scalar, rs, tx, false)
 		for i := range rs {
+			for _, s := range tx {
+				scalar[i] += row(i)[s]
+			}
 			if math.Float64bits(blocked[i]) != math.Float64bits(scalar[i]) {
 				t.Fatalf("trial %d receiver %d (of %d, k=%d): blocked=%x scalar=%x",
 					trial, i, nr, k, math.Float64bits(blocked[i]), math.Float64bits(scalar[i]))
