@@ -60,6 +60,7 @@ import (
 	"sinrmac/internal/approgress"
 	"sinrmac/internal/core"
 	"sinrmac/internal/fault"
+	"sinrmac/internal/macnode"
 	"sinrmac/internal/rng"
 	"sinrmac/internal/sim"
 	"sinrmac/internal/sinr"
@@ -865,7 +866,7 @@ func measure(n, trials int, seed uint64, base func(float64) approgress.Config, m
 
 		probe := &listener{rcvSlot: -1}
 		simNodes := make([]sim.Node, d.NumNodes())
-		apNodes := make([]*approgress.Node, d.NumNodes())
+		apNodes := make([]*macnode.Node, d.NumNodes())
 		for i := range simNodes {
 			node := approgress.NewNode(cfg, 0, nil)
 			if i == 0 {

@@ -241,12 +241,15 @@ func buildMACNodes(kind string, d *topology.Deployment, lambda float64, rec *cor
 		return nodes, fackHorizon, nil
 	case "approgress":
 		cfg := approgress.DefaultConfig(lambda, 0.1, d.Params.Alpha)
+		ackAfter := 4 * cfg.EpochLen()
 		for i := range nodes {
-			node := approgress.NewNode(cfg, 4*cfg.EpochLen(), rec)
+			node := approgress.NewNode(cfg, ackAfter, rec)
 			node.SetLayer(layerFor(i))
 			nodes[i] = node
 		}
-		return nodes, 4 * cfg.EpochLen(), nil
+		// The timer acks a slot-0 bcast in slot ackAfter, so the horizon
+		// runs one slot past it.
+		return nodes, ackAfter + 1, nil
 	case "decay":
 		cfg := decay.DefaultConfig(float64(d.StrongGraph().MaxDegree()+1), 0.1)
 		for i := range nodes {

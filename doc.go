@@ -11,6 +11,15 @@
 // internal/consensus) and the experiment harness that regenerates the
 // paper's tables and figures (internal/exp).
 //
+// Every MAC endpoint is one type, macnode.Node: the absMAC contract (bcast,
+// rcv, ack and abort with one outstanding broadcast per node, rcv
+// deduplication and the recorded event trace) lives there once, over a
+// per-node macnode.Automaton that receives the engine slot at every entry
+// point. hmbcast.New, decay.New and approgress.NewNode (whose automaton
+// acknowledges on a timer) wrap a single algorithm; mac.New wraps an
+// automaton that runs hmbcast in even slots and approgress in odd ones and
+// routes received frames to their owner by kind.
+//
 // # Channel evaluator architecture
 //
 // Slot evaluation — deciding, for a set of concurrent transmitters, which

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sinrmac/internal/core"
+	"sinrmac/internal/macnode"
 	"sinrmac/internal/rng"
 	"sinrmac/internal/sim"
 	"sinrmac/internal/sinr"
@@ -310,11 +311,11 @@ func TestAutomatonReceiveDataCallback(t *testing.T) {
 // buildScenario builds a deployment, a recorder and one approgress Node per
 // deployment node; broadcasters[i] == true makes node i broadcast message
 // id 1000+i at slot 0.
-func buildScenario(t *testing.T, d *topology.Deployment, cfg Config, broadcasters []bool, seed uint64) (*sim.Engine, []*Node, *core.Recorder) {
+func buildScenario(t *testing.T, d *topology.Deployment, cfg Config, broadcasters []bool, seed uint64) (*sim.Engine, []*macnode.Node, *core.Recorder) {
 	t.Helper()
 	rec := core.NewRecorder()
 	nodes := make([]sim.Node, d.NumNodes())
-	apNodes := make([]*Node, d.NumNodes())
+	apNodes := make([]*macnode.Node, d.NumNodes())
 	for i := range nodes {
 		n := NewNode(cfg, 0, rec)
 		apNodes[i] = n
@@ -426,7 +427,7 @@ func TestSparsificationReducesSenderSet(t *testing.T) {
 
 	active := 0
 	for _, n := range apNodes {
-		if n.Automaton().SenderActive() {
+		if n.Automaton().(*timed).SenderActive() {
 			active++
 		}
 	}
@@ -470,26 +471,6 @@ func TestNodeAckTimerAndAbort(t *testing.T) {
 	}
 	if got := len(rec.EventsOfKind(core.EventAck)); got != 1 {
 		t.Fatalf("ack fired for aborted message: %d acks", got)
-	}
-}
-
-func TestNodeRcvDeduplication(t *testing.T) {
-	rec := core.NewRecorder()
-	n := NewNode(testConfig(8), 0, rec)
-	layer := &captureLayer{}
-	n.SetLayer(layer)
-	n.Init(1, rng.New(8))
-	m := core.Message{ID: 7, Origin: 0}
-	for i := 0; i < 3; i++ {
-		n.Receive(int64(i), &sim.Frame{From: 0, Kind: FrameData, Msg: m})
-	}
-	if len(layer.rcvs) != 1 {
-		t.Fatalf("OnRcv called %d times", len(layer.rcvs))
-	}
-	// Own messages are never delivered upward.
-	n.Receive(5, &sim.Frame{From: 1, Kind: FrameData, Msg: core.Message{ID: 8, Origin: 1}})
-	if len(layer.rcvs) != 1 {
-		t.Fatal("own message delivered upward")
 	}
 }
 

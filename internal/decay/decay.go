@@ -123,8 +123,8 @@ func NewAutomaton(cfg Config, src *rng.Source, onData func(core.Message)) (*Auto
 	}, nil
 }
 
-// Start begins the Decay broadcast of m.
-func (a *Automaton) Start(m core.Message) {
+// Start begins the Decay broadcast of m. The engine slot is ignored.
+func (a *Automaton) Start(_ int64, m core.Message) {
 	a.active = true
 	a.done = false
 	a.msg = m
@@ -141,14 +141,15 @@ func (a *Automaton) Abort() {
 // Active reports whether a broadcast is ongoing and not yet complete.
 func (a *Automaton) Active() bool { return a.active && !a.done }
 
-// Done reports whether the broadcast has completed (enough phases elapsed).
-func (a *Automaton) Done() bool { return a.active && a.done }
+// Done reports whether the broadcast has completed (enough phases
+// elapsed). The engine slot is ignored.
+func (a *Automaton) Done(int64) bool { return a.active && a.done }
 
 // Tick advances the automaton one protocol slot; a transmission fills the
-// pooled frame f and returns true.
+// pooled frame f and returns true. The engine slot is ignored.
 //
 //sinrlint:hotpath
-func (a *Automaton) Tick(f *sim.Frame) bool {
+func (a *Automaton) Tick(_ int64, f *sim.Frame) bool {
 	if !a.Active() {
 		return false
 	}

@@ -85,7 +85,7 @@ func TestAutomatonConstructorErrors(t *testing.T) {
 // whether the automaton transmitted.
 func tick(a *Automaton) bool {
 	var f sim.Frame
-	return a.Tick(&f)
+	return a.Tick(0, &f)
 }
 
 func TestAutomatonLifecycle(t *testing.T) {
@@ -94,13 +94,13 @@ func TestAutomatonLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aut.Active() || aut.Done() {
+	if aut.Active() || aut.Done(0) {
 		t.Fatal("fresh automaton active")
 	}
 	if tick(aut) {
 		t.Fatal("idle automaton transmitted")
 	}
-	aut.Start(core.Message{ID: 1, Origin: 0})
+	aut.Start(0, core.Message{ID: 1, Origin: 0})
 	if !aut.Active() {
 		t.Fatal("not active after Start")
 	}
@@ -110,14 +110,14 @@ func TestAutomatonLifecycle(t *testing.T) {
 			sent++
 		}
 	}
-	if !aut.Done() {
+	if !aut.Done(0) {
 		t.Fatal("automaton not done after AckSlots slots")
 	}
 	if sent == 0 {
 		t.Fatal("automaton never transmitted")
 	}
 	aut.Abort()
-	if aut.Active() || aut.Done() {
+	if aut.Active() || aut.Done(0) {
 		t.Fatal("aborted automaton still active")
 	}
 }
@@ -129,7 +129,7 @@ func TestAutomatonFirstSlotAlwaysTransmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aut.Start(core.Message{ID: 1, Origin: 0})
+	aut.Start(0, core.Message{ID: 1, Origin: 0})
 	for phase := 0; phase < 5; phase++ {
 		if !tick(aut) {
 			t.Fatalf("phase %d slot 0 did not transmit", phase)

@@ -11,7 +11,7 @@ import (
 // the Theorem 8.1 experiment and by the Decay-flooding rows of the global
 // broadcast comparisons. recorder may be nil.
 func New(cfg Config, recorder *core.Recorder) *macnode.Node {
-	return macnode.New(func(src *rng.Source, onData func(core.Message)) (macnode.Automaton, error) {
-		return NewAutomaton(cfg, src, onData)
+	return macnode.New(func(_ int, src *rng.Source, onData func(core.Message)) (macnode.Automaton, error) {
+		return NewAutomaton(cfg, src.Split(), onData)
 	}, recorder)
 }

@@ -11,6 +11,7 @@ import (
 	"sinrmac/internal/decay"
 	"sinrmac/internal/hmbcast"
 	"sinrmac/internal/mac"
+	"sinrmac/internal/macnode"
 	"sinrmac/internal/rng"
 	"sinrmac/internal/sim"
 	"sinrmac/internal/sinr"
@@ -47,7 +48,7 @@ func combinedMACConfig(lambda float64) mac.Config {
 // global completion slot (or the deadline if incomplete). It runs on the
 // trial's reusable engine.
 func runBMMBOverMACs(tc *TrialContext, d *topology.Deployment, msgs []core.Message, deadline int64,
-	newMAC func(i int) sim.Node, attach func(n sim.Node, l core.Layer)) (float64, bool, error) {
+	newMAC func() *macnode.Node) (float64, bool, error) {
 
 	layers := make([]*bcastproto.BMMB, d.NumNodes())
 	nodes := make([]sim.Node, d.NumNodes())
@@ -59,8 +60,8 @@ func runBMMBOverMACs(tc *TrialContext, d *topology.Deployment, msgs []core.Messa
 			}
 		}
 		layers[i] = bcastproto.NewBMMB(initial...)
-		n := newMAC(i)
-		attach(n, layers[i])
+		n := newMAC()
+		n.SetLayer(layers[i])
 		nodes[i] = n
 	}
 	eng, err := tc.Engine(nodes)
@@ -156,8 +157,7 @@ func SMBComparison(cfg Config) (Table, error) {
 		rec := core.NewRecorder()
 		deadline := int64(core.TheoreticalFack(delta, lambda, 0.1)) * int64(diam+5) * 50
 		t1, _, err := runBMMBOverMACs(tc, d, []core.Message{msg}, deadline,
-			func(i int) sim.Node { return mac.New(macCfg, rec) },
-			func(node sim.Node, l core.Layer) { node.(*mac.Node).SetLayer(l) })
+			func() *macnode.Node { return mac.New(macCfg, rec) })
 		if err != nil {
 			return smbTrialResult{}, err
 		}
@@ -169,8 +169,7 @@ func SMBComparison(cfg Config) (Table, error) {
 
 		dcCfg := decay.DefaultConfig(float64(n), 0.1)
 		t3, _, err := runBMMBOverMACs(tc, d, []core.Message{msg}, deadline,
-			func(i int) sim.Node { return decay.New(dcCfg, nil) },
-			func(node sim.Node, l core.Layer) { node.(interface{ SetLayer(core.Layer) }).SetLayer(l) })
+			func() *macnode.Node { return decay.New(dcCfg, nil) })
 		if err != nil {
 			return smbTrialResult{}, err
 		}
@@ -250,16 +249,14 @@ func MMBScaling(cfg Config) (Table, error) {
 		delta := d.StrongGraph().MaxDegree()
 		deadline := int64(core.TheoreticalFack(delta, lambda, 0.1)) * int64(diam+5+3*k) * 50
 		t1, _, err := runBMMBOverMACs(tc, d, msgs, deadline,
-			func(i int) sim.Node { return mac.New(macCfg, nil) },
-			func(node sim.Node, l core.Layer) { node.(*mac.Node).SetLayer(l) })
+			func() *macnode.Node { return mac.New(macCfg, nil) })
 		if err != nil {
 			return mmbTrialResult{}, err
 		}
 
 		dcCfg := decay.DefaultConfig(float64(n), 0.1)
 		t2, _, err := runBMMBOverMACs(tc, d, msgs, deadline,
-			func(i int) sim.Node { return decay.New(dcCfg, nil) },
-			func(node sim.Node, l core.Layer) { node.(interface{ SetLayer(core.Layer) }).SetLayer(l) })
+			func() *macnode.Node { return decay.New(dcCfg, nil) })
 		if err != nil {
 			return mmbTrialResult{}, err
 		}

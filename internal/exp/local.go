@@ -8,6 +8,7 @@ import (
 	"sinrmac/internal/core"
 	"sinrmac/internal/decay"
 	"sinrmac/internal/hmbcast"
+	"sinrmac/internal/macnode"
 	"sinrmac/internal/rng"
 	"sinrmac/internal/sim"
 	"sinrmac/internal/sinr"
@@ -315,7 +316,7 @@ func ApproxProgressScaling(cfg Config) (Table, error) {
 		epochLen := apCfg.EpochLen()
 		listener := newListenerLayer()
 		nodes := make([]sim.Node, d.NumNodes())
-		apNodes := make([]*approgress.Node, d.NumNodes())
+		apNodes := make([]*macnode.Node, d.NumNodes())
 		for i := range nodes {
 			n := approgress.NewNode(apCfg, 0, nil)
 			if i == 0 {
@@ -462,11 +463,11 @@ func measureTwoBallsProgress(tc *TrialContext, d *topology.Deployment, delta int
 			nodes[i] = n
 		}
 	}
-	var apNodes []*approgress.Node
+	var apNodes []*macnode.Node
 	if !useDecay {
 		apCfg := approgTestConfig(d.Lambda())
 		deadline = 4 * apCfg.EpochLen()
-		apNodes = make([]*approgress.Node, d.NumNodes())
+		apNodes = make([]*macnode.Node, d.NumNodes())
 		for i := range nodes {
 			n := approgress.NewNode(apCfg, 0, nil)
 			if i == 0 {

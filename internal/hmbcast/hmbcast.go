@@ -32,8 +32,8 @@ import (
 // Algorithm 11.1 (package mac) interleaves this automaton with the
 // approximate-progress automaton. recorder may be nil.
 func New(cfg Config, recorder *core.Recorder) *macnode.Node {
-	return macnode.New(func(src *rng.Source, onData func(core.Message)) (macnode.Automaton, error) {
-		return NewAutomaton(cfg, src, onData)
+	return macnode.New(func(_ int, src *rng.Source, onData func(core.Message)) (macnode.Automaton, error) {
+		return NewAutomaton(cfg, src.Split(), onData)
 	}, recorder)
 }
 
@@ -198,7 +198,8 @@ func NewAutomaton(cfg Config, src *rng.Source, onData func(core.Message)) (*Auto
 }
 
 // Start begins the local broadcast of m, resetting the algorithm state.
-func (a *Automaton) Start(m core.Message) {
+// The engine slot is ignored.
+func (a *Automaton) Start(_ int64, m core.Message) {
 	a.active = true
 	a.done = false
 	a.msg = m
@@ -220,18 +221,18 @@ func (a *Automaton) Abort() {
 func (a *Automaton) Active() bool { return a.active && !a.done }
 
 // Done reports whether the halt condition has been reached (the broadcast
-// is complete and can be acknowledged).
-func (a *Automaton) Done() bool { return a.active && a.done }
+// is complete and can be acknowledged). The engine slot is ignored.
+func (a *Automaton) Done(int64) bool { return a.active && a.done }
 
 // Probability returns the current per-slot transmission probability. It is
 // exported for tests and instrumentation.
 func (a *Automaton) Probability() float64 { return a.p }
 
 // Tick advances the automaton by one protocol slot; a transmission fills
-// the pooled frame f and returns true.
+// the pooled frame f and returns true. The engine slot is ignored.
 //
 //sinrlint:hotpath
-func (a *Automaton) Tick(f *sim.Frame) bool {
+func (a *Automaton) Tick(_ int64, f *sim.Frame) bool {
 	if !a.Active() {
 		return false
 	}

@@ -70,7 +70,7 @@ func TestAutomatonConstructorErrors(t *testing.T) {
 // whether the automaton transmitted.
 func tick(a *Automaton) bool {
 	var f sim.Frame
-	return a.Tick(&f)
+	return a.Tick(0, &f)
 }
 
 func TestAutomatonIdleUntilStart(t *testing.T) {
@@ -78,7 +78,7 @@ func TestAutomatonIdleUntilStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aut.Active() || aut.Done() {
+	if aut.Active() || aut.Done(0) {
 		t.Fatal("fresh automaton active")
 	}
 	for i := 0; i < 100; i++ {
@@ -94,18 +94,18 @@ func TestAutomatonHaltsWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aut.Start(core.Message{ID: 1, Origin: 0})
+	aut.Start(0, core.Message{ID: 1, Origin: 0})
 	if !aut.Active() {
 		t.Fatal("automaton not active after Start")
 	}
 	transmitted := 0
 	var slots int64
-	for ; slots < cfg.MaxSlots() && !aut.Done(); slots++ {
+	for ; slots < cfg.MaxSlots() && !aut.Done(0); slots++ {
 		if tick(aut) {
 			transmitted++
 		}
 	}
-	if !aut.Done() {
+	if !aut.Done(0) {
 		t.Fatalf("automaton did not halt within MaxSlots = %d", cfg.MaxSlots())
 	}
 	if transmitted == 0 {
@@ -125,7 +125,7 @@ func TestAutomatonProbabilityRampsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aut.Start(core.Message{ID: 1, Origin: 0})
+	aut.Start(0, core.Message{ID: 1, Origin: 0})
 	p0 := aut.Probability()
 	for i := 0; i < cfg.StepLen()*4; i++ {
 		tick(aut)
@@ -134,7 +134,7 @@ func TestAutomatonProbabilityRampsUp(t *testing.T) {
 		t.Fatalf("probability did not ramp up: %v -> %v", p0, aut.Probability())
 	}
 	// The probability never exceeds PMax.
-	for i := 0; i < cfg.StepLen()*40 && !aut.Done(); i++ {
+	for i := 0; i < cfg.StepLen()*40 && !aut.Done(0); i++ {
 		tick(aut)
 		if aut.Probability() > cfg.withDefaults().PMax+1e-12 {
 			t.Fatalf("probability %v exceeded PMax", aut.Probability())
@@ -148,7 +148,7 @@ func TestAutomatonFallbackOnContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aut.Start(core.Message{ID: 1, Origin: 0})
+	aut.Start(0, core.Message{ID: 1, Origin: 0})
 	// Ramp the probability up first.
 	for i := 0; i < cfg.StepLen()*12; i++ {
 		tick(aut)
@@ -186,9 +186,9 @@ func TestAutomatonAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aut.Start(core.Message{ID: 1, Origin: 0})
+	aut.Start(0, core.Message{ID: 1, Origin: 0})
 	aut.Abort()
-	if aut.Active() || aut.Done() {
+	if aut.Active() || aut.Done(0) {
 		t.Fatal("aborted automaton still active")
 	}
 	for i := 0; i < 100; i++ {

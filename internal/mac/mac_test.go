@@ -6,6 +6,7 @@ import (
 	"sinrmac/internal/approgress"
 	"sinrmac/internal/core"
 	"sinrmac/internal/hmbcast"
+	"sinrmac/internal/macnode"
 	"sinrmac/internal/rng"
 	"sinrmac/internal/sim"
 	"sinrmac/internal/sinr"
@@ -46,56 +47,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestInitErrorSurfaced checks the library-error contract: an invalid
-// configuration no longer panics inside Init — the node records the
-// construction failure, reports it via InitError, and sim.NewEngine returns
-// it wrapped to the caller. A failed node is inert until re-initialised.
-func TestInitErrorSurfaced(t *testing.T) {
-	bad := testConfig(16)
-	bad.Ack.Lambda = 0
-	n := New(bad, nil)
-	n.Init(0, rng.New(1))
-	if n.InitError() == nil {
-		t.Fatal("InitError() = nil for an invalid ack config")
-	}
-	var f sim.Frame
-	if n.Tick(0, &f) {
-		t.Fatal("failed node transmitted")
-	}
-	n.Receive(1, &f)
-	n.Bcast(1, core.Message{ID: 1, Origin: 0})
-	if n.Busy() {
-		t.Fatal("failed node accepted a broadcast")
-	}
-
-	bad2 := testConfig(16)
-	bad2.Prog.Alpha = 1
-	n2 := New(bad2, nil)
-	n2.Init(0, rng.New(1))
-	if n2.InitError() == nil {
-		t.Fatal("InitError() = nil for an invalid prog config")
-	}
-
-	d, err := topology.Line(2, 2, sinr.DefaultParams(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := d.Channel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sim.NewEngine(ch, []sim.Node{New(bad, nil), New(testConfig(16), nil)}, sim.Config{Seed: 1})
-	if err == nil {
-		t.Fatal("NewEngine accepted a node with an invalid MAC config")
-	}
-	// A valid node reports no error.
-	ok := New(testConfig(16), nil)
-	ok.Init(0, rng.New(1))
-	if err := ok.InitError(); err != nil {
-		t.Fatalf("InitError() = %v for a valid config", err)
-	}
-}
-
 // oneShotLayer broadcasts a single message at a given slot and records
 // callbacks.
 type oneShotLayer struct {
@@ -121,11 +72,11 @@ func (l *oneShotLayer) OnRcv(slot int64, m core.Message) { l.rcvs = append(l.rcv
 func (l *oneShotLayer) OnAck(slot int64, m core.Message) { l.acks = append(l.acks, m) }
 
 // buildMACScenario wires combined-MAC nodes over a deployment.
-func buildMACScenario(t *testing.T, d *topology.Deployment, cfg Config, seed uint64) (*sim.Engine, []*Node, []*oneShotLayer, *core.Recorder) {
+func buildMACScenario(t *testing.T, d *topology.Deployment, cfg Config, seed uint64) (*sim.Engine, []*macnode.Node, []*oneShotLayer, *core.Recorder) {
 	t.Helper()
 	rec := core.NewRecorder()
 	simNodes := make([]sim.Node, d.NumNodes())
-	macNodes := make([]*Node, d.NumNodes())
+	macNodes := make([]*macnode.Node, d.NumNodes())
 	layers := make([]*oneShotLayer, d.NumNodes())
 	for i := range simNodes {
 		n := New(cfg, rec)
@@ -189,8 +140,7 @@ func TestCombinedMACSlotMultiplexing(t *testing.T) {
 	var fr sim.Frame
 	for slot := int64(0); slot < 400; slot++ {
 		for id := 0; id < d.NumNodes(); id++ {
-			n := eng.Node(id).(*Node)
-			if !n.Tick(slot, &fr) {
+			if !eng.Node(id).Tick(slot, &fr) {
 				continue
 			}
 			even := slot%2 == 0
@@ -202,41 +152,6 @@ func TestCombinedMACSlotMultiplexing(t *testing.T) {
 	}
 	if bad != 0 {
 		t.Fatalf("%d frames violated the even/odd multiplexing", bad)
-	}
-}
-
-func TestCombinedMACBusyAbort(t *testing.T) {
-	rec := core.NewRecorder()
-	n := New(testConfig(8), rec)
-	n.Init(0, rng.New(1))
-	if n.Busy() {
-		t.Fatal("fresh node busy")
-	}
-	n.Bcast(0, core.Message{ID: 1, Origin: 0})
-	if !n.Busy() {
-		t.Fatal("not busy after Bcast")
-	}
-	n.Bcast(1, core.Message{ID: 2, Origin: 0}) // ignored
-	if got := len(rec.EventsOfKind(core.EventBcast)); got != 1 {
-		t.Fatalf("bcast events = %d", got)
-	}
-	n.Abort(2, 1)
-	if n.Busy() {
-		t.Fatal("busy after abort")
-	}
-	if got := len(rec.EventsOfKind(core.EventAbort)); got != 1 {
-		t.Fatalf("abort events = %d", got)
-	}
-	// No ack may fire afterwards.
-	var fr sim.Frame
-	for slot := int64(3); slot < 2000; slot++ {
-		n.Tick(slot, &fr)
-	}
-	if got := len(rec.EventsOfKind(core.EventAck)); got != 0 {
-		t.Fatalf("ack fired after abort: %d", got)
-	}
-	if n.ID() != 0 || n.ProgressAutomaton() == nil {
-		t.Fatal("accessors broken")
 	}
 }
 

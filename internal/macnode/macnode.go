@@ -1,12 +1,13 @@
-// Package macnode provides the generic adapter that turns a single
-// local-broadcast automaton (the Halldórsson–Mitra acknowledgment algorithm,
-// the Decay baseline, ...) into a full per-node MAC endpoint: a sim.Node
-// automaton that also implements core.MAC, drives an attached higher layer,
-// deduplicates rcv events and records the absMAC event trace.
-//
-// The combined MAC of Algorithm 11.1 (package mac) does not use this
-// adapter because it multiplexes two automatons onto alternating slots; all
-// single-automaton MACs do.
+// Package macnode provides the one adapter that turns a local-broadcast
+// automaton into a full per-node MAC endpoint: a sim.Node automaton that
+// also implements core.MAC, drives an attached higher layer, holds at most
+// one outstanding broadcast, deduplicates rcv events and records the absMAC
+// event trace. Every MAC in the repository is a Node over an Automaton: the
+// Halldórsson–Mitra acknowledgment algorithm (hmbcast.New), the Decay
+// baseline (decay.New), the timer-acknowledged approximate-progress node
+// (approgress.NewNode) and the combined MAC of Algorithm 11.1 (mac.New),
+// whose automaton multiplexes the first and the third onto alternating
+// slots.
 package macnode
 
 import (
@@ -17,29 +18,34 @@ import (
 	"sinrmac/internal/sim"
 )
 
-// Automaton is a per-node local-broadcast algorithm ticked once per
-// protocol slot.
+// Automaton is a per-node local-broadcast algorithm ticked once per engine
+// slot. Every entry point the engine drives receives the engine slot, so an
+// automaton that multiplexes slots or keeps a timer reads the engine's
+// clock rather than counting its own Ticks (a crashed node skips Ticks).
 type Automaton interface {
-	// Start begins the local broadcast of m, resetting algorithm state.
-	Start(m core.Message)
+	// Start begins the local broadcast of m in the given slot, resetting
+	// algorithm state.
+	Start(slot int64, m core.Message)
 	// Abort cancels the ongoing broadcast.
 	Abort()
-	// Done reports whether the ongoing broadcast has completed and can be
-	// acknowledged.
-	Done() bool
+	// Done reports whether the ongoing broadcast has completed by the
+	// given slot and can be acknowledged.
+	Done(slot int64) bool
 	// Tick advances the automaton one slot. To transmit it fills the
 	// node's pooled frame f and returns true; returning false listens.
 	// The frame follows the sim frame lifecycle: it is reused across
 	// slots and valid only until the end of the slot.
-	Tick(f *sim.Frame) bool
+	Tick(slot int64, f *sim.Frame) bool
 	// Receive processes a frame decoded in one of the automaton's slots.
 	// The frame's payload is valid only for the duration of the call.
 	Receive(f *sim.Frame)
 }
 
-// Factory constructs a node's automaton given its private random source and
-// the callback the automaton must invoke for every received bcast-message.
-type Factory func(src *rng.Source, onData func(core.Message)) (Automaton, error)
+// Factory constructs node id's automaton given the node's own random source
+// and the callback the automaton must invoke for every received
+// bcast-message. The factory splits its streams from src itself; the
+// adapter takes the next split for the attached layer.
+type Factory func(id int, src *rng.Source, onData func(core.Message)) (Automaton, error)
 
 // Node adapts one Automaton into a core.MAC + sim.Node endpoint.
 type Node struct {
@@ -47,7 +53,6 @@ type Node struct {
 	recorder *core.Recorder
 
 	id      int
-	src     *rng.Source
 	aut     Automaton
 	layer   core.Layer
 	initErr error
@@ -78,9 +83,8 @@ func New(factory Factory, recorder *core.Recorder) *Node {
 // right after Init and returns the wrapped error to its caller.
 func (n *Node) Init(id int, src *rng.Source) {
 	n.id = id
-	n.src = src
 	n.aut, n.initErr = nil, nil
-	aut, err := n.factory(src.Split(), n.onData)
+	aut, err := n.factory(id, src, n.onData)
 	if err != nil {
 		n.initErr = fmt.Errorf("macnode: automaton construction for node %d failed: %w", id, err)
 		return
@@ -103,6 +107,10 @@ func (n *Node) Busy() bool { return n.cur != nil }
 // ID returns the node id assigned at Init.
 func (n *Node) ID() int { return n.id }
 
+// Automaton returns the automaton the last Init built (nil before Init or
+// after a failed one), for tests and instrumentation.
+func (n *Node) Automaton() Automaton { return n.aut }
+
 // Bcast implements core.MAC. The enhanced absMAC allows one outstanding
 // broadcast per node; extra requests are dropped (higher layers queue).
 func (n *Node) Bcast(slot int64, m core.Message) {
@@ -112,7 +120,7 @@ func (n *Node) Bcast(slot int64, m core.Message) {
 	cp := m
 	n.cur = &cp
 	n.record(core.Event{Kind: core.EventBcast, Node: n.id, Msg: m, Slot: slot})
-	n.aut.Start(m)
+	n.aut.Start(slot, m)
 }
 
 // Abort implements core.MAC.
@@ -135,7 +143,7 @@ func (n *Node) Tick(slot int64, f *sim.Frame) bool {
 		n.layer.OnSlot(slot)
 	}
 	// Deliver the acknowledgment for a completed broadcast.
-	if n.cur != nil && n.aut.Done() {
+	if n.cur != nil && n.aut.Done(slot) {
 		m := *n.cur
 		n.cur = nil
 		n.aut.Abort()
@@ -144,7 +152,7 @@ func (n *Node) Tick(slot int64, f *sim.Frame) bool {
 			n.layer.OnAck(slot, m)
 		}
 	}
-	return n.aut.Tick(f)
+	return n.aut.Tick(slot, f)
 }
 
 // Receive implements sim.Node.

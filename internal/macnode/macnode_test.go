@@ -30,19 +30,27 @@ var dataKind = sim.RegisterFrameKind("test.data")
 type fakeAutomaton struct {
 	onData func(core.Message)
 
-	started []core.Message
-	aborts  int
-	done    bool
-	ticks   int
-	frame   *sim.Frame // copied into the pooled frame by Tick, nil listens
-	rcvd    []*sim.Frame
+	started    []core.Message
+	startSlots []int64
+	aborts     int
+	done       bool
+	doneSlots  []int64
+	tickSlots  []int64
+	frame      *sim.Frame // copied into the pooled frame by Tick, nil listens
+	rcvd       []*sim.Frame
 }
 
-func (a *fakeAutomaton) Start(m core.Message) { a.started = append(a.started, m) }
-func (a *fakeAutomaton) Abort()               { a.aborts++; a.done = false }
-func (a *fakeAutomaton) Done() bool           { return a.done }
-func (a *fakeAutomaton) Tick(f *sim.Frame) bool {
-	a.ticks++
+func (a *fakeAutomaton) Start(slot int64, m core.Message) {
+	a.started = append(a.started, m)
+	a.startSlots = append(a.startSlots, slot)
+}
+func (a *fakeAutomaton) Abort() { a.aborts++; a.done = false }
+func (a *fakeAutomaton) Done(slot int64) bool {
+	a.doneSlots = append(a.doneSlots, slot)
+	return a.done
+}
+func (a *fakeAutomaton) Tick(slot int64, f *sim.Frame) bool {
+	a.tickSlots = append(a.tickSlots, slot)
 	if a.frame == nil {
 		return false
 	}
@@ -76,7 +84,7 @@ func newTestNode(t *testing.T, id int, rec *core.Recorder) (*Node, *fakeAutomato
 	t.Helper()
 	aut := &fakeAutomaton{}
 	layer := &recordingLayer{}
-	n := New(func(src *rng.Source, onData func(core.Message)) (Automaton, error) {
+	n := New(func(_ int, src *rng.Source, onData func(core.Message)) (Automaton, error) {
 		if src == nil {
 			t.Fatal("factory got a nil random source")
 		}
@@ -98,7 +106,7 @@ func TestNewNilFactoryPanics(t *testing.T) {
 }
 
 func TestInitFactoryErrorReported(t *testing.T) {
-	n := New(func(src *rng.Source, onData func(core.Message)) (Automaton, error) {
+	n := New(func(_ int, src *rng.Source, onData func(core.Message)) (Automaton, error) {
 		return nil, errors.New("boom")
 	}, nil)
 	n.Init(0, rng.New(1))
@@ -136,6 +144,41 @@ func TestInitAttachesLayer(t *testing.T) {
 	}
 	if n.ID() != 3 {
 		t.Fatalf("ID = %d, want 3", n.ID())
+	}
+}
+
+// TestFactoryAndSlotPlumbing checks what the adapter hands its automaton:
+// the factory gets the node id and the node's own source (it does its own
+// splits), and Start, Done and Tick see the engine slot they were called in.
+func TestFactoryAndSlotPlumbing(t *testing.T) {
+	src := rng.New(42)
+	var gotID int
+	var gotSrc *rng.Source
+	aut := &fakeAutomaton{}
+	n := New(func(id int, s *rng.Source, onData func(core.Message)) (Automaton, error) {
+		gotID, gotSrc = id, s
+		aut.onData = onData
+		return aut, nil
+	}, nil)
+	n.Init(7, src)
+	if gotID != 7 || gotSrc != src {
+		t.Fatalf("factory got (id %d, src %p), want (7, the node's source %p)", gotID, gotSrc, src)
+	}
+	if n.Automaton() != Automaton(aut) {
+		t.Fatal("Automaton() does not return the factory's automaton")
+	}
+	n.Bcast(10, core.Message{ID: 1, Origin: 7})
+	var fr sim.Frame
+	n.Tick(11, &fr)
+	n.Tick(13, &fr) // a crashed node skips slot 12
+	if len(aut.startSlots) != 1 || aut.startSlots[0] != 10 {
+		t.Fatalf("Start slots = %v, want [10]", aut.startSlots)
+	}
+	if len(aut.doneSlots) != 2 || aut.doneSlots[0] != 11 || aut.doneSlots[1] != 13 {
+		t.Fatalf("Done slots = %v, want [11 13]", aut.doneSlots)
+	}
+	if len(aut.tickSlots) != 2 || aut.tickSlots[0] != 11 || aut.tickSlots[1] != 13 {
+		t.Fatalf("Tick slots = %v, want [11 13]", aut.tickSlots)
 	}
 }
 
@@ -278,7 +321,7 @@ func TestRcvDeduplication(t *testing.T) {
 // TestNodeWithoutLayerOrRecorder checks that both attachments are optional.
 func TestNodeWithoutLayerOrRecorder(t *testing.T) {
 	aut := &fakeAutomaton{}
-	n := New(func(src *rng.Source, onData func(core.Message)) (Automaton, error) {
+	n := New(func(_ int, src *rng.Source, onData func(core.Message)) (Automaton, error) {
 		aut.onData = onData
 		return aut, nil
 	}, nil)
@@ -300,7 +343,7 @@ func TestNodeDrivenByEngine(t *testing.T) {
 	rec := core.NewRecorder()
 	frames := 0
 	mkNode := func(transmit bool) *Node {
-		return New(func(src *rng.Source, onData func(core.Message)) (Automaton, error) {
+		return New(func(_ int, src *rng.Source, onData func(core.Message)) (Automaton, error) {
 			a := &fakeAutomaton{}
 			a.onData = onData
 			if transmit {
