@@ -32,23 +32,32 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
 // exitInterrupted is the conventional exit status for SIGINT terminations.
 const exitInterrupted = 130
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		expName = flag.String("exp", "all", "experiment to run ("+strings.Join(exp.Names(), ", ")+" or all)")
-		quick   = flag.Bool("quick", false, "shrink all sweeps so the suite finishes in seconds")
-		seed    = flag.Uint64("seed", 1, "random seed for deployments and simulations")
-		trials  = flag.Int("trials", 0, "repetitions per data point (0 = per-experiment default)")
-		workers = flag.Int("workers", 0, "concurrent trial workers (0 = GOMAXPROCS, 1 = sequential; tables are identical at any count)")
-		batch   = flag.Int("batch", 0, "engine micro-batch size in slots (0 = auto; tables are identical at any value)")
-		outPath = flag.String("o", "", "also write the tables to this file")
+		expName = fs.String("exp", "all", "experiment to run ("+strings.Join(exp.Names(), ", ")+" or all)")
+		quick   = fs.Bool("quick", false, "shrink all sweeps so the suite finishes in seconds")
+		seed    = fs.Uint64("seed", 1, "random seed for deployments and simulations")
+		trials  = fs.Int("trials", 0, "repetitions per data point (0 = per-experiment default)")
+		workers = fs.Int("workers", 0, "concurrent trial workers (0 = GOMAXPROCS, 1 = sequential; tables are identical at any count)")
+		outPath = fs.String("o", "", "also write the tables to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := checkFlags(*trials, *workers); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		return 2
+	}
 
 	// First SIGINT: set the interrupt flag the trial scheduler polls and
 	// restore the default handler, so completed tables are flushed below
@@ -64,7 +73,7 @@ func run() int {
 
 	cfg := exp.Config{
 		Seed: *seed, Trials: *trials, Quick: *quick, Workers: *workers,
-		Batch: *batch, Interrupt: interrupted.Load,
+		Interrupt: interrupted.Load,
 	}
 
 	status := 0
@@ -114,6 +123,18 @@ func run() int {
 		}
 	}
 	return status
+}
+
+// checkFlags rejects negative counts, which would otherwise fall back to
+// the defaults silently.
+func checkFlags(trials, workers int) error {
+	if trials < 0 {
+		return fmt.Errorf("-trials must be non-negative (0 = per-experiment default), got %d", trials)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers must be non-negative (0 = GOMAXPROCS), got %d", workers)
+	}
+	return nil
 }
 
 // writeFileAtomic writes via a temp file and rename, so an interrupt racing

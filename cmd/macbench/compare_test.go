@@ -200,33 +200,14 @@ func TestTimePairFloor(t *testing.T) {
 	}
 }
 
-// TestCheckStepCrossover pins the engine-step crossover gate of the case
-// table: at n = 5000 the parallel driver may cost at most 1.2× the
-// sequential one, and the n = 2000 parallel row carries no floor.
-func TestCheckStepCrossover(t *testing.T) {
-	spec := benchCases[slices.IndexFunc(benchCases, func(c caseSpec) bool { return c.name == "engine_step_parallel_5k" })]
-	within := record(spec.name, map[string]float64{"serial_ns_per_op": 1000, "ns_per_op": 1100, "speedup": 1000.0 / 1100})
-	if err := checkGate(within, spec.gate); err != nil {
-		t.Fatalf("parallel within tolerance failed the gate: %v", err)
-	}
-	losing := record(spec.name, map[string]float64{"serial_ns_per_op": 1000, "ns_per_op": 1300, "speedup": 1000.0 / 1300})
-	if err := checkGate(losing, spec.gate); err == nil || !strings.Contains(err.Error(), spec.name) {
-		t.Fatalf("parallel 1.3x slower than sequential passed the gate or is not named: %v", err)
-	}
-	small := benchCases[slices.IndexFunc(benchCases, func(c caseSpec) bool { return c.name == "engine_step_parallel" })]
-	if small.gate != (gate{}) {
-		t.Fatalf("the n = 2000 parallel row is gated: %+v", small.gate)
-	}
-}
-
 func TestCheckGateAllocsAndFootprint(t *testing.T) {
-	batch := gate{minSpeedup: 1, zeroAllocs: true}
-	if err := checkGate(record("engine_run_batch", map[string]float64{"speedup": 1.1, "allocs_per_op": 0}), batch); err != nil {
-		t.Fatalf("allocation-free batch failed the gate: %v", err)
+	step := benchCases[slices.IndexFunc(benchCases, func(c caseSpec) bool { return c.name == "engine_step" })].gate
+	if err := checkGate(record("engine_step", map[string]float64{"allocs_per_op": 0}), step); err != nil {
+		t.Fatalf("allocation-free step failed the gate: %v", err)
 	}
-	if err := checkGate(record("engine_run_batch", map[string]float64{"speedup": 1.1, "allocs_per_op": 2}), batch); err == nil ||
-		!strings.Contains(err.Error(), "engine_run_batch") || !strings.Contains(err.Error(), "allocs/op") {
-		t.Fatalf("allocating batch passed the gate: %v", err)
+	if err := checkGate(record("engine_step", map[string]float64{"allocs_per_op": 2}), step); err == nil ||
+		!strings.Contains(err.Error(), "engine_step") || !strings.Contains(err.Error(), "allocs/op") {
+		t.Fatalf("allocating step passed the gate: %v", err)
 	}
 	shard := gate{maxBytesPerNode: 128}
 	if err := checkGate(record("shard_n100k", map[string]float64{"bytes_per_node": 111.4}), shard); err != nil {

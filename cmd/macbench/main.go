@@ -23,18 +23,14 @@
 //	bounds_{quarter,full}         dense scan     bounds tier, k = n/4 / n
 //	shard_n100k, shard_n1m        dense scan     cell lattice at scale (n1m: -large, no reference)
 //	churn_{matrix,lattice}        rebuild        ApplyEpoch, 1 % of nodes moved
-//	engine_step{,_parallel,_5k}   —              steady-state Engine.Step
-//	engine_step_parallel_5k       serial driver  parallel driver
-//	engine_step_fused4            —              fused driver on four workers
+//	engine_step{,_5k}             —              steady-state Engine.Step
 //	engine_step_faults            no hook        zero-fault injector
-//	engine_run_batch{,_5k}        Step loop      RunBatch(64), ns per slot
 //	kernel_pathloss_a{2,3,4}      math.Pow       pow-free path loss
 //
-// Gates judged within every run: speedup ≥ 0.95 on bounds_full, ≥ 1/1.2 on
-// engine_step_parallel_5k, ≥ 1/1.05 on engine_step_faults, ≥ 1.0 on
-// engine_run_batch{,_5k} and kernel_pathloss_a{2,3,4}, each on per-side
-// minima over up to gateRounds interleaved rounds; zero allocations per
-// RunBatch on engine_run_batch{,_5k}; and bytes_per_node within
+// Gates judged within every run: speedup ≥ 0.95 on bounds_full, ≥ 1/1.05
+// on engine_step_faults and ≥ 1.0 on kernel_pathloss_a{2,3,4}, each on
+// per-side minima over up to gateRounds interleaved rounds; zero
+// allocations per Step on engine_step{,_5k}; and bytes_per_node within
 // sinr.ShardBytesPerNodeBudget on the shard cases.
 //
 // -compare FILE also fails the run when a baseline case is missing, when a
@@ -266,12 +262,8 @@ type caseSpec struct {
 	build func(seed uint64) (*pair, error)
 }
 
-// Engine configurations shared by the engine-step cases.
-var (
-	serial      = engineConf{workers: 1}
-	fused4      = engineConf{parallel: true, workers: 4, batch: 1}
-	fused4Batch = engineConf{parallel: true, workers: 4, batch: sim.DefaultBatchSlots}
-)
+// serial is the engine configuration shared by the engine-step cases.
+var serial = engineConf{workers: 1}
 
 // benchCases is the -json case table, in report order. Gate thresholds
 // are judged on speedup, the reference cost over the optimised one.
@@ -288,20 +280,11 @@ var benchCases = []caseSpec{
 	{name: "shard_n1m", large: true, build: denseVsShard(1_000_000, 0, false), gate: gate{maxBytesPerNode: sinr.ShardBytesPerNodeBudget}},
 	{name: "churn_matrix", build: rebuildVsApply(5000)},
 	{name: "churn_lattice", build: rebuildVsApply(0)},
-	{name: "engine_step", build: engineCase(2000, "", engineConf{}, serial)},
-	{name: "engine_step_parallel", build: engineCase(2000, "", engineConf{}, engineConf{parallel: true})},
-	{name: "engine_step_5k", build: engineCase(5000, "", engineConf{}, serial)},
-	// The engine runs the parallel driver whenever more than one worker
-	// resolves; this keeps "Parallel: true" safe to enable at n = 5000.
-	{name: "engine_step_parallel_5k", build: engineCase(5000, "serial", serial, engineConf{parallel: true}), gate: gate{minSpeedup: 1 / 1.2}},
-	{name: "engine_step_fused4", build: engineCase(2000, "", engineConf{}, engineConf{parallel: true, workers: 4})},
+	{name: "engine_step", build: engineCase(2000, "", engineConf{}, serial), gate: gate{zeroAllocs: true}},
+	{name: "engine_step_5k", build: engineCase(5000, "", engineConf{}, serial), gate: gate{zeroAllocs: true}},
 	// A zero-rate fault plan draws no randomness and scrubs nothing: its cost
 	// is the dispatch overhead every healthy simulation pays for the layer.
 	{name: "engine_step_faults", build: engineCase(2000, "nohook", serial, engineConf{workers: 1, faults: true}), gate: gate{minSpeedup: 1 / 1.05}},
-	// Step pays one workpool session (helper wake + park) per slot, RunBatch
-	// one per micro-batch, over bit-identical executions: it may never lose.
-	{name: "engine_run_batch", build: engineCase(2000, "step", fused4, fused4Batch), gate: gate{minSpeedup: 1, zeroAllocs: true}},
-	{name: "engine_run_batch_5k", build: engineCase(5000, "step", fused4, fused4Batch), gate: gate{minSpeedup: 1, zeroAllocs: true}},
 	// Every integer-α path-loss kernel must beat math.Pow.
 	{name: "kernel_pathloss_a2", build: powVsFast(2), gate: gate{minSpeedup: 1}},
 	{name: "kernel_pathloss_a3", build: powVsFast(3), gate: gate{minSpeedup: 1}},
@@ -623,10 +606,8 @@ func (n *stepBenchNode) Receive(slot int64, f *sim.Frame) {}
 
 // engineConf is one engine configuration of the engine-step workload.
 type engineConf struct {
-	parallel bool
-	workers  int  // 0 = GOMAXPROCS
-	batch    int  // above 1: one RunBatch(batch) per op instead of one Step
-	faults   bool // install a zero-fault injector
+	workers int  // 0 = GOMAXPROCS
+	faults  bool // install a zero-fault injector
 }
 
 // engineSide times the engine-step workload in steady state: n
@@ -634,8 +615,7 @@ type engineConf struct {
 // on sinr.SparseBenchWorkload's deployment, built fresh per call so every
 // round starts alike, then warmed to fill the frame pool, buffers and
 // caches. conf.faults installs a zero-fault injector as a fault experiment
-// does (WrapNodes plus Config.Faults). A batched side reports ns per slot
-// but allocations per whole micro-batch.
+// does (WrapNodes plus Config.Faults).
 func engineSide(n int, seed uint64, conf engineConf) side {
 	return func() (sample, error) {
 		ch, _, err := sinr.SparseBenchWorkload(n, seed)
@@ -647,7 +627,7 @@ func engineSide(n int, seed uint64, conf engineConf) side {
 		for i := range nodes {
 			nodes[i] = &stepBenchNode{p: math.Sqrt(float64(n)) / float64(n), kind: kind}
 		}
-		cfg := sim.Config{Seed: seed, Parallel: conf.parallel, Workers: conf.workers, Batch: conf.batch}
+		cfg := sim.Config{Seed: seed, Workers: conf.workers}
 		if conf.faults {
 			inj, err := fault.NewInjector(fault.Plan{Seed: seed}, n)
 			if err != nil {
@@ -663,14 +643,8 @@ func engineSide(n int, seed uint64, conf engineConf) side {
 		if err != nil {
 			return sample{}, err
 		}
-		if conf.batch <= 1 {
-			eng.Run(64, nil)
-			return timeOps(func() { eng.Step() }), nil
-		}
-		eng.Run(int64(2*conf.batch), nil)
-		s := timeOps(func() { eng.RunBatch(conf.batch) })
-		s.ns /= float64(conf.batch)
-		return s, nil
+		eng.Run(64, nil)
+		return timeOps(func() { eng.Step() }), nil
 	}
 }
 
@@ -684,9 +658,6 @@ func engineCase(n int, refName string, ref, opt engineConf) func(uint64) (*pair,
 		}
 		if refName != "" {
 			p.refName, p.ref = refName, engineSide(n, seed, ref)
-		}
-		if opt.batch > 1 {
-			p.params["batch"] = float64(opt.batch)
 		}
 		return p, nil
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -46,32 +47,31 @@ func (l *broadcaster) OnSlot(slot int64) {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("sinrsim", flag.ContinueOnError)
 	var (
-		topo         = flag.String("topology", "cluster", "deployment: uniform, cluster, line, grid, parallel-lines, two-balls")
-		n            = flag.Int("n", 20, "number of nodes (interpretation depends on the topology)")
-		rangeFlag    = flag.Float64("range", 0, "transmission range R (0 = topology-dependent default)")
-		macKind      = flag.String("mac", "combined", "MAC implementation: combined, ack, approgress, decay")
-		broadcasters = flag.Int("broadcasters", 1, "number of nodes that broadcast one message each at slot 0")
-		slots        = flag.Int64("slots", 0, "number of slots to simulate (0 = a sensible default for the MAC)")
-		seed         = flag.Uint64("seed", 1, "random seed")
-		parallel     = flag.Bool("parallel", false, "run each slot's phases on a GOMAXPROCS-wide worker pool (the sequential loop at GOMAXPROCS = 1; results are identical either way)")
-		batch        = flag.Int("batch", 0, "engine micro-batch size in slots (0 = auto; 1 = slot-at-a-time; results are identical at any value)")
-		evaluator    = flag.String("evaluator", "fast", fmt.Sprintf("SINR slot evaluator: fast (power matrix up to %d nodes, cell lattice above) or naive (reference scan)", sinr.DefaultMatrixThreshold))
-		shards       = flag.Int("shards", 0, "shards of the fast evaluator's cell lattice (0 = automatic: the lattice with its default count above the matrix threshold; N > 0 = the lattice with N shards at any size; requires -evaluator fast)")
-		maxNodes     = flag.Int("maxnodes", 2_000_000, "refuse deployments larger than this many nodes (0 = no limit)")
+		topo         = fs.String("topology", "cluster", "deployment: uniform, cluster, line, grid, parallel-lines, two-balls")
+		n            = fs.Int("n", 20, "number of nodes (interpretation depends on the topology)")
+		rangeFlag    = fs.Float64("range", 0, "transmission range R (0 = topology-dependent default)")
+		macKind      = fs.String("mac", "combined", "MAC implementation: combined, ack, approgress, decay")
+		broadcasters = fs.Int("broadcasters", 1, "number of nodes that broadcast one message each at slot 0")
+		slots        = fs.Int64("slots", 0, "number of slots to simulate (0 = a sensible default for the MAC)")
+		seed         = fs.Uint64("seed", 1, "random seed")
+		evaluator    = fs.String("evaluator", "fast", fmt.Sprintf("SINR slot evaluator: fast (power matrix up to %d nodes, cell lattice above) or naive (reference scan)", sinr.DefaultMatrixThreshold))
+		shards       = fs.Int("shards", 0, "shards of the fast evaluator's cell lattice (0 = automatic: the lattice with its default count above the matrix threshold; N > 0 = the lattice with N shards at any size; requires -evaluator fast)")
+		maxNodes     = fs.Int("maxnodes", 2_000_000, "refuse deployments larger than this many nodes (0 = no limit)")
 	)
-	flag.Parse()
-
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "sinrsim: -shards %d is negative; use 0 for the automatic choice or a positive shard count\n", *shards)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
-	if *shards != 0 && *evaluator != "fast" {
-		fmt.Fprintf(os.Stderr, "sinrsim: -shards requires -evaluator fast (the naive reference scan has no sharded regime)\n")
+	if err := checkFlags(*broadcasters, *slots, *rangeFlag, *shards, *evaluator); err != nil {
+		fmt.Fprintf(os.Stderr, "sinrsim: %v\n", err)
 		return 2
 	}
 	// Guard before building the topology: beyond this size even the sharded
@@ -132,15 +132,14 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sinrsim: unknown evaluator %q (want fast or naive)\n", *evaluator)
 		return 2
 	}
-	eng, err := sim.NewEngine(ch, nodes, sim.Config{Seed: *seed, Parallel: *parallel, Evaluator: ev, Batch: *batch})
+	eng, err := sim.NewEngine(ch, nodes, sim.Config{Seed: *seed, Evaluator: ev})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sinrsim: %v\n", err)
 		return 1
 	}
-	// A first SIGINT stops the slot loop at the next slot boundary — the
-	// batched driver polls the stop condition before every slot, so the stop
-	// lands within the current micro-batch, not after it — and the statistics
-	// over the completed prefix are still printed (exit 130); a second SIGINT
+	// A first SIGINT stops the slot loop at the next slot boundary — Run
+	// polls the stop condition before every slot — and the statistics over
+	// the completed prefix are still printed (exit 130); a second SIGINT
 	// kills the process via the restored default handler.
 	var interrupted atomic.Bool
 	sigs := make(chan os.Signal, 1)
@@ -172,6 +171,26 @@ func run() int {
 	fmt.Printf("approx progress (G_{1-2eps}): %d/%d windows satisfied, mean latency %.1f, max %d\n",
 		approg.Satisfied, approg.Satisfied+approg.Unsatisfied, approg.MeanLatency, approg.MaxLatency)
 	return status
+}
+
+// checkFlags rejects flag values the simulation cannot honour: negative
+// counts and ranges, which would otherwise run with zero broadcasters or
+// fall back to the defaults silently, and -shards without the fast
+// evaluator.
+func checkFlags(broadcasters int, slots int64, r float64, shards int, evaluator string) error {
+	switch {
+	case broadcasters < 0:
+		return fmt.Errorf("-broadcasters %d is negative", broadcasters)
+	case slots < 0:
+		return fmt.Errorf("-slots %d is negative; use 0 for the MAC's default horizon", slots)
+	case r < 0:
+		return fmt.Errorf("-range %g is negative; use 0 for the topology's default range", r)
+	case shards < 0:
+		return fmt.Errorf("-shards %d is negative; use 0 for the automatic choice or a positive shard count", shards)
+	case shards != 0 && evaluator != "fast":
+		return fmt.Errorf("-shards requires -evaluator fast (the naive reference scan has no sharded regime)")
+	}
+	return nil
 }
 
 func buildDeployment(topo string, n int, r float64, seed uint64) (*topology.Deployment, error) {

@@ -130,17 +130,15 @@
 // retain payload data must copy it — the spec recorder and checker are
 // unaffected because they only see copied core.Event values), and frame
 // fields are not cleared between slots, so receivers read only the fields
-// their Kind defines. The parallel driver runs tick, evaluation and
-// receive inside one fused worker-pool session (internal/workpool
-// Begin/End): helpers are woken once per Step or micro-batch and advance
-// through the phases on an atomic phase generation, every phase split
-// across all workers. sim.Config.Parallel selects it whenever the resolved
-// worker count exceeds 1 (at GOMAXPROCS = 1 that is the sequential loop),
-// and the engine reads no wall clock. On a 2-CPU host the parallel driver
-// on 2 workers ran the combined MAC at n = 4096 in 1.24–1.58 s against
-// 2.31–2.41 s sequential. Both drivers produce bit-identical executions,
-// and TestEngineStepAllocFree asserts zero allocations per steady-state
-// Engine.Step on both.
+// their Kind defines. The engine has one serial slot loop: tick and
+// receive run on the calling goroutine in node order, and the engine reads
+// no wall clock. Only the fast evaluator's receiver scan splits across
+// sim.Config.Workers pool workers, bit-identically at any count. A fused
+// parallel driver that also split tick and receive across the pool was
+// measured on the real stack at GOMAXPROCS = 2 and won no workload by the
+// 9-of-10 pair rule, so it was deleted. TestEngineStepAllocFree asserts
+// zero allocations per steady-state Engine.Step at one and four evaluator
+// workers.
 //
 // Path-loss arithmetic is pow-free on the hot paths: integer exponents
 // α ∈ {2, 3, 4} evaluate by multiplication, bit-identical to math.Pow
@@ -161,7 +159,7 @@
 //     (time.Now, time.Since, ...) in the decision-path packages — every
 //     outcome must derive from explicit seeds via internal/rng labelled
 //     splits. No site in those packages needs an exception: the engine
-//     selects its driver statically and reads no clock.
+//     reads no clock.
 //   - maporder: no `for range` over a map whose body appends to a slice,
 //     accumulates floating-point sums, prints, sends, emits sim.Frames or
 //     draws randomness — Go's randomized map order would leak into
@@ -189,33 +187,19 @@
 //
 // # Execution model
 //
-// Simulations advance in micro-batches. sim.Engine.RunBatch(b) executes up
-// to b slots as one unit, and Run slices its horizon into micro-batches of
-// sim.Config.Batch slots (default sim.DefaultBatchSlots; Batch = 1 is the
-// slot-at-a-time loop). Under the fused parallel driver a whole micro-batch
-// runs inside a single workpool session: the helpers are woken once per
-// batch and the phase barrier advances through all 3·b tick/evaluate/
-// receive phases before they park, amortising the per-slot wake/park the
-// per-slot driver pays (the engine_run_batch macbench cases gate that
-// batching never loses to the Step loop and stays allocation-free). Step
-// is the same slot loop run for one slot.
+// sim.Engine.Run(b, stop) and b calls of Step go through the same serial
+// slot loop. Observers, recorders, the fault hook, stat counters and
+// stop-condition polls fire between slots in exact slot order, and
+// Engine.Slot reads consistently at every callback. A Run(deadline, stop)
+// stop condition is polled before every slot, so a graceful shutdown
+// (cmd/sinrsim's first SIGINT) lands at the next slot boundary. What a
+// callback may not do is re-enter the engine: Step and Run panic from
+// inside the slot loop, and ApplyEpoch/Reset return an error — state
+// mutations must land between Step/Run calls. TestRunBatchBitIdentity
+// holds Run bit-identical to the Step loop across evaluator worker counts,
+// fault plans and mid-run churn epochs.
 //
-// Batching is invisible to everything observing the simulation. Observers,
-// recorders, the fault hook, stat counters and stop-condition polls fire
-// between slots in exact slot order — inside an open session the helpers
-// are spinning or parked at the barrier while the leader runs the serial
-// interludes — and Engine.Slot reads consistently at every callback. A
-// Run(deadline, stop) stop condition is polled before every slot, so a
-// graceful shutdown (cmd/sinrsim's first SIGINT) lands within the current
-// micro-batch, never after it. What a callback may not do is re-enter the
-// engine: Step/Run/RunBatch panic from inside a running batch, and
-// ApplyEpoch/Reset return an error — state mutations are flush points that
-// must land on the batch boundary, after the driver has left the session.
-// The whole contract is differential: TestRunBatchBitIdentity holds batch
-// sizes {1, 7, 64} bit-identical to the Step loop across drivers, fault
-// plans and mid-run churn epochs.
-//
-// The kernels under a batch are restructured SIMD-friendly without
+// The evaluation kernels are restructured SIMD-friendly without
 // changing a single emitted bit: the matrix totals gather, the bounds-tier
 // per-cell aggregation and the lattice's remote-aggregate sums all process four receivers (or receiver
 // cells) per pass over the transmitter data. Blocking is across receivers
@@ -281,9 +265,9 @@
 // fault.Injector wired into the engine as sim.Config.Faults. Every
 // stochastic fault decision draws from labelled rng streams derived from
 // the plan seed alone (fault/plan/{crash,jam,deliver,byz}), and the engine
-// consults the hook only in serial sections in slot order, so a faulty
-// execution is bit-identical across the serial and fused-parallel drivers
-// at any worker count (TestFaultDifferentialDrivers). A zero-rate
+// consults the hook on the driving goroutine in slot order, so a faulty
+// execution is bit-identical at any evaluator worker count
+// (TestFaultDifferentialDrivers). A zero-rate
 // plan consumes no randomness, leaving the execution bit-identical to
 // running with no hook installed — and nearly free, which the
 // engine_step_faults macbench case gates at ≤ 1.05× the hook-free step.
@@ -344,18 +328,17 @@
 // slot pipeline kernel by kernel — naive vs fast, sparse vs dense, bounds
 // vs dense with the refine rate, the cell lattice at n = 100k (and 10⁶
 // behind -large) with its heap footprint, churn apply vs rebuild,
-// steady-state Engine.Step under each driver, the zero-fault hook, RunBatch
-// vs the Step loop and the pow-free path-loss kernel vs math.Pow — and
+// steady-state Engine.Step, the zero-fault hook and the pow-free path-loss
+// kernel vs math.Pow — and
 // writes one {name, params, metrics} record per case to BENCH_macbench.json,
 // stamped with GOMAXPROCS, NumCPU and the Go version. Most cases pair a
 // reference side against an optimised side and record the speedup. Within
 // every run it gates, on per-side minima over a few interleaved rounds,
-// that the parallel driver never loses to the sequential one beyond 1.2×
-// at n = 5000, that the all-transmit bounds_full case stays at ≥ 0.95× the
-// pinned dense scan, that the zero-fault hook costs at most 1.05×, that
-// RunBatch never loses to the Step loop and allocates nothing per
-// micro-batch, and that every integer-α kernel beats math.Pow; the shard
-// cases must stay inside sinr.ShardBytesPerNodeBudget. cmd/macbench -json
+// that the all-transmit bounds_full case stays at ≥ 0.95× the pinned dense
+// scan, that the zero-fault hook costs at most 1.05× and that every
+// integer-α kernel beats math.Pow; the steady-state Engine.Step rows must
+// allocate nothing, and the shard cases must stay inside
+// sinr.ShardBytesPerNodeBudget. cmd/macbench -json
 // -compare FILE additionally fails on gross (beyond 2×) speedup
 // regressions, new allocations or missing cases against a committed
 // baseline. The committed baseline was measured on a single-CPU runner; the

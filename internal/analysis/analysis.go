@@ -1,6 +1,6 @@
 // Package analysis is a small, dependency-free analysis framework modelled
 // on golang.org/x/tools/go/analysis. The repository's hard invariants —
-// bit-identical execution at any worker/shard/batch count, the engine-owned
+// bit-identical execution at any worker/shard count, the engine-owned
 // frame lifecycle, the pow-free kernel arithmetic and the allocation-free
 // hot paths — are enforced dynamically by the differential and alloc test
 // suites; the analyzers built on this package enforce them *statically*, at

@@ -3,9 +3,9 @@
 //
 // Every reception table, protocol decision and experiment row in this
 // repository must be a pure function of explicit seeds: the differential
-// suites assert bit-identity across worker counts, shard counts, batch
-// sizes and fault plans, and one time.Now() or math/rand global on a
-// decision path silently breaks all of them. Randomness must come from
+// suites assert bit-identity across worker counts, shard counts and fault
+// plans, and one time.Now() or math/rand global on a decision path
+// silently breaks all of them. Randomness must come from
 // internal/rng sources threaded through labelled splits; time may only be
 // read by annotated instrumentation sites whose results are reported,
 // never acted on.

@@ -1,7 +1,7 @@
 // Package hotalloc statically rejects allocating constructs in functions
 // annotated //sinrlint:hotpath.
 //
-// The steady-state slot path — Step/RunBatch kernels, the sparse/bounds/
+// The steady-state slot path — the engine's tick and receive loops, the sparse/bounds/
 // shard evaluation chunks, the ApplyEpoch steady-state patches, the
 // protocol automata's Tick bodies (20 annotated functions) — is held to
 // zero allocations per slot by dynamic gates (TestEngineStepAllocFree,

@@ -77,13 +77,6 @@ type Config struct {
 	// derived from (Seed, experiment, point, trial) labels, so the emitted
 	// tables are bit-identical at any worker count.
 	Workers int
-	// Batch is the engine micro-batch size forwarded into every trial
-	// engine (sim.Config.Batch): each Engine.Run executes up to Batch
-	// slots per fused driver session. Zero means the engine default
-	// (sim.DefaultBatchSlots). Batching never changes results — the
-	// batched driver is bit-identical to the slot-at-a-time loop — so
-	// this is purely a throughput knob.
-	Batch int
 	// Interrupt, when non-nil, is polled before each trial job. Once it
 	// returns true the scheduler stops picking up new jobs (in-flight
 	// ones finish) and the experiment returns an error wrapping

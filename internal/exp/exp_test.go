@@ -90,25 +90,6 @@ func TestParallelTablesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchInvariantTables checks the Config.Batch plumbing end to end: the
-// micro-batch size is a pure throughput knob, so a table rendered with
-// slot-at-a-time engines must be byte-identical to one rendered with 64-slot
-// micro-batches (the sim-level differential suite pins the same invariant at
-// the engine layer; this pins the exp wiring on top of it).
-func TestBatchInvariantTables(t *testing.T) {
-	render := func(batch int) string {
-		cfg := Config{Seed: 7, Trials: 2, Quick: true, Workers: 1, Batch: batch}
-		table, err := AckScaling(cfg)
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		return table.Format()
-	}
-	if one, sixtyFour := render(1), render(64); one != sixtyFour {
-		t.Fatalf("tables diverged between batch=1 and batch=64:\n--- batch=1 ---\n%s\n--- batch=64 ---\n%s", one, sixtyFour)
-	}
-}
-
 // parseFloat pulls a numeric cell out of a table row.
 func parseFloat(t *testing.T, cell string) float64 {
 	t.Helper()

@@ -97,7 +97,6 @@ type TrialContext struct {
 	Src *rng.Source
 
 	seed      uint64 // engine seed: per-node protocol streams
-	batch     int    // Config.Batch, forwarded into every engine built here
 	deploySrc *rng.Source
 	ps        *pointState
 	worker    *trialWorker
@@ -155,7 +154,6 @@ func (tc *TrialContext) Engine(nodes []sim.Node) (*sim.Engine, error) {
 			Seed:      tc.seed,
 			Workers:   1,
 			Evaluator: tc.ps.base.Fork(),
-			Batch:     tc.batch,
 		})
 		if err != nil {
 			return nil, err
@@ -182,7 +180,6 @@ func (tc *TrialContext) PrivateEngine(ch *sinr.Channel, nodes []sim.Node, ev sin
 		Workers:   1,
 		Evaluator: ev,
 		Faults:    faults,
-		Batch:     tc.batch,
 	})
 }
 
@@ -222,7 +219,6 @@ func runTrials[T any](cfg Config, experiment string, points, trials int, fn func
 			Src:       expSrc.SplitLabels(uint64(point), uint64(trial)+1, 0),
 			seed:      expSrc.SplitLabels(uint64(point), uint64(trial)+1, 1).Uint64(),
 			deploySrc: expSrc.SplitLabels(uint64(point), 0),
-			batch:     cfg.Batch,
 			ps:        states[point],
 			worker:    wk,
 		}

@@ -9,7 +9,7 @@
 // streams labelled under the plan seed (fault/plan/<kind>/<node> for
 // per-node schedules, a serial per-slot stream for jamming and delivery
 // faults), never from execution order, so a faulty execution is
-// bit-identical at any worker count and on both Step drivers — and a plan
+// bit-identical at any evaluator worker count — and a plan
 // whose rates are all zero consumes no randomness at all, leaving the
 // execution bit-identical to running without a hook.
 //

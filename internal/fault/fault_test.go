@@ -151,8 +151,8 @@ func richPlan() Plan {
 }
 
 // TestFaultDifferentialDrivers is the acceptance criterion: one fault plan
-// must produce bit-identical executions across worker counts and across the
-// serial and fused parallel drivers, on both evaluator paths.
+// must produce bit-identical executions on both evaluator paths and across
+// the fast evaluator's worker counts.
 func TestFaultDifferentialDrivers(t *testing.T) {
 	const n, topoSeed, slots = 60, 5, 300
 	plan := richPlan()
@@ -164,9 +164,9 @@ func TestFaultDifferentialDrivers(t *testing.T) {
 	variants := []variant{
 		{"serial/naive", false, sim.Config{Seed: 9, Workers: 1}},
 		{"serial/fast", true, sim.Config{Seed: 9, Workers: 1}},
-		{"parallel/w2", true, sim.Config{Seed: 9, Parallel: true, Workers: 2}},
-		{"parallel/w4", true, sim.Config{Seed: 9, Parallel: true, Workers: 4}},
-		{"parallel/gomaxprocs", true, sim.Config{Seed: 9, Parallel: true, Workers: runtime.GOMAXPROCS(0)}},
+		{"fast/w2", true, sim.Config{Seed: 9, Workers: 2}},
+		{"fast/w4", true, sim.Config{Seed: 9, Workers: 4}},
+		{"fast/gomaxprocs", true, sim.Config{Seed: 9, Workers: runtime.GOMAXPROCS(0)}},
 	}
 	var refStats sim.Stats
 	var refNodes []counters
@@ -203,20 +203,20 @@ func TestFaultDifferentialDrivers(t *testing.T) {
 // running with no hook at all (the zero-rate plan consumes no randomness).
 func TestZeroFaultPlanBitIdentical(t *testing.T) {
 	const n, topoSeed, slots = 50, 11, 250
-	for _, parallel := range []bool{false, true} {
-		cfg := sim.Config{Seed: 7, Workers: 4, Parallel: parallel}
+	for _, workers := range []int{1, 4} {
+		cfg := sim.Config{Seed: 7, Workers: workers}
 		bareNodes, bareEng, _ := scenario(t, n, topoSeed, nil, true, cfg, nil)
 		zero := Plan{Seed: 99}
 		hookNodes, hookEng, inj := scenario(t, n, topoSeed, &zero, true, cfg, nil)
 		bareEng.Run(slots, nil)
 		hookEng.Run(slots, nil)
 		if bareEng.Stats() != hookEng.Stats() {
-			t.Fatalf("parallel=%v: stats diverged: %+v vs %+v", parallel, bareEng.Stats(), hookEng.Stats())
+			t.Fatalf("workers=%d: stats diverged: %+v vs %+v", workers, bareEng.Stats(), hookEng.Stats())
 		}
 		a, b := snapshot(t, bareNodes), snapshot(t, hookNodes)
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("parallel=%v: node %d diverged: %+v vs %+v", parallel, i, a[i], b[i])
+				t.Fatalf("workers=%d: node %d diverged: %+v vs %+v", workers, i, a[i], b[i])
 			}
 		}
 		if inj.Stats() != (Stats{}) {
@@ -227,7 +227,7 @@ func TestZeroFaultPlanBitIdentical(t *testing.T) {
 
 // TestTickPanicCrashesOnlyThatNode: an injected Tick panic is recovered,
 // converted into a crash-stop fault for that node alone, and the run
-// completes — on both drivers, with identical executions.
+// completes — at one and four evaluator workers, with identical executions.
 func TestTickPanicCrashesOnlyThatNode(t *testing.T) {
 	const n, topoSeed, slots, victim = 16, 3, 120, 5
 	mk := func(i int) sim.Node {
@@ -240,7 +240,7 @@ func TestTickPanicCrashesOnlyThatNode(t *testing.T) {
 	var refNodes []counters
 	for i, cfg := range []sim.Config{
 		{Seed: 4, Workers: 1},
-		{Seed: 4, Parallel: true, Workers: 4},
+		{Seed: 4, Workers: 4},
 	} {
 		plan := Plan{Seed: 8}
 		inner, eng, inj := scenario(t, n, topoSeed, &plan, true, cfg, mk)
@@ -275,11 +275,11 @@ func TestTickPanicCrashesOnlyThatNode(t *testing.T) {
 			continue
 		}
 		if eng.Stats() != refStats {
-			t.Fatalf("panic executions diverged across drivers: %+v vs %+v", eng.Stats(), refStats)
+			t.Fatalf("panic executions diverged across worker counts: %+v vs %+v", eng.Stats(), refStats)
 		}
 		for j := range got {
 			if got[j] != refNodes[j] {
-				t.Fatalf("node %d diverged across drivers: %+v vs %+v", j, got[j], refNodes[j])
+				t.Fatalf("node %d diverged across worker counts: %+v vs %+v", j, got[j], refNodes[j])
 			}
 		}
 	}

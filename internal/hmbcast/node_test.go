@@ -155,76 +155,3 @@ func TestNodeConcurrentBroadcastersAllAck(t *testing.T) {
 		t.Fatalf("too many nice-execution violations: %+v", rep)
 	}
 }
-
-func TestNodeBusyAndSecondBcastIgnored(t *testing.T) {
-	rec := core.NewRecorder()
-	n := New(DefaultConfig(8, 0.1), rec)
-	n.Init(0, rng.New(1))
-	if n.Busy() {
-		t.Fatal("fresh node busy")
-	}
-	n.Bcast(0, core.Message{ID: 1, Origin: 0})
-	if !n.Busy() {
-		t.Fatal("node not busy after Bcast")
-	}
-	n.Bcast(1, core.Message{ID: 2, Origin: 0})
-	// Only the first bcast is recorded.
-	if got := len(rec.EventsOfKind(core.EventBcast)); got != 1 {
-		t.Fatalf("bcast events = %d, want 1", got)
-	}
-	if n.ID() != 0 {
-		t.Fatalf("ID = %d", n.ID())
-	}
-}
-
-func TestNodeAbort(t *testing.T) {
-	rec := core.NewRecorder()
-	n := New(DefaultConfig(8, 0.1), rec)
-	n.Init(3, rng.New(2))
-	n.Bcast(0, core.Message{ID: 7, Origin: 3})
-	// Aborting a different message id is a no-op.
-	n.Abort(1, 99)
-	if !n.Busy() {
-		t.Fatal("abort of unknown message cleared the broadcast")
-	}
-	n.Abort(2, 7)
-	if n.Busy() {
-		t.Fatal("node still busy after abort")
-	}
-	if got := len(rec.EventsOfKind(core.EventAbort)); got != 1 {
-		t.Fatalf("abort events = %d", got)
-	}
-	// No ack may ever fire for the aborted message.
-	var fr sim.Frame
-	for slot := int64(3); slot < 500; slot++ {
-		n.Tick(slot, &fr)
-	}
-	if got := len(rec.EventsOfKind(core.EventAck)); got != 0 {
-		t.Fatalf("ack events after abort = %d", got)
-	}
-}
-
-func TestNodeRcvDeduplicated(t *testing.T) {
-	rec := core.NewRecorder()
-	n := New(DefaultConfig(8, 0.1), rec)
-	layer := &recordingLayer{}
-	n.SetLayer(layer)
-	n.Init(1, rng.New(3))
-	m := core.Message{ID: 5, Origin: 0}
-	f := &sim.Frame{From: 0, Kind: FrameKind, Msg: m}
-	n.Receive(10, f)
-	n.Receive(11, f)
-	n.Receive(12, f)
-	if len(layer.rcvs) != 1 {
-		t.Fatalf("OnRcv called %d times, want 1", len(layer.rcvs))
-	}
-	if got := len(rec.EventsOfKind(core.EventRcv)); got != 1 {
-		t.Fatalf("rcv events = %d, want 1", got)
-	}
-	// A node never delivers its own message.
-	own := core.Message{ID: 6, Origin: 1}
-	n.Receive(13, &sim.Frame{From: 1, Kind: FrameKind, Msg: own})
-	if len(layer.rcvs) != 1 {
-		t.Fatal("node delivered its own message")
-	}
-}

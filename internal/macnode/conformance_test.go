@@ -82,7 +82,8 @@ var macRows = []macRow{
 
 // contractLayer broadcasts one message at slot bcastAt, immediately tries
 // a second one (which the MAC must drop), and, if abortAfter > 0, aborts
-// its message that many slots later.
+// its message that many slots later, after an abort of the dropped id
+// (which must be a no-op).
 type contractLayer struct {
 	t          *testing.T
 	mac        core.MAC
@@ -99,6 +100,9 @@ func (l *contractLayer) Attach(node int, m core.MAC, src *rng.Source) { l.mac = 
 func (l *contractLayer) OnSlot(slot int64) {
 	switch {
 	case !l.sent && slot >= l.bcastAt:
+		if l.mac.Busy() {
+			l.t.Errorf("node %d busy before its first bcast in slot %d", l.msg.Origin, slot)
+		}
 		l.sent = true
 		l.mac.Bcast(slot, l.msg)
 		if !l.mac.Busy() {
@@ -107,6 +111,10 @@ func (l *contractLayer) OnSlot(slot int64) {
 		l.mac.Bcast(slot, core.Message{ID: l.msg.ID + 1000, Origin: l.msg.Origin})
 	case l.sent && !l.aborted && l.abortAfter > 0 && slot >= l.bcastAt+l.abortAfter:
 		l.aborted = true
+		l.mac.Abort(slot, l.msg.ID+1000)
+		if !l.mac.Busy() {
+			l.t.Errorf("node %d: abort of an unknown id in slot %d cleared its bcast", l.msg.Origin, slot)
+		}
 		l.mac.Abort(slot, l.msg.ID)
 		if l.mac.Busy() {
 			l.t.Errorf("node %d still busy after abort in slot %d", l.msg.Origin, slot)
@@ -232,7 +240,7 @@ func TestMACConformance(t *testing.T) {
 
 // TestMACRcvDeduplication feeds a fresh node the same bcast-message three
 // times on every data frame kind its automaton owns, then one of its own
-// messages: exactly one rcv reaches the recorder.
+// messages: exactly one rcv reaches the recorder and the layer.
 func TestMACRcvDeduplication(t *testing.T) {
 	d, err := topology.Clusters(1, 6, sinr.DefaultParams(20), rng.New(3))
 	if err != nil {
@@ -242,6 +250,8 @@ func TestMACRcvDeduplication(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			rec := core.NewRecorder()
 			n := row.build(d, rec)
+			layer := &contractLayer{t: t}
+			n.SetLayer(layer)
 			n.Init(1, rng.New(8))
 			m := core.Message{ID: 7, Origin: 0}
 			slot := int64(0)
@@ -256,13 +266,17 @@ func TestMACRcvDeduplication(t *testing.T) {
 			if len(rcvs) != 1 || rcvs[0].Msg.ID != 7 || rcvs[0].Slot != 0 {
 				t.Fatalf("rcv events = %+v, want one rcv(7) in slot 0", rcvs)
 			}
+			if layer.rcvs != 1 {
+				t.Fatalf("OnRcv called %d times, want 1", layer.rcvs)
+			}
 		})
 	}
 }
 
 // TestInvalidConfigFailsEngine checks that every MAC constructor given an
 // invalid configuration makes sim.NewEngine return an error naming the
-// node instead of panicking, and that the failed node is inert.
+// node instead of panicking, that the failed node is inert, and that the
+// valid node beside it records no error.
 func TestInvalidConfigFailsEngine(t *testing.T) {
 	d, err := topology.Line(2, 2, sinr.DefaultParams(10))
 	if err != nil {
@@ -292,8 +306,8 @@ func TestInvalidConfigFailsEngine(t *testing.T) {
 					t.Fatalf("panicked: %v", r)
 				}
 			}()
-			bad := tc.node()
-			_, err := sim.NewEngine(ch, []sim.Node{hmbcast.New(hmbcastConfig(4), nil), bad}, sim.Config{Seed: 1})
+			good, bad := hmbcast.New(hmbcastConfig(4), nil), tc.node()
+			_, err := sim.NewEngine(ch, []sim.Node{good, bad}, sim.Config{Seed: 1})
 			if err == nil {
 				t.Fatal("NewEngine accepted a node with an invalid configuration")
 			}
@@ -302,6 +316,9 @@ func TestInvalidConfigFailsEngine(t *testing.T) {
 			}
 			if bad.InitError() == nil || bad.Automaton() != nil {
 				t.Fatal("failed node reports no InitError or kept an automaton")
+			}
+			if err := good.InitError(); err != nil {
+				t.Fatalf("valid node reports InitError %v", err)
 			}
 			var f sim.Frame
 			if bad.Tick(0, &f) {

@@ -1,8 +1,6 @@
 package macnode
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"sinrmac/internal/core"
@@ -103,35 +101,6 @@ func TestNewNilFactoryPanics(t *testing.T) {
 		}
 	}()
 	New(nil, nil)
-}
-
-func TestInitFactoryErrorReported(t *testing.T) {
-	n := New(func(_ int, src *rng.Source, onData func(core.Message)) (Automaton, error) {
-		return nil, errors.New("boom")
-	}, nil)
-	n.Init(0, rng.New(1))
-	err := n.InitError()
-	if err == nil {
-		t.Fatal("InitError() = nil after a factory error")
-	}
-	if !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("InitError() = %v, want the factory error wrapped", err)
-	}
-	// A failed node is inert, not a crash: it listens and drops traffic.
-	var f sim.Frame
-	if n.Tick(0, &f) {
-		t.Fatal("failed node transmitted")
-	}
-	n.Receive(0, &f)
-	n.Bcast(0, core.Message{ID: 1, Origin: 0})
-	if n.Busy() {
-		t.Fatal("failed node accepted a broadcast")
-	}
-	// A successful re-Init clears the recorded error.
-	ok, _, _ := newTestNode(t, 0, nil)
-	if err := ok.InitError(); err != nil {
-		t.Fatalf("InitError() = %v after successful Init", err)
-	}
 }
 
 func TestInitAttachesLayer(t *testing.T) {

@@ -1,12 +1,14 @@
 package sim
 
-// Tests for batched multi-slot execution (Run/RunBatch): bit-identity to
-// the slot-at-a-time Step loop across batch sizes, drivers, fault plans and
-// churn epochs; per-slot observer/hook ordering; stop polls inside a
-// micro-batch; and the mid-batch flush guards.
+// Tests for multi-slot execution: a batch is the slots one Run call
+// executes. Bit-identity of Run to the slot-at-a-time Step loop across
+// evaluator worker counts, fault plans and churn epochs; per-slot
+// observer/hook ordering across Run-call boundaries; stop polls inside a
+// batch; and the re-entry guards.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sinrmac/internal/geom"
@@ -112,9 +114,9 @@ func batchChurnSchedule(n int) []*sinr.EpochDelta {
 
 // batchTraceRun executes the fixed three-leg churn scenario (40 slots per
 // leg, an epoch applied between legs) and returns the full per-slot trace.
-// batch < 0 drives the engine slot-at-a-time via Step — the reference
-// execution; otherwise the legs run through Run with Config.Batch = batch.
-func batchTraceRun(t *testing.T, n int, cfg Config, fast, faults bool, batch int) ([]batchTraceRow, Stats) {
+// step drives the engine slot-at-a-time via Step — the reference
+// execution; otherwise each leg is one Run call.
+func batchTraceRun(t *testing.T, n int, cfg Config, fast, faults, step bool) ([]batchTraceRow, Stats) {
 	t.Helper()
 	ch, err := sinr.NewChannel(sinr.DefaultParams(10), latticePositions(n))
 	if err != nil {
@@ -125,9 +127,6 @@ func batchTraceRun(t *testing.T, n int, cfg Config, fast, faults bool, batch int
 	}
 	if faults {
 		cfg.Faults = &crashJamHook{crashSlot: 25}
-	}
-	if batch >= 0 {
-		cfg.Batch = batch
 	}
 	nodes := make([]Node, n)
 	for i := range nodes {
@@ -147,7 +146,7 @@ func batchTraceRun(t *testing.T, n int, cfg Config, fast, faults bool, batch int
 		trace = append(trace, row)
 	}))
 	leg := func(slots int64) {
-		if batch < 0 {
+		if step {
 			for i := int64(0); i < slots; i++ {
 				eng.Step()
 			}
@@ -167,54 +166,45 @@ func batchTraceRun(t *testing.T, n int, cfg Config, fast, faults bool, batch int
 	return trace, eng.Stats()
 }
 
-// TestRunBatchBitIdentity pins the batching contract: Run at batch sizes
-// {1, 7, 64} produces executions bit-identical to the slot-at-a-time Step
-// loop, across the sequential and fused parallel drivers, both evaluator
-// families, with and without a crash+jam fault plan, and with mid-run
-// ApplyEpoch flushes between Run legs.
+// workerConfigs are the engine configurations the batch tests run under:
+// one worker, and a parallel evaluator's receiver scan split across four.
+var workerConfigs = []struct {
+	name string
+	cfg  Config
+}{
+	{"serial", Config{Seed: engineSeed, Workers: 1}},
+	{"workers4", Config{Seed: engineSeed, Workers: 4}},
+}
+
+// TestRunBatchBitIdentity pins the batch contract: one Run call per leg
+// produces an execution bit-identical to the slot-at-a-time Step loop, on
+// both evaluator families and worker counts, with and without a crash+jam
+// fault plan, and with mid-run ApplyEpoch calls between Run legs.
 func TestRunBatchBitIdentity(t *testing.T) {
 	const n = 24
-	drivers := []struct {
-		name string
-		cfg  Config
-	}{
-		{"serial", Config{Seed: engineSeed, Workers: 1}},
-		{"fused4", Config{Seed: engineSeed, Parallel: true, Workers: 4}},
-	}
 	for _, fast := range []bool{false, true} {
 		for _, faults := range []bool{false, true} {
-			for _, drv := range drivers {
-				name := fmt.Sprintf("fast=%v/faults=%v/%s", fast, faults, drv.name)
-				t.Run(name, func(t *testing.T) {
-					refTrace, refStats := batchTraceRun(t, n, drv.cfg, fast, faults, -1)
-					for _, batch := range []int{1, 7, 64} {
-						trace, stats := batchTraceRun(t, n, drv.cfg, fast, faults, batch)
-						if stats != refStats {
-							t.Fatalf("batch=%d: stats diverged: %+v vs %+v", batch, stats, refStats)
+			for _, wc := range workerConfigs {
+				t.Run(fmt.Sprintf("fast=%v/faults=%v/%s", fast, faults, wc.name), func(t *testing.T) {
+					refTrace, refStats := batchTraceRun(t, n, wc.cfg, fast, faults, true)
+					trace, stats := batchTraceRun(t, n, wc.cfg, fast, faults, false)
+					if stats != refStats {
+						t.Fatalf("stats diverged: %+v vs %+v", stats, refStats)
+					}
+					if len(trace) != len(refTrace) {
+						t.Fatalf("%d slots traced, want %d", len(trace), len(refTrace))
+					}
+					for i := range trace {
+						got, want := trace[i], refTrace[i]
+						if got.slot != want.slot || got.engSlot != want.engSlot {
+							t.Fatalf("slot %d: observed slot=%d engSlot=%d, want slot=%d engSlot=%d",
+								i, got.slot, got.engSlot, want.slot, want.engSlot)
 						}
-						if len(trace) != len(refTrace) {
-							t.Fatalf("batch=%d: %d slots traced, want %d", batch, len(trace), len(refTrace))
+						if !slices.Equal(got.tx, want.tx) {
+							t.Fatalf("slot %d: transmitters %v, want %v", i, got.tx, want.tx)
 						}
-						for i := range trace {
-							got, want := trace[i], refTrace[i]
-							if got.slot != want.slot || got.engSlot != want.engSlot {
-								t.Fatalf("batch=%d slot %d: observed slot=%d engSlot=%d, want slot=%d engSlot=%d",
-									batch, i, got.slot, got.engSlot, want.slot, want.engSlot)
-							}
-							if len(got.tx) != len(want.tx) {
-								t.Fatalf("batch=%d slot %d: %d transmitters, want %d", batch, i, len(got.tx), len(want.tx))
-							}
-							for j := range got.tx {
-								if got.tx[j] != want.tx[j] {
-									t.Fatalf("batch=%d slot %d: tx[%d]=%d, want %d", batch, i, j, got.tx[j], want.tx[j])
-								}
-							}
-							for j := range got.senders {
-								if got.senders[j] != want.senders[j] {
-									t.Fatalf("batch=%d slot %d node %d: decoded %d, want %d",
-										batch, i, j, got.senders[j], want.senders[j])
-								}
-							}
+						if !slices.Equal(got.senders, want.senders) {
+							t.Fatalf("slot %d: decoded senders %v, want %v", i, got.senders, want.senders)
 						}
 					}
 				})
@@ -226,110 +216,94 @@ func TestRunBatchBitIdentity(t *testing.T) {
 // TestBatchObserverOrdering is the observer-semantics property test: every
 // observer and the fault hook see each slot exactly once, in slot order,
 // observers fire in registration order within a slot, and Engine.Slot() is
-// consistent (== the slot being finished) at callback time — across batch
-// sizes {1, 7, 64} and both drivers, under a crash+jam fault plan.
+// consistent (== the slot being finished) at callback time — with the
+// slots split into Run calls of {1, 7, 64} slots each, under a crash+jam
+// fault plan.
 func TestBatchObserverOrdering(t *testing.T) {
 	const n, slots = 32, 100
-	drivers := []struct {
-		name string
-		cfg  Config
-	}{
-		{"serial", Config{Seed: engineSeed, Workers: 1}},
-		{"fused4", Config{Seed: engineSeed, Parallel: true, Workers: 4}},
-	}
-	for _, drv := range drivers {
-		for _, batch := range []int{1, 7, 64} {
-			t.Run(fmt.Sprintf("%s/batch=%d", drv.name, batch), func(t *testing.T) {
-				ch, err := sinr.NewChannel(sinr.DefaultParams(10), latticePositions(n))
-				if err != nil {
-					t.Fatal(err)
-				}
-				hook := &crashJamHook{crashSlot: 20}
-				cfg := drv.cfg
-				cfg.Batch = batch
-				cfg.Faults = hook
-				nodes := make([]Node, n)
-				for i := range nodes {
-					nodes[i] = &randomNode{p: 0.2}
-				}
-				eng, err := NewEngine(ch, nodes, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// firings records (observer id, slot) in callback order; the
-				// Slot() consistency check runs inside the callbacks.
-				type firing struct {
-					obs  int
-					slot int64
-				}
-				var firings []firing
-				for obs := 0; obs < 2; obs++ {
-					id := obs
-					eng.AddObserver(ObserverFunc(func(slot int64, tx []int, recs []sinr.Reception) {
-						if got := eng.Slot(); got != slot {
-							t.Errorf("observer %d at slot %d: Engine.Slot() = %d", id, slot, got)
-						}
-						firings = append(firings, firing{id, slot})
-					}))
-				}
-				if ran, _ := eng.Run(slots, nil); ran != slots {
-					t.Fatalf("ran %d slots, want %d", ran, slots)
-				}
-				if len(firings) != 2*slots {
-					t.Fatalf("%d observer firings, want %d", len(firings), 2*slots)
-				}
-				for i, f := range firings {
-					wantObs, wantSlot := i%2, int64(i/2)
-					if f.obs != wantObs || f.slot != wantSlot {
-						t.Fatalf("firing %d = observer %d slot %d, want observer %d slot %d",
-							i, f.obs, f.slot, wantObs, wantSlot)
-					}
-				}
-				if len(hook.slots) != slots {
-					t.Fatalf("hook saw %d slots, want %d", len(hook.slots), slots)
-				}
-				for i, s := range hook.slots {
-					if s != int64(i) {
-						t.Fatalf("hook SlotStart %d fired for slot %d", i, s)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestRunBatchStopsWithinBatch pins the graceful-shutdown property behind
-// the -batch flags: the stop condition is polled before every slot even
-// inside an open micro-batch, so Run halts within the batch the condition
-// fires in — not at its boundary.
-func TestRunBatchStopsWithinBatch(t *testing.T) {
-	for _, drv := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"serial", Config{Seed: 1, Batch: 64}},
-		{"fused", Config{Seed: 1, Batch: 64, Parallel: true, Workers: 2}},
-	} {
-		t.Run(drv.name, func(t *testing.T) {
-			ch := twoNodeChannel(t, 5)
-			sender := &beaconNode{period: 1, offset: 0}
-			listener := &beaconNode{}
-			eng, err := NewEngine(ch, []Node{sender, listener}, drv.cfg)
+	for _, batch := range []int64{1, 7, 64} {
+		t.Run(fmt.Sprintf("serial/batch=%d", batch), func(t *testing.T) {
+			ch, err := sinr.NewChannel(sinr.DefaultParams(10), latticePositions(n))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ran, stopped := eng.Run(100, func() bool { return len(listener.received) >= 3 })
-			if ran != 3 || !stopped {
-				t.Fatalf("Run = (%d, %v), want (3, true): stop must take effect mid-batch", ran, stopped)
+			hook := &crashJamHook{crashSlot: 20}
+			cfg := Config{Seed: engineSeed, Workers: 1, Faults: hook}
+			nodes := make([]Node, n)
+			for i := range nodes {
+				nodes[i] = &randomNode{p: 0.2}
+			}
+			eng, err := NewEngine(ch, nodes, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// firings records (observer id, slot) in callback order; the
+			// Slot() consistency check runs inside the callbacks.
+			type firing struct {
+				obs  int
+				slot int64
+			}
+			var firings []firing
+			for obs := 0; obs < 2; obs++ {
+				id := obs
+				eng.AddObserver(ObserverFunc(func(slot int64, tx []int, recs []sinr.Reception) {
+					if got := eng.Slot(); got != slot {
+						t.Errorf("observer %d at slot %d: Engine.Slot() = %d", id, slot, got)
+					}
+					firings = append(firings, firing{id, slot})
+				}))
+			}
+			for left := int64(slots); left > 0; left -= batch {
+				if ran, _ := eng.Run(min(batch, left), nil); ran != min(batch, left) {
+					t.Fatalf("Run ran %d slots, want %d", ran, min(batch, left))
+				}
+			}
+			if len(firings) != 2*slots {
+				t.Fatalf("%d observer firings, want %d", len(firings), 2*slots)
+			}
+			for i, f := range firings {
+				wantObs, wantSlot := i%2, int64(i/2)
+				if f.obs != wantObs || f.slot != wantSlot {
+					t.Fatalf("firing %d = observer %d slot %d, want observer %d slot %d",
+						i, f.obs, f.slot, wantObs, wantSlot)
+				}
+			}
+			if len(hook.slots) != slots {
+				t.Fatalf("hook saw %d slots, want %d", len(hook.slots), slots)
+			}
+			for i, s := range hook.slots {
+				if s != int64(i) {
+					t.Fatalf("hook SlotStart %d fired for slot %d", i, s)
+				}
 			}
 		})
 	}
 }
 
-// TestBatchFlushGuards pins the flush contract: state mutations and engine
-// re-entry from an observer inside an open batch are rejected (error for
-// ApplyEpoch/Reset, panic for Step/Run), while the same calls between
-// Run/RunBatch invocations — the natural flush points — succeed.
+// TestRunBatchStopsWithinBatch pins the graceful-shutdown property behind
+// sinrsim's SIGINT handling: the stop condition is polled before every
+// slot, so Run halts in the slot the condition fires in — not at the end
+// of its batch.
+func TestRunBatchStopsWithinBatch(t *testing.T) {
+	t.Run("serial", func(t *testing.T) {
+		ch := twoNodeChannel(t, 5)
+		sender := &beaconNode{period: 1, offset: 0}
+		listener := &beaconNode{}
+		eng, err := NewEngine(ch, []Node{sender, listener}, Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran, stopped := eng.Run(100, func() bool { return len(listener.received) >= 3 })
+		if ran != 3 || !stopped {
+			t.Fatalf("Run = (%d, %v), want (3, true): stop must take effect within the batch", ran, stopped)
+		}
+	})
+}
+
+// TestBatchFlushGuards pins the re-entry contract: state mutations and
+// engine re-entry from an observer inside a running batch are rejected
+// (error for ApplyEpoch/Reset, panic for Step/Run), while the same calls
+// between Run invocations succeed.
 func TestBatchFlushGuards(t *testing.T) {
 	const n = 8
 	ch, err := sinr.NewChannel(sinr.DefaultParams(10), latticePositions(n))
@@ -340,7 +314,7 @@ func TestBatchFlushGuards(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = &randomNode{p: 0.2}
 	}
-	eng, err := NewEngine(ch, nodes, Config{Seed: 1, Batch: 8})
+	eng, err := NewEngine(ch, nodes, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +337,8 @@ func TestBatchFlushGuards(t *testing.T) {
 			eng.Run(1, nil)
 		}()
 	}))
-	if got := eng.RunBatch(8); got != 8 {
-		t.Fatalf("RunBatch ran %d slots, want 8", got)
+	if got, _ := eng.Run(8, nil); got != 8 {
+		t.Fatalf("Run ran %d slots, want 8", got)
 	}
 	if !probed {
 		t.Fatal("observer never probed the guards")
@@ -381,7 +355,7 @@ func TestBatchFlushGuards(t *testing.T) {
 	if runPanic == nil {
 		t.Error("Run inside a batch did not panic")
 	}
-	// Between batches the engine is flushed: Reset succeeds and replays.
+	// Between batches Reset succeeds and the engine runs again.
 	fresh := make([]Node, n)
 	for i := range fresh {
 		fresh[i] = &randomNode{p: 0.2}
@@ -389,28 +363,22 @@ func TestBatchFlushGuards(t *testing.T) {
 	if err := eng.Reset(fresh, 1); err != nil {
 		t.Fatalf("Reset between batches failed: %v", err)
 	}
-	if got := eng.RunBatch(4); got != 4 {
-		t.Fatalf("RunBatch after Reset ran %d slots, want 4", got)
+	if got, _ := eng.Run(4, nil); got != 4 {
+		t.Fatalf("Run after Reset ran %d slots, want 4", got)
 	}
 }
 
-// TestRunBatchAllocFree pins the steady-state allocation contract for the
-// batched path on both drivers: after warm-up, a 64-slot micro-batch
-// allocates nothing.
+// TestRunBatchAllocFree pins the steady-state allocation contract for a
+// batch at both worker counts: after warm-up, a 64-slot Run allocates
+// nothing.
 func TestRunBatchAllocFree(t *testing.T) {
-	for _, drv := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"serial", Config{Seed: engineSeed, Workers: 1, Batch: 64}},
-		{"fused4", Config{Seed: engineSeed, Parallel: true, Workers: 4, Batch: 64}},
-	} {
-		t.Run(drv.name, func(t *testing.T) {
-			_, eng := buildScenario(t, 64, 7, true, drv.cfg)
-			eng.RunBatch(256) // warm up scratch growth
-			allocs := testing.AllocsPerRun(20, func() { eng.RunBatch(64) })
+	for _, wc := range workerConfigs {
+		t.Run(wc.name, func(t *testing.T) {
+			_, eng := buildScenario(t, 64, 7, true, wc.cfg)
+			eng.Run(256, nil) // warm up scratch growth
+			allocs := testing.AllocsPerRun(20, func() { eng.Run(64, nil) })
 			if allocs != 0 {
-				t.Fatalf("RunBatch allocated %.1f times per 64-slot batch, want 0", allocs)
+				t.Fatalf("Run allocated %.1f times per 64-slot batch, want 0", allocs)
 			}
 		})
 	}

@@ -5,29 +5,17 @@ import (
 	"strings"
 	"testing"
 
-	"sinrmac/internal/geom"
-	"sinrmac/internal/rng"
 	"sinrmac/internal/sinr"
 )
 
 // TestEngineStepBothDrivers is the engine-step smoke the CI race job runs:
-// a few slots through Step and Run under the sequential driver and the
-// fused parallel driver (on four workers, and on GOMAXPROCS, which is the
-// sequential loop on one CPU) must produce identical executions (stats and
-// per-node counters), with the fast evaluator sharing the engine's pool.
+// a few slots driven through both Step and Run, on one worker and with the
+// fast evaluator splitting its receiver scan across four pool workers, must
+// produce identical executions (stats and per-node counters).
 func TestEngineStepBothDrivers(t *testing.T) {
-	type variant struct {
-		name string
-		cfg  Config
-	}
-	variants := []variant{
-		{"serial", Config{Seed: engineSeed}},
-		{"parallel", Config{Seed: engineSeed, Parallel: true, Workers: 4}},
-		{"parallel-gomaxprocs", Config{Seed: engineSeed, Parallel: true}},
-	}
 	var refNodes []*randomNode
 	var refStats Stats
-	for i, v := range variants {
+	for i, v := range workerConfigs {
 		nodes, eng := buildScenario(t, 80, 7, true, v.cfg)
 		for s := 0; s < 8; s++ {
 			eng.Step()
@@ -50,8 +38,7 @@ func TestEngineStepBothDrivers(t *testing.T) {
 }
 
 // boomEvaluator is the fast evaluator with a panic injected into its at-th
-// SlotReceptions call: a panic in a serial interlude, which on the parallel
-// driver runs inside the slot loop's open workpool session.
+// SlotReceptions call.
 type boomEvaluator struct {
 	*sinr.FastChannel
 	calls, at int
@@ -98,11 +85,10 @@ func runRecovered(eng *Engine, slots int64) (v interface{}) {
 
 // TestPanicReleasesSlotLoop is the regression test for a panic escaping the
 // slot loop with no fault hook installed: from a node's Tick (slot 20),
-// from the evaluator (slot 10, a serial interlude of the parallel driver's
-// session) or from an observer (slot 40, in the middle of a micro-batch).
-// On both drivers the panic propagates out of Run, and the loop releases
-// its workpool session and re-entry guard, so the engine accepts Reset and
-// runs again.
+// from the evaluator (slot 10) or from an observer (slot 40, in the middle
+// of a Run). On one worker and with a parallel evaluator on two, the panic
+// propagates out of Run, and the loop releases its re-entry guard, so the
+// engine accepts Reset and runs again.
 func TestPanicReleasesSlotLoop(t *testing.T) {
 	const n = 80
 	for _, drv := range []struct {
@@ -110,7 +96,7 @@ func TestPanicReleasesSlotLoop(t *testing.T) {
 		cfg  Config
 	}{
 		{"serial", Config{Seed: engineSeed, Workers: 1}},
-		{"parallel", Config{Seed: engineSeed, Parallel: true, Workers: 2}},
+		{"parallel", Config{Seed: engineSeed, Workers: 2}},
 	} {
 		for _, source := range []string{"tick", "evaluator", "observer"} {
 			t.Run(drv.name+"/"+source, func(t *testing.T) {
@@ -151,47 +137,5 @@ func TestPanicReleasesSlotLoop(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkEngineStepDrivers compares the slot drivers on one deployment:
-// the numbers feed nothing automatically (cmd/macbench owns the gate) but
-// make `go test -bench` comparisons convenient.
-func BenchmarkEngineStepDrivers(b *testing.B) {
-	for _, v := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"serial", Config{Seed: engineSeed}},
-		{"parallel", Config{Seed: engineSeed, Parallel: true}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			src := rng.New(5)
-			pos := make([]geom.Point, 1000)
-			for i := range pos {
-				pos[i] = geom.Point{X: src.Float64() * 260, Y: src.Float64() * 260}
-			}
-			ch, err := sinr.NewChannel(sinr.DefaultParams(12), pos)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fast := sinr.NewFastChannel(ch)
-			defer fast.Close()
-			nodes := make([]Node, len(pos))
-			for i := range nodes {
-				nodes[i] = &randomNode{p: 0.05}
-			}
-			cfg := v.cfg
-			cfg.Evaluator = fast
-			eng, err := NewEngine(ch, nodes, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng.Run(64, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Step()
-			}
-		})
 	}
 }

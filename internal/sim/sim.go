@@ -11,26 +11,13 @@
 //
 // Node automata never see positions, the set of transmitters, or other
 // nodes' state: all coordination happens through transmitted frames, as in
-// the paper's model. The engine supports both a sequential driver and a
-// worker-pool parallel driver; both produce identical executions for
-// well-behaved (share-nothing) nodes.
+// the paper's model.
 //
-// # Parallel driver
-//
-// Step, Run and RunBatch all go through one slot loop. It runs the phases
-// either inline (the sequential driver) or inside one fused workpool
-// session (the parallel driver). In the session the pool's helpers are
-// woken at most once per call, the phase hand-offs are spin-then-park
-// barriers instead of full park/unpark round trips, and every phase is
-// split across all resolved workers.
-//
-// The choice is static: Config.Parallel runs the parallel driver whenever
-// the resolved worker count exceeds 1. At GOMAXPROCS = 1 (or Workers: 1)
-// that is the sequential loop. The engine reads no wall clock. On a 2-CPU
-// host the parallel driver on 2 workers ran the combined MAC at n = 4096 in
-// 1.24–1.58 s against 2.31–2.41 s sequential, and Decay in 1.68–2.63 s
-// against 2.25–2.91 s. On the synthetic √n-transmitter step it cost 1.11×
-// at n = 2000 (206 vs 186 µs/slot) and won at n = 5000.
+// Step and Run go through one serial slot loop: the tick and receive phases
+// run on the calling goroutine in node order, and the engine reads no wall
+// clock. Only a parallel evaluator splits work across goroutines: its
+// receiver scan runs on the evaluator's own worker pool (internal/workpool),
+// sized by Config.Workers, and is bit-identical at any worker count.
 //
 // # Frame lifecycle
 //
@@ -44,57 +31,36 @@
 // must copy it, and stale fields from earlier slots are never cleared (see
 // the Frame documentation for the full rules).
 //
-// The parallel driver's tick and receive phases, and a parallel channel
-// evaluator's receiver scan, all run on one persistent worker pool
-// (internal/workpool) whose goroutines are parked between phases rather
-// than respawned per slot.
-//
 // Deployments may churn mid-execution: Engine.ApplyEpoch applies a
 // committed topology epoch between slots — the evaluator patches its
 // state, surviving automata keep their protocol state and follow the
 // swap-remove relabels, and only added nodes are initialised.
 //
-// # Batched execution
+// # Re-entry
 //
-// Run and RunBatch execute slots in micro-batches of Config.Batch slots,
-// each one call of the slot loop: on the parallel driver a whole
-// micro-batch runs inside one fused workpool session, so the helpers are
-// woken once per batch (instead of once per slot) and the phase barrier
-// advances through 3·b phases before the helpers park again. The session
-// closes on every exit path, including a panic out of a node or observer.
-// Batching changes wall clock only, never the
-// execution: observers, recorders, the fault hook's serial sections, stat
-// counters and the stop() poll all fire once per slot, in exact slot
-// order, at the same pipeline points as a slot-at-a-time Step loop — a
-// batch size of 1 is bit-identical to calling Step in a loop, and so is
-// every other batch size (TestRunBatchBitIdentity pins it across drivers,
-// worker counts, fault plans and churn epochs).
-//
-// Because observers run inside the slot loop (on the parallel driver,
-// inside its open session), they must not re-enter the engine: Step, Run
-// and RunBatch panic when called from an observer, and ApplyEpoch and
-// Reset — state mutations that require a batch flush — return an error
-// instead. Between Step/Run/RunBatch calls the batch is always flushed, so
-// the usual call sites (applying a
-// churn epoch between Run legs, resetting for the next trial) need no
-// changes at any batch size.
+// Observers, recorders, the fault hook, stat counters and the stop() poll
+// all fire once per slot, in exact slot order, so a Run of b slots is
+// bit-identical to b calls of Step. Because observers run inside the slot
+// loop, they must not re-enter the engine: Step and Run panic when called
+// from an observer, and ApplyEpoch and Reset — state mutations that must
+// land between Step/Run calls — return an error instead. The guard is
+// released on every exit path, including a panic out of a node or
+// observer.
 package sim
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"sinrmac/internal/rng"
 	"sinrmac/internal/sinr"
-	"sinrmac/internal/workpool"
 )
 
 // Node is a per-node protocol automaton.
 //
-// Implementations must confine their state to the single node: the engine
-// may invoke different nodes' methods concurrently (never the same node's),
-// so sharing mutable state between Node instances is a data race.
+// Implementations must confine their state to the single node: in the
+// paper's model nodes coordinate only through transmitted frames, and the
+// engine's node order is not part of any protocol's contract.
 type Node interface {
 	// Init is called exactly once before the first slot with the node's id
 	// and a private random source.
@@ -157,28 +123,21 @@ type Config struct {
 	// Seed seeds the per-node random sources. Identical seeds and nodes
 	// reproduce identical executions.
 	Seed uint64
-	// Parallel selects the worker-pool driver whenever the resolved worker
-	// count (see Workers) exceeds 1: the tick, evaluation and receive
-	// phases of each slot then run inside one fused workpool session, split
-	// across every worker. With one resolved worker — Workers: 1, or
-	// GOMAXPROCS = 1 — Parallel runs the sequential loop. The execution is
-	// identical to the sequential driver's; only wall-clock time differs.
+	// Deprecated: has no effect; the engine has one serial slot loop, and
+	// only a parallel evaluator uses more than one worker (see Workers).
 	Parallel bool
-	// Deprecated: has no effect; Parallel alone selects the driver.
+	// Deprecated: has no effect.
 	PinDriver bool
-	// Workers bounds the number of pool workers used by the parallel
-	// driver and by a parallel channel evaluator. Zero means GOMAXPROCS.
-	// The count is resolved once at construction (and Reset), not per
-	// slot.
+	// Workers bounds the number of pool workers a parallel channel
+	// evaluator (sinr.ParallelEvaluator) splits its receiver scan across.
+	// Zero means GOMAXPROCS. The count is resolved at construction and
+	// after each ApplyEpoch, never per slot.
 	Workers int
 	// Evaluator selects the SINR slot evaluator. Nil means the channel
 	// itself (the naive reference path); pass sinr.NewFastChannel(channel)
 	// to select the arena-backed parallel engine. The evaluator must be
 	// built over the same deployment as the channel. If it implements
-	// sinr.ParallelEvaluator, the engine wires its worker count into it,
-	// and if it exposes a WorkerPool the engine runs its own parallel
-	// phases on the same pool, so one set of parked goroutines serves the
-	// whole slot pipeline.
+	// sinr.ParallelEvaluator, the engine wires its worker count into it.
 	//
 	// Fast evaluators reuse their Reception slice across slots, so observers
 	// registered on an engine with a non-nil Evaluator must copy the slice
@@ -190,22 +149,7 @@ type Config struct {
 	// leaves the slot pipeline untouched; a hook whose plan injects nothing
 	// produces an execution bit-identical to running without one.
 	Faults FaultHook
-	// Batch is the micro-batch size used by Run and RunBatch: up to this
-	// many consecutive slots execute inside one fused workpool session, so
-	// the pool's helpers are woken once per batch instead of once per slot.
-	// Zero selects DefaultBatchSlots; one runs slot-at-a-time (exactly the
-	// Step loop). Batching never changes the execution — observers, fault
-	// hooks, stat counters and stop() polls fire per slot, in slot order,
-	// at the same pipeline points regardless of batch size — so the knob
-	// trades nothing but wall clock.
-	Batch int
 }
-
-// DefaultBatchSlots is the micro-batch size Run and RunBatch use when
-// Config.Batch is zero. Large enough to amortise the per-batch session
-// wake/park down to noise, small enough that a stop condition, SIGINT poll
-// or churn boundary is never more than a few dozen slots away.
-const DefaultBatchSlots = 64
 
 // Engine drives a set of node automata over an SINR channel.
 type Engine struct {
@@ -214,7 +158,6 @@ type Engine struct {
 	nodes     []Node
 	observers []Observer
 	cfg       Config
-	workers   int // resolved worker count, cached at construction/Reset
 
 	slot   int64
 	stats  Stats
@@ -229,50 +172,22 @@ type Engine struct {
 
 	// frames is the per-node frame pool: frames[i] is handed to node i on
 	// every Tick and delivered to its receivers on decode. Allocated once.
-	frames []Frame
-	// sent[i] records whether node i transmits this slot (parallel tick
-	// phase); the sequential phase appends to txScratch directly.
-	sent      []bool
+	frames    []Frame
 	txScratch []int
-	rxCounts  []int64 // scratch: per-worker reception subtotals
-
-	// pool runs the parallel tick/receive phases; shared with the
-	// evaluator when it exposes one. tickTask/recvTask are the pool task
-	// headers, allocated once so submitting a phase allocates nothing.
-	pool     *workpool.Pool
-	tickTask phaseTask
-	recvTask phaseTask
-	tickSlot int64
-	rxSlot   int64
-	rxRec    []sinr.Reception
 
 	// Fault-injection state (used only when cfg.Faults is non-nil). inert
 	// is the hook's per-slot bitmap (nil when no node is inert), realTx the
 	// count of real transmitters before jammer injection, and pendingPanics
-	// the recovered node panics awaiting serial hand-off to the hook.
+	// the recovered node panics awaiting hand-off to the hook.
 	faults        FaultHook
 	inert         []bool
 	realTx        int
-	panicMu       sync.Mutex
 	pendingPanics []panicRecord
 
-	// batch is the resolved micro-batch size (Config.Batch, defaulted);
-	// inBatch guards against engine re-entry from observers while the slot
-	// loop (and on the parallel driver its workpool session) is open.
-	batch   int
-	inBatch bool
+	// running guards against engine re-entry from observers while the slot
+	// loop is open.
+	running bool
 }
-
-// phaseTask adapts one engine phase to workpool.Task. The fn indirection
-// (a method expression, assigned once) lets both phases share the type
-// without per-slot closures.
-type phaseTask struct {
-	e  *Engine
-	fn func(e *Engine, lo, hi, worker int)
-}
-
-// RunChunk implements workpool.Task.
-func (t *phaseTask) RunChunk(lo, hi, worker int) { t.fn(t.e, lo, hi, worker) }
 
 // Stats accumulates aggregate counters over an execution.
 type Stats struct {
@@ -313,32 +228,12 @@ func NewEngine(channel *sinr.Channel, nodes []Node, cfg Config) (*Engine, error)
 		nodes:  append([]Node(nil), nodes...),
 		cfg:    cfg,
 		frames: make([]Frame, len(nodes)),
-		sent:   make([]bool, len(nodes)),
+		faults: cfg.Faults,
 	}
-	e.tickTask = phaseTask{e: e, fn: (*Engine).tickChunk}
-	e.recvTask = phaseTask{e: e, fn: (*Engine).recvChunk}
-	e.faults = cfg.Faults
-	if e.faults != nil {
-		e.tickTask.fn = (*Engine).tickChunkFaults
-		e.recvTask.fn = (*Engine).recvChunkFaults
-	}
-	e.workers = e.resolveWorkers()
-	e.rxCounts = make([]int64, e.workers)
-	e.batch = resolveBatch(cfg.Batch)
 	for i := range e.frames {
 		e.frames[i].From = i
 	}
-	if pe, ok := evaluator.(sinr.ParallelEvaluator); ok {
-		pe.SetWorkers(e.workers)
-	}
-	// Run the engine's own parallel phases on the evaluator's persistent
-	// pool when it has one; otherwise own a pool (only the parallel driver
-	// ever uses it).
-	if ph, ok := evaluator.(interface{ WorkerPool() *workpool.Pool }); ok {
-		e.pool = ph.WorkerPool()
-	} else if cfg.Parallel {
-		e.pool = workpool.New()
-	}
+	e.setEvaluatorWorkers()
 	e.nextID = len(nodes)
 	master := rng.New(cfg.Seed)
 	for i, n := range nodes {
@@ -367,8 +262,8 @@ func NewEngine(channel *sinr.Channel, nodes []Node, cfg Config) (*Engine, error)
 // built cell indices) is keyed only to the immutable deployment, so it
 // carries over safely.
 func (e *Engine) Reset(nodes []Node, seed uint64) error {
-	if e.inBatch {
-		return fmt.Errorf("sim: Reset called from inside a running batch; return from Run/RunBatch first")
+	if e.running {
+		return fmt.Errorf("sim: Reset called from inside the slot loop; return from Step/Run first")
 	}
 	if len(nodes) != len(e.nodes) {
 		return fmt.Errorf("sim: Reset with %d nodes on a %d-node engine", len(nodes), len(e.nodes))
@@ -385,11 +280,6 @@ func (e *Engine) Reset(nodes []Node, seed uint64) error {
 	e.txScratch = e.txScratch[:0]
 	for i := range e.frames {
 		e.frames[i] = Frame{From: i}
-		e.sent[i] = false
-	}
-	e.workers = e.resolveWorkers()
-	if len(e.rxCounts) < e.workers {
-		e.rxCounts = make([]int64, e.workers)
 	}
 	e.cfg.Seed = seed
 	e.epochs = 0
@@ -435,8 +325,8 @@ const churnInitLabel uint64 = 0xc402c4
 // (Seed, churn, epoch#, identity) labels, so executions remain
 // reproducible. ApplyEpoch must not be called concurrently with Step.
 func (e *Engine) ApplyEpoch(delta *sinr.EpochDelta, newNode func(id int) Node) error {
-	if e.inBatch {
-		return fmt.Errorf("sim: ApplyEpoch called from inside a running batch; return from Run/RunBatch first")
+	if e.running {
+		return fmt.Errorf("sim: ApplyEpoch called from inside the slot loop; return from Step/Run first")
 	}
 	ap, ok := e.evaluator.(sinr.EpochApplier)
 	if !ok {
@@ -500,22 +390,8 @@ func (e *Engine) ApplyEpoch(delta *sinr.EpochDelta, newNode func(id int) Node) e
 	for i := range e.frames {
 		e.frames[i] = Frame{From: i}
 	}
-	if delta.NewN > cap(e.sent) {
-		e.sent = make([]bool, delta.NewN)
-	} else {
-		e.sent = e.sent[:delta.NewN]
-	}
-	for i := range e.sent {
-		e.sent[i] = false
-	}
 	e.txScratch = e.txScratch[:0]
-	e.workers = e.resolveWorkers()
-	if len(e.rxCounts) < e.workers {
-		e.rxCounts = make([]int64, e.workers)
-	}
-	if pe, ok := e.evaluator.(sinr.ParallelEvaluator); ok {
-		pe.SetWorkers(e.workers)
-	}
+	e.setEvaluatorWorkers()
 	// Per-node fault state (crash schedules, inert bits) follows the same
 	// relabels the node table just applied.
 	if e.faults != nil {
@@ -549,67 +425,34 @@ func (e *Engine) Evaluator() sinr.ChannelEvaluator { return e.evaluator }
 // and for layering higher-level protocols on top of MAC automata.
 func (e *Engine) Node(id int) Node { return e.nodes[id] }
 
-// Step simulates exactly one slot: it is the slot loop run for one slot, so
-// on the parallel driver every Step opens and closes one workpool session.
-// Step must not be called from an observer (the slot loop is still open);
-// doing so panics.
+// Step simulates exactly one slot. Step must not be called from an
+// observer (the slot loop is still open); doing so panics.
 func (e *Engine) Step() { e.runSlots(1, nil) }
-
-// resolveBatch derives the effective micro-batch size from the
-// configuration.
-func resolveBatch(b int) int {
-	if b <= 0 {
-		return DefaultBatchSlots
-	}
-	return b
-}
 
 // runSlots is the engine's one slot loop. It simulates up to take slots,
 // polling stop (when non-nil) before each, and reports how many ran and
-// whether stop ended the loop. Every slot runs tick → collect → (hook:
-// perturb) → evaluate → (hook: drain panics, filter) → receive → (hook:
-// drain panics) → finish. On the parallel driver the tick and receive
-// phases, and a parallel evaluator's chunks, run on one workpool session
-// that spans the whole call. Everything serial — transmitter collection,
-// the fault hook, stat counters, observers, the stop poll — runs on the
-// calling goroutine between the phases, in slot order, so the execution is
-// the same on either driver and at any take. The session and the re-entry
-// guard are released on every exit path, a panic included.
+// whether stop ended the loop. Every slot runs tick → (hook: perturb) →
+// evaluate → (hook: drain panics, filter) → receive → (hook: drain panics)
+// → finish, all on the calling goroutine and in slot order. The re-entry
+// guard is released on every exit path, a panic included.
 func (e *Engine) runSlots(take int64, stop func() bool) (ran int64, stopped bool) {
-	if e.inBatch {
-		panic("sim: Step/Run/RunBatch called from inside a running batch")
+	if e.running {
+		panic("sim: Step/Run called from inside the slot loop")
 	}
-	parallel := e.cfg.Parallel && e.workers > 1
-	e.inBatch = true
-	if parallel {
-		e.pool.Begin(e.workers)
-	}
-	defer e.endSlots(parallel)
+	e.running = true
+	defer func() { e.running = false }()
 	hook := e.faults
-	n := len(e.nodes)
 	for ; ran < take; ran++ {
 		if stop != nil && stop() {
 			return ran, true
 		}
 		slot := e.slot
 		if hook != nil {
-			e.inert = hook.SlotStart(slot, n)
+			e.inert = hook.SlotStart(slot, len(e.nodes))
 		}
 		e.txScratch = e.txScratch[:0]
-		e.tickSlot = slot
-		if parallel {
-			e.pool.Run(n, e.workers, &e.tickTask)
-			for i, sent := range e.sent {
-				if sent {
-					e.sent[i] = false
-					e.frames[i].From = i
-					e.txScratch = append(e.txScratch, i)
-				}
-			}
-		} else {
-			for i := 0; i < n; {
-				i = e.tickRun(i, n)
-			}
+		for i := 0; i < len(e.nodes); {
+			i = e.tickRun(slot, i)
 		}
 		if hook != nil {
 			e.realTx = len(e.txScratch)
@@ -620,7 +463,9 @@ func (e *Engine) runSlots(take int64, stop func() bool) (ran int64, stopped bool
 			e.drainPanics(slot)
 			hook.FilterReceptions(slot, receptions)
 		}
-		e.stats.Receptions += e.receive(slot, receptions, parallel)
+		for i := 0; i < len(e.nodes); {
+			i = e.receiveRun(slot, receptions, i)
+		}
 		if hook != nil {
 			e.drainPanics(slot)
 		}
@@ -629,27 +474,18 @@ func (e *Engine) runSlots(take int64, stop func() bool) (ran int64, stopped bool
 	return ran, false
 }
 
-// endSlots releases what runSlots opened: the re-entry guard and, on the
-// parallel driver, the workpool session. It is deferred, so neither stays
-// open when a node or observer panics out of the loop.
-func (e *Engine) endSlots(parallel bool) {
-	e.inBatch = false
-	if parallel {
-		e.pool.End()
-	}
-}
-
-// tickRun is the sequential tick phase over nodes [lo, hi). Transmitters
-// are appended to txScratch directly, in node order: a sent-flag sweep
-// would add an O(n) pass that the engine_step_faults benchmark gate
-// polices. Under a fault hook inert nodes do not tick, and a panicking Tick
-// is recovered — the node is never appended, the panic is queued for the
-// hook, and the index to resume from is returned. Without a hook a node
-// panic propagates.
-func (e *Engine) tickRun(lo, hi int) (next int) {
-	slot, inert := e.tickSlot, e.inert
+// tickRun is the tick phase from node lo on. Transmitters are appended to
+// txScratch in node order. Under a fault hook inert nodes do not tick, and
+// a panicking Tick is recovered — the node is never appended, the panic is
+// queued for the hook, and the index to resume from is returned. Without a
+// hook a node panic propagates.
+//
+//sinrlint:hotpath
+func (e *Engine) tickRun(slot int64, lo int) (next int) {
+	inert := e.inert
 	i := lo
 	if e.faults != nil {
+		//sinrlint:allow hotalloc a directly deferred closure is stack-allocated
 		defer func() {
 			if r := recover(); r != nil {
 				e.recordPanic(i, "tick", r)
@@ -658,26 +494,62 @@ func (e *Engine) tickRun(lo, hi int) (next int) {
 		}()
 	}
 	if inert != nil {
-		for ; i < hi; i++ {
+		for ; i < len(e.nodes); i++ {
 			if !inert[i] && e.nodes[i].Tick(slot, &e.frames[i]) {
 				e.frames[i].From = i
 				e.txScratch = append(e.txScratch, i)
 			}
 		}
-		return hi
+		return i
 	}
-	for ; i < hi; i++ {
+	for ; i < len(e.nodes); i++ {
 		if e.nodes[i].Tick(slot, &e.frames[i]) {
 			e.frames[i].From = i
 			e.txScratch = append(e.txScratch, i)
 		}
 	}
-	return hi
+	return i
 }
 
-// finishSlot applies the per-slot bookkeeping shared by both drivers. Under
-// a fault hook only the real (pre-jammer) transmitters count as
-// transmissions; observers still see the full perturbed transmit set.
+// receiveRun is the receive phase from receiver lo on: it delivers the
+// slot's decoded frames and counts them. Under a fault hook every delivery
+// is routed through DeliverFrame (inert receivers were already scrubbed by
+// FilterReceptions), and a panicking Receive is recovered like a panicking
+// Tick.
+//
+//sinrlint:hotpath
+func (e *Engine) receiveRun(slot int64, receptions []sinr.Reception, lo int) (next int) {
+	hook := e.faults
+	i := lo
+	if hook != nil {
+		//sinrlint:allow hotalloc a directly deferred closure is stack-allocated
+		defer func() {
+			if r := recover(); r != nil {
+				e.recordPanic(i, "receive", r)
+				next = i + 1
+			}
+		}()
+	}
+	for ; i < len(e.nodes); i++ {
+		s := receptions[i].Sender
+		if s < 0 {
+			continue
+		}
+		f := &e.frames[s]
+		if hook != nil {
+			if f = hook.DeliverFrame(slot, i, f); f == nil {
+				continue
+			}
+		}
+		e.nodes[i].Receive(slot, f)
+		e.stats.Receptions++
+	}
+	return i
+}
+
+// finishSlot applies the per-slot bookkeeping. Under a fault hook only the
+// real (pre-jammer) transmitters count as transmissions; observers still
+// see the full perturbed transmit set.
 func (e *Engine) finishSlot(slot int64, receptions []sinr.Reception) {
 	tx := len(e.txScratch)
 	if e.faults != nil {
@@ -691,104 +563,29 @@ func (e *Engine) finishSlot(slot int64, receptions []sinr.Reception) {
 	e.slot++
 }
 
-// resolveWorkers derives the effective worker count from the configuration
-// once; Step never consults GOMAXPROCS.
-func (e *Engine) resolveWorkers() int {
+// setEvaluatorWorkers wires the resolved worker count into a parallel
+// evaluator, once per construction or epoch; Step never consults
+// GOMAXPROCS.
+func (e *Engine) setEvaluatorWorkers() {
+	pe, ok := e.evaluator.(sinr.ParallelEvaluator)
+	if !ok {
+		return
+	}
 	w := e.cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > len(e.nodes) {
-		w = len(e.nodes)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// tickChunk is the parallel tick phase's loop body: nodes [lo, hi) record
-// their transmission decision in the sent flags.
-//
-//sinrlint:hotpath
-func (e *Engine) tickChunk(lo, hi, _ int) {
-	slot := e.tickSlot
-	for i := lo; i < hi; i++ {
-		e.sent[i] = e.nodes[i].Tick(slot, &e.frames[i])
-	}
-}
-
-// recvChunk is the receive phase's loop body: receivers [lo, hi) take their
-// deliveries, counting them into the worker's private subtotal.
-//
-//sinrlint:hotpath
-func (e *Engine) recvChunk(lo, hi, worker int) {
-	slot, rec := e.rxSlot, e.rxRec
-	count := int64(0)
-	for i := lo; i < hi; i++ {
-		if s := rec[i].Sender; s >= 0 {
-			e.nodes[i].Receive(slot, &e.frames[s])
-			count++
-		}
-	}
-	e.rxCounts[worker] = count
-}
-
-// receive delivers the slot's decoded frames — on the worker pool under the
-// parallel driver, inline as one chunk otherwise — and returns the number
-// of deliveries. Each chunk counts into its worker's private subtotal, so
-// the receptions slice is scanned exactly once and the sum is deterministic
-// (integer addition over disjoint chunks).
-func (e *Engine) receive(slot int64, receptions []sinr.Reception, parallel bool) int64 {
-	clear(e.rxCounts)
-	e.rxSlot, e.rxRec = slot, receptions
-	if parallel {
-		e.pool.Run(len(e.nodes), e.workers, &e.recvTask)
-	} else {
-		e.recvTask.RunChunk(0, len(e.nodes), 0)
-	}
-	e.rxRec = nil
-	total := int64(0)
-	for _, c := range e.rxCounts {
-		total += c
-	}
-	return total
+	pe.SetWorkers(max(1, min(w, len(e.nodes))))
 }
 
 // Run simulates slots until stop returns true or maxSlots slots have been
 // simulated, whichever comes first. It returns the number of slots
 // simulated by this call and whether the stop condition was reached. stop
 // is evaluated before each slot (so a condition that already holds
-// simulates nothing) and may be nil to run exactly maxSlots slots.
-//
-// Run executes in micro-batches of Config.Batch slots (see RunBatch): on
-// the parallel driver each micro-batch shares one fused workpool session.
-// The execution — including exactly when stop is polled — is identical to
-// calling Step in a loop at any batch size.
+// simulates nothing) and may be nil to run exactly maxSlots slots. The
+// execution, including exactly when stop is polled, is identical to calling
+// Step in a loop.
 func (e *Engine) Run(maxSlots int64, stop func() bool) (int64, bool) {
-	var done int64
-	for done < maxSlots {
-		ran, stopped := e.runSlots(min(maxSlots-done, int64(e.batch)), stop)
-		done += ran
-		if stopped {
-			return done, true
-		}
-	}
-	return done, stop != nil && stop()
-}
-
-// RunBatch simulates up to b slots as one micro-batch: on the parallel
-// driver the batch runs inside a single fused workpool session (helpers
-// woken once, the phase barrier advancing through 3·b phases). Observers,
-// fault hooks and stat counters fire per slot in exact slot order, so the
-// execution is bit-identical to b calls of Step; only wall clock differs.
-// It returns the number of slots simulated (b, unless b <= 0). Calls
-// between RunBatch/Run invocations — ApplyEpoch, Reset — always see a
-// flushed batch.
-func (e *Engine) RunBatch(b int) int64 {
-	if b <= 0 {
-		return 0
-	}
-	ran, _ := e.runSlots(int64(b), nil)
-	return ran
+	ran, stopped := e.runSlots(maxSlots, stop)
+	return ran, stopped || stop != nil && stop()
 }

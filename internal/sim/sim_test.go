@@ -267,31 +267,15 @@ func buildScenario(t *testing.T, n int, seed uint64, fast bool, cfg Config) ([]*
 }
 
 // buildRandomScenario builds an n-node random deployment with random
-// transmitter nodes for the parallel/sequential equivalence test.
-func buildRandomScenario(t *testing.T, n int, seed uint64, parallel bool) ([]*randomNode, *Engine) {
+// transmitter nodes on the naive reference path.
+func buildRandomScenario(t *testing.T, n int, seed uint64) ([]*randomNode, *Engine) {
 	t.Helper()
-	return buildScenario(t, n, seed, false, Config{Seed: engineSeed, Parallel: parallel, Workers: 4})
-}
-
-func TestParallelMatchesSequential(t *testing.T) {
-	seqNodes, seqEng := buildRandomScenario(t, 60, 5, false)
-	parNodes, parEng := buildRandomScenario(t, 60, 5, true)
-	seqEng.Run(200, nil)
-	parEng.Run(200, nil)
-	if seqEng.Stats() != parEng.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", seqEng.Stats(), parEng.Stats())
-	}
-	for i := range seqNodes {
-		if seqNodes[i].sent != parNodes[i].sent || seqNodes[i].received != parNodes[i].received {
-			t.Fatalf("node %d diverged: seq sent=%d recv=%d, par sent=%d recv=%d",
-				i, seqNodes[i].sent, seqNodes[i].received, parNodes[i].sent, parNodes[i].received)
-		}
-	}
+	return buildScenario(t, n, seed, false, Config{Seed: engineSeed})
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	aNodes, aEng := buildRandomScenario(t, 40, 17, false)
-	bNodes, bEng := buildRandomScenario(t, 40, 17, false)
+	aNodes, aEng := buildRandomScenario(t, 40, 17)
+	bNodes, bEng := buildRandomScenario(t, 40, 17)
 	aEng.Run(300, nil)
 	bEng.Run(300, nil)
 	for i := range aNodes {
@@ -388,7 +372,7 @@ func TestResetValidation(t *testing.T) {
 func TestManyNodesThroughput(t *testing.T) {
 	// Smoke test: a larger deployment with random transmitters makes some
 	// progress (receptions happen) and no invariants trip.
-	nodes, eng := buildRandomScenario(t, 150, 23, true)
+	nodes, eng := buildRandomScenario(t, 150, 23)
 	eng.Run(200, nil)
 	totalRx := 0
 	for _, n := range nodes {
@@ -443,30 +427,6 @@ func BenchmarkEngineStep200Nodes(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineStepParallel200Nodes(b *testing.B) {
-	src := rng.New(3)
-	pos := make([]geom.Point, 200)
-	for i := range pos {
-		pos[i] = geom.Point{X: src.Float64() * 60, Y: src.Float64() * 60}
-	}
-	ch, err := sinr.NewChannel(sinr.DefaultParams(12), pos)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nodes := make([]Node, 200)
-	for i := range nodes {
-		nodes[i] = &randomNode{p: 0.1}
-	}
-	eng, err := NewEngine(ch, nodes, Config{Seed: 1, Parallel: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step()
-	}
-}
-
 // fastScenario mirrors buildRandomScenario but runs the engine on the fast
 // evaluator with the given config.
 func fastScenario(t *testing.T, n int, seed uint64, cfg Config) ([]*randomNode, *Engine) {
@@ -478,7 +438,7 @@ func fastScenario(t *testing.T, n int, seed uint64, cfg Config) ([]*randomNode, 
 // naive reference path and on the fast evaluator and requires identical
 // executions (stats and per-node traffic).
 func TestFastEvaluatorMatchesNaiveEngine(t *testing.T) {
-	naiveNodes, naiveEng := buildRandomScenario(t, 80, 9, false)
+	naiveNodes, naiveEng := buildRandomScenario(t, 80, 9)
 	fastNodes, fastEng := fastScenario(t, 80, 9, Config{Seed: engineSeed, Workers: 4})
 	naiveEng.Run(300, nil)
 	fastEng.Run(300, nil)
@@ -500,7 +460,7 @@ func TestFastEvaluatorMatchesNaiveEngine(t *testing.T) {
 // traffic must not depend on it.
 func TestShardedEvaluatorMatchesNaiveEngine(t *testing.T) {
 	const n, seed, slots = 80, 9, 300
-	naiveNodes, naiveEng := buildRandomScenario(t, n, seed, false)
+	naiveNodes, naiveEng := buildRandomScenario(t, n, seed)
 	naiveEng.Run(slots, nil)
 	for _, tc := range []struct {
 		name string
@@ -532,7 +492,7 @@ func TestShardedEvaluatorMatchesNaiveEngine(t *testing.T) {
 				nodes[i] = &randomNode{p: 0.2}
 				ifaces[i] = nodes[i]
 			}
-			eng, err := NewEngine(ch, ifaces, Config{Seed: engineSeed, Parallel: true, Workers: 4, Evaluator: fast})
+			eng, err := NewEngine(ch, ifaces, Config{Seed: engineSeed, Workers: 4, Evaluator: fast})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -551,13 +511,12 @@ func TestShardedEvaluatorMatchesNaiveEngine(t *testing.T) {
 }
 
 // TestSeedReproducibilityAcrossWorkers is the seed-reproducibility check:
-// with a fixed rng seed, Engine.Run yields identical Stats under a single
-// worker (sequential driver) and under GOMAXPROCS workers (parallel driver),
-// both on the fast evaluator.
+// with a fixed rng seed, Engine.Run on the fast evaluator yields identical
+// Stats with the receiver scan on one worker and on GOMAXPROCS workers.
 func TestSeedReproducibilityAcrossWorkers(t *testing.T) {
 	const n, slots = 70, 250
 	_, oneEng := fastScenario(t, n, 21, Config{Seed: 7, Workers: 1})
-	_, manyEng := fastScenario(t, n, 21, Config{Seed: 7, Parallel: true, Workers: runtime.GOMAXPROCS(0)})
+	_, manyEng := fastScenario(t, n, 21, Config{Seed: 7, Workers: runtime.GOMAXPROCS(0)})
 	oneEng.Run(slots, nil)
 	manyEng.Run(slots, nil)
 	if oneEng.Stats() != manyEng.Stats() {
@@ -681,28 +640,25 @@ func TestPooledFrameLifecycle(t *testing.T) {
 
 // TestEngineStepAllocFree is the slot-pipeline allocation budget: once the
 // engine and evaluator are warm, a steady-state Step — tick, evaluate,
-// deliver — performs zero heap allocations, on the sequential driver and on
-// the pooled parallel driver, with the evaluator on both its dense and
-// sparse paths.
+// deliver — performs zero heap allocations, with the evaluator's receiver
+// scan on one worker and on its pool, on its dense, sparse and sharded
+// paths.
 func TestEngineStepAllocFree(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		parallel bool
-		workers  int
-		p        float64 // per-slot transmit probability (sets tx density)
-		shards   int     // force the sharded evaluator regime when > 0
+		name    string
+		workers int
+		p       float64 // per-slot transmit probability (sets tx density)
+		shards  int     // force the sharded evaluator regime when > 0
 	}{
-		{"sequential/dense", false, 1, 0.5, 0},
-		{"sequential/sparse", false, 1, 0.02, 0},
-		// Four pinned workers run the fused session driver at any
-		// GOMAXPROCS, so the Begin/phase/End machinery itself is held to
-		// the zero-alloc budget.
-		{"parallel-pinned/sparse", true, 4, 0.02, 0},
-		{"parallel-pinned/dense", true, 4, 0.5, 0},
-		// The sharded regime's per-slot aggregation phases ride the same
-		// fused session and share the zero-alloc budget.
-		{"sequential/shard", false, 1, 0.5, 4},
-		{"parallel-pinned/shard", true, 4, 0.5, 8},
+		{"sequential/dense", 1, 0.5, 0},
+		{"sequential/sparse", 1, 0.02, 0},
+		// Four pinned workers run the parallel evaluator's pool at any
+		// GOMAXPROCS, so the pool's Run hand-off is held to the zero-alloc
+		// budget.
+		{"parallel-pinned/sparse", 4, 0.02, 0},
+		{"parallel-pinned/dense", 4, 0.5, 0},
+		{"sequential/shard", 1, 0.5, 4},
+		{"parallel-pinned/shard", 4, 0.5, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := rng.New(31)
@@ -724,7 +680,7 @@ func TestEngineStepAllocFree(t *testing.T) {
 				nodes[i] = &randomNode{p: tc.p}
 			}
 			eng, err := NewEngine(ch, nodes, Config{
-				Seed: 3, Parallel: tc.parallel, Workers: tc.workers,
+				Seed: 3, Workers: tc.workers,
 				Evaluator: fast,
 			})
 			if err != nil {

@@ -534,11 +534,6 @@ func (f *FastChannel) NumNodes() int { return f.n }
 // Channel returns the underlying naive channel.
 func (f *FastChannel) Channel() *Channel { return f.ch }
 
-// WorkerPool returns the evaluator's persistent worker pool. sim.Engine
-// runs its own parallel phases (tick, receive) on the same pool, so one
-// set of parked goroutines serves the whole slot pipeline.
-func (f *FastChannel) WorkerPool() *workpool.Pool { return f.pool }
-
 // SetWorkers implements ParallelEvaluator.
 func (f *FastChannel) SetWorkers(workers int) { f.setWorkers(workers) }
 

@@ -30,9 +30,8 @@ import (
 //
 // The occupied cells are partitioned spatially into S shards — stripes of
 // lattice columns, a pure function of the cell coordinate — and the
-// receiver scan runs one chunk per shard on the worker pool, so the
-// per-shard phases ride the engine's fused slot session like every other
-// scan. Each shard evaluates its own receivers against
+// receiver scan runs one chunk per shard on the worker pool, like every
+// other scan. Each shard evaluates its own receivers against
 //
 //   - exact per-sender terms for the near cells (distance lower bound
 //     within the culling radius — at most 21 lattice offsets, wherever the

@@ -93,34 +93,6 @@ func TestRunReRaisesLeaderPanic(t *testing.T) {
 	}
 }
 
-// TestSessionReRaisesPanicAtEnd: a panic inside a fused-session phase is
-// held until End so the remaining phases keep their barriers balanced, then
-// re-raised on the owner.
-func TestSessionReRaisesPanicAtEnd(t *testing.T) {
-	p := New()
-	defer p.Close()
-	const n, workers = 64, 4
-	chunk := (n + workers - 1) / workers
-	bad := &panicTask{trigger: 3 * chunk} // worker 3's chunk
-	good := &panicTask{trigger: -1}
-	pe := recoverPanicError(t, func() {
-		p.Begin(workers)
-		p.Run(n, workers, bad)
-		p.Run(n, workers, good) // later phases still run
-		p.End()
-	})
-	if pe.Worker != 3 {
-		t.Fatalf("worker = %d, want 3", pe.Worker)
-	}
-	if good.covered.Load() != n {
-		t.Fatalf("phase after the panic covered %d indexes, want %d", good.covered.Load(), n)
-	}
-	// A fresh session on the same pool works after recovery.
-	p.Begin(workers)
-	p.Run(n, workers, good)
-	p.End()
-}
-
 // TestFirstPanicWins: with every chunk panicking, exactly one PanicError is
 // re-raised and the pool is clean afterwards.
 func TestFirstPanicWins(t *testing.T) {
