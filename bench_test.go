@@ -144,7 +144,7 @@ func benchSlotReceptions(b *testing.B, n int) {
 	})
 	b.Run("fast", func(b *testing.B) {
 		fast := sinr.NewFastChannel(ch)
-		fast.SlotReceptions(tx) // warm the power cache like a running simulation
+		fast.SlotReceptions(tx) // warm the scratch arenas like a running simulation
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			fast.SlotReceptions(tx)
@@ -152,12 +152,14 @@ func benchSlotReceptions(b *testing.B, n int) {
 	})
 }
 
-// BenchmarkSlotReceptions1k exercises the cached-power-matrix path
-// (n below sinr.DefaultMatrixThreshold).
+// BenchmarkSlotReceptions1k exercises the matrix regime (n below
+// sinr.DefaultMatrixThreshold): every slot, dense ones included, reads the
+// cached power matrix; there is no certified tier.
 func BenchmarkSlotReceptions1k(b *testing.B) { benchSlotReceptions(b, 1000) }
 
 // BenchmarkSlotReceptions5k exercises the cell lattice (n above
-// sinr.DefaultMatrixThreshold).
+// sinr.DefaultMatrixThreshold) and, where its cost model selects them, its
+// certified bounds.
 func BenchmarkSlotReceptions5k(b *testing.B) { benchSlotReceptions(b, 5000) }
 
 // BenchmarkSlotReceptions10k is the node-count regime the ROADMAP's

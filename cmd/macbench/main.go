@@ -19,10 +19,10 @@
 //
 //	case                          reference      optimised side
 //	matrix, lattice               naive channel  fast evaluator, n = 1000 / 4000
-//	sparse_{matrix,lattice}       dense scan     sparse path, |tx| = √n
-//	bounds_{quarter,full}         dense scan     bounds tier, k = n/4 / n
+//	sparse_{matrix,lattice}       dense scan     sparse path, |tx| = √n, n = 2048 / 5000
+//	bounds_{quarter,full}         dense scan     certified bounds, k = n/4 / n
 //	shard_n100k, shard_n1m        dense scan     cell lattice at scale (n1m: -large, no reference)
-//	churn_{matrix,lattice}        rebuild        ApplyEpoch, 1 % of nodes moved
+//	churn_{matrix,lattice}        rebuild        ApplyEpoch, 1 % of n = 2048 / 5000 moved
 //	engine_step{,_5k}             —              steady-state Engine.Step
 //	engine_step_faults            no hook        zero-fault injector
 //	kernel_pathloss_a{2,3,4}      math.Pow       pow-free path loss
@@ -270,16 +270,16 @@ var serial = engineConf{workers: 1}
 var benchCases = []caseSpec{
 	{name: "matrix", build: naiveVsFast(1000)},
 	{name: "lattice", build: naiveVsFast(4000)},
-	{name: "sparse_matrix", build: denseVsSparse(5000)},
-	{name: "sparse_lattice", build: denseVsSparse(0)},
+	{name: "sparse_matrix", build: denseVsSparse(sinr.DefaultMatrixThreshold)},
+	{name: "sparse_lattice", build: denseVsSparse(5000)},
 	{name: "bounds_quarter", build: denseVsBounds(5000 / 4)},
 	// With every node transmitting both sides take the same O(k) early-out;
 	// a lower ratio means a tier pays setup cost before declining the slot.
 	{name: "bounds_full", build: denseVsBounds(5000), gate: gate{minSpeedup: 0.95}},
 	{name: "shard_n100k", build: denseVsShard(100_000, 8, true), gate: gate{maxBytesPerNode: sinr.ShardBytesPerNodeBudget}},
 	{name: "shard_n1m", large: true, build: denseVsShard(1_000_000, 0, false), gate: gate{maxBytesPerNode: sinr.ShardBytesPerNodeBudget}},
-	{name: "churn_matrix", build: rebuildVsApply(5000)},
-	{name: "churn_lattice", build: rebuildVsApply(0)},
+	{name: "churn_matrix", build: rebuildVsApply(sinr.DefaultMatrixThreshold)},
+	{name: "churn_lattice", build: rebuildVsApply(5000)},
 	{name: "engine_step", build: engineCase(2000, "", engineConf{}, serial), gate: gate{zeroAllocs: true}},
 	{name: "engine_step_5k", build: engineCase(5000, "", engineConf{}, serial), gate: gate{zeroAllocs: true}},
 	// A zero-rate fault plan draws no randomness and scrubs nothing: its cost
@@ -429,7 +429,8 @@ func timeOps(op func()) sample {
 
 // slotSide times a fresh evaluator built with opts over a fixed tx set,
 // warmed first so caches behave as in a running simulation. A non-nil
-// refine receives the bounds tier's exact-fallback rate as refine_rate.
+// refine receives the certified pipeline's exact-fallback rate as
+// refine_rate.
 func slotSide(ch *sinr.Channel, tx []int, opts sinr.FastOptions, refine map[string]float64) side {
 	return func() (sample, error) {
 		f := sinr.NewFastChannel(ch, opts)
@@ -461,12 +462,10 @@ func naiveVsFast(n int) func(uint64) (*pair, error) {
 }
 
 // denseVsSparse times the dense receiver scan against the sender-centric
-// sparse path on sinr.SparseBenchWorkload (|tx| = √n at n = 5000). A
-// positive threshold raises the matrix threshold so the deployment keeps
-// the power matrix, isolating the receiver enumeration; 0 runs the lattice.
-func denseVsSparse(threshold int) func(uint64) (*pair, error) {
+// sparse path on sinr.SparseBenchWorkload (|tx| = √n) at n nodes: up to
+// sinr.DefaultMatrixThreshold the power matrix, above it the lattice.
+func denseVsSparse(n int) func(uint64) (*pair, error) {
 	return func(seed uint64) (*pair, error) {
-		const n = 5000
 		ch, tx, err := sinr.SparseBenchWorkload(n, seed)
 		if err != nil {
 			return nil, err
@@ -474,16 +473,16 @@ func denseVsSparse(threshold int) func(uint64) (*pair, error) {
 		return &pair{
 			params:  map[string]float64{"nodes": float64(n), "transmitters": float64(len(tx))},
 			refName: "dense",
-			ref:     slotSide(ch, tx, sinr.FastOptions{MatrixThreshold: threshold, SparseFactor: -1}, nil),
-			opt:     slotSide(ch, tx, sinr.FastOptions{MatrixThreshold: threshold}, nil),
+			ref:     slotSide(ch, tx, sinr.FastOptions{SparseFactor: -1}, nil),
+			opt:     slotSide(ch, tx, sinr.FastOptions{}, nil),
 		}, nil
 	}
 }
 
-// denseVsBounds times the lattice's dense scan against the bounds tier on
-// sinr.DenseBenchWorkload at n = 5000 with k transmitters, the sparse path
-// off on both sides. The bounds side keeps the default adaptive dispatch,
-// what simulations actually get, and records its refine rate.
+// denseVsBounds times the lattice's dense scan against its certified bounds
+// on sinr.DenseBenchWorkload at n = 5000 with k transmitters, the sparse
+// path off on both sides. The bounds side keeps the default adaptive
+// dispatch, what simulations actually get, and records its refine rate.
 func denseVsBounds(k int) func(uint64) (*pair, error) {
 	return func(seed uint64) (*pair, error) {
 		const n = 5000
@@ -541,23 +540,23 @@ func denseVsShard(n, shards int, withDense bool) func(uint64) (*pair, error) {
 }
 
 // rebuildVsApply times rebuilding the fast evaluator against applying a
-// mobility epoch to a live one, on sinr.ChurnBenchWorkload at n = 5000 with
-// 1 % of the nodes moving. A positive threshold keeps the power matrix, the
-// O(n²) state the incremental path avoids rebuilding, in play. The apply
-// side cycles an away/back delta pair, so it stays allocation-free.
-func rebuildVsApply(threshold int) func(uint64) (*pair, error) {
+// mobility epoch to a live one, on sinr.ChurnBenchWorkload at n nodes with
+// 1 % of them moving: up to sinr.DefaultMatrixThreshold the rebuild pays
+// the O(n²) power matrix the incremental path avoids, above it the lattice's
+// cell index. The apply side cycles an away/back delta pair, so it stays
+// allocation-free.
+func rebuildVsApply(n int) func(uint64) (*pair, error) {
 	return func(seed uint64) (*pair, error) {
-		const n, moved = 5000, 50
+		moved := n / 100
 		ch, deltas, err := sinr.ChurnBenchWorkload(n, moved, seed)
 		if err != nil {
 			return nil, err
 		}
-		opts := sinr.FastOptions{MatrixThreshold: threshold}
 		rebuild := func() (sample, error) {
-			return timeOps(func() { sinr.NewFastChannel(ch, opts).Close() }), nil
+			return timeOps(func() { sinr.NewFastChannel(ch).Close() }), nil
 		}
 		apply := func() (sample, error) {
-			f := sinr.NewFastChannel(ch, opts)
+			f := sinr.NewFastChannel(ch)
 			defer f.Close()
 			for _, d := range deltas { // warm buckets, arenas and capacities
 				if err := f.ApplyEpoch(d); err != nil {
@@ -575,7 +574,7 @@ func rebuildVsApply(threshold int) func(uint64) (*pair, error) {
 			return s, applyErr
 		}
 		return &pair{
-			params:  map[string]float64{"nodes": n, "changed_per_epoch": moved},
+			params:  map[string]float64{"nodes": float64(n), "changed_per_epoch": float64(moved)},
 			refName: "rebuild",
 			ref:     rebuild,
 			opt:     apply,

@@ -60,8 +60,8 @@ func run(args []string) int {
 		broadcasters = fs.Int("broadcasters", 1, "number of nodes that broadcast one message each at slot 0")
 		slots        = fs.Int64("slots", 0, "number of slots to simulate (0 = a sensible default for the MAC)")
 		seed         = fs.Uint64("seed", 1, "random seed")
-		evaluator    = fs.String("evaluator", "fast", fmt.Sprintf("SINR slot evaluator: fast (power matrix up to %d nodes, cell lattice above) or naive (reference scan)", sinr.DefaultMatrixThreshold))
-		shards       = fs.Int("shards", 0, "shards of the fast evaluator's cell lattice (0 = automatic: the lattice with its default count above the matrix threshold; N > 0 = the lattice with N shards at any size; requires -evaluator fast)")
+		evaluator    = fs.String("evaluator", "fast", fmt.Sprintf("SINR slot evaluator: fast (power matrix up to %d nodes, cell lattice with certified interference bounds above) or naive (reference scan)", sinr.DefaultMatrixThreshold))
+		shards       = fs.Int("shards", 0, fmt.Sprintf("shards of the fast evaluator's cell lattice (0 = automatic: the power matrix up to %d nodes, the lattice with its default count above; N > 0 = the lattice with N shards at any size; requires -evaluator fast)", sinr.DefaultMatrixThreshold))
 		maxNodes     = fs.Int("maxnodes", 2_000_000, "refuse deployments larger than this many nodes (0 = no limit)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -39,10 +39,10 @@
 // The regime decision, applied once at construction (FastOptions can pin
 // either branch):
 //
-//   - n ≤ sinr.DefaultMatrixThreshold (FastOptions.MatrixThreshold): the
-//     matrix regime — the full n×n received-power matrix is precomputed
-//     and every slot is served from it, with a spatial grid
-//     (internal/geom) for the sparse path. Memory O(n²).
+//   - n ≤ sinr.DefaultMatrixThreshold: the matrix regime — the full n×n
+//     received-power matrix is precomputed and every slot is served from
+//     it, with a spatial grid (internal/geom) for the sparse path. Memory
+//     O(n²).
 //   - above the threshold (or FastOptions.Shards positive): the cell
 //     lattice — memory O(occupied cells + nodes) with no per-pair state
 //     (measured ~105 heap bytes/node at n = 10⁶ against the documented
@@ -76,22 +76,29 @@
 // sparse-slot cost output-sensitive instead of Θ(n·k). All-transmit slots
 // short-circuit in O(k) in both regimes (half-duplex leaves no listener).
 // Dense slots of the matrix regime stream receivers against the cached
-// powers, with the hierarchical-bounds tier taking over when k dwarfs the
-// number of occupied cells (per the cost model of sinr's prepareBounds) —
-// transmitters aggregate per cell in O(k) and each receiver evaluates in
-// O(occupied cells), near cells expanded exactly, far cells bounded via
-// precomputed per-cell-offset power bounds (geom.CellIndex,
-// geom.CellOffsetDistBounds). Dense slots of the lattice take its certified
-// pipeline under the analogous cost model, or its exact dense scan with
-// whole cells culled.
+// powers. Dense slots of the lattice take its certified pipeline when the
+// per-slot cost model of sinr's prepareShard favours it — transmitters
+// aggregate per cell in O(k), near cells are expanded exactly and far
+// cells bounded via precomputed per-cell-offset and per-supercell-offset
+// power bounds (geom.CellIndex, geom.CellOffsetDistBounds) — or its exact
+// dense scan with whole cells culled otherwise.
 //
-// The certificate invariant shared by the bounds tier and the cell lattice
-// makes both decision-exact: lower- and upper-bound interference
-// aggregates are widened by the rounding slack ε_k = Θ(k)·ulp, so they
-// conservatively bracket the floating-point interference sum the exact
-// path computes in any summation order, and a decode/silence decision is
-// emitted directly whenever both certificates agree. On the lattice this is
-// also the cross-shard invariant: a shard sums exact per-cell
+// Dense matrix slots have no certified tier: a flat pass over the same
+// per-cell bounds was selected on no slot of the full E1–E8 and E10 sweeps
+// or of sinrbench's mac_dense, and did not speed up the one workload that
+// took it (Decay on a uniform 2000-node deployment, every node
+// broadcasting). The matrix regime itself pays: with the lattice forced at
+// every size (and a dense cell-id table added to it), sinrbench's mac_dense
+// and tables ran 11.5 % slower in wall time (0.442 → 0.493 s and 0.989 →
+// 1.103 s, 8 of 8 alternating pairs, 2-CPU host), and a mac_dense slot's
+// evaluation took 38 instead of 23 µs.
+//
+// The lattice's certificate invariant makes it decision-exact: lower- and
+// upper-bound interference aggregates are widened by the rounding slack
+// ε_k = Θ(k)·ulp, so they conservatively bracket the floating-point
+// interference sum the exact path computes in any summation order, and a
+// decode/silence decision is emitted directly whenever both certificates
+// agree. This is also the cross-shard invariant: a shard sums exact per-cell
 // aggregates over its 3×3 supercell neighbourhood and certified
 // per-supercell-offset bounds for everything remote, so no shard ever
 // reads another shard's per-receiver state, yet the emitted decision is
@@ -107,7 +114,7 @@
 // worker count: culling, sparse enumeration and the certificates only skip
 // work whose outcome is provably fixed, and the differential property tests
 // (TestSlotReceptionsEquivalence, TestSparseSenderCentricEquivalence,
-// TestBoundsTierEquivalence, TestShardedEquivalence with S ∈ {1,2,4,8}
+// TestBoundsTierEquivalence and TestShardedEquivalence with S ∈ {1,2,4,8}
 // and the on-threshold adversarial TestBoundsThresholdRefine in
 // internal/sinr) hold them to that across randomized topologies, densities,
 // transmitter counts and worker counts.
@@ -200,17 +207,16 @@
 // fault plans and mid-run churn epochs.
 //
 // The evaluation kernels are restructured SIMD-friendly without
-// changing a single emitted bit: the matrix totals gather, the bounds-tier
-// per-cell aggregation and the lattice's remote-aggregate sums all process four receivers (or receiver
-// cells) per pass over the transmitter data. Blocking is across receivers
-// only — each receiver's interference sum still adds the same terms in
+// changing a single emitted bit: the matrix totals gather and the
+// lattice's supercell far-field sums process four receivers (or receiver
+// supercells) per pass over the transmitter data. Blocking is across
+// receivers only — each receiver's interference sum still adds the same terms in
 // the same tx order with one accumulator, so the float result is
 // bit-identical to the scalar loop (remainder lanes run the scalar code);
 // what the restructuring buys is four independent FP add chains instead
 // of one loop-carried one (1.7–2.2× over the scalar chain on a
 // cache-resident n = 512 matrix, measured on 1- and 2-CPU hosts), and the
-// k·ulp certificate slack of
-// the bounds/shard tiers is computed exactly as before.
+// k·ulp certificate slack of the lattice is computed exactly as before.
 //
 // The protocol automata ticked inside a slot resolve their schedules once,
 // in NewAutomaton: approgress its block boundaries, phase and epoch
@@ -235,11 +241,12 @@
 // added ids).
 //
 // Applying a delta to a live evaluator is incremental:
-// sinr.FastChannel.ApplyEpoch patches the dirty power-matrix rows/columns
-// (O(dirty·n) math.Pow instead of the O(n²/2) rebuild), moves the affected
-// spatial-grid buckets and re-buckets the shared cell index in place
-// (geom.CellIndex.ApplyChurn — the per-offset power tables survive
-// unchanged since they depend only on the lattice span). Past sinr.ChurnRebuildFraction of the
+// sinr.FastChannel.ApplyEpoch patches the matrix regime's dirty power-matrix
+// rows/columns (O(dirty·n) math.Pow instead of the O(n²/2) rebuild) and
+// moves its affected spatial-grid buckets, and re-buckets the lattice's
+// shared cell index in place (geom.CellIndex.ApplyChurn — the per-offset
+// power tables survive unchanged since they depend only on the lattice
+// span). Past sinr.ChurnRebuildFraction of the
 // deployment changing in one epoch the patch stops paying and ApplyEpoch
 // falls back to a full rebuild; both paths are held bit-identical to a
 // from-scratch evaluator by the differential churn suite

@@ -395,6 +395,33 @@ func TestByzantineSpam(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsMismatchedInjector: an injector built for another
+// node count is refused when the engine is built, instead of panicking in
+// the first slot.
+func TestNewEngineRejectsMismatchedInjector(t *testing.T) {
+	pos := []geom.Point{{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 10, Y: 0}, {X: 15, Y: 0}}
+	ch, err := sinr.NewChannel(sinr.DefaultParams(10), pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := NewInjector(Plan{Seed: 1}, len(pos)-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]sim.Node, len(pos))
+	for i := range nodes {
+		nodes[i] = &chattyNode{p: 0.5}
+	}
+	eng, err := sim.NewEngine(ch, nodes, sim.Config{Seed: 1, Faults: inj})
+	if err == nil {
+		eng.Step()
+		t.Fatal("NewEngine accepted an injector over 3 nodes for a 4-node deployment")
+	}
+	if !strings.Contains(err.Error(), "fault hook over 3 nodes") {
+		t.Errorf("error %q does not name the hook's node count", err)
+	}
+}
+
 // TestByzantineMutateAndFromProtection: equivocation rewrites message
 // contents but can never forge the link-layer sender, because the engine
 // overwrites Frame.From after Tick.

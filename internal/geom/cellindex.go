@@ -6,8 +6,8 @@ import "math"
 // point set into the square lattice cells a Grid with the same cell size
 // uses (cell c of a point p is (floor(p.X/cell), floor(p.Y/cell))). Where
 // Grid answers per-point range queries, CellIndex answers the aggregate
-// queries the hierarchical SINR bounds tier is built on: which cell does a
-// node live in, which nodes live in a cell, and what are the lattice
+// queries the SINR cell lattice's certified bounds are built on: which cell
+// does a node live in, which nodes live in a cell, and what are the lattice
 // coordinates of a cell so that conservative cell-pair distance bounds
 // (CellOffsetDistBounds) can be looked up by integer offset. The tighter
 // per-point variant (PointCellDistBounds) serves callers refining a single
@@ -228,7 +228,7 @@ func (ci *CellIndex) ApplyChurn(points []Point, dirty []int) bool {
 // any point of one square lattice cell and any point of the cell (dx, dy)
 // lattice steps away, for cells of the given side length: any such pair is
 // at distance in [dmin, dmax]. The bounds depend only on the offset, which
-// is what lets the SINR bounds tier precompute per-offset power bounds once
+// is what lets the SINR cell lattice precompute per-offset power bounds once
 // and share them across every receiver-cell/transmitter-cell pair.
 //
 //sinrlint:allow powfree construction-time: called once per lattice offset when bounds/shard tables are built, never per slot

@@ -421,7 +421,7 @@ func TestGridAppendWithinAllocFree(t *testing.T) {
 // decided by the floor convention), points exactly at distance r, and a
 // zero radius, which must return exactly the points coincident with the
 // query. These are the cases the sparse candidate enumeration and the
-// bounds tier's near/far split both depend on agreeing about.
+// lattice's near/far split both depend on agreeing about.
 func TestGridAppendWithinBoundary(t *testing.T) {
 	g := NewGrid(1)
 	pts := []Point{

@@ -112,22 +112,32 @@ func (g *Graph) MaxDegree() int {
 func (g *Graph) BFS(src int) []int {
 	g.check(src)
 	dist := make([]int, g.n)
+	g.bfsInto(src, dist, nil)
+	return dist
+}
+
+// bfsInto fills dist (of length n) with the hop distances from src, -1 for
+// unreachable nodes, using queue's backing array as the FIFO. It returns
+// the largest finite distance and the queue, grown if it had to be, so
+// that repeated searches reuse both buffers.
+func (g *Graph) bfsInto(src int, dist, queue []int) (int, []int) {
+	ecc := 0
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, v := range g.adj[u] {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
+				ecc = dist[v]
 				queue = append(queue, v)
 			}
 		}
 	}
-	return dist
+	return ecc, queue
 }
 
 // HopDist returns the hop distance between u and v, or -1 if v is
@@ -139,25 +149,24 @@ func (g *Graph) HopDist(u, v int) int {
 // Eccentricity returns the largest finite hop distance from src to any
 // reachable node.
 func (g *Graph) Eccentricity(src int) int {
-	max := 0
-	for _, d := range g.BFS(src) {
-		if d > max {
-			max = d
-		}
-	}
-	return max
+	g.check(src)
+	ecc, _ := g.bfsInto(src, make([]int, g.n), nil)
+	return ecc
 }
 
 // Diameter returns D_G, the maximum hop distance between any two nodes in
 // the same connected component. For a graph with no edges it returns 0.
+// The n searches share one distance buffer and one queue.
 func (g *Graph) Diameter() int {
-	max := 0
+	dist := make([]int, g.n)
+	var queue []int
+	diam := 0
 	for u := 0; u < g.n; u++ {
-		if e := g.Eccentricity(u); e > max {
-			max = e
-		}
+		var ecc int
+		ecc, queue = g.bfsInto(u, dist, queue)
+		diam = max(diam, ecc)
 	}
-	return max
+	return diam
 }
 
 // IsConnected reports whether the graph is connected (the empty graph and

@@ -392,6 +392,27 @@ func TestQuickBFSEdgeConsistency(t *testing.T) {
 	}
 }
 
+// Property: Diameter, whose searches share buffers, equals the largest
+// finite distance of independent per-source BFS runs, on sparse graphs
+// that are often disconnected.
+func TestQuickDiameterMatchesBFS(t *testing.T) {
+	f := func(seed uint64) bool {
+		src := rng.New(seed)
+		n := 1 + src.Intn(40)
+		g := randomGraph(n, src.Float64()*0.15, src)
+		want := 0
+		for u := 0; u < n; u++ {
+			for _, d := range g.BFS(u) {
+				want = max(want, d)
+			}
+		}
+		return g.Diameter() == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: GreedyMIS always yields a maximal independent set.
 func TestQuickGreedyMISMaximal(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -219,6 +219,10 @@ func NewEngine(channel *sinr.Channel, nodes []Node, cfg Config) (*Engine, error)
 	if wrapped, ok := evaluator.(interface{ Channel() *sinr.Channel }); ok && wrapped.Channel() != channel {
 		return nil, fmt.Errorf("sim: evaluator wraps a different channel than the engine's")
 	}
+	if sized, ok := cfg.Faults.(interface{ NumNodes() int }); ok && sized.NumNodes() != channel.NumNodes() {
+		return nil, fmt.Errorf("sim: fault hook over %d nodes for a %d-node deployment",
+			sized.NumNodes(), channel.NumNodes())
+	}
 	e := &Engine{
 		channel:   channel,
 		evaluator: evaluator,
@@ -258,8 +262,8 @@ func NewEngine(channel *sinr.Channel, nodes []Node, cfg Config) (*Engine, error)
 // an engine that is Reset with the same nodes and seed replays the identical
 // execution a fresh engine would produce — this is what lets the experiment
 // scheduler run many trials on one engine without repaying its fixed costs.
-// Mutable per-execution state inside the evaluator (scratch arenas, lazily
-// built cell indices) is keyed only to the immutable deployment, so it
+// Mutable per-execution state inside the evaluator (scratch arenas, the
+// lattice's cell index) is keyed only to the immutable deployment, so it
 // carries over safely.
 func (e *Engine) Reset(nodes []Node, seed uint64) error {
 	if e.running {

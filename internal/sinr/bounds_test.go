@@ -10,14 +10,13 @@ import (
 	"sinrmac/internal/rng"
 )
 
-// boundsVariants returns flat bounds-tier evaluators of the matrix regime
-// (sparse pinned off, bounds pinned on) at one and several workers; the
-// lattice's certified pipeline runs the same workloads in
-// TestShardedEquivalence.
+// boundsVariants returns lattice evaluators with the certified pipeline
+// pinned on (sparse pinned off) at one shard on one worker and four shards
+// on four workers.
 func boundsVariants(t testing.TB, ch *Channel) map[string]*FastChannel {
 	variants := map[string]*FastChannel{
-		"matrix/1w": NewFastChannel(ch, FastOptions{Workers: 1, SparseFactor: -1, BoundsFactor: 1}),
-		"matrix/4w": NewFastChannel(ch, FastOptions{Workers: 4, SparseFactor: -1, BoundsFactor: 1}),
+		"s1/1w": NewFastChannel(ch, FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1}),
+		"s4/4w": NewFastChannel(ch, FastOptions{Workers: 4, Shards: 4, SparseFactor: -1, BoundsFactor: 1}),
 	}
 	t.Cleanup(func() {
 		for _, f := range variants {
@@ -28,8 +27,8 @@ func boundsVariants(t testing.TB, ch *Channel) map[string]*FastChannel {
 }
 
 // TestBoundsTierEquivalence is the dedicated differential test of the
-// hierarchical-bounds tier in its target regime — dense transmitter sets up
-// to and including all-transmit — on the canonical dense workload geometry.
+// certified bounds in their target regime — dense transmitter sets up to
+// and including all-transmit — on the canonical dense workload geometry.
 // Slots are evaluated repeatedly on the same evaluators so later slots run
 // on warm aggregates, and every decision must be bit-identical to the naive
 // reference.
@@ -50,7 +49,7 @@ func TestBoundsTierEquivalence(t *testing.T) {
 				st := f.BoundsStats()
 				if st.Slots == 0 || st.Receivers == 0 {
 					if k < n { // all-transmit slots have no listeners to count
-						t.Fatalf("%s: bounds tier never engaged (stats %+v)", label, st)
+						t.Fatalf("%s: certified pipeline never engaged (stats %+v)", label, st)
 					}
 				}
 				f.Close()
@@ -61,7 +60,7 @@ func TestBoundsTierEquivalence(t *testing.T) {
 
 // TestBoundsThresholdRefine plants receivers exactly on the β threshold —
 // where the decode decision is decided by the last ulp of the exact
-// floating-point arithmetic — and requires (a) the bounds tier to fall back
+// floating-point arithmetic — and requires (a) the certificates to fall back
 // to the exact evaluator for every planted receiver rather than guess, and
 // (b) the emitted decisions to stay bit-identical to the naive reference.
 // Receivers well inside and well outside the ambiguous band check that both
@@ -143,81 +142,87 @@ func TestBoundsThresholdRefine(t *testing.T) {
 	})
 }
 
-// TestBoundsAdaptiveDispatch checks the three-way dispatch boundaries: the
-// adaptive cost model must select the bounds tier on a dense many-cell
-// workload, must reject it when everyone transmits (no listeners, so the
-// dense skip-scan is already optimal), and must leave genuinely sparse
-// slots on the sender-centric path.
+// TestBoundsAdaptiveDispatch checks the lattice's three-way dispatch
+// boundaries: the adaptive cost model must select the certified pipeline
+// on a dense many-cell workload, must reject it when everyone transmits (no
+// listeners, so the dense skip-scan is already optimal), and must leave
+// genuinely sparse slots on the sender-centric path.
 func TestBoundsAdaptiveDispatch(t *testing.T) {
 	const n = 2000
 	ch, tx, err := DenseBenchWorkload(n, n/4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFastChannel(ch, FastOptions{Workers: 1})
-	defer f.Close()
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("s%d", shards), func(t *testing.T) {
+			opt := FastOptions{Workers: 1, Shards: shards}
+			f := NewFastChannel(ch, opt)
+			defer f.Close()
 
-	f.SlotReceptions(tx)
-	st := f.BoundsStats()
-	if st.Slots != 1 {
-		t.Fatalf("dense k=n/4 slot: bounds tier evaluated %d slots, want 1", st.Slots)
-	}
-	if rate := st.RefineRate(); rate > 0.5 {
-		t.Errorf("refine rate %.2f on the canonical dense workload; bounds too loose to pay off", rate)
-	}
+			f.SlotReceptions(tx)
+			st := f.BoundsStats()
+			if st.Slots != 1 {
+				t.Fatalf("dense k=n/4 slot: certified pipeline evaluated %d slots, want 1", st.Slots)
+			}
+			if rate := st.RefineRate(); rate > 0.5 {
+				t.Errorf("refine rate %.2f on the canonical dense workload; bounds too loose to pay off", rate)
+			}
 
-	// All-transmit: no listeners, the tier must decline.
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	f.SlotReceptions(all)
-	if got := f.BoundsStats().Slots; got != st.Slots {
-		t.Errorf("all-transmit slot took the bounds tier (slots %d -> %d)", st.Slots, got)
-	}
+			// All-transmit: no listeners, the pipeline must decline.
+			all := make([]int, n)
+			for i := range all {
+				all[i] = i
+			}
+			f.SlotReceptions(all)
+			if got := f.BoundsStats().Slots; got != st.Slots {
+				t.Errorf("all-transmit slot took the certified pipeline (slots %d -> %d)", st.Slots, got)
+			}
 
-	// A handful of transmitters: the sparse path must keep priority.
-	f.SlotReceptions(tx[:5])
-	if got := f.BoundsStats().Slots; got != st.Slots {
-		t.Errorf("sparse slot took the bounds tier (slots %d -> %d)", st.Slots, got)
-	}
+			// A handful of transmitters: the sparse path must keep priority.
+			f.SlotReceptions(tx[:5])
+			if got := f.BoundsStats().Slots; got != st.Slots {
+				t.Errorf("sparse slot took the certified pipeline (slots %d -> %d)", st.Slots, got)
+			}
 
-	f.ResetBoundsStats()
-	if got := f.BoundsStats(); got != (BoundsStats{}) {
-		t.Errorf("ResetBoundsStats left %+v", got)
-	}
+			f.ResetBoundsStats()
+			if got := f.BoundsStats(); got != (BoundsStats{}) {
+				t.Errorf("ResetBoundsStats left %+v", got)
+			}
 
-	// A fork shares the immutable index but owns private counters.
-	g := f.Fork()
-	defer g.Close()
-	g.SlotReceptions(tx)
-	if g.bidx != f.bidx || g.bidx == nil {
-		t.Fatal("fork does not share the parent's bounds index")
-	}
-	if got := g.Fork().BoundsStats(); got != (BoundsStats{}) {
-		t.Errorf("fresh fork inherited counters %+v", got)
-	}
-	if got := f.BoundsStats().Slots; got != 0 {
-		t.Errorf("fork evaluation bled into parent counters (slots=%d)", got)
-	}
+			// A fork shares the immutable index but owns private counters.
+			g := f.Fork()
+			defer g.Close()
+			g.SlotReceptions(tx)
+			if g.bidx != f.bidx || g.bidx == nil {
+				t.Fatal("fork does not share the parent's bounds index")
+			}
+			if got := g.Fork().BoundsStats(); got != (BoundsStats{}) {
+				t.Errorf("fresh fork inherited counters %+v", got)
+			}
+			if got := f.BoundsStats().Slots; got != 0 {
+				t.Errorf("fork evaluation bled into parent counters (slots=%d)", got)
+			}
 
-	// Forks taken before the parent ever evaluated a slot — the experiment
-	// scheduler's pattern — must still share a single index build.
-	cold := NewFastChannel(ch)
-	defer cold.Close()
-	a, b := cold.Fork(), cold.Fork()
-	defer a.Close()
-	defer b.Close()
-	a.SlotReceptions(tx)
-	b.SlotReceptions(tx)
-	if a.bidx == nil || a.bidx != b.bidx {
-		t.Fatal("cold forks built separate bounds indexes")
+			// Forks taken before the parent ever evaluated a slot — the experiment
+			// scheduler's pattern — must still share a single index build.
+			cold := NewFastChannel(ch, opt)
+			defer cold.Close()
+			a, b := cold.Fork(), cold.Fork()
+			defer a.Close()
+			defer b.Close()
+			a.SlotReceptions(tx)
+			b.SlotReceptions(tx)
+			if a.bidx == nil || a.bidx != b.bidx {
+				t.Fatal("cold forks built separate bounds indexes")
+			}
+		})
 	}
 }
 
 // TestBoundsBetaGuard pins the degenerate-β corner: with β barely above 1
-// the decision-exactness slack argument does not hold, so the tier must
-// decline even when forced, and the dense path must carry the slot.
+// the decision-exactness slack argument does not hold, so the certificates
+// must decline even when forced, and the lattice's dense scan must carry
+// the slot.
 func TestBoundsBetaGuard(t *testing.T) {
 	p := DefaultParams(10)
 	p.Beta = 1 + 1e-12
@@ -234,17 +239,12 @@ func TestBoundsBetaGuard(t *testing.T) {
 	for i := 0; i < len(pos); i += 2 {
 		tx = append(tx, i)
 	}
-	f := NewFastChannel(ch, FastOptions{Workers: 1, SparseFactor: -1, BoundsFactor: 1})
-	defer f.Close()
-	want := ch.SlotReceptions(tx)
-	got := f.SlotReceptions(tx)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("node %d decoded %d, reference says %d", i, got[i].Sender, want[i].Sender)
+	variants := boundsVariants(t, ch)
+	assertEquivalent(t, ch, variants, tx, "beta-1 = 1e-12")
+	for name, f := range variants {
+		if st := f.BoundsStats(); st.Slots != 0 {
+			t.Errorf("%s: certified pipeline engaged with beta-1 = 1e-12 (stats %+v)", name, st)
 		}
-	}
-	if st := f.BoundsStats(); st.Slots != 0 {
-		t.Errorf("bounds tier engaged with beta-1 = 1e-12 (stats %+v)", st)
 	}
 }
 

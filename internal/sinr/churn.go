@@ -41,16 +41,14 @@ import (
 //   - spatial grid (matrix regime and outlier fallback): dirty nodes are
 //     moved/inserted and removed tail slots deleted, O(changed) bucket
 //     operations;
-//   - bounds tier and cell lattice: the shared cell index re-buckets the
-//     dirty nodes and rebuilds its CSR in O(n + occupied cells)
-//     (geom.CellIndex.ApplyChurn) while the per-offset power tables — the
-//     expensive math.Pow part — are reused unchanged, since they depend
-//     only on the lattice span; the per-cell transmitter aggregates are
-//     per-slot state and need no patch.
+//   - cell lattice: the shared cell index re-buckets the dirty nodes and
+//     rebuilds its CSR in O(n + occupied cells) (geom.CellIndex.ApplyChurn)
+//     while the per-offset power tables — the expensive math.Pow part — are
+//     reused unchanged, since they depend only on the lattice span; the
+//     per-cell transmitter aggregates are per-slot state and need no patch.
 //     Only when a dirty node escapes the original lattice is the index
-//     dropped and rebuilt (lazily in the matrix regime, eagerly on the
-//     lattice, which demotes to the grid fallback if the stretched
-//     deployment exceeds the offset-table cap).
+//     dropped and rebuilt, and the evaluator demotes to the grid fallback
+//     if the stretched deployment exceeds the offset-table cap.
 //
 // Past ChurnRebuildFraction the patch stops paying: recomputing a dirty row
 // and column costs about twice the per-node share of the symmetric full
@@ -273,49 +271,8 @@ func (f *FastChannel) patchAfterEpoch(d *EpochDelta, oldN int) {
 			}
 		}
 	}
-	// Bounds tier: patch the shared cell index in place when it exists and
-	// the epoch stays inside its lattice; otherwise drop it for a lazy
-	// rebuild (lattice: an eager one — the index is the regime's
-	// only spatial state, so it can never stay unresolved). The per-offset
-	// power tables survive a successful patch unchanged (they depend only
-	// on the lattice span and the physical parameters), and so do the
-	// supercell tables and the shard stripe function; newly occupied cells
-	// appended by the patch join the partition under the holder lock.
-	h := f.bholder
-	h.mu.Lock()
-	if h.built && h.idx != nil {
-		if h.idx.cells.ApplyChurn(f.pos, d.Dirty) {
-			if h.idx.shard != nil {
-				h.idx.shard.appendCells(h.idx.cells)
-			}
-			f.bidx, f.boundsOff = h.idx, h.off
-			f.sext = h.idx.shard
-			h.mu.Unlock()
-			if f.shards > 0 {
-				f.growShardScratch()
-			} else {
-				f.growBoundsScratch()
-			}
-		} else {
-			h.built, h.idx, h.off = false, nil, false
-			f.bidx, f.boundsOff = nil, false
-			h.mu.Unlock()
-			if f.shards > 0 && !f.ensureShardIndex() {
-				f.demoteToGrid()
-			}
-		}
-	} else {
-		// Not built (never yet, latched off, or already invalidated by
-		// another family member's apply): nothing to patch, but the local
-		// cache must follow the holder — keeping a stale f.bidx here would
-		// evaluate the next dense slot on a pre-epoch cell decomposition.
-		// A holder latched off for outlier geometry stays off; a lazily
-		// rebuilt index re-evaluates the cap anyway.
-		f.bidx, f.boundsOff = h.idx, h.off
-		h.mu.Unlock()
-		if f.shards > 0 && f.bidx == nil && !f.ensureShardIndex() {
-			f.demoteToGrid()
-		}
+	if f.shards > 0 {
+		f.patchCellIndex(d.Dirty)
 	}
 	// Coverage model: expand the box by the changed positions.
 	for _, id := range d.Dirty {
@@ -336,16 +293,38 @@ func (f *FastChannel) patchAfterEpoch(d *EpochDelta, oldN int) {
 	f.updateCoverageModel()
 }
 
+// patchCellIndex brings the lattice's shared cell index up to the post-epoch
+// positions: in place when the epoch stays inside the original lattice,
+// which keeps the per-offset and supercell tables and the stripe function
+// (newly occupied cells join the partition); otherwise the index is dropped
+// and rebuilt. Other members of the fork family applying the same epoch
+// find the index already current, and a holder that records outlier
+// geometry keeps every member on the grid fallback.
+func (f *FastChannel) patchCellIndex(dirty []int) {
+	h := f.bholder
+	h.mu.Lock()
+	if bi := h.idx; bi != nil {
+		if bi.cells.ApplyChurn(f.pos, dirty) {
+			bi.appendCells()
+		} else {
+			h.built, h.idx = false, nil
+		}
+	}
+	h.mu.Unlock()
+	if !f.ensureShardIndex() {
+		f.demoteToGrid()
+	}
+}
+
 // rebuildAfterEpoch is the full-rebuild fallback of ApplyEpoch, taken past
 // ChurnRebuildFraction (and exercising exactly the state a fresh evaluator
 // would build, which is what the differential churn tests compare against).
 func (f *FastChannel) rebuildAfterEpoch() {
 	n := f.n
 	if f.shards > 0 {
-		// Cell lattice: the cell index is the only spatial state, so it is
-		// rebuilt eagerly (the matrix regime below rebuilds lazily via the
-		// invalidated holder). A post-epoch deployment stretched past the
-		// offset-table cap demotes to the grid fallback instead.
+		// Cell lattice: the cell index is the only spatial state. A
+		// post-epoch deployment stretched past the offset-table cap demotes
+		// to the grid fallback instead.
 		f.bholder.invalidate()
 		if !f.ensureShardIndex() {
 			f.demoteToGrid()
@@ -369,8 +348,6 @@ func (f *FastChannel) rebuildAfterEpoch() {
 			}
 		}
 	}
-	f.bholder.invalidate()
-	f.bidx, f.boundsOff = nil, false
 	f.box = geom.BoundingBox(f.pos)
 	f.updateCoverageModel()
 }

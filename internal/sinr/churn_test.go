@@ -24,7 +24,7 @@ import (
 // churnWorld is a lattice-backed dynamic deployment: nodes sit jittered on
 // sites of a spacing-2 lattice, so every epoch trivially preserves the
 // unit-distance invariant while still moving nodes across grid buckets and
-// bounds-tier cells.
+// lattice cells.
 type churnWorld struct {
 	t      *testing.T
 	src    *rng.Source
@@ -137,19 +137,19 @@ func (w *churnWorld) epoch(moves, adds, removes int) *sinr.EpochDelta {
 }
 
 // churnVariants builds the fast-evaluator configurations the churn suite
-// patches: the matrix regime and the cell lattice (pinned shard counts and
-// the automatic one), each dispatch tier pinned and the adaptive default, at
-// one and several workers.
+// patches: the matrix regime and the cell lattice (pinned shard counts, the
+// automatic count among them), each dispatch path pinned and the adaptive
+// default, at one and several workers.
 func churnVariants(ch *sinr.Channel) map[string]*sinr.FastChannel {
 	return map[string]*sinr.FastChannel{
 		"matrix/default":  sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2}),
 		"matrix/1w":       sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1}),
 		"matrix/sparse":   sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, SparseFactor: 1}),
-		"matrix/bounds":   sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, SparseFactor: -1, BoundsFactor: 1}),
-		"matrix/dense":    sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, SparseFactor: -1, BoundsFactor: -1}),
-		"matrix/bounds1w": sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1, SparseFactor: -1, BoundsFactor: 1}),
-		"shard/auto":      sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 4, MatrixThreshold: -1}),
+		"matrix/dense":    sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, SparseFactor: -1}),
+		"shard/s64":       sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 4, Shards: 64}),
 		"shard/s4":        sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, Shards: 4}),
+		"shard/s1/cert":   sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, Shards: 1, SparseFactor: -1, BoundsFactor: 1}),
+		"shard/s1/cert1w": sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1}),
 		"shard/s2/cert":   sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, Shards: 2, SparseFactor: -1, BoundsFactor: 1}),
 		"shard/s4/dense":  sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: -1}),
 		"shard/s8/sparse": sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, Shards: 8, SparseFactor: 1}),
@@ -276,14 +276,13 @@ func TestChurnForkEquivalence(t *testing.T) {
 	}
 	for _, opts := range []sinr.FastOptions{
 		{Workers: 2},
-		{Workers: 2, MatrixThreshold: -1},
-		{Workers: 2, SparseFactor: -1, BoundsFactor: 1},
+		{Workers: 2, Shards: 64},
+		{Workers: 2, Shards: 1, SparseFactor: -1, BoundsFactor: 1},
 	} {
-		opts := opts
 		root := sinr.NewFastChannel(ch, opts)
 		early := root.Fork() // pre-epoch fork, patched alongside the root
 		for _, tx := range churnTxSets(src, w.d.NumNodes()) {
-			root.SlotReceptions(tx) // build lazy state pre-epoch
+			root.SlotReceptions(tx) // warm per-slot scratch pre-epoch
 		}
 		for e := 0; e < 4; e++ {
 			delta := w.epoch(2+src.Intn(2), src.Intn(2), src.Intn(2))
@@ -324,8 +323,9 @@ func TestChurnApplyAllocFree(t *testing.T) {
 		name string
 		opts sinr.FastOptions
 	}{
-		{"matrix", sinr.FastOptions{Workers: 1, MatrixThreshold: 1200, SparseFactor: -1, BoundsFactor: 1}},
+		{"matrix", sinr.FastOptions{Workers: 1, SparseFactor: -1}},
 		{"shard", sinr.FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: 1}},
+		{"shard/s1", sinr.FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1}},
 	} {
 		t.Run(reg.name, func(t *testing.T) {
 			const n, moved = 1000, 10
@@ -338,8 +338,7 @@ func TestChurnApplyAllocFree(t *testing.T) {
 			if reg.opts.Shards > 0 && f.Shards() == 0 {
 				t.Fatal("lattice configuration fell back to the grid")
 			}
-			// Build the bounds cell index and warm every bucket/arena the
-			// cycle will touch.
+			// Warm every bucket/arena the cycle will touch.
 			tx := make([]int, 0, n/2)
 			for i := 0; i < n; i += 2 {
 				tx = append(tx, i)
@@ -370,11 +369,11 @@ func TestChurnApplyAllocFree(t *testing.T) {
 }
 
 // TestChurnOutOfLatticeSharedInvalidation pins the fork-family
-// invalidation of the bounds tier: when an epoch escapes the cell index's
-// original lattice, whichever member applies it first drops the shared
-// holder, and every other member applying the same delta must follow —
-// keeping a stale local index would evaluate later dense slots on a
-// pre-epoch cell decomposition.
+// invalidation of the lattice's cell index: when an epoch escapes the
+// index's original lattice, whichever member applies it first drops and
+// rebuilds the shared index, and every other member applying the same
+// delta must follow — keeping a stale local index would evaluate later
+// dense slots on a pre-epoch cell decomposition.
 func TestChurnOutOfLatticeSharedInvalidation(t *testing.T) {
 	var pos []geom.Point
 	for r := 0; r < 5; r++ {
@@ -387,7 +386,7 @@ func TestChurnOutOfLatticeSharedInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1, SparseFactor: -1, BoundsFactor: 1})
+	root := sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1})
 	defer root.Close()
 	fork := root.Fork()
 	defer fork.Close()
@@ -395,7 +394,7 @@ func TestChurnOutOfLatticeSharedInvalidation(t *testing.T) {
 	for i := 0; i < n; i += 2 {
 		tx = append(tx, i)
 	}
-	// Both members build and cache the shared bounds index pre-epoch.
+	// Both members evaluate on the shared index pre-epoch.
 	root.SlotReceptions(tx)
 	fork.SlotReceptions(tx)
 	// One node leaves the original lattice by many cells.
@@ -490,7 +489,7 @@ func TestChurnCrossShardMigration(t *testing.T) {
 	}()
 	src := rng.New(0x5a4d)
 	cur := append([]geom.Point(nil), pos...)
-	// Build every lazy index pre-epoch so the epochs exercise the patch path.
+	// Warm every evaluator pre-epoch so the epochs exercise the patch path.
 	for _, tx := range churnTxSets(src, n) {
 		for name := range roots {
 			roots[name].SlotReceptions(tx)

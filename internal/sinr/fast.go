@@ -10,7 +10,8 @@ import (
 
 // DefaultMatrixThreshold is the largest deployment size for which
 // FastChannel precomputes the full n×n received-power matrix (n = 2048 uses
-// 32 MiB). Larger deployments run the cell-lattice regime of shard.go.
+// 32 MiB). Larger deployments, and any deployment with a positive
+// FastOptions.Shards, run the cell-lattice regime of shard.go.
 const DefaultMatrixThreshold = 2048
 
 // sparseCoverageMax is the crossover of the default (adaptive) sparse
@@ -52,12 +53,6 @@ type FastOptions struct {
 	// Zero or negative means GOMAXPROCS. sim.Engine overrides this with its
 	// own worker count via SetWorkers.
 	Workers int
-	// MatrixThreshold is the largest deployment size served by the matrix
-	// regime; larger deployments run the cell lattice. Zero means
-	// DefaultMatrixThreshold; a negative value selects the lattice at any
-	// size (the differential tests use it to exercise both regimes at small
-	// n).
-	MatrixThreshold int
 	// SparseFactor overrides the sparse-path crossover. Zero (the default)
 	// selects the adaptive heuristic: a slot is evaluated
 	// sender-centrically when the estimated ball coverage of its
@@ -69,21 +64,22 @@ type FastOptions struct {
 	// compare against). The differential tests use the overrides to pin
 	// each path; simulations keep the default.
 	SparseFactor int
-	// BoundsFactor overrides the certified-bounds dispatch for the slots
-	// the sparse path declined. Zero (the default) selects the adaptive
-	// per-slot cost model (prepareBounds in the matrix regime, prepareShard
-	// on the lattice); a positive value forces the certified path onto
-	// every such slot (the differential tests pin it this way), and a
-	// negative value disables it (the exact dense scan the benchmarks
-	// compare against). The β guard (boundsBetaMin) is respected in every
-	// mode.
+	// BoundsFactor overrides the lattice's certified-bounds dispatch for
+	// the slots the sparse path declined. Zero (the default) selects the
+	// adaptive per-slot cost model of prepareShard; a positive value forces
+	// the certified pipeline onto every such slot (the differential tests
+	// pin it this way), and a negative value disables it (the lattice's
+	// exact dense scan the benchmarks compare against). The β guard
+	// (boundsBetaMin) is respected in every mode. The matrix regime has no
+	// certified tier and ignores it.
 	BoundsFactor int
 	// Shards is the shard count of the cell lattice (shard.go). Zero or
-	// negative (the default) runs the lattice above MatrixThreshold with
-	// defaultShardCount shards; a positive value selects the lattice with
-	// that many shards at any deployment size (the differential tests pin
-	// S ∈ {1, 2, 4, 8}). The shard count is a work-partition width, not a
-	// correctness parameter: results are bit-identical at any value.
+	// negative (the default) runs the lattice above DefaultMatrixThreshold
+	// with defaultShardCount shards and the matrix at or below it; a
+	// positive value selects the lattice with that many shards at any
+	// deployment size (the differential tests pin S ∈ {1, 2, 4, 8}). The
+	// shard count is a work-partition width, not a correctness parameter:
+	// results are bit-identical at any value.
 	Shards int
 }
 
@@ -95,23 +91,22 @@ type FastOptions struct {
 //     reused across slots (no per-slot map or slice allocations), and only
 //     the receivers that decoded something in the previous slot are reset,
 //     so a quiet slot costs O(k) rather than O(n);
-//   - up to MatrixThreshold nodes (the matrix regime) the received powers
-//     are precomputed once into an n×n matrix, eliminating every path-loss
-//     evaluation from the slot path; a spatial grid (internal/geom) drives
-//     the sparse path, and dense slots whose transmitter count dwarfs the
-//     number of occupied cells take the hierarchical-bounds tier
-//     (bounds.go): per-cell transmitter aggregates bound each receiver's
-//     interference from above and below, the decode decision is emitted
-//     directly when the certificates agree under a k·ulp rounding slack,
-//     and only the thin ambiguous band around β refines through the exact
-//     per-receiver arithmetic;
-//   - above MatrixThreshold (or when FastOptions.Shards pins it) the
-//     evaluator runs the cell lattice (shard.go): the bounds
-//     representation, extended with a supercell layer, is the only spatial
-//     state — no matrix, grid or per-pair cache exists, memory is
-//     O(occupied cells + nodes), every power is computed by the fused
-//     pairPower kernel, and receivers are scanned in spatial shards whose
-//     knowledge of remote transmitters is certified aggregate bounds;
+//   - up to DefaultMatrixThreshold nodes (the matrix regime) the received
+//     powers are precomputed once into an n×n matrix, eliminating every
+//     path-loss evaluation from the slot path; a spatial grid
+//     (internal/geom) drives the sparse path, and dense slots stream
+//     receivers against the cached rows;
+//   - above DefaultMatrixThreshold (or when FastOptions.Shards pins it) the
+//     evaluator runs the cell lattice (shard.go): the certified-bounds
+//     index of bounds.go — per-cell transmitter aggregates bound each
+//     receiver's interference from above and below, the decode decision is
+//     emitted directly when the certificates agree under a k·ulp rounding
+//     slack, and only the thin ambiguous band around β refines through the
+//     exact per-receiver arithmetic — is the only spatial state: no
+//     matrix, grid or per-pair cache exists, memory is O(occupied cells +
+//     nodes), every power is computed by the fused pairPower kernel, and
+//     receivers are scanned in spatial shards whose knowledge of remote
+//     transmitters is certified aggregate bounds;
 //   - in either regime sparse slots (estimated transmitter-ball coverage
 //     below sparseCoverageMax) take the sender-centric path, which
 //     enumerates only the receivers inside some transmitter's ball —
@@ -128,16 +123,16 @@ type FastOptions struct {
 // construction or after a churn epoch — falls back to a spatial grid with
 // every power recomputed (gridChunk); that fallback is exact but has no
 // certified tier. Within the chosen regime each slot then dispatches —
-// sparse when the estimated candidate coverage is low, certified bounds
-// when the per-slot cost model wins, the exact dense scan otherwise — and
-// no tier changes results: a sender whose lone-transmitter SINR is below β
-// cannot be decoded under any interference (the denominator only grows),
-// the sparse path skips exactly the receivers whose every received power is
-// provably below that bound, the bounds and lattice tiers emit only
-// decisions their conservative certificates prove identical to the exact
-// arithmetic's (bounds.go and shard.go document the argument), and every
-// threshold carries slack so borderline cases fall through to the exact
-// reference arithmetic.
+// sparse when the estimated candidate coverage is low, on the lattice
+// certified bounds when the per-slot cost model wins, the exact dense scan
+// otherwise — and no path changes results: a sender whose lone-transmitter
+// SINR is below β cannot be decoded under any interference (the
+// denominator only grows), the sparse path skips exactly the receivers
+// whose every received power is provably below that bound, the lattice
+// emits only decisions its conservative certificates prove identical to
+// the exact arithmetic's (bounds.go and shard.go document the argument),
+// and every threshold carries slack so borderline cases fall through to
+// the exact reference arithmetic.
 //
 // The Reception slice returned by SlotReceptions is owned by the evaluator
 // and valid only until the next call; callers that retain it must copy.
@@ -219,40 +214,21 @@ type FastChannel struct {
 	mark       []uint32
 	markGen    uint32
 
-	// Bounds tier (see bounds.go). bholder shares the lazily built
-	// immutable cell index and offset power tables across all forks of a
-	// deployment; bidx/boundsOff cache the resolved result locally, and
-	// everything below them is per-evaluator slot scratch.
-	boundsFactor int
-	bholder      *boundsHolder
-	boundsOff    bool // latched when the offset tables would exceed boundsMaxOffsets
-	bidx         *boundsIndex
-	txCellCnt    []int32 // per cell: transmitter count of the current slot
-	txCellStart  []int32 // per cell: CSR offset into txByCell
-	txCellFill   []int32 // per cell: scatter cursor while building the CSR
-	txByCell     []int32 // slot transmitters grouped by cell
-	occT         []int32 // occupied transmitter cells, in tx-encounter order
-	loFar        []float64
-	hiFar        []float64
-	farMaxUB     []float64
-	nearCnt      []int32
-	nearCells    []int32 // per receiver cell, stride bidx.nearStride
-	// Per-slot certificate constants (prepareBounds) and lifetime counters
-	// (read via BoundsStats, written with atomics from the chunk workers).
-	slackUp, slackDown float64
-	betaHi, betaLo     float64
-	boundsSlots        uint64
-	boundsReceivers    uint64
-	boundsRefined      uint64
-
-	// Cell lattice (shard.go): shards > 0 replaces the matrix and grid
-	// with the cell decomposition plus the supercell layer of sext. The
-	// scratch below extends the bounds tier's per-cell aggregates with the
-	// per-supercell level; superFarLo/Hi/Max hold the far-field
-	// interference bounds of each receiver supercell for the slot being
-	// evaluated.
+	// Cell lattice (shard.go, bounds.go): shards > 0 replaces the matrix
+	// and grid with the certified-bounds index. bholder shares the index
+	// across all forks of a deployment and bidx caches it locally;
+	// everything below them is per-evaluator slot scratch. superFarLo/Hi/
+	// Max hold the far-field interference bounds of each receiver supercell
+	// for the slot being evaluated.
 	shards        int
-	sext          *shardExt
+	boundsFactor  int
+	bholder       *boundsHolder
+	bidx          *boundsIndex
+	txCellCnt     []int32 // per cell: transmitter count of the current slot
+	txCellStart   []int32 // per cell: CSR offset into txByCell
+	txCellFill    []int32 // per cell: scatter cursor while building the CSR
+	txByCell      []int32 // slot transmitters grouped by cell
+	occT          []int32 // occupied transmitter cells, in tx-encounter order
 	occS          []int32 // occupied transmitter supercells, in occT-encounter order
 	superTxCnt    []int32 // per supercell: transmitter count of the current slot
 	superOccCnt   []int32 // per supercell: occupied-cell count of the current slot
@@ -262,23 +238,26 @@ type FastChannel struct {
 	superFarLo    []float64
 	superFarHi    []float64
 	superFarMax   []float64
+	// Per-slot certificate constants (prepareShard) and lifetime counters
+	// (read via BoundsStats, written with atomics from the chunk workers).
+	slackUp, slackDown float64
+	betaHi, betaLo     float64
+	boundsSlots        uint64
+	boundsReceivers    uint64
+	boundsRefined      uint64
 }
 
 var _ ParallelEvaluator = (*FastChannel)(nil)
 
 // NewFastChannel returns a fast evaluator over the given channel. At most
 // one FastOptions value may be supplied; omitting it selects the defaults.
-// Deployments of at most MatrixThreshold nodes get the matrix regime,
-// larger ones (or any size when Shards is positive) the cell lattice, and
-// outlier geometry the lattice cannot index the grid fallback.
+// Deployments of at most DefaultMatrixThreshold nodes get the matrix
+// regime, larger ones (or any size when Shards is positive) the cell
+// lattice, and outlier geometry the lattice cannot index the grid fallback.
 func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	var opt FastOptions
 	if len(opts) > 0 {
 		opt = opts[0]
-	}
-	threshold := opt.MatrixThreshold
-	if threshold == 0 {
-		threshold = DefaultMatrixThreshold
 	}
 	n := c.NumNodes()
 	f := &FastChannel{
@@ -301,7 +280,6 @@ func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	f.txPred = func(id int) bool { return f.isTx[id] }
 	f.sparseFactor = opt.SparseFactor
 	f.boundsFactor = opt.BoundsFactor
-	f.bholder = &boundsHolder{}
 	for i := range f.out {
 		f.out[i].Sender = -1
 	}
@@ -310,8 +288,9 @@ func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	f.cullRadius = math.Max(c.params.Range(), 1) * (1 + cullSlack)
 	f.box = geom.BoundingBox(f.pos)
 	f.updateCoverageModel()
-	if s := resolveShards(opt.Shards, n, threshold); s > 0 {
+	if s := resolveShards(opt.Shards, n); s > 0 {
 		f.shards = s
+		f.bholder = &boundsHolder{}
 		if !f.ensureShardIndex() {
 			// Outlier geometry latched the offset tables off.
 			f.demoteToGrid()
@@ -432,9 +411,9 @@ func (f *FastChannel) updateCoverageModel() {
 // Fork returns an evaluator that shares f's immutable state — the underlying
 // channel, node positions, the precomputed n×n power matrix and spatial grid
 // of the matrix regime, and the cell index, offset power tables and shard
-// extension of the lattice (once built) — while owning private mutable
-// scratch (reception slice, transmitter flags, per-worker rows, sparse
-// candidate buffers, per-cell aggregates and counters, worker pool). Forks
+// partition of the lattice — while owning private mutable scratch
+// (reception slice, transmitter flags, per-worker rows, sparse candidate
+// buffers, per-cell aggregates and counters, worker pool). Forks
 // may evaluate slots concurrently with each other and with f. The
 // experiment scheduler hands each trial worker its own fork, so the power
 // matrix or cell index of a sweep point's deployment is built once and
@@ -473,17 +452,13 @@ func (f *FastChannel) Fork() *FastChannel {
 		g.out[i].Sender = -1
 	}
 	if f.shards > 0 {
-		// Cell lattice: share the resolved index and shard extension
-		// (immutable between epochs) and grow private per-slot scratch.
+		// Cell lattice: share the resolved index (immutable between
+		// epochs) and grow private per-slot scratch and counters (a fork's
+		// BoundsStats start at zero).
 		g.shards = f.shards
-		g.bidx, g.boundsOff = f.bidx, f.boundsOff
-		g.sext = f.sext
+		g.bidx = f.bidx
 		g.growShardScratch()
 	}
-	// g shares f's boundsHolder: in the matrix regime whichever fork first
-	// takes a dense slot builds the cell index and offset tables once for
-	// all of them, and each fork then grows private per-slot aggregates and
-	// counters (a fork's BoundsStats start at zero).
 	return g
 }
 
@@ -559,8 +534,6 @@ func (f *FastChannel) setWorkers(workers int) {
 // scan to the pool allocates nothing.
 func (f *FastChannel) RunChunk(lo, hi, worker int) { f.chunkFn(f, lo, hi, worker) }
 
-// runChunks evaluates fn over [0, n) on the worker pool, growing the
-// per-worker scratch first.
 // workerRow returns worker's per-slot received-power scratch row sized for
 // the current transmitter set, growing it when a larger slot arrives. The
 // growth is amortized ownership, not steady-state allocation: capacity only
@@ -577,6 +550,8 @@ func (f *FastChannel) workerRow(worker int) []float64 {
 	return row[:len(f.tx)]
 }
 
+// runChunks evaluates fn over [0, n) on the worker pool, growing the
+// per-worker scratch first.
 func (f *FastChannel) runChunks(n int, fn func(f *FastChannel, lo, hi, worker int)) {
 	workers := f.workers
 	if len(f.rows) < workers {
@@ -638,10 +613,6 @@ func (f *FastChannel) SlotReceptions(transmitters []int) []Reception {
 	case f.mat == nil:
 		// Outlier-geometry fallback: no cell index, so no certified tier.
 		f.runChunks(f.n, (*FastChannel).gridChunk)
-	case f.prepareBounds(len(transmitters)):
-		f.runChunks(f.bidx.cells.NumCells(), (*FastChannel).boundsPrepChunk)
-		f.runChunks(f.n, (*FastChannel).boundsMatrixChunk)
-		f.finishBounds()
 	default:
 		f.runChunks(f.n, (*FastChannel).matrixChunk)
 	}

@@ -11,20 +11,21 @@ import (
 
 // fastVariants returns the fast-evaluator configurations the differential
 // tests exercise: the matrix regime and the cell lattice (pinned shard
-// counts, plus the automatic one MatrixThreshold -1 selects), each at one
-// and several workers, with the sparse sender-centric crossover and the
-// certified tier forced on, forced off and left at their defaults. The evaluators' worker pools are released when the
-// test finishes.
+// counts, including the automatic defaultShardCount), each at one and
+// several workers, with the sparse sender-centric crossover and the
+// lattice's certified tier forced on, forced off and left at their
+// defaults. The evaluators' worker pools are released when the test
+// finishes.
 func fastVariants(t testing.TB, ch *Channel) map[string]*FastChannel {
 	variants := map[string]*FastChannel{
 		"matrix/1w":        NewFastChannel(ch, FastOptions{Workers: 1}),
 		"matrix/4w":        NewFastChannel(ch, FastOptions{Workers: 4}),
 		"matrix/nosparse":  NewFastChannel(ch, FastOptions{Workers: 2, SparseFactor: -1}),
 		"matrix/sparse":    NewFastChannel(ch, FastOptions{Workers: 2, SparseFactor: 1}),
-		"matrix/bounds":    NewFastChannel(ch, FastOptions{Workers: 2, SparseFactor: -1, BoundsFactor: 1}),
-		"matrix/bounds/1w": NewFastChannel(ch, FastOptions{Workers: 1, SparseFactor: -1, BoundsFactor: 1}),
-		"shard/auto":       NewFastChannel(ch, FastOptions{Workers: 4, MatrixThreshold: -1}),
+		"shard/auto":       NewFastChannel(ch, FastOptions{Workers: 4, Shards: defaultShardCount}),
 		"shard/s1":         NewFastChannel(ch, FastOptions{Workers: 2, Shards: 1}),
+		"shard/s1/cert":    NewFastChannel(ch, FastOptions{Workers: 2, Shards: 1, SparseFactor: -1, BoundsFactor: 1}),
+		"shard/s1/cert/1w": NewFastChannel(ch, FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1}),
 		"shard/s2/dense":   NewFastChannel(ch, FastOptions{Workers: 2, Shards: 2, SparseFactor: -1, BoundsFactor: -1}),
 		"shard/s4/cert":    NewFastChannel(ch, FastOptions{Workers: 2, Shards: 4, SparseFactor: -1, BoundsFactor: 1}),
 		"shard/s4/cert/1w": NewFastChannel(ch, FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: 1}),
@@ -156,18 +157,18 @@ func TestSparseSenderCentricEquivalence(t *testing.T) {
 		{"k=n/4", n / 4},
 	}
 	for _, regime := range []struct {
-		name      string
-		threshold int
+		name   string
+		shards int
 	}{
 		{"matrix", 0},
-		{"lattice", -1},
+		{"lattice", defaultShardCount},
 	} {
 		for _, workers := range []int{1, 4} {
 			sparse := NewFastChannel(ch, FastOptions{
-				Workers: workers, MatrixThreshold: regime.threshold, SparseFactor: 1,
+				Workers: workers, Shards: regime.shards, SparseFactor: 1,
 			})
 			dense := NewFastChannel(ch, FastOptions{
-				Workers: workers, MatrixThreshold: regime.threshold, SparseFactor: -1,
+				Workers: workers, Shards: regime.shards, SparseFactor: -1,
 			})
 			for _, d := range densities {
 				for slot := 0; slot < 4; slot++ {
@@ -221,21 +222,17 @@ func TestForkMatchesParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []FastOptions{
-		{Workers: 2},
-		{Workers: 2, MatrixThreshold: -1},
-		{Workers: 2, SparseFactor: -1, BoundsFactor: 1},
-		{Workers: 2, MatrixThreshold: -1, SparseFactor: -1, BoundsFactor: 1},
+	for _, tc := range []struct {
+		name string
+		opts FastOptions
+	}{
+		{"matrix", FastOptions{Workers: 2}},
+		{"lattice", FastOptions{Workers: 2, Shards: defaultShardCount}},
+		{"lattice/s1/bounds", FastOptions{Workers: 2, Shards: 1, SparseFactor: -1, BoundsFactor: 1}},
+		{"lattice/bounds", FastOptions{Workers: 2, Shards: defaultShardCount, SparseFactor: -1, BoundsFactor: 1}},
 	} {
-		name := "matrix"
-		if opts.MatrixThreshold < 0 {
-			name = "lattice"
-		}
-		if opts.BoundsFactor > 0 {
-			name += "/bounds"
-		}
-		t.Run(name, func(t *testing.T) {
-			parent := NewFastChannel(ch, opts)
+		t.Run(tc.name, func(t *testing.T) {
+			parent := NewFastChannel(ch, tc.opts)
 			// Warm the parent's scratch before forking.
 			warm := []int{1, 3, 5, 7}
 			parent.SlotReceptions(warm)
@@ -416,9 +413,9 @@ func TestFastChannelAllocFree(t *testing.T) {
 	}{
 		{"matrix/dense", FastOptions{Workers: 1, SparseFactor: -1}},
 		{"matrix/sparse", FastOptions{Workers: 1, SparseFactor: 1}},
-		{"matrix/bounds", FastOptions{Workers: 1, SparseFactor: -1, BoundsFactor: 1}},
 		{"matrix/sparse/4w", FastOptions{Workers: 4, SparseFactor: 1}},
 		{"shard/cert", FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: 1}},
+		{"shard/s1/cert", FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1}},
 		{"shard/dense", FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: -1}},
 		{"shard/sparse", FastOptions{Workers: 1, Shards: 4, SparseFactor: 1}},
 		{"shard/cert/4w", FastOptions{Workers: 4, Shards: 8, SparseFactor: -1, BoundsFactor: 1}},
@@ -428,6 +425,42 @@ func TestFastChannelAllocFree(t *testing.T) {
 		allocs := testing.AllocsPerRun(20, func() { f.SlotReceptions(tx) })
 		if allocs != 0 {
 			t.Errorf("%s path allocates %.1f objects per slot, want 0", tc.name, allocs)
+		}
+		f.Close()
+	}
+}
+
+// TestMatrixRegimeBuildsNoCellIndex pins that the matrix regime has no
+// certified tier: neither a dense slot (all nodes but one transmitting, the
+// densest slot that still has a listener) nor a churn epoch makes it build
+// the lattice's cell index, even with the certified dispatch forced.
+func TestMatrixRegimeBuildsNoCellIndex(t *testing.T) {
+	const n = 300
+	ch, deltas, err := ChurnBenchWorkload(n, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []FastOptions{{Workers: 1}, {Workers: 2, SparseFactor: -1, BoundsFactor: 1}} {
+		f := NewFastChannel(ch, opt)
+		if f.mat == nil || f.Shards() != 0 {
+			f.Close()
+			t.Fatalf("%+v: n = %d did not select the matrix regime", opt, n)
+		}
+		tx := make([]int, 0, n-1)
+		for i := 1; i < n; i++ {
+			tx = append(tx, i)
+		}
+		only := map[string]*FastChannel{"matrix": f}
+		assertEquivalent(t, ch, only, tx, fmt.Sprintf("%+v k=n-1", opt))
+		if err := f.ApplyEpoch(deltas[0]); err != nil {
+			t.Fatal(err)
+		}
+		assertEquivalent(t, ch, only, tx, fmt.Sprintf("%+v after epoch", opt))
+		if c := f.OccupiedCells(); c != 0 || f.bidx != nil || f.bholder != nil {
+			t.Errorf("%+v: matrix regime built a cell index (%d occupied cells)", opt, c)
+		}
+		if st := f.BoundsStats(); st != (BoundsStats{}) {
+			t.Errorf("%+v: matrix regime counted certified slots %+v", opt, st)
 		}
 		f.Close()
 	}

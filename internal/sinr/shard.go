@@ -1,21 +1,15 @@
 package sinr
 
-import (
-	"sync/atomic"
-
-	"sinrmac/internal/geom"
-)
+import "sync/atomic"
 
 // This file implements the cell lattice, FastChannel's regime for every
-// deployment above the matrix threshold: the slot evaluator that promotes
-// the hierarchical bounds representation of bounds.go from an opportunistic
-// per-slot tier to the primary regime. Above MatrixThreshold nodes (or
-// whenever FastOptions.Shards pins it) the evaluator holds no per-pair
+// deployment above DefaultMatrixThreshold nodes (or whenever
+// FastOptions.Shards pins it): a slot evaluator that holds no per-pair
 // state at all — no n×n matrix, no per-sender power cache, no map-backed
-// spatial grid — only the flat cell decomposition (geom.CellIndex), the
-// per-offset power-bound tables, and a supercell layer on top, for
-// O(occupied cells + nodes) memory; every power it needs is computed by
-// pairPower.
+// spatial grid — only the certified-bounds index of bounds.go (the flat
+// cell decomposition, the per-offset power-bound tables and a supercell
+// layer on top), for O(occupied cells + nodes) memory; every power it
+// needs is computed by pairPower.
 //
 // Between the matrix threshold and n = 65536 the lattice replaced a spatial
 // grid with a clock-evicted per-sender power-column cache: at GOMAXPROCS = 1
@@ -45,9 +39,9 @@ import (
 //     costs O(occupied supercells) per supercell instead of O(occupied
 //     cells) per cell.
 //
-// The two-level split is what keeps a dense slot at n = 10⁶ tractable: the
-// flat bounds tier's prep pass is O(cells × occupied cells) — quadratic in
-// the ~10⁵ cells of a million-node deployment — while the supercell far
+// The two-level split is what keeps a dense slot at n = 10⁶ tractable: a
+// flat pass over every (receiver cell, occupied cell) pair is quadratic in
+// the ~10⁵ cells of a million-node deployment, while the supercell far
 // field is O(supercells × occupied supercells) plus a per-cell window of
 // ~(3·shardSuperSize)² table lookups.
 //
@@ -65,7 +59,7 @@ import (
 // the 4·(k+64)·ulp slack budget, so loW ≤ Ŝ ≤ hiW still brackets the exact
 // path's floating-point interference sum in any summation order; receivers
 // whose certificates disagree refine through the exact per-receiver
-// arithmetic exactly as in bounds.go. S ∈ {1, 2, 4, 8, …} therefore yields
+// arithmetic as bounds.go describes. S ∈ {1, 2, 4, 8, …} therefore yields
 // identical Reception slices, which TestShardedEquivalence pins.
 //
 // Slots that decline the certificates (β guard, cost model, forced via
@@ -99,40 +93,12 @@ const shardSuperSize = 8
 // and cmd/sinrsim's -maxnodes guard derives its refusal message from it.
 const ShardBytesPerNodeBudget = 128
 
-// shardExt is the lattice's extension of the bounds index: the
-// supercell layer and the shard partition. It is built once per fork family
-// (attached to the shared boundsIndex under the holder lock) and mutated
-// only by churn epochs, which append entries for newly occupied cells.
-type shardExt struct {
-	s int // shard count
-	g int // supercell side, in cells (shardSuperSize)
-	// Supercell lattice dimensions: cell (cx, cy) lives in supercell
-	// (cx/g)·superH + cy/g, a dense id in [0, superW·superH).
-	superW, superH int
-	// spanX1 is spanX+1 of the lattice at build time; the stripe function
-	// shard(cx) = cx·s/spanX1 stays stable across churn epochs because a
-	// successful in-place patch never changes the span.
-	spanX1 int
-	// Per-supercell-offset power bounds, the coarse analogue of the
-	// boundsIndex cell tables: valid for any point pair of two supercells
-	// at lattice offset (dx, dy), indexed by (dx+superW-1)·(2·superH-1) +
-	// dy+superH-1.
-	pwSuperUB, pwSuperLB []float64
-	// The near lattice offsets (distance lower bound within the culling
-	// radius): at most 21 of the 5×5 neighbourhood, independent of the
-	// deployment. The sharded dense path probes them to cull whole cells.
-	nearDX, nearDY []int32
-	// shardCells[s] lists the dense cell ids of shard s; the per-shard
-	// receiver chunks iterate exactly one list each.
-	shardCells [][]int32
-	cellCount  int // cells assigned so far (== NumCells between epochs)
-}
-
 // shardForColumn maps a lattice column to its stripe.
-func (e *shardExt) shardForColumn(cx int) int {
-	sh := cx * e.s / e.spanX1
-	if sh >= e.s {
-		sh = e.s - 1
+func (bi *boundsIndex) shardForColumn(cx int) int {
+	s := len(bi.shardCells)
+	sh := cx * s / (bi.spanX + 1)
+	if sh >= s {
+		sh = s - 1
 	}
 	if sh < 0 {
 		sh = 0
@@ -144,63 +110,26 @@ func (e *shardExt) shardForColumn(cx int) int {
 // the decomposition (always inside the original lattice, so the stripe
 // function still applies). Steady-state mobility cycles re-occupy existing
 // cells and append nothing.
-func (e *shardExt) appendCells(cells *geom.CellIndex) {
-	nc := cells.NumCells()
-	for c := e.cellCount; c < nc; c++ {
-		cx, _ := cells.Coord(c)
-		sh := e.shardForColumn(cx)
-		e.shardCells[sh] = append(e.shardCells[sh], int32(c))
+func (bi *boundsIndex) appendCells() {
+	nc := bi.cells.NumCells()
+	for c := bi.cellCount; c < nc; c++ {
+		cx, _ := bi.cells.Coord(c)
+		sh := bi.shardForColumn(cx)
+		bi.shardCells[sh] = append(bi.shardCells[sh], int32(c))
 	}
-	e.cellCount = nc
-}
-
-// buildShardExt constructs the supercell layer and shard partition over a
-// freshly built bounds index.
-func (f *FastChannel) buildShardExt(bi *boundsIndex) *shardExt {
-	cells := bi.cells
-	ext := &shardExt{
-		s:      f.shards,
-		g:      shardSuperSize,
-		superW: bi.spanX/shardSuperSize + 1,
-		superH: bi.spanY/shardSuperSize + 1,
-		spanX1: bi.spanX + 1,
-	}
-	w, h := 2*ext.superW-1, 2*ext.superH-1
-	ext.pwSuperUB = make([]float64, w*h)
-	ext.pwSuperLB = make([]float64, w*h)
-	super := float64(ext.g) * cells.CellSize()
-	for dx := -(ext.superW - 1); dx <= ext.superW-1; dx++ {
-		for dy := -(ext.superH - 1); dy <= ext.superH-1; dy++ {
-			dmin, dmax := geom.CellOffsetDistBounds(dx, dy, super)
-			idx := (dx+ext.superW-1)*h + dy + ext.superH - 1
-			ext.pwSuperUB[idx] = f.ch.params.ReceivedPower(dmin * (1 - boundsDistPad))
-			ext.pwSuperLB[idx] = f.ch.params.ReceivedPower(dmax * (1 + boundsDistPad))
-		}
-	}
-	for dx := -2; dx <= 2; dx++ {
-		for dy := -2; dy <= 2; dy++ {
-			if dmin, _ := geom.CellOffsetDistBounds(dx, dy, cells.CellSize()); dmin <= f.cullRadius*(1+boundsDistPad) {
-				ext.nearDX = append(ext.nearDX, int32(dx))
-				ext.nearDY = append(ext.nearDY, int32(dy))
-			}
-		}
-	}
-	ext.shardCells = make([][]int32, ext.s)
-	ext.appendCells(cells)
-	return ext
+	bi.cellCount = nc
 }
 
 // resolveShards maps the FastOptions.Shards knob to the lattice's shard
-// count for an n-node deployment under the resolved matrix threshold: a
-// positive value selects the lattice with that count at any size (the
-// differential tests pin S ∈ {1, 2, 4, 8} this way); otherwise the lattice
-// runs with defaultShardCount shards above the threshold and 0 (the matrix
-// regime) at or below it.
-func resolveShards(opt, n, threshold int) int {
+// count for an n-node deployment: a positive value selects the lattice with
+// that count at any size (the differential tests pin S ∈ {1, 2, 4, 8} this
+// way); otherwise the lattice runs with defaultShardCount shards above
+// DefaultMatrixThreshold and 0 (the matrix regime) at or below it.
+func resolveShards(opt, n int) int {
 	switch {
 	case opt > 0:
 		return opt
-	case n > threshold:
+	case n > DefaultMatrixThreshold:
 		return defaultShardCount
 	}
 	return 0
@@ -210,11 +139,11 @@ func resolveShards(opt, n, threshold int) int {
 // evaluator runs the matrix regime or the outlier-geometry grid fallback.
 func (f *FastChannel) Shards() int { return f.shards }
 
-// OccupiedCells returns the number of occupied cells in the bounds/shard
-// cell decomposition, or 0 while the index has not been built (the bounds
-// tier builds it lazily on the first slot that selects it; the sharded
-// regime builds it eagerly at construction). The count is what the sharded
-// regime's memory scales with, so the scale experiment reports it.
+// OccupiedCells returns the number of occupied cells in the lattice's cell
+// decomposition, or 0 when the evaluator runs the matrix regime or the
+// outlier-geometry grid fallback, neither of which builds one. The count is
+// what the lattice's memory scales with, so the scale experiment reports
+// it.
 func (f *FastChannel) OccupiedCells() int {
 	if f.bidx == nil {
 		return 0
@@ -222,41 +151,35 @@ func (f *FastChannel) OccupiedCells() int {
 	return f.bidx.cells.NumCells()
 }
 
-// ensureShardIndex resolves the shared bounds index for the lattice
-// — building it eagerly, unlike the lazy bounds tier — and attaches the
-// shard extension. It reports false when the deployment's extent latches
-// the offset tables off (boundsMaxOffsets); the caller then demotes to the
-// grid fallback, which handles outlier geometry at per-pair cost.
+// ensureShardIndex resolves the family's shared bounds index, building it
+// if no member has yet, and sizes this evaluator's scratch for it. It
+// reports false when the deployment's extent keeps the offset tables off
+// (boundsMaxOffsets); the caller then demotes to the grid fallback, which
+// handles outlier geometry at per-pair cost.
 func (f *FastChannel) ensureShardIndex() bool {
 	h := f.bholder
 	h.mu.Lock()
 	if !h.built {
-		h.idx, h.off = f.buildBoundsIndex()
-		h.built = true
+		h.idx, h.built = f.buildBoundsIndex(), true
 	}
-	if h.idx != nil && h.idx.shard == nil {
-		h.idx.shard = f.buildShardExt(h.idx)
-	}
-	f.bidx, f.boundsOff = h.idx, h.off
+	f.bidx = h.idx
 	h.mu.Unlock()
 	if f.bidx == nil {
 		return false
 	}
-	f.sext = f.bidx.shard
 	f.growShardScratch()
 	return true
 }
 
-// growShardScratch sizes the lattice's per-slot scratch: the
-// per-cell transmitter aggregates shared with the bounds tier plus the
-// per-supercell layer. Unlike growBoundsScratch it allocates no per-cell
-// far-sum or near-list arenas — the shard chunks compute those per receiver
-// cell on the stack — so the evaluator's footprint stays O(cells + nodes).
-// Scratch already large enough is kept (steady-state churn allocates
-// nothing here).
+// growShardScratch sizes the lattice's per-slot scratch: the per-cell
+// transmitter aggregates plus the per-supercell layer. It allocates no
+// per-cell far-sum or near-list arenas — the shard chunks compute those per
+// receiver cell on the stack — so the evaluator's footprint stays
+// O(cells + nodes). Scratch already large enough is kept (steady-state
+// churn allocates nothing here).
 func (f *FastChannel) growShardScratch() {
 	nc := f.bidx.cells.NumCells()
-	ns := f.sext.superW * f.sext.superH
+	ns := f.bidx.superW * f.bidx.superH
 	if len(f.txCellCnt) >= nc && len(f.superTxCnt) >= ns && cap(f.occTBySuper) >= nc {
 		return
 	}
@@ -282,7 +205,7 @@ func (f *FastChannel) growShardScratch() {
 // allocation-heavy; the differential tests pin that the fallback still
 // matches the reference.
 func (f *FastChannel) demoteToGrid() {
-	f.shards, f.sext = 0, nil
+	f.shards, f.bidx = 0, nil
 	f.buildGrid()
 }
 
@@ -291,44 +214,41 @@ func (f *FastChannel) demoteToGrid() {
 // it, the cell-culled dense scan otherwise.
 func (f *FastChannel) shardSlot(transmitters []int) {
 	if f.prepareShard(len(transmitters)) {
-		f.runChunks(f.sext.superW*f.sext.superH, (*FastChannel).superFarChunk)
+		f.runChunks(f.bidx.superW*f.bidx.superH, (*FastChannel).superFarChunk)
 		f.runChunks(f.shards, (*FastChannel).shardBoundsChunk)
 		f.finishShard()
 		return
 	}
 	// Dense fallback: aggregate per-cell transmitter counts (for the
 	// cell-level cull) and scan each shard's listeners exactly.
-	occ := f.occT[:0]
-	cells := f.bidx.cells
-	for _, t := range f.tx {
-		c := cells.CellOf(t)
-		if f.txCellCnt[c] == 0 {
-			occ = append(occ, int32(c))
-		}
-		f.txCellCnt[c]++
-	}
-	f.occT = occ
+	f.countTxCells()
 	f.runChunks(f.shards, (*FastChannel).shardDenseChunk)
 	f.finishBounds()
 }
 
-// prepareShard is the sharded analogue of prepareBounds: it decides whether
-// the slot takes the certified pipeline and, if so, builds the per-cell and
-// per-supercell transmitter aggregates. The cost model mirrors the flat
-// tier's with the supercell terms added: the far field costs
-// supercells·occupiedSupercells instead of cells·occupiedCells, plus a
-// per-cell window of ~9 occupied cells per supercell.
+// prepareShard decides whether the slot with k >= 1 transmitters takes the
+// certified pipeline and, if so, builds the per-cell and per-supercell
+// transmitter aggregates. It must run after f.tx is set; on rejection all
+// touched scratch is restored.
+//
+// The adaptive decision (boundsFactor == 0) models per-slot op counts: the
+// dense scan costs listeners·k, the pipeline k (aggregation) +
+// supercells·occupiedSupercells (the far field) + a per-cell window of ~9
+// occupied cells per supercell + listeners·(expected near transmitters +
+// O(1)); it is taken only when it undercuts the dense scan by boundsSafety.
+// A positive boundsFactor forces the pipeline (tests pin paths with it), a
+// negative one disables it; either way the β guard is respected.
 func (f *FastChannel) prepareShard(k int) bool {
 	if f.boundsFactor < 0 || f.beta-1 < boundsBetaMin {
 		return false
 	}
-	cells := f.bidx.cells
-	ext := f.sext
+	bi := f.bidx
+	cells := bi.cells
 	nc := cells.NumCells()
-	ns := ext.superW * ext.superH
+	ns := bi.superW * bi.superH
 	listeners := float64(f.n - k)
 	denseCost := listeners * float64(k)
-	nearTx := float64(k) * float64(f.bidx.nearStride) / float64(nc)
+	nearTx := float64(k) * float64(len(bi.nearDX)) / float64(nc)
 	if f.boundsFactor == 0 {
 		// Pre-count rejection: even with a single occupied cell the
 		// pipeline cannot cost less than this, so slots the model will
@@ -338,20 +258,12 @@ func (f *FastChannel) prepareShard(k int) bool {
 			return false
 		}
 	}
-	occ := f.occT[:0]
-	for _, t := range f.tx {
-		c := cells.CellOf(t)
-		if f.txCellCnt[c] == 0 {
-			occ = append(occ, int32(c))
-		}
-		f.txCellCnt[c]++
-	}
-	f.occT = occ
-	g := ext.g
+	f.countTxCells()
+	occ := f.occT
 	occS := f.occS[:0]
 	for _, c := range occ {
 		cx, cy := cells.Coord(int(c))
-		sc := (cx/g)*ext.superH + cy/g
+		sc := (cx/shardSuperSize)*bi.superH + cy/shardSuperSize
 		if f.superOccCnt[sc] == 0 {
 			occS = append(occS, int32(sc))
 		}
@@ -373,8 +285,7 @@ func (f *FastChannel) prepareShard(k int) bool {
 			return false
 		}
 	}
-	// CSR of the slot's transmitters grouped by cell (shared layout with
-	// the flat bounds tier).
+	// CSR of the slot's transmitters grouped by cell.
 	if cap(f.txByCell) < k {
 		f.txByCell = make([]int32, k)
 	}
@@ -400,7 +311,7 @@ func (f *FastChannel) prepareShard(k int) bool {
 	}
 	for _, c := range occ {
 		cx, cy := cells.Coord(int(c))
-		sc := (cx/g)*ext.superH + cy/g
+		sc := (cx/shardSuperSize)*bi.superH + cy/shardSuperSize
 		f.occTBySuper[f.superOccFill[sc]] = c
 		f.superOccFill[sc]++
 	}
@@ -411,12 +322,25 @@ func (f *FastChannel) prepareShard(k int) bool {
 	return true
 }
 
+// countTxCells aggregates the slot's transmitters per cell: their count in
+// txCellCnt and the occupied cells, in tx-encounter order, in occT.
+func (f *FastChannel) countTxCells() {
+	cells := f.bidx.cells
+	occ := f.occT[:0]
+	for _, t := range f.tx {
+		c := cells.CellOf(t)
+		if f.txCellCnt[c] == 0 {
+			occ = append(occ, int32(c))
+		}
+		f.txCellCnt[c]++
+	}
+	f.occT = occ
+}
+
 // finishShard restores the per-cell and per-supercell aggregates after a
 // certified sharded slot.
 func (f *FastChannel) finishShard() {
-	for _, c := range f.occT {
-		f.txCellCnt[c] = 0
-	}
+	f.finishBounds()
 	for _, sc := range f.occS {
 		f.superOccCnt[sc] = 0
 		f.superTxCnt[sc] = 0
@@ -438,53 +362,53 @@ func (f *FastChannel) finishShard() {
 //
 //sinrlint:hotpath
 func (f *FastChannel) superFarChunk(lo, hi, _ int) {
-	ext := f.sext
+	bi := f.bidx
 	occS := f.occS
-	h := 2*ext.superH - 1
+	h := 2*bi.superH - 1
 	sc := lo
 	for ; sc+4 <= hi; sc += 4 {
-		rsx0, rsy0 := sc/ext.superH, sc%ext.superH
-		rsx1, rsy1 := (sc+1)/ext.superH, (sc+1)%ext.superH
-		rsx2, rsy2 := (sc+2)/ext.superH, (sc+2)%ext.superH
-		rsx3, rsy3 := (sc+3)/ext.superH, (sc+3)%ext.superH
+		rsx0, rsy0 := sc/bi.superH, sc%bi.superH
+		rsx1, rsy1 := (sc+1)/bi.superH, (sc+1)%bi.superH
+		rsx2, rsy2 := (sc+2)/bi.superH, (sc+2)%bi.superH
+		rsx3, rsy3 := (sc+3)/bi.superH, (sc+3)%bi.superH
 		var lo0, lo1, lo2, lo3 float64
 		var hi0, hi1, hi2, hi3 float64
 		var fm0, fm1, fm2, fm3 float64
 		for _, tsc32 := range occS {
 			tsc := int(tsc32)
-			tsx, tsy := tsc/ext.superH, tsc%ext.superH
+			tsx, tsy := tsc/bi.superH, tsc%bi.superH
 			cnt := float64(f.superTxCnt[tsc])
 			if dsx, dsy := tsx-rsx0, tsy-rsy0; dsx < -1 || dsx > 1 || dsy < -1 || dsy > 1 {
-				idx := (dsx+ext.superW-1)*h + dsy + ext.superH - 1
-				lo0 += cnt * ext.pwSuperLB[idx]
-				ub := ext.pwSuperUB[idx]
+				idx := (dsx+bi.superW-1)*h + dsy + bi.superH - 1
+				lo0 += cnt * bi.pwSuperLB[idx]
+				ub := bi.pwSuperUB[idx]
 				hi0 += cnt * ub
 				if ub > fm0 {
 					fm0 = ub
 				}
 			}
 			if dsx, dsy := tsx-rsx1, tsy-rsy1; dsx < -1 || dsx > 1 || dsy < -1 || dsy > 1 {
-				idx := (dsx+ext.superW-1)*h + dsy + ext.superH - 1
-				lo1 += cnt * ext.pwSuperLB[idx]
-				ub := ext.pwSuperUB[idx]
+				idx := (dsx+bi.superW-1)*h + dsy + bi.superH - 1
+				lo1 += cnt * bi.pwSuperLB[idx]
+				ub := bi.pwSuperUB[idx]
 				hi1 += cnt * ub
 				if ub > fm1 {
 					fm1 = ub
 				}
 			}
 			if dsx, dsy := tsx-rsx2, tsy-rsy2; dsx < -1 || dsx > 1 || dsy < -1 || dsy > 1 {
-				idx := (dsx+ext.superW-1)*h + dsy + ext.superH - 1
-				lo2 += cnt * ext.pwSuperLB[idx]
-				ub := ext.pwSuperUB[idx]
+				idx := (dsx+bi.superW-1)*h + dsy + bi.superH - 1
+				lo2 += cnt * bi.pwSuperLB[idx]
+				ub := bi.pwSuperUB[idx]
 				hi2 += cnt * ub
 				if ub > fm2 {
 					fm2 = ub
 				}
 			}
 			if dsx, dsy := tsx-rsx3, tsy-rsy3; dsx < -1 || dsx > 1 || dsy < -1 || dsy > 1 {
-				idx := (dsx+ext.superW-1)*h + dsy + ext.superH - 1
-				lo3 += cnt * ext.pwSuperLB[idx]
-				ub := ext.pwSuperUB[idx]
+				idx := (dsx+bi.superW-1)*h + dsy + bi.superH - 1
+				lo3 += cnt * bi.pwSuperLB[idx]
+				ub := bi.pwSuperUB[idx]
 				hi3 += cnt * ub
 				if ub > fm3 {
 					fm3 = ub
@@ -496,19 +420,19 @@ func (f *FastChannel) superFarChunk(lo, hi, _ int) {
 		f.superFarMax[sc], f.superFarMax[sc+1], f.superFarMax[sc+2], f.superFarMax[sc+3] = fm0, fm1, fm2, fm3
 	}
 	for ; sc < hi; sc++ {
-		rsx, rsy := sc/ext.superH, sc%ext.superH
+		rsx, rsy := sc/bi.superH, sc%bi.superH
 		loSum, hiSum, farMax := 0.0, 0.0, 0.0
 		for _, tsc32 := range occS {
 			tsc := int(tsc32)
-			dsx := tsc/ext.superH - rsx
-			dsy := tsc%ext.superH - rsy
+			dsx := tsc/bi.superH - rsx
+			dsy := tsc%bi.superH - rsy
 			if dsx >= -1 && dsx <= 1 && dsy >= -1 && dsy <= 1 {
 				continue // window: handled at cell granularity per receiver cell
 			}
-			idx := (dsx+ext.superW-1)*h + dsy + ext.superH - 1
+			idx := (dsx+bi.superW-1)*h + dsy + bi.superH - 1
 			cnt := float64(f.superTxCnt[tsc])
-			loSum += cnt * ext.pwSuperLB[idx]
-			ub := ext.pwSuperUB[idx]
+			loSum += cnt * bi.pwSuperLB[idx]
+			ub := bi.pwSuperUB[idx]
 			hiSum += cnt * ub
 			if ub > farMax {
 				farMax = ub
@@ -533,14 +457,13 @@ func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
 	dec := f.decoded[worker]
 	row := f.workerRow(worker)
 	bi := f.bidx
-	ext := f.sext
 	cells := bi.cells
-	g := ext.g
+	const g = shardSuperSize
 	h := 2*bi.spanY + 1
 	var near [25]int32
 	var evaluated, refined uint64
 	for si := lo; si < hi; si++ {
-		for _, rc32 := range ext.shardCells[si] {
+		for _, rc32 := range bi.shardCells[si] {
 			rc := int(rc32)
 			nodes := cells.Nodes(rc)
 			if len(nodes) == 0 {
@@ -558,21 +481,21 @@ func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
 			}
 			rcx, rcy := cells.Coord(rc)
 			rsx, rsy := rcx/g, rcy/g
-			scSelf := rsx*ext.superH + rsy
+			scSelf := rsx*bi.superH + rsy
 			loFar := f.superFarLo[scSelf]
 			hiFar := f.superFarHi[scSelf]
 			farMax := f.superFarMax[scSelf]
 			nearN := 0
 			wsxHi, wsyHi := rsx+1, rsy+1
-			if wsxHi >= ext.superW {
-				wsxHi = ext.superW - 1
+			if wsxHi >= bi.superW {
+				wsxHi = bi.superW - 1
 			}
-			if wsyHi >= ext.superH {
-				wsyHi = ext.superH - 1
+			if wsyHi >= bi.superH {
+				wsyHi = bi.superH - 1
 			}
 			for wsx := max(rsx-1, 0); wsx <= wsxHi; wsx++ {
 				for wsy := max(rsy-1, 0); wsy <= wsyHi; wsy++ {
-					sc := wsx*ext.superH + wsy
+					sc := wsx*bi.superH + wsy
 					s0 := f.superOccStart[sc]
 					for _, tc := range f.occTBySuper[s0 : s0+int32(f.superOccCnt[sc])] {
 						tcx, tcy := cells.Coord(int(tc))
@@ -655,10 +578,10 @@ func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
 func (f *FastChannel) shardDenseChunk(lo, hi, worker int) {
 	dec := f.decoded[worker]
 	row := f.workerRow(worker)
-	ext := f.sext
-	cells := f.bidx.cells
+	bi := f.bidx
+	cells := bi.cells
 	for si := lo; si < hi; si++ {
-		for _, rc32 := range ext.shardCells[si] {
+		for _, rc32 := range bi.shardCells[si] {
 			rc := int(rc32)
 			nodes := cells.Nodes(rc)
 			listening := false
@@ -673,8 +596,8 @@ func (f *FastChannel) shardDenseChunk(lo, hi, worker int) {
 			}
 			rcx, rcy := cells.Coord(rc)
 			hot := false
-			for i := range ext.nearDX {
-				c := cells.CellAt(rcx+int(ext.nearDX[i]), rcy+int(ext.nearDY[i]))
+			for i := range bi.nearDX {
+				c := cells.CellAt(rcx+int(bi.nearDX[i]), rcy+int(bi.nearDY[i]))
 				if c >= 0 && f.txCellCnt[c] > 0 {
 					hot = true
 					break

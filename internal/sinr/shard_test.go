@@ -63,7 +63,7 @@ func TestShardedEquivalence(t *testing.T) {
 }
 
 // TestShardedThresholdRefine reruns the planted on-threshold geometries of
-// the bounds tier against the sharded regime: receivers whose decode
+// TestBoundsThresholdRefine at every pinned shard count: receivers whose decode
 // decision is decided by the last ulp must refine through the exact
 // arithmetic (never be guessed from the certificates), receivers well clear
 // of the threshold must certify, and every decision must match the naive
@@ -152,48 +152,42 @@ func TestShardedThresholdRefine(t *testing.T) {
 func TestShardedDispatchAndGuards(t *testing.T) {
 	t.Run("auto-threshold", func(t *testing.T) {
 		for _, tc := range []struct {
-			opt, n, threshold, want int
+			opt, n, want int
 		}{
-			{0, DefaultMatrixThreshold, DefaultMatrixThreshold, 0},
-			{0, DefaultMatrixThreshold + 1, DefaultMatrixThreshold, defaultShardCount},
-			{-1, DefaultMatrixThreshold + 1, DefaultMatrixThreshold, defaultShardCount},
-			{0, 1 << 20, 1 << 20, 0}, // a raised threshold keeps the matrix
-			{0, 1, -1, defaultShardCount},
-			{3, 100, DefaultMatrixThreshold, 3},
+			{0, DefaultMatrixThreshold, 0},
+			{0, DefaultMatrixThreshold + 1, defaultShardCount},
+			{-1, DefaultMatrixThreshold + 1, defaultShardCount},
+			{-1, 1, 0},
+			{3, 100, 3},
 		} {
-			if got := resolveShards(tc.opt, tc.n, tc.threshold); got != tc.want {
-				t.Errorf("resolveShards(%d, %d, %d) = %d, want %d", tc.opt, tc.n, tc.threshold, got, tc.want)
+			if got := resolveShards(tc.opt, tc.n); got != tc.want {
+				t.Errorf("resolveShards(%d, %d) = %d, want %d", tc.opt, tc.n, got, tc.want)
 			}
 		}
-		// The same boundary through the constructor: n = MatrixThreshold
-		// gets the matrix, one node more the lattice, and raising the
-		// threshold past n keeps the matrix above the default.
-		regime := func(n, threshold int) string {
-			ch, _, err := DenseBenchWorkload(n, 1, 1)
+		// The same boundary through the constructor: n =
+		// DefaultMatrixThreshold gets the matrix, one node more the lattice.
+		for _, tc := range []struct {
+			n    int
+			want string
+		}{
+			{DefaultMatrixThreshold, "matrix"},
+			{DefaultMatrixThreshold + 1, "lattice"},
+		} {
+			ch, _, err := DenseBenchWorkload(tc.n, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := NewFastChannel(ch, FastOptions{Workers: 1, MatrixThreshold: threshold})
-			defer f.Close()
+			f := NewFastChannel(ch, FastOptions{Workers: 1})
+			got := fmt.Sprintf("grid (S=%d)", f.Shards())
 			switch {
 			case f.mat != nil && f.Shards() == 0:
-				return "matrix"
+				got = "matrix"
 			case f.mat == nil && f.Shards() == defaultShardCount:
-				return "lattice"
+				got = "lattice"
 			}
-			return fmt.Sprintf("grid (S=%d)", f.Shards())
-		}
-		for _, tc := range []struct {
-			n, threshold int
-			want         string
-		}{
-			{300, 300, "matrix"},
-			{301, 300, "lattice"},
-			{DefaultMatrixThreshold + 1, 0, "lattice"},
-			{DefaultMatrixThreshold + 1, DefaultMatrixThreshold + 1, "matrix"},
-		} {
-			if got := regime(tc.n, tc.threshold); got != tc.want {
-				t.Errorf("n=%d MatrixThreshold=%d: %s, want %s", tc.n, tc.threshold, got, tc.want)
+			f.Close()
+			if got != tc.want {
+				t.Errorf("n=%d: %s, want %s", tc.n, got, tc.want)
 			}
 		}
 	})
@@ -284,7 +278,7 @@ func TestShardedDispatchAndGuards(t *testing.T) {
 }
 
 // TestShardedForkSharing checks the fork contract in the sharded regime:
-// forks share the immutable index and shard extension (no rebuild), own
+// forks share the immutable index (no rebuild), own
 // private counters, and keep producing reference-identical receptions
 // concurrently with the parent.
 func TestShardedForkSharing(t *testing.T) {
@@ -302,8 +296,8 @@ func TestShardedForkSharing(t *testing.T) {
 	if fork.Shards() != parent.Shards() {
 		t.Fatalf("fork shard count %d, parent %d", fork.Shards(), parent.Shards())
 	}
-	if fork.bidx == nil || fork.bidx != parent.bidx || fork.sext != parent.sext {
-		t.Fatal("fork does not share the parent's index and shard extension")
+	if fork.bidx == nil || fork.bidx != parent.bidx {
+		t.Fatal("fork does not share the parent's index")
 	}
 	if got := fork.BoundsStats(); got != (BoundsStats{}) {
 		t.Errorf("fresh fork inherited counters %+v", got)

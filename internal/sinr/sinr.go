@@ -20,16 +20,16 @@
 // for the lattice's offset tables falls back to a spatial grid with every
 // power recomputed. Within a regime each slot dispatches further: the
 // sender-centric sparse path when the transmitters' estimated ball coverage
-// is low, an O(k) short-circuit on all-transmit slots, the certified
-// bounds tier (bounds.go, and the lattice's sharded form of it) when the
-// transmitter count dwarfs the occupied cells, and the exact dense scan
-// otherwise. All paths are decision-exact: because β > 1 at most one
-// sender can decode at a receiver, so the only output is a discrete
-// decision, and the optimised paths either prove their decision identical
-// to the reference's floating-point arithmetic (conservative culling slack;
-// interference bounds widened by a Θ(k)·ulp rounding slack — on the
-// lattice those certified bounds are also what crosses shard boundaries, so
-// shards never read each other's per-receiver state) or fall back to it.
+// is low, an O(k) short-circuit on all-transmit slots, on the lattice its
+// certified bounds (bounds.go) when the transmitter count dwarfs the
+// occupied cells, and the exact dense scan otherwise. All paths are
+// decision-exact: because β > 1 at most one sender can decode at a
+// receiver, so the only output is a discrete decision, and the optimised
+// paths either prove their decision identical to the reference's
+// floating-point arithmetic (conservative culling slack; interference
+// bounds widened by a Θ(k)·ulp rounding slack, which are also what crosses
+// shard boundaries, so shards never read each other's per-receiver state)
+// or fall back to it.
 // The differential tests in this package hold every path bit-identical to
 // the reference at any shard and worker count.
 //
@@ -42,8 +42,8 @@
 // the pin) — and distances come from a fused Sqrt(dx²+dy²) over a
 // structure-of-arrays coordinate mirror (FastChannel.pairPower, pinned
 // bit-identical to the Point.Dist composition by
-// TestPairPowerKernelBitIdentical). Threshold comparisons in the sparse and
-// bounds tiers stay in the squared-distance domain (DistSq ≤ r², shared
+// TestPairPowerKernelBitIdentical). Threshold comparisons in the sparse path
+// and the lattice stay in the squared-distance domain (DistSq ≤ r², shared
 // with every geom grid query), which is exact because Sqrt is monotone and
 // correctly rounded; received powers themselves are always computed from
 // the rounded distance, never from its square, so no decision moves.
