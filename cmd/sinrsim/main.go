@@ -120,12 +120,7 @@ func run(args []string) int {
 	var ev sinr.ChannelEvaluator
 	switch *evaluator {
 	case "fast":
-		fast := sinr.NewFastChannel(ch, sinr.FastOptions{Shards: *shards})
-		if *shards > 0 && fast.Shards() == 0 {
-			fmt.Fprintf(os.Stderr, "sinrsim: -shards %d requested but the deployment's geometry cannot be sharded (degenerate extent); rerun without -shards\n", *shards)
-			return 2
-		}
-		ev = fast
+		ev = sinr.NewFastChannel(ch, sinr.FastOptions{Shards: *shards})
 	case "naive":
 		ev = nil // sim.Engine defaults to the reference path
 	default:

@@ -41,8 +41,7 @@
 //
 //   - n ≤ sinr.DefaultMatrixThreshold: the matrix regime — the full n×n
 //     received-power matrix is precomputed and every slot is served from
-//     it, with a spatial grid (internal/geom) for the sparse path. Memory
-//     O(n²).
+//     it. Memory O(n²).
 //   - above the threshold (or FastOptions.Shards positive): the cell
 //     lattice — memory O(occupied cells + nodes) with no per-pair state
 //     (measured ~105 heap bytes/node at n = 10⁶ against the documented
@@ -52,11 +51,13 @@
 //     supercell layer (8×8 cells). Each shard evaluates its receivers
 //     against exact near-field terms plus certified remote aggregates.
 //
-// Deployments whose lattice extent would overflow the per-offset tables
-// (sinr's boundsMaxOffsets) — outlier geometry such as clusters a million
-// ranges apart, at construction or after churn — fall back to a spatial
-// grid with every power recomputed. That fallback is exact but has no
-// certified tier; it is not a regime a workload is meant to run.
+// Both regimes hold one spatial index, geom.CellIndex with cells of the
+// culling radius, shared by every fork of an evaluator; the sparse path
+// walks it in either regime. A lattice whose extent would overflow the
+// per-offset tables (sinr's boundsMaxOffsets) — outlier geometry such as
+// clusters a million ranges apart, at construction or after churn — keeps
+// its cells, near offsets and shard stripes but builds no tables, so its
+// dense slots run the exact cell-culled scan.
 //
 // The lattice replaced a third regime, a spatial grid with a clock-evicted
 // per-sender power-column cache that served 2048 < n ≤ 65536. Measured on
@@ -110,14 +111,14 @@
 // Receivers are scanned by a persistent worker pool (internal/workpool)
 // wired to sim.Config.Workers.
 //
-// Both regimes and the fallback produce bit-identical Reception slices at any shard and
+// Both regimes produce bit-identical Reception slices at any shard and
 // worker count: culling, sparse enumeration and the certificates only skip
 // work whose outcome is provably fixed, and the differential property tests
 // (TestSlotReceptionsEquivalence, TestSparseSenderCentricEquivalence,
-// TestBoundsTierEquivalence and TestShardedEquivalence with S ∈ {1,2,4,8}
-// and the on-threshold adversarial TestBoundsThresholdRefine in
-// internal/sinr) hold them to that across randomized topologies, densities,
-// transmitter counts and worker counts.
+// TestShardedEquivalence with S ∈ {1,2,4,8} and the on-threshold
+// adversarial TestShardedThresholdRefine in internal/sinr) hold them to
+// that across randomized topologies, densities, transmitter counts and
+// worker counts.
 // Drivers select a path explicitly via sim.Config.Evaluator; the
 // experiment harness (internal/exp), cmd/macbench and cmd/sinrsim use the
 // fast engine, while unit tests exercising channel semantics keep the
@@ -242,19 +243,18 @@
 //
 // Applying a delta to a live evaluator is incremental:
 // sinr.FastChannel.ApplyEpoch patches the matrix regime's dirty power-matrix
-// rows/columns (O(dirty·n) math.Pow instead of the O(n²/2) rebuild) and
-// moves its affected spatial-grid buckets, and re-buckets the lattice's
-// shared cell index in place (geom.CellIndex.ApplyChurn — the per-offset
-// power tables survive unchanged since they depend only on the lattice
-// span). Past sinr.ChurnRebuildFraction of the
-// deployment changing in one epoch the patch stops paying and ApplyEpoch
-// falls back to a full rebuild; both paths are held bit-identical to a
-// from-scratch evaluator by the differential churn suite
-// (TestChurnEpochEquivalence and friends in internal/sinr), and the
-// steady-state apply path of a fixed-size mobility cycle performs zero
+// rows/columns (O(dirty·n) math.Pow instead of the O(n²/2) rebuild), and in
+// both regimes re-buckets the shared cell index in place
+// (geom.CellIndex.ApplyChurn — the lattice's per-offset power tables survive
+// unchanged since they depend only on the lattice span). Past
+// sinr.ChurnRebuildFraction of the deployment changing in one epoch the
+// patch stops paying and ApplyEpoch falls back to a full rebuild; both paths
+// are held bit-identical to a from-scratch evaluator by the differential
+// churn suite (TestChurnEpochEquivalence and friends in internal/sinr), and
+// the steady-state apply path of a fixed-size mobility cycle performs zero
 // heap allocations (TestChurnApplyAllocFree, the churn_matrix/churn_lattice
-// macbench cases). Applying an epoch is stop-the-world for an evaluator
-// fork family and invalidates pre-epoch forks.
+// macbench cases). Applying an epoch is stop-the-world for an evaluator fork
+// family and invalidates pre-epoch forks.
 //
 // One level up, sim.Engine.ApplyEpoch applies a delta between slots:
 // surviving node automata keep their protocol state and follow the relabel

@@ -55,17 +55,13 @@ func ShardScale(cfg Config) (Table, error) {
 	if cfg.Quick {
 		points = []point{{20_000, 8}, {50_000, 8}}
 	}
-	for pi, pt := range points {
+	for _, pt := range points {
 		k := pt.n / scaleTxDiv
 		ch, _, err := sinr.DenseBenchWorkload(pt.n, k, cfg.Seed)
 		if err != nil {
 			return table, err
 		}
 		fast := sinr.NewFastChannel(ch, sinr.FastOptions{Shards: pt.shards, SparseFactor: -1})
-		if fast.Shards() == 0 {
-			fast.Close()
-			return table, fmt.Errorf("exp: E9-scale point %d (n=%d): sharded regime unavailable", pi, pt.n)
-		}
 		src := rng.New(cfg.Seed).SplitLabeled(rng.Label("E9-scale")).SplitLabeled(uint64(pt.n))
 		tx := make([]int, 0, k)
 		receptions := 0

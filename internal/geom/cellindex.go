@@ -3,15 +3,16 @@ package geom
 import "math"
 
 // CellIndex is an immutable, densely numbered decomposition of an indexed
-// point set into the square lattice cells a Grid with the same cell size
-// uses (cell c of a point p is (floor(p.X/cell), floor(p.Y/cell))). Where
-// Grid answers per-point range queries, CellIndex answers the aggregate
-// queries the SINR cell lattice's certified bounds are built on: which cell
-// does a node live in, which nodes live in a cell, and what are the lattice
-// coordinates of a cell so that conservative cell-pair distance bounds
-// (CellOffsetDistBounds) can be looked up by integer offset. The tighter
-// per-point variant (PointCellDistBounds) serves callers refining a single
-// query point against a cell.
+// point set into square lattice cells (cell c of a point p is
+// (floor(p.X/cell), floor(p.Y/cell))). It is the fast SINR evaluator's one
+// spatial index and answers the queries both its regimes are built on:
+// which cell does a node live in, which nodes live in a cell, which
+// occupied cell sits at given lattice coordinates (so a caller can walk the
+// cells around a point), and what are the lattice coordinates of a cell so
+// that conservative cell-pair distance bounds (CellOffsetDistBounds) can be
+// looked up by integer offset. The tighter per-point variant
+// (PointCellDistBounds) serves callers refining a single query point
+// against a cell.
 //
 // Cells are numbered densely in first-occurrence order of the input points,
 // so the numbering is deterministic for a fixed point slice. The node lists
@@ -38,7 +39,7 @@ type CellIndex struct {
 }
 
 // NewCellIndex decomposes the points into square cells of the given side
-// length. It panics if cell is not positive, matching NewGrid.
+// length. It panics if cell is not positive.
 func NewCellIndex(points []Point, cell float64) *CellIndex {
 	if cell <= 0 || math.IsNaN(cell) {
 		panic("geom: cell index cell size must be positive")
@@ -95,9 +96,6 @@ func NewCellIndex(points []Point, cell float64) *CellIndex {
 	return ci
 }
 
-// CellSize returns the cell side length.
-func (ci *CellIndex) CellSize() float64 { return ci.cell }
-
 // NumCells returns the number of occupied cells.
 func (ci *CellIndex) NumCells() int { return len(ci.cx) }
 
@@ -127,8 +125,8 @@ func (ci *CellIndex) PointCoord(p Point) (cx, cy int) {
 // CellAt returns the dense id of the occupied cell at the given relative
 // lattice coordinates (the Coord convention), or -1 when no node has ever
 // occupied that cell. It is the inverse of Coord and lets callers walk the
-// lattice around a point — the sharded evaluator's candidate enumeration
-// and cell-level culling are built on it.
+// lattice around a point — the evaluator's sparse candidate enumeration
+// and the lattice's cell-level culling are built on it.
 func (ci *CellIndex) CellAt(cx, cy int) int {
 	c, ok := ci.ids[cellKey{cx: cx + ci.minCX, cy: cy + ci.minCY}]
 	if !ok {

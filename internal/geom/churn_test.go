@@ -7,72 +7,6 @@ import (
 	"sinrmac/internal/rng"
 )
 
-// TestGridRemoveMove drives a random insert/move/remove schedule and checks
-// the mutated grid answers every query exactly like a grid rebuilt from the
-// live point set.
-func TestGridRemoveMove(t *testing.T) {
-	src := rng.New(0x96d)
-	g := NewGrid(1.5)
-	live := map[int]Point{}
-	next := 0
-	randPoint := func() Point {
-		return Point{X: src.Float64()*20 - 10, Y: src.Float64()*20 - 10}
-	}
-	for step := 0; step < 400; step++ {
-		switch op := src.Intn(3); {
-		case op == 0 || len(live) == 0:
-			p := randPoint()
-			g.Insert(next, p)
-			live[next] = p
-			next++
-		case op == 1:
-			for id := range live {
-				p := randPoint()
-				g.Move(id, p)
-				live[id] = p
-				break
-			}
-		default:
-			for id := range live {
-				g.Remove(id)
-				delete(live, id)
-				break
-			}
-		}
-		if g.Len() != len(live) {
-			t.Fatalf("step %d: Len = %d, want %d", step, g.Len(), len(live))
-		}
-		if step%20 != 0 {
-			continue
-		}
-		fresh := NewGrid(1.5)
-		for id, p := range live {
-			fresh.Insert(id, p)
-		}
-		q := randPoint()
-		r := src.Float64() * 6
-		got, want := g.Neighborhood(q, r), fresh.Neighborhood(q, r)
-		if len(got) != len(want) {
-			t.Fatalf("step %d: Neighborhood sizes %d vs %d", step, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("step %d: Neighborhood diverged: %v vs %v", step, got, want)
-			}
-		}
-		pred := func(id int) bool { return id%2 == 0 }
-		if g.AnyWithin(q, r, pred) != fresh.AnyWithin(q, r, pred) {
-			t.Fatalf("step %d: AnyWithin diverged", step)
-		}
-	}
-	// Removing an unknown id and moving an unknown id are safe.
-	g.Remove(1 << 20)
-	g.Move(1<<20, Point{X: 0, Y: 0})
-	if _, ok := g.Points()[1<<20]; !ok {
-		t.Fatal("Move of an unknown id did not insert it")
-	}
-}
-
 // cellIndexEqual compares a churned index against a freshly built one on
 // the same points: same absolute lattice cell per node, same per-cell
 // membership. Dense ids may differ (the churned index appends new cells and

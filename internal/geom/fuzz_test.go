@@ -51,10 +51,10 @@ func FuzzPointDistance(f *testing.F) {
 	})
 }
 
-// FuzzGridQueryAgreement fuzzes the three grid range queries against a
-// brute-force scan and against each other. After the r² rewrite all three
-// use the same DistSq ≤ r·r predicate, so they must agree exactly — on
-// borderline points sitting on the query circle included.
+// FuzzGridQueryAgreement fuzzes the grid range query against a brute-force
+// scan. Both decide membership by the same DistSq ≤ r·r predicate, so they
+// must agree exactly — on borderline points sitting on the query circle
+// included.
 func FuzzGridQueryAgreement(f *testing.F) {
 	f.Add(uint64(1), uint8(12), 5.0, 5.0, 3.0)
 	f.Add(uint64(7), uint8(40), 0.0, 0.0, 0.0)
@@ -93,32 +93,13 @@ func FuzzGridQueryAgreement(f *testing.F) {
 			}
 		}
 		sort.Ints(brute)
-		nb := append([]int(nil), g.Neighborhood(q, r)...)
-		sort.Ints(nb)
-		aw := g.AppendWithin(nil, q, r)
-		sort.Ints(aw)
-		var visited []int
-		g.AnyWithin(q, r, func(id int) bool {
-			visited = append(visited, id)
-			return false
-		})
-		sort.Ints(visited)
-		for name, got := range map[string][]int{
-			"Neighborhood": nb, "AppendWithin": aw, "AnyWithin": visited,
-		} {
-			if len(got) != len(brute) {
-				t.Fatalf("%s returned %v, brute force says %v (q=%v r=%v)", name, got, brute, q, r)
-			}
-			for i := range got {
-				if got[i] != brute[i] {
-					t.Fatalf("%s returned %v, brute force says %v (q=%v r=%v)", name, got, brute, q, r)
-				}
-			}
+		got := g.Neighborhood(q, r)
+		if len(got) != len(brute) {
+			t.Fatalf("Neighborhood returned %v, brute force says %v (q=%v r=%v)", got, brute, q, r)
 		}
-		// AnyWithin's early-exit answer must match membership for each id.
-		for _, want := range brute {
-			if !g.AnyWithin(q, r, func(id int) bool { return id == want }) {
-				t.Fatalf("AnyWithin missed id %d at DistSq=%g ≤ r²=%g", want, pts[want].DistSq(q), rr)
+		for i := range got {
+			if got[i] != brute[i] {
+				t.Fatalf("Neighborhood returned %v, brute force says %v (q=%v r=%v)", got, brute, q, r)
 			}
 		}
 	})

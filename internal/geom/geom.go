@@ -1,7 +1,7 @@
 // Package geom provides the planar geometry primitives the SINR simulator
-// is built on: points, Euclidean distances, bounding boxes and a uniform
-// grid index used to answer range queries and to bin nodes into annuli for
-// interference accounting.
+// is built on: points, Euclidean distances, bounding boxes, a uniform grid
+// that answers the range queries of topology generation, and the dense
+// cell index the fast SINR evaluator is built on (CellIndex).
 //
 // The paper (Section 4.2) places nodes in the Euclidean plane and assumes a
 // minimum pairwise distance of 1 (the near-field normalisation); helpers in
@@ -216,9 +216,8 @@ type cellKey struct {
 }
 
 // Grid is a uniform spatial hash over the plane with square cells. It
-// supports insertion of indexed points and range queries, and is used both
-// by topology generation (minimum-distance checks) and by interference
-// accounting (annulus binning).
+// supports insertion of indexed points and range queries, and serves
+// topology generation (minimum-distance checks).
 type Grid struct {
 	cell  float64
 	cells map[cellKey][]int
@@ -238,12 +237,6 @@ func NewGrid(cell float64) *Grid {
 	}
 }
 
-// CellSize returns the grid's cell side length.
-func (g *Grid) CellSize() float64 { return g.cell }
-
-// Len returns the number of points stored in the grid.
-func (g *Grid) Len() int { return len(g.pts) }
-
 func (g *Grid) keyFor(p Point) cellKey {
 	return cellKey{
 		cx: int(math.Floor(p.X / g.cell)),
@@ -259,55 +252,10 @@ func (g *Grid) Insert(id int, p Point) {
 	g.pts[id] = p
 }
 
-// Remove deletes the point with identifier id from the grid. Removing an
-// unknown id is a no-op. The bucket entry is swap-removed, so the order of
-// ids within a cell is not preserved; emptied buckets keep their map key
-// (and slice capacity), which lets churn workloads that revisit the same
-// cells update the grid without allocating.
-func (g *Grid) Remove(id int) {
-	p, ok := g.pts[id]
-	if !ok {
-		return
-	}
-	delete(g.pts, id)
-	g.removeFromCell(g.keyFor(p), id)
-}
-
-// Move relocates the point with identifier id to p, preserving the no-alloc
-// property of Remove when the destination bucket has capacity. Moving an
-// unknown id inserts it.
-func (g *Grid) Move(id int, p Point) {
-	old, ok := g.pts[id]
-	if !ok {
-		g.Insert(id, p)
-		return
-	}
-	g.pts[id] = p
-	ko, kn := g.keyFor(old), g.keyFor(p)
-	if ko == kn {
-		return
-	}
-	g.removeFromCell(ko, id)
-	g.cells[kn] = append(g.cells[kn], id)
-}
-
-// removeFromCell swap-removes id from the bucket of cell k.
-func (g *Grid) removeFromCell(k cellKey, id int) {
-	cell := g.cells[k]
-	for i, cid := range cell {
-		if cid == id {
-			cell[i] = cell[len(cell)-1]
-			g.cells[k] = cell[:len(cell)-1]
-			return
-		}
-	}
-}
-
 // Neighborhood returns the ids of all points within radius r of p
 // (inclusive). The result is sorted for determinism. Membership is decided
-// in the squared domain (DistSq ≤ r²), the same predicate AnyWithin and
-// AppendWithin evaluate, so every grid query in the package agrees on
-// borderline points without ever taking a root.
+// in the squared domain (DistSq ≤ r²), so borderline points are decided
+// without ever taking a root.
 func (g *Grid) Neighborhood(p Point, r float64) []int {
 	if r < 0 {
 		return nil
@@ -327,83 +275,5 @@ func (g *Grid) Neighborhood(p Point, r float64) []int {
 		}
 	}
 	sort.Ints(out)
-	return out
-}
-
-// AnyWithin reports whether any stored point q with Dist(p, q) <= r
-// satisfies pred. Unlike Neighborhood it allocates nothing and stops at the
-// first match, which makes it suitable for per-slot hot paths (the fast SINR
-// evaluator uses it to cull receivers with no transmitter in range).
-func (g *Grid) AnyWithin(p Point, r float64, pred func(id int) bool) bool {
-	if r < 0 {
-		return false
-	}
-	// A point within distance r of p lies in a cell whose coordinates differ
-	// from p's cell by at most ceil(r/cell) in each axis.
-	span := int(math.Ceil(r / g.cell))
-	center := g.keyFor(p)
-	rr := r * r
-	for dx := -span; dx <= span; dx++ {
-		for dy := -span; dy <= span; dy++ {
-			k := cellKey{cx: center.cx + dx, cy: center.cy + dy}
-			for _, id := range g.cells[k] {
-				if g.pts[id].DistSq(p) <= rr && pred(id) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// AppendWithin appends to dst the ids of all stored points within distance
-// r of p (inclusive) and returns the extended slice. Unlike Neighborhood it
-// neither sorts nor allocates beyond growing dst, and the membership
-// predicate (squared distance at most r²) is exactly the one AnyWithin
-// evaluates, so the two queries agree on every borderline point. The append
-// order follows the grid's deterministic cell walk, not id order; callers
-// that need id order must sort. The sparse sender-centric SINR path uses it
-// to enumerate the receivers inside each transmitter's ball with a reused
-// candidate buffer.
-func (g *Grid) AppendWithin(dst []int, p Point, r float64) []int {
-	if r < 0 {
-		return dst
-	}
-	span := int(math.Ceil(r / g.cell))
-	center := g.keyFor(p)
-	rr := r * r
-	for dx := -span; dx <= span; dx++ {
-		for dy := -span; dy <= span; dy++ {
-			k := cellKey{cx: center.cx + dx, cy: center.cy + dy}
-			for _, id := range g.cells[k] {
-				if g.pts[id].DistSq(p) <= rr {
-					dst = append(dst, id)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// AnnulusCount returns how many stored points have distance d from p with
-// inner < d <= outer. It is used by interference bounds that sum over rings
-// around a receiver.
-func (g *Grid) AnnulusCount(p Point, inner, outer float64) int {
-	count := 0
-	for _, id := range g.Neighborhood(p, outer) {
-		d := g.pts[id].Dist(p)
-		if d > inner && d <= outer {
-			count++
-		}
-	}
-	return count
-}
-
-// Points returns a copy of the stored points keyed by id.
-func (g *Grid) Points() map[int]Point {
-	out := make(map[int]Point, len(g.pts))
-	for id, p := range g.pts {
-		out[id] = p
-	}
 	return out
 }

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -193,9 +192,6 @@ func TestGridNeighborhood(t *testing.T) {
 	for i, p := range pts {
 		g.Insert(i, p)
 	}
-	if g.Len() != len(pts) {
-		t.Fatalf("Len = %d", g.Len())
-	}
 	got := g.Neighborhood(Point{0, 0}, 1.5)
 	want := []int{0, 1, 4}
 	if len(got) != len(want) {
@@ -231,34 +227,6 @@ func TestGridNeighborhoodMatchesBrute(t *testing.T) {
 		if len(got) != want {
 			t.Fatalf("radius %v: got %d points, want %d", r, len(got), want)
 		}
-	}
-}
-
-func TestGridAnnulusCount(t *testing.T) {
-	g := NewGrid(1)
-	g.Insert(0, Point{1, 0}) // d=1
-	g.Insert(1, Point{2, 0}) // d=2
-	g.Insert(2, Point{5, 0}) // d=5
-	g.Insert(3, Point{0, 0}) // d=0
-	center := Point{0, 0}
-	if got := g.AnnulusCount(center, 0.5, 2); got != 2 {
-		t.Fatalf("AnnulusCount(0.5,2) = %d, want 2", got)
-	}
-	if got := g.AnnulusCount(center, 2, 10); got != 1 {
-		t.Fatalf("AnnulusCount(2,10) = %d, want 1", got)
-	}
-	if got := g.AnnulusCount(center, 0, 0.1); got != 0 {
-		t.Fatalf("AnnulusCount(0,0.1) = %d, want 0", got)
-	}
-}
-
-func TestGridPointsCopy(t *testing.T) {
-	g := NewGrid(1)
-	g.Insert(1, Point{1, 2})
-	m := g.Points()
-	m[1] = Point{9, 9}
-	if got := g.Points()[1]; got != (Point{1, 2}) {
-		t.Fatalf("Points returned shared map; stored point mutated to %v", got)
 	}
 }
 
@@ -311,118 +279,12 @@ func BenchmarkGridNeighborhood(b *testing.B) {
 	}
 }
 
-// TestGridAnyWithin checks the non-allocating existence query against the
-// allocating Neighborhood reference on random point sets.
-func TestGridAnyWithin(t *testing.T) {
-	src := rng.New(31)
-	g := NewGrid(3)
-	pts := make([]Point, 200)
-	for i := range pts {
-		pts[i] = Point{X: src.Float64() * 100, Y: src.Float64() * 100}
-		g.Insert(i, pts[i])
-	}
-	always := func(int) bool { return true }
-	for trial := 0; trial < 200; trial++ {
-		p := Point{X: src.Float64() * 120, Y: src.Float64() * 120}
-		r := src.Float64() * 15
-		want := len(g.Neighborhood(p, r)) > 0
-		if got := g.AnyWithin(p, r, always); got != want {
-			t.Fatalf("AnyWithin(%v, %v) = %v, Neighborhood says %v", p, r, got, want)
-		}
-	}
-	// The predicate restricts matches: only even ids count.
-	even := func(id int) bool { return id%2 == 0 }
-	for trial := 0; trial < 200; trial++ {
-		p := Point{X: src.Float64() * 120, Y: src.Float64() * 120}
-		r := src.Float64() * 15
-		want := false
-		for _, id := range g.Neighborhood(p, r) {
-			if id%2 == 0 {
-				want = true
-				break
-			}
-		}
-		if got := g.AnyWithin(p, r, even); got != want {
-			t.Fatalf("AnyWithin(even) mismatch at %v r=%v", p, r)
-		}
-	}
-	if g.AnyWithin(Point{0, 0}, -1, always) {
-		t.Fatal("negative radius matched")
-	}
-}
-
-// TestGridAnyWithinAllocFree pins the property the fast SINR evaluator
-// relies on: the existence query allocates nothing.
-func TestGridAnyWithinAllocFree(t *testing.T) {
-	g := NewGrid(2)
-	for i := 0; i < 100; i++ {
-		g.Insert(i, Point{X: float64(i % 10), Y: float64(i / 10)})
-	}
-	pred := func(id int) bool { return id == 99 }
-	allocs := testing.AllocsPerRun(50, func() {
-		g.AnyWithin(Point{5, 5}, 4, pred)
-	})
-	if allocs != 0 {
-		t.Fatalf("AnyWithin allocates %.1f objects per query, want 0", allocs)
-	}
-}
-
-// TestGridAppendWithinMatchesNeighborhood checks the sparse-path ball
-// enumeration against the sorted reference query: same membership (the
-// AnyWithin predicate), unsorted but duplicate-free, reusing the caller's
-// buffer without allocating.
-func TestGridAppendWithinMatchesNeighborhood(t *testing.T) {
-	src := rng.New(41)
-	g := NewGrid(3)
-	for i := 0; i < 400; i++ {
-		g.Insert(i, Point{X: src.Float64() * 120, Y: src.Float64() * 120})
-	}
-	var buf []int
-	for trial := 0; trial < 300; trial++ {
-		p := Point{X: src.Float64() * 140, Y: src.Float64() * 140}
-		r := src.Float64() * 18
-		want := g.Neighborhood(p, r)
-		buf = g.AppendWithin(buf[:0], p, r)
-		got := append([]int(nil), buf...)
-		sort.Ints(got)
-		if len(got) != len(want) {
-			t.Fatalf("AppendWithin(%v, %v) found %d points, Neighborhood %d", p, r, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("AppendWithin(%v, %v) mismatch at %d: %d vs %d", p, r, i, got[i], want[i])
-			}
-		}
-	}
-	if got := g.AppendWithin(nil, Point{0, 0}, -1); got != nil {
-		t.Fatal("negative radius appended points")
-	}
-}
-
-// TestGridAppendWithinAllocFree pins the property the sparse sender-centric
-// SINR path relies on: enumerating a ball into a warm buffer allocates
-// nothing.
-func TestGridAppendWithinAllocFree(t *testing.T) {
-	g := NewGrid(2)
-	for i := 0; i < 100; i++ {
-		g.Insert(i, Point{X: float64(i % 10), Y: float64(i / 10)})
-	}
-	buf := make([]int, 0, 128)
-	allocs := testing.AllocsPerRun(50, func() {
-		buf = g.AppendWithin(buf[:0], Point{5, 5}, 4)
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendWithin allocates %.1f objects per query, want 0", allocs)
-	}
-}
-
-// TestGridAppendWithinBoundary pins the membership rule at geometric edge
+// TestGridNeighborhoodBoundary pins the membership rule at geometric edge
 // cases: a query point lying exactly on a cell edge (so its cell key is
 // decided by the floor convention), points exactly at distance r, and a
 // zero radius, which must return exactly the points coincident with the
-// query. These are the cases the sparse candidate enumeration and the
-// lattice's near/far split both depend on agreeing about.
-func TestGridAppendWithinBoundary(t *testing.T) {
+// query.
+func TestGridNeighborhoodBoundary(t *testing.T) {
 	g := NewGrid(1)
 	pts := []Point{
 		{X: 0, Y: 0},  // on the corner shared by four cells
@@ -449,20 +311,14 @@ func TestGridAppendWithinBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := append([]int(nil), g.AppendWithin(nil, tc.p, tc.r)...)
-			sort.Ints(got)
+			got := g.Neighborhood(tc.p, tc.r)
 			if len(got) != len(tc.want) {
-				t.Fatalf("AppendWithin(%v, %v) = %v, want %v", tc.p, tc.r, got, tc.want)
+				t.Fatalf("Neighborhood(%v, %v) = %v, want %v", tc.p, tc.r, got, tc.want)
 			}
 			for i := range tc.want {
 				if got[i] != tc.want[i] {
-					t.Fatalf("AppendWithin(%v, %v) = %v, want %v", tc.p, tc.r, got, tc.want)
+					t.Fatalf("Neighborhood(%v, %v) = %v, want %v", tc.p, tc.r, got, tc.want)
 				}
-			}
-			// The non-allocating existence probe must agree on every case.
-			any := g.AnyWithin(tc.p, tc.r, func(int) bool { return true })
-			if any != (len(tc.want) > 0) {
-				t.Fatalf("AnyWithin(%v, %v) = %v disagrees with AppendWithin %v", tc.p, tc.r, any, tc.want)
 			}
 		})
 	}

@@ -6,7 +6,7 @@
 //  1. asks every node automaton whether it transmits a frame (Tick),
 //  2. evaluates the SINR reception predicate at every listening node
 //     through the configured sinr.ChannelEvaluator (the naive reference
-//     scan by default, the fast arena/grid engine via Config.Evaluator), and
+//     scan by default, sinr.FastChannel via Config.Evaluator), and
 //  3. delivers the decoded frame, if any, to each receiver (Receive).
 //
 // Node automata never see positions, the set of transmitters, or other

@@ -18,7 +18,7 @@ import (
 // # Structure
 //
 // The deployment is decomposed once into square cells of side cullRadius
-// (geom.CellIndex, the same lattice the culling grid uses). Per slot, the
+// (geom.CellIndex, the evaluator's one spatial index). Per slot, the
 // transmitter set is aggregated per cell in O(k): a transmitter count and a
 // CSR list per occupied cell. Because received power is a monotone function
 // of distance, the total interference a receiver in cell rc observes from
@@ -91,11 +91,12 @@ const boundsDistPad = 1e-12
 // estimated) exact-refine fraction.
 const boundsSafety = 2.0
 
-// boundsMaxOffsets caps the per-offset power tables: a deployment whose
+// boundsMaxOffsets caps the per-offset power tables: a lattice whose
 // extent spans so many cells that the (2·spanX+1)·(2·spanY+1) offset tables
-// would exceed this many entries (2M entries = 2 × 16 MiB) builds no index
-// and runs the grid fallback rather than paying unbounded memory for
-// outlier geometry.
+// would exceed this many entries (2M entries = 2 × 16 MiB) builds no tables
+// and declines the certificates, so its dense slots take the exact
+// cell-culled scan rather than paying unbounded memory for outlier
+// geometry.
 const boundsMaxOffsets = 1 << 21
 
 // BoundsStats snapshots the certified pipeline's instrumentation counters.
@@ -141,16 +142,18 @@ func (f *FastChannel) ResetBoundsStats() {
 	atomic.StoreUint64(&f.boundsRefined, 0)
 }
 
-// boundsIndex is the lattice's shared spatial state: the cell
-// decomposition, the per-offset power-bound tables of the cells and of the
-// supercells above them, and the shard partition. It is built once per
-// fork family and mutated only by churn epochs, which re-bucket the cell
-// index and append newly occupied cells to the partition.
+// boundsIndex is the evaluator's shared spatial state: the cell
+// decomposition, which both regimes hold, and on the lattice the near
+// offsets, the shard partition and the per-offset power-bound tables of the
+// cells and of the supercells above them. It is built once per fork family
+// and mutated only by churn epochs, which re-bucket the cell index and
+// append newly occupied cells to the partition.
 type boundsIndex struct {
 	cells *geom.CellIndex
 	// pwUB/pwLB bound the received power between any point pair of two
 	// cells at lattice offset (dx, dy), indexed by
-	// (dx+spanX)·(2·spanY+1) + dy+spanY.
+	// (dx+spanX)·(2·spanY+1) + dy+spanY. They, nearOff and the supercell
+	// tables are nil when the extent exceeds boundsMaxOffsets.
 	pwUB, pwLB []float64
 	// nearOff flags the offsets whose distance lower bound does not exceed
 	// cullRadius: only such cells can contain a decodable sender, and they
@@ -165,7 +168,7 @@ type boundsIndex struct {
 	spanX, spanY int
 	// Supercell lattice dimensions: cell (cx, cy) lives in supercell
 	// (cx/shardSuperSize)·superH + cy/shardSuperSize, a dense id in
-	// [0, superW·superH).
+	// [0, superW·superH). Zero without tables.
 	superW, superH int
 	// Per-supercell-offset power bounds, the coarse analogue of pwUB/pwLB:
 	// valid for any point pair of two supercells at lattice offset
@@ -181,56 +184,62 @@ type boundsIndex struct {
 // forks, so the O(n) decomposition and the offset tables are built once per
 // family. Unlike a sync.Once the holder can be reset: a churn epoch whose
 // changes escape the original lattice invalidates it in place, and the
-// member applying the epoch rebuilds from the post-epoch positions. A built
-// holder with a nil index records outlier geometry whose tables would
-// exceed boundsMaxOffsets.
+// member applying the epoch rebuilds from the post-epoch positions.
 type boundsHolder struct {
-	mu    sync.Mutex
-	built bool
-	idx   *boundsIndex
+	mu  sync.Mutex
+	idx *boundsIndex
 }
 
-// invalidate drops the holder's index so the next ensureShardIndex
+// invalidate drops the holder's index so the next ensureIndex
 // rebuilds it.
 func (h *boundsHolder) invalidate() {
 	h.mu.Lock()
-	h.built, h.idx = false, nil
+	h.idx = nil
 	h.mu.Unlock()
 }
 
-// buildBoundsIndex constructs the cell decomposition, the per-offset power
-// tables and the shard partition from the evaluator's current state
-// (positions, radius, params, shard count). It returns nil when the
-// deployment's extent would make the tables exceed boundsMaxOffsets.
+// buildBoundsIndex constructs the cell decomposition from the evaluator's
+// current positions and, on the lattice, the near offsets, the shard
+// partition and — unless the deployment's extent would make them exceed
+// boundsMaxOffsets — the per-offset power tables.
 func (f *FastChannel) buildBoundsIndex() *boundsIndex {
 	cells := geom.NewCellIndex(f.pos, f.cullRadius)
+	bi := &boundsIndex{cells: cells}
+	if f.shards == 0 {
+		return bi
+	}
 	sx, sy := cells.Span()
+	bi.spanX, bi.spanY = sx, sy
+	bi.shardCells = make([][]int32, f.shards)
+	bi.appendCells()
+	// Near offsets lie within the 5×5 neighbourhood; offsets beyond the
+	// span can hold no occupied cell.
+	for dx := -min(sx, 2); dx <= min(sx, 2); dx++ {
+		for dy := -min(sy, 2); dy <= min(sy, 2); dy++ {
+			if dmin, _ := geom.CellOffsetDistBounds(dx, dy, f.cullRadius); dmin <= f.cullRadius*(1+boundsDistPad) {
+				bi.nearDX = append(bi.nearDX, int32(dx))
+				bi.nearDY = append(bi.nearDY, int32(dy))
+			}
+		}
+	}
 	w, h := 2*sx+1, 2*sy+1
 	if w*h > boundsMaxOffsets {
-		return nil
+		return bi
 	}
-	bi := &boundsIndex{
-		cells:   cells,
-		pwUB:    make([]float64, w*h),
-		pwLB:    make([]float64, w*h),
-		nearOff: make([]bool, w*h),
-		spanX:   sx,
-		spanY:   sy,
-		superW:  sx/shardSuperSize + 1,
-		superH:  sy/shardSuperSize + 1,
-	}
+	bi.pwUB = make([]float64, w*h)
+	bi.pwLB = make([]float64, w*h)
+	bi.nearOff = make([]bool, w*h)
+	bi.superW, bi.superH = sx/shardSuperSize+1, sy/shardSuperSize+1
 	for dx := -sx; dx <= sx; dx++ {
 		for dy := -sy; dy <= sy; dy++ {
 			dmin, dmax := geom.CellOffsetDistBounds(dx, dy, f.cullRadius)
 			idx := (dx+sx)*h + dy + sy
 			bi.pwUB[idx] = f.ch.params.ReceivedPower(dmin * (1 - boundsDistPad))
 			bi.pwLB[idx] = f.ch.params.ReceivedPower(dmax * (1 + boundsDistPad))
-			if dmin <= f.cullRadius*(1+boundsDistPad) {
-				bi.nearOff[idx] = true
-				bi.nearDX = append(bi.nearDX, int32(dx))
-				bi.nearDY = append(bi.nearDY, int32(dy))
-			}
 		}
+	}
+	for i := range bi.nearDX {
+		bi.nearOff[(int(bi.nearDX[i])+sx)*h+int(bi.nearDY[i])+sy] = true
 	}
 	sw, sh := 2*bi.superW-1, 2*bi.superH-1
 	bi.pwSuperUB = make([]float64, sw*sh)
@@ -244,8 +253,6 @@ func (f *FastChannel) buildBoundsIndex() *boundsIndex {
 			bi.pwSuperLB[idx] = f.ch.params.ReceivedPower(dmax * (1 + boundsDistPad))
 		}
 	}
-	bi.shardCells = make([][]int32, f.shards)
-	bi.appendCells()
 	return bi
 }
 

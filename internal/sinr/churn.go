@@ -38,25 +38,22 @@ import (
 //     slots are recomputed — O(dirty·n) math.Pow against the O(n²/2) of a
 //     full rebuild — into a stride-addressed matrix whose stride grows with
 //     headroom when additions outpace capacity;
-//   - spatial grid (matrix regime and outlier fallback): dirty nodes are
-//     moved/inserted and removed tail slots deleted, O(changed) bucket
-//     operations;
-//   - cell lattice: the shared cell index re-buckets the dirty nodes and
-//     rebuilds its CSR in O(n + occupied cells) (geom.CellIndex.ApplyChurn)
-//     while the per-offset power tables — the expensive math.Pow part — are
-//     reused unchanged, since they depend only on the lattice span; the
-//     per-cell transmitter aggregates are per-slot state and need no patch.
-//     Only when a dirty node escapes the original lattice is the index
-//     dropped and rebuilt, and the evaluator demotes to the grid fallback
-//     if the stretched deployment exceeds the offset-table cap.
+//   - cell index (both regimes): the shared index re-buckets the dirty
+//     nodes and rebuilds its CSR in O(n + occupied cells)
+//     (geom.CellIndex.ApplyChurn) while the lattice's per-offset power
+//     tables — the expensive math.Pow part — are reused unchanged, since
+//     they depend only on the lattice span; the per-cell transmitter
+//     aggregates are per-slot state and need no patch. Only when a dirty
+//     node escapes the original lattice is the index dropped and rebuilt;
+//     a lattice stretched past the offset-table cap then builds no tables.
 //
 // Past ChurnRebuildFraction the patch stops paying: recomputing a dirty row
 // and column costs about twice the per-node share of the symmetric full
 // rebuild, so beyond ~half the nodes the rebuild is cheaper; ApplyEpoch
 // falls back to a full rebuild at a quarter (margin for the patch's
-// scattered writes and bucket churn). The incremental and rebuild paths are
-// held bit-identical by the differential churn tests: every power is
-// recomputed by the same formula from the same positions, so the patched
+// scattered writes and cell re-bucketing). The incremental and rebuild
+// paths are held bit-identical by the differential churn tests: every power
+// is recomputed by the same formula from the same positions, so the patched
 // evaluator's receptions match a from-scratch evaluator's exactly.
 
 // ChurnRebuildFraction is the documented incremental-vs-rebuild crossover:
@@ -86,8 +83,8 @@ type Relabel struct {
 // Relabels list records the chain); additions append at the end. Dirty
 // lists, in ascending order, every post-epoch slot whose position differs
 // from the pre-epoch slot content — moved nodes, relabel targets and added
-// ids — which is exactly the set of matrix rows/columns, grid buckets and
-// cell-index entries an incremental apply must patch.
+// ids — which is exactly the set of matrix rows/columns and cell-index
+// entries an incremental apply must patch.
 type EpochDelta struct {
 	// OldN and NewN are the node counts before and after the epoch.
 	OldN, NewN int
@@ -188,8 +185,8 @@ func (c *Channel) epochApplied(d *EpochDelta) bool {
 }
 
 // ApplyEpoch applies a committed epoch to the fast evaluator, patching the
-// affected power-matrix rows/columns, grid buckets, cell-index CSR entries
-// and coverage model in O(dirty·n) instead of rebuilding the O(n²) state —
+// affected power-matrix rows/columns, cell-index CSR entries and coverage
+// model in O(dirty·n) instead of rebuilding the O(n²) state —
 // falling back to a full rebuild past ChurnRebuildFraction. The underlying
 // channel is updated too (at most once per epoch across a fork family).
 //
@@ -198,7 +195,7 @@ func (c *Channel) epochApplied(d *EpochDelta) bool {
 // epoch are invalid afterwards, and each family applies every epoch exactly
 // once (through any one member). On the steady state of a fixed-size
 // mobility workload the apply path performs no heap allocation; capacity
-// growth (more nodes than ever before, new grid cells) allocates once.
+// growth (more nodes than ever before, new cells) allocates once.
 func (f *FastChannel) ApplyEpoch(d *EpochDelta) error {
 	if err := d.Validate(); err != nil {
 		return err
@@ -257,23 +254,7 @@ func (f *FastChannel) patchAfterEpoch(d *EpochDelta, oldN int) {
 			}
 		}
 	}
-	// Spatial grid (the lattice holds none): tail slots beyond the new count
-	// disappear, dirty slots move (or, for appended ids, insert).
-	if f.grid != nil {
-		for id := n; id < oldN; id++ {
-			f.grid.Remove(id)
-		}
-		for _, id := range d.Dirty {
-			if id < oldN {
-				f.grid.Move(id, f.pos[id])
-			} else {
-				f.grid.Insert(id, f.pos[id])
-			}
-		}
-	}
-	if f.shards > 0 {
-		f.patchCellIndex(d.Dirty)
-	}
+	f.patchCellIndex(d.Dirty)
 	// Coverage model: expand the box by the changed positions.
 	for _, id := range d.Dirty {
 		p := f.pos[id]
@@ -293,27 +274,26 @@ func (f *FastChannel) patchAfterEpoch(d *EpochDelta, oldN int) {
 	f.updateCoverageModel()
 }
 
-// patchCellIndex brings the lattice's shared cell index up to the post-epoch
+// patchCellIndex brings the shared cell index up to the post-epoch
 // positions: in place when the epoch stays inside the original lattice,
-// which keeps the per-offset and supercell tables and the stripe function
-// (newly occupied cells join the partition); otherwise the index is dropped
-// and rebuilt. Other members of the fork family applying the same epoch
-// find the index already current, and a holder that records outlier
-// geometry keeps every member on the grid fallback.
+// which keeps the lattice's per-offset and supercell tables and its stripe
+// function (newly occupied cells join the partition); otherwise the index
+// is dropped and rebuilt. Other members of the fork family applying the
+// same epoch find the index already current.
 func (f *FastChannel) patchCellIndex(dirty []int) {
 	h := f.bholder
 	h.mu.Lock()
 	if bi := h.idx; bi != nil {
 		if bi.cells.ApplyChurn(f.pos, dirty) {
-			bi.appendCells()
+			if f.shards > 0 {
+				bi.appendCells()
+			}
 		} else {
-			h.built, h.idx = false, nil
+			h.idx = nil
 		}
 	}
 	h.mu.Unlock()
-	if !f.ensureShardIndex() {
-		f.demoteToGrid()
-	}
+	f.ensureIndex()
 }
 
 // rebuildAfterEpoch is the full-rebuild fallback of ApplyEpoch, taken past
@@ -321,19 +301,8 @@ func (f *FastChannel) patchCellIndex(dirty []int) {
 // would build, which is what the differential churn tests compare against).
 func (f *FastChannel) rebuildAfterEpoch() {
 	n := f.n
-	if f.shards > 0 {
-		// Cell lattice: the cell index is the only spatial state. A
-		// post-epoch deployment stretched past the offset-table cap demotes
-		// to the grid fallback instead.
-		f.bholder.invalidate()
-		if !f.ensureShardIndex() {
-			f.demoteToGrid()
-		}
-		f.box = geom.BoundingBox(f.pos)
-		f.updateCoverageModel()
-		return
-	}
-	f.buildGrid()
+	f.bholder.invalidate()
+	f.ensureIndex()
 	if f.mat != nil {
 		if n > f.stride {
 			f.stride = n + n/4 + 8
@@ -412,7 +381,7 @@ func ChurnBenchWorkload(n, moved int, seed uint64) (*Channel, [2]*EpochDelta, er
 	if err != nil {
 		return nil, deltas, err
 	}
-	// A fixed set of movers, each jittered by up to half a culling-grid cell
+	// A fixed set of movers, each jittered by up to half a culling cell
 	// so most moves change buckets without tearing the deployment apart.
 	seen := make(map[int]bool, moved)
 	dirty := make([]int, 0, moved)

@@ -23,8 +23,7 @@ import (
 
 // churnWorld is a lattice-backed dynamic deployment: nodes sit jittered on
 // sites of a spacing-2 lattice, so every epoch trivially preserves the
-// unit-distance invariant while still moving nodes across grid buckets and
-// lattice cells.
+// unit-distance invariant while still moving nodes across lattice cells.
 type churnWorld struct {
 	t      *testing.T
 	src    *rng.Source
@@ -336,7 +335,7 @@ func TestChurnApplyAllocFree(t *testing.T) {
 			f := sinr.NewFastChannel(ch, reg.opts)
 			defer f.Close()
 			if reg.opts.Shards > 0 && f.Shards() == 0 {
-				t.Fatal("lattice configuration fell back to the grid")
+				t.Fatal("lattice configuration did not select the lattice")
 			}
 			// Warm every bucket/arena the cycle will touch.
 			tx := make([]int, 0, n/2)
@@ -476,7 +475,7 @@ func TestChurnCrossShardMigration(t *testing.T) {
 	for name, opt := range shardOpts {
 		root := sinr.NewFastChannel(ch, opt)
 		if root.Shards() == 0 {
-			t.Fatalf("%s: construction fell back to the grid", name)
+			t.Fatalf("%s: construction did not select the lattice", name)
 		}
 		roots[name] = root
 		forks[name] = root.Fork()
@@ -536,13 +535,14 @@ func TestChurnCrossShardMigration(t *testing.T) {
 	}
 }
 
-// TestChurnShardLatticeEscape covers the sharded regime's two escape hatches
-// for epochs that leave the cell index's original lattice. A moderate escape
-// rebuilds the index eagerly inside ApplyEpoch (the regime has no per-pair
-// state to fall back on, so it can never stay unresolved) and the evaluator
-// stays sharded; an escape that stretches the deployment past the
-// offset-table cap demotes the whole fork family to the grid fallback.
-// Either way the results must keep matching the naive reference.
+// TestChurnShardLatticeEscape covers the sharded regime's two outcomes for
+// epochs that leave the cell index's original lattice. Either way the index
+// is rebuilt eagerly inside ApplyEpoch (the regime has no per-pair state to
+// fall back on, so it can never stay unresolved) and the whole fork family
+// stays sharded. A moderate escape keeps the certified tier; an escape that
+// stretches the deployment past the offset-table cap demotes the family to
+// a lattice without tables, whose certificates decline. Either way the
+// results must keep matching the naive reference.
 func TestChurnShardLatticeEscape(t *testing.T) {
 	build := func(t *testing.T) (*sinr.Channel, *sinr.FastChannel, *sinr.FastChannel, []int, []geom.Point) {
 		var pos []geom.Point
@@ -566,7 +566,7 @@ func TestChurnShardLatticeEscape(t *testing.T) {
 		fork.SlotReceptions(tx)
 		return ch, root, fork, tx, pos
 	}
-	apply := func(t *testing.T, ch *sinr.Channel, root, fork *sinr.FastChannel, tx []int, pos []geom.Point, to geom.Point, wantShards int) {
+	apply := func(t *testing.T, ch *sinr.Channel, root, fork *sinr.FastChannel, tx []int, pos []geom.Point, to geom.Point, wantCertified bool) {
 		t.Helper()
 		moved := append([]geom.Point(nil), pos...)
 		moved[0] = to
@@ -577,13 +577,18 @@ func TestChurnShardLatticeEscape(t *testing.T) {
 		if err := fork.ApplyEpoch(delta); err != nil {
 			t.Fatalf("fork.ApplyEpoch: %v", err)
 		}
-		if root.Shards() != wantShards || fork.Shards() != wantShards {
-			t.Fatalf("after escape to %v: root has %d shards, fork %d, want %d",
-				to, root.Shards(), fork.Shards(), wantShards)
+		if root.Shards() != 4 || fork.Shards() != 4 {
+			t.Fatalf("after escape to %v: root has %d shards, fork %d, want 4",
+				to, root.Shards(), fork.Shards())
 		}
+		before := root.BoundsStats().Slots + fork.BoundsStats().Slots
 		want := ch.SlotReceptions(tx)
 		compareReceptions(t, "root after lattice escape", root.SlotReceptions(tx), want, tx)
 		compareReceptions(t, "fork after lattice escape", fork.SlotReceptions(tx), want, tx)
+		certified := root.BoundsStats().Slots+fork.BoundsStats().Slots-before == 2
+		if certified != wantCertified {
+			t.Fatalf("after escape to %v: certified pipeline engaged %v, want %v", to, certified, wantCertified)
+		}
 	}
 	t.Run("rebuild", func(t *testing.T) {
 		ch, root, fork, tx, pos := build(t)
@@ -591,14 +596,14 @@ func TestChurnShardLatticeEscape(t *testing.T) {
 		defer fork.Close()
 		// ~20 cells away: outside the original lattice, well inside the
 		// offset-table cap, so the eager rebuild keeps the regime sharded.
-		apply(t, ch, root, fork, tx, pos, geom.Point{X: 120, Y: 120}, 4)
+		apply(t, ch, root, fork, tx, pos, geom.Point{X: 120, Y: 120}, true)
 	})
 	t.Run("demote", func(t *testing.T) {
 		ch, root, fork, tx, pos := build(t)
 		defer root.Close()
 		defer fork.Close()
 		// ~500k cells away: the offset tables would exceed boundsMaxOffsets,
-		// so the whole family demotes to the grid fallback.
-		apply(t, ch, root, fork, tx, pos, geom.Point{X: 3e6, Y: 3e6}, 0)
+		// so the whole family demotes to a lattice without tables.
+		apply(t, ch, root, fork, tx, pos, geom.Point{X: 3e6, Y: 3e6}, false)
 	})
 }

@@ -23,7 +23,7 @@ const DefaultMatrixThreshold = 2048
 // receivers and sums k powers at each: Θ(n·k), in receiver order (cache
 // friendly). The sparse path enumerates only the receivers within
 // cullRadius of some transmitter — every other receiver provably decodes
-// nothing — at a cost of Σ_s |ball(s)| grid probes plus |candidates|·k
+// nothing — at a cost of Σ_s |ball(s)| cell probes plus |candidates|·k
 // arithmetic, but touches the candidates in scattered order. Under a
 // uniform-deployment model with per-ball coverage probability p =
 // ballArea/deploymentArea, the expected candidate fraction after k balls is
@@ -91,48 +91,49 @@ type FastOptions struct {
 //     reused across slots (no per-slot map or slice allocations), and only
 //     the receivers that decoded something in the previous slot are reset,
 //     so a quiet slot costs O(k) rather than O(n);
+//   - one spatial index serves both regimes: geom.CellIndex buckets the
+//     deployment into cells of side cullRadius, shared by every fork of
+//     the evaluator;
 //   - up to DefaultMatrixThreshold nodes (the matrix regime) the received
 //     powers are precomputed once into an n×n matrix, eliminating every
-//     path-loss evaluation from the slot path; a spatial grid
-//     (internal/geom) drives the sparse path, and dense slots stream
-//     receivers against the cached rows;
+//     path-loss evaluation from the slot path; dense slots stream receivers
+//     against the cached rows;
 //   - above DefaultMatrixThreshold (or when FastOptions.Shards pins it) the
 //     evaluator runs the cell lattice (shard.go): the certified-bounds
-//     index of bounds.go — per-cell transmitter aggregates bound each
+//     tables of bounds.go — per-cell transmitter aggregates bound each
 //     receiver's interference from above and below, the decode decision is
 //     emitted directly when the certificates agree under a k·ulp rounding
 //     slack, and only the thin ambiguous band around β refines through the
-//     exact per-receiver arithmetic — is the only spatial state: no
-//     matrix, grid or per-pair cache exists, memory is O(occupied cells +
-//     nodes), every power is computed by the fused pairPower kernel, and
-//     receivers are scanned in spatial shards whose knowledge of remote
-//     transmitters is certified aggregate bounds;
+//     exact per-receiver arithmetic — sit on top of the cell index: no
+//     matrix or per-pair cache exists, memory is O(occupied cells + nodes),
+//     every power is computed by the fused pairPower kernel, and receivers
+//     are scanned in spatial shards whose knowledge of remote transmitters
+//     is certified aggregate bounds;
 //   - in either regime sparse slots (estimated transmitter-ball coverage
-//     below sparseCoverageMax) take the sender-centric path, which
-//     enumerates only the receivers inside some transmitter's ball —
-//     O(Σ_s |ball(s)|) work plus |candidates|·k arithmetic — instead of
-//     scanning all n receivers;
+//     below sparseCoverageMax) take the sender-centric path, which walks
+//     the cell index to enumerate only the receivers inside some
+//     transmitter's ball — O(Σ_s |ball(s)|) work plus |candidates|·k
+//     arithmetic — instead of scanning all n receivers;
 //   - receivers are scanned by a persistent pool of worker goroutines
 //     (internal/workpool) woken by a channel handoff instead of spawned per
 //     slot; the partition is deterministic, so results are identical at any
 //     worker count.
 //
-// The regime decision is made once, at construction. A deployment whose
-// extent would make the lattice's offset tables exceed boundsMaxOffsets —
-// outlier geometry such as two clusters a million ranges apart, at
-// construction or after a churn epoch — falls back to a spatial grid with
-// every power recomputed (gridChunk); that fallback is exact but has no
-// certified tier. Within the chosen regime each slot then dispatches —
-// sparse when the estimated candidate coverage is low, on the lattice
-// certified bounds when the per-slot cost model wins, the exact dense scan
-// otherwise — and no path changes results: a sender whose lone-transmitter
-// SINR is below β cannot be decoded under any interference (the
-// denominator only grows), the sparse path skips exactly the receivers
-// whose every received power is provably below that bound, the lattice
-// emits only decisions its conservative certificates prove identical to
-// the exact arithmetic's (bounds.go and shard.go document the argument),
-// and every threshold carries slack so borderline cases fall through to
-// the exact reference arithmetic.
+// The regime decision is made once, at construction. A lattice whose
+// extent would make its offset tables exceed boundsMaxOffsets — outlier
+// geometry such as two clusters a million ranges apart, at construction or
+// after a churn epoch — builds no tables and declines the certificates, so
+// its dense slots run the exact cell-culled scan. Within the chosen regime
+// each slot then dispatches — sparse when the estimated candidate coverage
+// is low, on the lattice certified bounds when the per-slot cost model
+// wins, the exact dense scan otherwise — and no path changes results: a
+// sender whose lone-transmitter SINR is below β cannot be decoded under
+// any interference (the denominator only grows), the sparse path skips
+// exactly the receivers whose every received power is provably below that
+// bound, the lattice emits only decisions its conservative certificates
+// prove identical to the exact arithmetic's (bounds.go and shard.go
+// document the argument), and every threshold carries slack so borderline
+// cases fall through to the exact reference arithmetic.
 //
 // The Reception slice returned by SlotReceptions is owned by the evaluator
 // and valid only until the next call; callers that retain it must copy.
@@ -175,9 +176,6 @@ type FastChannel struct {
 	// reshaping it.
 	mat    []float64
 	stride int
-	// grid buckets the deployment for the sparse path of the matrix regime
-	// and for the outlier-geometry fallback; nil on the lattice.
-	grid *geom.Grid
 
 	sparseFactor int
 	// box is the (monotonically expanded) bounding box of the deployment and
@@ -195,11 +193,10 @@ type FastChannel struct {
 	// slot path allocation-free.
 	chunkFn func(f *FastChannel, lo, hi, worker int)
 
-	out    []Reception
-	isTx   []bool
-	txPred func(id int) bool // reusable predicate over isTx for grid queries
-	rows   [][]float64       // per-worker received-power scratch
-	tx     []int             // transmitter set of the slot being evaluated
+	out  []Reception
+	isTx []bool
+	rows [][]float64 // per-worker received-power scratch
+	tx   []int       // transmitter set of the slot being evaluated
 
 	// decoded[w] lists the receivers worker w decoded a frame for in the
 	// previous slot; resetting exactly those entries restores the all -1
@@ -207,19 +204,19 @@ type FastChannel struct {
 	decoded [][]int
 
 	// Sparse-path scratch: the deduplicated candidate receivers of the
-	// current slot, the per-transmitter ball buffer, and the visit stamps
-	// that dedup the ball union without clearing between slots.
+	// current slot and the visit stamps that dedup the ball union without
+	// clearing between slots.
 	candidates []int
-	ball       []int
 	mark       []uint32
 	markGen    uint32
 
-	// Cell lattice (shard.go, bounds.go): shards > 0 replaces the matrix
-	// and grid with the certified-bounds index. bholder shares the index
-	// across all forks of a deployment and bidx caches it locally;
-	// everything below them is per-evaluator slot scratch. superFarLo/Hi/
-	// Max hold the far-field interference bounds of each receiver supercell
-	// for the slot being evaluated.
+	// The spatial index (bounds.go): bholder shares it across all forks of
+	// a deployment and bidx caches it locally. Both regimes hold its cell
+	// decomposition; the lattice (shards > 0) adds the partition and the
+	// certified-bounds tables in place of the matrix. Everything below them
+	// is per-evaluator lattice slot scratch. superFarLo/Hi/Max hold the
+	// far-field interference bounds of each receiver supercell for the
+	// slot being evaluated.
 	shards        int
 	boundsFactor  int
 	bholder       *boundsHolder
@@ -253,7 +250,7 @@ var _ ParallelEvaluator = (*FastChannel)(nil)
 // one FastOptions value may be supplied; omitting it selects the defaults.
 // Deployments of at most DefaultMatrixThreshold nodes get the matrix
 // regime, larger ones (or any size when Shards is positive) the cell
-// lattice, and outlier geometry the lattice cannot index the grid fallback.
+// lattice. Both build the shared cell index here.
 func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	var opt FastOptions
 	if len(opts) > 0 {
@@ -277,7 +274,6 @@ func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	}
 	f.syncSoAPositions(nil)
 	f.setWorkers(opt.Workers)
-	f.txPred = func(id int) bool { return f.isTx[id] }
 	f.sparseFactor = opt.SparseFactor
 	f.boundsFactor = opt.BoundsFactor
 	for i := range f.out {
@@ -288,28 +284,14 @@ func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	f.cullRadius = math.Max(c.params.Range(), 1) * (1 + cullSlack)
 	f.box = geom.BoundingBox(f.pos)
 	f.updateCoverageModel()
-	if s := resolveShards(opt.Shards, n); s > 0 {
-		f.shards = s
-		f.bholder = &boundsHolder{}
-		if !f.ensureShardIndex() {
-			// Outlier geometry latched the offset tables off.
-			f.demoteToGrid()
-		}
-		return f
+	f.shards = resolveShards(opt.Shards, n)
+	f.bholder = &boundsHolder{}
+	f.ensureIndex()
+	if f.shards == 0 {
+		f.mat = buildPowerMatrix(c)
+		f.stride = n
 	}
-	f.buildGrid()
-	f.mat = buildPowerMatrix(c)
-	f.stride = n
 	return f
-}
-
-// buildGrid buckets every node into a fresh spatial grid of cell side
-// cullRadius.
-func (f *FastChannel) buildGrid() {
-	f.grid = geom.NewGrid(f.cullRadius)
-	for i, p := range f.pos {
-		f.grid.Insert(i, p)
-	}
 }
 
 // alphaCase maps a path-loss exponent to the multiplication fast path
@@ -409,9 +391,9 @@ func (f *FastChannel) updateCoverageModel() {
 }
 
 // Fork returns an evaluator that shares f's immutable state — the underlying
-// channel, node positions, the precomputed n×n power matrix and spatial grid
-// of the matrix regime, and the cell index, offset power tables and shard
-// partition of the lattice — while owning private mutable scratch
+// channel, node positions, the cell index, the precomputed n×n power matrix
+// of the matrix regime, and the offset power tables and shard partition of
+// the lattice — while owning private mutable scratch
 // (reception slice, transmitter flags, per-worker rows, sparse candidate
 // buffers, per-cell aggregates and counters, worker pool). Forks
 // may evaluate slots concurrently with each other and with f. The
@@ -436,10 +418,11 @@ func (f *FastChannel) Fork() *FastChannel {
 		cullRadius:   f.cullRadius,
 		mat:          f.mat,
 		stride:       f.stride,
-		grid:         f.grid,
 		sparseFactor: f.sparseFactor,
 		boundsFactor: f.boundsFactor,
 		bholder:      f.bholder,
+		bidx:         f.bidx,
+		shards:       f.shards,
 		box:          f.box,
 		logBallMiss:  f.logBallMiss,
 		out:          make([]Reception, f.n),
@@ -447,16 +430,13 @@ func (f *FastChannel) Fork() *FastChannel {
 		mark:         make([]uint32, f.n),
 		pool:         workpool.New(),
 	}
-	g.txPred = func(id int) bool { return g.isTx[id] }
 	for i := range g.out {
 		g.out[i].Sender = -1
 	}
-	if f.shards > 0 {
-		// Cell lattice: share the resolved index (immutable between
-		// epochs) and grow private per-slot scratch and counters (a fork's
-		// BoundsStats start at zero).
-		g.shards = f.shards
-		g.bidx = f.bidx
+	if g.shards > 0 {
+		// Cell lattice: the shared index is immutable between epochs; grow
+		// private per-slot scratch and counters (a fork's BoundsStats start
+		// at zero).
 		g.growShardScratch()
 	}
 	return g
@@ -610,9 +590,6 @@ func (f *FastChannel) SlotReceptions(transmitters []int) []Reception {
 		}
 	case f.shards > 0:
 		f.shardSlot(transmitters)
-	case f.mat == nil:
-		// Outlier-geometry fallback: no cell index, so no certified tier.
-		f.runChunks(f.n, (*FastChannel).gridChunk)
 	default:
 		f.runChunks(f.n, (*FastChannel).matrixChunk)
 	}
@@ -639,9 +616,10 @@ func (f *FastChannel) useSparse(k int) bool {
 
 // buildCandidates fills f.candidates with the deduplicated union of the
 // transmitters' culling balls: exactly the receivers for which some
-// transmitter lies within cullRadius, i.e. the receivers the dense grid
-// path would not cull. Every other node's received powers are all provably
-// below cullPower, so its reception is -1 without evaluation. The visit
+// transmitter lies within cullRadius. Every other node's received powers
+// are all provably below cullPower, so its reception is -1 without
+// evaluation. The balls are walked on the cell index (the 3×3 cell window
+// suffices because the ball radius equals the cell side), and the visit
 // stamps dedup overlapping balls without clearing state between slots.
 func (f *FastChannel) buildCandidates(tx []int) {
 	f.markGen++
@@ -653,41 +631,24 @@ func (f *FastChannel) buildCandidates(tx []int) {
 	}
 	gen := f.markGen
 	f.candidates = f.candidates[:0]
-	if f.shards > 0 {
-		f.appendCandidatesCells(tx, gen)
-		return
-	}
+	cells := f.bidx.cells
+	rr := f.cullRadius * f.cullRadius
 	for _, s := range tx {
-		f.ball = f.grid.AppendWithin(f.ball[:0], f.pos[s], f.cullRadius)
-		ball := f.ball
-		i := 0
-		// 4-wide unroll of the mark scan. The stamp checks stay sequential,
-		// so the candidate order (and duplicate handling within a ball) is
-		// identical to the scalar loop; only the loop-control overhead drops.
-		for ; i+4 <= len(ball); i += 4 {
-			id0, id1, id2, id3 := ball[i], ball[i+1], ball[i+2], ball[i+3]
-			if f.mark[id0] != gen {
-				f.mark[id0] = gen
-				f.candidates = append(f.candidates, id0)
-			}
-			if f.mark[id1] != gen {
-				f.mark[id1] = gen
-				f.candidates = append(f.candidates, id1)
-			}
-			if f.mark[id2] != gen {
-				f.mark[id2] = gen
-				f.candidates = append(f.candidates, id2)
-			}
-			if f.mark[id3] != gen {
-				f.mark[id3] = gen
-				f.candidates = append(f.candidates, id3)
-			}
-		}
-		for ; i < len(ball); i++ {
-			id := ball[i]
-			if f.mark[id] != gen {
-				f.mark[id] = gen
-				f.candidates = append(f.candidates, id)
+		p := f.pos[s]
+		cx, cy := cells.PointCoord(p)
+		for dx := -1; dx <= 1; dx++ {
+			for dy := -1; dy <= 1; dy++ {
+				c := cells.CellAt(cx+dx, cy+dy)
+				if c < 0 {
+					continue
+				}
+				for _, id32 := range cells.Nodes(c) {
+					id := int(id32)
+					if f.mark[id] != gen && f.pos[id].DistSq(p) <= rr {
+						f.mark[id] = gen
+						f.candidates = append(f.candidates, id)
+					}
+				}
 			}
 		}
 	}
@@ -854,30 +815,9 @@ func (f *FastChannel) decodeExact(r int, row []float64, dec []int) []int {
 	return dec
 }
 
-// gridChunk evaluates receivers [lo, hi) on the outlier-geometry fallback:
-// receivers with no transmitter within the culling radius are culled by a
-// grid probe, the rest pay the exact O(k) row.
-//
-//sinrlint:hotpath
-func (f *FastChannel) gridChunk(lo, hi, worker int) {
-	dec := f.decoded[worker]
-	row := f.workerRow(worker)
-	for r := lo; r < hi; r++ {
-		if f.isTx[r] {
-			continue
-		}
-		if !f.grid.AnyWithin(f.pos[r], f.cullRadius, f.txPred) {
-			continue // far field: no transmitter can reach this receiver
-		}
-		dec = f.decodeExact(r, row, dec)
-	}
-	f.decoded[worker] = dec
-}
-
 // sparsePairChunk evaluates the slot's candidate receivers [lo, hi) (by
-// candidate index) on the lattice and the outlier fallback: candidates are
-// exactly the receivers a culling probe would pass, so each pays the exact
-// O(k) row directly.
+// candidate index) on the lattice: candidates are exactly the receivers a
+// culling probe would pass, so each pays the exact O(k) row directly.
 //
 //sinrlint:hotpath
 func (f *FastChannel) sparsePairChunk(lo, hi, worker int) {

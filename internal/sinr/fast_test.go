@@ -430,11 +430,12 @@ func TestFastChannelAllocFree(t *testing.T) {
 	}
 }
 
-// TestMatrixRegimeBuildsNoCellIndex pins that the matrix regime has no
+// TestMatrixRegimeHasNoCertifiedTier pins that the matrix regime has no
 // certified tier: neither a dense slot (all nodes but one transmitting, the
 // densest slot that still has a listener) nor a churn epoch makes it build
-// the lattice's cell index, even with the certified dispatch forced.
-func TestMatrixRegimeBuildsNoCellIndex(t *testing.T) {
+// the lattice's offset tables or count a certified slot, even with the
+// certified dispatch forced. Its cell index serves only the sparse path.
+func TestMatrixRegimeHasNoCertifiedTier(t *testing.T) {
 	const n = 300
 	ch, deltas, err := ChurnBenchWorkload(n, 3, 5)
 	if err != nil {
@@ -456,8 +457,8 @@ func TestMatrixRegimeBuildsNoCellIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertEquivalent(t, ch, only, tx, fmt.Sprintf("%+v after epoch", opt))
-		if c := f.OccupiedCells(); c != 0 || f.bidx != nil || f.bholder != nil {
-			t.Errorf("%+v: matrix regime built a cell index (%d occupied cells)", opt, c)
+		if bi := f.bidx; bi.pwUB != nil || bi.pwSuperUB != nil || bi.shardCells != nil {
+			t.Errorf("%+v: matrix regime built the lattice's tables or partition", opt)
 		}
 		if st := f.BoundsStats(); st != (BoundsStats{}) {
 			t.Errorf("%+v: matrix regime counted certified slots %+v", opt, st)

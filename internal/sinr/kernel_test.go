@@ -60,7 +60,7 @@ func TestReceivedPowerPowFree(t *testing.T) {
 // TestPairPowerKernelBitIdentical pins FastChannel's fused SoA kernel to
 // the reference composition params.ReceivedPower(Point.Dist) on random
 // deployments across fast-pathed and generic exponents. This is the
-// invariant that lets every SoA hot loop (lattice and fallback chunks,
+// invariant that lets every SoA hot loop (lattice and sparse chunks,
 // bounds near expansion, churn matrix patches) replace the reference
 // composition without changing a single reception decision.
 func TestPairPowerKernelBitIdentical(t *testing.T) {
@@ -195,7 +195,7 @@ func TestGatherTotalsBlockedBitIdentical(t *testing.T) {
 
 // TestOnThresholdCullBoundary is the adversarial case for the r²-domain
 // comparisons: receivers are planted exactly on the culling-radius circle
-// of the only transmitter (where the grid queries' DistSq ≤ r² predicate
+// of the only transmitter (where the sparse path's DistSq ≤ r² predicate
 // decides membership), one ulp inside and outside it, on the near-field
 // clamp boundary d = 1, and exactly at the transmission range R (the
 // decode boundary for a lone transmitter). Every fast variant must agree

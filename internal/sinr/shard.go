@@ -5,11 +5,11 @@ import "sync/atomic"
 // This file implements the cell lattice, FastChannel's regime for every
 // deployment above DefaultMatrixThreshold nodes (or whenever
 // FastOptions.Shards pins it): a slot evaluator that holds no per-pair
-// state at all — no n×n matrix, no per-sender power cache, no map-backed
-// spatial grid — only the certified-bounds index of bounds.go (the flat
-// cell decomposition, the per-offset power-bound tables and a supercell
-// layer on top), for O(occupied cells + nodes) memory; every power it
-// needs is computed by pairPower.
+// state at all — no n×n matrix, no per-sender power cache — only the
+// shared cell index and the certified-bounds tables of bounds.go (the
+// per-offset power-bound tables and a supercell layer on top), for
+// O(occupied cells + nodes) memory; every power it needs is computed by
+// pairPower.
 //
 // Between the matrix threshold and n = 65536 the lattice replaced a spatial
 // grid with a clock-evicted per-sender power-column cache: at GOMAXPROCS = 1
@@ -63,12 +63,12 @@ import "sync/atomic"
 // identical Reception slices, which TestShardedEquivalence pins.
 //
 // Slots that decline the certificates (β guard, cost model, forced via
-// BoundsFactor < 0) fall back to a sharded dense scan: cells with no
-// transmitter in any near cell are culled wholesale (conservative: the cell
-// pair distance lower bound proves every received power below cullPower),
-// and the surviving listeners pay the exact O(k) row. Sparse slots keep the
-// sender-centric path, with candidates enumerated by walking the cell
-// lattice instead of the map grid.
+// BoundsFactor < 0, or a lattice too wide for its offset tables) fall back
+// to a sharded dense scan: cells with no transmitter in any near cell are
+// culled wholesale (conservative: the cell pair distance lower bound proves
+// every received power below cullPower), and the surviving listeners pay
+// the exact O(k) row. Sparse slots keep the sender-centric path of fast.go,
+// which walks the same cell index in both regimes.
 
 // defaultShardCount is the shard count of the automatic cell lattice.
 // Shards are work-partition units, not threads: the scan runs min(workers,
@@ -136,47 +136,35 @@ func resolveShards(opt, n int) int {
 }
 
 // Shards returns the shard count of the cell lattice, or 0 when the
-// evaluator runs the matrix regime or the outlier-geometry grid fallback.
+// evaluator runs the matrix regime.
 func (f *FastChannel) Shards() int { return f.shards }
 
-// OccupiedCells returns the number of occupied cells in the lattice's cell
-// decomposition, or 0 when the evaluator runs the matrix regime or the
-// outlier-geometry grid fallback, neither of which builds one. The count is
-// what the lattice's memory scales with, so the scale experiment reports
-// it.
-func (f *FastChannel) OccupiedCells() int {
-	if f.bidx == nil {
-		return 0
-	}
-	return f.bidx.cells.NumCells()
-}
+// OccupiedCells returns the number of occupied cells in the evaluator's
+// cell index, which both regimes build. The count is what the lattice's
+// memory scales with, so the scale experiment reports it.
+func (f *FastChannel) OccupiedCells() int { return f.bidx.cells.NumCells() }
 
-// ensureShardIndex resolves the family's shared bounds index, building it
-// if no member has yet, and sizes this evaluator's scratch for it. It
-// reports false when the deployment's extent keeps the offset tables off
-// (boundsMaxOffsets); the caller then demotes to the grid fallback, which
-// handles outlier geometry at per-pair cost.
-func (f *FastChannel) ensureShardIndex() bool {
+// ensureIndex resolves the family's shared index, building it if no
+// member has yet, and sizes this evaluator's lattice scratch for it.
+func (f *FastChannel) ensureIndex() {
 	h := f.bholder
 	h.mu.Lock()
-	if !h.built {
-		h.idx, h.built = f.buildBoundsIndex(), true
+	if h.idx == nil {
+		h.idx = f.buildBoundsIndex()
 	}
 	f.bidx = h.idx
 	h.mu.Unlock()
-	if f.bidx == nil {
-		return false
+	if f.shards > 0 {
+		f.growShardScratch()
 	}
-	f.growShardScratch()
-	return true
 }
 
 // growShardScratch sizes the lattice's per-slot scratch: the per-cell
-// transmitter aggregates plus the per-supercell layer. It allocates no
-// per-cell far-sum or near-list arenas — the shard chunks compute those per
-// receiver cell on the stack — so the evaluator's footprint stays
-// O(cells + nodes). Scratch already large enough is kept (steady-state
-// churn allocates nothing here).
+// transmitter aggregates plus the per-supercell layer (empty on a lattice
+// without tables). It allocates no per-cell far-sum or near-list arenas —
+// the shard chunks compute those per receiver cell on the stack — so the
+// evaluator's footprint stays O(cells + nodes). Scratch already large
+// enough is kept (steady-state churn allocates nothing here).
 func (f *FastChannel) growShardScratch() {
 	nc := f.bidx.cells.NumCells()
 	ns := f.bidx.superW * f.bidx.superH
@@ -196,17 +184,6 @@ func (f *FastChannel) growShardScratch() {
 	f.superFarLo = make([]float64, ns)
 	f.superFarHi = make([]float64, ns)
 	f.superFarMax = make([]float64, ns)
-}
-
-// demoteToGrid abandons the cell lattice for the outlier-geometry fallback:
-// a spatial grid culls receivers and every power is recomputed by pairPower.
-// It runs at construction, and after churn that stretches the deployment
-// past the offset-table cap mid-life. It is deliberately rare and
-// allocation-heavy; the differential tests pin that the fallback still
-// matches the reference.
-func (f *FastChannel) demoteToGrid() {
-	f.shards, f.bidx = 0, nil
-	f.buildGrid()
 }
 
 // shardSlot evaluates one non-sparse slot in the lattice: the
@@ -237,12 +214,13 @@ func (f *FastChannel) shardSlot(transmitters []int) {
 // occupied cells per supercell + listeners·(expected near transmitters +
 // O(1)); it is taken only when it undercuts the dense scan by boundsSafety.
 // A positive boundsFactor forces the pipeline (tests pin paths with it), a
-// negative one disables it; either way the β guard is respected.
+// negative one disables it; either way the β guard is respected. A lattice
+// without offset tables always declines.
 func (f *FastChannel) prepareShard(k int) bool {
-	if f.boundsFactor < 0 || f.beta-1 < boundsBetaMin {
+	bi := f.bidx
+	if f.boundsFactor < 0 || f.beta-1 < boundsBetaMin || bi.pwUB == nil {
 		return false
 	}
-	bi := f.bidx
 	cells := bi.cells
 	nc := cells.NumCells()
 	ns := bi.superW * bi.superH
@@ -571,7 +549,7 @@ func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
 // certificates decline: cells with no transmitter in any near-offset cell
 // are culled wholesale (the cell-pair distance lower bound proves every
 // received power there below cullPower — the same conservative argument as
-// the per-receiver grid cull), and each surviving listener pays the exact
+// the sparse path's ball test), and each surviving listener pays the exact
 // O(k) row, bit-identical to the dense scan.
 //
 //sinrlint:hotpath
@@ -616,33 +594,4 @@ func (f *FastChannel) shardDenseChunk(lo, hi, worker int) {
 		}
 	}
 	f.decoded[worker] = dec
-}
-
-// appendCandidatesCells is the lattice's candidate enumeration: the
-// transmitters' culling balls walked on the cell lattice (the 3×3 cell
-// window suffices because the ball radius equals the cell side) with the
-// same DistSq ≤ r² membership predicate as the grid's AppendWithin, so the
-// candidate set is identical to the matrix regime's.
-func (f *FastChannel) appendCandidatesCells(tx []int, gen uint32) {
-	cells := f.bidx.cells
-	rr := f.cullRadius * f.cullRadius
-	for _, s := range tx {
-		p := f.pos[s]
-		cx, cy := cells.PointCoord(p)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				c := cells.CellAt(cx+dx, cy+dy)
-				if c < 0 {
-					continue
-				}
-				for _, id32 := range cells.Nodes(c) {
-					id := int(id32)
-					if f.mark[id] != gen && f.pos[id].DistSq(p) <= rr {
-						f.mark[id] = gen
-						f.candidates = append(f.candidates, id)
-					}
-				}
-			}
-		}
-	}
 }

@@ -146,9 +146,8 @@ func TestShardedThresholdRefine(t *testing.T) {
 
 // TestShardedDispatchAndGuards covers the regime's dispatch boundaries: the
 // automatic selection threshold, the β guard (certificates decline, the
-// sharded dense scan carries the slot, results still exact), and the
-// construction fallback for outlier geometry whose offset tables would
-// exceed the cap.
+// sharded dense scan carries the slot, results still exact), and outlier
+// geometry whose offset tables would exceed the cap.
 func TestShardedDispatchAndGuards(t *testing.T) {
 	t.Run("auto-threshold", func(t *testing.T) {
 		for _, tc := range []struct {
@@ -178,7 +177,7 @@ func TestShardedDispatchAndGuards(t *testing.T) {
 				t.Fatal(err)
 			}
 			f := NewFastChannel(ch, FastOptions{Workers: 1})
-			got := fmt.Sprintf("grid (S=%d)", f.Shards())
+			got := fmt.Sprintf("matrix=%v S=%d", f.mat != nil, f.Shards())
 			switch {
 			case f.mat != nil && f.Shards() == 0:
 				got = "matrix"
@@ -227,10 +226,11 @@ func TestShardedDispatchAndGuards(t *testing.T) {
 
 	t.Run("outlier-geometry-fallback", func(t *testing.T) {
 		// Two clusters ~1e6 apart: the per-offset tables would span far past
-		// boundsMaxOffsets, so construction must fall back to the grid with
-		// every power recomputed, even though Shards was forced. The
-		// fallback's dense and sparse kernels must match the reference on
-		// every slot and allocate nothing once warm.
+		// boundsMaxOffsets, so the lattice (Shards: 8) must build none and
+		// fall back to the exact cell-culled scan, even with the certificates
+		// forced; the matrix regime (Shards: 0) indexes the same geometry for
+		// its sparse path. Both must match the reference on every slot and
+		// allocate nothing once warm.
 		src := rng.New(0x0071)
 		pos := make([]geom.Point, 80)
 		for i := range pos {
@@ -244,34 +244,39 @@ func TestShardedDispatchAndGuards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sparse := range []int{1, -1} {
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("SparseFactor=%d Workers=%d", sparse, workers)
-				f := NewFastChannel(ch, FastOptions{Workers: workers, Shards: 8, SparseFactor: sparse})
-				if f.Shards() != 0 || f.mat != nil || f.grid == nil {
-					t.Fatalf("%s: outlier geometry did not fall back to the grid (S=%d)", label, f.Shards())
-				}
-				var tx []int
-				for slot := 0; slot < 6; slot++ {
-					tx = tx[:0]
-					for i := range pos {
-						if src.Bernoulli(0.2) {
-							tx = append(tx, i)
+		for _, shards := range []int{8, 0} {
+			for _, sparse := range []int{1, -1} {
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("Shards=%d SparseFactor=%d Workers=%d", shards, sparse, workers)
+					f := NewFastChannel(ch, FastOptions{Workers: workers, Shards: shards, SparseFactor: sparse, BoundsFactor: 1})
+					if f.Shards() != shards || f.bidx.pwUB != nil || f.bidx.pwSuperUB != nil {
+						t.Fatalf("%s: outlier geometry got S=%d, offset tables built: %v", label, f.Shards(), f.bidx.pwUB != nil)
+					}
+					var tx []int
+					for slot := 0; slot < 6; slot++ {
+						tx = tx[:0]
+						for i := range pos {
+							if src.Bernoulli(0.2) {
+								tx = append(tx, i)
+							}
+						}
+						want := ch.SlotReceptions(tx)
+						got := f.SlotReceptions(tx)
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s slot %d: node %d decoded %d, reference says %d",
+									label, slot, i, got[i].Sender, want[i].Sender)
+							}
 						}
 					}
-					want := ch.SlotReceptions(tx)
-					got := f.SlotReceptions(tx)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s slot %d: node %d decoded %d, reference says %d",
-								label, slot, i, got[i].Sender, want[i].Sender)
-						}
+					if allocs := testing.AllocsPerRun(20, func() { f.SlotReceptions(tx) }); allocs != 0 {
+						t.Errorf("%s: slot allocates %.1f objects, want 0", label, allocs)
 					}
+					if st := f.BoundsStats(); st.Slots != 0 {
+						t.Errorf("%s: certified pipeline engaged without offset tables (stats %+v)", label, st)
+					}
+					f.Close()
 				}
-				if allocs := testing.AllocsPerRun(20, func() { f.SlotReceptions(tx) }); allocs != 0 {
-					t.Errorf("%s: fallback slot allocates %.1f objects, want 0", label, allocs)
-				}
-				f.Close()
 			}
 		}
 	})

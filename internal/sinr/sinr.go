@@ -16,20 +16,20 @@
 // at construction — the precomputed power matrix up to
 // DefaultMatrixThreshold nodes, and above it (or with a positive
 // FastOptions.Shards) the cell lattice (shard.go), whose memory is
-// O(occupied cells + nodes) with no per-pair state. Geometry too stretched
-// for the lattice's offset tables falls back to a spatial grid with every
-// power recomputed. Within a regime each slot dispatches further: the
-// sender-centric sparse path when the transmitters' estimated ball coverage
-// is low, an O(k) short-circuit on all-transmit slots, on the lattice its
-// certified bounds (bounds.go) when the transmitter count dwarfs the
-// occupied cells, and the exact dense scan otherwise. All paths are
-// decision-exact: because β > 1 at most one sender can decode at a
-// receiver, so the only output is a discrete decision, and the optimised
-// paths either prove their decision identical to the reference's
-// floating-point arithmetic (conservative culling slack; interference
-// bounds widened by a Θ(k)·ulp rounding slack, which are also what crosses
-// shard boundaries, so shards never read each other's per-receiver state)
-// or fall back to it.
+// O(occupied cells + nodes) with no per-pair state. Both regimes index the
+// deployment with one geom.CellIndex; a lattice too stretched for its offset
+// tables builds none and declines the certificates. Within a regime each
+// slot dispatches further: the sender-centric sparse path when the
+// transmitters' estimated ball coverage is low, an O(k) short-circuit on
+// all-transmit slots, on the lattice its certified bounds (bounds.go) when
+// the transmitter count dwarfs the occupied cells, and the exact dense scan
+// otherwise. All paths are decision-exact: because β > 1 at most one sender
+// can decode at a receiver, so the only output is a discrete decision, and
+// the optimised paths either prove their decision identical to the
+// reference's floating-point arithmetic (conservative culling slack;
+// interference bounds widened by a Θ(k)·ulp rounding slack, which are also
+// what crosses shard boundaries, so shards never read each other's
+// per-receiver state) or fall back to it.
 // The differential tests in this package hold every path bit-identical to
 // the reference at any shard and worker count.
 //
@@ -44,7 +44,7 @@
 // bit-identical to the Point.Dist composition by
 // TestPairPowerKernelBitIdentical). Threshold comparisons in the sparse path
 // and the lattice stay in the squared-distance domain (DistSq ≤ r², shared
-// with every geom grid query), which is exact because Sqrt is monotone and
+// with the geom range queries), which is exact because Sqrt is monotone and
 // correctly rounded; received powers themselves are always computed from
 // the rounded distance, never from its square, so no decision moves.
 //
