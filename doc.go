@@ -232,37 +232,33 @@
 //
 // # Dynamic deployments
 //
-// Deployments are no longer frozen at construction: topology.Deployment
-// batches AddNode/RemoveNode/MoveNode mutations into epochs that
-// CommitEpoch applies atomically — revalidating the unit-distance
+// Churn is mobility: nodes move, and the node set stays fixed, as in the
+// paper's model. topology.Deployment batches MoveNode calls into epochs
+// that CommitEpoch applies atomically — revalidating the unit-distance
 // invariant (a rejected epoch leaves the deployment untouched),
 // invalidating every cached derived quantity (strong/approximation/weak
 // graphs, Λ) and returning a sinr.EpochDelta that owns the post-epoch
-// positions plus the change structure (dirty slots, swap-remove relabels,
-// added ids).
+// positions and lists the nodes that moved. Node ids never change.
 //
 // Applying a delta to a live evaluator is incremental:
-// sinr.FastChannel.ApplyEpoch patches the matrix regime's dirty power-matrix
-// rows/columns (O(dirty·n) math.Pow instead of the O(n²/2) rebuild), and in
-// both regimes re-buckets the shared cell index in place
-// (geom.CellIndex.ApplyChurn — the lattice's per-offset power tables survive
-// unchanged since they depend only on the lattice span). Past
-// sinr.ChurnRebuildFraction of the deployment changing in one epoch the
-// patch stops paying and ApplyEpoch falls back to a full rebuild; both paths
-// are held bit-identical to a from-scratch evaluator by the differential
-// churn suite (TestChurnEpochEquivalence and friends in internal/sinr), and
-// the steady-state apply path of a fixed-size mobility cycle performs zero
-// heap allocations (TestChurnApplyAllocFree, the churn_matrix/churn_lattice
-// macbench cases). Applying an epoch is stop-the-world for an evaluator fork
-// family and invalidates pre-epoch forks.
+// sinr.FastChannel.ApplyEpoch patches the matrix regime's power-matrix
+// rows and columns of the moved nodes (O(dirty·n) pair powers instead of
+// the O(n²/2) rebuild), and in both regimes re-buckets the shared cell
+// index in place (geom.CellIndex.ApplyChurn — the lattice's per-offset
+// power tables survive unchanged since they depend only on the lattice
+// span; only a node leaving the lattice rebuilds the index). The patch is
+// held bit-identical to a from-scratch evaluator by the differential churn
+// suite (TestChurnEpochEquivalence and friends in internal/sinr, storm
+// epochs that move half the nodes included), and the steady-state apply
+// path of a mobility cycle performs zero heap allocations
+// (TestChurnApplyAllocFree, the churn_matrix/churn_lattice macbench
+// cases). Applying an epoch is stop-the-world for an evaluator fork family.
 //
-// One level up, sim.Engine.ApplyEpoch applies a delta between slots:
-// surviving node automata keep their protocol state and follow the relabel
-// chain, removed automata drop out, and only added nodes are initialised
-// (from labelled rng streams, so churned executions stay reproducible).
-// Experiment E8-churn (internal/exp) sweeps a per-slot mobility churn rate
-// under the combined MAC and reports global broadcast latency against the
-// static baseline on the same topology draw.
+// One level up, sim.Engine.ApplyEpoch applies a delta between slots; every
+// node automaton keeps its id and its protocol state. Experiment E8-churn
+// (internal/exp) sweeps a per-slot mobility churn rate under the combined
+// MAC and reports global broadcast latency against the static baseline on
+// the same topology draw.
 //
 // # Fault model
 //

@@ -24,7 +24,7 @@ import (
 // the deployment — each mover jitters inside a small disc, preserving the
 // unit-distance invariant (rejected epochs are re-drawn) — and applied to
 // the running engine via sim.Engine.ApplyEpoch, which patches the fast
-// evaluator incrementally and keeps every surviving automaton's protocol
+// evaluator incrementally and keeps every automaton's id and protocol
 // state. The sweep varies the per-slot churn rate (fraction of nodes moved
 // per slot, amortised over the interval); rate 0 is the static baseline the
 // other points are normalised against.

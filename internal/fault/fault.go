@@ -197,7 +197,6 @@ type Injector struct {
 	byzWrapped []bool
 	wrappers   []*byzantineNode
 
-	epoch  uint64
 	stats  Stats
 	panics []PanicRecord
 }
@@ -242,7 +241,6 @@ func (inj *Injector) rewind() {
 	inj.deliverSrc = root.SplitLabeled(deliverLabel)
 	inj.hasSchedules = false
 	inj.inertCount = 0
-	inj.epoch = 0
 	for i := range inj.sched {
 		inj.sched[i] = inj.drawSchedule(root.SplitLabels(crashLabel, uint64(i)))
 		if inj.sched[i].crashSlot >= 0 {
@@ -422,56 +420,6 @@ func (inj *Injector) NodePanicked(slot int64, node int, phase string, value inte
 	}
 }
 
-// EpochApplied implements sim.FaultHook: per-node fault state follows the
-// churn epoch's swap-remove relabels; nodes added by churn draw fresh crash
-// schedules from (crash, epoch#, slot-id) labels and are never Byzantine
-// (WrapNodes runs at construction time only).
-func (inj *Injector) EpochApplied(delta *sinr.EpochDelta) {
-	for _, rl := range delta.Relabels {
-		inj.sched[rl.To] = inj.sched[rl.From]
-		inj.inert[rl.To] = inj.inert[rl.From]
-		inj.byzWrapped[rl.To] = inj.byzWrapped[rl.From]
-	}
-	newN := delta.NewN
-	if newN > cap(inj.sched) {
-		inj.sched = append(inj.sched[:cap(inj.sched)], make([]nodeState, newN-cap(inj.sched))...)
-		inj.inert = append(inj.inert[:cap(inj.inert)], make([]bool, newN-cap(inj.inert))...)
-		inj.jammed = append(inj.jammed[:cap(inj.jammed)], make([]bool, newN-cap(inj.jammed))...)
-		inj.txMark = append(inj.txMark[:cap(inj.txMark)], make([]bool, newN-cap(inj.txMark))...)
-		inj.corrupt = append(inj.corrupt[:cap(inj.corrupt)], make([]bool, newN-cap(inj.corrupt))...)
-		inj.scratch = append(inj.scratch[:cap(inj.scratch)], make([]sim.Frame, newN-cap(inj.scratch))...)
-		inj.byzWrapped = append(inj.byzWrapped[:cap(inj.byzWrapped)], make([]bool, newN-cap(inj.byzWrapped))...)
-	}
-	inj.sched = inj.sched[:newN]
-	inj.inert = inj.inert[:newN]
-	inj.jammed = inj.jammed[:newN]
-	inj.txMark = inj.txMark[:newN]
-	inj.corrupt = inj.corrupt[:newN]
-	inj.scratch = inj.scratch[:newN]
-	inj.byzWrapped = inj.byzWrapped[:newN]
-
-	inj.epoch++
-	root := rng.New(inj.plan.Seed)
-	for _, id := range delta.Added {
-		inj.sched[id] = inj.drawSchedule(root.SplitLabels(crashLabel, inj.epoch, uint64(id)))
-		if inj.sched[id].crashSlot >= 0 {
-			inj.hasSchedules = true
-		}
-		inj.inert[id] = false
-		inj.jammed[id] = false
-		inj.corrupt[id] = false
-		inj.byzWrapped[id] = false
-	}
-	inj.n = newN
-	inj.jamList = inj.jamList[:0]
-	inj.inertCount = 0
-	for _, down := range inj.inert {
-		if down {
-			inj.inertCount++
-		}
-	}
-}
-
 // Reset implements sim.FaultHook: rewind to slot zero alongside
 // Engine.Reset, re-deriving every schedule and stream from the plan seed
 // over the injector's current node count.
@@ -533,5 +481,5 @@ func (inj *Injector) Inert(i int) bool { return inj.inert[i] }
 // Byzantine reports whether node i was wrapped as a Byzantine adversary.
 func (inj *Injector) Byzantine(i int) bool { return inj.byzWrapped[i] }
 
-// NumNodes returns the injector's current deployment size.
+// NumNodes returns the number of nodes the injector was compiled for.
 func (inj *Injector) NumNodes() int { return inj.n }

@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,11 +151,42 @@ func richPlan() Plan {
 	}
 }
 
+// moveSchedule draws the mobility input of the fault differential: each
+// epoch moves a quarter of the nodes by up to 6 units (cells are about 12
+// wide, so some moves cross cells) and one node to a random spot of the
+// deployment square.
+func moveSchedule(pos []geom.Point, epochs int, seed uint64) []*sinr.EpochDelta {
+	src := rng.New(seed)
+	cur := append([]geom.Point(nil), pos...)
+	schedule := make([]*sinr.EpochDelta, 0, epochs)
+	for e := 0; e < epochs; e++ {
+		moved := map[int]bool{}
+		for k := 0; k < len(cur)/4; k++ {
+			id := src.Intn(len(cur))
+			moved[id] = true
+			cur[id] = geom.Point{X: cur[id].X + 12*src.Float64() - 6, Y: cur[id].Y + 12*src.Float64() - 6}
+		}
+		id := src.Intn(len(cur))
+		moved[id] = true
+		cur[id] = geom.Point{X: src.Float64() * 40, Y: src.Float64() * 40}
+		dirty := make([]int, 0, len(moved))
+		for id := range cur {
+			if moved[id] {
+				dirty = append(dirty, id)
+			}
+		}
+		schedule = append(schedule, &sinr.EpochDelta{Dirty: dirty, Positions: append([]geom.Point(nil), cur...)})
+	}
+	return schedule
+}
+
 // TestFaultDifferentialDrivers is the acceptance criterion: one fault plan
-// must produce bit-identical executions on both evaluator paths and across
-// the fast evaluator's worker counts.
+// must produce bit-identical executions — receptions, node counters, engine
+// and fault stats — on both evaluator paths and across the fast
+// evaluator's worker counts, on a static deployment and under mobility
+// epochs applied between legs of the run.
 func TestFaultDifferentialDrivers(t *testing.T) {
-	const n, topoSeed, slots = 60, 5, 300
+	const n, topoSeed, legs, legSlots = 60, 5, 4, 75
 	plan := richPlan()
 	type variant struct {
 		name string
@@ -168,33 +200,71 @@ func TestFaultDifferentialDrivers(t *testing.T) {
 		{"fast/w4", true, sim.Config{Seed: 9, Workers: 4}},
 		{"fast/gomaxprocs", true, sim.Config{Seed: 9, Workers: runtime.GOMAXPROCS(0)}},
 	}
-	var refStats sim.Stats
-	var refNodes []counters
-	var refFaults Stats
-	for i, v := range variants {
-		inner, eng, inj := scenario(t, n, topoSeed, &plan, v.fast, v.cfg, nil)
-		eng.Run(slots, nil)
-		got := snapshot(t, inner)
-		if i == 0 {
-			refStats, refNodes, refFaults = eng.Stats(), got, inj.Stats()
-			if refFaults.Crashed == 0 || refFaults.JammedSlots == 0 ||
-				refFaults.Dropped == 0 || refFaults.Corrupted == 0 ||
-				refFaults.ByzantineNodes == 0 || refFaults.SpamFrames == 0 {
-				t.Fatalf("plan did not exercise every fault kind: %+v", refFaults)
+	for _, input := range []struct {
+		name   string
+		epochs bool
+	}{{"static", false}, {"moves", true}} {
+		t.Run(input.name, func(t *testing.T) {
+			var refStats sim.Stats
+			var refNodes []counters
+			var refFaults Stats
+			var refRecs []int
+			for i, v := range variants {
+				inner, eng, inj := scenario(t, n, topoSeed, &plan, v.fast, v.cfg, nil)
+				var recs []int
+				eng.AddObserver(sim.ObserverFunc(func(slot int64, tx []int, rs []sinr.Reception) {
+					for _, r := range rs {
+						recs = append(recs, r.Sender)
+					}
+				}))
+				var schedule []*sinr.EpochDelta
+				if input.epochs {
+					schedule = moveSchedule(eng.Channel().Positions(), legs-1, 0x30e)
+				}
+				eng.Run(legSlots, nil)
+				for _, delta := range schedule {
+					if err := eng.ApplyEpoch(delta, nil); err != nil {
+						t.Fatal(err)
+					}
+					eng.Run(legSlots, nil)
+				}
+				if !input.epochs {
+					eng.Run((legs-1)*legSlots, nil)
+				} else if !slices.Equal(eng.Channel().Positions(), schedule[len(schedule)-1].Positions) {
+					t.Fatal("the engine does not run on the last epoch's positions")
+				}
+				got := snapshot(t, inner)
+				if i == 0 {
+					refStats, refNodes, refFaults, refRecs = eng.Stats(), got, inj.Stats(), recs
+					if refFaults.Crashed == 0 || refFaults.JammedSlots == 0 ||
+						refFaults.Dropped == 0 || refFaults.Corrupted == 0 ||
+						refFaults.ByzantineNodes == 0 || refFaults.SpamFrames == 0 {
+						t.Fatalf("plan did not exercise every fault kind: %+v", refFaults)
+					}
+					continue
+				}
+				if eng.Stats() != refStats {
+					t.Fatalf("%s: stats diverged: %+v vs %+v", v.name, eng.Stats(), refStats)
+				}
+				if inj.Stats() != refFaults {
+					t.Fatalf("%s: fault stats diverged: %+v vs %+v", v.name, inj.Stats(), refFaults)
+				}
+				for j := range got {
+					if got[j] != refNodes[j] {
+						t.Fatalf("%s: node %d diverged: %+v vs %+v", v.name, j, got[j], refNodes[j])
+					}
+				}
+				if len(recs) != len(refRecs) {
+					t.Fatalf("%s: %d receptions traced, want %d", v.name, len(recs), len(refRecs))
+				}
+				for j := range recs {
+					if recs[j] != refRecs[j] {
+						t.Fatalf("%s: slot %d node %d decoded %d, reference %d",
+							v.name, j/n, j%n, recs[j], refRecs[j])
+					}
+				}
 			}
-			continue
-		}
-		if eng.Stats() != refStats {
-			t.Fatalf("%s: stats diverged: %+v vs %+v", v.name, eng.Stats(), refStats)
-		}
-		if inj.Stats() != refFaults {
-			t.Fatalf("%s: fault stats diverged: %+v vs %+v", v.name, inj.Stats(), refFaults)
-		}
-		for j := range got {
-			if got[j] != refNodes[j] {
-				t.Fatalf("%s: node %d diverged: %+v vs %+v", v.name, j, got[j], refNodes[j])
-			}
-		}
+		})
 	}
 }
 
@@ -564,69 +634,6 @@ func TestJamScrubsDecodes(t *testing.T) {
 	if eng.Stats().Transmissions != int64(sender.sent) {
 		t.Fatalf("transmissions %d != real sends %d (jammers must not count)",
 			eng.Stats().Transmissions, sender.sent)
-	}
-}
-
-// TestInjectorEpochRelabel: fault state follows churn relabels — a crashed
-// node relabeled into a lower slot stays inert there, and the engine keeps
-// running after the epoch.
-func TestInjectorEpochRelabel(t *testing.T) {
-	const n = 8
-	pos := make([]geom.Point, n)
-	for i := range pos {
-		pos[i] = geom.Point{X: 2 * float64(i), Y: 0}
-	}
-	ch, err := sinr.NewChannel(sinr.DefaultParams(10), pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := Plan{Seed: 8}
-	inj, err := NewInjector(plan, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		if i == n-1 {
-			nodes[i] = &panicNode{chattyNode: chattyNode{p: 0.3}, panicTickSlot: 2}
-		} else {
-			nodes[i] = &chattyNode{p: 0.3}
-		}
-	}
-	eng, err := sim.NewEngine(ch, nodes, sim.Config{Seed: 5, Workers: 1, Faults: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run(10, nil)
-	if !inj.Inert(n - 1) {
-		t.Fatal("victim did not crash")
-	}
-	// Remove node 2; the crashed last node is relabeled into its slot.
-	p := append([]geom.Point(nil), pos...)
-	p[2] = p[n-1]
-	p = p[:n-1]
-	delta := &sinr.EpochDelta{
-		OldN: n, NewN: n - 1, Dirty: []int{2},
-		Relabels:  []sinr.Relabel{{From: n - 1, To: 2}},
-		Removed:   1,
-		Positions: p,
-	}
-	if err := eng.ApplyEpoch(delta, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !inj.Inert(2) {
-		t.Fatal("crashed node lost its inert state across the relabel")
-	}
-	if inj.NumNodes() != n-1 {
-		t.Fatalf("injector size %d after epoch, want %d", inj.NumNodes(), n-1)
-	}
-	sentBefore := eng.Node(2).(*panicNode).sent
-	eng.Run(50, nil)
-	if got := eng.Node(2).(*panicNode).sent; got != sentBefore {
-		t.Fatal("relabeled crashed node resumed transmitting")
-	}
-	if eng.Stats().Slots != 60 {
-		t.Fatalf("engine stalled after churn epoch: %d slots", eng.Stats().Slots)
 	}
 }
 

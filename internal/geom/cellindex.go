@@ -19,12 +19,11 @@ import "math"
 // are stored in one CSR arena; a CellIndex performs no allocation after
 // construction and is safe for concurrent readers.
 //
-// The index is not strictly immutable: ApplyChurn re-buckets a changed
-// point set in place (appending dense ids for cells that first become
-// occupied inside the original lattice rectangle) so that churn epochs can
-// patch the CSR instead of rebuilding the decomposition. Mutation and
-// concurrent reads must not overlap; between mutations concurrent readers
-// remain safe.
+// The index is not strictly immutable: ApplyChurn re-buckets moved points
+// in place (appending dense ids for cells that first become occupied inside
+// the original lattice rectangle) so that mobility epochs can patch the CSR
+// instead of rebuilding the decomposition. Mutation and concurrent reads
+// must not overlap; between mutations concurrent readers remain safe.
 type CellIndex struct {
 	cell         float64
 	minCX, minCY int
@@ -142,11 +141,10 @@ func (ci *CellIndex) Rect(c int) Rect {
 	return Rect{Min: Point{X: x, Y: y}, Max: Point{X: x + ci.cell, Y: y + ci.cell}}
 }
 
-// ApplyChurn re-buckets a churned point set in place. points is the full
-// post-epoch position slice (node i at points[i], so the index afterwards
-// covers exactly len(points) nodes — shrinking or growing the node count is
-// expressed by the slice length) and dirty lists the node ids whose position
-// changed, including ids appended at the end.
+// ApplyChurn re-buckets moved points in place. points is the full
+// post-epoch position slice over the same nodes the index was built on
+// (node i at points[i]), and dirty lists the node ids whose position
+// changed.
 //
 // It returns false — leaving the index completely unchanged — when any dirty
 // point falls outside the lattice rectangle spanned by the original
@@ -155,8 +153,8 @@ func (ci *CellIndex) Rect(c int) Rect {
 // first become occupied inside the rectangle are appended to the dense
 // numbering (a cell emptied by churn keeps its id, so NumCells never
 // shrinks), and the CSR arena is rebuilt by one count/prefix/scatter pass —
-// O(len(points) + NumCells), with no allocation once the arenas have grown
-// to their steady-state sizes.
+// O(len(points) + NumCells), with no allocation once the cell arenas have
+// grown to their steady-state sizes.
 func (ci *CellIndex) ApplyChurn(points []Point, dirty []int) bool {
 	// Pass 1 is read-only: if any dirty point escapes the lattice the index
 	// must stay untouched so the caller can still read it while rebuilding.
@@ -167,14 +165,6 @@ func (ci *CellIndex) ApplyChurn(points []Point, dirty []int) bool {
 		if kx < ci.minCX || kx > ci.minCX+ci.spanX || ky < ci.minCY || ky > ci.minCY+ci.spanY {
 			return false
 		}
-	}
-	n := len(points)
-	if n <= cap(ci.cellOf) {
-		ci.cellOf = ci.cellOf[:n]
-	} else {
-		grown := make([]int32, n)
-		copy(grown, ci.cellOf)
-		ci.cellOf = grown
 	}
 	for _, id := range dirty {
 		p := points[id]
@@ -203,11 +193,6 @@ func (ci *CellIndex) ApplyChurn(points []Point, dirty []int) bool {
 	}
 	for c := 0; c < nc; c++ {
 		ci.start[c+1] += ci.start[c]
-	}
-	if n <= cap(ci.nodes) {
-		ci.nodes = ci.nodes[:n]
-	} else {
-		ci.nodes = make([]int32, n)
 	}
 	if nc <= cap(ci.cursor) {
 		ci.cursor = ci.cursor[:nc]

@@ -46,12 +46,13 @@ func cellIndexEqual(t *testing.T, label string, churned, fresh *CellIndex, point
 	}
 }
 
-// TestCellIndexApplyChurn drives random in-lattice churn — moves, shrinks
-// and growths — against a from-scratch rebuild.
+// TestCellIndexApplyChurn drives random in-lattice mobility — batches of
+// moves over a fixed point set, most of them across cells — against a
+// from-scratch rebuild.
 func TestCellIndexApplyChurn(t *testing.T) {
 	src := rng.New(0xce11)
 	const cell = 2.5
-	// Points strictly inside a fixed box, so every churned position stays in
+	// Points strictly inside a fixed box, so every moved position stays in
 	// the original lattice.
 	randIn := func() Point {
 		return Point{X: src.Float64() * 30, Y: src.Float64() * 30}
@@ -66,21 +67,13 @@ func TestCellIndexApplyChurn(t *testing.T) {
 	ci := NewCellIndex(points, cell)
 	for round := 0; round < 30; round++ {
 		var dirty []int
-		switch src.Intn(3) {
-		case 0: // moves
-			for k := 0; k < 1+src.Intn(5); k++ {
-				id := 2 + src.Intn(len(points)-2)
-				points[id] = randIn()
+		moved := map[int]bool{}
+		for k := 0; k < 1+src.Intn(8); k++ {
+			id := 2 + src.Intn(len(points)-2)
+			points[id] = randIn()
+			if !moved[id] {
+				moved[id] = true
 				dirty = append(dirty, id)
-			}
-		case 1: // shrink
-			if len(points) > 10 {
-				points = points[:len(points)-1-src.Intn(3)]
-			}
-		default: // grow
-			for k := 0; k < 1+src.Intn(4); k++ {
-				dirty = append(dirty, len(points))
-				points = append(points, randIn())
 			}
 		}
 		if !ci.ApplyChurn(points, dirty) {

@@ -21,7 +21,7 @@ import (
 // every third slot (injected transmitter, its decodes scrubbed).
 type crashJamHook struct {
 	crashSlot int64
-	n         int     // deployment size, tracked per slot (follows churn)
+	n         int     // deployment size, tracked per slot
 	inert     []bool  // reused SlotStart bitmap
 	slots     []int64 // SlotStart call order, for the ordering property
 }
@@ -75,8 +75,6 @@ func (h *crashJamHook) DeliverFrame(slot int64, node int, f *Frame) *Frame { ret
 func (h *crashJamHook) NodePanicked(slot int64, node int, phase string, value interface{}, stack []byte) {
 }
 
-func (h *crashJamHook) EpochApplied(delta *sinr.EpochDelta) {}
-
 func (h *crashJamHook) Reset() { h.slots = h.slots[:0]; h.n = 0 }
 
 // batchTraceRow is one slot as an observer saw it.
@@ -87,29 +85,28 @@ type batchTraceRow struct {
 	senders []int
 }
 
-// batchChurnSchedule builds the three-epoch delta schedule used by the
-// bit-identity suite over an n-node lattice: a move epoch, a swap-remove
-// plus add epoch, and a pure shrink.
+// batchChurnSchedule builds the three-epoch move schedule used by the
+// engine's churn tests over an n-node line of spacing 2 (cells of side
+// about 10 under DefaultParams(10)). The epochs move the last node, move
+// nodes across cells and out of the original lattice, and move one back
+// home.
 func batchChurnSchedule(n int) []*sinr.EpochDelta {
 	pos := latticePositions(n)
-	schedule := make([]*sinr.EpochDelta, 0, 3)
 	p1 := append([]geom.Point(nil), pos...)
 	p1[3] = geom.Point{X: p1[3].X + 0.7, Y: 0.5}
-	p1[7] = geom.Point{X: p1[7].X - 0.6, Y: -0.4}
-	schedule = append(schedule, &sinr.EpochDelta{OldN: n, NewN: n, Dirty: []int{3, 7}, Positions: p1})
+	p1[7] = geom.Point{X: p1[7].X - 0.6, Y: -0.4} // one cell row down: leaves the lattice
 	p2 := append([]geom.Point(nil), p1...)
-	p2[5] = p2[n-1]
-	p2 = p2[:n-1]
-	p2 = append(p2, geom.Point{X: -2, Y: 2})
-	schedule = append(schedule, &sinr.EpochDelta{
-		OldN: n, NewN: n, Dirty: []int{5, n - 1},
-		Relabels: []sinr.Relabel{{From: n - 1, To: 5}},
-		Added:    []int{n - 1}, Removed: 1, Positions: p2,
-	})
+	p2[5] = geom.Point{X: 31, Y: 1} // two cells to the right
+	p2[n-1] = geom.Point{X: p2[n-1].X - 1, Y: 1.5}
 	p3 := append([]geom.Point(nil), p2...)
-	p3 = p3[:n-1]
-	schedule = append(schedule, &sinr.EpochDelta{OldN: n, NewN: n - 1, Removed: 1, Positions: p3})
-	return schedule
+	p3[0] = geom.Point{X: -3, Y: 0.5}
+	p3[5] = pos[5]
+	p3[n-1] = geom.Point{X: pos[n-1].X + 0.5, Y: -0.5}
+	return []*sinr.EpochDelta{
+		{Dirty: []int{3, 7}, Positions: p1},
+		{Dirty: []int{5, n - 1}, Positions: p2},
+		{Dirty: []int{0, 5, n - 1}, Positions: p3},
+	}
 }
 
 // batchTraceRun executes the fixed three-leg churn scenario (40 slots per
@@ -158,7 +155,7 @@ func batchTraceRun(t *testing.T, n int, cfg Config, fast, faults, step bool) ([]
 	}
 	leg(40)
 	for _, delta := range batchChurnSchedule(n) {
-		if err := eng.ApplyEpoch(delta, func(id int) Node { return &randomNode{p: 0.2} }); err != nil {
+		if err := eng.ApplyEpoch(delta, nil); err != nil {
 			t.Fatal(err)
 		}
 		leg(40)

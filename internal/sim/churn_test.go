@@ -10,9 +10,9 @@ import (
 	"sinrmac/internal/sinr"
 )
 
-// churnTestDelta hand-builds the epoch deltas the engine tests apply (the
+// The engine tests hand-build their epoch deltas (batchChurnSchedule); the
 // full topology commit path is exercised by topology's and sinr's own
-// tests; here only the engine-side semantics matter).
+// tests, and here only the engine-side semantics matter.
 
 // latticePositions lays n nodes on a spacing-2 line.
 func latticePositions(n int) []geom.Point {
@@ -45,20 +45,22 @@ func churnEngine(t *testing.T, n int, seed uint64, fast bool) (*Engine, []Node) 
 	return eng, nodes
 }
 
-// TestEngineApplyEpochDifferential runs the same churn schedule on a
+// TestEngineApplyEpochDifferential runs the same move schedule on a
 // naive-evaluator engine and a fast-evaluator engine: the executions —
 // per-slot receptions observed, aggregate stats — must be identical, and
-// both must keep running correctly as nodes move, leave and join.
+// both must keep running correctly as nodes move. Every automaton keeps its
+// id and its state across the epochs.
 func TestEngineApplyEpochDifferential(t *testing.T) {
 	const n, seed = 24, 11
 	type run struct {
-		eng  *Engine
-		recs [][]int
+		eng   *Engine
+		nodes []Node
+		recs  [][]int
 	}
 	runs := make([]*run, 2)
 	for i, fast := range []bool{false, true} {
 		r := &run{}
-		r.eng, _ = churnEngine(t, n, seed, fast)
+		r.eng, r.nodes = churnEngine(t, n, seed, fast)
 		r.eng.AddObserver(ObserverFunc(func(slot int64, tx []int, recs []sinr.Reception) {
 			row := make([]int, len(recs))
 			for j, rec := range recs {
@@ -71,35 +73,18 @@ func TestEngineApplyEpochDifferential(t *testing.T) {
 
 	// One delta sequence drives both engines (deltas are reusable across
 	// evaluator families).
-	pos := latticePositions(n)
-	schedule := make([]*sinr.EpochDelta, 0, 3)
-	// Epoch 1: move node 3 and node 7.
-	p1 := append([]geom.Point(nil), pos...)
-	p1[3] = geom.Point{X: p1[3].X + 0.7, Y: 0.5}
-	p1[7] = geom.Point{X: p1[7].X - 0.6, Y: -0.4}
-	schedule = append(schedule, &sinr.EpochDelta{OldN: n, NewN: n, Dirty: []int{3, 7}, Positions: p1})
-	// Epoch 2: remove node 5 (last relabels into it) and add one node.
-	p2 := append([]geom.Point(nil), p1...)
-	p2[5] = p2[n-1]
-	p2 = p2[:n-1]
-	p2 = append(p2, geom.Point{X: -2, Y: 2})
-	schedule = append(schedule, &sinr.EpochDelta{
-		OldN: n, NewN: n, Dirty: []int{5, n - 1},
-		Relabels: []sinr.Relabel{{From: n - 1, To: 5}},
-		Added:    []int{n - 1}, Removed: 1, Positions: p2,
-	})
-	// Epoch 3: pure shrink (remove the last node).
-	p3 := append([]geom.Point(nil), p2...)
-	p3 = p3[:n-1]
-	schedule = append(schedule, &sinr.EpochDelta{OldN: n, NewN: n - 1, Removed: 1, Positions: p3})
-
 	for _, r := range runs {
 		r.eng.Run(30, nil)
-		for _, delta := range schedule {
-			if err := r.eng.ApplyEpoch(delta, func(id int) Node { return &randomNode{p: 0.2} }); err != nil {
+		for _, delta := range batchChurnSchedule(n) {
+			if err := r.eng.ApplyEpoch(delta, nil); err != nil {
 				t.Fatal(err)
 			}
 			r.eng.Run(30, nil)
+		}
+		for i, node := range r.nodes {
+			if r.eng.Node(i) != node || node.(*randomNode).id != i {
+				t.Fatalf("node %d lost its automaton or id across the epochs", i)
+			}
 		}
 	}
 	a, b := runs[0], runs[1]
@@ -122,105 +107,45 @@ func TestEngineApplyEpochDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineApplyEpochRelabel checks the automaton surgery: survivors keep
-// their state and follow the swap-remove relabel, removed automata drop
-// out, and exactly the added nodes are initialised (once, with their new
-// id).
-func TestEngineApplyEpochRelabel(t *testing.T) {
-	const n = 8
-	eng, _ := churnEngine(t, n, 3, true)
-	eng.Run(10, nil)
-	moved := eng.Node(n - 1) // will be relabeled into slot 2
-	removed := eng.Node(2)   // will leave the deployment
-	sentBefore := moved.(*randomNode).sent
-
-	pos := latticePositions(n)
-	p := append([]geom.Point(nil), pos...)
-	p[2] = p[n-1]
-	p = p[:n-1]
-	p = append(p, geom.Point{X: -4, Y: 0})
-	inits := 0
-	delta := &sinr.EpochDelta{
-		OldN: n, NewN: n, Dirty: []int{2, n - 1},
-		Relabels: []sinr.Relabel{{From: n - 1, To: 2}},
-		Added:    []int{n - 1}, Removed: 1, Positions: p,
-	}
-	err := eng.ApplyEpoch(delta, func(id int) Node {
-		inits++
-		if id != n-1 {
-			t.Fatalf("factory called for id %d, want %d", id, n-1)
-		}
-		return &randomNode{p: 0.2}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inits != 1 {
-		t.Fatalf("factory called %d times, want 1", inits)
-	}
-	if eng.Node(2) != moved {
-		t.Fatal("relabeled automaton did not follow its node")
-	}
-	if got := moved.(*randomNode).sent; got != sentBefore {
-		t.Fatal("relabel re-initialised a surviving automaton")
-	}
-	// The added automaton gets a fresh protocol identity, never a reused
-	// slot id: the survivor relabeled into slot 2 still answers to id n-1,
-	// so handing the newcomer n-1 would put two live automata on one
-	// identity.
-	if got := eng.Node(n - 1).(*randomNode).id; got != n {
-		t.Fatalf("added automaton initialised with id %d, want fresh id %d", got, n)
-	}
-	seen := map[int]bool{}
-	for i := 0; i < n; i++ {
-		id := eng.Node(i).(*randomNode).id
-		if seen[id] {
-			t.Fatalf("two live automata share protocol id %d", id)
-		}
-		seen[id] = true
-	}
-	// The pre-epoch automaton at slot 2 is gone.
-	for i := 0; i < n; i++ {
-		if eng.Node(i) == removed {
-			t.Fatal("removed automaton still wired into the engine")
-		}
-	}
-	eng.Run(10, nil) // post-epoch slots keep working
-}
-
-// TestEngineApplyEpochErrors covers the hook's error paths.
+// TestEngineApplyEpochErrors covers the apply's error paths on both
+// evaluators: a delta of the wrong length and one with an out-of-range
+// dirty id are rejected, the engine keeps running on its pre-epoch
+// positions, and a later valid epoch still applies.
 func TestEngineApplyEpochErrors(t *testing.T) {
 	const n = 6
-	eng, _ := churnEngine(t, n, 5, true)
-	pos := latticePositions(n)
-	if err := eng.ApplyEpoch(&sinr.EpochDelta{OldN: n + 1, NewN: n + 1, Positions: latticePositions(n + 1)}, nil); err == nil {
-		t.Fatal("accepted a delta for the wrong node count")
+	for _, fast := range []bool{false, true} {
+		eng, _ := churnEngine(t, n, 5, fast)
+		pos := latticePositions(n)
+		if err := eng.ApplyEpoch(&sinr.EpochDelta{Dirty: []int{n}, Positions: latticePositions(n + 1)}, nil); err == nil ||
+			!strings.Contains(err.Error(), "positions") {
+			t.Fatalf("fast=%v: wrong-length delta error = %v", fast, err)
+		}
+		far := append([]geom.Point(nil), pos...)
+		far[0] = geom.Point{X: -50, Y: 0}
+		if err := eng.ApplyEpoch(&sinr.EpochDelta{Dirty: []int{0, n}, Positions: far}, nil); err == nil ||
+			!strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("fast=%v: out-of-range dirty id error = %v", fast, err)
+		}
+		if err := eng.ApplyEpoch(nil, nil); err == nil {
+			t.Fatalf("fast=%v: nil delta accepted", fast)
+		}
+		for i, p := range eng.Channel().Positions() {
+			if p != pos[i] {
+				t.Fatalf("fast=%v: rejected delta moved node %d to %v", fast, i, p)
+			}
+		}
+		eng.Run(5, nil)
+		if err := eng.ApplyEpoch(&sinr.EpochDelta{Dirty: []int{0}, Positions: far}, nil); err != nil {
+			t.Fatalf("fast=%v: apply after failed applies: %v", fast, err)
+		}
+		eng.Run(5, nil)
+		if got := eng.Stats().Slots; got != 10 {
+			t.Fatalf("fast=%v: engine simulated %d slots, want 10", fast, got)
+		}
+		if got := eng.Channel().Positions()[0]; got != far[0] {
+			t.Fatalf("fast=%v: node 0 at %v after the epoch, want %v", fast, got, far[0])
+		}
 	}
-	grown := append(latticePositions(n), geom.Point{X: -2, Y: 0})
-	addDelta := &sinr.EpochDelta{OldN: n, NewN: n + 1, Dirty: []int{n}, Added: []int{n}, Positions: grown}
-	if err := eng.ApplyEpoch(addDelta, nil); err == nil || !strings.Contains(err.Error(), "factory") {
-		t.Fatalf("missing-factory error = %v", err)
-	}
-	// A factory that returns nil, or a node whose Init fails, aborts the
-	// apply before anything — evaluator included — is mutated.
-	if err := eng.ApplyEpoch(addDelta, func(id int) Node { return nil }); err == nil || !strings.Contains(err.Error(), "nil") {
-		t.Fatalf("nil-factory error = %v", err)
-	}
-	if err := eng.ApplyEpoch(addDelta, func(id int) Node { return &initFailNode{} }); err == nil ||
-		!strings.Contains(err.Error(), "failed to initialise") {
-		t.Fatalf("failing-init error = %v", err)
-	}
-	// Every failed apply leaves the engine usable at its old size.
-	if got := len(eng.nodes); got != n {
-		t.Fatalf("failed apply resized the engine to %d nodes", got)
-	}
-	eng.Run(5, nil)
-	// ...and a subsequent valid apply still works.
-	if err := eng.ApplyEpoch(addDelta, func(id int) Node { return &randomNode{p: 0.2} }); err != nil {
-		t.Fatalf("apply after failed applies: %v", err)
-	}
-	eng.Run(5, nil)
-	_ = pos
 }
 
 // initFailNode fails its Init and reports it via NodeInitError.
@@ -251,44 +176,5 @@ func TestEngineSurfacesInitErrors(t *testing.T) {
 	if err := eng.Reset([]Node{&randomNode{p: 0.1}, &initFailNode{}}, 2); err == nil ||
 		!strings.Contains(err.Error(), "bad config") {
 		t.Fatalf("Reset error = %v, want wrapped init failure", err)
-	}
-}
-
-// TestEngineApplyEpochInitFailureMidChurn: after a successful growth epoch,
-// a later epoch whose factory produces failing nodes is rejected without
-// disturbing the running engine — it stays at the successful epoch's size,
-// keeps simulating, and accepts a subsequent valid epoch.
-func TestEngineApplyEpochInitFailureMidChurn(t *testing.T) {
-	const n = 6
-	eng, _ := churnEngine(t, n, 5, true)
-	grow := func(size int) *sinr.EpochDelta {
-		return &sinr.EpochDelta{
-			OldN: size, NewN: size + 1,
-			Dirty: []int{size}, Added: []int{size},
-			Positions: latticePositions(size + 1),
-		}
-	}
-	if err := eng.ApplyEpoch(grow(n), func(id int) Node { return &randomNode{p: 0.2} }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run(5, nil)
-	factoryCalls := 0
-	if err := eng.ApplyEpoch(grow(n+1), func(id int) Node { factoryCalls++; return &initFailNode{} }); err == nil ||
-		!strings.Contains(err.Error(), "failed to initialise") {
-		t.Fatalf("mid-churn failing factory error = %v", err)
-	}
-	if factoryCalls == 0 {
-		t.Fatal("failing factory was never invoked")
-	}
-	if got := len(eng.nodes); got != n+1 {
-		t.Fatalf("failed mid-churn apply resized the engine to %d nodes, want %d", got, n+1)
-	}
-	eng.Run(5, nil)
-	if err := eng.ApplyEpoch(grow(n+1), func(id int) Node { return &randomNode{p: 0.2} }); err != nil {
-		t.Fatalf("valid epoch after the failed one: %v", err)
-	}
-	eng.Run(5, nil)
-	if got := eng.Stats().Slots; got != 15 {
-		t.Fatalf("engine simulated %d slots across the churn sequence, want 15", got)
 	}
 }

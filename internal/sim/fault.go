@@ -46,9 +46,6 @@ type FaultHook interface {
 	// affected receptions are filtered; the hook is expected to treat the
 	// node as crash-stopped from this point on.
 	NodePanicked(slot int64, node int, phase string, value interface{}, stack []byte)
-	// EpochApplied is called after Engine.ApplyEpoch commits a churn epoch,
-	// so per-node fault state follows the swap-remove relabels.
-	EpochApplied(delta *sinr.EpochDelta)
 	// Reset rewinds the hook to slot zero alongside Engine.Reset.
 	Reset()
 }

@@ -31,10 +31,10 @@
 // must copy it, and stale fields from earlier slots are never cleared (see
 // the Frame documentation for the full rules).
 //
-// Deployments may churn mid-execution: Engine.ApplyEpoch applies a
-// committed topology epoch between slots — the evaluator patches its
-// state, surviving automata keep their protocol state and follow the
-// swap-remove relabels, and only added nodes are initialised.
+// Nodes may move mid-execution: Engine.ApplyEpoch applies a committed
+// topology epoch, a batch of moves over the fixed node set, between slots.
+// The evaluator patches its state, and every automaton keeps its id and
+// its protocol state.
 //
 // # Re-entry
 //
@@ -81,9 +81,9 @@ type Node interface {
 // because constructing the node's protocol automaton from its configuration
 // fails. Init itself has no error return (it is called on the engine's hot
 // construction path for every node), so such nodes record the failure and
-// report it here; NewEngine, Reset and ApplyEpoch consult the interface
-// right after calling Init and surface the wrapped error to the caller
-// instead of letting library code panic.
+// report it here; NewEngine and Reset consult the interface right after
+// calling Init and surface the wrapped error to the caller instead of
+// letting library code panic.
 type NodeInitError interface {
 	// InitError returns the error the last Init recorded, or nil.
 	InitError() error
@@ -130,8 +130,8 @@ type Config struct {
 	PinDriver bool
 	// Workers bounds the number of pool workers a parallel channel
 	// evaluator (sinr.ParallelEvaluator) splits its receiver scan across.
-	// Zero means GOMAXPROCS. The count is resolved at construction and
-	// after each ApplyEpoch, never per slot.
+	// Zero means GOMAXPROCS. The count is resolved at construction, never
+	// per slot.
 	Workers int
 	// Evaluator selects the SINR slot evaluator. Nil means the channel
 	// itself (the naive reference path); pass sinr.NewFastChannel(channel)
@@ -159,16 +159,8 @@ type Engine struct {
 	observers []Observer
 	cfg       Config
 
-	slot   int64
-	stats  Stats
-	epochs int // churn epochs applied, salts the added-node rng labels
-	// nextID is the next never-used protocol identity. Survivors of a churn
-	// epoch keep the id they were initialised with even after a swap-remove
-	// relabel moves them to another slot, so nodes added later must draw
-	// fresh identities — reusing a freed slot index would collide with a
-	// survivor's id and break identity-based protocol logic (origin
-	// deduplication, MIS tie-breaking).
-	nextID int
+	slot  int64
+	stats Stats
 
 	// frames is the per-node frame pool: frames[i] is handed to node i on
 	// every Tick and delivered to its receivers on decode. Allocated once.
@@ -226,9 +218,9 @@ func NewEngine(channel *sinr.Channel, nodes []Node, cfg Config) (*Engine, error)
 	e := &Engine{
 		channel:   channel,
 		evaluator: evaluator,
-		// The engine owns its node table: ApplyEpoch relabels and truncates
-		// it in place, which must never reach through to a slice the caller
-		// retains for its own bookkeeping.
+		// The engine owns its node table: Reset overwrites it in place,
+		// which must never reach through to a slice the caller retains for
+		// its own bookkeeping.
 		nodes:  append([]Node(nil), nodes...),
 		cfg:    cfg,
 		frames: make([]Frame, len(nodes)),
@@ -238,7 +230,6 @@ func NewEngine(channel *sinr.Channel, nodes []Node, cfg Config) (*Engine, error)
 		e.frames[i].From = i
 	}
 	e.setEvaluatorWorkers()
-	e.nextID = len(nodes)
 	master := rng.New(cfg.Seed)
 	for i, n := range nodes {
 		if n == nil {
@@ -286,8 +277,6 @@ func (e *Engine) Reset(nodes []Node, seed uint64) error {
 		e.frames[i] = Frame{From: i}
 	}
 	e.cfg.Seed = seed
-	e.epochs = 0
-	e.nextID = len(nodes)
 	if e.faults != nil {
 		e.faults.Reset()
 		e.inert = nil
@@ -303,31 +292,17 @@ func (e *Engine) Reset(nodes []Node, seed uint64) error {
 	return nil
 }
 
-// churnInitLabel salts the rng label path of nodes added by churn epochs,
-// so an added node's stream never collides with an original node's
-// (which are derived from the bare id label).
-const churnInitLabel uint64 = 0xc402c4
-
-// ApplyEpoch applies a committed churn epoch (topology.Deployment.
+// ApplyEpoch applies a committed mobility epoch (topology.Deployment.
 // CommitEpoch) to a running simulation, between slots: the evaluator (and
-// through it the channel) patches its state via sinr's EpochApplier
-// capability, surviving node automata follow their node through the
-// swap-remove relabels, removed automata are dropped, and only the added
-// nodes are initialised — every existing automaton keeps its protocol state
-// across the epoch, exactly as a deployed node would keep its state while
-// neighbours churn around it.
+// through it the channel) moves the epoch's nodes via sinr's EpochApplier
+// capability. The node set is fixed, so every automaton keeps its id and
+// its protocol state across the epoch, exactly as a deployed node keeps its
+// state while it and its neighbours move. A rejected delta leaves the
+// engine unchanged, and the simulation can continue. ApplyEpoch must not be
+// called concurrently with Step.
 //
-// newNode supplies the automaton for each added slot id; it may be nil when
-// the epoch adds none. An added automaton is initialised with a FRESH
-// protocol identity — the next id never used in this execution, not its
-// slot index — because a surviving automaton keeps the id it was
-// initialised with even after a relabel moves it to another slot, and
-// reusing a freed id would let two live automata share an identity (which
-// breaks origin deduplication and MIS tie-breaking at the protocol layer).
-// Slot-indexed engine artifacts (receptions, Frame.From, Node(i)) keep
-// using slot ids as before. Added nodes draw their rng streams from
-// (Seed, churn, epoch#, identity) labels, so executions remain
-// reproducible. ApplyEpoch must not be called concurrently with Step.
+// The newNode parameter is Deprecated and ignored: an epoch adds no nodes.
+// It remains only so that existing callers keep compiling.
 func (e *Engine) ApplyEpoch(delta *sinr.EpochDelta, newNode func(id int) Node) error {
 	if e.running {
 		return fmt.Errorf("sim: ApplyEpoch called from inside the slot loop; return from Step/Run first")
@@ -336,73 +311,7 @@ func (e *Engine) ApplyEpoch(delta *sinr.EpochDelta, newNode func(id int) Node) e
 	if !ok {
 		return fmt.Errorf("sim: evaluator %T cannot apply churn epochs", e.evaluator)
 	}
-	if err := delta.Validate(); err != nil {
-		return err
-	}
-	if delta.OldN != len(e.nodes) {
-		return fmt.Errorf("sim: epoch delta for %d nodes applied to a %d-node engine", delta.OldN, len(e.nodes))
-	}
-	if len(delta.Added) > 0 && newNode == nil {
-		return fmt.Errorf("sim: epoch adds %d nodes but no node factory was supplied", len(delta.Added))
-	}
-	// Added automata are built and initialised BEFORE anything is mutated:
-	// every remaining failure (nil factory result, out-of-order slot,
-	// recorded Init error, evaluator rejection — the evaluators validate
-	// before touching their state) then leaves the engine fully usable at
-	// its pre-epoch size, so callers may treat a failed apply as
-	// recoverable.
-	firstAdd := delta.OldN - delta.Removed
-	added := make([]Node, 0, len(delta.Added))
-	master := rng.New(e.cfg.Seed)
-	epoch := uint64(e.epochs + 1)
-	for i, id := range delta.Added {
-		if id != firstAdd+i {
-			return fmt.Errorf("sim: epoch adds node %d out of order (expected slot %d)", id, firstAdd+i)
-		}
-		n := newNode(id)
-		if n == nil {
-			return fmt.Errorf("sim: node factory returned nil for added node %d", id)
-		}
-		identity := e.nextID + i
-		n.Init(identity, master.SplitLabels(churnInitLabel, epoch, uint64(identity)))
-		if err := initErrorOf(n); err != nil {
-			return fmt.Errorf("sim: added node %d failed to initialise: %w", id, err)
-		}
-		added = append(added, n)
-	}
-	if err := ap.ApplyEpoch(delta); err != nil {
-		return err
-	}
-	e.epochs++
-	e.nextID += len(added)
-	// Survivors follow their node: the sequential relabel chain mirrors the
-	// swap-removes CommitEpoch performed on the positions.
-	for _, rl := range delta.Relabels {
-		e.nodes[rl.To] = e.nodes[rl.From]
-	}
-	e.nodes = append(e.nodes[:firstAdd], added...)
-	if len(e.nodes) != delta.NewN {
-		return fmt.Errorf("sim: epoch left %d nodes, expected %d", len(e.nodes), delta.NewN)
-	}
-	// Resize the per-node scratch. Frames are per-slot scratch, so resetting
-	// them wholesale is safe between slots.
-	if delta.NewN > cap(e.frames) {
-		e.frames = make([]Frame, delta.NewN)
-	} else {
-		e.frames = e.frames[:delta.NewN]
-	}
-	for i := range e.frames {
-		e.frames[i] = Frame{From: i}
-	}
-	e.txScratch = e.txScratch[:0]
-	e.setEvaluatorWorkers()
-	// Per-node fault state (crash schedules, inert bits) follows the same
-	// relabels the node table just applied.
-	if e.faults != nil {
-		e.faults.EpochApplied(delta)
-		e.inert = nil
-	}
-	return nil
+	return ap.ApplyEpoch(delta)
 }
 
 // AddObserver registers an observer invoked after every slot, in
@@ -568,8 +477,7 @@ func (e *Engine) finishSlot(slot int64, receptions []sinr.Reception) {
 }
 
 // setEvaluatorWorkers wires the resolved worker count into a parallel
-// evaluator, once per construction or epoch; Step never consults
-// GOMAXPROCS.
+// evaluator, once at construction; Step never consults GOMAXPROCS.
 func (e *Engine) setEvaluatorWorkers() {
 	pe, ok := e.evaluator.(sinr.ParallelEvaluator)
 	if !ok {

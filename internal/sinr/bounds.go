@@ -146,7 +146,7 @@ func (f *FastChannel) ResetBoundsStats() {
 // decomposition, which both regimes hold, and on the lattice the near
 // offsets, the shard partition and the per-offset power-bound tables of the
 // cells and of the supercells above them. It is built once per fork family
-// and mutated only by churn epochs, which re-bucket the cell index and
+// and mutated only by mobility epochs, which re-bucket the cell index and
 // append newly occupied cells to the partition.
 type boundsIndex struct {
 	cells *geom.CellIndex
@@ -182,20 +182,12 @@ type boundsIndex struct {
 
 // boundsHolder shares one boundsIndex between an evaluator and all its
 // forks, so the O(n) decomposition and the offset tables are built once per
-// family. Unlike a sync.Once the holder can be reset: a churn epoch whose
-// changes escape the original lattice invalidates it in place, and the
+// family. Unlike a sync.Once the holder can be reset: a mobility epoch that
+// moves a node out of the original lattice invalidates it in place, and the
 // member applying the epoch rebuilds from the post-epoch positions.
 type boundsHolder struct {
 	mu  sync.Mutex
 	idx *boundsIndex
-}
-
-// invalidate drops the holder's index so the next ensureIndex
-// rebuilds it.
-func (h *boundsHolder) invalidate() {
-	h.mu.Lock()
-	h.idx = nil
-	h.mu.Unlock()
 }
 
 // buildBoundsIndex constructs the cell decomposition from the evaluator's

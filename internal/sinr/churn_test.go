@@ -1,14 +1,14 @@
 package sinr_test
 
-// The differential churn suite: randomized add/remove/move epochs are
-// committed through topology.Deployment's epoch API and applied to
-// incrementally patched FastChannels, which must produce slot receptions
-// bit-identical to (a) the naive reference over the updated channel and
-// (b) a FastChannel rebuilt from scratch over the post-epoch positions —
-// across the matrix regime and the cell lattice, the sparse/bounds/dense
-// dispatch tiers, several worker counts, forks, and the
-// incremental-vs-rebuild crossover. This file lives in the external test package because it
-// drives the real topology commit path (topology imports sinr).
+// The differential churn suite: randomized mobility epochs are committed
+// through topology.Deployment's epoch API and applied to incrementally
+// patched FastChannels, which must produce slot receptions bit-identical to
+// (a) the naive reference over the updated channel and (b) a FastChannel
+// rebuilt from scratch over the post-epoch positions — across the matrix
+// regime and the cell lattice, the sparse/bounds/dense dispatch tiers,
+// several worker counts, forks, and storm epochs that move half the nodes.
+// This file lives in the external test package because it drives the real
+// topology commit path (topology imports sinr).
 
 import (
 	"fmt"
@@ -65,16 +65,11 @@ func (w *churnWorld) jitterAt(site int) geom.Point {
 	return geom.Point{X: w.sites[site].X + r*math.Cos(angle), Y: w.sites[site].Y + r*math.Sin(angle)}
 }
 
-// epoch queues and commits one random epoch of the given op counts and
-// updates the world's site bookkeeping from the returned delta.
-func (w *churnWorld) epoch(moves, adds, removes int) *sinr.EpochDelta {
+// epoch queues and commits one random epoch of up to the given number of
+// moves. Each mover either jitters around its own site or relocates to a
+// vacant site, which usually crosses cells.
+func (w *churnWorld) epoch(moves int) *sinr.EpochDelta {
 	n := w.d.NumNodes()
-	if removes > n-2 {
-		removes = n - 2
-	}
-	if adds > len(w.vacant) {
-		adds = len(w.vacant)
-	}
 	touched := make(map[int]bool)
 	for c := 0; c < moves; c++ {
 		id := w.src.Intn(n)
@@ -82,55 +77,18 @@ func (w *churnWorld) epoch(moves, adds, removes int) *sinr.EpochDelta {
 			continue
 		}
 		touched[id] = true
-		w.d.MoveNode(id, w.jitterAt(w.siteOf[id]))
-	}
-	removedSites := make([]int, 0, removes)
-	for c := 0; c < removes; c++ {
-		id := w.src.Intn(n)
-		if touched[id] {
-			continue
+		if len(w.vacant) > 0 && w.src.Bernoulli(0.5) {
+			k := w.src.Intn(len(w.vacant))
+			w.siteOf[id], w.vacant[k] = w.vacant[k], w.siteOf[id]
 		}
-		touched[id] = true
-		removedSites = append(removedSites, w.siteOf[id])
-		w.d.RemoveNode(id)
-	}
-	addedSites := make([]int, 0, adds)
-	for c := 0; c < adds; c++ {
-		site := w.vacant[len(w.vacant)-1]
-		w.vacant = w.vacant[:len(w.vacant)-1]
-		addedSites = append(addedSites, site)
-		w.d.AddNode(w.jitterAt(site))
-	}
-	if w.d.PendingOps() == 0 {
-		return nil
+		w.d.MoveNode(id, w.jitterAt(w.siteOf[id]))
 	}
 	delta, err := w.d.CommitEpoch()
 	if err != nil {
 		w.t.Fatalf("CommitEpoch: %v", err)
 	}
-	// Replay the delta on the site bookkeeping: removed ids free their
-	// sites, survivors follow the relabel chain, added ids take their site.
-	// Relabel targets are exactly the removed slots (or tail truncation).
-	freed := map[int]bool{}
-	for _, s := range removedSites {
-		freed[s] = true
-	}
-	for _, rl := range delta.Relabels {
-		w.siteOf[rl.To] = w.siteOf[rl.From]
-	}
-	w.siteOf = w.siteOf[:delta.OldN-delta.Removed]
-	for i, id := range delta.Added {
-		if id != len(w.siteOf) {
-			w.t.Fatalf("added id %d, bookkeeping expects %d", id, len(w.siteOf))
-		}
-		w.siteOf = append(w.siteOf, addedSites[i])
-	}
-	for s := range freed {
-		w.vacant = append(w.vacant, s)
-	}
-	if len(w.siteOf) != delta.NewN || w.d.NumNodes() != delta.NewN {
-		w.t.Fatalf("bookkeeping drifted: %d sites, %d nodes, delta says %d",
-			len(w.siteOf), w.d.NumNodes(), delta.NewN)
+	if err := delta.Validate(n); err != nil {
+		w.t.Fatalf("committed delta: %v", err)
 	}
 	return delta
 }
@@ -217,7 +175,7 @@ func compareReceptions(t *testing.T, label string, got, want []sinr.Reception, t
 }
 
 // TestChurnEpochEquivalence is the main differential churn test: randomized
-// mixed epochs, applied incrementally, must leave every variant
+// mobility epochs, applied incrementally, must leave every variant
 // bit-identical to the naive reference and to a from-scratch rebuild.
 func TestChurnEpochEquivalence(t *testing.T) {
 	src := rng.New(0xc4421)
@@ -238,27 +196,18 @@ func TestChurnEpochEquivalence(t *testing.T) {
 	assertChurnEquivalent(t, w, ch, variants, src, "epoch 0")
 
 	for e := 1; e <= 10; e++ {
-		var delta *sinr.EpochDelta
+		moves := 1 + src.Intn(6)
 		if e%5 == 0 {
-			// Churn storm: move nearly half the deployment, crossing the
-			// documented rebuild crossover.
-			delta = w.epoch(w.d.NumNodes()/2, 1, 1)
-		} else {
-			delta = w.epoch(1+src.Intn(3), src.Intn(3), src.Intn(3))
+			// Churn storm: move half the deployment.
+			moves = w.d.NumNodes() / 2
 		}
-		if delta == nil {
-			continue
-		}
-		if frac := float64(len(delta.Dirty)+delta.Removed) / float64(delta.NewN); e%5 == 0 && frac <= sinr.ChurnRebuildFraction {
-			t.Fatalf("epoch %d: storm did not cross the rebuild crossover (%.2f)", e, frac)
-		}
+		delta := w.epoch(moves)
 		for name, fast := range variants {
 			if err := fast.ApplyEpoch(delta); err != nil {
 				t.Fatalf("epoch %d: ApplyEpoch on %s: %v", e, name, err)
 			}
 		}
-		assertChurnEquivalent(t, w, ch, variants, src, fmt.Sprintf("epoch %d (dirty=%d removed=%d added=%d n=%d)",
-			e, len(delta.Dirty), delta.Removed, len(delta.Added), delta.NewN))
+		assertChurnEquivalent(t, w, ch, variants, src, fmt.Sprintf("epoch %d (dirty=%d)", e, len(delta.Dirty)))
 	}
 }
 
@@ -284,10 +233,7 @@ func TestChurnForkEquivalence(t *testing.T) {
 			root.SlotReceptions(tx) // warm per-slot scratch pre-epoch
 		}
 		for e := 0; e < 4; e++ {
-			delta := w.epoch(2+src.Intn(2), src.Intn(2), src.Intn(2))
-			if delta == nil {
-				continue
-			}
+			delta := w.epoch(2 + src.Intn(3))
 			if err := root.ApplyEpoch(delta); err != nil {
 				t.Fatalf("root.ApplyEpoch: %v", err)
 			}
@@ -399,7 +345,7 @@ func TestChurnOutOfLatticeSharedInvalidation(t *testing.T) {
 	// One node leaves the original lattice by many cells.
 	moved := append([]geom.Point(nil), pos...)
 	moved[0] = geom.Point{X: 120, Y: 120}
-	delta := &sinr.EpochDelta{OldN: n, NewN: n, Dirty: []int{0}, Positions: moved}
+	delta := &sinr.EpochDelta{Dirty: []int{0}, Positions: moved}
 	if err := root.ApplyEpoch(delta); err != nil {
 		t.Fatal(err)
 	}
@@ -411,34 +357,54 @@ func TestChurnOutOfLatticeSharedInvalidation(t *testing.T) {
 	compareReceptions(t, "fork after lattice escape", fork.SlotReceptions(tx), want, tx)
 }
 
-// TestChurnDeltaValidate covers EpochDelta's own consistency checks and the
-// evaluator-side mismatch errors.
+// TestChurnDeltaValidate covers EpochDelta's checks against the node count
+// and the evaluators' rejection of a mismatched delta, which leaves them
+// unchanged.
 func TestChurnDeltaValidate(t *testing.T) {
 	var nilDelta *sinr.EpochDelta
-	if err := nilDelta.Validate(); err == nil {
+	if err := nilDelta.Validate(3); err == nil {
 		t.Fatal("nil delta validated")
 	}
-	bad := &sinr.EpochDelta{OldN: 3, NewN: 2, Removed: 1, Positions: make([]geom.Point, 1)}
-	if err := bad.Validate(); err == nil {
+	if err := (&sinr.EpochDelta{Positions: make([]geom.Point, 2)}).Validate(3); err == nil {
 		t.Fatal("position/count mismatch validated")
 	}
-	bad = &sinr.EpochDelta{OldN: 3, NewN: 3, Dirty: []int{7}, Positions: make([]geom.Point, 3)}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("out-of-range dirty id validated")
+	for _, id := range []int{7, 3, -1} {
+		if err := (&sinr.EpochDelta{Dirty: []int{id}, Positions: make([]geom.Point, 3)}).Validate(3); err == nil {
+			t.Fatalf("out-of-range dirty id %d validated", id)
+		}
 	}
-	ch, err := sinr.NewChannel(sinr.DefaultParams(10), []geom.Point{{X: 0, Y: 0}, {X: 2, Y: 0}})
+	if err := (&sinr.EpochDelta{Dirty: []int{0, 2}, Positions: make([]geom.Point, 3)}).Validate(3); err != nil {
+		t.Fatalf("well-formed delta rejected: %v", err)
+	}
+	pos := []geom.Point{{X: 0, Y: 0}, {X: 2, Y: 0}}
+	ch, err := sinr.NewChannel(sinr.DefaultParams(10), pos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := sinr.NewFastChannel(ch)
 	defer f.Close()
-	wrongN := &sinr.EpochDelta{OldN: 5, NewN: 5, Positions: make([]geom.Point, 5)}
+	far := make([]geom.Point, 5)
+	for i := range far {
+		far[i] = geom.Point{X: 100 * float64(i), Y: 0}
+	}
+	wrongN := &sinr.EpochDelta{Dirty: []int{0}, Positions: far}
 	if err := f.ApplyEpoch(wrongN); err == nil {
 		t.Fatal("ApplyEpoch accepted a delta for the wrong node count")
 	}
 	if err := ch.ApplyEpoch(wrongN); err == nil {
 		t.Fatal("Channel.ApplyEpoch accepted a delta for the wrong node count")
 	}
+	badID := &sinr.EpochDelta{Dirty: []int{2}, Positions: far[:2]}
+	if err := f.ApplyEpoch(badID); err == nil {
+		t.Fatal("ApplyEpoch accepted an out-of-range dirty id")
+	}
+	for i, p := range ch.Positions() {
+		if p != pos[i] {
+			t.Fatalf("rejected delta moved node %d to %v", i, p)
+		}
+	}
+	tx := []int{0}
+	compareReceptions(t, "after rejected deltas", f.SlotReceptions(tx), ch.SlotReceptions(tx), tx)
 }
 
 // TestChurnCrossShardMigration drives epochs whose movers cross shard-stripe
@@ -505,7 +471,7 @@ func TestChurnCrossShardMigration(t *testing.T) {
 			dirty = append(dirty, id)
 			next[id] = geom.Point{X: 2*float64(cols-1) - cur[id].X - 0.6, Y: cur[id].Y}
 		}
-		delta := &sinr.EpochDelta{OldN: n, NewN: n, Dirty: dirty, Positions: next}
+		delta := &sinr.EpochDelta{Dirty: dirty, Positions: next}
 		cur = next
 		for name, root := range roots {
 			if err := root.ApplyEpoch(delta); err != nil {
@@ -570,7 +536,7 @@ func TestChurnShardLatticeEscape(t *testing.T) {
 		t.Helper()
 		moved := append([]geom.Point(nil), pos...)
 		moved[0] = to
-		delta := &sinr.EpochDelta{OldN: len(pos), NewN: len(pos), Dirty: []int{0}, Positions: moved}
+		delta := &sinr.EpochDelta{Dirty: []int{0}, Positions: moved}
 		if err := root.ApplyEpoch(delta); err != nil {
 			t.Fatalf("root.ApplyEpoch: %v", err)
 		}

@@ -152,15 +152,12 @@ type FastChannel struct {
 	// over this layout; it is bit-identical to
 	// params.ReceivedPower(Point.Dist) by construction (same subtraction,
 	// square, Sqrt, clamp and α-multiplication sequence), which
-	// TestPairPowerKernelBitIdentical pins. Churn epochs patch px/py in
+	// TestPairPowerKernelBitIdentical pins. Mobility epochs patch px/py in
 	// step with pos.
 	px, py []float64
 	power  float64
 	alpha  float64
 	alphaK int // 2, 3, 4 select the multiplication fast paths; 0 → math.Pow
-	// workersReq is the last requested (unclamped) worker count; ApplyEpoch
-	// re-resolves the clamp when the node count changes.
-	workersReq int
 
 	beta, noise float64
 	// cullPower is the received power below which a sender provably cannot
@@ -169,19 +166,15 @@ type FastChannel struct {
 	cullPower  float64
 	cullRadius float64
 
-	// mat is the received-power matrix (mat[r*stride+s]) of the matrix
-	// regime, nil otherwise. stride equals n at construction and grows
-	// (with headroom) when churn epochs push the node count past it, so
-	// moderate add/remove churn patches the matrix in place instead of
-	// reshaping it.
-	mat    []float64
-	stride int
+	// mat is the received-power matrix (mat[r*n+s]) of the matrix regime,
+	// nil otherwise.
+	mat []float64
 
 	sparseFactor int
 	// box is the (monotonically expanded) bounding box of the deployment and
 	// logBallMiss is ln(1 - ballArea/deploymentArea) derived from it,
 	// precomputed for the adaptive per-slot coverage estimate
-	// 1-exp(k·logBallMiss). Churn epochs expand the box by the changed
+	// 1-exp(k·logBallMiss). Mobility epochs expand the box by the changed
 	// positions (it never shrinks below a past extent — the estimate only
 	// steers dispatch, never correctness) and refresh logBallMiss.
 	box         geom.Rect
@@ -270,9 +263,13 @@ func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 		out:       make([]Reception, n),
 		isTx:      make([]bool, n),
 		mark:      make([]uint32, n),
+		px:        make([]float64, n),
+		py:        make([]float64, n),
 		pool:      workpool.New(),
 	}
-	f.syncSoAPositions(nil)
+	for i, p := range f.pos {
+		f.px[i], f.py[i] = p.X, p.Y
+	}
 	f.setWorkers(opt.Workers)
 	f.sparseFactor = opt.SparseFactor
 	f.boundsFactor = opt.BoundsFactor
@@ -289,7 +286,6 @@ func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	f.ensureIndex()
 	if f.shards == 0 {
 		f.mat = buildPowerMatrix(c)
-		f.stride = n
 	}
 	return f
 }
@@ -341,36 +337,6 @@ func (f *FastChannel) pairPower(ax, ay, bx, by float64) float64 {
 	return f.power / math.Pow(d, f.alpha)
 }
 
-// syncSoAPositions brings px/py in step with pos. With a nil dirty list the
-// whole mirror is rebuilt (construction, growth past capacity, churn
-// rebuilds); with a dirty list only the listed slots are rewritten, which
-// keeps the per-epoch cost proportional to the churn. Steady-state epochs
-// allocate nothing: capacity is retained across shrinks and regrows.
-func (f *FastChannel) syncSoAPositions(dirty []int) {
-	n := len(f.pos)
-	if dirty == nil || n > cap(f.px) {
-		if n > cap(f.px) {
-			f.px = make([]float64, n)
-			f.py = make([]float64, n)
-		} else {
-			f.px = f.px[:n]
-			f.py = f.py[:n]
-		}
-		for i, p := range f.pos {
-			f.px[i] = p.X
-			f.py[i] = p.Y
-		}
-		return
-	}
-	f.px = f.px[:n]
-	f.py = f.py[:n]
-	for _, id := range dirty {
-		p := f.pos[id]
-		f.px[id] = p.X
-		f.py[id] = p.Y
-	}
-}
-
 // updateCoverageModel derives logBallMiss — the per-ball miss probability of
 // the adaptive sparse crossover — from the current bounding box. Clamping
 // each box dimension to the ball diameter keeps the density estimate
@@ -411,13 +377,11 @@ func (f *FastChannel) Fork() *FastChannel {
 		alpha:        f.alpha,
 		alphaK:       f.alphaK,
 		workers:      f.workers,
-		workersReq:   f.workersReq,
 		beta:         f.beta,
 		noise:        f.noise,
 		cullPower:    f.cullPower,
 		cullRadius:   f.cullRadius,
 		mat:          f.mat,
-		stride:       f.stride,
 		sparseFactor: f.sparseFactor,
 		boundsFactor: f.boundsFactor,
 		bholder:      f.bholder,
@@ -493,10 +457,8 @@ func (f *FastChannel) Channel() *Channel { return f.ch }
 func (f *FastChannel) SetWorkers(workers int) { f.setWorkers(workers) }
 
 // setWorkers resolves and caches the effective worker count once, instead
-// of consulting runtime.GOMAXPROCS on every slot. The unclamped request is
-// retained so churn epochs that change n can re-resolve the clamp.
+// of consulting runtime.GOMAXPROCS on every slot.
 func (f *FastChannel) setWorkers(workers int) {
-	f.workersReq = workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -709,11 +671,11 @@ func (f *FastChannel) matrixDecodeRow(r int, row []float64, total float64, dec [
 //
 //sinrlint:hotpath
 func (f *FastChannel) matrixBlock4(blk *[4]int, dec []int) []int {
-	m, stride, n := f.mat, f.stride, f.n
-	row0 := m[blk[0]*stride : blk[0]*stride+n]
-	row1 := m[blk[1]*stride : blk[1]*stride+n]
-	row2 := m[blk[2]*stride : blk[2]*stride+n]
-	row3 := m[blk[3]*stride : blk[3]*stride+n]
+	m, n := f.mat, f.n
+	row0 := m[blk[0]*n : blk[0]*n+n]
+	row1 := m[blk[1]*n : blk[1]*n+n]
+	row2 := m[blk[2]*n : blk[2]*n+n]
+	row3 := m[blk[3]*n : blk[3]*n+n]
 	t0, t1, t2, t3 := matrixTotals4(f.tx, row0, row1, row2, row3)
 	dec = f.matrixDecodeRow(blk[0], row0, t0, dec)
 	dec = f.matrixDecodeRow(blk[1], row1, t1, dec)
@@ -725,7 +687,7 @@ func (f *FastChannel) matrixBlock4(blk *[4]int, dec []int) []int {
 // matrixScalar evaluates one listener against the cached power matrix — the
 // remainder path for blocks of fewer than four listeners.
 func (f *FastChannel) matrixScalar(r int, dec []int) []int {
-	row := f.mat[r*f.stride : r*f.stride+f.n]
+	row := f.mat[r*f.n : r*f.n+f.n]
 	total := 0.0
 	for _, s := range f.tx {
 		total += row[s]

@@ -173,7 +173,7 @@ func TestGatherTotalsBlockedBitIdentical(t *testing.T) {
 		}
 		row := func(i int) []float64 {
 			r := rs[min(i, nr-1)]
-			return f.mat[r*f.stride : r*f.stride+f.n]
+			return f.mat[r*f.n : r*f.n+f.n]
 		}
 		blocked := make([]float64, nr+3)
 		for i := 0; i < nr; i += 4 {

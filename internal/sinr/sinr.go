@@ -48,12 +48,12 @@
 // correctly rounded; received powers themselves are always computed from
 // the rounded distance, never from its square, so no decision moves.
 //
-// Deployments may churn: committed topology epochs (sinr.EpochDelta) are
-// applied to live evaluators via ApplyEpoch — the naive channel swaps its
-// position slice, FastChannel patches its indices incrementally (see
-// churn.go for the epoch lifecycle, the per-index patch rules and the
-// incremental-vs-rebuild crossover) — and the churn differential suite
-// holds the patched evaluator bit-identical to a from-scratch rebuild.
+// Nodes may move: committed topology epochs (sinr.EpochDelta), batches of
+// moves over the fixed node set, are applied to live evaluators via
+// ApplyEpoch — the naive channel copies the new positions, FastChannel
+// patches its indices incrementally (see churn.go for the epoch lifecycle
+// and the per-index patch rules) — and the churn differential suite holds
+// the patched evaluator bit-identical to a from-scratch rebuild.
 package sinr
 
 import (

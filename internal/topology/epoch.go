@@ -2,149 +2,79 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 
 	"sinrmac/internal/geom"
 	"sinrmac/internal/sinr"
 )
 
-// This file implements the epoch-based mutation API of Deployment: dynamic
-// deployments with node churn (joins, failures) and mobility (moves).
+// This file implements the epoch-based mobility API of Deployment: nodes
+// move, and the node set stays fixed.
 //
 // # Epoch lifecycle
 //
-// Mutations are batched: AddNode, RemoveNode and MoveNode queue operations
-// against the current (pre-epoch) node numbering, and CommitEpoch applies
-// the whole batch atomically — moves first, then removals (in descending id
-// order, each swap-removing the last slot, so the relabel chain is
-// deterministic regardless of queue order), then additions appended at the
-// end. The commit revalidates the unit-distance invariant for every changed
-// node against the candidate layout and, on any error, leaves the
-// deployment completely unchanged (the queued batch is cleared either way,
-// so callers can rebuild and retry a rejected epoch).
+// Moves are batched: MoveNode queues a move, and CommitEpoch applies the
+// whole batch atomically. The commit revalidates the unit-distance
+// invariant for every moved node against the candidate layout and, on any
+// error, leaves the deployment completely unchanged (the queued batch is
+// cleared either way, so callers can rebuild and retry a rejected epoch).
 //
 // A successful commit invalidates every cached derived quantity — the
 // strong/approximation/weak graphs and Λ are re-induced lazily from the
 // post-epoch positions — and returns a sinr.EpochDelta describing the
 // change: downstream consumers apply it to live SINR evaluators
 // (sinr.FastChannel.ApplyEpoch patches its indices incrementally) and to a
-// running simulation (sim.Engine.ApplyEpoch relabels the node automata and
-// initialises only the added nodes). The delta owns a copy of the
-// post-epoch positions, so it stays valid across later epochs.
+// running simulation (sim.Engine.ApplyEpoch, where every automaton keeps
+// its id and state). The delta owns a copy of the post-epoch positions, so
+// it stays valid across later epochs.
 //
 // CommitEpoch must not race with concurrent readers of the deployment;
 // between epochs concurrent use remains safe.
 
-type epochOpKind uint8
-
-const (
-	opMove epochOpKind = iota
-	opRemove
-	opAdd
-)
-
-type epochOp struct {
-	kind epochOpKind
-	id   int
-	pos  geom.Point
+type epochMove struct {
+	id  int
+	pos geom.Point
 }
 
-// AddNode queues the addition of a node at p for the next CommitEpoch. The
-// node's id is assigned at commit (added nodes are appended after removals,
-// in queue order).
-func (d *Deployment) AddNode(p geom.Point) {
-	d.pending = append(d.pending, epochOp{kind: opAdd, pos: p})
-}
-
-// RemoveNode queues the removal of node id (pre-epoch numbering) for the
-// next CommitEpoch. The last node is swap-removed into the freed slot.
-func (d *Deployment) RemoveNode(id int) {
-	d.pending = append(d.pending, epochOp{kind: opRemove, id: id})
-}
-
-// MoveNode queues moving node id (pre-epoch numbering) to p for the next
-// CommitEpoch.
+// MoveNode queues moving node id to p for the next CommitEpoch.
 func (d *Deployment) MoveNode(id int, p geom.Point) {
-	d.pending = append(d.pending, epochOp{kind: opMove, id: id, pos: p})
+	d.pending = append(d.pending, epochMove{id: id, pos: p})
 }
 
-// PendingOps returns the number of queued, uncommitted epoch operations.
+// PendingOps returns the number of queued, uncommitted moves.
 func (d *Deployment) PendingOps() int { return len(d.pending) }
 
 // Epochs returns the number of epochs committed so far.
 func (d *Deployment) Epochs() int { return d.epochs }
 
-// CommitEpoch applies the queued mutation batch, revalidates the
-// unit-distance invariant for every changed node, invalidates the cached
-// derived quantities and returns the delta describing the epoch. On error
-// the deployment is unchanged. The queued batch is consumed either way.
+// CommitEpoch applies the queued moves, revalidates the unit-distance
+// invariant for every moved node, invalidates the cached derived
+// quantities and returns the delta describing the epoch. Each node may be
+// moved at most once per epoch. On error the deployment is unchanged. The
+// queued batch is consumed either way.
 func (d *Deployment) CommitEpoch() (*sinr.EpochDelta, error) {
-	ops := d.pending
+	moves := d.pending
 	d.pending = d.pending[:0]
-	if len(ops) == 0 {
+	if len(moves) == 0 {
 		return nil, fmt.Errorf("topology: CommitEpoch on %q with no queued mutations", d.Name)
 	}
-	oldN := len(d.Positions)
-	// Each pre-epoch id may appear in at most one operation: the relabel
-	// semantics of mixed move/remove batches on one node are not worth
-	// defining.
-	var moves, removes []epochOp
-	adds := 0
-	touched := make(map[int]bool, len(ops))
-	for _, op := range ops {
-		switch op.kind {
-		case opAdd:
-			adds++
-			continue
-		case opMove, opRemove:
-			if op.id < 0 || op.id >= oldN {
-				return nil, fmt.Errorf("topology: epoch on %q references node %d of %d", d.Name, op.id, oldN)
-			}
-			if touched[op.id] {
-				return nil, fmt.Errorf("topology: epoch on %q touches node %d twice", d.Name, op.id)
-			}
-			touched[op.id] = true
-			if op.kind == opMove {
-				moves = append(moves, op)
-			} else {
-				removes = append(removes, op)
-			}
+	n := len(d.Positions)
+	cand := append([]geom.Point(nil), d.Positions...)
+	touched := make(map[int]bool, len(moves))
+	for _, m := range moves {
+		if m.id < 0 || m.id >= n {
+			return nil, fmt.Errorf("topology: epoch on %q references node %d of %d", d.Name, m.id, n)
 		}
-	}
-	if oldN-len(removes)+adds <= 0 {
-		return nil, fmt.Errorf("topology: epoch on %q would remove every node", d.Name)
-	}
-
-	// Build the candidate layout.
-	cand := make([]geom.Point, oldN, oldN+adds)
-	copy(cand, d.Positions)
-	for _, op := range moves {
-		cand[op.id] = op.pos
-	}
-	sort.Slice(removes, func(i, j int) bool { return removes[i].id > removes[j].id })
-	var relabels []sinr.Relabel
-	for _, op := range removes {
-		last := len(cand) - 1
-		if op.id != last {
-			cand[op.id] = cand[last]
-			relabels = append(relabels, sinr.Relabel{From: last, To: op.id})
+		if touched[m.id] {
+			return nil, fmt.Errorf("topology: epoch on %q touches node %d twice", d.Name, m.id)
 		}
-		cand = cand[:last]
+		touched[m.id] = true
+		cand[m.id] = m.pos
 	}
-	var added []int
-	for _, op := range ops {
-		if op.kind == opAdd {
-			added = append(added, len(cand))
-			cand = append(cand, op.pos)
-		}
-	}
-	newN := len(cand)
-
-	// Dirty = every post-epoch slot whose content changed. Comparing the
-	// layouts directly is robust against relabel chains and no-op moves.
+	// Dirty = every node whose position changed; a move onto the node's
+	// own position is a no-op.
 	var dirty []int
-	for i := 0; i < newN; i++ {
-		if i >= oldN || cand[i] != d.Positions[i] {
+	for i := range cand {
+		if cand[i] != d.Positions[i] {
 			dirty = append(dirty, i)
 		}
 	}
@@ -159,15 +89,7 @@ func (d *Deployment) CommitEpoch() (*sinr.EpochDelta, error) {
 	d.lambda, d.lambdaOK = 0, false
 	d.cacheMu.Unlock()
 	d.epochs++
-	return &sinr.EpochDelta{
-		OldN:      oldN,
-		NewN:      newN,
-		Dirty:     dirty,
-		Relabels:  relabels,
-		Added:     added,
-		Removed:   len(removes),
-		Positions: append([]geom.Point(nil), cand...),
-	}, nil
+	return &sinr.EpochDelta{Dirty: dirty, Positions: append([]geom.Point(nil), cand...)}, nil
 }
 
 // validateEpochSpacing checks the near-field normalisation for an epoch:

@@ -19,16 +19,18 @@ func epochTestDeployment(t *testing.T) *Deployment {
 	return d
 }
 
-func TestCommitEpochMoveAddRemove(t *testing.T) {
+// TestCommitEpochMoves commits a batch of moves: node ids and the node
+// count stay fixed, and the delta lists exactly the nodes that moved.
+func TestCommitEpochMoves(t *testing.T) {
 	d := epochTestDeployment(t)
 	orig := append([]geom.Point(nil), d.Positions...)
 	n := d.NumNodes() // 16
 
-	moved := geom.Point{X: orig[2].X + 0.5, Y: orig[2].Y + 0.5}
-	added := geom.Point{X: -4, Y: -4}
-	d.MoveNode(2, moved)
-	d.RemoveNode(5)
-	d.AddNode(added)
+	near := geom.Point{X: orig[2].X + 0.5, Y: orig[2].Y + 0.5}
+	far := geom.Point{X: -4, Y: -4}
+	d.MoveNode(5, far)
+	d.MoveNode(2, near)
+	d.MoveNode(9, orig[9]) // a move onto the node's own position is a no-op
 	if got := d.PendingOps(); got != 3 {
 		t.Fatalf("PendingOps = %d, want 3", got)
 	}
@@ -39,29 +41,27 @@ func TestCommitEpochMoveAddRemove(t *testing.T) {
 	if d.PendingOps() != 0 {
 		t.Fatal("pending ops survived the commit")
 	}
-	if delta.OldN != n || delta.NewN != n || delta.Removed != 1 || len(delta.Added) != 1 {
-		t.Fatalf("delta counts = %+v", delta)
+	if d.NumNodes() != n || len(delta.Positions) != n {
+		t.Fatalf("NumNodes = %d, delta positions = %d, want %d", d.NumNodes(), len(delta.Positions), n)
 	}
-	if d.NumNodes() != n {
-		t.Fatalf("NumNodes = %d, want %d", d.NumNodes(), n)
+	if err := delta.Validate(n); err != nil {
+		t.Fatal(err)
 	}
-	// Swap-remove semantics: the pre-epoch last node (15) fills slot 5, the
-	// added node appends at the freed tail slot.
-	if len(delta.Relabels) != 1 || delta.Relabels[0] != (sinr.Relabel{From: 15, To: 5}) {
-		t.Fatalf("relabels = %v", delta.Relabels)
+	for i := range orig {
+		want := orig[i]
+		switch i {
+		case 2:
+			want = near
+		case 5:
+			want = far
+		}
+		if d.Positions[i] != want || delta.Positions[i] != want {
+			t.Fatalf("node %d at %v (delta %v), want %v", i, d.Positions[i], delta.Positions[i], want)
+		}
 	}
-	if d.Positions[5] != orig[15] {
-		t.Fatalf("slot 5 holds %v, want relabeled %v", d.Positions[5], orig[15])
-	}
-	if d.Positions[2] != moved {
-		t.Fatalf("slot 2 holds %v, want moved %v", d.Positions[2], moved)
-	}
-	if delta.Added[0] != 15 || d.Positions[15] != added {
-		t.Fatalf("added id %v at %v", delta.Added, d.Positions[15])
-	}
-	// Dirty is sorted and is exactly the changed slots: 2 (move), 5
-	// (relabel target), 15 (add).
-	want := []int{2, 5, 15}
+	// Dirty is sorted and is exactly the moved nodes: the no-op move of
+	// node 9 is not listed.
+	want := []int{2, 5}
 	if len(delta.Dirty) != len(want) {
 		t.Fatalf("dirty = %v, want %v", delta.Dirty, want)
 	}
@@ -93,23 +93,15 @@ func TestCommitEpochValidation(t *testing.T) {
 		want  string
 	}{
 		{"empty", func(d *Deployment) {}, "no queued mutations"},
-		{"bad id", func(d *Deployment) { d.RemoveNode(99) }, "references node"},
+		{"bad id", func(d *Deployment) { d.MoveNode(99, geom.Point{X: 100, Y: 100}) }, "references node"},
 		{"negative id", func(d *Deployment) { d.MoveNode(-1, geom.Point{}) }, "references node"},
 		{"double touch", func(d *Deployment) {
 			d.MoveNode(3, geom.Point{X: 100, Y: 100})
-			d.RemoveNode(3)
+			d.MoveNode(3, geom.Point{X: 200, Y: 200})
 		}, "twice"},
 		{"spacing", func(d *Deployment) {
 			d.MoveNode(0, geom.Point{X: d.Positions[1].X + 0.2, Y: d.Positions[1].Y})
 		}, "near-field"},
-		{"spacing of added", func(d *Deployment) {
-			d.AddNode(geom.Point{X: d.Positions[4].X + 0.3, Y: d.Positions[4].Y})
-		}, "near-field"},
-		{"remove all", func(d *Deployment) {
-			for i := 0; i < 16; i++ {
-				d.RemoveNode(i)
-			}
-		}, "every node"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,15 +149,19 @@ func TestCommitEpochInvalidatesCaches(t *testing.T) {
 	if d.StrongGraph() != strong0 || d.ApproxGraph() != approx0 || d.WeakGraph() != weak0 {
 		t.Fatal("derived graphs are re-induced per call")
 	}
-	d.RemoveNode(3)
+	// Node 3 moves far out of range, leaving the strong graph.
+	d.MoveNode(3, geom.Point{X: 1000, Y: 1000})
 	if _, err := d.CommitEpoch(); err != nil {
 		t.Fatal(err)
 	}
 	if d.StrongGraph() == strong0 || d.ApproxGraph() == approx0 || d.WeakGraph() == weak0 {
 		t.Fatal("CommitEpoch kept a stale derived graph")
 	}
-	if got := d.StrongGraph().NumNodes(); got != 15 {
-		t.Fatalf("post-epoch strong graph has %d nodes, want 15", got)
+	if got := d.StrongGraph().NumNodes(); got != 16 {
+		t.Fatalf("post-epoch strong graph has %d nodes, want 16", got)
+	}
+	if deg := d.StrongGraph().Degree(3); deg != 0 {
+		t.Fatalf("node 3 moved out of range but keeps %d strong neighbours", deg)
 	}
 	// Λ changes when the minimum spacing changes.
 	d.MoveNode(0, geom.Point{X: d.Positions[0].X + 0.9, Y: d.Positions[0].Y})

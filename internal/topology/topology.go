@@ -8,11 +8,12 @@
 // Every deployment carries its SINR parameters; nodes are always at least
 // unit distance apart (the paper's near-field normalisation).
 //
-// Deployments are dynamic: the epoch API (epoch.go) batches node
-// additions, removals and moves into atomically committed epochs that
-// preserve the unit-distance invariant, invalidate the cached derived
-// quantities and emit sinr.EpochDelta values downstream evaluators and
-// engines apply incrementally.
+// Nodes may move: the epoch API (epoch.go) batches moves over the fixed
+// node set into atomically committed epochs that preserve the
+// unit-distance invariant, invalidate the cached derived quantities and
+// emit sinr.EpochDelta values downstream evaluators and engines apply
+// incrementally. Nodes never join or leave a deployment, matching the
+// fixed node set the paper's guarantees are stated for.
 package topology
 
 import (
@@ -32,8 +33,8 @@ import (
 // computed once and cached, which lets many concurrent trials share one
 // deployment without repaying the induction per trial.
 //
-// Positions are immutable except through the epoch API (epoch.go): AddNode,
-// RemoveNode and MoveNode batch mutations that CommitEpoch applies
+// The node set is fixed. Positions are immutable except through the epoch
+// API (epoch.go): MoveNode batches moves that CommitEpoch applies
 // atomically, revalidating the unit-distance invariant and invalidating
 // every cached derived quantity. Committing an epoch must not race with
 // concurrent readers of the deployment; between epochs concurrent use stays
@@ -56,7 +57,7 @@ type Deployment struct {
 	lambda   float64
 	lambdaOK bool
 
-	pending []epochOp
+	pending []epochMove
 	epochs  int
 }
 
