@@ -100,11 +100,11 @@ func BenchmarkTable1Consensus(b *testing.B) {
 	runExperiment(b, exp.ConsensusScaling, 3, "slots/cons_at_max_diam")
 }
 
-// BenchmarkSuiteQuick runs the entire E1–E7 quick-mode suite end to end at
-// one and eight trial workers. The tables are bit-identical across the two
-// (asserted by TestParallelTablesBitIdentical in internal/exp); only
-// wall-clock differs, so the sub-benchmark ratio is the scheduler's
-// speedup on the host. Use -benchtime=1x for a single timed suite run.
+// BenchmarkSuiteQuick runs every registered experiment (exp.RunAll) in
+// quick mode end to end at one and eight trial workers. The tables are
+// bit-identical across the two (asserted by TestParallelTablesBitIdentical
+// in internal/exp); only wall-clock differs, so the sub-benchmark ratio is
+// the scheduler's speedup on the host. Use -benchtime=1x for a single timed suite run.
 func BenchmarkSuiteQuick(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -1,8 +1,8 @@
-// Command macbench runs the ablation sweeps that DESIGN.md calls out for
-// the Algorithm 9.1 parameters: it measures the approximate-progress
-// latency of a fixed dense-cluster workload while varying one structural
-// constant at a time (the transmission probability p, the data divisor
-// scale QScale, and the discovery block scale TFactor).
+// Command macbench runs ablation sweeps of the Algorithm 9.1 parameters:
+// it measures the approximate-progress latency of a fixed dense-cluster
+// workload while varying one structural constant at a time (the
+// transmission probability p, the data divisor scale QScale, and the
+// discovery block scale TFactor).
 //
 // The output justifies the defaults used by the experiment harness and
 // shows how the epoch structure trades discovery reliability against data

@@ -16,6 +16,8 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"sinrmac/internal/approgress"
@@ -70,7 +72,7 @@ func run(args []string) int {
 		}
 		return 2
 	}
-	if err := checkFlags(*broadcasters, *slots, *rangeFlag, *shards, *evaluator); err != nil {
+	if err := checkFlags(*macKind, *evaluator, *broadcasters, *slots, *rangeFlag, *shards, *maxNodes); err != nil {
 		fmt.Fprintf(os.Stderr, "sinrsim: %v\n", err)
 		return 2
 	}
@@ -117,15 +119,9 @@ func run(args []string) int {
 	// Both evaluators produce identical executions; the choice only affects
 	// wall-clock time (the differential harness in internal/sinr keeps them
 	// in lock-step).
-	var ev sinr.ChannelEvaluator
-	switch *evaluator {
-	case "fast":
+	var ev sinr.ChannelEvaluator // nil: sim.Engine defaults to the naive reference path
+	if *evaluator == "fast" {
 		ev = sinr.NewFastChannel(ch, sinr.FastOptions{Shards: *shards})
-	case "naive":
-		ev = nil // sim.Engine defaults to the reference path
-	default:
-		fmt.Fprintf(os.Stderr, "sinrsim: unknown evaluator %q (want fast or naive)\n", *evaluator)
-		return 2
 	}
 	eng, err := sim.NewEngine(ch, nodes, sim.Config{Seed: *seed, Evaluator: ev})
 	if err != nil {
@@ -168,12 +164,20 @@ func run(args []string) int {
 	return status
 }
 
-// checkFlags rejects flag values the simulation cannot honour: negative
-// counts and ranges, which would otherwise run with zero broadcasters or
+// macKinds are the -mac values buildMACNodes accepts.
+var macKinds = []string{"combined", "ack", "approgress", "decay"}
+
+// checkFlags rejects flag values the simulation cannot honour before any
+// deployment is built: unknown -mac and -evaluator names, negative counts,
+// ranges and limits, which would otherwise run with zero broadcasters or
 // fall back to the defaults silently, and -shards without the fast
 // evaluator.
-func checkFlags(broadcasters int, slots int64, r float64, shards int, evaluator string) error {
+func checkFlags(macKind, evaluator string, broadcasters int, slots int64, r float64, shards, maxNodes int) error {
 	switch {
+	case !slices.Contains(macKinds, macKind):
+		return fmt.Errorf("-mac %q is unknown; want one of %s", macKind, strings.Join(macKinds, ", "))
+	case evaluator != "fast" && evaluator != "naive":
+		return fmt.Errorf("-evaluator %q is unknown; want fast or naive", evaluator)
 	case broadcasters < 0:
 		return fmt.Errorf("-broadcasters %d is negative", broadcasters)
 	case slots < 0:
@@ -182,6 +186,8 @@ func checkFlags(broadcasters int, slots int64, r float64, shards int, evaluator 
 		return fmt.Errorf("-range %g is negative; use 0 for the topology's default range", r)
 	case shards < 0:
 		return fmt.Errorf("-shards %d is negative; use 0 for the automatic choice or a positive shard count", shards)
+	case maxNodes < 0:
+		return fmt.Errorf("-maxnodes %d is negative; use 0 for no limit", maxNodes)
 	case shards != 0 && evaluator != "fast":
 		return fmt.Errorf("-shards requires -evaluator fast (the naive reference scan has no sharded regime)")
 	}

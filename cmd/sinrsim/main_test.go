@@ -2,36 +2,45 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
 
-// TestRejectsBadFlags: a negative -broadcasters, -slots, -range or -shards,
-// and -shards on the naive evaluator, exit with status 2 before anything is
-// simulated, with an error naming the flag.
+// TestRejectsBadFlags: an unknown -mac or -evaluator, a negative
+// -broadcasters, -slots, -range, -shards or -maxnodes, and -shards on the
+// naive evaluator, exit with status 2 before any deployment is built (so
+// nothing reaches stdout), with an error naming the flag.
 func TestRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
+		mac          string
+		evaluator    string
 		broadcasters int
 		slots        int64
 		r            float64
 		shards       int
-		evaluator    string
+		maxNodes     int
 		flag         string // "" = valid
 	}{
-		{1, 0, 0, 0, "fast", ""},
-		{0, 50, 12, 4, "fast", ""},
-		{3, 0, 0, 0, "naive", ""},
-		{-1, 0, 0, 0, "fast", "-broadcasters"},
-		{1, -5, 0, 0, "fast", "-slots"},
-		{1, 0, -3, 0, "fast", "-range"},
-		{1, 0, 0, -2, "fast", "-shards"},
-		{1, 0, 0, 2, "naive", "-shards"},
+		{"combined", "fast", 1, 0, 0, 0, 0, ""},
+		{"decay", "fast", 0, 50, 12, 4, 100, ""},
+		{"ack", "naive", 3, 0, 0, 0, 0, ""},
+		{"combined", "fast", -1, 0, 0, 0, 0, "-broadcasters"},
+		{"combined", "fast", 1, -5, 0, 0, 0, "-slots"},
+		{"combined", "fast", 1, 0, -3, 0, 0, "-range"},
+		{"combined", "fast", 1, 0, 0, -2, 0, "-shards"},
+		{"combined", "naive", 1, 0, 0, 2, 0, "-shards"},
+		{"bogus", "fast", 1, 0, 0, 0, 0, "-mac"},
+		{"combined", "bogus", 1, 0, 0, 0, 0, "-evaluator"},
+		{"combined", "fast", 1, 0, 0, 0, -1, "-maxnodes"},
 	} {
 		args := []string{
+			"-mac", tc.mac, "-evaluator", tc.evaluator,
 			"-broadcasters", fmt.Sprint(tc.broadcasters), "-slots", fmt.Sprint(tc.slots),
-			"-range", fmt.Sprint(tc.r), "-shards", fmt.Sprint(tc.shards), "-evaluator", tc.evaluator,
+			"-range", fmt.Sprint(tc.r), "-shards", fmt.Sprint(tc.shards), "-maxnodes", fmt.Sprint(tc.maxNodes),
 		}
-		err := checkFlags(tc.broadcasters, tc.slots, tc.r, tc.shards, tc.evaluator)
+		err := checkFlags(tc.mac, tc.evaluator, tc.broadcasters, tc.slots, tc.r, tc.shards, tc.maxNodes)
 		if tc.flag == "" {
 			if err != nil {
 				t.Errorf("%v rejected: %v", args, err)
@@ -41,8 +50,32 @@ func TestRejectsBadFlags(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
 			t.Errorf("%v: error %v does not name %s", args, err, tc.flag)
 		}
-		if status := run(args); status != 2 {
+		status, stdout := runCapturingStdout(t, args)
+		if status != 2 {
 			t.Errorf("%v: exit status %d, want 2", args, status)
 		}
+		if stdout != "" {
+			t.Errorf("%v: printed %q before rejecting the flags", args, stdout)
+		}
 	}
+}
+
+// runCapturingStdout calls run(args) and returns its exit status and what
+// it printed to stdout.
+func runCapturingStdout(t *testing.T, args []string) (int, string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	status := run(args)
+	os.Stdout = saved
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, string(out)
 }

@@ -106,7 +106,8 @@
 // identical to the global exact evaluation — only receivers inside the
 // resulting thin ambiguous band around β refine through the exact
 // per-receiver arithmetic (measured refine rate ~5% on the canonical dense
-// workload at n = 5000, ~9% at n = 10⁶; reported per benchmark case).
+// workload at n = 5000, reported per benchmark case; 0.0877 at n = 10⁶ with
+// k = n/10 transmitters, as TestShardedMillionNodeBudget logs).
 //
 // Receivers are scanned by a persistent worker pool (internal/workpool)
 // wired to sim.Config.Workers.

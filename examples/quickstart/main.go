@@ -44,7 +44,8 @@ func run() error {
 	// BSMB layer on top. Node 0 is the broadcast source.
 	recorder := core.NewRecorder()
 	macCfg := mac.DefaultConfig(deployment.Lambda(), params.Alpha, core.DefaultParams())
-	// Simulation-scale constants (see EXPERIMENTS.md for the rationale).
+	// Simulation-scale constants: the paper's analysis constants are far
+	// too large to simulate.
 	macCfg.Ack.StepFactor = 1
 	macCfg.Ack.HaltFactor = 4
 	macCfg.Prog.QScale = 0.25

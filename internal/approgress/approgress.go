@@ -19,12 +19,12 @@
 //     broadcasting G_{1-2ε}-neighbour receives some bcast-message from a
 //     G_{1-ε}-neighbour with probability 1-ε_approg.
 //
-// Deviations from the paper, made so the algorithm runs at simulation scale
-// and documented in DESIGN.md: the structural constants (T, Q, the number
-// of MIS rounds) are configurable and default to small multiples of the
-// paper's logarithmic terms rather than the astronomically large constants
-// implied by the analysis; the Schneider–Wattenhofer MIS is replaced by a
-// round-based local-minimum-label MIS with the same non-unique-label
+// Deviations from the paper, made so the algorithm runs at simulation
+// scale: the structural constants (T, Q, the number of MIS rounds) are
+// configurable and default to small multiples of the paper's logarithmic
+// terms rather than the astronomically large constants implied by the
+// analysis; the Schneider–Wattenhofer MIS is replaced by a round-based
+// local-minimum-label MIS with the same non-unique-label
 // behaviour; and a sender that fails to hear one of its H̃̃-neighbours
 // during an MIS round prunes that neighbour (the paper instead drops the
 // whole node for the rest of the epoch — pruning keeps more senders alive
@@ -369,9 +369,6 @@ func (a *Automaton) Neighbors() []int {
 	sort.Ints(out)
 	return out
 }
-
-// ProtocolSlot returns the automaton's protocol-slot counter.
-func (a *Automaton) ProtocolSlot() int64 { return a.protoSlot }
 
 // Tick advances the automaton by one protocol slot; a transmission fills
 // the pooled frame f and returns true.

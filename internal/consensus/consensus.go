@@ -15,8 +15,7 @@
 // decides the value associated with the highest identifier. Agreement
 // follows because after i rounds every node within i hops of the maximum-id
 // node knows its value; validity holds because only initial values are ever
-// flooded; termination is by round counting. The substitution is recorded
-// in DESIGN.md.
+// flooded; termination is by round counting.
 package consensus
 
 import (

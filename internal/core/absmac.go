@@ -179,16 +179,6 @@ func (p Params) Validate() error {
 	return check("EpsApprog", p.EpsApprog)
 }
 
-// Bounds holds the absMAC delay bounds for one execution, in slots.
-type Bounds struct {
-	// Fack bounds the acknowledgment delay.
-	Fack float64
-	// Fprog bounds the progress delay (w.r.t. G).
-	Fprog float64
-	// Fapprog bounds the approximate-progress delay (w.r.t. G̃).
-	Fapprog float64
-}
-
 // LogStar returns the iterated logarithm log*(x): the number of times log₂
 // must be applied before the value drops to at most 1. LogStar(x) = 0 for
 // x <= 1.

@@ -20,10 +20,6 @@
 //	          dynamic-topology API (topology epoch.go) and applied to the
 //	          running engine incrementally (sim.Engine.ApplyEpoch), sweeping
 //	          the per-slot churn rate against the static baseline.
-//	E9-scale  Beyond the paper: the sharded slot evaluator at deployment
-//	          sizes up to n = 10⁶ — cell decomposition, decoded receptions
-//	          of full slot evaluations and the certificate refine rate, as
-//	          a deterministic (timing-free) table.
 //	E10-fault Beyond the paper: graceful degradation of the combined MAC
 //	          and the consensus layer under a deterministic fault plan
 //	          (internal/fault) — sweeping crash rate × jam power ×
@@ -32,7 +28,7 @@
 //	          deadline misses (core.CheckDeadlines, consensus.CheckFaulty).
 //
 // Each experiment returns a Table whose rows are also what
-// cmd/experiments prints and what EXPERIMENTS.md records.
+// cmd/experiments prints.
 //
 // # Parallel scheduling and determinism
 //
@@ -112,8 +108,7 @@ type Table struct {
 	Columns []string
 	// Rows hold the formatted cells, one slice per row.
 	Rows [][]string
-	// Notes carry free-form observations (e.g. fitted slopes) that
-	// EXPERIMENTS.md quotes.
+	// Notes carry free-form observations (e.g. fitted slopes).
 	Notes []string
 }
 
@@ -136,8 +131,7 @@ func (t *Table) AddNote(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// Format renders the table as aligned plain text suitable for terminals and
-// for inclusion in EXPERIMENTS.md code blocks.
+// Format renders the table as aligned plain text.
 func (t Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
@@ -191,7 +185,6 @@ func Registry() map[string]Runner {
 		"mmb":    MMBScaling,
 		"cons":   ConsensusScaling,
 		"churn":  ChurnLatency,
-		"scale":  ShardScale,
 		"fault":  FaultDegradation,
 	}
 }

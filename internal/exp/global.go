@@ -31,7 +31,7 @@ func buildUniform(n int, src *rng.Source) (*topology.Deployment, error) {
 }
 
 // combinedMACConfig returns the Algorithm 11.1 configuration used by the
-// global experiments (documented in EXPERIMENTS.md).
+// global experiments.
 func combinedMACConfig(lambda float64) mac.Config {
 	cfg := mac.DefaultConfig(lambda, 3, core.DefaultParams())
 	cfg.Ack.StepFactor = 1

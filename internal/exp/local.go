@@ -268,7 +268,7 @@ func ProgressLowerBound(cfg Config) (Table, error) {
 }
 
 // approgTestConfig returns the Algorithm 9.1 configuration used by the
-// MAC-level experiments (documented in EXPERIMENTS.md).
+// MAC-level experiments.
 func approgTestConfig(lambda float64) approgress.Config {
 	cfg := approgress.DefaultConfig(lambda, 0.1, 3)
 	cfg.QScale = 0.5

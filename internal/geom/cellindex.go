@@ -10,9 +10,7 @@ import "math"
 // occupied cell sits at given lattice coordinates (so a caller can walk the
 // cells around a point), and what are the lattice coordinates of a cell so
 // that conservative cell-pair distance bounds (CellOffsetDistBounds) can be
-// looked up by integer offset. The tighter per-point variant
-// (PointCellDistBounds) serves callers refining a single query point
-// against a cell.
+// looked up by integer offset.
 //
 // Cells are numbered densely in first-occurrence order of the input points,
 // so the numbering is deterministic for a fixed point slice. The node lists
@@ -232,28 +230,5 @@ func CellOffsetDistBounds(dx, dy int, cell float64) (dmin, dmax float64) {
 	}
 	dmin = cell * math.Hypot(gx, gy)
 	dmax = cell * math.Hypot(float64(ax+1), float64(ay+1))
-	return dmin, dmax
-}
-
-// PointCellDistBounds returns the minimum and maximum distance from p to
-// the closed square cell with absolute lattice coordinates (cx, cy) and the
-// given side length: every point q of the cell satisfies
-// dmin <= p.Dist(q) <= dmax. The minimum is attained by clamping p into the
-// cell, the maximum at the corner farthest from p.
-func PointCellDistBounds(p Point, cx, cy int, cell float64) (dmin, dmax float64) {
-	lox, hix := float64(cx)*cell, float64(cx+1)*cell
-	loy, hiy := float64(cy)*cell, float64(cy+1)*cell
-	nx := math.Min(math.Max(p.X, lox), hix)
-	ny := math.Min(math.Max(p.Y, loy), hiy)
-	dmin = p.Dist(Point{X: nx, Y: ny})
-	fx := hix
-	if p.X-lox > hix-p.X {
-		fx = lox
-	}
-	fy := hiy
-	if p.Y-loy > hiy-p.Y {
-		fy = loy
-	}
-	dmax = p.Dist(Point{X: fx, Y: fy})
 	return dmin, dmax
 }

@@ -70,14 +70,6 @@ type Rect struct {
 	Min, Max Point
 }
 
-// NewRect returns the rectangle spanned by two arbitrary corner points.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		Min: Point{X: math.Min(a.X, b.X), Y: math.Min(a.Y, b.Y)},
-		Max: Point{X: math.Max(a.X, b.X), Y: math.Max(a.Y, b.Y)},
-	}
-}
-
 // Width returns the horizontal extent of r.
 func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
@@ -90,19 +82,6 @@ func (r Rect) Area() float64 { return r.Width() * r.Height() }
 // Contains reports whether p lies inside r (boundaries inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Center returns the center point of r.
-func (r Rect) Center() Point {
-	return Point{X: (r.Min.X + r.Max.X) / 2, Y: (r.Min.Y + r.Max.Y) / 2}
-}
-
-// Expand returns r grown by margin on every side.
-func (r Rect) Expand(margin float64) Rect {
-	return Rect{
-		Min: Point{X: r.Min.X - margin, Y: r.Min.Y - margin},
-		Max: Point{X: r.Max.X + margin, Y: r.Max.Y + margin},
-	}
 }
 
 // BoundingBox returns the smallest axis-aligned rectangle containing all
@@ -177,37 +156,6 @@ func minPairwiseBrute(points []Point) float64 {
 		}
 	}
 	return math.Sqrt(bestSq)
-}
-
-// MaxPairwiseDist returns the largest distance between two points, or 0
-// when fewer than two points are given.
-func MaxPairwiseDist(points []Point) float64 {
-	best := 0.0
-	for i := range points {
-		for j := i + 1; j < len(points); j++ {
-			if d := points[i].Dist(points[j]); d > best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
-// NormalizeMinDist rescales the points (about the origin) so that the
-// minimum pairwise distance becomes exactly minDist. It returns the scale
-// factor applied. Points are modified in place. If fewer than two points
-// are supplied, or all points coincide, the slice is returned unchanged
-// with scale 1.
-func NormalizeMinDist(points []Point, minDist float64) float64 {
-	cur := MinPairwiseDist(points)
-	if math.IsInf(cur, 1) || cur == 0 {
-		return 1
-	}
-	scale := minDist / cur
-	for i := range points {
-		points[i] = points[i].Scale(scale)
-	}
-	return scale
 }
 
 // cellKey identifies one cell of a Grid.

@@ -1,14 +1,11 @@
 // Package graphs provides the graph machinery the paper layers on top of
 // the SINR model: generic undirected graphs with hop distances, diameters
-// and neighbourhoods (Section 4.1), SINR-induced strong-connectivity graphs
-// G_a (Section 4.3), maximal-independent-set computations for
-// growth-bounded graphs (used by Algorithm 9.1), and the Λ edge-length
-// ratio.
+// and neighbourhoods (Section 4.1), SINR-induced connectivity graphs G_a
+// (Section 4.3) and maximal-independent-set computations.
 package graphs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"sinrmac/internal/geom"
@@ -183,35 +180,6 @@ func (g *Graph) IsConnected() bool {
 	return true
 }
 
-// Components returns the connected components as sorted node lists, ordered
-// by their smallest node.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for u := 0; u < g.n; u++ {
-		if seen[u] {
-			continue
-		}
-		var comp []int
-		queue := []int{u}
-		seen[u] = true
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			comp = append(comp, x)
-			for _, v := range g.adj[x] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // NeighborhoodR returns N_{G,r}(v): all nodes within hop distance r of v,
 // including v itself, in ascending order.
 func (g *Graph) NeighborhoodR(v, r int) []int {
@@ -223,45 +191,6 @@ func (g *Graph) NeighborhoodR(v, r int) []int {
 		}
 	}
 	return out
-}
-
-// NeighborhoodRSet returns N_{G,r}(W) for a set of nodes W: the union of
-// the r-neighbourhoods of all nodes in W, in ascending order.
-func (g *Graph) NeighborhoodRSet(w []int, r int) []int {
-	seen := make(map[int]bool)
-	for _, v := range w {
-		for _, u := range g.NeighborhoodR(v, r) {
-			seen[u] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// InducedSubgraph returns the subgraph G|S induced by the node set S,
-// together with the mapping from new node index to original node id.
-func (g *Graph) InducedSubgraph(s []int) (*Graph, []int) {
-	nodes := append([]int(nil), s...)
-	sort.Ints(nodes)
-	// Deduplicate.
-	nodes = dedupSorted(nodes)
-	index := make(map[int]int, len(nodes))
-	for i, v := range nodes {
-		index[v] = i
-	}
-	sub := New(len(nodes))
-	for i, v := range nodes {
-		for _, w := range g.adj[v] {
-			if j, ok := index[w]; ok && j > i {
-				sub.AddEdge(i, j)
-			}
-		}
-	}
-	return sub, nodes
 }
 
 func dedupSorted(xs []int) []int {
@@ -347,26 +276,6 @@ func Weak(params sinr.Params, pos []geom.Point) *Graph {
 	return Induced(params, pos, 1)
 }
 
-// EdgeLengthRatio returns Λ_G: the ratio between the longest and the
-// shortest Euclidean edge length of g under the given positions. It returns
-// 1 for graphs with no edges.
-func EdgeLengthRatio(g *Graph, pos []geom.Point) float64 {
-	minLen, maxLen := math.Inf(1), 0.0
-	for _, e := range g.Edges() {
-		d := pos[e[0]].Dist(pos[e[1]])
-		if d < minLen {
-			minLen = d
-		}
-		if d > maxLen {
-			maxLen = d
-		}
-	}
-	if maxLen == 0 || math.IsInf(minLen, 1) || minLen == 0 {
-		return 1
-	}
-	return maxLen / minLen
-}
-
 // IsIndependent reports whether no two nodes of s are adjacent in g.
 func (g *Graph) IsIndependent(s []int) bool {
 	inSet := make(map[int]bool, len(s))
@@ -445,125 +354,4 @@ func (g *Graph) GreedyMIS(domain []int) []int {
 		}
 	}
 	return mis
-}
-
-// LabelMIS computes a maximal independent set of the nodes in domain using
-// the label-ordering rule of the ruler/competitor algorithm the paper
-// adapts from Schneider–Wattenhofer [47]: a node joins the MIS when its
-// label is a strict local minimum among undecided neighbours; ties are
-// broken by node id. Labels need not be unique; with unique labels the
-// result is a maximal independent set of domain.
-//
-// The returned set is sorted. This function models the *outcome* of the
-// distributed MIS computation; the distributed simulation of it below the
-// MAC layer lives in package approgress.
-func (g *Graph) LabelMIS(domain []int, labels map[int]uint64) []int {
-	nodes := append([]int(nil), domain...)
-	sort.Ints(nodes)
-	nodes = dedupSorted(nodes)
-	inDomain := make(map[int]bool, len(nodes))
-	for _, v := range nodes {
-		inDomain[v] = true
-	}
-	undecided := make(map[int]bool, len(nodes))
-	for _, v := range nodes {
-		undecided[v] = true
-	}
-	var mis []int
-	inMIS := make(map[int]bool)
-	for len(undecided) > 0 {
-		progress := false
-		// Collect undecided nodes in deterministic order.
-		var rem []int
-		for v := range undecided {
-			rem = append(rem, v)
-		}
-		sort.Ints(rem)
-		var joiners []int
-		for _, v := range rem {
-			lv := labels[v]
-			isMin := true
-			for _, w := range g.adj[v] {
-				if !inDomain[w] || !undecided[w] {
-					continue
-				}
-				lw := labels[w]
-				if lw < lv || (lw == lv && w < v) {
-					isMin = false
-					break
-				}
-			}
-			if isMin {
-				joiners = append(joiners, v)
-			}
-		}
-		for _, v := range joiners {
-			if !undecided[v] {
-				continue
-			}
-			// A neighbour may have joined in this same sweep; re-check.
-			conflict := false
-			for _, w := range g.adj[v] {
-				if inMIS[w] {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
-				delete(undecided, v)
-				continue
-			}
-			mis = append(mis, v)
-			inMIS[v] = true
-			delete(undecided, v)
-			progress = true
-			for _, w := range g.adj[v] {
-				if inDomain[w] {
-					delete(undecided, w)
-				}
-			}
-		}
-		if !progress {
-			// Can only happen with adversarial duplicate labels; fall back
-			// to greedy completion to preserve maximality.
-			for v := range undecided {
-				rem = append(rem, v)
-			}
-			sort.Ints(rem)
-			for _, v := range rem {
-				if !undecided[v] {
-					continue
-				}
-				conflict := false
-				for _, w := range g.adj[v] {
-					if inMIS[w] {
-						conflict = true
-						break
-					}
-				}
-				if !conflict {
-					mis = append(mis, v)
-					inMIS[v] = true
-				}
-				delete(undecided, v)
-			}
-		}
-	}
-	sort.Ints(mis)
-	return mis
-}
-
-// GrowthBound estimates the growth-bounding function f(r) of the paper's
-// Definition 4.1 empirically: for each node it computes the size of a
-// maximal independent set restricted to the r-neighbourhood and returns the
-// maximum over all nodes.
-func (g *Graph) GrowthBound(r int) int {
-	max := 0
-	for v := 0; v < g.n; v++ {
-		hood := g.NeighborhoodR(v, r)
-		if size := len(g.GreedyMIS(hood)); size > max {
-			max = size
-		}
-	}
-	return max
 }

@@ -1,7 +1,6 @@
 package graphs
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -120,10 +119,6 @@ func TestBFSUnreachable(t *testing.T) {
 	if g.IsConnected() {
 		t.Fatal("disconnected graph reported connected")
 	}
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("Components = %v", comps)
-	}
 }
 
 func TestConnectedTrivial(t *testing.T) {
@@ -149,34 +144,6 @@ func TestNeighborhoodR(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("NeighborhoodR = %v, want %v", got, want)
 		}
-	}
-	setGot := g.NeighborhoodRSet([]int{0, 6}, 1)
-	wantSet := []int{0, 1, 5, 6}
-	if len(setGot) != len(wantSet) {
-		t.Fatalf("NeighborhoodRSet = %v, want %v", setGot, wantSet)
-	}
-	for i := range wantSet {
-		if setGot[i] != wantSet[i] {
-			t.Fatalf("NeighborhoodRSet = %v, want %v", setGot, wantSet)
-		}
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := pathGraph(5)
-	sub, ids := g.InducedSubgraph([]int{0, 1, 3, 4, 4})
-	if sub.NumNodes() != 4 {
-		t.Fatalf("subgraph nodes = %d", sub.NumNodes())
-	}
-	if len(ids) != 4 || ids[0] != 0 || ids[3] != 4 {
-		t.Fatalf("id map = %v", ids)
-	}
-	// Only 0-1 and 3-4 survive.
-	if sub.NumEdges() != 2 {
-		t.Fatalf("subgraph edges = %d", sub.NumEdges())
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(2, 3) {
-		t.Fatal("expected edges missing in induced subgraph")
 	}
 }
 
@@ -241,19 +208,6 @@ func TestUnitDiskAndInduced(t *testing.T) {
 	}
 }
 
-func TestEdgeLengthRatio(t *testing.T) {
-	pos := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 5, Y: 0}}
-	g := New(3)
-	if got := EdgeLengthRatio(g, pos); got != 1 {
-		t.Fatalf("ratio of empty graph = %v", got)
-	}
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	if got := EdgeLengthRatio(g, pos); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("EdgeLengthRatio = %v, want 4", got)
-	}
-}
-
 func TestIndependenceChecks(t *testing.T) {
 	g := pathGraph(5)
 	if !g.IsIndependent([]int{0, 2, 4}) {
@@ -286,85 +240,6 @@ func TestGreedyMIS(t *testing.T) {
 	mis = g.GreedyMIS(dom)
 	if !g.IsMaximalIndependent(mis, dom) {
 		t.Fatalf("restricted GreedyMIS %v not maximal over %v", mis, dom)
-	}
-}
-
-func TestLabelMISUniqueLabels(t *testing.T) {
-	src := rng.New(77)
-	for trial := 0; trial < 30; trial++ {
-		g := randomGraph(30, 0.15, src)
-		domain := make([]int, 30)
-		labels := make(map[int]uint64, 30)
-		for i := range domain {
-			domain[i] = i
-			labels[i] = uint64(i*7919 + 13) // unique
-		}
-		mis := g.LabelMIS(domain, labels)
-		if !g.IsMaximalIndependent(mis, domain) {
-			t.Fatalf("trial %d: LabelMIS %v not maximal independent", trial, mis)
-		}
-	}
-}
-
-func TestLabelMISDuplicateLabelsStillIndependent(t *testing.T) {
-	src := rng.New(88)
-	for trial := 0; trial < 30; trial++ {
-		g := randomGraph(25, 0.2, src)
-		domain := make([]int, 25)
-		labels := make(map[int]uint64, 25)
-		for i := range domain {
-			domain[i] = i
-			labels[i] = uint64(src.Intn(3)) // heavy duplication
-		}
-		mis := g.LabelMIS(domain, labels)
-		if !g.IsIndependent(mis) {
-			t.Fatalf("trial %d: LabelMIS with duplicate labels not independent: %v", trial, mis)
-		}
-		// With the id tie-break the result is in fact maximal as well.
-		if !g.IsMaximalIndependent(mis, domain) {
-			t.Fatalf("trial %d: LabelMIS with duplicate labels not maximal: %v", trial, mis)
-		}
-	}
-}
-
-func TestLabelMISSubdomain(t *testing.T) {
-	g := pathGraph(8)
-	domain := []int{2, 3, 4, 5}
-	labels := map[int]uint64{2: 9, 3: 1, 4: 7, 5: 3}
-	mis := g.LabelMIS(domain, labels)
-	if !g.IsMaximalIndependent(mis, domain) {
-		t.Fatalf("LabelMIS %v not maximal over %v", mis, domain)
-	}
-	for _, v := range mis {
-		if v < 2 || v > 5 {
-			t.Fatalf("LabelMIS returned node %d outside domain", v)
-		}
-	}
-}
-
-func TestGrowthBoundPath(t *testing.T) {
-	g := pathGraph(20)
-	// In a path the r-neighbourhood has 2r+1 nodes and an MIS of size r+1.
-	for r := 0; r <= 3; r++ {
-		if got := g.GrowthBound(r); got != r+1 {
-			t.Fatalf("GrowthBound(%d) = %d, want %d", r, got, r+1)
-		}
-	}
-}
-
-func TestGrowthBoundUnitDiskPolynomial(t *testing.T) {
-	// Unit-disk graphs are growth bounded: f(r) = O(r²). Check the estimate
-	// does not explode faster than quadratically on a random deployment.
-	src := rng.New(3)
-	pos := make([]geom.Point, 200)
-	for i := range pos {
-		pos[i] = geom.Point{X: src.Float64() * 30, Y: src.Float64() * 30}
-	}
-	g := UnitDisk(pos, 3)
-	f2 := g.GrowthBound(2)
-	f4 := g.GrowthBound(4)
-	if f4 > 8*f2+8 {
-		t.Fatalf("growth bound not polynomial-ish: f(2)=%d f(4)=%d", f2, f4)
 	}
 }
 

@@ -149,12 +149,6 @@ func (s *Source) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (s *Source) ExpFloat64() float64 {
-	u := 1 - s.Float64()
-	return -math.Log(u)
-}
-
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

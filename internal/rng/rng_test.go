@@ -271,23 +271,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	s := New(29)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := s.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 returned negative value %v", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
-	}
-}
-
 // Property: Intn output is always within range for arbitrary seeds and sizes.
 func TestQuickIntnInRange(t *testing.T) {
 	f := func(seed uint64, nRaw uint16) bool {

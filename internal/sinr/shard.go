@@ -139,11 +139,6 @@ func resolveShards(opt, n int) int {
 // evaluator runs the matrix regime.
 func (f *FastChannel) Shards() int { return f.shards }
 
-// OccupiedCells returns the number of occupied cells in the evaluator's
-// cell index, which both regimes build. The count is what the lattice's
-// memory scales with, so the scale experiment reports it.
-func (f *FastChannel) OccupiedCells() int { return f.bidx.cells.NumCells() }
-
 // ensureIndex resolves the family's shared index, building it if no
 // member has yet, and sizes this evaluator's lattice scratch for it.
 func (f *FastChannel) ensureIndex() {

@@ -136,12 +136,6 @@ func (p Params) StrongRange() float64 {
 	return p.RangeA(1 - p.Epsilon)
 }
 
-// ApproxRange returns R_{1-2ε}, the radius of the approximation graph
-// G_{1-2ε} in which approximate progress is measured.
-func (p Params) ApproxRange() float64 {
-	return p.RangeA(1 - 2*p.Epsilon)
-}
-
 // ReceivedPower returns the power received over distance d, applying the
 // near-field clamp of the paper: distances below 1 are treated as 1 so that
 // a receiver never observes more power than was transmitted.

@@ -51,14 +51,11 @@ func TestValidate(t *testing.T) {
 
 func TestRangeOrdering(t *testing.T) {
 	p := testParams()
-	if !(p.ApproxRange() < p.StrongRange() && p.StrongRange() < p.Range()) {
-		t.Fatalf("range ordering violated: %v %v %v", p.ApproxRange(), p.StrongRange(), p.Range())
+	if !(p.StrongRange() < p.Range()) {
+		t.Fatalf("range ordering violated: %v %v", p.StrongRange(), p.Range())
 	}
 	if got, want := p.StrongRange(), (1-p.Epsilon)*p.Range(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("StrongRange = %v, want %v", got, want)
-	}
-	if got, want := p.ApproxRange(), (1-2*p.Epsilon)*p.Range(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("ApproxRange = %v, want %v", got, want)
 	}
 }
 

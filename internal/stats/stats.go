@@ -91,42 +91,6 @@ func Quantile(xs []float64, q float64) float64 {
 // Median returns the 0.5-quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// Summary is a five-number-plus-mean summary of a sample.
-type Summary struct {
-	// N is the sample size.
-	N int
-	// Min, Median, P90, Max are order statistics of the sample.
-	Min    float64
-	Median float64
-	P90    float64
-	Max    float64
-	// Mean and Stddev are the sample moments.
-	Mean   float64
-	Stddev float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(xs),
-		Min:    Min(xs),
-		Median: Median(xs),
-		P90:    Quantile(xs, 0.9),
-		Max:    Max(xs),
-		Mean:   Mean(xs),
-		Stddev: Stddev(xs),
-	}
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.1f median=%.1f p90=%.1f max=%.1f mean=%.1f±%.1f",
-		s.N, s.Min, s.Median, s.P90, s.Max, s.Mean, s.Stddev)
-}
-
 // Fit is a least-squares linear fit y ≈ Slope·x + Intercept.
 type Fit struct {
 	// Slope and Intercept are the fitted coefficients.

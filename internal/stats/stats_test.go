@@ -80,25 +80,6 @@ func TestQuantileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	if got := Summarize(nil); got.N != 0 {
-		t.Fatalf("empty summary = %+v", got)
-	}
-	s := Summarize([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	if s.N != 10 || s.Min != 1 || s.Max != 10 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if !almostEqual(s.Mean, 5.5, 1e-9) || !almostEqual(s.Median, 5.5, 1e-9) {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.P90 < s.Median || s.P90 > s.Max {
-		t.Fatalf("P90 out of order: %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
 func TestLinearFitExact(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{5, 7, 9, 11} // y = 2x + 3
@@ -192,16 +173,16 @@ func TestQuickSummaryInvariants(t *testing.T) {
 		for i := range xs {
 			xs[i] = src.Float64()*200 - 100
 		}
-		s := Summarize(xs)
-		if s.Median < s.Min-1e-9 || s.Median > s.Max+1e-9 {
+		lo, hi, med, mean := Min(xs), Max(xs), Median(xs), Mean(xs)
+		if med < lo-1e-9 || med > hi+1e-9 {
 			return false
 		}
-		if s.Mean < s.Min-1e-9 || s.Mean > s.Max+1e-9 {
+		if mean < lo-1e-9 || mean > hi+1e-9 {
 			return false
 		}
 		shuffled := append([]float64(nil), xs...)
 		src.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		return almostEqual(Mean(shuffled), s.Mean, 1e-9)
+		return almostEqual(Mean(shuffled), mean, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
