@@ -119,7 +119,11 @@
 // TestShardedEquivalence with S ∈ {1,2,4,8} and the on-threshold
 // adversarial TestShardedThresholdRefine in internal/sinr) hold them to
 // that across randomized topologies, densities, transmitter counts and
-// worker counts.
+// worker counts. One level up, the engine oracle (TestEngineOracle and
+// FuzzEngineOracle in internal/sim) holds every regime, dispatch pin,
+// worker count, fault plan, move-epoch sequence and Step/Run use to the
+// naive evaluator under a serial Step loop: per-slot receptions, engine
+// and fault stats and per-node traffic must match bit for bit.
 // Drivers select a path explicitly via sim.Config.Evaluator; the
 // experiment harness (internal/exp), cmd/macbench and cmd/sinrsim use the
 // fast engine, while unit tests exercising channel semantics keep the
@@ -204,9 +208,9 @@
 // (cmd/sinrsim's first SIGINT) lands at the next slot boundary. What a
 // callback may not do is re-enter the engine: Step and Run panic from
 // inside the slot loop, and ApplyEpoch/Reset return an error — state
-// mutations must land between Step/Run calls. TestRunBatchBitIdentity
-// holds Run bit-identical to the Step loop across evaluator worker counts,
-// fault plans and mid-run churn epochs.
+// mutations must land between Step/Run calls. The engine oracle holds Run
+// legs bit-identical to the naive Step loop across evaluator regimes,
+// worker counts, fault plans and mid-run mobility epochs.
 //
 // The evaluation kernels are restructured SIMD-friendly without
 // changing a single emitted bit: the matrix totals gather and the
@@ -270,10 +274,9 @@
 // stochastic fault decision draws from labelled rng streams derived from
 // the plan seed alone (fault/plan/{crash,jam,deliver,byz}), and the engine
 // consults the hook on the driving goroutine in slot order, so a faulty
-// execution is bit-identical at any evaluator worker count
-// (TestFaultDifferentialDrivers). A zero-rate
-// plan consumes no randomness, leaving the execution bit-identical to
-// running with no hook installed — and nearly free, which the
+// execution is bit-identical at any evaluator worker count and regime (the
+// engine oracle's fault rows). A zero-rate plan consumes no randomness,
+// leaving the execution bit-identical to running with no hook installed — and nearly free, which the
 // engine_step_faults macbench case gates at ≤ 1.05× the hook-free step.
 //
 // The fault classes differ in what they may touch. Crashed nodes are inert:

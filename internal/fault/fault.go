@@ -124,7 +124,7 @@ func (p Plan) Validate() error {
 		{"CorruptRate", p.CorruptRate}, {"ByzantineFraction", p.ByzantineFraction},
 		{"SpamRate", p.SpamRate}, {"MutateRate", p.MutateRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("fault: %s = %v outside [0, 1]", r.name, r.v)
 		}
 	}

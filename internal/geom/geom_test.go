@@ -66,9 +66,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Sub(q); got != (Point{-2, 3}) {
 		t.Fatalf("Sub = %v", got)
 	}
-	if got := p.Scale(2); got != (Point{2, 4}) {
-		t.Fatalf("Scale = %v", got)
-	}
 }
 
 func TestRectBasics(t *testing.T) {

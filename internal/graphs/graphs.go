@@ -180,32 +180,6 @@ func (g *Graph) IsConnected() bool {
 	return true
 }
 
-// NeighborhoodR returns N_{G,r}(v): all nodes within hop distance r of v,
-// including v itself, in ascending order.
-func (g *Graph) NeighborhoodR(v, r int) []int {
-	dist := g.BFS(v)
-	var out []int
-	for u, d := range dist {
-		if d >= 0 && d <= r {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-func dedupSorted(xs []int) []int {
-	if len(xs) == 0 {
-		return xs
-	}
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
@@ -319,39 +293,4 @@ func (g *Graph) IsMaximalIndependent(s, domain []int) bool {
 		}
 	}
 	return true
-}
-
-// GreedyMIS returns the lexicographically-first maximal independent set of
-// the nodes in domain (all nodes when domain is nil), considering nodes in
-// ascending order. The result is sorted.
-func (g *Graph) GreedyMIS(domain []int) []int {
-	nodes := domain
-	if nodes == nil {
-		nodes = make([]int, g.n)
-		for i := range nodes {
-			nodes[i] = i
-		}
-	} else {
-		nodes = append([]int(nil), nodes...)
-		sort.Ints(nodes)
-		nodes = dedupSorted(nodes)
-	}
-	inDomain := make(map[int]bool, len(nodes))
-	for _, v := range nodes {
-		inDomain[v] = true
-	}
-	blocked := make(map[int]bool)
-	var mis []int
-	for _, v := range nodes {
-		if blocked[v] {
-			continue
-		}
-		mis = append(mis, v)
-		for _, w := range g.adj[v] {
-			if inDomain[w] {
-				blocked[w] = true
-			}
-		}
-	}
-	return mis
 }

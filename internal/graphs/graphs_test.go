@@ -133,20 +133,6 @@ func TestConnectedTrivial(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodR(t *testing.T) {
-	g := pathGraph(7)
-	got := g.NeighborhoodR(3, 2)
-	want := []int{1, 2, 3, 4, 5}
-	if len(got) != len(want) {
-		t.Fatalf("NeighborhoodR = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("NeighborhoodR = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	g := pathGraph(4)
 	c := g.Clone()
@@ -228,21 +214,6 @@ func TestIndependenceChecks(t *testing.T) {
 	}
 }
 
-func TestGreedyMIS(t *testing.T) {
-	g := pathGraph(6)
-	mis := g.GreedyMIS(nil)
-	all := []int{0, 1, 2, 3, 4, 5}
-	if !g.IsMaximalIndependent(mis, all) {
-		t.Fatalf("GreedyMIS %v not a maximal independent set", mis)
-	}
-	// Restricted domain.
-	dom := []int{1, 2, 3}
-	mis = g.GreedyMIS(dom)
-	if !g.IsMaximalIndependent(mis, dom) {
-		t.Fatalf("restricted GreedyMIS %v not maximal over %v", mis, dom)
-	}
-}
-
 // Property: BFS distances obey the edge relaxation property |d(u)-d(v)| <= 1
 // for every edge (u, v).
 func TestQuickBFSEdgeConsistency(t *testing.T) {
@@ -288,23 +259,6 @@ func TestQuickDiameterMatchesBFS(t *testing.T) {
 	}
 }
 
-// Property: GreedyMIS always yields a maximal independent set.
-func TestQuickGreedyMISMaximal(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		n := 1 + src.Intn(40)
-		g := randomGraph(n, src.Float64()*0.3, src)
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return g.IsMaximalIndependent(g.GreedyMIS(nil), all)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: the SINR-induced graphs are nested: G_{1-2ε} ⊆ G_{1-ε} ⊆ G₁.
 func TestQuickInducedGraphNesting(t *testing.T) {
 	params := sinr.DefaultParams(10)
@@ -346,14 +300,5 @@ func BenchmarkDiameterRandom200(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Diameter()
-	}
-}
-
-func BenchmarkGreedyMIS(b *testing.B) {
-	src := rng.New(11)
-	g := randomGraph(500, 0.02, src)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.GreedyMIS(nil)
 	}
 }

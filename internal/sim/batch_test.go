@@ -1,17 +1,15 @@
 package sim
 
 // Tests for multi-slot execution: a batch is the slots one Run call
-// executes. Bit-identity of Run to the slot-at-a-time Step loop across
-// evaluator worker counts, fault plans and churn epochs; per-slot
-// observer/hook ordering across Run-call boundaries; stop polls inside a
-// batch; and the re-entry guards.
+// executes. Per-slot observer/hook ordering across Run-call boundaries,
+// stop polls inside a batch, the re-entry guards and the allocation-free
+// steady state. Run's bit-identity to the Step loop is one of the engine
+// oracle's axes (oracle_test.go).
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
-	"sinrmac/internal/geom"
 	"sinrmac/internal/sinr"
 )
 
@@ -77,92 +75,6 @@ func (h *crashJamHook) NodePanicked(slot int64, node int, phase string, value in
 
 func (h *crashJamHook) Reset() { h.slots = h.slots[:0]; h.n = 0 }
 
-// batchTraceRow is one slot as an observer saw it.
-type batchTraceRow struct {
-	slot    int64
-	engSlot int64 // Engine.Slot() at callback time
-	tx      []int
-	senders []int
-}
-
-// batchChurnSchedule builds the three-epoch move schedule used by the
-// engine's churn tests over an n-node line of spacing 2 (cells of side
-// about 10 under DefaultParams(10)). The epochs move the last node, move
-// nodes across cells and out of the original lattice, and move one back
-// home.
-func batchChurnSchedule(n int) []*sinr.EpochDelta {
-	pos := latticePositions(n)
-	p1 := append([]geom.Point(nil), pos...)
-	p1[3] = geom.Point{X: p1[3].X + 0.7, Y: 0.5}
-	p1[7] = geom.Point{X: p1[7].X - 0.6, Y: -0.4} // one cell row down: leaves the lattice
-	p2 := append([]geom.Point(nil), p1...)
-	p2[5] = geom.Point{X: 31, Y: 1} // two cells to the right
-	p2[n-1] = geom.Point{X: p2[n-1].X - 1, Y: 1.5}
-	p3 := append([]geom.Point(nil), p2...)
-	p3[0] = geom.Point{X: -3, Y: 0.5}
-	p3[5] = pos[5]
-	p3[n-1] = geom.Point{X: pos[n-1].X + 0.5, Y: -0.5}
-	return []*sinr.EpochDelta{
-		{Dirty: []int{3, 7}, Positions: p1},
-		{Dirty: []int{5, n - 1}, Positions: p2},
-		{Dirty: []int{0, 5, n - 1}, Positions: p3},
-	}
-}
-
-// batchTraceRun executes the fixed three-leg churn scenario (40 slots per
-// leg, an epoch applied between legs) and returns the full per-slot trace.
-// step drives the engine slot-at-a-time via Step — the reference
-// execution; otherwise each leg is one Run call.
-func batchTraceRun(t *testing.T, n int, cfg Config, fast, faults, step bool) ([]batchTraceRow, Stats) {
-	t.Helper()
-	ch, err := sinr.NewChannel(sinr.DefaultParams(10), latticePositions(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast {
-		cfg.Evaluator = sinr.NewFastChannel(ch)
-	}
-	if faults {
-		cfg.Faults = &crashJamHook{crashSlot: 25}
-	}
-	nodes := make([]Node, n)
-	for i := range nodes {
-		nodes[i] = &randomNode{p: 0.2}
-	}
-	eng, err := NewEngine(ch, nodes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace []batchTraceRow
-	eng.AddObserver(ObserverFunc(func(slot int64, tx []int, recs []sinr.Reception) {
-		row := batchTraceRow{slot: slot, engSlot: eng.Slot(), tx: append([]int(nil), tx...)}
-		row.senders = make([]int, len(recs))
-		for j, rec := range recs {
-			row.senders[j] = rec.Sender
-		}
-		trace = append(trace, row)
-	}))
-	leg := func(slots int64) {
-		if step {
-			for i := int64(0); i < slots; i++ {
-				eng.Step()
-			}
-			return
-		}
-		if ran, _ := eng.Run(slots, nil); ran != slots {
-			t.Fatalf("Run ran %d slots, want %d", ran, slots)
-		}
-	}
-	leg(40)
-	for _, delta := range batchChurnSchedule(n) {
-		if err := eng.ApplyEpoch(delta, nil); err != nil {
-			t.Fatal(err)
-		}
-		leg(40)
-	}
-	return trace, eng.Stats()
-}
-
 // workerConfigs are the engine configurations the batch tests run under:
 // one worker, and a parallel evaluator's receiver scan split across four.
 var workerConfigs = []struct {
@@ -171,43 +83,6 @@ var workerConfigs = []struct {
 }{
 	{"serial", Config{Seed: engineSeed, Workers: 1}},
 	{"workers4", Config{Seed: engineSeed, Workers: 4}},
-}
-
-// TestRunBatchBitIdentity pins the batch contract: one Run call per leg
-// produces an execution bit-identical to the slot-at-a-time Step loop, on
-// both evaluator families and worker counts, with and without a crash+jam
-// fault plan, and with mid-run ApplyEpoch calls between Run legs.
-func TestRunBatchBitIdentity(t *testing.T) {
-	const n = 24
-	for _, fast := range []bool{false, true} {
-		for _, faults := range []bool{false, true} {
-			for _, wc := range workerConfigs {
-				t.Run(fmt.Sprintf("fast=%v/faults=%v/%s", fast, faults, wc.name), func(t *testing.T) {
-					refTrace, refStats := batchTraceRun(t, n, wc.cfg, fast, faults, true)
-					trace, stats := batchTraceRun(t, n, wc.cfg, fast, faults, false)
-					if stats != refStats {
-						t.Fatalf("stats diverged: %+v vs %+v", stats, refStats)
-					}
-					if len(trace) != len(refTrace) {
-						t.Fatalf("%d slots traced, want %d", len(trace), len(refTrace))
-					}
-					for i := range trace {
-						got, want := trace[i], refTrace[i]
-						if got.slot != want.slot || got.engSlot != want.engSlot {
-							t.Fatalf("slot %d: observed slot=%d engSlot=%d, want slot=%d engSlot=%d",
-								i, got.slot, got.engSlot, want.slot, want.engSlot)
-						}
-						if !slices.Equal(got.tx, want.tx) {
-							t.Fatalf("slot %d: transmitters %v, want %v", i, got.tx, want.tx)
-						}
-						if !slices.Equal(got.senders, want.senders) {
-							t.Fatalf("slot %d: decoded senders %v, want %v", i, got.senders, want.senders)
-						}
-					}
-				})
-			}
-		}
-	}
 }
 
 // TestBatchObserverOrdering is the observer-semantics property test: every

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 	"sinrmac/internal/sinr"
 )
 
-// The engine tests hand-build their epoch deltas (batchChurnSchedule); the
-// full topology commit path is exercised by topology's and sinr's own
-// tests, and here only the engine-side semantics matter.
+// The engine tests hand-build their epoch deltas; the full topology commit
+// path is exercised by topology's and sinr's own tests, and here only the
+// engine-side semantics matter.
 
 // latticePositions lays n nodes on a spacing-2 line.
 func latticePositions(n int) []geom.Point {
@@ -23,127 +24,69 @@ func latticePositions(n int) []geom.Point {
 	return pos
 }
 
-// churnEngine builds an engine of randomNodes over a fresh channel.
-func churnEngine(t *testing.T, n int, seed uint64, fast bool) (*Engine, []Node) {
-	t.Helper()
-	ch, err := sinr.NewChannel(sinr.DefaultParams(10), latticePositions(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]Node, n)
-	for i := range nodes {
-		nodes[i] = &randomNode{p: 0.2}
-	}
-	cfg := Config{Seed: seed, Workers: 2}
-	if fast {
-		cfg.Evaluator = sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2})
-	}
-	eng, err := NewEngine(ch, nodes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, nodes
-}
-
-// TestEngineApplyEpochDifferential runs the same move schedule on a
-// naive-evaluator engine and a fast-evaluator engine: the executions —
-// per-slot receptions observed, aggregate stats — must be identical, and
-// both must keep running correctly as nodes move. Every automaton keeps its
-// id and its state across the epochs.
-func TestEngineApplyEpochDifferential(t *testing.T) {
-	const n, seed = 24, 11
-	type run struct {
-		eng   *Engine
-		nodes []Node
-		recs  [][]int
-	}
-	runs := make([]*run, 2)
-	for i, fast := range []bool{false, true} {
-		r := &run{}
-		r.eng, r.nodes = churnEngine(t, n, seed, fast)
-		r.eng.AddObserver(ObserverFunc(func(slot int64, tx []int, recs []sinr.Reception) {
-			row := make([]int, len(recs))
-			for j, rec := range recs {
-				row[j] = rec.Sender
-			}
-			r.recs = append(r.recs, row)
-		}))
-		runs[i] = r
-	}
-
-	// One delta sequence drives both engines (deltas are reusable across
-	// evaluator families).
-	for _, r := range runs {
-		r.eng.Run(30, nil)
-		for _, delta := range batchChurnSchedule(n) {
-			if err := r.eng.ApplyEpoch(delta, nil); err != nil {
-				t.Fatal(err)
-			}
-			r.eng.Run(30, nil)
-		}
-		for i, node := range r.nodes {
-			if r.eng.Node(i) != node || node.(*randomNode).id != i {
-				t.Fatalf("node %d lost its automaton or id across the epochs", i)
-			}
-		}
-	}
-	a, b := runs[0], runs[1]
-	if a.eng.Stats() != b.eng.Stats() {
-		t.Fatalf("stats diverged: naive %+v, fast %+v", a.eng.Stats(), b.eng.Stats())
-	}
-	if len(a.recs) != len(b.recs) {
-		t.Fatalf("slot counts diverged: %d vs %d", len(a.recs), len(b.recs))
-	}
-	for slot := range a.recs {
-		if len(a.recs[slot]) != len(b.recs[slot]) {
-			t.Fatalf("slot %d: reception widths diverged", slot)
-		}
-		for j := range a.recs[slot] {
-			if a.recs[slot][j] != b.recs[slot][j] {
-				t.Fatalf("slot %d node %d: naive decoded %d, fast %d",
-					slot, j, a.recs[slot][j], b.recs[slot][j])
-			}
-		}
-	}
-}
-
 // TestEngineApplyEpochErrors covers the apply's error paths on both
-// evaluators: a delta of the wrong length and one with an out-of-range
-// dirty id are rejected, the engine keeps running on its pre-epoch
-// positions, and a later valid epoch still applies.
+// evaluators: a nil delta, a delta of the wrong length, one with an
+// out-of-range dirty id and ones that move a node to a non-finite or
+// out-of-range position are rejected without a panic, the engine keeps
+// running on its pre-epoch positions, and a later valid epoch still
+// applies.
 func TestEngineApplyEpochErrors(t *testing.T) {
 	const n = 6
-	for _, fast := range []bool{false, true} {
-		eng, _ := churnEngine(t, n, 5, fast)
-		pos := latticePositions(n)
-		if err := eng.ApplyEpoch(&sinr.EpochDelta{Dirty: []int{n}, Positions: latticePositions(n + 1)}, nil); err == nil ||
-			!strings.Contains(err.Error(), "positions") {
-			t.Fatalf("fast=%v: wrong-length delta error = %v", fast, err)
+	pos := latticePositions(n)
+	moved := func(p geom.Point) []geom.Point {
+		cp := append([]geom.Point(nil), pos...)
+		cp[0] = p
+		return cp
+	}
+	bad := []struct {
+		name  string
+		delta *sinr.EpochDelta
+		want  string
+	}{
+		{"nil", nil, "nil"},
+		{"length", &sinr.EpochDelta{Dirty: []int{n}, Positions: latticePositions(n + 1)}, "positions"},
+		{"dirty id", &sinr.EpochDelta{Dirty: []int{0, n}, Positions: moved(geom.Point{X: -50})}, "out of range"},
+		{"NaN", &sinr.EpochDelta{Dirty: []int{0}, Positions: moved(geom.Point{X: math.NaN()})}, "finite"},
+		{"+Inf", &sinr.EpochDelta{Dirty: []int{0}, Positions: moved(geom.Point{Y: math.Inf(1)})}, "finite"},
+		{"1e300", &sinr.EpochDelta{Dirty: []int{0}, Positions: moved(geom.Point{X: 1e300})}, "finite"},
+	}
+	// The naive channel, the matrix regime and the lattice.
+	for ev, opts := range []*sinr.FastOptions{nil, {}, {Shards: 1}} {
+		ch, err := sinr.NewChannel(sinr.DefaultParams(10), pos)
+		if err != nil {
+			t.Fatal(err)
 		}
-		far := append([]geom.Point(nil), pos...)
-		far[0] = geom.Point{X: -50, Y: 0}
-		if err := eng.ApplyEpoch(&sinr.EpochDelta{Dirty: []int{0, n}, Positions: far}, nil); err == nil ||
-			!strings.Contains(err.Error(), "out of range") {
-			t.Fatalf("fast=%v: out-of-range dirty id error = %v", fast, err)
+		cfg := Config{Seed: 5, Workers: 2}
+		if opts != nil {
+			fast := sinr.NewFastChannel(ch, *opts)
+			defer fast.Close()
+			cfg.Evaluator = fast
 		}
-		if err := eng.ApplyEpoch(nil, nil); err == nil {
-			t.Fatalf("fast=%v: nil delta accepted", fast)
+		eng, err := NewEngine(ch, randomNodes(n), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range bad {
+			if err := eng.ApplyEpoch(tc.delta, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("evaluator %d %s: ApplyEpoch error = %v, want %q", ev, tc.name, err, tc.want)
+			}
 		}
 		for i, p := range eng.Channel().Positions() {
 			if p != pos[i] {
-				t.Fatalf("fast=%v: rejected delta moved node %d to %v", fast, i, p)
+				t.Fatalf("evaluator %d: rejected delta moved node %d to %v", ev, i, p)
 			}
 		}
 		eng.Run(5, nil)
-		if err := eng.ApplyEpoch(&sinr.EpochDelta{Dirty: []int{0}, Positions: far}, nil); err != nil {
-			t.Fatalf("fast=%v: apply after failed applies: %v", fast, err)
+		far := geom.Point{X: -50}
+		if err := eng.ApplyEpoch(&sinr.EpochDelta{Dirty: []int{0}, Positions: moved(far)}, nil); err != nil {
+			t.Fatalf("evaluator %d: apply after failed applies: %v", ev, err)
 		}
 		eng.Run(5, nil)
 		if got := eng.Stats().Slots; got != 10 {
-			t.Fatalf("fast=%v: engine simulated %d slots, want 10", fast, got)
+			t.Fatalf("evaluator %d: engine simulated %d slots, want 10", ev, got)
 		}
-		if got := eng.Channel().Positions()[0]; got != far[0] {
-			t.Fatalf("fast=%v: node 0 at %v after the epoch, want %v", fast, got, far[0])
+		if got := eng.Channel().Positions()[0]; got != far {
+			t.Fatalf("evaluator %d: node 0 at %v after the epoch, want %v", ev, got, far)
 		}
 	}
 }

@@ -8,35 +8,6 @@ import (
 	"sinrmac/internal/sinr"
 )
 
-// TestEngineStepBothDrivers is the engine-step smoke the CI race job runs:
-// a few slots driven through both Step and Run, on one worker and with the
-// fast evaluator splitting its receiver scan across four pool workers, must
-// produce identical executions (stats and per-node counters).
-func TestEngineStepBothDrivers(t *testing.T) {
-	var refNodes []*randomNode
-	var refStats Stats
-	for i, v := range workerConfigs {
-		nodes, eng := buildScenario(t, 80, 7, true, v.cfg)
-		for s := 0; s < 8; s++ {
-			eng.Step()
-		}
-		eng.Run(16, nil)
-		if i == 0 {
-			refNodes, refStats = nodes, eng.Stats()
-			continue
-		}
-		if eng.Stats() != refStats {
-			t.Fatalf("%s: stats %+v diverged from serial %+v", v.name, eng.Stats(), refStats)
-		}
-		for j := range nodes {
-			if nodes[j].sent != refNodes[j].sent || nodes[j].received != refNodes[j].received {
-				t.Fatalf("%s: node %d sent=%d recv=%d, serial says sent=%d recv=%d",
-					v.name, j, nodes[j].sent, nodes[j].received, refNodes[j].sent, refNodes[j].received)
-			}
-		}
-	}
-}
-
 // boomEvaluator is the fast evaluator with a panic injected into its at-th
 // SlotReceptions call.
 type boomEvaluator struct {

@@ -17,7 +17,10 @@
 // run on the calling goroutine in node order, and the engine reads no wall
 // clock. Only a parallel evaluator splits work across goroutines: its
 // receiver scan runs on the evaluator's own worker pool (internal/workpool),
-// sized by Config.Workers, and is bit-identical at any worker count.
+// sized by Config.Workers, and is bit-identical at any worker count. The
+// engine oracle (oracle_test.go) holds every evaluator regime, worker
+// count, fault plan, epoch sequence and Step/Run use bit-identical to the
+// naive evaluator under a Step loop.
 //
 // # Frame lifecycle
 //

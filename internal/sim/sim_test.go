@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"sinrmac/internal/geom"
@@ -424,107 +423,6 @@ func BenchmarkEngineStep200Nodes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Step()
-	}
-}
-
-// fastScenario mirrors buildRandomScenario but runs the engine on the fast
-// evaluator with the given config.
-func fastScenario(t *testing.T, n int, seed uint64, cfg Config) ([]*randomNode, *Engine) {
-	t.Helper()
-	return buildScenario(t, n, seed, true, cfg)
-}
-
-// TestFastEvaluatorMatchesNaiveEngine runs the same random scenario on the
-// naive reference path and on the fast evaluator and requires identical
-// executions (stats and per-node traffic).
-func TestFastEvaluatorMatchesNaiveEngine(t *testing.T) {
-	naiveNodes, naiveEng := buildRandomScenario(t, 80, 9)
-	fastNodes, fastEng := fastScenario(t, 80, 9, Config{Seed: engineSeed, Workers: 4})
-	naiveEng.Run(300, nil)
-	fastEng.Run(300, nil)
-	if naiveEng.Stats() != fastEng.Stats() {
-		t.Fatalf("stats diverged: naive %+v, fast %+v", naiveEng.Stats(), fastEng.Stats())
-	}
-	for i := range naiveNodes {
-		if naiveNodes[i].sent != fastNodes[i].sent || naiveNodes[i].received != fastNodes[i].received {
-			t.Fatalf("node %d diverged: naive sent=%d recv=%d, fast sent=%d recv=%d",
-				i, naiveNodes[i].sent, naiveNodes[i].received, fastNodes[i].sent, fastNodes[i].received)
-		}
-	}
-}
-
-// TestShardedEvaluatorMatchesNaiveEngine runs the same random scenario on
-// the naive reference path and on fast evaluators forced into the sharded
-// regime (at several shard counts and dispatch pins) and requires identical
-// executions: the shard partition only distributes work, so the engine-level
-// traffic must not depend on it.
-func TestShardedEvaluatorMatchesNaiveEngine(t *testing.T) {
-	const n, seed, slots = 80, 9, 300
-	naiveNodes, naiveEng := buildRandomScenario(t, n, seed)
-	naiveEng.Run(slots, nil)
-	for _, tc := range []struct {
-		name string
-		opts sinr.FastOptions
-	}{
-		{"s1/adaptive", sinr.FastOptions{Shards: 1}},
-		{"s4/cert", sinr.FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}},
-		{"s4/dense", sinr.FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: -1}},
-		{"s8/parallel", sinr.FastOptions{Shards: 8}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			src := rng.New(seed)
-			pos := make([]geom.Point, n)
-			for i := range pos {
-				pos[i] = geom.Point{X: src.Float64() * 40, Y: src.Float64() * 40}
-			}
-			ch, err := sinr.NewChannel(sinr.DefaultParams(12), pos)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast := sinr.NewFastChannel(ch, tc.opts)
-			defer fast.Close()
-			if fast.Shards() == 0 {
-				t.Fatal("sharded configuration fell back to a per-pair regime")
-			}
-			nodes := make([]*randomNode, n)
-			ifaces := make([]Node, n)
-			for i := range nodes {
-				nodes[i] = &randomNode{p: 0.2}
-				ifaces[i] = nodes[i]
-			}
-			eng, err := NewEngine(ch, ifaces, Config{Seed: engineSeed, Workers: 4, Evaluator: fast})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.Run(slots, nil)
-			if naiveEng.Stats() != eng.Stats() {
-				t.Fatalf("stats diverged: naive %+v, sharded %+v", naiveEng.Stats(), eng.Stats())
-			}
-			for i := range naiveNodes {
-				if naiveNodes[i].sent != nodes[i].sent || naiveNodes[i].received != nodes[i].received {
-					t.Fatalf("node %d diverged: naive sent=%d recv=%d, sharded sent=%d recv=%d",
-						i, naiveNodes[i].sent, naiveNodes[i].received, nodes[i].sent, nodes[i].received)
-				}
-			}
-		})
-	}
-}
-
-// TestSeedReproducibilityAcrossWorkers is the seed-reproducibility check:
-// with a fixed rng seed, Engine.Run on the fast evaluator yields identical
-// Stats with the receiver scan on one worker and on GOMAXPROCS workers.
-func TestSeedReproducibilityAcrossWorkers(t *testing.T) {
-	const n, slots = 70, 250
-	_, oneEng := fastScenario(t, n, 21, Config{Seed: 7, Workers: 1})
-	_, manyEng := fastScenario(t, n, 21, Config{Seed: 7, Workers: runtime.GOMAXPROCS(0)})
-	oneEng.Run(slots, nil)
-	manyEng.Run(slots, nil)
-	if oneEng.Stats() != manyEng.Stats() {
-		t.Fatalf("stats diverged across worker counts: 1w %+v, %dw %+v",
-			oneEng.Stats(), runtime.GOMAXPROCS(0), manyEng.Stats())
-	}
-	if oneEng.Stats().Slots != slots {
-		t.Fatalf("ran %d slots, want %d", oneEng.Stats().Slots, slots)
 	}
 }
 

@@ -214,8 +214,10 @@ func (f *FastChannel) buildBoundsIndex() *boundsIndex {
 			}
 		}
 	}
+	// Bounding each side first keeps the product from overflowing on
+	// outlier geometry.
 	w, h := 2*sx+1, 2*sy+1
-	if w*h > boundsMaxOffsets {
+	if w > boundsMaxOffsets || h > boundsMaxOffsets || w*h > boundsMaxOffsets {
 		return bi
 	}
 	bi.pwUB = make([]float64, w*h)

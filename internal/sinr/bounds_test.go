@@ -15,8 +15,8 @@ import (
 // on four workers.
 func boundsVariants(t testing.TB, ch *Channel) map[string]*FastChannel {
 	variants := map[string]*FastChannel{
-		"s1/1w": NewFastChannel(ch, FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1}),
-		"s4/4w": NewFastChannel(ch, FastOptions{Workers: 4, Shards: 4, SparseFactor: -1, BoundsFactor: 1}),
+		"s1/1w": withWorkers(NewFastChannel(ch, FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}), 1),
+		"s4/4w": withWorkers(NewFastChannel(ch, FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}), 4),
 	}
 	t.Cleanup(func() {
 		for _, f := range variants {
@@ -155,8 +155,8 @@ func TestBoundsAdaptiveDispatch(t *testing.T) {
 	}
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("s%d", shards), func(t *testing.T) {
-			opt := FastOptions{Workers: 1, Shards: shards}
-			f := NewFastChannel(ch, opt)
+			opt := FastOptions{Shards: shards}
+			f := withWorkers(NewFastChannel(ch, opt), 1)
 			defer f.Close()
 
 			f.SlotReceptions(tx)
@@ -205,7 +205,7 @@ func TestBoundsAdaptiveDispatch(t *testing.T) {
 
 			// Forks taken before the parent ever evaluated a slot — the experiment
 			// scheduler's pattern — must still share a single index build.
-			cold := NewFastChannel(ch, opt)
+			cold := withWorkers(NewFastChannel(ch, opt), 1)
 			defer cold.Close()
 			a, b := cold.Fork(), cold.Fork()
 			defer a.Close()
@@ -271,7 +271,7 @@ func TestBuildCandidatesMarkWraparound(t *testing.T) {
 	for i := 0; i < n; i += 6 {
 		tx = append(tx, i)
 	}
-	f := NewFastChannel(ch, FastOptions{Workers: 1, SparseFactor: 1})
+	f := withWorkers(NewFastChannel(ch, FastOptions{SparseFactor: 1}), 1)
 	defer f.Close()
 	f.SlotReceptions(tx) // marks now carry stamp 1, the post-wrap generation
 
@@ -292,7 +292,7 @@ func TestBuildCandidatesMarkWraparound(t *testing.T) {
 		t.Errorf("markGen = %d after wrap plus three slots, want 3", f.markGen)
 	}
 
-	fresh := NewFastChannel(ch, FastOptions{Workers: 1, SparseFactor: 1})
+	fresh := withWorkers(NewFastChannel(ch, FastOptions{SparseFactor: 1}), 1)
 	defer fresh.Close()
 	fresh.SlotReceptions(tx)
 	got := append([]int(nil), f.candidates...)
@@ -348,7 +348,7 @@ func TestSparseCoverageEstimate(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					f := NewFastChannel(ch, FastOptions{Workers: 1, SparseFactor: 1})
+					f := withWorkers(NewFastChannel(ch, FastOptions{SparseFactor: 1}), 1)
 					tx := make([]int, 0, k)
 					seen := make(map[int]bool, k)
 					for len(tx) < k {

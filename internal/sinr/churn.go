@@ -68,7 +68,8 @@ type EpochDelta struct {
 }
 
 // Validate checks the delta against an n-node evaluator: one position per
-// node and every dirty id in range.
+// node, and every dirty id in range with its position within NewChannel's
+// bounds.
 func (d *EpochDelta) Validate(n int) error {
 	if d == nil {
 		return fmt.Errorf("sinr: nil epoch delta")
@@ -80,12 +81,15 @@ func (d *EpochDelta) Validate(n int) error {
 		if id < 0 || id >= n {
 			return fmt.Errorf("sinr: epoch delta dirty id %d out of range [0, %d)", id, n)
 		}
+		if err := checkPosition(id, d.Positions[id]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // EpochApplier is the evaluator capability sim.Engine.ApplyEpoch requires:
-// both the naive Channel (which copies the positions) and FastChannel
+// both the naive Channel (which copies the moved positions) and FastChannel
 // (which patches its indices incrementally) implement it. A rejected delta
 // leaves the evaluator unchanged.
 type EpochApplier interface {
@@ -100,18 +104,22 @@ var (
 	_ EpochApplier = (*FastChannel)(nil)
 )
 
-// ApplyEpoch applies a committed epoch to the naive channel: the positions
-// are overwritten in place from the delta. The naive evaluator recomputes
-// everything per slot, so no further maintenance is needed; its post-epoch
-// receptions are the reference the incremental FastChannel apply is held
-// bit-identical to. Applying the same delta twice is harmless, which lets
-// every FastChannel of a fork family forward the epoch to their shared
-// channel.
+// ApplyEpoch applies a committed epoch to the naive channel: the dirty
+// nodes' positions are overwritten in place from the delta. Every other
+// position is unchanged by the delta's contract and is not read, which
+// keeps the apply and its validation O(dirty). The naive evaluator
+// recomputes everything per slot, so no further maintenance is needed; its
+// post-epoch receptions are the reference the incremental FastChannel
+// apply is held bit-identical to. Applying the same delta twice is
+// harmless, which lets every FastChannel of a fork family forward the
+// epoch to their shared channel.
 func (c *Channel) ApplyEpoch(d *EpochDelta) error {
 	if err := d.Validate(len(c.pos)); err != nil {
 		return err
 	}
-	copy(c.pos, d.Positions)
+	for _, id := range d.Dirty {
+		c.pos[id] = d.Positions[id]
+	}
 	return nil
 }
 

@@ -21,6 +21,12 @@ import (
 	"sinrmac/internal/topology"
 )
 
+// withWorkers sets f's worker count and returns f.
+func withWorkers(f *sinr.FastChannel, workers int) *sinr.FastChannel {
+	f.SetWorkers(workers)
+	return f
+}
+
 // churnWorld is a lattice-backed dynamic deployment: nodes sit jittered on
 // sites of a spacing-2 lattice, so every epoch trivially preserves the
 // unit-distance invariant while still moving nodes across lattice cells.
@@ -99,17 +105,17 @@ func (w *churnWorld) epoch(moves int) *sinr.EpochDelta {
 // default, at one and several workers.
 func churnVariants(ch *sinr.Channel) map[string]*sinr.FastChannel {
 	return map[string]*sinr.FastChannel{
-		"matrix/default":  sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2}),
-		"matrix/1w":       sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1}),
-		"matrix/sparse":   sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, SparseFactor: 1}),
-		"matrix/dense":    sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, SparseFactor: -1}),
-		"shard/s64":       sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 4, Shards: 64}),
-		"shard/s4":        sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, Shards: 4}),
-		"shard/s1/cert":   sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, Shards: 1, SparseFactor: -1, BoundsFactor: 1}),
-		"shard/s1/cert1w": sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1}),
-		"shard/s2/cert":   sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, Shards: 2, SparseFactor: -1, BoundsFactor: 1}),
-		"shard/s4/dense":  sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: -1}),
-		"shard/s8/sparse": sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 2, Shards: 8, SparseFactor: 1}),
+		"matrix/default":  withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{}), 2),
+		"matrix/1w":       withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{}), 1),
+		"matrix/sparse":   withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{SparseFactor: 1}), 2),
+		"matrix/dense":    withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{SparseFactor: -1}), 2),
+		"shard/s64":       withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{Shards: 64}), 4),
+		"shard/s4":        withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{Shards: 4}), 2),
+		"shard/s1/cert":   withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}), 2),
+		"shard/s1/cert1w": withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}), 1),
+		"shard/s2/cert":   withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{Shards: 2, SparseFactor: -1, BoundsFactor: 1}), 2),
+		"shard/s4/dense":  withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: -1}), 1),
+		"shard/s8/sparse": withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{Shards: 8, SparseFactor: 1}), 2),
 	}
 }
 
@@ -223,11 +229,11 @@ func TestChurnForkEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []sinr.FastOptions{
-		{Workers: 2},
-		{Workers: 2, Shards: 64},
-		{Workers: 2, Shards: 1, SparseFactor: -1, BoundsFactor: 1},
+		{},
+		{Shards: 64},
+		{Shards: 1, SparseFactor: -1, BoundsFactor: 1},
 	} {
-		root := sinr.NewFastChannel(ch, opts)
+		root := withWorkers(sinr.NewFastChannel(ch, opts), 2)
 		early := root.Fork() // pre-epoch fork, patched alongside the root
 		for _, tx := range churnTxSets(src, w.d.NumNodes()) {
 			root.SlotReceptions(tx) // warm per-slot scratch pre-epoch
@@ -268,9 +274,9 @@ func TestChurnApplyAllocFree(t *testing.T) {
 		name string
 		opts sinr.FastOptions
 	}{
-		{"matrix", sinr.FastOptions{Workers: 1, SparseFactor: -1}},
-		{"shard", sinr.FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: 1}},
-		{"shard/s1", sinr.FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1}},
+		{"matrix", sinr.FastOptions{SparseFactor: -1}},
+		{"shard", sinr.FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}},
+		{"shard/s1", sinr.FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}},
 	} {
 		t.Run(reg.name, func(t *testing.T) {
 			const n, moved = 1000, 10
@@ -278,7 +284,7 @@ func TestChurnApplyAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := sinr.NewFastChannel(ch, reg.opts)
+			f := withWorkers(sinr.NewFastChannel(ch, reg.opts), 1)
 			defer f.Close()
 			if reg.opts.Shards > 0 && f.Shards() == 0 {
 				t.Fatal("lattice configuration did not select the lattice")
@@ -331,7 +337,7 @@ func TestChurnOutOfLatticeSharedInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1})
+	root := withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}), 1)
 	defer root.Close()
 	fork := root.Fork()
 	defer fork.Close()
@@ -430,16 +436,19 @@ func TestChurnCrossShardMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardOpts := map[string]sinr.FastOptions{
-		"s2/cert":     {Workers: 2, Shards: 2, SparseFactor: -1, BoundsFactor: 1},
-		"s4/adaptive": {Workers: 2, Shards: 4},
-		"s4/dense":    {Workers: 2, Shards: 4, SparseFactor: -1, BoundsFactor: -1},
-		"s8/cert/1w":  {Workers: 1, Shards: 8, SparseFactor: -1, BoundsFactor: 1},
+	shardOpts := map[string]struct {
+		opts    sinr.FastOptions
+		workers int
+	}{
+		"s2/cert":     {sinr.FastOptions{Shards: 2, SparseFactor: -1, BoundsFactor: 1}, 2},
+		"s4/adaptive": {sinr.FastOptions{Shards: 4}, 2},
+		"s4/dense":    {sinr.FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: -1}, 2},
+		"s8/cert/1w":  {sinr.FastOptions{Shards: 8, SparseFactor: -1, BoundsFactor: 1}, 1},
 	}
 	roots := make(map[string]*sinr.FastChannel, len(shardOpts))
 	forks := make(map[string]*sinr.FastChannel, len(shardOpts))
 	for name, opt := range shardOpts {
-		root := sinr.NewFastChannel(ch, opt)
+		root := withWorkers(sinr.NewFastChannel(ch, opt.opts), opt.workers)
 		if root.Shards() == 0 {
 			t.Fatalf("%s: construction did not select the lattice", name)
 		}
@@ -485,7 +494,7 @@ func TestChurnCrossShardMigration(t *testing.T) {
 			}
 		}
 		late := roots["s4/adaptive"].Fork()
-		rebuilt := sinr.NewFastChannel(ch, shardOpts["s4/adaptive"])
+		rebuilt := withWorkers(sinr.NewFastChannel(ch, shardOpts["s4/adaptive"].opts), 2)
 		for _, tx := range churnTxSets(src, n) {
 			want := ch.SlotReceptions(tx)
 			for name := range roots {
@@ -521,7 +530,7 @@ func TestChurnShardLatticeEscape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root := sinr.NewFastChannel(ch, sinr.FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: 1})
+		root := withWorkers(sinr.NewFastChannel(ch, sinr.FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}), 1)
 		fork := root.Fork()
 		tx := make([]int, 0, len(pos)/2)
 		for i := 0; i < len(pos); i += 2 {

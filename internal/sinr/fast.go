@@ -49,10 +49,6 @@ const cullSlack = 1e-9
 
 // FastOptions tunes a FastChannel. The zero value selects the defaults.
 type FastOptions struct {
-	// Workers bounds the number of goroutines evaluating receivers per slot.
-	// Zero or negative means GOMAXPROCS. sim.Engine overrides this with its
-	// own worker count via SetWorkers.
-	Workers int
 	// SparseFactor overrides the sparse-path crossover. Zero (the default)
 	// selects the adaptive heuristic: a slot is evaluated
 	// sender-centrically when the estimated ball coverage of its
@@ -270,7 +266,7 @@ func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	for i, p := range f.pos {
 		f.px[i], f.py[i] = p.X, p.Y
 	}
-	f.setWorkers(opt.Workers)
+	f.SetWorkers(0)
 	f.sparseFactor = opt.SparseFactor
 	f.boundsFactor = opt.BoundsFactor
 	for i := range f.out {
@@ -453,12 +449,11 @@ func (f *FastChannel) NumNodes() int { return f.n }
 // Channel returns the underlying naive channel.
 func (f *FastChannel) Channel() *Channel { return f.ch }
 
-// SetWorkers implements ParallelEvaluator.
-func (f *FastChannel) SetWorkers(workers int) { f.setWorkers(workers) }
-
-// setWorkers resolves and caches the effective worker count once, instead
-// of consulting runtime.GOMAXPROCS on every slot.
-func (f *FastChannel) setWorkers(workers int) {
+// SetWorkers implements ParallelEvaluator. It resolves and caches the
+// effective worker count once, instead of consulting runtime.GOMAXPROCS on
+// every slot. A new evaluator uses GOMAXPROCS workers; sim.Engine sets its
+// own count.
+func (f *FastChannel) SetWorkers(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

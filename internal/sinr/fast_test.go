@@ -9,6 +9,12 @@ import (
 	"sinrmac/internal/rng"
 )
 
+// withWorkers sets f's worker count and returns f.
+func withWorkers(f *FastChannel, workers int) *FastChannel {
+	f.SetWorkers(workers)
+	return f
+}
+
 // fastVariants returns the fast-evaluator configurations the differential
 // tests exercise: the matrix regime and the cell lattice (pinned shard
 // counts, including the automatic defaultShardCount), each at one and
@@ -18,18 +24,18 @@ import (
 // finishes.
 func fastVariants(t testing.TB, ch *Channel) map[string]*FastChannel {
 	variants := map[string]*FastChannel{
-		"matrix/1w":        NewFastChannel(ch, FastOptions{Workers: 1}),
-		"matrix/4w":        NewFastChannel(ch, FastOptions{Workers: 4}),
-		"matrix/nosparse":  NewFastChannel(ch, FastOptions{Workers: 2, SparseFactor: -1}),
-		"matrix/sparse":    NewFastChannel(ch, FastOptions{Workers: 2, SparseFactor: 1}),
-		"shard/auto":       NewFastChannel(ch, FastOptions{Workers: 4, Shards: defaultShardCount}),
-		"shard/s1":         NewFastChannel(ch, FastOptions{Workers: 2, Shards: 1}),
-		"shard/s1/cert":    NewFastChannel(ch, FastOptions{Workers: 2, Shards: 1, SparseFactor: -1, BoundsFactor: 1}),
-		"shard/s1/cert/1w": NewFastChannel(ch, FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1}),
-		"shard/s2/dense":   NewFastChannel(ch, FastOptions{Workers: 2, Shards: 2, SparseFactor: -1, BoundsFactor: -1}),
-		"shard/s4/cert":    NewFastChannel(ch, FastOptions{Workers: 2, Shards: 4, SparseFactor: -1, BoundsFactor: 1}),
-		"shard/s4/cert/1w": NewFastChannel(ch, FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: 1}),
-		"shard/s8/sparse":  NewFastChannel(ch, FastOptions{Workers: 4, Shards: 8, SparseFactor: 1}),
+		"matrix/1w":        withWorkers(NewFastChannel(ch, FastOptions{}), 1),
+		"matrix/4w":        withWorkers(NewFastChannel(ch, FastOptions{}), 4),
+		"matrix/nosparse":  withWorkers(NewFastChannel(ch, FastOptions{SparseFactor: -1}), 2),
+		"matrix/sparse":    withWorkers(NewFastChannel(ch, FastOptions{SparseFactor: 1}), 2),
+		"shard/auto":       withWorkers(NewFastChannel(ch, FastOptions{Shards: defaultShardCount}), 4),
+		"shard/s1":         withWorkers(NewFastChannel(ch, FastOptions{Shards: 1}), 2),
+		"shard/s1/cert":    withWorkers(NewFastChannel(ch, FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}), 2),
+		"shard/s1/cert/1w": withWorkers(NewFastChannel(ch, FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}), 1),
+		"shard/s2/dense":   withWorkers(NewFastChannel(ch, FastOptions{Shards: 2, SparseFactor: -1, BoundsFactor: -1}), 2),
+		"shard/s4/cert":    withWorkers(NewFastChannel(ch, FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}), 2),
+		"shard/s4/cert/1w": withWorkers(NewFastChannel(ch, FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}), 1),
+		"shard/s8/sparse":  withWorkers(NewFastChannel(ch, FastOptions{Shards: 8, SparseFactor: 1}), 4),
 	}
 	t.Cleanup(func() {
 		for _, f := range variants {
@@ -164,12 +170,8 @@ func TestSparseSenderCentricEquivalence(t *testing.T) {
 		{"lattice", defaultShardCount},
 	} {
 		for _, workers := range []int{1, 4} {
-			sparse := NewFastChannel(ch, FastOptions{
-				Workers: workers, Shards: regime.shards, SparseFactor: 1,
-			})
-			dense := NewFastChannel(ch, FastOptions{
-				Workers: workers, Shards: regime.shards, SparseFactor: -1,
-			})
+			sparse := withWorkers(NewFastChannel(ch, FastOptions{Shards: regime.shards, SparseFactor: 1}), workers)
+			dense := withWorkers(NewFastChannel(ch, FastOptions{Shards: regime.shards, SparseFactor: -1}), workers)
 			for _, d := range densities {
 				for slot := 0; slot < 4; slot++ {
 					tx := make([]int, 0, d.k)
@@ -226,13 +228,13 @@ func TestForkMatchesParent(t *testing.T) {
 		name string
 		opts FastOptions
 	}{
-		{"matrix", FastOptions{Workers: 2}},
-		{"lattice", FastOptions{Workers: 2, Shards: defaultShardCount}},
-		{"lattice/s1/bounds", FastOptions{Workers: 2, Shards: 1, SparseFactor: -1, BoundsFactor: 1}},
-		{"lattice/bounds", FastOptions{Workers: 2, Shards: defaultShardCount, SparseFactor: -1, BoundsFactor: 1}},
+		{"matrix", FastOptions{}},
+		{"lattice", FastOptions{Shards: defaultShardCount}},
+		{"lattice/s1/bounds", FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}},
+		{"lattice/bounds", FastOptions{Shards: defaultShardCount, SparseFactor: -1, BoundsFactor: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			parent := NewFastChannel(ch, tc.opts)
+			parent := withWorkers(NewFastChannel(ch, tc.opts), 2)
 			// Warm the parent's scratch before forking.
 			warm := []int{1, 3, 5, 7}
 			parent.SlotReceptions(warm)
@@ -408,19 +410,20 @@ func TestFastChannelAllocFree(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name string
-		opt  FastOptions
+		name    string
+		opt     FastOptions
+		workers int
 	}{
-		{"matrix/dense", FastOptions{Workers: 1, SparseFactor: -1}},
-		{"matrix/sparse", FastOptions{Workers: 1, SparseFactor: 1}},
-		{"matrix/sparse/4w", FastOptions{Workers: 4, SparseFactor: 1}},
-		{"shard/cert", FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: 1}},
-		{"shard/s1/cert", FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1}},
-		{"shard/dense", FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: -1}},
-		{"shard/sparse", FastOptions{Workers: 1, Shards: 4, SparseFactor: 1}},
-		{"shard/cert/4w", FastOptions{Workers: 4, Shards: 8, SparseFactor: -1, BoundsFactor: 1}},
+		{"matrix/dense", FastOptions{SparseFactor: -1}, 1},
+		{"matrix/sparse", FastOptions{SparseFactor: 1}, 1},
+		{"matrix/sparse/4w", FastOptions{SparseFactor: 1}, 4},
+		{"shard/cert", FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}, 1},
+		{"shard/s1/cert", FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}, 1},
+		{"shard/dense", FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: -1}, 1},
+		{"shard/sparse", FastOptions{Shards: 4, SparseFactor: 1}, 1},
+		{"shard/cert/4w", FastOptions{Shards: 8, SparseFactor: -1, BoundsFactor: 1}, 4},
 	} {
-		f := NewFastChannel(ch, tc.opt)
+		f := withWorkers(NewFastChannel(ch, tc.opt), tc.workers)
 		f.SlotReceptions(tx) // warm the scratch rows and candidate buffers
 		allocs := testing.AllocsPerRun(20, func() { f.SlotReceptions(tx) })
 		if allocs != 0 {
@@ -441,7 +444,7 @@ func TestMatrixRegimeHasNoCertifiedTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []FastOptions{{Workers: 1}, {Workers: 2, SparseFactor: -1, BoundsFactor: 1}} {
+	for _, opt := range []FastOptions{{}, {SparseFactor: -1, BoundsFactor: 1}} {
 		f := NewFastChannel(ch, opt)
 		if f.mat == nil || f.Shards() != 0 {
 			f.Close()

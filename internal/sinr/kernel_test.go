@@ -81,7 +81,7 @@ func TestPairPowerKernelBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := NewFastChannel(ch, FastOptions{Workers: 1})
+		f := withWorkers(NewFastChannel(ch, FastOptions{}), 1)
 		for s := 0; s < n; s++ {
 			for r := 0; r < n; r++ {
 				got := f.pairPower(f.px[s], f.py[s], f.px[r], f.py[r])
@@ -156,7 +156,7 @@ func TestGatherTotalsBlockedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFastChannel(ch, FastOptions{Workers: 1, SparseFactor: -1})
+	f := withWorkers(NewFastChannel(ch, FastOptions{SparseFactor: -1}), 1)
 	if f.mat == nil {
 		t.Fatal("workload did not select the matrix regime")
 	}

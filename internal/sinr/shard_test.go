@@ -16,14 +16,14 @@ import (
 // and left adaptive.
 func shardVariants(t testing.TB, ch *Channel) map[string]*FastChannel {
 	variants := map[string]*FastChannel{
-		"s1/cert/1w":  NewFastChannel(ch, FastOptions{Workers: 1, Shards: 1, SparseFactor: -1, BoundsFactor: 1}),
-		"s2/cert":     NewFastChannel(ch, FastOptions{Workers: 4, Shards: 2, SparseFactor: -1, BoundsFactor: 1}),
-		"s4/cert":     NewFastChannel(ch, FastOptions{Workers: 4, Shards: 4, SparseFactor: -1, BoundsFactor: 1}),
-		"s8/cert":     NewFastChannel(ch, FastOptions{Workers: 4, Shards: 8, SparseFactor: -1, BoundsFactor: 1}),
-		"s4/adaptive": NewFastChannel(ch, FastOptions{Workers: 2, Shards: 4, SparseFactor: -1}),
-		"s4/dense/1w": NewFastChannel(ch, FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: -1}),
-		"s8/dense":    NewFastChannel(ch, FastOptions{Workers: 4, Shards: 8, SparseFactor: -1, BoundsFactor: -1}),
-		"s4/sparse":   NewFastChannel(ch, FastOptions{Workers: 2, Shards: 4, SparseFactor: 1}),
+		"s1/cert/1w":  withWorkers(NewFastChannel(ch, FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}), 1),
+		"s2/cert":     withWorkers(NewFastChannel(ch, FastOptions{Shards: 2, SparseFactor: -1, BoundsFactor: 1}), 4),
+		"s4/cert":     withWorkers(NewFastChannel(ch, FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}), 4),
+		"s8/cert":     withWorkers(NewFastChannel(ch, FastOptions{Shards: 8, SparseFactor: -1, BoundsFactor: 1}), 4),
+		"s4/adaptive": withWorkers(NewFastChannel(ch, FastOptions{Shards: 4, SparseFactor: -1}), 2),
+		"s4/dense/1w": withWorkers(NewFastChannel(ch, FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: -1}), 1),
+		"s8/dense":    withWorkers(NewFastChannel(ch, FastOptions{Shards: 8, SparseFactor: -1, BoundsFactor: -1}), 4),
+		"s4/sparse":   withWorkers(NewFastChannel(ch, FastOptions{Shards: 4, SparseFactor: 1}), 2),
 	}
 	t.Cleanup(func() {
 		for _, f := range variants {
@@ -91,7 +91,7 @@ func TestShardedThresholdRefine(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range []int{1, 2, 4, 8} {
-			f := NewFastChannel(ch, FastOptions{Workers: 1, Shards: s, SparseFactor: -1, BoundsFactor: 1})
+			f := withWorkers(NewFastChannel(ch, FastOptions{Shards: s, SparseFactor: -1, BoundsFactor: 1}), 1)
 			want := ch.SlotReceptions([]int{0})
 			got := f.SlotReceptions([]int{0})
 			for i := range want {
@@ -128,7 +128,7 @@ func TestShardedThresholdRefine(t *testing.T) {
 		}
 		tx := []int{1, 2}
 		for _, s := range []int{1, 4, 8} {
-			f := NewFastChannel(ch, FastOptions{Workers: 1, Shards: s, SparseFactor: -1, BoundsFactor: 1})
+			f := withWorkers(NewFastChannel(ch, FastOptions{Shards: s, SparseFactor: -1, BoundsFactor: 1}), 1)
 			want := ch.SlotReceptions(tx)
 			got := f.SlotReceptions(tx)
 			for i := range want {
@@ -176,7 +176,7 @@ func TestShardedDispatchAndGuards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := NewFastChannel(ch, FastOptions{Workers: 1})
+			f := withWorkers(NewFastChannel(ch, FastOptions{}), 1)
 			got := fmt.Sprintf("matrix=%v S=%d", f.mat != nil, f.Shards())
 			switch {
 			case f.mat != nil && f.Shards() == 0:
@@ -207,7 +207,7 @@ func TestShardedDispatchAndGuards(t *testing.T) {
 		for i := 0; i < len(pos); i += 2 {
 			tx = append(tx, i)
 		}
-		f := NewFastChannel(ch, FastOptions{Workers: 1, Shards: 4, SparseFactor: -1, BoundsFactor: 1})
+		f := withWorkers(NewFastChannel(ch, FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}), 1)
 		defer f.Close()
 		want := ch.SlotReceptions(tx)
 		got := f.SlotReceptions(tx)
@@ -225,61 +225,70 @@ func TestShardedDispatchAndGuards(t *testing.T) {
 	})
 
 	t.Run("outlier-geometry-fallback", func(t *testing.T) {
-		// Two clusters ~1e6 apart: the per-offset tables would span far past
-		// boundsMaxOffsets, so the lattice (Shards: 8) must build none and
-		// fall back to the exact cell-culled scan, even with the certificates
-		// forced; the matrix regime (Shards: 0) indexes the same geometry for
-		// its sparse path. Both must match the reference on every slot and
-		// allocate nothing once warm.
-		src := rng.New(0x0071)
-		pos := make([]geom.Point, 80)
-		for i := range pos {
-			off := 0.0
-			if i%2 == 1 {
-				off = 1e6
-			}
-			pos[i] = geom.Point{X: off + src.Float64()*30, Y: off + src.Float64()*30}
-		}
-		ch, err := NewChannel(DefaultParams(10), pos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{8, 0} {
-			for _, sparse := range []int{1, -1} {
-				for _, workers := range []int{1, 4} {
-					label := fmt.Sprintf("Shards=%d SparseFactor=%d Workers=%d", shards, sparse, workers)
-					f := NewFastChannel(ch, FastOptions{Workers: workers, Shards: shards, SparseFactor: sparse, BoundsFactor: 1})
-					if f.Shards() != shards || f.bidx.pwUB != nil || f.bidx.pwSuperUB != nil {
-						t.Fatalf("%s: outlier geometry got S=%d, offset tables built: %v", label, f.Shards(), f.bidx.pwUB != nil)
-					}
-					var tx []int
-					for slot := 0; slot < 6; slot++ {
-						tx = tx[:0]
-						for i := range pos {
-							if src.Bernoulli(0.2) {
-								tx = append(tx, i)
-							}
-						}
-						want := ch.SlotReceptions(tx)
-						got := f.SlotReceptions(tx)
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("%s slot %d: node %d decoded %d, reference says %d",
-									label, slot, i, got[i].Sender, want[i].Sender)
-							}
-						}
-					}
-					if allocs := testing.AllocsPerRun(20, func() { f.SlotReceptions(tx) }); allocs != 0 {
-						t.Errorf("%s: slot allocates %.1f objects, want 0", label, allocs)
-					}
-					if st := f.BoundsStats(); st.Slots != 0 {
-						t.Errorf("%s: certified pipeline engaged without offset tables (stats %+v)", label, st)
-					}
-					f.Close()
-				}
-			}
+		// Two clusters ~1e6 or ~3e10 apart: the per-offset tables would span
+		// far past boundsMaxOffsets, so the lattice (Shards: 8) must build
+		// none and fall back to the exact cell-culled scan, even with the
+		// certificates forced; the matrix regime (Shards: 0) indexes the
+		// same geometry for its sparse path. Both must match the reference
+		// on every slot and allocate nothing once warm. At 3e10 the occupied
+		// cell span exceeds the int32 range, which the index must not wrap.
+		for _, off := range []float64{1e6, 3e10} {
+			outlierGeometryFallback(t, off)
 		}
 	})
+}
+
+// outlierGeometryFallback runs the outlier-geometry-fallback case with the
+// two clusters off apart on both axes.
+func outlierGeometryFallback(t *testing.T, off float64) {
+	src := rng.New(0x0071)
+	pos := make([]geom.Point, 80)
+	for i := range pos {
+		o := 0.0
+		if i%2 == 1 {
+			o = off
+		}
+		pos[i] = geom.Point{X: o + src.Float64()*30, Y: o + src.Float64()*30}
+	}
+	ch, err := NewChannel(DefaultParams(10), pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{8, 0} {
+		for _, sparse := range []int{1, -1} {
+			for _, workers := range []int{1, 4} {
+				label := fmt.Sprintf("offset=%g Shards=%d SparseFactor=%d Workers=%d", off, shards, sparse, workers)
+				f := withWorkers(NewFastChannel(ch, FastOptions{Shards: shards, SparseFactor: sparse, BoundsFactor: 1}), workers)
+				if f.Shards() != shards || f.bidx.pwUB != nil || f.bidx.pwSuperUB != nil {
+					t.Fatalf("%s: outlier geometry got S=%d, offset tables built: %v", label, f.Shards(), f.bidx.pwUB != nil)
+				}
+				var tx []int
+				for slot := 0; slot < 6; slot++ {
+					tx = tx[:0]
+					for i := range pos {
+						if src.Bernoulli(0.2) {
+							tx = append(tx, i)
+						}
+					}
+					want := ch.SlotReceptions(tx)
+					got := f.SlotReceptions(tx)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s slot %d: node %d decoded %d, reference says %d",
+								label, slot, i, got[i].Sender, want[i].Sender)
+						}
+					}
+				}
+				if allocs := testing.AllocsPerRun(20, func() { f.SlotReceptions(tx) }); allocs != 0 {
+					t.Errorf("%s: slot allocates %.1f objects, want 0", label, allocs)
+				}
+				if st := f.BoundsStats(); st.Slots != 0 {
+					t.Errorf("%s: certified pipeline engaged without offset tables (stats %+v)", label, st)
+				}
+				f.Close()
+			}
+		}
+	}
 }
 
 // TestShardedForkSharing checks the fork contract in the sharded regime:
@@ -292,7 +301,7 @@ func TestShardedForkSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent := NewFastChannel(ch, FastOptions{Workers: 2, Shards: 4, SparseFactor: -1, BoundsFactor: 1})
+	parent := withWorkers(NewFastChannel(ch, FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}), 2)
 	defer parent.Close()
 	parent.SlotReceptions(tx)
 
@@ -348,7 +357,7 @@ func TestShardedMediumEquivalence(t *testing.T) {
 		}
 		want := ch.SlotReceptions(tx)
 		for _, s := range []int{1, 8} {
-			f := NewFastChannel(ch, FastOptions{Workers: 4, Shards: s, SparseFactor: -1})
+			f := withWorkers(NewFastChannel(ch, FastOptions{Shards: s, SparseFactor: -1}), 4)
 			got := f.SlotReceptions(tx)
 			for r := range want {
 				if got[r] != want[r] {

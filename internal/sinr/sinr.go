@@ -172,6 +172,22 @@ func (p Params) ReceivedPower(d float64) float64 {
 // is empty.
 var ErrMismatchedPositions = errors.New("sinr: channel requires at least one node position")
 
+// MaxCoordinate bounds the magnitude of every node coordinate a channel
+// accepts. Cells of the fast evaluator's index are at least one unit wide,
+// so lattice cell coordinates, spans and offsets then stay far inside the
+// int range, and positions keep a resolution of about 1e-4 units.
+const MaxCoordinate = 1e12
+
+// checkPosition rejects non-finite coordinates and magnitudes beyond
+// MaxCoordinate for node i at p.
+func checkPosition(i int, p geom.Point) error {
+	// The negated form also rejects NaN, which fails every comparison.
+	if !(math.Abs(p.X) <= MaxCoordinate && math.Abs(p.Y) <= MaxCoordinate) {
+		return fmt.Errorf("sinr: node %d at %v: coordinates must be finite with magnitude at most %g", i, p, MaxCoordinate)
+	}
+	return nil
+}
+
 // Channel evaluates the SINR reception predicate for a fixed deployment of
 // nodes. It owns the node positions; protocol automata never access them,
 // matching the paper's assumption that locations are unknown to nodes.
@@ -181,13 +197,19 @@ type Channel struct {
 }
 
 // NewChannel returns a channel for the given parameters and node positions.
-// Node i is located at pos[i].
+// Node i is located at pos[i]; every coordinate must be finite with
+// magnitude at most MaxCoordinate.
 func NewChannel(params Params, pos []geom.Point) (*Channel, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if len(pos) == 0 {
 		return nil, ErrMismatchedPositions
+	}
+	for i, p := range pos {
+		if err := checkPosition(i, p); err != nil {
+			return nil, err
+		}
 	}
 	cp := make([]geom.Point, len(pos))
 	copy(cp, pos)

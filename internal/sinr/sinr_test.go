@@ -2,6 +2,7 @@ package sinr
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -75,6 +76,17 @@ func TestNewChannelErrors(t *testing.T) {
 	}
 	if _, err := NewChannel(testParams(), nil); err == nil {
 		t.Fatal("empty deployment accepted")
+	}
+	for _, bad := range []geom.Point{
+		{X: math.NaN()}, {Y: math.Inf(1)}, {X: math.Inf(-1)}, {X: 1e300}, {Y: -2 * MaxCoordinate},
+	} {
+		if _, err := NewChannel(testParams(), []geom.Point{{}, bad}); err == nil ||
+			!strings.Contains(err.Error(), "finite") {
+			t.Errorf("position %v: NewChannel error = %v, want a finite-range error", bad, err)
+		}
+	}
+	if _, err := NewChannel(testParams(), []geom.Point{{X: -MaxCoordinate, Y: MaxCoordinate}}); err != nil {
+		t.Fatalf("position at the MaxCoordinate bound rejected: %v", err)
 	}
 }
 

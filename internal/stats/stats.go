@@ -36,11 +36,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // Min returns the minimum of xs (+Inf for an empty slice).
 func Min(xs []float64) float64 {
 	out := math.Inf(1)

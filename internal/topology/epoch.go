@@ -19,7 +19,7 @@ import (
 // cleared either way, so callers can rebuild and retry a rejected epoch).
 //
 // A successful commit invalidates every cached derived quantity — the
-// strong/approximation/weak graphs and Λ are re-induced lazily from the
+// strong and approximation graphs and Λ are re-induced lazily from the
 // post-epoch positions — and returns a sinr.EpochDelta describing the
 // change: downstream consumers apply it to live SINR evaluators
 // (sinr.FastChannel.ApplyEpoch patches its indices incrementally) and to a
@@ -40,17 +40,12 @@ func (d *Deployment) MoveNode(id int, p geom.Point) {
 	d.pending = append(d.pending, epochMove{id: id, pos: p})
 }
 
-// PendingOps returns the number of queued, uncommitted moves.
-func (d *Deployment) PendingOps() int { return len(d.pending) }
-
-// Epochs returns the number of epochs committed so far.
-func (d *Deployment) Epochs() int { return d.epochs }
-
-// CommitEpoch applies the queued moves, revalidates the unit-distance
-// invariant for every moved node, invalidates the cached derived
-// quantities and returns the delta describing the epoch. Each node may be
-// moved at most once per epoch. On error the deployment is unchanged. The
-// queued batch is consumed either way.
+// CommitEpoch applies the queued moves, rejects non-finite or out-of-range
+// targets, revalidates the unit-distance invariant for every moved node,
+// invalidates the cached derived quantities and returns the delta
+// describing the epoch. Each node may be moved at most once per epoch. On
+// error the deployment is unchanged. The queued batch is consumed either
+// way.
 func (d *Deployment) CommitEpoch() (*sinr.EpochDelta, error) {
 	moves := d.pending
 	d.pending = d.pending[:0]
@@ -78,6 +73,11 @@ func (d *Deployment) CommitEpoch() (*sinr.EpochDelta, error) {
 			dirty = append(dirty, i)
 		}
 	}
+	// The spacing check cannot catch a NaN (every comparison with it is
+	// false), so the moved positions first go through the channel's bounds.
+	if err := (&sinr.EpochDelta{Dirty: dirty, Positions: cand}).Validate(n); err != nil {
+		return nil, fmt.Errorf("topology: epoch on %q: %w", d.Name, err)
+	}
 	if err := validateEpochSpacing(d.Name, cand, dirty); err != nil {
 		return nil, err
 	}
@@ -85,10 +85,9 @@ func (d *Deployment) CommitEpoch() (*sinr.EpochDelta, error) {
 	// Commit: swap the layout in and drop every cached derived quantity.
 	d.Positions = cand
 	d.cacheMu.Lock()
-	d.strong, d.approx, d.weak = nil, nil, nil
+	d.strong, d.approx = nil, nil
 	d.lambda, d.lambdaOK = 0, false
 	d.cacheMu.Unlock()
-	d.epochs++
 	return &sinr.EpochDelta{Dirty: dirty, Positions: append([]geom.Point(nil), cand...)}, nil
 }
 

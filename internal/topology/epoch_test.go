@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -31,14 +32,11 @@ func TestCommitEpochMoves(t *testing.T) {
 	d.MoveNode(5, far)
 	d.MoveNode(2, near)
 	d.MoveNode(9, orig[9]) // a move onto the node's own position is a no-op
-	if got := d.PendingOps(); got != 3 {
-		t.Fatalf("PendingOps = %d, want 3", got)
-	}
 	delta, err := d.CommitEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.PendingOps() != 0 {
+	if _, err := d.CommitEpoch(); err == nil {
 		t.Fatal("pending ops survived the commit")
 	}
 	if d.NumNodes() != n || len(delta.Positions) != n {
@@ -81,9 +79,6 @@ func TestCommitEpochMoves(t *testing.T) {
 			t.Fatal("a later epoch mutated an earlier delta's positions")
 		}
 	}
-	if d.Epochs() != 2 {
-		t.Fatalf("Epochs = %d, want 2", d.Epochs())
-	}
 }
 
 func TestCommitEpochValidation(t *testing.T) {
@@ -102,6 +97,9 @@ func TestCommitEpochValidation(t *testing.T) {
 		{"spacing", func(d *Deployment) {
 			d.MoveNode(0, geom.Point{X: d.Positions[1].X + 0.2, Y: d.Positions[1].Y})
 		}, "near-field"},
+		{"NaN", func(d *Deployment) { d.MoveNode(0, geom.Point{X: math.NaN()}) }, "finite"},
+		{"+Inf", func(d *Deployment) { d.MoveNode(0, geom.Point{Y: math.Inf(1)}) }, "finite"},
+		{"1e300", func(d *Deployment) { d.MoveNode(0, geom.Point{X: -1e300}) }, "finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,8 +110,8 @@ func TestCommitEpochValidation(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("CommitEpoch error = %v, want %q", err, tc.want)
 			}
-			if d.PendingOps() != 0 {
-				t.Fatal("failed commit left ops queued")
+			if _, err := d.CommitEpoch(); err == nil || !strings.Contains(err.Error(), "no queued mutations") {
+				t.Fatalf("failed commit left ops queued: %v", err)
 			}
 			if len(d.Positions) != len(before) {
 				t.Fatalf("failed commit resized the deployment to %d", len(d.Positions))
@@ -122,9 +120,6 @@ func TestCommitEpochValidation(t *testing.T) {
 				if d.Positions[i] != before[i] {
 					t.Fatal("failed commit mutated the deployment")
 				}
-			}
-			if d.Epochs() != 0 {
-				t.Fatal("failed commit counted as an epoch")
 			}
 		})
 	}
@@ -143,10 +138,10 @@ func TestValidateAfterBreakingEpoch(t *testing.T) {
 
 func TestCommitEpochInvalidatesCaches(t *testing.T) {
 	d := epochTestDeployment(t)
-	strong0, approx0, weak0 := d.StrongGraph(), d.ApproxGraph(), d.WeakGraph()
+	strong0, approx0 := d.StrongGraph(), d.ApproxGraph()
 	lambda0 := d.Lambda()
 	// Caching satellite: repeated calls return the identical induced graph.
-	if d.StrongGraph() != strong0 || d.ApproxGraph() != approx0 || d.WeakGraph() != weak0 {
+	if d.StrongGraph() != strong0 || d.ApproxGraph() != approx0 {
 		t.Fatal("derived graphs are re-induced per call")
 	}
 	// Node 3 moves far out of range, leaving the strong graph.
@@ -154,7 +149,7 @@ func TestCommitEpochInvalidatesCaches(t *testing.T) {
 	if _, err := d.CommitEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	if d.StrongGraph() == strong0 || d.ApproxGraph() == approx0 || d.WeakGraph() == weak0 {
+	if d.StrongGraph() == strong0 || d.ApproxGraph() == approx0 {
 		t.Fatal("CommitEpoch kept a stale derived graph")
 	}
 	if got := d.StrongGraph().NumNodes(); got != 16 {
@@ -182,8 +177,5 @@ func TestDeploymentClone(t *testing.T) {
 	}
 	if d.Positions[0] == c.Positions[0] {
 		t.Fatal("epoch on the clone leaked into the base deployment")
-	}
-	if d.Epochs() != 0 || c.Epochs() != 1 {
-		t.Fatalf("epoch counters: base %d, clone %d", d.Epochs(), c.Epochs())
 	}
 }

@@ -29,7 +29,7 @@ import (
 
 // Deployment is a set of node positions with the physical-layer parameters
 // they are intended to be simulated under. Derived quantities that are
-// expensive to induce (the strong, approximation and weak graphs, Λ) are
+// expensive to induce (the strong and approximation graphs, Λ) are
 // computed once and cached, which lets many concurrent trials share one
 // deployment without repaying the induction per trial.
 //
@@ -53,12 +53,10 @@ type Deployment struct {
 	cacheMu  sync.Mutex
 	strong   *graphs.Graph
 	approx   *graphs.Graph
-	weak     *graphs.Graph
 	lambda   float64
 	lambdaOK bool
 
 	pending []epochMove
-	epochs  int
 }
 
 // NumNodes returns the number of nodes in the deployment.
@@ -88,18 +86,6 @@ func (d *Deployment) ApproxGraph() *graphs.Graph {
 		d.approx = graphs.Approx(d.Params, d.Positions)
 	}
 	return d.approx
-}
-
-// WeakGraph returns G₁ for the deployment, induced on first use and cached
-// exactly like StrongGraph and ApproxGraph; the returned graph is read-only
-// and safe for concurrent use.
-func (d *Deployment) WeakGraph() *graphs.Graph {
-	d.cacheMu.Lock()
-	defer d.cacheMu.Unlock()
-	if d.weak == nil {
-		d.weak = graphs.Weak(d.Params, d.Positions)
-	}
-	return d.weak
 }
 
 // Lambda returns Λ = R_{1-ε}/dmin for the deployment, computed once and
@@ -428,9 +414,6 @@ func TwoBalls(delta int, params sinr.Params, src *rng.Source) (*Deployment, erro
 		Params:    params,
 	}, nil
 }
-
-// TwoBallsB1 returns the node indices of ball B1 in a TwoBalls deployment.
-func TwoBallsB1() []int { return []int{0, 1} }
 
 // TwoBallsB2 returns the node indices of ball B2 in a TwoBalls deployment
 // with the given delta.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"sinrmac/internal/geom"
+	"sinrmac/internal/graphs"
 	"sinrmac/internal/rng"
 	"sinrmac/internal/sinr"
 )
@@ -241,7 +242,7 @@ func TestTwoBallsConstruction(t *testing.T) {
 		}
 		g := d.StrongGraph()
 		// B1 and B2 must not be directly connected.
-		for _, a := range TwoBallsB1() {
+		for _, a := range []int{0, 1} { // B1
 			for _, b := range TwoBallsB2(delta) {
 				if g.HasEdge(a, b) {
 					t.Fatalf("delta=%d: balls directly connected via (%d,%d)", delta, a, b)
@@ -307,7 +308,7 @@ func TestDeploymentDerivedQuantities(t *testing.T) {
 	if got := d.Lambda(); math.Abs(got-params.StrongRange()/2) > 1e-9 {
 		t.Fatalf("Lambda = %v", got)
 	}
-	weak, strong, approx := d.WeakGraph(), d.StrongGraph(), d.ApproxGraph()
+	weak, strong, approx := graphs.Weak(d.Params, d.Positions), d.StrongGraph(), d.ApproxGraph()
 	if weak.NumEdges() < strong.NumEdges() || strong.NumEdges() < approx.NumEdges() {
 		t.Fatal("graph nesting violated")
 	}
