@@ -79,3 +79,20 @@ func runCapturingStdout(t *testing.T, args []string) (int, string) {
 	}
 	return status, string(out)
 }
+
+// TestFastMatchesNaive: the fast evaluator prints exactly what the naive
+// one does, in its automatic regime and at any -shards, including a shard
+// count far beyond the lattice's columns (it acts as the column count).
+func TestFastMatchesNaive(t *testing.T) {
+	base := []string{"-n", "20", "-seed", "3"}
+	status, want := runCapturingStdout(t, append(base, "-evaluator", "naive"))
+	if status != 0 || want == "" {
+		t.Fatalf("naive run: exit status %d, output %q", status, want)
+	}
+	for _, shards := range []string{"0", "1", "9223372036854775807"} {
+		args := append(base, "-evaluator", "fast", "-shards", shards)
+		if status, got := runCapturingStdout(t, args); status != 0 || got != want {
+			t.Errorf("%v: exit status %d, output\n%s\nnaive output\n%s", args, status, got, want)
+		}
+	}
+}

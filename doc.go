@@ -53,11 +53,12 @@
 //
 // Both regimes hold one spatial index, geom.CellIndex with cells of the
 // culling radius, shared by every fork of an evaluator; the sparse path
-// walks it in either regime. A lattice whose extent would overflow the
-// per-offset tables (sinr's boundsMaxOffsets) — outlier geometry such as
-// clusters a million ranges apart, at construction or after churn — keeps
-// its cells, near offsets and shard stripes but builds no tables, so its
-// dense slots run the exact cell-culled scan.
+// walks it in either regime. A lattice whose per-offset tables would hold
+// more than 16 entries per occupied cell (sinr's boundsOffsetsPerCell) —
+// outlier geometry such as clusters a thousand ranges apart, at
+// construction or after churn — keeps its cells, near offsets and shard
+// stripes but builds no tables, so its dense slots run the exact
+// cell-culled scan; table memory stays O(occupied cells).
 //
 // The lattice replaced a third regime, a spatial grid with a clock-evicted
 // per-sender power-column cache that served 2048 < n ≤ 65536. Measured on
@@ -114,12 +115,12 @@
 //
 // Both regimes produce bit-identical Reception slices at any shard and
 // worker count: culling, sparse enumeration and the certificates only skip
-// work whose outcome is provably fixed, and the differential property tests
-// (TestSlotReceptionsEquivalence, TestSparseSenderCentricEquivalence,
-// TestShardedEquivalence with S ∈ {1,2,4,8} and the on-threshold
-// adversarial TestShardedThresholdRefine in internal/sinr) hold them to
-// that across randomized topologies, densities, transmitter counts and
-// worker counts. One level up, the engine oracle (TestEngineOracle and
+// work whose outcome is provably fixed, and the evaluator oracle
+// (TestEvaluatorOracle and FuzzEvaluatorOracle in internal/sinr) holds
+// them to that: random and planted on-threshold layouts, three path-loss
+// exponents, the matrix and the lattice at S ∈ {1, 4, 8, 64}, every
+// dispatch pin, one, two and four workers, forks and move epochs, every
+// slot compared with Channel.SlotReceptions. One level up, the engine oracle (TestEngineOracle and
 // FuzzEngineOracle in internal/sim) holds every regime, dispatch pin,
 // worker count, fault plan, move-epoch sequence and Step/Run use to the
 // naive evaluator under a serial Step loop: per-slot receptions, engine
@@ -252,9 +253,9 @@
 // index in place (geom.CellIndex.ApplyChurn — the lattice's per-offset
 // power tables survive unchanged since they depend only on the lattice
 // span; only a node leaving the lattice rebuilds the index). The patch is
-// held bit-identical to a from-scratch evaluator by the differential churn
-// suite (TestChurnEpochEquivalence and friends in internal/sinr, storm
-// epochs that move half the nodes included), and the steady-state apply
+// held to the naive channel over the moved positions by the evaluator
+// oracle's epoch rows (storm epochs that move half the nodes, moves across
+// every stripe and out of the lattice included), and the steady-state apply
 // path of a mobility cycle performs zero heap allocations
 // (TestChurnApplyAllocFree, the churn_matrix/churn_lattice macbench
 // cases). Applying an epoch is stop-the-world for an evaluator fork family.

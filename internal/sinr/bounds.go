@@ -91,13 +91,19 @@ const boundsDistPad = 1e-12
 // estimated) exact-refine fraction.
 const boundsSafety = 2.0
 
-// boundsMaxOffsets caps the per-offset power tables: a lattice whose
-// extent spans so many cells that the (2·spanX+1)·(2·spanY+1) offset tables
-// would exceed this many entries (2M entries = 2 × 16 MiB) builds no tables
-// and declines the certificates, so its dense slots take the exact
-// cell-culled scan rather than paying unbounded memory for outlier
-// geometry.
-const boundsMaxOffsets = 1 << 21
+// boundsOffsetsPerCell and boundsMinOffsets cap the per-offset power
+// tables relative to occupancy: a lattice whose (2·spanX+1)·(2·spanY+1)
+// offset tables would exceed boundsOffsetsPerCell entries per occupied cell
+// (and boundsMinOffsets entries, 2 × 16 KiB, which small deployments may
+// always spend) builds no tables and declines the certificates, so its
+// dense slots take the exact cell-culled scan. Table memory thus stays
+// O(occupied cells) however far apart outlier clusters sit. A filled
+// rectangle of cells needs about 4 entries per cell; every uniform
+// deployment the repo runs needs 3.8–4.0.
+const (
+	boundsOffsetsPerCell = 16
+	boundsMinOffsets     = 1 << 10
+)
 
 // BoundsStats snapshots the certified pipeline's instrumentation counters.
 // The refine rate — the fraction of bounds-evaluated receivers whose
@@ -153,7 +159,8 @@ type boundsIndex struct {
 	// pwUB/pwLB bound the received power between any point pair of two
 	// cells at lattice offset (dx, dy), indexed by
 	// (dx+spanX)·(2·spanY+1) + dy+spanY. They, nearOff and the supercell
-	// tables are nil when the extent exceeds boundsMaxOffsets.
+	// tables are nil when the extent exceeds the cap of
+	// boundsOffsetsPerCell.
 	pwUB, pwLB []float64
 	// nearOff flags the offsets whose distance lower bound does not exceed
 	// cullRadius: only such cells can contain a decodable sender, and they
@@ -175,7 +182,9 @@ type boundsIndex struct {
 	// (dx, dy), indexed by (dx+superW-1)·(2·superH-1) + dy+superH-1.
 	pwSuperUB, pwSuperLB []float64
 	// shardCells[s] lists the dense cell ids of shard s; the per-shard
-	// receiver chunks iterate exactly one list each.
+	// receiver chunks iterate exactly one list each. Its length is the
+	// evaluator's shard count clamped to the lattice's columns and occupied
+	// cells, so more stripes than either never cost memory.
 	shardCells [][]int32
 	cellCount  int // cells assigned to a shard so far (== NumCells between epochs)
 }
@@ -193,7 +202,7 @@ type boundsHolder struct {
 // buildBoundsIndex constructs the cell decomposition from the evaluator's
 // current positions and, on the lattice, the near offsets, the shard
 // partition and — unless the deployment's extent would make them exceed
-// boundsMaxOffsets — the per-offset power tables.
+// the occupancy cap of boundsOffsetsPerCell — the per-offset power tables.
 func (f *FastChannel) buildBoundsIndex() *boundsIndex {
 	cells := geom.NewCellIndex(f.pos, f.cullRadius)
 	bi := &boundsIndex{cells: cells}
@@ -202,7 +211,7 @@ func (f *FastChannel) buildBoundsIndex() *boundsIndex {
 	}
 	sx, sy := cells.Span()
 	bi.spanX, bi.spanY = sx, sy
-	bi.shardCells = make([][]int32, f.shards)
+	bi.shardCells = make([][]int32, min(f.shards, sx+1, cells.NumCells()))
 	bi.appendCells()
 	// Near offsets lie within the 5×5 neighbourhood; offsets beyond the
 	// span can hold no occupied cell.
@@ -217,7 +226,8 @@ func (f *FastChannel) buildBoundsIndex() *boundsIndex {
 	// Bounding each side first keeps the product from overflowing on
 	// outlier geometry.
 	w, h := 2*sx+1, 2*sy+1
-	if w > boundsMaxOffsets || h > boundsMaxOffsets || w*h > boundsMaxOffsets {
+	limit := max(boundsOffsetsPerCell*cells.NumCells(), boundsMinOffsets)
+	if w > limit || h > limit || w*h > limit {
 		return bi
 	}
 	bi.pwUB = make([]float64, w*h)

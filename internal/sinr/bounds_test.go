@@ -10,138 +10,6 @@ import (
 	"sinrmac/internal/rng"
 )
 
-// boundsVariants returns lattice evaluators with the certified pipeline
-// pinned on (sparse pinned off) at one shard on one worker and four shards
-// on four workers.
-func boundsVariants(t testing.TB, ch *Channel) map[string]*FastChannel {
-	variants := map[string]*FastChannel{
-		"s1/1w": withWorkers(NewFastChannel(ch, FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}), 1),
-		"s4/4w": withWorkers(NewFastChannel(ch, FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}), 4),
-	}
-	t.Cleanup(func() {
-		for _, f := range variants {
-			f.Close()
-		}
-	})
-	return variants
-}
-
-// TestBoundsTierEquivalence is the dedicated differential test of the
-// certified bounds in their target regime — dense transmitter sets up to
-// and including all-transmit — on the canonical dense workload geometry.
-// Slots are evaluated repeatedly on the same evaluators so later slots run
-// on warm aggregates, and every decision must be bit-identical to the naive
-// reference.
-func TestBoundsTierEquivalence(t *testing.T) {
-	const n = 400
-	for _, k := range []int{n / 16, n / 4, n / 2, n - 8, n} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			ch, tx, err := DenseBenchWorkload(n, k, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			variants := boundsVariants(t, ch)
-			label := fmt.Sprintf("k=%d seed=%d", k, seed)
-			for slot := 0; slot < 2; slot++ {
-				assertEquivalent(t, ch, variants, tx, fmt.Sprintf("%s slot %d", label, slot))
-			}
-			for _, f := range variants {
-				st := f.BoundsStats()
-				if st.Slots == 0 || st.Receivers == 0 {
-					if k < n { // all-transmit slots have no listeners to count
-						t.Fatalf("%s: certified pipeline never engaged (stats %+v)", label, st)
-					}
-				}
-				f.Close()
-			}
-		}
-	}
-}
-
-// TestBoundsThresholdRefine plants receivers exactly on the β threshold —
-// where the decode decision is decided by the last ulp of the exact
-// floating-point arithmetic — and requires (a) the certificates to fall back
-// to the exact evaluator for every planted receiver rather than guess, and
-// (b) the emitted decisions to stay bit-identical to the naive reference.
-// Receivers well inside and well outside the ambiguous band check that both
-// certificates still fire, so the fallback stays the exception.
-func TestBoundsThresholdRefine(t *testing.T) {
-	p := DefaultParams(10)
-	r := p.Range()
-
-	t.Run("lone-transmitter-ring", func(t *testing.T) {
-		// One transmitter; with no interference every receiver's SINR is
-		// signal/N, so a receiver at distance exactly R sits exactly on β.
-		pos := []geom.Point{
-			{X: 0, Y: 0},          // transmitter
-			{X: r, Y: 0},          // planted: exactly on threshold
-			{X: -r, Y: 0},         // planted
-			{X: 0, Y: r},          // planted
-			{X: 0, Y: -r},         // planted
-			{X: r / 2, Y: 0},      // decode-certifiable
-			{X: 0, Y: r / 3},      // decode-certifiable
-			{X: 2 * r, Y: 0},      // silence-certifiable
-			{X: 2 * r, Y: 2 * r},  // silence-certifiable
-			{X: -2 * r, Y: r / 2}, // silence-certifiable
-		}
-		const planted = 4
-		ch, err := NewChannel(p, pos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, f := range boundsVariants(t, ch) {
-			want := ch.SlotReceptions([]int{0})
-			got := f.SlotReceptions([]int{0})
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: node %d decoded %d, reference says %d", name, i, got[i].Sender, want[i].Sender)
-				}
-			}
-			st := f.BoundsStats()
-			if st.Refined < planted {
-				t.Errorf("%s: %d receivers refined, want at least the %d planted on the threshold", name, st.Refined, planted)
-			}
-			if st.Refined >= st.Receivers {
-				t.Errorf("%s: every receiver refined (%d/%d); certificates never fired", name, st.Refined, st.Receivers)
-			}
-		}
-	})
-
-	t.Run("interference-knife-edge", func(t *testing.T) {
-		// Receiver at the origin, signal 8βN from tx1 at R/2, and tx2 placed
-		// so the interference makes the exact SINR land exactly on β:
-		// signal/(itf+N) = β ⟺ itf = signal/β - N = 7N.
-		signal := p.Power / math.Pow(r/2, p.Alpha)
-		itf := signal/p.Beta - p.Noise
-		d2 := math.Cbrt(p.Power / itf)
-		pos := []geom.Point{
-			{X: 0, Y: 0},           // planted receiver, exactly on threshold
-			{X: r / 2, Y: 0},       // tx1
-			{X: -d2, Y: 0},         // tx2, interference tuned to the knife edge
-			{X: r / 4, Y: 100},     // far listeners: silence-certifiable, and they
-			{X: 100, Y: 100},       // add no interference that would detune the
-			{X: 100 + r/3, Y: 100}, // knife edge
-		}
-		ch, err := NewChannel(p, pos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tx := []int{1, 2}
-		for name, f := range boundsVariants(t, ch) {
-			want := ch.SlotReceptions(tx)
-			got := f.SlotReceptions(tx)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: node %d decoded %d, reference says %d", name, i, got[i].Sender, want[i].Sender)
-				}
-			}
-			if st := f.BoundsStats(); st.Refined < 1 {
-				t.Errorf("%s: knife-edge receiver was not refined (stats %+v)", name, st)
-			}
-		}
-	})
-}
-
 // TestBoundsAdaptiveDispatch checks the lattice's three-way dispatch
 // boundaries: the adaptive cost model must select the certified pipeline
 // on a dense many-cell workload, must reject it when everyone transmits (no
@@ -216,35 +84,6 @@ func TestBoundsAdaptiveDispatch(t *testing.T) {
 				t.Fatal("cold forks built separate bounds indexes")
 			}
 		})
-	}
-}
-
-// TestBoundsBetaGuard pins the degenerate-β corner: with β barely above 1
-// the decision-exactness slack argument does not hold, so the certificates
-// must decline even when forced, and the lattice's dense scan must carry
-// the slot.
-func TestBoundsBetaGuard(t *testing.T) {
-	p := DefaultParams(10)
-	p.Beta = 1 + 1e-12
-	src := rng.New(3)
-	pos := make([]geom.Point, 80)
-	for i := range pos {
-		pos[i] = geom.Point{X: src.Float64() * 40, Y: src.Float64() * 40}
-	}
-	ch, err := NewChannel(p, pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tx []int
-	for i := 0; i < len(pos); i += 2 {
-		tx = append(tx, i)
-	}
-	variants := boundsVariants(t, ch)
-	assertEquivalent(t, ch, variants, tx, "beta-1 = 1e-12")
-	for name, f := range variants {
-		if st := f.BoundsStats(); st.Slots != 0 {
-			t.Errorf("%s: certified pipeline engaged with beta-1 = 1e-12 (stats %+v)", name, st)
-		}
 	}
 }
 

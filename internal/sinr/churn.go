@@ -47,11 +47,10 @@ import (
 //     node leaves the original lattice is the index dropped and rebuilt;
 //     a lattice stretched past the offset-table cap then builds no tables.
 //
-// The patch is held bit-identical to a from-scratch evaluator by the
-// differential churn tests, storm epochs that move half the nodes
-// included: every power is recomputed by the same formula from the same
-// positions, so the patched evaluator's receptions match a fresh
-// evaluator's exactly.
+// The evaluator oracle's epoch rows hold the patch bit-identical to the
+// naive channel, storm epochs that move half the nodes included: every
+// power is recomputed by the same formula from the same positions, so the
+// patched evaluator's receptions match a fresh evaluator's exactly.
 
 // EpochDelta describes one committed mobility epoch of a deployment. It is
 // produced by topology.Deployment.CommitEpoch and consumed by

@@ -57,14 +57,14 @@ type FastOptions struct {
 	// k·SparseFactor ≤ n, with 1 forcing the sparse path on every slot —
 	// and a negative value disables the sparse path entirely (every slot
 	// scans all n receivers, the pre-sparse behaviour the benchmarks
-	// compare against). The differential tests use the overrides to pin
+	// compare against). The evaluator oracle uses the overrides to pin
 	// each path; simulations keep the default.
 	SparseFactor int
 	// BoundsFactor overrides the lattice's certified-bounds dispatch for
 	// the slots the sparse path declined. Zero (the default) selects the
 	// adaptive per-slot cost model of prepareShard; a positive value forces
-	// the certified pipeline onto every such slot (the differential tests
-	// pin it this way), and a negative value disables it (the lattice's
+	// the certified pipeline onto every such slot (the evaluator oracle
+	// pins it this way), and a negative value disables it (the lattice's
 	// exact dense scan the benchmarks compare against). The β guard
 	// (boundsBetaMin) is respected in every mode. The matrix regime has no
 	// certified tier and ignores it.
@@ -73,9 +73,10 @@ type FastOptions struct {
 	// negative (the default) runs the lattice above DefaultMatrixThreshold
 	// with defaultShardCount shards and the matrix at or below it; a
 	// positive value selects the lattice with that many shards at any
-	// deployment size (the differential tests pin S ∈ {1, 2, 4, 8}). The
+	// deployment size (the evaluator oracle pins S ∈ {1, 4, 8}). The
 	// shard count is a work-partition width, not a correctness parameter:
-	// results are bit-identical at any value.
+	// results are bit-identical at any value, and values above the
+	// lattice's column or occupied-cell count act as that count.
 	Shards int
 }
 
@@ -116,10 +117,11 @@ type FastOptions struct {
 //     worker count.
 //
 // The regime decision is made once, at construction. A lattice whose
-// extent would make its offset tables exceed boundsMaxOffsets — outlier
-// geometry such as two clusters a million ranges apart, at construction or
-// after a churn epoch — builds no tables and declines the certificates, so
-// its dense slots run the exact cell-culled scan. Within the chosen regime
+// extent would make its offset tables exceed boundsOffsetsPerCell entries
+// per occupied cell — outlier geometry such as two clusters a thousand
+// ranges apart, at construction or after a churn epoch — builds no tables
+// and declines the certificates, so its dense slots run the exact
+// cell-culled scan. Within the chosen regime
 // each slot then dispatches — sparse when the estimated candidate coverage
 // is low, on the lattice certified bounds when the per-slot cost model
 // wins, the exact dense scan otherwise — and no path changes results: a

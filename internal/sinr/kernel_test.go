@@ -1,7 +1,6 @@
 package sinr
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -96,49 +95,6 @@ func TestPairPowerKernelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSlotReceptionsEquivalenceAlphaVariants runs the full differential
-// harness — matrix/lattice × sparse/bounds/dense × worker counts — under every
-// fast-pathed path-loss exponent and a generic (math.Pow) one, so the
-// pow-free rewrite is held to the naive reference on whole-slot decisions,
-// not just on isolated power values.
-func TestSlotReceptionsEquivalenceAlphaVariants(t *testing.T) {
-	for _, alpha := range []float64{3, 4, 2.5} {
-		t.Run(fmt.Sprintf("alpha=%v", alpha), func(t *testing.T) {
-			src := rng.New(0xa1fa + math.Float64bits(alpha))
-			for c := 0; c < 20; c++ {
-				n := 30 + src.Intn(90)
-				side := 4 * math.Sqrt(float64(n))
-				pos := make([]geom.Point, n)
-				for i := range pos {
-					pos[i] = geom.Point{X: src.Float64() * side, Y: src.Float64() * side}
-				}
-				params := DefaultParams(5 + src.Float64()*15)
-				r := math.Pow(params.Power/(params.Beta*params.Noise), 1/params.Alpha)
-				params.Alpha = alpha
-				params.Power = params.Beta * params.Noise * math.Pow(r, alpha)
-				ch, err := NewChannel(params, pos)
-				if err != nil {
-					t.Fatal(err)
-				}
-				variants := fastVariants(t, ch)
-				for slot := 0; slot < 3; slot++ {
-					var tx []int
-					for i := 0; i < n; i++ {
-						if src.Bernoulli(0.2) {
-							tx = append(tx, i)
-						}
-					}
-					assertEquivalent(t, ch, variants, tx,
-						fmt.Sprintf("alpha=%v case %d slot %d", alpha, c, slot))
-				}
-				for _, f := range variants {
-					f.Close()
-				}
-			}
-		})
-	}
-}
-
 // TestGatherTotalsBlockedBitIdentical pins the blocked 4-receiver totals
 // gather (matrixTotals4, the matrix paths' interference pass) to the scalar
 // per-receiver tx-order sum bit for bit, across receiver-list lengths
@@ -191,52 +147,4 @@ func TestGatherTotalsBlockedBitIdentical(t *testing.T) {
 		}
 	}
 	f.Close()
-}
-
-// TestOnThresholdCullBoundary is the adversarial case for the r²-domain
-// comparisons: receivers are planted exactly on the culling-radius circle
-// of the only transmitter (where the sparse path's DistSq ≤ r² predicate
-// decides membership), one ulp inside and outside it, on the near-field
-// clamp boundary d = 1, and exactly at the transmission range R (the
-// decode boundary for a lone transmitter). Every fast variant must agree
-// with the naive reference on all of them — the culling slack exists
-// precisely so these borderline points fall through to the exact
-// arithmetic.
-func TestOnThresholdCullBoundary(t *testing.T) {
-	params := DefaultParams(12)
-	cr := math.Max(params.Range(), 1) * (1 + cullSlack) // == FastChannel.cullRadius
-	r := params.Range()
-	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
-	down := func(x float64) float64 { return math.Nextafter(x, 0) }
-	pos := []geom.Point{
-		{X: 0, Y: 0}, // the transmitter
-		{X: cr, Y: 0},
-		{X: up(cr), Y: 0},
-		{X: down(cr), Y: 0},
-		{X: -cr, Y: 0},
-		{X: 0, Y: cr},
-		{X: cr / math.Sqrt2, Y: cr / math.Sqrt2},
-		{X: up(cr / math.Sqrt2), Y: up(cr / math.Sqrt2)},
-		{X: r, Y: 0},
-		{X: up(r), Y: 0},
-		{X: down(r), Y: 0},
-		{X: -r / math.Sqrt2, Y: r / math.Sqrt2},
-		{X: 1, Y: 0}, // near-field clamp boundary
-		{X: up(1), Y: 0},
-		{X: down(1), Y: 0},
-		{X: 0.25, Y: 0},
-		{X: 40, Y: 40}, // far outside every radius
-	}
-	ch, err := NewChannel(params, pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	variants := fastVariants(t, ch)
-	assertEquivalent(t, ch, variants, []int{0}, "lone transmitter on-threshold")
-	// A second transmitter at the far corner adds interference without
-	// moving the boundary receivers, so the β comparison itself goes
-	// borderline at the certified tiers too.
-	assertEquivalent(t, ch, variants, []int{0, 16}, "two transmitters on-threshold")
-	// Boundary receivers transmitting: half-duplex plus culling interact.
-	assertEquivalent(t, ch, variants, []int{0, 1, 8}, "boundary nodes transmitting")
 }

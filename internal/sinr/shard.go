@@ -1,6 +1,9 @@
 package sinr
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // This file implements the cell lattice, FastChannel's regime for every
 // deployment above DefaultMatrixThreshold nodes (or whenever
@@ -60,7 +63,7 @@ import "sync/atomic"
 // path's floating-point interference sum in any summation order; receivers
 // whose certificates disagree refine through the exact per-receiver
 // arithmetic as bounds.go describes. S ∈ {1, 2, 4, 8, …} therefore yields
-// identical Reception slices, which TestShardedEquivalence pins.
+// identical Reception slices, which TestEvaluatorOracle pins.
 //
 // Slots that decline the certificates (β guard, cost model, forced via
 // BoundsFactor < 0, or a lattice too wide for its offset tables) fall back
@@ -93,17 +96,13 @@ const shardSuperSize = 8
 // and cmd/sinrsim's -maxnodes guard derives its refusal message from it.
 const ShardBytesPerNodeBudget = 128
 
-// shardForColumn maps a lattice column to its stripe.
+// shardForColumn maps a lattice column cx ∈ [0, spanX] to its stripe
+// cx·S/(spanX+1). The product is taken in 128 bits: on outlier geometry
+// spanX can reach 2·MaxCoordinate cells.
 func (bi *boundsIndex) shardForColumn(cx int) int {
-	s := len(bi.shardCells)
-	sh := cx * s / (bi.spanX + 1)
-	if sh >= s {
-		sh = s - 1
-	}
-	if sh < 0 {
-		sh = 0
-	}
-	return sh
+	hi, lo := bits.Mul64(uint64(cx), uint64(len(bi.shardCells)))
+	sh, _ := bits.Div64(hi, lo, uint64(bi.spanX)+1)
+	return int(sh)
 }
 
 // appendCells extends the partition to cells the churn patch appended to
@@ -122,7 +121,7 @@ func (bi *boundsIndex) appendCells() {
 
 // resolveShards maps the FastOptions.Shards knob to the lattice's shard
 // count for an n-node deployment: a positive value selects the lattice with
-// that count at any size (the differential tests pin S ∈ {1, 2, 4, 8} this
+// that count at any size (the evaluator oracle pins S ∈ {1, 4, 8} this
 // way); otherwise the lattice runs with defaultShardCount shards above
 // DefaultMatrixThreshold and 0 (the matrix regime) at or below it.
 func resolveShards(opt, n int) int {
@@ -136,7 +135,8 @@ func resolveShards(opt, n int) int {
 }
 
 // Shards returns the shard count of the cell lattice, or 0 when the
-// evaluator runs the matrix regime.
+// evaluator runs the matrix regime. The partition holds no more stripes
+// than the lattice has columns or occupied cells (buildBoundsIndex).
 func (f *FastChannel) Shards() int { return f.shards }
 
 // ensureIndex resolves the family's shared index, building it if no
@@ -187,14 +187,14 @@ func (f *FastChannel) growShardScratch() {
 func (f *FastChannel) shardSlot(transmitters []int) {
 	if f.prepareShard(len(transmitters)) {
 		f.runChunks(f.bidx.superW*f.bidx.superH, (*FastChannel).superFarChunk)
-		f.runChunks(f.shards, (*FastChannel).shardBoundsChunk)
+		f.runChunks(len(f.bidx.shardCells), (*FastChannel).shardBoundsChunk)
 		f.finishShard()
 		return
 	}
 	// Dense fallback: aggregate per-cell transmitter counts (for the
 	// cell-level cull) and scan each shard's listeners exactly.
 	f.countTxCells()
-	f.runChunks(f.shards, (*FastChannel).shardDenseChunk)
+	f.runChunks(len(f.bidx.shardCells), (*FastChannel).shardDenseChunk)
 	f.finishBounds()
 }
 

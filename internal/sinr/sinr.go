@@ -30,7 +30,7 @@
 // interference bounds widened by a Θ(k)·ulp rounding slack, which are also
 // what crosses shard boundaries, so shards never read each other's
 // per-receiver state) or fall back to it.
-// The differential tests in this package hold every path bit-identical to
+// The evaluator oracle (oracle_test.go) holds every path bit-identical to
 // the reference at any shard and worker count.
 //
 // # Pow-free arithmetic
@@ -52,8 +52,8 @@
 // moves over the fixed node set, are applied to live evaluators via
 // ApplyEpoch — the naive channel copies the new positions, FastChannel
 // patches its indices incrementally (see churn.go for the epoch lifecycle
-// and the per-index patch rules) — and the churn differential suite holds
-// the patched evaluator bit-identical to a from-scratch rebuild.
+// and the per-index patch rules) — and the evaluator oracle holds the
+// patched evaluator bit-identical to the naive channel.
 package sinr
 
 import (
@@ -285,7 +285,7 @@ type Reception struct {
 // communication slot. Two implementations exist: the naive reference scan on
 // *Channel itself and the arena-backed, worker-parallel *FastChannel. Both
 // produce identical Reception slices for the same deployment and transmitter
-// set; the differential test harness (TestSlotReceptionsEquivalence) keeps
+// set; the evaluator oracle (TestEvaluatorOracle, FuzzEvaluatorOracle) keeps
 // them in lock-step.
 //
 // Callers select a path explicitly: simulation drivers that only need the
