@@ -1,10 +1,208 @@
 package core
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"sinrmac/internal/graphs"
 )
+
+// traceIndex is the one indexed pass over a trace that CheckAcks,
+// MeasureProgress and CheckDeadlines read. Messages get dense ids in the
+// order of their first bcast event, through the only map the checkers
+// keep; everything else is a slice indexed by message or node.
+type traceIndex struct {
+	msgs []msgLife
+	// rcvStart and rcvPos form a CSR array: the rcvs of message m that
+	// follow its first bcast in the slice are events[p] for p in
+	// rcvPos[rcvStart[m]:rcvStart[m+1]], in slice order.
+	rcvStart []int32
+	rcvPos   []int32
+}
+
+// msgLife is one message's lifecycle as the checkers see it.
+type msgLife struct {
+	msg       Message
+	bcastSlot int64
+	// ackSlot and latency come from the first ack after the bcast;
+	// ackSlot is -1 without one.
+	ackSlot int64
+	latency int64
+	aborted bool
+	// end closes the message's progress windows: the slot of the first ack
+	// or abort after the bcast whose slot differs from the horizon, or the
+	// horizon when there is none.
+	end int64
+}
+
+// indexTrace numbers the trace's messages, replays their lifecycle and
+// groups their rcvs; a rcv, ack or abort counts only when it follows the
+// message's first bcast in the slice.
+func indexTrace(events []Event, horizon int64) *traceIndex {
+	if len(events) > math.MaxInt32 {
+		panic("core: trace too long to index")
+	}
+	ids := make(map[MessageID]int32)
+	ix := &traceIndex{}
+	var rcvMsg []int32
+	for i, ev := range events {
+		if ev.Kind == EventBcast {
+			if _, ok := ids[ev.Msg.ID]; !ok {
+				ids[ev.Msg.ID] = int32(len(ix.msgs))
+				ix.msgs = append(ix.msgs, msgLife{msg: ev.Msg, bcastSlot: ev.Slot, ackSlot: -1, end: horizon})
+			}
+			continue
+		}
+		m, ok := ids[ev.Msg.ID]
+		if !ok {
+			continue
+		}
+		l := &ix.msgs[m]
+		switch ev.Kind {
+		case EventRcv:
+			rcvMsg = append(rcvMsg, m)
+			ix.rcvPos = append(ix.rcvPos, int32(i))
+		case EventAck:
+			if l.ackSlot < 0 {
+				l.ackSlot = ev.Slot
+				l.latency = ev.Slot - l.bcastSlot
+			}
+			if l.end == horizon {
+				l.end = ev.Slot
+			}
+		case EventAbort:
+			l.aborted = true
+			if l.end == horizon {
+				l.end = ev.Slot
+			}
+		}
+	}
+	ix.rcvStart, ix.rcvPos = groupCSR(len(ix.msgs), rcvMsg, ix.rcvPos)
+	return ix
+}
+
+// groupCSR groups values by key, stably: the values with key k are
+// out[start[k]:start[k+1]], in input order. Every key lies in [0, nkeys).
+func groupCSR[V any](nkeys int, keys []int32, vals []V) (start []int32, out []V) {
+	start = make([]int32, nkeys+1)
+	for _, k := range keys {
+		start[k+1]++
+	}
+	for k := 0; k < nkeys; k++ {
+		start[k+1] += start[k]
+	}
+	cursor := slices.Clone(start[:nkeys])
+	out = make([]V, len(vals))
+	for i, k := range keys {
+		out[cursor[k]] = vals[i]
+		cursor[k]++
+	}
+	return start, out
+}
+
+// firstRcv holds, per node, the slot of the node's first rcv of one
+// message. A stamp marks which message an entry belongs to, so moving on to
+// the next message needs no clearing.
+type firstRcv struct {
+	stamp []int32 // message index + 1
+	slot  []int64
+}
+
+func newFirstRcv(n int) *firstRcv {
+	return &firstRcv{stamp: make([]int32, n), slot: make([]int64, n)}
+}
+
+// missedNeighbors returns the G-neighbours of acknowledged message m's
+// origin whose first rcv of m (after the bcast, in slice order) is missing
+// or later than the ack, in ascending order. Unless all is set it stops at
+// the first one, which is enough to count a violation.
+func (ix *traceIndex) missedNeighbors(events []Event, m int, g *graphs.Graph, first *firstRcv, all bool) []int {
+	l := &ix.msgs[m]
+	stamp := int32(m + 1)
+	for _, p := range ix.rcvPos[ix.rcvStart[m]:ix.rcvStart[m+1]] {
+		ev := &events[p]
+		if ev.Node >= 0 && ev.Node < len(first.stamp) && first.stamp[ev.Node] != stamp {
+			first.stamp[ev.Node] = stamp
+			first.slot[ev.Node] = ev.Slot
+		}
+	}
+	var missed []int
+	for _, nbr := range g.Neighbors(l.msg.Origin) {
+		if first.stamp[nbr] != stamp || first.slot[nbr] > l.ackSlot {
+			missed = append(missed, nbr)
+			if !all {
+				break
+			}
+		}
+	}
+	return missed
+}
+
+// qualifying is the CSR array of the slots at which each node received a
+// message originating at one of its G-neighbours: node j's are
+// slot[start[j]:start[j+1]], ascending. Every rcv event counts, whatever
+// its position relative to its message's bcast.
+type qualifying struct {
+	start []int32
+	slot  []int64
+}
+
+func indexQualifying(events []Event, g *graphs.Graph) qualifying {
+	n := g.NumNodes()
+	var nodes []int32
+	var slots []int64
+	for _, ev := range events {
+		j, o := ev.Node, ev.Msg.Origin
+		if ev.Kind == EventRcv && j >= 0 && j < n && o >= 0 && o < n && g.HasEdge(j, o) {
+			nodes = append(nodes, int32(j))
+			slots = append(slots, ev.Slot)
+		}
+	}
+	var q qualifying
+	q.start, q.slot = groupCSR(n, nodes, slots)
+	for j := 0; j < n; j++ {
+		slices.Sort(q.slot[q.start[j]:q.start[j+1]])
+	}
+	return q
+}
+
+// first returns the earliest qualifying rcv slot of node j in
+// [start, end], or -1 when there is none.
+func (q qualifying) first(j int, start, end int64) int64 {
+	if j >= len(q.start)-1 {
+		return -1
+	}
+	slots := q.slot[q.start[j]:q.start[j+1]]
+	if i, _ := slices.BinarySearch(slots, start); i < len(slots) && slots[i] <= end {
+		return slots[i]
+	}
+	return -1
+}
+
+// eachWindow calls f with the progress sample of every (message, trigger
+// neighbour of its origin) pair, messages in first-bcast order and
+// receivers ascending.
+func (ix *traceIndex) eachWindow(trigger *graphs.Graph, q qualifying, f func(ProgressSample)) {
+	for _, l := range ix.msgs {
+		for _, j := range trigger.Neighbors(l.msg.Origin) {
+			sample := ProgressSample{
+				Receiver:   j,
+				Trigger:    l.msg.Origin,
+				TriggerMsg: l.msg.ID,
+				StartSlot:  l.bcastSlot,
+				EndSlot:    l.end,
+				RcvSlot:    q.first(j, l.bcastSlot, l.end),
+			}
+			if sample.RcvSlot >= 0 {
+				sample.Satisfied = true
+				sample.Latency = sample.RcvSlot - sample.StartSlot
+			} else {
+				sample.Latency = sample.EndSlot - sample.StartSlot
+			}
+			f(sample)
+		}
+	}
+}
 
 // AckRecord describes the fate of one bcast in a trace.
 type AckRecord struct {
@@ -50,46 +248,22 @@ type AckReport struct {
 // against a trace: every acknowledged broadcast should have delivered a rcv
 // to every G-neighbour of its origin before the ack fired, and it measures
 // the empirical acknowledgment latency f_ack.
+//
+// A message's record opens at its first bcast event; a rcv, ack or abort
+// that appears in the slice before that bcast is ignored, and the first
+// rcv at each node after it (in slice order) is the one compared with the
+// ack slot.
 func CheckAcks(events []Event, g *graphs.Graph) AckReport {
-	type msgState struct {
-		rec      AckRecord
-		rcvSlots map[int]int64 // receiver -> first rcv slot
-	}
-	states := make(map[MessageID]*msgState)
-	var order []MessageID
-	for _, ev := range events {
-		switch ev.Kind {
-		case EventBcast:
-			if _, ok := states[ev.Msg.ID]; !ok {
-				states[ev.Msg.ID] = &msgState{
-					rec:      AckRecord{Msg: ev.Msg, BcastSlot: ev.Slot, AckSlot: -1},
-					rcvSlots: make(map[int]int64),
-				}
-				order = append(order, ev.Msg.ID)
-			}
-		case EventRcv:
-			if st, ok := states[ev.Msg.ID]; ok {
-				if _, seen := st.rcvSlots[ev.Node]; !seen {
-					st.rcvSlots[ev.Node] = ev.Slot
-				}
-			}
-		case EventAck:
-			if st, ok := states[ev.Msg.ID]; ok && st.rec.AckSlot < 0 {
-				st.rec.AckSlot = ev.Slot
-				st.rec.Latency = ev.Slot - st.rec.BcastSlot
-			}
-		case EventAbort:
-			if st, ok := states[ev.Msg.ID]; ok {
-				st.rec.Aborted = true
-			}
-		}
-	}
-
+	ix := indexTrace(events, 0)
 	var report AckReport
+	if len(ix.msgs) > 0 {
+		report.Records = make([]AckRecord, len(ix.msgs))
+	}
 	var latencySum int64
-	for _, id := range order {
-		st := states[id]
-		rec := st.rec
+	first := newFirstRcv(g.NumNodes())
+	for m := range ix.msgs {
+		l := &ix.msgs[m]
+		rec := AckRecord{Msg: l.msg, BcastSlot: l.bcastSlot, AckSlot: l.ackSlot, Aborted: l.aborted, Latency: l.latency}
 		switch {
 		case rec.AckSlot >= 0:
 			report.Acked++
@@ -97,12 +271,7 @@ func CheckAcks(events []Event, g *graphs.Graph) AckReport {
 			if rec.Latency > report.MaxLatency {
 				report.MaxLatency = rec.Latency
 			}
-			for _, nbr := range g.Neighbors(rec.Msg.Origin) {
-				slot, got := st.rcvSlots[nbr]
-				if !got || slot > rec.AckSlot {
-					rec.MissedNeighbors = append(rec.MissedNeighbors, nbr)
-				}
-			}
+			rec.MissedNeighbors = ix.missedNeighbors(events, m, g, first, true)
 			if len(rec.MissedNeighbors) > 0 {
 				report.Violations++
 			}
@@ -111,7 +280,7 @@ func CheckAcks(events []Event, g *graphs.Graph) AckReport {
 		default:
 			report.Unacked++
 		}
-		report.Records = append(report.Records, rec)
+		report.Records[m] = rec
 	}
 	if report.Acked > 0 {
 		report.MeanLatency = float64(latencySum) / float64(report.Acked)
@@ -177,76 +346,34 @@ func (r ProgressReport) SatisfactionRate() float64 {
 // the classic progress bound f_prog, passing G̃ := G_{1-2ε} measures the
 // approximate-progress bound f_approg of Definition 7.1. horizon caps the
 // observation window of broadcasts that never completed.
+//
+// Every rcv event counts, wherever it sits in the slice relative to its
+// message's bcast: a window is satisfied by the earliest qualifying rcv
+// slot within it.
 func MeasureProgress(events []Event, g, trigger *graphs.Graph, horizon int64) ProgressReport {
-	// Index per-message lifecycle and per-receiver qualifying receptions.
-	type life struct {
-		origin int
-		start  int64
-		end    int64
+	ix := indexTrace(events, horizon)
+	q := indexQualifying(events, g)
+	total := 0
+	for _, l := range ix.msgs {
+		total += trigger.Degree(l.msg.Origin)
 	}
-	lives := make(map[MessageID]*life)
-	var msgOrder []MessageID
-	rcvByNode := make(map[int][]Event)
-	for _, ev := range events {
-		switch ev.Kind {
-		case EventBcast:
-			if _, ok := lives[ev.Msg.ID]; !ok {
-				lives[ev.Msg.ID] = &life{origin: ev.Msg.Origin, start: ev.Slot, end: horizon}
-				msgOrder = append(msgOrder, ev.Msg.ID)
-			}
-		case EventAck, EventAbort:
-			if l, ok := lives[ev.Msg.ID]; ok && l.end == horizon {
-				l.end = ev.Slot
-			}
-		case EventRcv:
-			rcvByNode[ev.Node] = append(rcvByNode[ev.Node], ev)
-		}
-	}
-	for _, evs := range rcvByNode {
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Slot < evs[j].Slot })
-	}
-
 	var report ProgressReport
-	var latencySum int64
-	for _, id := range msgOrder {
-		l := lives[id]
-		for _, j := range trigger.Neighbors(l.origin) {
-			sample := ProgressSample{
-				Receiver:   j,
-				Trigger:    l.origin,
-				TriggerMsg: id,
-				StartSlot:  l.start,
-				EndSlot:    l.end,
-				RcvSlot:    -1,
-			}
-			for _, rcv := range rcvByNode[j] {
-				if rcv.Slot < l.start {
-					continue
-				}
-				if rcv.Slot > l.end {
-					break
-				}
-				// Qualifying receptions originate at a G-neighbour of j.
-				if g.HasEdge(j, rcv.Msg.Origin) {
-					sample.RcvSlot = rcv.Slot
-					break
-				}
-			}
-			if sample.RcvSlot >= 0 {
-				sample.Satisfied = true
-				sample.Latency = sample.RcvSlot - sample.StartSlot
-				report.Satisfied++
-			} else {
-				sample.Latency = sample.EndSlot - sample.StartSlot
-				report.Unsatisfied++
-			}
-			if sample.Latency > report.MaxLatency {
-				report.MaxLatency = sample.Latency
-			}
-			latencySum += sample.Latency
-			report.Samples = append(report.Samples, sample)
-		}
+	if total > 0 {
+		report.Samples = make([]ProgressSample, 0, total)
 	}
+	var latencySum int64
+	ix.eachWindow(trigger, q, func(sample ProgressSample) {
+		if sample.Satisfied {
+			report.Satisfied++
+		} else {
+			report.Unsatisfied++
+		}
+		if sample.Latency > report.MaxLatency {
+			report.MaxLatency = sample.Latency
+		}
+		latencySum += sample.Latency
+		report.Samples = append(report.Samples, sample)
+	})
 	if len(report.Samples) > 0 {
 		report.MeanLatency = float64(latencySum) / float64(len(report.Samples))
 	}
@@ -286,31 +413,35 @@ type DeadlineReport struct {
 	ProgressMisses  int
 }
 
-// CheckDeadlines runs the acknowledgment and progress checkers over a trace
-// and folds their measurements into deadline-miss counts. g is the reliable
-// communication graph (also used as the progress trigger graph); horizon
-// caps unfinished observation windows as in MeasureProgress.
+// CheckDeadlines folds the acknowledgment and progress measurements of a
+// trace into deadline-miss counts: it reads the same index as CheckAcks and
+// MeasureProgress but counts records and progress windows without building
+// them. g is the reliable communication graph (also used as the progress
+// trigger graph); horizon caps unfinished observation windows as in
+// MeasureProgress.
 func CheckDeadlines(events []Event, g *graphs.Graph, ackDeadline, progressDeadline, horizon int64) DeadlineReport {
 	rep := DeadlineReport{AckDeadline: ackDeadline, ProgressDeadline: progressDeadline}
-	acks := CheckAcks(events, g)
-	rep.Bcasts = len(acks.Records)
-	rep.NiceViolations = acks.Violations
-	for _, r := range acks.Records {
+	ix := indexTrace(events, horizon)
+	rep.Bcasts = len(ix.msgs)
+	first := newFirstRcv(g.NumNodes())
+	for m, l := range ix.msgs {
 		switch {
-		case r.Aborted && r.AckSlot < 0:
+		case l.aborted && l.ackSlot < 0:
 			rep.Aborted++
-		case r.AckSlot < 0:
-			if r.BcastSlot+ackDeadline <= horizon {
+		case l.ackSlot < 0:
+			if l.bcastSlot+ackDeadline <= horizon {
 				rep.NeverAcked++
 			}
-		case r.Latency > ackDeadline:
+		case l.latency > ackDeadline:
 			rep.LateAcks++
+		}
+		if l.ackSlot >= 0 && len(ix.missedNeighbors(events, m, g, first, false)) > 0 {
+			rep.NiceViolations++
 		}
 	}
 	rep.AckMisses = rep.LateAcks + rep.NeverAcked
-	prog := MeasureProgress(events, g, g, horizon)
-	rep.ProgressWindows = len(prog.Samples)
-	for _, s := range prog.Samples {
+	ix.eachWindow(g, indexQualifying(events, g), func(s ProgressSample) {
+		rep.ProgressWindows++
 		switch {
 		case !s.Satisfied:
 			if s.StartSlot+progressDeadline <= horizon {
@@ -319,6 +450,6 @@ func CheckDeadlines(events []Event, g *graphs.Graph, ackDeadline, progressDeadli
 		case s.Latency > progressDeadline:
 			rep.ProgressMisses++
 		}
-	}
+	})
 	return rep
 }

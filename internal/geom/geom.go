@@ -85,12 +85,14 @@ func BoundingBox(points []Point) Rect {
 	if len(points) == 0 {
 		return Rect{}
 	}
+	// The min and max builtins follow math.Min and math.Max on NaN and
+	// signed zeros, and compile inline.
 	r := Rect{Min: points[0], Max: points[0]}
 	for _, p := range points[1:] {
-		r.Min.X = math.Min(r.Min.X, p.X)
-		r.Min.Y = math.Min(r.Min.Y, p.Y)
-		r.Max.X = math.Max(r.Max.X, p.X)
-		r.Max.Y = math.Max(r.Max.Y, p.Y)
+		r.Min.X = min(r.Min.X, p.X)
+		r.Min.Y = min(r.Min.Y, p.Y)
+		r.Max.X = max(r.Max.X, p.X)
+		r.Max.Y = max(r.Max.Y, p.Y)
 	}
 	return r
 }

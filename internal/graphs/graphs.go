@@ -2,21 +2,30 @@
 // the SINR model: generic undirected graphs with hop distances, diameters
 // and neighbourhoods (Section 4.1), SINR-induced connectivity graphs G_a
 // (Section 4.3) and maximal-independent-set computations.
+//
+// A Graph is one sorted adjacency list per node and nothing else: there are
+// no per-node hash sets, HasEdge is a binary search and Neighbors a copy.
+// UnitDisk, which induces every SINR graph, buckets the points into
+// lattice cells of side radius (geom.CellIndex) and tests only the pairs
+// in nearby cells, so inducing a graph costs O(n + Σdeg) for a deployment
+// of bounded density rather than n²/2 distance tests.
 package graphs
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"sinrmac/internal/geom"
 	"sinrmac/internal/sinr"
 )
 
-// Graph is a simple undirected graph on nodes 0..n-1.
+// Graph is a simple undirected graph on nodes 0..n-1. Each node's
+// adjacency list is kept sorted ascending, without duplicates or
+// self-loops; every method relies on that invariant.
 type Graph struct {
 	n   int
 	adj [][]int
-	set []map[int]bool
 }
 
 // New returns an empty graph with n nodes and no edges. It panics if n is
@@ -25,15 +34,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graphs: negative node count")
 	}
-	g := &Graph{
-		n:   n,
-		adj: make([][]int, n),
-		set: make([]map[int]bool, n),
-	}
-	for i := range g.set {
-		g.set[i] = make(map[int]bool)
-	}
-	return g
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // NumNodes returns the number of nodes.
@@ -48,18 +49,22 @@ func (g *Graph) NumEdges() int {
 	return total / 2
 }
 
-// AddEdge inserts the undirected edge (u, v). Self-loops and duplicate
-// edges are ignored. It panics if either endpoint is out of range.
+// AddEdge inserts the undirected edge (u, v), keeping both adjacency lists
+// sorted. Self-loops and duplicate edges are ignored. It panics if either
+// endpoint is out of range.
 func (g *Graph) AddEdge(u, v int) {
 	g.check(u)
 	g.check(v)
-	if u == v || g.set[u][v] {
+	if u == v {
 		return
 	}
-	g.set[u][v] = true
-	g.set[v][u] = true
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
+	i, found := slices.BinarySearch(g.adj[u], v)
+	if found {
+		return
+	}
+	g.adj[u] = slices.Insert(g.adj[u], i, v)
+	j, _ := slices.BinarySearch(g.adj[v], u)
+	g.adj[v] = slices.Insert(g.adj[v], j, u)
 }
 
 func (g *Graph) check(u int) {
@@ -68,21 +73,20 @@ func (g *Graph) check(u int) {
 	}
 }
 
-// HasEdge reports whether (u, v) is an edge.
+// HasEdge reports whether (u, v) is an edge, by binary search of u's
+// adjacency list.
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	return g.set[u][v]
+	_, found := slices.BinarySearch(g.adj[u], v)
+	return found
 }
 
 // Neighbors returns the neighbours of u in ascending order. The returned
 // slice is a copy.
 func (g *Graph) Neighbors(u int) []int {
 	g.check(u)
-	out := make([]int, len(g.adj[u]))
-	copy(out, g.adj[u])
-	sort.Ints(out)
-	return out
+	return slices.Clone(g.adj[u])
 }
 
 // Degree returns the degree of u (excluding u itself, as in the paper's
@@ -183,12 +187,8 @@ func (g *Graph) IsConnected() bool {
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if v > u {
-				c.AddEdge(u, v)
-			}
-		}
+	for u, a := range g.adj {
+		c.adj[u] = slices.Clone(a)
 	}
 	return c
 }
@@ -196,32 +196,100 @@ func (g *Graph) Clone() *Graph {
 // Edges returns all edges (u < v) sorted lexicographically.
 func (g *Graph) Edges() [][2]int {
 	var out [][2]int
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if v > u {
-				out = append(out, [2]int{u, v})
-			}
+	for u, a := range g.adj {
+		i, _ := slices.BinarySearch(a, u)
+		for _, v := range a[i:] {
+			out = append(out, [2]int{u, v})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
-// UnitDisk returns the graph connecting every pair of points at Euclidean
-// distance at most radius.
-func UnitDisk(pos []geom.Point, radius float64) *Graph {
-	g := New(len(pos))
-	for u := range pos {
-		for v := u + 1; v < len(pos); v++ {
-			if pos[u].Dist(pos[v]) <= radius {
-				g.AddEdge(u, v)
+// unitDiskWindow lists the lattice offsets UnitDisk scans around a node's
+// cell: the 5×5 block without its four corners, which is every offset
+// whose certified minimum cell-pair distance (geom.CellOffsetDistBounds)
+// is at most the cell side. Two points at distance at most the cell side
+// lie in cells at most one step apart in each axis; the floor rounding of
+// a coordinate at a cell edge can move a point one more cell, which the
+// outer ring covers, and an edge can never land on a corner, which would
+// need a gap of a full cell in both axes.
+var unitDiskWindow = func() (w [][2]int) {
+	for dx := -2; dx <= 2; dx++ {
+		for dy := -2; dy <= 2; dy++ {
+			if dmin, _ := geom.CellOffsetDistBounds(dx, dy, 1); dmin <= 1 {
+				w = append(w, [2]int{dx, dy})
 			}
 		}
+	}
+	return w
+}()
+
+// UnitDisk returns the graph connecting every pair of points at Euclidean
+// distance at most radius (Dist(u, v) <= radius). The points are bucketed
+// into a geom.CellIndex with cells of side radius and each node is tested
+// only against the nodes of the cells in unitDiskWindow, so the cost is
+// O(n + Σdeg) for points of bounded density. Coordinates must be finite; a
+// negative or NaN radius yields no edges.
+func UnitDisk(pos []geom.Point, radius float64) *Graph {
+	n := len(pos)
+	g := New(n)
+	if n < 2 || !(radius >= 0) {
+		return g
+	}
+	// Cell coordinates must stay well inside the int range, so a radius far
+	// below the coordinates' magnitude (or zero) gets wider cells; a cell
+	// at least radius wide keeps the window complete.
+	maxAbs := 0.0
+	for _, p := range pos {
+		maxAbs = max(maxAbs, math.Abs(p.X), math.Abs(p.Y))
+	}
+	if math.IsInf(maxAbs, 0) || math.IsNaN(maxAbs) {
+		panic("graphs: UnitDisk needs finite coordinates")
+	}
+	cells := geom.NewCellIndex(pos, max(radius, maxAbs*0x1p-40, 0x1p-1000))
+	// The points in cell order, so the scan below reads them contiguously:
+	// cell c's nodes are cells.Nodes(c) at cpos[cstart[c]:cstart[c+1]].
+	nc := cells.NumCells()
+	cpos := make([]geom.Point, 0, n)
+	cstart := make([]int, nc+1)
+	for c := 0; c < nc; c++ {
+		for _, v := range cells.Nodes(c) {
+			cpos = append(cpos, pos[v])
+		}
+		cstart[c+1] = len(cpos)
+	}
+	// Each node's neighbours go into one arena, found in window order and
+	// then sorted. span[u] locates u's list until the arena stops growing.
+	arena := make([]int, 0, 2*n)
+	span := make([][2]int, n)
+	var near []int
+	for c := 0; c < nc; c++ {
+		cx, cy := cells.Coord(c)
+		near = near[:0]
+		for _, off := range unitDiskWindow {
+			if c2 := cells.CellAt(cx+off[0], cy+off[1]); c2 >= 0 {
+				near = append(near, c2)
+			}
+		}
+		for _, u := range cells.Nodes(c) {
+			p := pos[u]
+			lo := len(arena)
+			for _, c2 := range near {
+				ids := cells.Nodes(c2)
+				for k, q := range cpos[cstart[c2]:cstart[c2+1]] {
+					if ids[k] != u && p.Dist(q) <= radius {
+						arena = append(arena, int(ids[k]))
+					}
+				}
+			}
+			slices.Sort(arena[lo:])
+			span[u] = [2]int{lo, len(arena)}
+		}
+	}
+	// Each list is capped at its length, so a later AddEdge reallocates
+	// instead of writing into the next list.
+	for u, sp := range span {
+		g.adj[u] = arena[sp[0]:sp[1]:sp[1]]
 	}
 	return g
 }
@@ -252,10 +320,7 @@ func Weak(params sinr.Params, pos []geom.Point) *Graph {
 
 // IsIndependent reports whether no two nodes of s are adjacent in g.
 func (g *Graph) IsIndependent(s []int) bool {
-	inSet := make(map[int]bool, len(s))
-	for _, v := range s {
-		inSet[v] = true
-	}
+	inSet := g.members(s)
 	for _, v := range s {
 		for _, w := range g.adj[v] {
 			if inSet[w] {
@@ -273,10 +338,7 @@ func (g *Graph) IsMaximalIndependent(s, domain []int) bool {
 	if !g.IsIndependent(s) {
 		return false
 	}
-	inSet := make(map[int]bool, len(s))
-	for _, v := range s {
-		inSet[v] = true
-	}
+	inSet := g.members(s)
 	for _, v := range domain {
 		if inSet[v] {
 			continue
@@ -293,4 +355,15 @@ func (g *Graph) IsMaximalIndependent(s, domain []int) bool {
 		}
 	}
 	return true
+}
+
+// members returns the indicator vector of s over the nodes of g. It panics
+// if a member is out of range.
+func (g *Graph) members(s []int) []bool {
+	in := make([]bool, g.n)
+	for _, v := range s {
+		g.check(v)
+		in[v] = true
+	}
+	return in
 }

@@ -1,6 +1,9 @@
 package graphs
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -190,6 +193,126 @@ func TestUnitDiskAndInduced(t *testing.T) {
 	for _, e := range strong.Edges() {
 		if !weak.HasEdge(e[0], e[1]) {
 			t.Fatalf("strong edge %v missing from weak graph", e)
+		}
+	}
+}
+
+// unitDiskReference is the all-pairs UnitDisk: n²/2 distance tests in
+// index order. The cell-bucketed UnitDisk must return exactly its edges.
+func unitDiskReference(pos []geom.Point, radius float64) *Graph {
+	g := New(len(pos))
+	for u := range pos {
+		for v := u + 1; v < len(pos); v++ {
+			if pos[u].Dist(pos[v]) <= radius {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
+func TestUnitDiskMatchesReference(t *testing.T) {
+	src := rng.New(3)
+	uniform := func(n int, lo, hi float64) []geom.Point {
+		pos := make([]geom.Point, n)
+		for i := range pos {
+			pos[i] = geom.Point{X: lo + src.Float64()*(hi-lo), Y: lo + src.Float64()*(hi-lo)}
+		}
+		return pos
+	}
+	// multiples puts points on exact multiples of r and one ulp either side
+	// of them, where floor(x/r) rounds at a cell edge.
+	multiples := func(r float64, k int) []geom.Point {
+		var pos []geom.Point
+		for i := -k; i <= k; i++ {
+			for j := -k; j <= k; j++ {
+				x, y := float64(i)*r, float64(j)*r
+				pos = append(pos, geom.Point{X: x, Y: y},
+					geom.Point{X: math.Nextafter(x, math.Inf(1)), Y: y},
+					geom.Point{X: x, Y: math.Nextafter(y, math.Inf(-1))})
+			}
+		}
+		return pos
+	}
+	clusters := func(k, size int, spread float64) []geom.Point {
+		var pos []geom.Point
+		for c := 0; c < k; c++ {
+			cx, cy := src.Float64()*60-30, src.Float64()*60-30
+			for i := 0; i < size; i++ {
+				pos = append(pos, geom.Point{X: cx + src.Float64()*spread, Y: cy + src.Float64()*spread})
+			}
+		}
+		return pos
+	}
+	unitGrid := func(rows, cols int) []geom.Point {
+		var pos []geom.Point
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				pos = append(pos, geom.Point{X: float64(i), Y: float64(j)})
+			}
+		}
+		return pos
+	}
+	far := uniform(200, 0, 30)
+	for i := range far {
+		far[i].X += 1e12
+		far[i].Y -= 1e12
+	}
+	cases := []struct {
+		name   string
+		pos    []geom.Point
+		radius float64
+	}{
+		{"uniform", uniform(400, 0, 100), 10},
+		{"uniform-dense", uniform(300, 0, 20), 7.3},
+		{"uniform-huge-radius", uniform(50, 0, 10), 1e6},
+		{"multiples-2.5", multiples(2.5, 4), 2.5},
+		{"multiples-0.1", multiples(0.1, 4), 0.1},
+		{"multiples-0.1-wider", multiples(0.1, 4), 0.2},
+		{"multiples-3-diagonal", multiples(3, 3), 3 * math.Sqrt2},
+		{"negative", uniform(300, -250, -150), 9},
+		{"straddles-origin", uniform(300, -40, 40), 6},
+		{"clusters", clusters(6, 40, 1.5), 3},
+		{"coincident", clusters(3, 20, 0), 0},
+		{"below-min-spacing", unitGrid(12, 12), 0.5},
+		{"radius-zero", unitGrid(5, 5), 0},
+		{"radius-at-spacing", unitGrid(12, 12), 1},
+		{"far-from-origin", far, 4},
+		{"far-radius-tiny", far, 1e-9},
+		{"n0", nil, 5},
+		{"n1", []geom.Point{{X: 1, Y: 1}}, 5},
+		{"n2-edge", []geom.Point{{X: 0, Y: 0}, {X: 3, Y: 4}}, 5},
+		{"n2-no-edge", []geom.Point{{X: 0, Y: 0}, {X: 3, Y: 4}}, math.Nextafter(5, 0)},
+		{"n3-negative-radius", []geom.Point{{}, {X: 1}, {Y: 1}}, -1},
+		{"n3-nan-radius", []geom.Point{{}, {X: 1}, {Y: 1}}, math.NaN()},
+		{"n3-inf-radius", []geom.Point{{}, {X: 1e300}, {Y: -1e300}}, math.Inf(1)},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/n%d", tc.name, len(tc.pos)), func(t *testing.T) {
+			got, want := UnitDisk(tc.pos, tc.radius), unitDiskReference(tc.pos, tc.radius)
+			for u := range tc.pos {
+				if !slices.Equal(got.adj[u], want.adj[u]) {
+					t.Fatalf("node %d at %v: neighbours %v, want %v", u, tc.pos[u], got.adj[u], want.adj[u])
+				}
+			}
+			if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+				t.Fatalf("%d nodes, %d edges; want %d, %d", got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+			}
+		})
+	}
+}
+
+func TestUnitDiskGraphStaysMutable(t *testing.T) {
+	// UnitDisk's lists share one arena; AddEdge must not write into a
+	// neighbour's list.
+	pos := []geom.Point{{X: 0}, {X: 1}, {X: 2}, {X: 10}}
+	g := UnitDisk(pos, 1)
+	g.AddEdge(0, 3)
+	g.AddEdge(1, 3)
+	want := [][]int{{1, 3}, {0, 2, 3}, {1}, {0, 1}}
+	for u, w := range want {
+		if got := g.Neighbors(u); !slices.Equal(got, w) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", u, got, w)
 		}
 	}
 }

@@ -308,10 +308,12 @@ type ChannelEvaluator interface {
 	// transmitters are physically indistinguishable from real ones: they
 	// contribute interference at every receiver and are half-duplex (an
 	// injected node decodes nothing that slot). Every id must be a valid
-	// node index; duplicates are legal and evaluate like a single
-	// transmission by that node. Callers may mutate the returned slice
-	// (e.g. scrubbing entries to Sender = -1) — implementations reset every
-	// entry on the next call.
+	// node index. Duplicates are legal, and every occurrence counts: each
+	// adds the node's power to the total a receiver hears, so a repeated
+	// sender interferes with its own signal (the evaluator oracle's slot
+	// sets repeat ids and pin this for every evaluator). Callers may
+	// mutate the returned slice (e.g. scrubbing entries to Sender = -1) —
+	// implementations reset every entry on the next call.
 	SlotReceptions(transmitters []int) []Reception
 }
 

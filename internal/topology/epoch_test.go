@@ -1,11 +1,13 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"sinrmac/internal/geom"
+	"sinrmac/internal/rng"
 	"sinrmac/internal/sinr"
 )
 
@@ -122,6 +124,70 @@ func TestCommitEpochValidation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// epochSpacingReference is the rule validateEpochSpacing implements, as a
+// pairwise scan: the first dirty node, in dirty order, closer than unit
+// distance (with Validate's tolerance) to any other node, paired with the
+// lowest such node id.
+func epochSpacingReference(name string, cand []geom.Point, dirty []int) error {
+	for _, id := range dirty {
+		for j, q := range cand {
+			if dist := cand[id].Dist(q); j != id && dist < 1-1e-9 {
+				return fmt.Errorf("topology: epoch on %q violates the near-field bound: nodes %d and %d at distance %v < 1",
+					name, id, j, dist)
+			}
+		}
+	}
+	return nil
+}
+
+// TestEpochSpacingMatchesPairwise pins validateEpochSpacing to the pairwise
+// rule on jittered unit-spaced layouts: the same epochs are accepted, and a
+// rejected one names the same first violating dirty node (in dirty order,
+// which need not be ascending) and partner, at the same distance.
+func TestEpochSpacingMatchesPairwise(t *testing.T) {
+	src := rng.New(8)
+	rejected := 0
+	for trial := 0; trial < 300; trial++ {
+		side := 1 + src.Intn(12)
+		cand := make([]geom.Point, 0, side*side)
+		for i := 0; i < side; i++ {
+			for j := 0; j < side; j++ {
+				cand = append(cand, geom.Point{X: float64(i)*1.3 - 4, Y: float64(j)*1.3 - 4})
+			}
+		}
+		dirty := src.Perm(len(cand))[:1+src.Intn(len(cand))]
+		jitter := 0.05 + 0.6*src.Float64()
+		for _, id := range dirty {
+			cand[id].X += jitter * (2*src.Float64() - 1)
+			cand[id].Y += jitter * (2*src.Float64() - 1)
+		}
+		if src.Bernoulli(0.2) {
+			// A node exactly at unit distance, and one at the tolerance.
+			a, b := dirty[0], dirty[len(dirty)-1]
+			cand[b] = geom.Point{X: cand[a].X + 1, Y: cand[a].Y}
+			if src.Bernoulli(0.5) {
+				cand[b].X -= 1e-9
+			}
+		}
+		got, want := validateEpochSpacing("t", cand, dirty), epochSpacingReference("t", cand, dirty)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d (dirty %v): got %v, want %v", trial, dirty, got, want)
+		}
+		if want != nil {
+			rejected++
+		}
+	}
+	if rejected < 30 || rejected > 270 {
+		t.Fatalf("%d of 300 epochs rejected; the layouts do not exercise both outcomes", rejected)
+	}
+	// Dirty order, not id order, picks the node the error names.
+	cand := []geom.Point{{X: 0}, {X: 0.5}, {X: 5}, {X: 5.5}}
+	err := validateEpochSpacing("t", cand, []int{3, 0})
+	if err == nil || !strings.Contains(err.Error(), "nodes 3 and 2") {
+		t.Fatalf("error = %v, want it to name nodes 3 and 2", err)
 	}
 }
 

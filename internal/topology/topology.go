@@ -63,9 +63,10 @@ type Deployment struct {
 func (d *Deployment) NumNodes() int { return len(d.Positions) }
 
 // StrongGraph returns G_{1-ε} for the deployment. The graph is induced on
-// first use and cached — experiments query the diameter and maximum degree
-// of a shared deployment from many concurrent trials — so callers must
-// treat the returned graph as read-only. It is safe for concurrent use.
+// first use by graphs.UnitDisk's cell-bucketed pass, O(n + Σdeg), and
+// cached — experiments query the diameter and maximum degree of a shared
+// deployment from many concurrent trials — so callers must treat the
+// returned graph as read-only. It is safe for concurrent use.
 func (d *Deployment) StrongGraph() *graphs.Graph {
 	d.cacheMu.Lock()
 	defer d.cacheMu.Unlock()
@@ -76,9 +77,9 @@ func (d *Deployment) StrongGraph() *graphs.Graph {
 }
 
 // ApproxGraph returns G_{1-2ε} for the deployment. Like StrongGraph it is
-// induced on first use and cached (concurrent trials sharing one deployment
-// used to repay the O(n²) induction per call), so callers must treat the
-// returned graph as read-only. It is safe for concurrent use.
+// induced on first use and cached, so concurrent trials sharing one
+// deployment pay the induction once and callers must treat the returned
+// graph as read-only. It is safe for concurrent use.
 func (d *Deployment) ApproxGraph() *graphs.Graph {
 	d.cacheMu.Lock()
 	defer d.cacheMu.Unlock()
