@@ -4,13 +4,14 @@ import "math"
 
 // CellIndex is an immutable, densely numbered decomposition of an indexed
 // point set into square lattice cells (cell c of a point p is
-// (floor(p.X/cell), floor(p.Y/cell))). It is the fast SINR evaluator's one
-// spatial index and answers the queries both its regimes are built on:
-// which cell does a node live in, which nodes live in a cell, which
-// occupied cell sits at given lattice coordinates (so a caller can walk the
-// cells around a point), and what are the lattice coordinates of a cell so
-// that conservative cell-pair distance bounds (CellOffsetDistBounds) can be
-// looked up by integer offset.
+// (floor(p.X/cell), floor(p.Y/cell))). It is the fast SINR evaluator's
+// index and serves nothing else (topology generation, MinPairwiseDist and
+// unit-disk graphs use Buckets). It answers the queries both evaluator
+// regimes are built on: which cell does a node live in, which nodes live
+// in a cell, which occupied cell sits at given lattice coordinates (so a
+// caller can walk the cells around a point), and what are the lattice
+// coordinates of a cell so that conservative cell-pair distance bounds
+// (CellOffsetDistBounds) can be looked up by integer offset.
 //
 // Cells are numbered densely in first-occurrence order of the input points,
 // so the numbering is deterministic for a fixed point slice. The node lists
@@ -33,6 +34,11 @@ type CellIndex struct {
 	cx, cy []int             // dense cell id -> lattice coords relative to (minCX, minCY)
 	ids    map[cellKey]int32 // lattice cell -> dense id, retained for ApplyChurn
 	cursor []int32           // CSR scatter scratch, reused across ApplyChurn calls
+}
+
+// cellKey identifies one lattice cell of a CellIndex.
+type cellKey struct {
+	cx, cy int
 }
 
 // NewCellIndex decomposes the points into square cells of the given side

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"sinrmac/internal/rng"
@@ -51,70 +50,45 @@ func FuzzPointDistance(f *testing.F) {
 	})
 }
 
-// FuzzGridQueryAgreement fuzzes the grid range query against a brute-force
-// scan. Both decide membership by the same DistSq ≤ r·r predicate, so they
-// must agree exactly — on borderline points sitting on the query circle
-// included.
-func FuzzGridQueryAgreement(f *testing.F) {
-	f.Add(uint64(1), uint8(12), 5.0, 5.0, 3.0)
-	f.Add(uint64(7), uint8(40), 0.0, 0.0, 0.0)
-	f.Add(uint64(99), uint8(3), 25.0, 25.0, 40.0)
-	f.Add(uint64(0xbeef), uint8(20), -5.0, 60.0, 12.5)
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, qx, qy, r float64) {
-		if math.IsNaN(qx) || math.IsNaN(qy) || math.IsNaN(r) {
-			t.Skip("NaN query")
-		}
-		// Keep the query commensurate with the deployment so cells stay
-		// enumerable; the interesting behaviour is on the circle boundary,
-		// not at astronomic magnitudes.
-		qx = math.Mod(qx, 100)
-		qy = math.Mod(qy, 100)
-		r = math.Abs(math.Mod(r, 80))
-		n := int(nRaw)%48 + 1
-		src := rng.New(seed)
-		g := NewGrid(1 + src.Float64()*7)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Point{X: src.Float64() * 50, Y: src.Float64() * 50}
-			if i > 0 && src.Bernoulli(0.25) {
-				// Plant points exactly on the query circle to force the
-				// boundary of the DistSq ≤ r² predicate.
-				theta := src.Float64() * 2 * math.Pi
-				pts[i] = Point{X: qx + r*math.Cos(theta), Y: qy + r*math.Sin(theta)}
-			}
-			g.Insert(i, pts[i])
-		}
-		q := Point{X: qx, Y: qy}
-		rr := r * r
-		var brute []int
-		for i, p := range pts {
-			if p.DistSq(q) <= rr {
-				brute = append(brute, i)
+// minPairwiseBrute is the quadratic reference for MinPairwiseDist: the
+// smallest squared distance over all pairs, with one root at the end.
+func minPairwiseBrute(points []Point) float64 {
+	bestSq := math.Inf(1)
+	for i := range points {
+		for j := i + 1; j < len(points); j++ {
+			if d2 := points[i].DistSq(points[j]); d2 < bestSq {
+				bestSq = d2
 			}
 		}
-		sort.Ints(brute)
-		got := g.Neighborhood(q, r)
-		if len(got) != len(brute) {
-			t.Fatalf("Neighborhood returned %v, brute force says %v (q=%v r=%v)", got, brute, q, r)
-		}
-		for i := range got {
-			if got[i] != brute[i] {
-				t.Fatalf("Neighborhood returned %v, brute force says %v (q=%v r=%v)", got, brute, q, r)
-			}
-		}
-	})
+	}
+	return math.Sqrt(bestSq)
 }
 
-// FuzzMinPairwiseDist fuzzes the gridded minimum-distance scan against the
-// quadratic reference. The grid path minimises DistSq and takes a single
-// root at the end; the brute path does the same, so the results must be
-// bit-identical whichever path the size heuristic picks.
+// FuzzMinPairwiseDist fuzzes MinPairwiseDist against the quadratic
+// reference. Both minimise DistSq and take one root at the end, so the
+// results must be bit-identical on every layout mode:
+//
+//	0 uniform in a side×side square
+//	1 a horizontal line of random points
+//	2 a vertical line of random points
+//	3 the ParallelLines shape: two unit-spaced rows side apart
+//	4 every point coincident
+//	5 uniform, with one outlier 1e9 away
+//	6 coordinates near ±1e300 or ±MaxFloat64, whose extent overflows
+//	7 uniform, with one NaN coordinate
 func FuzzMinPairwiseDist(f *testing.F) {
-	f.Add(uint64(3), uint8(10), 50.0)
-	f.Add(uint64(11), uint8(200), 50.0) // forces the grid path (n > 64)
-	f.Add(uint64(42), uint8(130), 1e-6) // near-coincident cloud
-	f.Add(uint64(123), uint8(90), 5e4)  // sparse: grid falls back to brute
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, side float64) {
+	f.Add(uint64(3), uint8(10), 50.0, uint8(0))
+	f.Add(uint64(11), uint8(200), 50.0, uint8(0)) // a denser square
+	f.Add(uint64(42), uint8(130), 1e-6, uint8(0)) // near-coincident cloud
+	f.Add(uint64(123), uint8(90), 5e4, uint8(0))  // sparse square
+	f.Add(uint64(5), uint8(255), 1e3, uint8(1))
+	f.Add(uint64(6), uint8(255), 1e3, uint8(2))
+	f.Add(uint64(7), uint8(120), 30.0, uint8(3))
+	f.Add(uint64(8), uint8(60), 2.5, uint8(4))
+	f.Add(uint64(9), uint8(150), 40.0, uint8(5))
+	f.Add(uint64(10), uint8(80), 1.0, uint8(6))
+	f.Add(uint64(12), uint8(100), 20.0, uint8(7))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, side float64, mode uint8) {
 		if math.IsNaN(side) || math.IsInf(side, 0) {
 			t.Skip("non-finite side")
 		}
@@ -128,14 +102,44 @@ func FuzzMinPairwiseDist(f *testing.F) {
 		for i := range pts {
 			pts[i] = Point{X: src.Float64() * side, Y: src.Float64() * side}
 		}
+		switch mode % 8 {
+		case 1:
+			for i := range pts {
+				pts[i].Y = pts[0].Y
+			}
+		case 2:
+			for i := range pts {
+				pts[i].X = pts[0].X
+			}
+		case 3:
+			for i := range pts {
+				pts[i] = Point{X: float64(i / 2), Y: float64(i%2) * side}
+			}
+		case 4:
+			for i := range pts {
+				pts[i] = pts[0]
+			}
+		case 5:
+			pts[n/2].X += 1e9
+		case 6:
+			scale := 1e300
+			if src.Bernoulli(0.5) {
+				scale = math.MaxFloat64
+			}
+			for i := range pts {
+				pts[i] = Point{X: (2*src.Float64() - 1) * scale, Y: (2*src.Float64() - 1) * scale}
+			}
+		case 7:
+			pts[src.Intn(n)].Y = math.NaN()
+		}
 		if src.Bernoulli(0.3) {
 			pts[n-1] = pts[0] // duplicate point: minimum distance exactly 0
 		}
 		got := MinPairwiseDist(pts)
 		want := minPairwiseBrute(pts)
-		if got != want {
-			t.Fatalf("n=%d side=%g: MinPairwiseDist=%x, brute=%x",
-				n, side, math.Float64bits(got), math.Float64bits(want))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("mode=%d n=%d side=%g: MinPairwiseDist=%x, brute=%x",
+				mode%8, n, side, math.Float64bits(got), math.Float64bits(want))
 		}
 	})
 }

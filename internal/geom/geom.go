@@ -1,7 +1,9 @@
 // Package geom provides the planar geometry primitives the SINR simulator
-// is built on: points, Euclidean distances, bounding boxes, a uniform grid
-// that answers the range queries of topology generation, and the dense
-// cell index the fast SINR evaluator is built on (CellIndex).
+// is built on: points, Euclidean distances, bounding boxes, the bucket grid
+// that answers "which points lie within one cell side of p" for placement,
+// the minimum pairwise distance, the epoch spacing check and unit-disk
+// graphs (Buckets), and the dense cell index of the fast SINR evaluator
+// (CellIndex).
 //
 // The paper (Section 4.2) places nodes in the Euclidean plane and assumes a
 // minimum pairwise distance of 1 (the near-field normalisation); helpers in
@@ -11,7 +13,6 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Point is a location in the Euclidean plane.
@@ -100,125 +101,43 @@ func BoundingBox(points []Point) Rect {
 // MinPairwiseDist returns the smallest distance between two distinct points.
 // It returns +Inf when fewer than two points are given.
 //
-// The implementation uses a uniform grid to avoid the quadratic scan for
-// large inputs, falling back to brute force for small ones.
+// Each point is compared with the points before it in its Buckets window,
+// which holds every point within one cell side. Pass 1 uses cells about the
+// mean spacing; when the closest pair it finds is at most the cell side,
+// that pair is the global minimum. Otherwise pass 2 rebuilds the grid with
+// cells as wide as that pair's distance, which bounds the minimum. Distances
+// are compared in the squared domain with one root at the end: Sqrt is
+// monotone, so the result is bit-identical to minimising Dist over all
+// pairs. Pairs involving a NaN coordinate never compare smaller and are
+// ignored.
 func MinPairwiseDist(points []Point) float64 {
-	n := len(points)
-	if n < 2 {
+	if len(points) < 2 {
 		return math.Inf(1)
 	}
-	if n <= 64 {
-		return minPairwiseBrute(points)
-	}
-	// Grid with cell size roughly the expected nearest-neighbour spacing.
 	box := BoundingBox(points)
-	cell := math.Sqrt(box.Area()/float64(n)) + 1e-12
-	if cell <= 0 || math.IsNaN(cell) {
-		return minPairwiseBrute(points)
+	n := float64(len(points))
+	bestSq, side := minPairwiseNear(points, box, max(math.Sqrt(box.Area()/n), box.Width()/n, box.Height()/n))
+	if math.Sqrt(bestSq) > side {
+		bestSq, _ = minPairwiseNear(points, box, math.Sqrt(bestSq))
 	}
-	g := NewGrid(cell)
+	return math.Sqrt(bestSq)
+}
+
+// minPairwiseNear returns the smallest squared distance between two points
+// sharing a window of a Buckets grid with cells at least side wide, and the
+// grid's cell side.
+func minPairwiseNear(points []Point, box Rect, side float64) (bestSq, cell float64) {
+	b := NewBuckets(box, side, len(points))
+	bestSq = math.Inf(1)
+	var near []int32
 	for i, p := range points {
-		g.Insert(i, p)
-	}
-	// Compare in the squared domain and take one root at the end: Sqrt is
-	// monotone (x ≤ y ⟹ Sqrt(x) ≤ Sqrt(y) after rounding), so the minimum
-	// commutes with the root and the result is bit-identical to minimising
-	// Dist directly.
-	bestSq := math.Inf(1)
-	for i, p := range points {
-		for _, j := range g.Neighborhood(p, cell) {
-			if j == i {
-				continue
-			}
+		near = b.AppendNear(p, near[:0])
+		for _, j := range near {
 			if d2 := p.DistSq(points[j]); d2 < bestSq {
 				bestSq = d2
 			}
 		}
+		b.Insert(i, p)
 	}
-	// The grid only inspects adjacent cells; if nothing was found there the
-	// points are sparse relative to the cell size and we must fall back.
-	if math.IsInf(bestSq, 1) {
-		return minPairwiseBrute(points)
-	}
-	return math.Sqrt(bestSq)
-}
-
-func minPairwiseBrute(points []Point) float64 {
-	bestSq := math.Inf(1)
-	for i := range points {
-		for j := i + 1; j < len(points); j++ {
-			if d2 := points[i].DistSq(points[j]); d2 < bestSq {
-				bestSq = d2
-			}
-		}
-	}
-	return math.Sqrt(bestSq)
-}
-
-// cellKey identifies one cell of a Grid.
-type cellKey struct {
-	cx, cy int
-}
-
-// Grid is a uniform spatial hash over the plane with square cells. It
-// supports insertion of indexed points and range queries, and serves
-// topology generation (minimum-distance checks).
-type Grid struct {
-	cell  float64
-	cells map[cellKey][]int
-	pts   map[int]Point
-}
-
-// NewGrid returns an empty grid with the given cell side length. It panics
-// if cell is not positive.
-func NewGrid(cell float64) *Grid {
-	if cell <= 0 || math.IsNaN(cell) {
-		panic("geom: grid cell size must be positive")
-	}
-	return &Grid{
-		cell:  cell,
-		cells: make(map[cellKey][]int),
-		pts:   make(map[int]Point),
-	}
-}
-
-func (g *Grid) keyFor(p Point) cellKey {
-	return cellKey{
-		cx: int(math.Floor(p.X / g.cell)),
-		cy: int(math.Floor(p.Y / g.cell)),
-	}
-}
-
-// Insert adds the point p with identifier id. Inserting the same id twice
-// keeps both entries; callers are expected to use unique ids.
-func (g *Grid) Insert(id int, p Point) {
-	k := g.keyFor(p)
-	g.cells[k] = append(g.cells[k], id)
-	g.pts[id] = p
-}
-
-// Neighborhood returns the ids of all points within radius r of p
-// (inclusive). The result is sorted for determinism. Membership is decided
-// in the squared domain (DistSq ≤ r²), so borderline points are decided
-// without ever taking a root.
-func (g *Grid) Neighborhood(p Point, r float64) []int {
-	if r < 0 {
-		return nil
-	}
-	span := int(math.Ceil(r/g.cell)) + 1
-	center := g.keyFor(p)
-	rr := r * r
-	var out []int
-	for dx := -span; dx <= span; dx++ {
-		for dy := -span; dy <= span; dy++ {
-			k := cellKey{cx: center.cx + dx, cy: center.cy + dy}
-			for _, id := range g.cells[k] {
-				if g.pts[id].DistSq(p) <= rr {
-					out = append(out, id)
-				}
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
+	return bestSq, b.side
 }

@@ -132,84 +132,6 @@ func TestMinPairwiseDistLargeMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestGridPanicsOnBadCell(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewGrid(0) did not panic")
-		}
-	}()
-	NewGrid(0)
-}
-
-func TestGridNeighborhood(t *testing.T) {
-	g := NewGrid(1)
-	pts := []Point{{0, 0}, {0.5, 0}, {3, 0}, {0, 2.5}, {-1, -1}}
-	for i, p := range pts {
-		g.Insert(i, p)
-	}
-	got := g.Neighborhood(Point{0, 0}, 1.5)
-	want := []int{0, 1, 4}
-	if len(got) != len(want) {
-		t.Fatalf("Neighborhood = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Neighborhood = %v, want %v", got, want)
-		}
-	}
-	if got := g.Neighborhood(Point{0, 0}, -1); got != nil {
-		t.Fatalf("negative radius neighborhood = %v", got)
-	}
-}
-
-func TestGridNeighborhoodMatchesBrute(t *testing.T) {
-	src := rng.New(7)
-	g := NewGrid(2)
-	pts := make([]Point, 200)
-	for i := range pts {
-		pts[i] = Point{src.Float64() * 40, src.Float64() * 40}
-		g.Insert(i, pts[i])
-	}
-	center := Point{20, 20}
-	for _, r := range []float64{0.5, 3, 10, 60} {
-		got := g.Neighborhood(center, r)
-		want := 0
-		for _, p := range pts {
-			if p.Dist(center) <= r {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("radius %v: got %d points, want %d", r, len(got), want)
-		}
-	}
-}
-
-// Property: every point returned by Neighborhood really lies within the
-// requested radius.
-func TestQuickNeighborhoodWithinRadius(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		g := NewGrid(1 + src.Float64()*3)
-		pts := make([]Point, 50)
-		for i := range pts {
-			pts[i] = Point{src.Float64() * 30, src.Float64() * 30}
-			g.Insert(i, pts[i])
-		}
-		center := Point{src.Float64() * 30, src.Float64() * 30}
-		r := src.Float64() * 15
-		for _, id := range g.Neighborhood(center, r) {
-			if pts[id].Dist(center) > r+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkMinPairwiseDist1000(b *testing.B) {
 	src := rng.New(5)
 	pts := make([]Point, 1000)
@@ -219,63 +141,6 @@ func BenchmarkMinPairwiseDist1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MinPairwiseDist(pts)
-	}
-}
-
-func BenchmarkGridNeighborhood(b *testing.B) {
-	src := rng.New(6)
-	g := NewGrid(2)
-	for i := 0; i < 2000; i++ {
-		g.Insert(i, Point{src.Float64() * 100, src.Float64() * 100})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Neighborhood(Point{50, 50}, 10)
-	}
-}
-
-// TestGridNeighborhoodBoundary pins the membership rule at geometric edge
-// cases: a query point lying exactly on a cell edge (so its cell key is
-// decided by the floor convention), points exactly at distance r, and a
-// zero radius, which must return exactly the points coincident with the
-// query.
-func TestGridNeighborhoodBoundary(t *testing.T) {
-	g := NewGrid(1)
-	pts := []Point{
-		{X: 0, Y: 0},  // on the corner shared by four cells
-		{X: 1, Y: 0},  // on a vertical cell edge
-		{X: 2, Y: 0},  // exactly at distance 2 from the origin
-		{X: 0, Y: -1}, // on a horizontal edge, negative coordinates
-		{X: 0.5, Y: 0.5},
-		{X: 0, Y: 0}, // coincident with point 0
-	}
-	for i, p := range pts {
-		g.Insert(i, p)
-	}
-	cases := []struct {
-		name string
-		p    Point
-		r    float64
-		want []int
-	}{
-		{"zero-radius-at-point", Point{0, 0}, 0, []int{0, 5}},
-		{"zero-radius-off-point", Point{0.25, 0}, 0, nil},
-		{"edge-query-radius-one", Point{1, 0}, 1, []int{0, 1, 2, 4, 5}},
-		{"corner-query-exact-distance", Point{0, 0}, 2, []int{0, 1, 2, 3, 4, 5}},
-		{"corner-query-just-under", Point{0, 0}, 2 * (1 - 1e-12), []int{0, 1, 3, 4, 5}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := g.Neighborhood(tc.p, tc.r)
-			if len(got) != len(tc.want) {
-				t.Fatalf("Neighborhood(%v, %v) = %v, want %v", tc.p, tc.r, got, tc.want)
-			}
-			for i := range tc.want {
-				if got[i] != tc.want[i] {
-					t.Fatalf("Neighborhood(%v, %v) = %v, want %v", tc.p, tc.r, got, tc.want)
-				}
-			}
-		})
 	}
 }
 

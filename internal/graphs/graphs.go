@@ -5,10 +5,10 @@
 //
 // A Graph is one sorted adjacency list per node and nothing else: there are
 // no per-node hash sets, HasEdge is a binary search and Neighbors a copy.
-// UnitDisk, which induces every SINR graph, buckets the points into
-// lattice cells of side radius (geom.CellIndex) and tests only the pairs
-// in nearby cells, so inducing a graph costs O(n + Σdeg) for a deployment
-// of bounded density rather than n²/2 distance tests.
+// UnitDisk, which induces every SINR graph, buckets the points into a
+// geom.Buckets grid with cells at least radius wide and tests only the
+// pairs in nearby cells, so inducing a graph costs O(n + Σdeg) for a
+// deployment of bounded density rather than n²/2 distance tests.
 package graphs
 
 import (
@@ -205,91 +205,67 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// unitDiskWindow lists the lattice offsets UnitDisk scans around a node's
-// cell: the 5×5 block without its four corners, which is every offset
-// whose certified minimum cell-pair distance (geom.CellOffsetDistBounds)
-// is at most the cell side. Two points at distance at most the cell side
-// lie in cells at most one step apart in each axis; the floor rounding of
-// a coordinate at a cell edge can move a point one more cell, which the
-// outer ring covers, and an edge can never land on a corner, which would
-// need a gap of a full cell in both axes.
-var unitDiskWindow = func() (w [][2]int) {
-	for dx := -2; dx <= 2; dx++ {
-		for dy := -2; dy <= 2; dy++ {
-			if dmin, _ := geom.CellOffsetDistBounds(dx, dy, 1); dmin <= 1 {
-				w = append(w, [2]int{dx, dy})
-			}
-		}
-	}
-	return w
-}()
-
 // UnitDisk returns the graph connecting every pair of points at Euclidean
-// distance at most radius (Dist(u, v) <= radius). The points are bucketed
-// into a geom.CellIndex with cells of side radius and each node is tested
-// only against the nodes of the cells in unitDiskWindow, so the cost is
-// O(n + Σdeg) for points of bounded density. Coordinates must be finite; a
-// negative or NaN radius yields no edges.
+// distance at most radius (Dist(u, v) <= radius). The points go into a
+// geom.Buckets grid with cells at least radius wide, and each node is
+// tested only against the nodes of its AppendNear window, so the cost is
+// O(n + Σdeg) for points of bounded density. Coordinates must be finite
+// (UnitDisk panics otherwise); a negative or NaN radius yields no edges.
 func UnitDisk(pos []geom.Point, radius float64) *Graph {
 	n := len(pos)
 	g := New(n)
 	if n < 2 || !(radius >= 0) {
 		return g
 	}
-	// Cell coordinates must stay well inside the int range, so a radius far
-	// below the coordinates' magnitude (or zero) gets wider cells; a cell
-	// at least radius wide keeps the window complete.
-	maxAbs := 0.0
-	for _, p := range pos {
-		maxAbs = max(maxAbs, math.Abs(p.X), math.Abs(p.Y))
-	}
-	if math.IsInf(maxAbs, 0) || math.IsNaN(maxAbs) {
-		panic("graphs: UnitDisk needs finite coordinates")
-	}
-	cells := geom.NewCellIndex(pos, max(radius, maxAbs*0x1p-40, 0x1p-1000))
-	// The points in cell order, so the scan below reads them contiguously:
-	// cell c's nodes are cells.Nodes(c) at cpos[cstart[c]:cstart[c+1]].
-	nc := cells.NumCells()
-	cpos := make([]geom.Point, 0, n)
-	cstart := make([]int, nc+1)
-	for c := 0; c < nc; c++ {
-		for _, v := range cells.Nodes(c) {
-			cpos = append(cpos, pos[v])
+	box := geom.BoundingBox(pos)
+	for _, v := range [...]float64{box.Min.X, box.Min.Y, box.Max.X, box.Max.Y} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			panic("graphs: UnitDisk needs finite coordinates")
 		}
-		cstart[c+1] = len(cpos)
 	}
-	// Each node's neighbours go into one arena, found in window order and
-	// then sorted. span[u] locates u's list until the arena stops growing.
-	arena := make([]int, 0, 2*n)
-	span := make([][2]int, n)
-	var near []int
-	for c := 0; c < nc; c++ {
-		cx, cy := cells.Coord(c)
-		near = near[:0]
-		for _, off := range unitDiskWindow {
-			if c2 := cells.CellAt(cx+off[0], cy+off[1]); c2 >= 0 {
-				near = append(near, c2)
+	// Each node is tested against the nodes before it, so every pair is
+	// tested once: lower[lstart[u]:lstart[u+1]] are u's neighbours below
+	// u. start[u+1] counts u's degree, then becomes the end of u's list.
+	grid := geom.NewBuckets(box, radius, n)
+	lower := make([]int32, 0, 2*n)
+	lstart := make([]int, n+1)
+	start := make([]int, n+1)
+	var near []int32
+	for u, p := range pos {
+		near = grid.AppendNear(p, near[:0])
+		for _, v := range near {
+			if p.Dist(pos[v]) <= radius {
+				lower = append(lower, v)
+				start[v+1]++
 			}
 		}
-		for _, u := range cells.Nodes(c) {
-			p := pos[u]
-			lo := len(arena)
-			for _, c2 := range near {
-				ids := cells.Nodes(c2)
-				for k, q := range cpos[cstart[c2]:cstart[c2+1]] {
-					if ids[k] != u && p.Dist(q) <= radius {
-						arena = append(arena, int(ids[k]))
-					}
-				}
-			}
-			slices.Sort(arena[lo:])
-			span[u] = [2]int{lo, len(arena)}
+		lstart[u+1] = len(lower)
+		start[u+1] += lstart[u+1] - lstart[u]
+		grid.Insert(u, p)
+	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	// One arena holds every list: u's lower neighbours, sorted, then its
+	// upper neighbours, which arrive in ascending order. Each list is
+	// capped at its length, so a later AddEdge reallocates instead of
+	// writing into the next list.
+	arena := make([]int, 2*len(lower))
+	fill := slices.Clone(start[:n])
+	for u := 0; u < n; u++ {
+		low := lower[lstart[u]:lstart[u+1]]
+		for _, v := range low {
+			arena[fill[u]] = int(v)
+			fill[u]++
+		}
+		slices.Sort(arena[start[u]:fill[u]])
+		for _, v := range low {
+			arena[fill[v]] = u
+			fill[v]++
 		}
 	}
-	// Each list is capped at its length, so a later AddEdge reallocates
-	// instead of writing into the next list.
-	for u, sp := range span {
-		g.adj[u] = arena[sp[0]:sp[1]:sp[1]]
+	for u := range g.adj {
+		g.adj[u] = arena[start[u]:start[u+1]:start[u+1]]
 	}
 	return g
 }

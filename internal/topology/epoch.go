@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 
 	"sinrmac/internal/geom"
 	"sinrmac/internal/sinr"
@@ -96,30 +95,28 @@ func (d *Deployment) CommitEpoch() (*sinr.EpochDelta, error) {
 // every changed node must keep unit distance (with Validate's tolerance) to
 // every other node of the candidate layout. Only pairs involving a changed
 // node can newly violate, so only the dirty nodes' neighbourhoods are
-// scanned, through a map-free bucket grid: O(n + changed · local density)
+// scanned, through a geom.Buckets grid: O(n + changed · local density)
 // rather than a full pairwise rescan. The error names the first violating
 // node in dirty order and its lowest-numbered violating partner.
 func validateEpochSpacing(name string, cand []geom.Point, dirty []int) error {
 	if len(dirty) == 0 {
 		return nil
 	}
-	b := newUnitBuckets(cand)
+	grid := geom.NewBuckets(geom.BoundingBox(cand), 1, len(cand))
+	for i, p := range cand {
+		grid.Insert(i, p)
+	}
+	var near []int32
 	for _, id := range dirty {
 		p := cand[id]
-		cx, cy := b.cell(p)
 		bad, badDist := -1, 0.0
-		// A pair closer than one cell side lies at most two cells apart in
-		// each axis, floor rounding at a cell edge included.
-		for x := max(cx-2, 0); x <= min(cx+2, b.w-1); x++ {
-			for y := max(cy-2, 0); y <= min(cy+2, b.h-1); y++ {
-				for j := b.head[x*b.h+y]; j >= 0; j = b.next[j] {
-					if int(j) == id || (bad >= 0 && int(j) > bad) {
-						continue
-					}
-					if dist := p.Dist(cand[j]); dist < 1-1e-9 {
-						bad, badDist = int(j), dist
-					}
-				}
+		near = grid.AppendNear(p, near[:0])
+		for _, j := range near {
+			if int(j) == id || (bad >= 0 && int(j) > bad) {
+				continue
+			}
+			if dist := p.Dist(cand[j]); dist < 1-1e-9 {
+				bad, badDist = int(j), dist
 			}
 		}
 		if bad >= 0 {
@@ -128,41 +125,6 @@ func validateEpochSpacing(name string, cand []geom.Point, dirty []int) error {
 		}
 	}
 	return nil
-}
-
-// unitBuckets is a dense bucket grid over a finite point set: square cells
-// of side at least 1 tiling the points' bounding box, each cell a linked
-// list of point ids through next.
-type unitBuckets struct {
-	min        geom.Point
-	side       float64
-	w, h       int
-	head, next []int32 // head[x*h+y]: first point of cell (x, y), -1 if none
-}
-
-func newUnitBuckets(pts []geom.Point) *unitBuckets {
-	box := geom.BoundingBox(pts)
-	n := float64(len(pts))
-	// Cells of side 1, widened until the grid has O(n) cells, so a node far
-	// from the rest makes coarse cells rather than a huge array.
-	side := max(1, math.Sqrt(box.Area()/(4*n)), box.Width()/(4*n), box.Height()/(4*n))
-	b := &unitBuckets{min: box.Min, side: side, next: make([]int32, len(pts))}
-	b.w, b.h = int(box.Width()/side)+1, int(box.Height()/side)+1
-	b.head = make([]int32, b.w*b.h)
-	for i := range b.head {
-		b.head[i] = -1
-	}
-	for i, p := range pts {
-		x, y := b.cell(p)
-		b.next[i] = b.head[x*b.h+y]
-		b.head[x*b.h+y] = int32(i)
-	}
-	return b
-}
-
-// cell returns the grid coordinates of a point of the set.
-func (b *unitBuckets) cell(p geom.Point) (x, y int) {
-	return int((p.X - b.min.X) / b.side), int((p.Y - b.min.Y) / b.side)
 }
 
 // Clone returns an independent deployment with the same name, parameters

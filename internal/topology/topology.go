@@ -63,10 +63,11 @@ type Deployment struct {
 func (d *Deployment) NumNodes() int { return len(d.Positions) }
 
 // StrongGraph returns G_{1-ε} for the deployment. The graph is induced on
-// first use by graphs.UnitDisk's cell-bucketed pass, O(n + Σdeg), and
-// cached — experiments query the diameter and maximum degree of a shared
-// deployment from many concurrent trials — so callers must treat the
-// returned graph as read-only. It is safe for concurrent use.
+// first use by graphs.UnitDisk, one pass over a geom.Buckets grid that is
+// O(n + Σdeg) at bounded density, and cached — experiments query the
+// diameter and maximum degree of a shared deployment from many concurrent
+// trials — so callers must treat the returned graph as read-only. It is
+// safe for concurrent use.
 func (d *Deployment) StrongGraph() *graphs.Graph {
 	d.cacheMu.Lock()
 	defer d.cacheMu.Unlock()
@@ -90,8 +91,9 @@ func (d *Deployment) ApproxGraph() *graphs.Graph {
 }
 
 // Lambda returns Λ = R_{1-ε}/dmin for the deployment, computed once and
-// cached (the minimum pairwise distance scan is quadratic for small
-// deployments). It is safe for concurrent use.
+// cached so concurrent trials sharing one deployment pay the minimum
+// pairwise distance scan (geom.MinPairwiseDist) once. It is safe for
+// concurrent use.
 func (d *Deployment) Lambda() float64 {
 	d.cacheMu.Lock()
 	defer d.cacheMu.Unlock()
@@ -108,14 +110,23 @@ func (d *Deployment) Channel() (*sinr.Channel, error) {
 }
 
 // Validate checks the structural assumptions the paper's algorithms rely
-// on: valid SINR parameters, minimum pairwise distance of at least 1, and
-// (when requireConnected is set) connectivity of G_{1-ε}.
+// on: valid SINR parameters, finite coordinates of magnitude at most
+// sinr.MaxCoordinate, minimum pairwise distance of at least 1, and (when
+// requireConnected is set) connectivity of G_{1-ε}.
 func (d *Deployment) Validate(requireConnected bool) error {
 	if err := d.Params.Validate(); err != nil {
 		return err
 	}
 	if len(d.Positions) == 0 {
 		return fmt.Errorf("topology: deployment %q has no nodes", d.Name)
+	}
+	// The spacing scan cannot catch a NaN (every comparison with it is
+	// false), so coordinates are bounded first.
+	for i, p := range d.Positions {
+		if !(math.Abs(p.X) <= sinr.MaxCoordinate && math.Abs(p.Y) <= sinr.MaxCoordinate) {
+			return fmt.Errorf("topology: deployment %q: node %d at %v: coordinates must be finite with magnitude at most %g",
+				d.Name, i, p, sinr.MaxCoordinate)
+		}
 	}
 	if dmin := geom.MinPairwiseDist(d.Positions); dmin < 1-1e-9 {
 		return fmt.Errorf("topology: deployment %q violates the near-field bound: min distance %v < 1", d.Name, dmin)
@@ -134,39 +145,56 @@ func UniformRandom(n int, side float64, params sinr.Params, src *rng.Source) (*D
 	if n <= 0 {
 		return nil, fmt.Errorf("topology: UniformRandom needs a positive node count, got %d", n)
 	}
+	if !(side > 0) || math.IsInf(side, 1) {
+		return nil, fmt.Errorf("topology: UniformRandom needs a finite positive side, got %v", side)
+	}
 	if float64(n) > side*side {
 		return nil, fmt.Errorf("topology: %d nodes cannot keep unit spacing in a %.1f×%.1f square", n, side, side)
 	}
-	grid := geom.NewGrid(1)
-	pos := make([]geom.Point, 0, n)
+	pl := newPlacer(geom.Rect{Max: geom.Point{X: side, Y: side}}, n)
 	const maxAttemptsPerNode = 2000
-	for len(pos) < n {
+	for len(pl.pos) < n {
 		placed := false
-		for attempt := 0; attempt < maxAttemptsPerNode; attempt++ {
-			cand := geom.Point{X: src.Float64() * side, Y: src.Float64() * side}
-			ok := true
-			for _, idx := range grid.Neighborhood(cand, 1) {
-				if pos[idx].Dist(cand) < 1 {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				grid.Insert(len(pos), cand)
-				pos = append(pos, cand)
-				placed = true
-				break
-			}
+		for attempt := 0; attempt < maxAttemptsPerNode && !placed; attempt++ {
+			placed = pl.add(geom.Point{X: src.Float64() * side, Y: src.Float64() * side})
 		}
 		if !placed {
-			return nil, fmt.Errorf("topology: could not place node %d of %d with unit spacing in a %.1f×%.1f square", len(pos)+1, n, side, side)
+			return nil, fmt.Errorf("topology: could not place node %d of %d with unit spacing in a %.1f×%.1f square", len(pl.pos)+1, n, side, side)
 		}
 	}
 	return &Deployment{
 		Name:      fmt.Sprintf("uniform(n=%d,side=%.0f)", n, side),
-		Positions: pos,
+		Positions: pl.pos,
 		Params:    params,
 	}, nil
+}
+
+// placer places nodes by rejection: a candidate closer than unit distance
+// to a node already placed is rejected.
+type placer struct {
+	grid *geom.Buckets
+	pos  []geom.Point
+	near []int32
+}
+
+// newPlacer returns a placer for about n nodes inside box (nodes outside
+// it are still checked exactly).
+func newPlacer(box geom.Rect, n int) *placer {
+	return &placer{grid: geom.NewBuckets(box, 1, n), pos: make([]geom.Point, 0, n)}
+}
+
+// add places p and reports true, or reports false when a placed node lies
+// at distance below 1.
+func (pl *placer) add(p geom.Point) bool {
+	pl.near = pl.grid.AppendNear(p, pl.near[:0])
+	for _, j := range pl.near {
+		if pl.pos[j].Dist(p) < 1 {
+			return false
+		}
+	}
+	pl.grid.Insert(len(pl.pos), p)
+	pl.pos = append(pl.pos, p)
+	return true
 }
 
 // ConnectedUniform repeatedly draws uniform random deployments until the
@@ -254,10 +282,13 @@ func Clusters(numClusters, clusterSize int, params sinr.Params, src *rng.Source)
 	if spacing < 1 {
 		spacing = 1
 	}
-	grid := geom.NewGrid(1)
-	var pos []geom.Point
+	pitch := spacing + 2*radius
+	pl := newPlacer(geom.Rect{
+		Min: geom.Point{X: -radius, Y: -radius},
+		Max: geom.Point{X: float64(numClusters-1)*pitch + radius, Y: radius},
+	}, numClusters*clusterSize)
 	for c := 0; c < numClusters; c++ {
-		center := geom.Point{X: float64(c) * (spacing + 2*radius), Y: 0}
+		center := geom.Point{X: float64(c) * pitch, Y: 0}
 		placedInCluster := 0
 		attempts := 0
 		for placedInCluster < clusterSize {
@@ -267,24 +298,14 @@ func Clusters(numClusters, clusterSize int, params sinr.Params, src *rng.Source)
 			}
 			angle := src.Float64() * 2 * math.Pi
 			r := radius * math.Sqrt(src.Float64())
-			cand := geom.Point{X: center.X + r*math.Cos(angle), Y: center.Y + r*math.Sin(angle)}
-			ok := true
-			for _, idx := range grid.Neighborhood(cand, 1) {
-				if pos[idx].Dist(cand) < 1 {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				grid.Insert(len(pos), cand)
-				pos = append(pos, cand)
+			if pl.add(geom.Point{X: center.X + r*math.Cos(angle), Y: center.Y + r*math.Sin(angle)}) {
 				placedInCluster++
 			}
 		}
 	}
 	return &Deployment{
 		Name:      fmt.Sprintf("clusters(%dx%d)", numClusters, clusterSize),
-		Positions: pos,
+		Positions: pl.pos,
 		Params:    params,
 	}, nil
 }
@@ -325,7 +346,7 @@ func ParallelLines(delta int, epsilon float64) (*Deployment, error) {
 	}, nil
 }
 
-// ParallelLinesSender returns the V-side (sender) indices of a
+// ParallelLinesSenders returns the V-side (sender) indices of a
 // ParallelLines deployment with the given delta.
 func ParallelLinesSenders(delta int) []int {
 	out := make([]int, delta)
@@ -367,21 +388,13 @@ func TwoBalls(delta int, params sinr.Params, src *rng.Source) (*Deployment, erro
 	c1 := geom.Point{X: 0, Y: 0}
 	c2 := geom.Point{X: centerDist, Y: 0}
 
-	grid := geom.NewGrid(1)
-	var pos []geom.Point
-	add := func(p geom.Point) bool {
-		for _, idx := range grid.Neighborhood(p, 1) {
-			if pos[idx].Dist(p) < 1 {
-				return false
-			}
-		}
-		grid.Insert(len(pos), p)
-		pos = append(pos, p)
-		return true
-	}
+	pl := newPlacer(geom.Rect{
+		Min: geom.Point{X: c1.X - ballRadius, Y: -ballRadius},
+		Max: geom.Point{X: c2.X + ballRadius, Y: ballRadius},
+	}, delta+2)
 	// B1: two nodes at the ends of B1's horizontal diameter, so the signal
 	// between them is as weak as the construction allows (distance R/2).
-	if !add(geom.Point{X: c1.X - ballRadius, Y: 0}) || !add(geom.Point{X: c1.X + ballRadius, Y: 0}) {
+	if !pl.add(geom.Point{X: c1.X - ballRadius, Y: 0}) || !pl.add(geom.Point{X: c1.X + ballRadius, Y: 0}) {
 		return nil, fmt.Errorf("topology: could not place B1 nodes")
 	}
 	// B2: delta nodes packed around c2.
@@ -394,7 +407,7 @@ func TwoBalls(delta int, params sinr.Params, src *rng.Source) (*Deployment, erro
 		}
 		angle := src.Float64() * 2 * math.Pi
 		rr := ballRadius * math.Sqrt(src.Float64())
-		if add(geom.Point{X: c2.X + rr*math.Cos(angle), Y: c2.Y + rr*math.Sin(angle)}) {
+		if pl.add(geom.Point{X: c2.X + rr*math.Cos(angle), Y: c2.Y + rr*math.Sin(angle)}) {
 			placed++
 		}
 	}
@@ -405,13 +418,13 @@ func TwoBalls(delta int, params sinr.Params, src *rng.Source) (*Deployment, erro
 	startX := c1.X + ballRadius
 	endX := c2.X - ballRadius
 	for x := startX + hop; x < endX; x += hop {
-		if !add(geom.Point{X: x, Y: 2.5}) {
+		if !pl.add(geom.Point{X: x, Y: 2.5}) {
 			return nil, fmt.Errorf("topology: could not place bridge relay at x=%.1f", x)
 		}
 	}
 	return &Deployment{
 		Name:      fmt.Sprintf("two-balls(delta=%d)", delta),
-		Positions: pos,
+		Positions: pl.pos,
 		Params:    params,
 	}, nil
 }

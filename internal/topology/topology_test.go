@@ -1,7 +1,10 @@
 package topology
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -40,6 +43,56 @@ func TestUniformRandomErrors(t *testing.T) {
 	}
 	if _, err := UniformRandom(1000, 3, params, rng.New(1)); err == nil {
 		t.Fatal("impossible density accepted")
+	}
+	for _, side := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5} {
+		if _, err := UniformRandom(10, side, params, rng.New(1)); err == nil {
+			t.Fatalf("side %v accepted", side)
+		}
+	}
+}
+
+// TestPlacementPinned pins the rejection-sampled placements bit for bit: an
+// FNV-1a hash over the Float64bits of every coordinate, at fixed seeds.
+// Placement must draw the same random stream and accept the same
+// candidates, or every deployment downstream changes.
+func TestPlacementPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func() (*Deployment, error)
+		n     int
+		want  uint64
+	}{
+		{"uniform", func() (*Deployment, error) {
+			return UniformRandom(400, 40, sinr.DefaultParams(10), rng.New(3))
+		}, 400, 0xb626e373ffd52a67},
+		{"uniform-n4096", func() (*Deployment, error) {
+			return UniformRandom(4096, 2.2*64*2, sinr.DefaultParams(12), rng.New(1))
+		}, 4096, 0x295441cc79b82895},
+		{"clusters", func() (*Deployment, error) {
+			return Clusters(4, 128, sinr.DefaultParams(3*math.Sqrt(512)), rng.New(5))
+		}, 512, 0x842df92b8b6c4c66},
+		{"two-balls", func() (*Deployment, error) {
+			return TwoBalls(32, sinr.DefaultParams(40), rng.New(11))
+		}, 36, 0x55407282d0a704e3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			var buf [8]byte
+			for _, p := range d.Positions {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.X))
+				h.Write(buf[:])
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Y))
+				h.Write(buf[:])
+			}
+			if d.NumNodes() != tc.n || h.Sum64() != tc.want {
+				t.Fatalf("%d nodes, hash %#x; want %d nodes, hash %#x", d.NumNodes(), h.Sum64(), tc.n, tc.want)
+			}
+		})
 	}
 }
 
@@ -296,6 +349,19 @@ func TestValidateRejectsBadDeployments(t *testing.T) {
 	}
 	if err := disconnected.Validate(false); err != nil {
 		t.Fatalf("disconnected deployment rejected without requireConnected: %v", err)
+	}
+	for _, bad := range []geom.Point{
+		{X: math.NaN(), Y: 0},
+		{X: 0, Y: math.NaN()},
+		{X: math.Inf(1), Y: 0},
+		{X: 0, Y: math.Inf(-1)},
+		{X: 2 * sinr.MaxCoordinate, Y: 0},
+		{X: 0, Y: -2 * sinr.MaxCoordinate},
+	} {
+		d := &Deployment{Name: "non-finite", Positions: []geom.Point{{X: 0, Y: 0}, {X: 5, Y: 5}, bad}, Params: params}
+		if err := d.Validate(false); err == nil || !strings.Contains(err.Error(), "node 2") {
+			t.Fatalf("node at %v: Validate = %v, want an error naming node 2", bad, err)
+		}
 	}
 }
 
