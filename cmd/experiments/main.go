@@ -1,12 +1,14 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (Table 1, Table 2, Figure 1, Theorem 8.1) from the simulator
-// and prints them as plain-text tables.
+// evaluation (Table 1, Table 2, Figure 1, Theorem 8.1) from the simulator,
+// plus the churn (E8) and fault-injection (E10) sweeps, and prints them as
+// plain-text tables.
 //
 // Usage:
 //
 //	experiments [-exp name|all] [-quick] [-seed N] [-trials N] [-workers N] [-o file]
 //
-// Experiment names: ack, proglb, approg, decay, smb, mmb, cons.
+// Experiment names: ack, proglb, approg, decay, smb, mmb, cons, churn,
+// fault.
 //
 // Trials fan out across -workers concurrent workers (0 = GOMAXPROCS). The
 // tables are bit-identical at every worker count: all randomness is derived

@@ -270,28 +270,3 @@ func TestWriteSummary(t *testing.T) {
 		}
 	}
 }
-
-func TestCheckAblationFlags(t *testing.T) {
-	for _, tc := range []struct {
-		nodes, trials int
-		flag          string // "" = valid
-	}{
-		{24, 3, ""},
-		{2, 1, ""},
-		{1, 3, "-n"},
-		{0, 3, "-n"},
-		{4, 0, "-trials"},
-		{4, -1, "-trials"},
-	} {
-		err := checkAblationFlags(tc.nodes, tc.trials)
-		if tc.flag == "" {
-			if err != nil {
-				t.Errorf("-n %d -trials %d rejected: %v", tc.nodes, tc.trials, err)
-			}
-			continue
-		}
-		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
-			t.Errorf("-n %d -trials %d: error %v does not name %s", tc.nodes, tc.trials, err, tc.flag)
-		}
-	}
-}

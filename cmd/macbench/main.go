@@ -1,16 +1,6 @@
-// Command macbench runs ablation sweeps of the Algorithm 9.1 parameters:
-// it measures the approximate-progress latency of a fixed dense-cluster
-// workload while varying one structural constant at a time (the
-// transmission probability p, the data divisor scale QScale, and the
-// discovery block scale TFactor).
-//
-// The output justifies the defaults used by the experiment harness and
-// shows how the epoch structure trades discovery reliability against data
-// throughput.
-//
-// With -json it instead times the slot pipeline and writes one record per
-// case, {name, params, metrics}, to BENCH_macbench.json (or -out) under a
-// header stamping gomaxprocs, num_cpu, go_version and the seed. Every case
+// Command macbench times the slot pipeline's kernels and writes one record
+// per case, {name, params, metrics}, to BENCH_macbench.json (or -out) under
+// a header stamping gomaxprocs, num_cpu, go_version and the seed. Every case
 // but the single-side engine-step rows pairs a reference side against an
 // optimised side on one workload: metrics <ref>_ns_per_op and
 // <ref>_allocs_per_op, the optimised side's ns_per_op and allocs_per_op,
@@ -36,7 +26,9 @@
 // -compare FILE also fails the run when a baseline case is missing, when a
 // speedup shrank by more than compareTolerance, or when allocs_per_op grew.
 // -summary appends the baseline-vs-current markdown table (CI's job
-// summary); -cpuprofile and -memprofile profile either mode.
+// summary); -cpuprofile and -memprofile profile the run.
+//
+//	go run ./cmd/macbench -out /tmp/b.json -compare BENCH_macbench.json
 package main
 
 import (
@@ -53,28 +45,12 @@ import (
 	"strings"
 	"testing"
 
-	"sinrmac/internal/approgress"
 	"sinrmac/internal/core"
 	"sinrmac/internal/fault"
-	"sinrmac/internal/macnode"
 	"sinrmac/internal/rng"
 	"sinrmac/internal/sim"
 	"sinrmac/internal/sinr"
-	"sinrmac/internal/stats"
-	"sinrmac/internal/topology"
 )
-
-// listener records the first rcv slot at its node.
-type listener struct {
-	core.NopLayer
-	rcvSlot int64
-}
-
-func (l *listener) OnRcv(slot int64, m core.Message) {
-	if l.rcvSlot < 0 {
-		l.rcvSlot = slot
-	}
-}
 
 func main() {
 	os.Exit(run())
@@ -82,22 +58,15 @@ func main() {
 
 func run() int {
 	var (
-		nodes      = flag.Int("n", 24, "cluster size (the listener plus n-1 broadcasters)")
-		trials     = flag.Int("trials", 3, "trials per configuration")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		jsonMode   = flag.Bool("json", false, "benchmark the slot pipeline and write a JSON report instead of the ablation sweeps")
-		large      = flag.Bool("large", false, "include the n=1e6 sharded smoke case in -json mode (minutes of extra runtime; keep it out of the committed baseline so gated runs stay fast)")
-		outPath    = flag.String("out", benchFile, "path the -json report is written to")
-		compare    = flag.String("compare", "", "baseline report to check the fresh -json measurements against (fails on gross regressions)")
-		summary    = flag.String("summary", "", "append a markdown baseline-vs-current table of the -json measurements to this file (CI writes it to the job summary)")
+		large      = flag.Bool("large", false, "include the n=1e6 sharded smoke case (minutes of extra runtime; keep it out of the committed baseline so gated runs stay fast)")
+		outPath    = flag.String("out", benchFile, "path the JSON report is written to")
+		compare    = flag.String("compare", "", "baseline report to check the fresh measurements against (fails on gross regressions)")
+		summary    = flag.String("summary", "", "append a markdown baseline-vs-current table of the measurements to this file (CI writes it to the job summary)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (hot-path regressions can then be diagnosed from the same binary the CI gate runs)")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
 	flag.Parse()
-	if err := checkAblationFlags(*nodes, *trials); err != nil {
-		fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-		return 2
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -127,72 +96,7 @@ func run() int {
 		}()
 	}
 
-	if *jsonMode {
-		return runJSONBench(*seed, *outPath, *compare, *summary, *large)
-	}
-
-	fmt.Printf("ablation workload: one cluster of %d nodes, %d broadcasters, listener = node 0\n\n", *nodes, *nodes-1)
-
-	base := func(lambda float64) approgress.Config {
-		cfg := approgress.DefaultConfig(lambda, 0.1, 3)
-		cfg.QScale = 0.5
-		cfg.TFactor = 4
-		cfg.MISRounds = 4
-		cfg.DataFactor = 2
-		return cfg
-	}
-
-	type variant struct {
-		name   string
-		mutate func(*approgress.Config)
-	}
-	groups := []struct {
-		title    string
-		variants []variant
-	}{
-		{"transmission probability p", []variant{
-			{"p=0.05", func(c *approgress.Config) { c.P = 0.05 }},
-			{"p=0.10 (default)", func(c *approgress.Config) { c.P = 0.10 }},
-			{"p=0.25", func(c *approgress.Config) { c.P = 0.25 }},
-		}},
-		{"data divisor scale QScale", []variant{
-			{"QScale=0.25", func(c *approgress.Config) { c.QScale = 0.25 }},
-			{"QScale=0.5 (default)", func(c *approgress.Config) { c.QScale = 0.5 }},
-			{"QScale=1.0 (paper formula)", func(c *approgress.Config) { c.QScale = 1.0 }},
-		}},
-		{"discovery block scale TFactor", []variant{
-			{"TFactor=2", func(c *approgress.Config) { c.TFactor = 2 }},
-			{"TFactor=4 (default)", func(c *approgress.Config) { c.TFactor = 4 }},
-			{"TFactor=8", func(c *approgress.Config) { c.TFactor = 8 }},
-		}},
-	}
-
-	for _, g := range groups {
-		fmt.Printf("== %s\n", g.title)
-		fmt.Printf("%-28s  %10s  %10s  %10s\n", "variant", "epoch_len", "median", "max")
-		for _, v := range g.variants {
-			latencies, epochLen, err := measure(*nodes, *trials, *seed, base, v.mutate)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "macbench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("%-28s  %10d  %10.0f  %10.0f\n", v.name, epochLen, stats.Median(latencies), stats.Max(latencies))
-		}
-		fmt.Println()
-	}
-	return 0
-}
-
-// checkAblationFlags rejects sweep sizes that measure nothing: the cluster
-// needs a broadcaster besides the listener, and the median needs a trial.
-func checkAblationFlags(nodes, trials int) error {
-	if nodes < 2 {
-		return fmt.Errorf("-n must be at least 2 (the listener plus a broadcaster), got %d", nodes)
-	}
-	if trials < 1 {
-		return fmt.Errorf("-trials must be at least 1, got %d", trials)
-	}
-	return nil
+	return runBench(*seed, *outPath, *compare, *summary, *large)
 }
 
 // benchCase is one record of BENCH_macbench.json. encoding/json writes map
@@ -213,7 +117,7 @@ type benchReport struct {
 	Cases      []benchCase `json:"cases"`
 }
 
-// benchFile is where runJSONBench writes its report by default.
+// benchFile is where runBench writes its report by default.
 const benchFile = "BENCH_macbench.json"
 
 // compareTolerance is how many times smaller than the baseline's a fresh
@@ -265,7 +169,7 @@ type caseSpec struct {
 // serial is the engine configuration shared by the engine-step cases.
 var serial = engineConf{workers: 1}
 
-// benchCases is the -json case table, in report order. Gate thresholds
+// benchCases is the case table, in report order. Gate thresholds
 // are judged on speedup, the reference cost over the optimised one.
 var benchCases = []caseSpec{
 	{name: "matrix", build: naiveVsFast(1000)},
@@ -291,10 +195,10 @@ var benchCases = []caseSpec{
 	{name: "kernel_pathloss_a4", build: powVsFast(4), gate: gate{minSpeedup: 1}},
 }
 
-// runJSONBench measures the case table, writes the report to outPath,
+// runBench measures the case table, writes the report to outPath,
 // appends a markdown table to summaryPath when set, and — when comparePath
 // is set — checks the fresh numbers against the committed baseline.
-func runJSONBench(seed uint64, outPath, comparePath, summaryPath string, large bool) int {
+func runBench(seed uint64, outPath, comparePath, summaryPath string, large bool) int {
 	report := benchReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
@@ -819,53 +723,4 @@ func compareReports(baselinePath string, fresh benchReport) error {
 		return fmt.Errorf("%s", strings.Join(problems, "\n"))
 	}
 	return nil
-}
-
-func measure(n, trials int, seed uint64, base func(float64) approgress.Config, mutate func(*approgress.Config)) ([]float64, int64, error) {
-	var latencies []float64
-	var epochLen int64
-	for trial := 0; trial < trials; trial++ {
-		s := seed + uint64(trial)*7919
-		d, err := topology.Clusters(1, n, sinr.DefaultParams(30), rng.New(s))
-		if err != nil {
-			return nil, 0, err
-		}
-		cfg := base(d.Lambda())
-		mutate(&cfg)
-		epochLen = cfg.EpochLen()
-
-		probe := &listener{rcvSlot: -1}
-		simNodes := make([]sim.Node, d.NumNodes())
-		apNodes := make([]*macnode.Node, d.NumNodes())
-		for i := range simNodes {
-			node := approgress.NewNode(cfg, 0, nil)
-			if i == 0 {
-				node.SetLayer(probe)
-			}
-			apNodes[i] = node
-			simNodes[i] = node
-		}
-		ch, err := d.Channel()
-		if err != nil {
-			return nil, 0, err
-		}
-		// The ablation sweeps run many trials over dense clusters; select
-		// the fast SINR evaluator explicitly (identical executions to the
-		// naive reference, differentially tested in internal/sinr).
-		eng, err := sim.NewEngine(ch, simNodes, sim.Config{Seed: s, Evaluator: sinr.NewFastChannel(ch)})
-		if err != nil {
-			return nil, 0, err
-		}
-		for i := 1; i < d.NumNodes(); i++ {
-			apNodes[i].Bcast(0, core.Message{ID: core.MessageID(1000 + i), Origin: i})
-		}
-		deadline := 4 * cfg.EpochLen()
-		eng.Run(deadline, func() bool { return probe.rcvSlot >= 0 })
-		first := probe.rcvSlot
-		if first < 0 {
-			first = deadline
-		}
-		latencies = append(latencies, float64(first))
-	}
-	return latencies, epochLen, nil
 }

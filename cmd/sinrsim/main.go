@@ -170,8 +170,9 @@ var macKinds = []string{"combined", "ack", "approgress", "decay"}
 // checkFlags rejects flag values the simulation cannot honour before any
 // deployment is built: unknown -mac and -evaluator names, negative counts,
 // ranges and limits, which would otherwise run with zero broadcasters or
-// fall back to the defaults silently, and -shards without the fast
-// evaluator.
+// fall back to the defaults silently, a non-finite range, which would
+// either fall back silently (NaN) or fail late on NaN coordinates (±Inf),
+// and -shards without the fast evaluator.
 func checkFlags(macKind, evaluator string, broadcasters int, slots int64, r float64, shards, maxNodes int) error {
 	switch {
 	case !slices.Contains(macKinds, macKind):
@@ -182,6 +183,8 @@ func checkFlags(macKind, evaluator string, broadcasters int, slots int64, r floa
 		return fmt.Errorf("-broadcasters %d is negative", broadcasters)
 	case slots < 0:
 		return fmt.Errorf("-slots %d is negative; use 0 for the MAC's default horizon", slots)
+	case math.IsNaN(r) || math.IsInf(r, 0):
+		return fmt.Errorf("-range %g is not finite", r)
 	case r < 0:
 		return fmt.Errorf("-range %g is negative; use 0 for the topology's default range", r)
 	case shards < 0:

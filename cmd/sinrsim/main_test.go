@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -29,6 +30,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"combined", "fast", -1, 0, 0, 0, 0, "-broadcasters"},
 		{"combined", "fast", 1, -5, 0, 0, 0, "-slots"},
 		{"combined", "fast", 1, 0, -3, 0, 0, "-range"},
+		{"combined", "fast", 1, 0, math.NaN(), 0, 0, "-range"},
+		{"combined", "fast", 1, 0, math.Inf(1), 0, 0, "-range"},
+		{"combined", "fast", 1, 0, math.Inf(-1), 0, 0, "-range"},
 		{"combined", "fast", 1, 0, 0, -2, 0, "-shards"},
 		{"combined", "naive", 1, 0, 0, 2, 0, "-shards"},
 		{"bogus", "fast", 1, 0, 0, 0, 0, "-mac"},

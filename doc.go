@@ -329,27 +329,26 @@
 // (1 worker vs 8), and BenchmarkSuiteQuick times the full experiment suite
 // at both worker counts; cmd/experiments exposes the pool via -workers.
 //
-// Runnable entry points are provided under cmd/ and examples/; the
-// top-level benchmark suite (bench_test.go) regenerates every table and
-// figure via `go test -bench=.` and compares the two evaluators at
-// n = 1k/5k/10k via BenchmarkSlotReceptions. cmd/macbench -json times the
-// slot pipeline kernel by kernel — naive vs fast, sparse vs dense, bounds
-// vs dense with the refine rate, the cell lattice at n = 100k (and 10⁶
-// behind -large) with its heap footprint, churn apply vs rebuild,
+// Runnable entry points are provided under cmd/ and examples/; each
+// measurement has one home. cmd/experiments regenerates every table and
+// figure, cmd/sinrbench times the paper's stack and every experiment
+// runner end to end, and the top-level bench_test.go holds
+// BenchmarkSuiteQuick alone. cmd/macbench times the slot pipeline kernel
+// by kernel — naive vs fast, sparse vs dense, bounds vs dense with the
+// refine rate, the cell lattice at n = 100k (and 10⁶ behind -large) with
+// its heap footprint, churn apply vs rebuild,
 // steady-state Engine.Step, the zero-fault hook and the pow-free path-loss
-// kernel vs math.Pow — and
-// writes one {name, params, metrics} record per case to BENCH_macbench.json,
-// stamped with GOMAXPROCS, NumCPU and the Go version. Most cases pair a
-// reference side against an optimised side and record the speedup. Within
-// every run it gates, on per-side minima over a few interleaved rounds,
-// that the all-transmit bounds_full case stays at ≥ 0.95× the pinned dense
-// scan, that the zero-fault hook costs at most 1.05× and that every
-// integer-α kernel beats math.Pow; the steady-state Engine.Step rows must
-// allocate nothing, and the shard cases must stay inside
-// sinr.ShardBytesPerNodeBudget. cmd/macbench -json
-// -compare FILE additionally fails on gross (beyond 2×) speedup
-// regressions, new allocations or missing cases against a committed
-// baseline. The committed baseline was measured on a single-CPU runner; the
+// kernel vs math.Pow — and writes one {name, params, metrics} record per
+// case to BENCH_macbench.json, stamped with GOMAXPROCS, NumCPU and the Go
+// version. Most cases pair a reference side against an optimised side and
+// record the speedup. Within every run it gates, on per-side minima over a
+// few interleaved rounds, that the all-transmit bounds_full case stays at
+// ≥ 0.95× the pinned dense scan, that the zero-fault hook costs at most
+// 1.05× and that every integer-α kernel beats math.Pow; the steady-state
+// Engine.Step rows must allocate nothing, and the shard cases must stay
+// inside sinr.ShardBytesPerNodeBudget. cmd/macbench -compare FILE
+// additionally fails on gross (beyond 2×) speedup regressions, new
+// allocations or missing cases against a committed baseline. The committed baseline was measured on a single-CPU runner; the
 // gates judge only within-run ratios, which travel across hosts. CI runs
 // that gate on every push, renders the per-case table into the job summary
 // and uploads the fresh report as an artifact; end-to-end timing of the

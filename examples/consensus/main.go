@@ -41,9 +41,7 @@ func run() error {
 	fmt.Printf("deployment: %d nodes on a line, diameter %d, max degree %d\n",
 		deployment.NumNodes(), diameter, strong.MaxDegree())
 
-	macCfg := hmbcast.DefaultConfig(deployment.Lambda(), 0.05)
-	macCfg.StepFactor = 1
-	macCfg.HaltFactor = 4
+	macCfg := hmbcast.SimConfig(deployment.Lambda(), 0.05)
 
 	// Mixed initial values.
 	src := rng.New(3)

@@ -52,12 +52,11 @@ func run() error {
 		}
 	}
 
-	macCfg := mac.DefaultConfig(deployment.Lambda(), params.Alpha, core.DefaultParams())
-	macCfg.Ack.StepFactor = 1
-	macCfg.Ack.HaltFactor = 4
-	macCfg.Prog.QScale = 0.25
-	macCfg.Prog.TFactor = 3
-	macCfg.Prog.DataFactor = 2
+	macCfg := mac.SimConfig(deployment.Lambda(), params.Alpha, core.DefaultParams())
+	// The default six MIS rounds per phase, not the preset's three: this
+	// run's recorded output keeps them, and with three, message 100 reaches
+	// every node at slot 11636 instead of 4346.
+	macCfg.Prog.MISRounds = 6
 
 	layers := make([]*bcastproto.BMMB, deployment.NumNodes())
 	nodes := make([]sim.Node, deployment.NumNodes())

@@ -43,14 +43,9 @@ func run() error {
 	// 2. One combined MAC node (Algorithm 11.1) per deployment node, with a
 	// BSMB layer on top. Node 0 is the broadcast source.
 	recorder := core.NewRecorder()
-	macCfg := mac.DefaultConfig(deployment.Lambda(), params.Alpha, core.DefaultParams())
 	// Simulation-scale constants: the paper's analysis constants are far
 	// too large to simulate.
-	macCfg.Ack.StepFactor = 1
-	macCfg.Ack.HaltFactor = 4
-	macCfg.Prog.QScale = 0.25
-	macCfg.Prog.TFactor = 3
-	macCfg.Prog.DataFactor = 2
+	macCfg := mac.SimConfig(deployment.Lambda(), params.Alpha, core.DefaultParams())
 
 	message := core.Message{ID: 1, Origin: 0, Payload: "hello, SINR world"}
 	layers := make([]*bcastproto.BMMB, deployment.NumNodes())

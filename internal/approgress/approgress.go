@@ -152,6 +152,25 @@ func DefaultConfig(lambda, epsApprog, alpha float64) Config {
 	return Config{Lambda: lambda, EpsApprog: epsApprog, Alpha: alpha}
 }
 
+// SimConfig returns DefaultConfig(lambda, epsApprog, alpha) with the
+// simulation-scale constants QScale 0.25, TFactor 3, MISRounds 3 and
+// DataFactor 2, which the experiments, examples and tests run. The paper's
+// analysis constants are far too large to simulate, and at small Λ even the
+// defaults spend most of an epoch on discovery and MIS: the preset halves T
+// and the MIS rounds, and quarters Q, so data slots transmit with four
+// times the probability in a data block half as long. Every block keeps its
+// logarithmic growth in Λ and 1/ε_approg. TestSimScaleAblation in
+// internal/exp holds the preset's first-reception latency on a dense
+// cluster within 2× of the best single-constant variant.
+func SimConfig(lambda, epsApprog, alpha float64) Config {
+	c := DefaultConfig(lambda, epsApprog, alpha)
+	c.QScale = 0.25
+	c.TFactor = 3
+	c.MISRounds = 3
+	c.DataFactor = 2
+	return c
+}
+
 func (c Config) withDefaults() Config {
 	if c.P <= 0 {
 		c.P = 0.1

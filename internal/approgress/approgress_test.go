@@ -12,18 +12,6 @@ import (
 	"sinrmac/internal/topology"
 )
 
-// testConfig returns a configuration tuned so that the algorithm completes
-// quickly in small unit tests: smaller Q (more data transmissions) and a
-// longer discovery block (more reliable neighbourhood estimation).
-func testConfig(lambda float64) Config {
-	cfg := DefaultConfig(lambda, 0.1, 3)
-	cfg.QScale = 0.25
-	cfg.TFactor = 4
-	cfg.MISRounds = 4
-	cfg.DataFactor = 2
-	return cfg
-}
-
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig(16, 0.1, 3).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -80,7 +68,7 @@ func TestAutomatonScheduleMatchesConfig(t *testing.T) {
 	data.DataFactor = 3.5
 	phases.Phases = 2
 	other.P, other.QScale = 0.3, 0.5
-	for i, cfg := range []Config{def, testConfig(8), tf, mis, data, phases, other} {
+	for i, cfg := range []Config{def, SimConfig(8, 0.1, 3), tf, mis, data, phases, other} {
 		a, err := NewAutomaton(cfg, 0, rng.New(1), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +118,7 @@ func tick(a *Automaton) *sim.Frame {
 }
 
 func TestAutomatonIdleWithoutBroadcast(t *testing.T) {
-	aut, err := NewAutomaton(testConfig(8), 0, rng.New(1), nil)
+	aut, err := NewAutomaton(SimConfig(8, 0.1, 3), 0, rng.New(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +133,7 @@ func TestAutomatonIdleWithoutBroadcast(t *testing.T) {
 }
 
 func TestAutomatonJoinsAtEpochBoundary(t *testing.T) {
-	cfg := testConfig(8)
+	cfg := SimConfig(8, 0.1, 3)
 	aut, err := NewAutomaton(cfg, 0, rng.New(2), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +160,7 @@ func TestAutomatonJoinsAtEpochBoundary(t *testing.T) {
 }
 
 func TestAutomatonTransmitsAllFrameKindsWhenAlone(t *testing.T) {
-	cfg := testConfig(8)
+	cfg := SimConfig(8, 0.1, 3)
 	aut, err := NewAutomaton(cfg, 3, rng.New(3), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +185,7 @@ func TestAutomatonTransmitsAllFrameKindsWhenAlone(t *testing.T) {
 }
 
 func TestAutomatonAbortStopsData(t *testing.T) {
-	cfg := testConfig(8)
+	cfg := SimConfig(8, 0.1, 3)
 	aut, err := NewAutomaton(cfg, 0, rng.New(4), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +236,8 @@ func feedScript(a *Automaton, pos int64, first, lose int) {
 // the next two epochs as a fresh automaton given the same stream and
 // receptions.
 func TestPhaseResetForgetsHistory(t *testing.T) {
-	cfg := testConfig(8)
-	const lose = 2 // the traced epochs' losing phase; testConfig(8) has four
+	cfg := SimConfig(8, 0.1, 3)
+	const lose = 2 // the traced epochs' losing phase; SimConfig(8, 0.1, 3) has four
 	m := core.Message{ID: 1, Origin: 0}
 	for _, seed := range []uint64{1, 2, 3} {
 		fresh, err := NewAutomaton(cfg, 0, rng.New(seed), nil)
@@ -296,7 +284,7 @@ func TestPhaseResetForgetsHistory(t *testing.T) {
 
 func TestAutomatonReceiveDataCallback(t *testing.T) {
 	var got []core.Message
-	aut, err := NewAutomaton(testConfig(8), 1, rng.New(5), func(m core.Message) { got = append(got, m) })
+	aut, err := NewAutomaton(SimConfig(8, 0.1, 3), 1, rng.New(5), func(m core.Message) { got = append(got, m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +330,7 @@ func TestSingleBroadcasterDeliversWithinEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(d.Lambda())
+	cfg := SimConfig(d.Lambda(), 0.1, 3)
 	broadcasters := make([]bool, d.NumNodes())
 	broadcasters[0] = true
 	eng, _, rec := buildScenario(t, d, cfg, broadcasters, 31)
@@ -372,7 +360,7 @@ func TestApproxProgressInDenseCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(d.Lambda())
+	cfg := SimConfig(d.Lambda(), 0.1, 3)
 	broadcasters := make([]bool, d.NumNodes())
 	for i := 1; i < d.NumNodes(); i++ {
 		broadcasters[i] = true
@@ -408,7 +396,7 @@ func TestSparsificationReducesSenderSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(d.Lambda())
+	cfg := SimConfig(d.Lambda(), 0.1, 3)
 	cfg.TFactor = 10 // long discovery blocks so H̃̃ is reliably discovered
 	broadcasters := make([]bool, d.NumNodes())
 	for i := range broadcasters {
@@ -441,7 +429,7 @@ func TestSparsificationReducesSenderSet(t *testing.T) {
 
 func TestNodeAckTimerAndAbort(t *testing.T) {
 	rec := core.NewRecorder()
-	n := NewNode(testConfig(8), 50, rec)
+	n := NewNode(SimConfig(8, 0.1, 3), 50, rec)
 	layer := &captureLayer{}
 	n.SetLayer(layer)
 	n.Init(2, rng.New(7))

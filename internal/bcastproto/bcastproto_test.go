@@ -179,9 +179,7 @@ func TestBSMBOverAckMACLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := core.NewRecorder()
-	cfg := hmbcast.DefaultConfig(d.Lambda(), 0.1)
-	cfg.StepFactor = 1
-	cfg.HaltFactor = 4
+	cfg := hmbcast.SimConfig(d.Lambda(), 0.1)
 
 	msg := core.Message{ID: 1, Origin: 0, Payload: "smb"}
 	layers := make([]*BMMB, d.NumNodes())
@@ -223,13 +221,7 @@ func TestBMMBOverCombinedMAC(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := core.NewRecorder()
-	cfg := mac.DefaultConfig(d.Lambda(), 3, core.DefaultParams())
-	cfg.Ack.StepFactor = 1
-	cfg.Ack.HaltFactor = 4
-	cfg.Prog.QScale = 0.25
-	cfg.Prog.TFactor = 3
-	cfg.Prog.MISRounds = 3
-	cfg.Prog.DataFactor = 2
+	cfg := mac.SimConfig(d.Lambda(), 3, core.DefaultParams())
 
 	msgs := []core.Message{
 		{ID: 101, Origin: 0, Payload: "a"},

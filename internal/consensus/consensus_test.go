@@ -141,9 +141,7 @@ func TestDecisionSlot(t *testing.T) {
 func runConsensus(t *testing.T, d *topology.Deployment, initials []Value, rounds int, seed uint64) []*Node {
 	t.Helper()
 	rec := core.NewRecorder()
-	cfg := hmbcast.DefaultConfig(d.Lambda(), 0.05)
-	cfg.StepFactor = 1
-	cfg.HaltFactor = 4
+	cfg := hmbcast.SimConfig(d.Lambda(), 0.05)
 
 	layers := make([]*Node, d.NumNodes())
 	nodes := make([]sim.Node, d.NumNodes())

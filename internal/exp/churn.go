@@ -97,7 +97,7 @@ func ChurnLatency(cfg Config) (Table, error) {
 		defer fast.Close()
 
 		msg := core.Message{ID: 1, Origin: 0, Payload: "churn"}
-		macCfg := combinedMACConfig(lambda)
+		macCfg := mac.SimConfig(lambda, 3, core.DefaultParams())
 		layers := make([]*bcastproto.BMMB, d.NumNodes())
 		nodes := make([]sim.Node, d.NumNodes())
 		for i := range nodes {

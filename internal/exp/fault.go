@@ -121,7 +121,7 @@ func FaultDegradation(cfg Config) (Table, error) {
 			return faultTrialResult{}, err
 		}
 
-		macCfg := combinedMACConfig(lambda)
+		macCfg := mac.SimConfig(lambda, 3, core.DefaultParams())
 		rec := core.NewRecorder()
 		initials := make([]consensus.Value, n)
 		layers := make([]*consensus.Node, n)

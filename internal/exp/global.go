@@ -30,19 +30,6 @@ func buildUniform(n int, src *rng.Source) (*topology.Deployment, error) {
 	return topology.ConnectedUniform(n, side, sinr.DefaultParams(globalRange), src, 100)
 }
 
-// combinedMACConfig returns the Algorithm 11.1 configuration used by the
-// global experiments.
-func combinedMACConfig(lambda float64) mac.Config {
-	cfg := mac.DefaultConfig(lambda, 3, core.DefaultParams())
-	cfg.Ack.StepFactor = 1
-	cfg.Ack.HaltFactor = 4
-	cfg.Prog.QScale = 0.25
-	cfg.Prog.TFactor = 3
-	cfg.Prog.MISRounds = 3
-	cfg.Prog.DataFactor = 2
-	return cfg
-}
-
 // runBMMBOverMACs wires one BMMB layer per node over the MAC nodes produced
 // by newMAC, starts the given messages at their origins and returns the
 // global completion slot (or the deadline if incomplete). It runs on the
@@ -80,11 +67,7 @@ func runBMMBOverMACs(tc *TrialContext, d *topology.Deployment, msgs []core.Messa
 // runDirectSMB runs the Daum et al. [14]-style direct broadcast: relay
 // layers over progress-only nodes with w.h.p. parameters (ε = 1/n).
 func runDirectSMB(tc *TrialContext, d *topology.Deployment, msg core.Message, deadline int64) (float64, bool, error) {
-	apCfg := approgress.DefaultConfig(d.Lambda(), 1/float64(d.NumNodes()), 3)
-	apCfg.QScale = 0.25
-	apCfg.TFactor = 3
-	apCfg.MISRounds = 3
-	apCfg.DataFactor = 2
+	apCfg := approgress.SimConfig(d.Lambda(), 1/float64(d.NumNodes()), 3)
 
 	layers := make([]*bcastproto.Relay, d.NumNodes())
 	nodes := make([]sim.Node, d.NumNodes())
@@ -153,7 +136,7 @@ func SMBComparison(cfg Config) (Table, error) {
 		lambda := d.Lambda()
 		msg := core.Message{ID: 1, Origin: 0, Payload: "smb"}
 
-		macCfg := combinedMACConfig(lambda)
+		macCfg := mac.SimConfig(lambda, 3, core.DefaultParams())
 		rec := core.NewRecorder()
 		deadline := int64(core.TheoreticalFack(delta, lambda, 0.1)) * int64(diam+5) * 50
 		t1, _, err := runBMMBOverMACs(tc, d, []core.Message{msg}, deadline,
@@ -245,7 +228,7 @@ func MMBScaling(cfg Config) (Table, error) {
 			msgs[i] = core.Message{ID: core.MessageID(100 + i), Origin: tc.Src.Intn(n), Payload: i}
 		}
 
-		macCfg := combinedMACConfig(lambda)
+		macCfg := mac.SimConfig(lambda, 3, core.DefaultParams())
 		delta := d.StrongGraph().MaxDegree()
 		deadline := int64(core.TheoreticalFack(delta, lambda, 0.1)) * int64(diam+5+3*k) * 50
 		t1, _, err := runBMMBOverMACs(tc, d, msgs, deadline,
@@ -326,9 +309,7 @@ func ConsensusScaling(cfg Config) (Table, error) {
 		delta := strong.MaxDegree()
 		lambda := d.Lambda()
 
-		macCfg := hmbcast.DefaultConfig(lambda, epsAck)
-		macCfg.StepFactor = 1
-		macCfg.HaltFactor = 4
+		macCfg := hmbcast.SimConfig(lambda, epsAck)
 
 		initials := make([]consensus.Value, n)
 		for i := range initials {

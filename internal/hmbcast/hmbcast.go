@@ -70,6 +70,19 @@ func DefaultConfig(lambda, epsAck float64) Config {
 	return Config{Lambda: lambda, EpsAck: epsAck}
 }
 
+// SimConfig returns DefaultConfig(lambda, epsAck) with the
+// simulation-scale constants StepFactor 1 and HaltFactor 4, which the
+// experiments, examples and tests run. The paper's analysis constants are
+// far too large to simulate; the preset halves the default slots per
+// probability level and the halt budget, and both keep their growth in
+// log(Ñ/ε_ack).
+func SimConfig(lambda, epsAck float64) Config {
+	c := DefaultConfig(lambda, epsAck)
+	c.StepFactor = 1
+	c.HaltFactor = 4
+	return c
+}
+
 // withDefaults fills zero fields with the default constants.
 func (c Config) withDefaults() Config {
 	if c.StepFactor <= 0 {

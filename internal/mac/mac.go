@@ -40,6 +40,16 @@ func DefaultConfig(lambda, alpha float64, params core.Params) Config {
 	}
 }
 
+// SimConfig returns the combined configuration with both halves at their
+// simulation-scale presets, hmbcast.SimConfig and approgress.SimConfig; the
+// experiments, examples and tests run it.
+func SimConfig(lambda, alpha float64, params core.Params) Config {
+	return Config{
+		Ack:  hmbcast.SimConfig(lambda, params.EpsAck),
+		Prog: approgress.SimConfig(lambda, params.EpsApprog, alpha),
+	}
+}
+
 // Validate checks both halves of the configuration.
 func (c Config) Validate() error {
 	if err := errors.Join(c.Ack.Validate(), c.Prog.Validate()); err != nil {

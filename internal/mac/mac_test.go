@@ -13,36 +13,22 @@ import (
 	"sinrmac/internal/topology"
 )
 
-// testConfig returns a combined configuration tuned for quick unit tests.
-func testConfig(lambda float64) Config {
-	cfg := Config{
-		Ack:  hmbcast.DefaultConfig(lambda, 0.1),
-		Prog: approgress.DefaultConfig(lambda, 0.1, 3),
-	}
-	cfg.Ack.StepFactor = 1
-	cfg.Ack.HaltFactor = 4
-	cfg.Prog.QScale = 0.25
-	cfg.Prog.TFactor = 4
-	cfg.Prog.MISRounds = 4
-	cfg.Prog.DataFactor = 2
-	return cfg
-}
-
 func TestConfigValidate(t *testing.T) {
-	if err := testConfig(16).Validate(); err != nil {
-		t.Fatalf("test config invalid: %v", err)
+	cfg := SimConfig(16, 3, core.DefaultParams())
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("preset invalid: %v", err)
 	}
-	bad := testConfig(16)
+	bad := cfg
 	bad.Ack.Lambda = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("invalid ack config accepted")
 	}
-	bad = testConfig(16)
+	bad = cfg
 	bad.Prog.Alpha = 1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("invalid prog config accepted")
 	}
-	if testConfig(16).AckDeadline() <= 0 || testConfig(16).EpochLen() <= 0 {
+	if cfg.AckDeadline() <= 0 || cfg.EpochLen() <= 0 {
 		t.Fatal("derived deadlines must be positive")
 	}
 }
@@ -101,7 +87,7 @@ func TestCombinedMACAcksAndDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(d.Lambda())
+	cfg := SimConfig(d.Lambda(), 3, core.DefaultParams())
 	eng, _, layers, rec := buildMACScenario(t, d, cfg, 5)
 	layers[0].msg = core.Message{ID: 11, Origin: 0, Payload: "combined"}
 
@@ -128,7 +114,7 @@ func TestCombinedMACSlotMultiplexing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(d.Lambda())
+	cfg := SimConfig(d.Lambda(), 3, core.DefaultParams())
 	eng, _, layers, _ := buildMACScenario(t, d, cfg, 9)
 	for i := range layers {
 		layers[i].msg = core.Message{ID: core.MessageID(100 + i), Origin: i}
@@ -157,7 +143,7 @@ func TestCombinedMACSlotMultiplexing(t *testing.T) {
 
 func TestCombinedMACFrameRouting(t *testing.T) {
 	rec := core.NewRecorder()
-	n := New(testConfig(8), rec)
+	n := New(SimConfig(8, 3, core.DefaultParams()), rec)
 	layer := &oneShotLayer{}
 	n.SetLayer(layer)
 	n.Init(1, rng.New(2))
@@ -188,7 +174,7 @@ func TestCombinedMACApproxProgressUnderContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(d.Lambda())
+	cfg := SimConfig(d.Lambda(), 3, core.DefaultParams())
 	eng, _, layers, rec := buildMACScenario(t, d, cfg, 13)
 	for i := 1; i < len(layers); i++ {
 		layers[i].msg = core.Message{ID: core.MessageID(200 + i), Origin: i}

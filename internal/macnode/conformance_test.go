@@ -17,28 +17,6 @@ import (
 	"sinrmac/internal/topology"
 )
 
-// hmbcastConfig, approgConfig and macConfig shorten the automata's
-// schedules so a small deployment acknowledges within a few thousand slots.
-func hmbcastConfig(lambda float64) hmbcast.Config {
-	cfg := hmbcast.DefaultConfig(lambda, 0.1)
-	cfg.StepFactor = 1
-	cfg.HaltFactor = 4
-	return cfg
-}
-
-func approgConfig(lambda, alpha float64) approgress.Config {
-	cfg := approgress.DefaultConfig(lambda, 0.1, alpha)
-	cfg.QScale = 0.25
-	cfg.TFactor = 4
-	cfg.MISRounds = 4
-	cfg.DataFactor = 2
-	return cfg
-}
-
-func macConfig(lambda, alpha float64) mac.Config {
-	return mac.Config{Ack: hmbcastConfig(lambda), Prog: approgConfig(lambda, alpha)}
-}
-
 // macRow is one of the repository's MAC constructors.
 type macRow struct {
 	name string
@@ -52,7 +30,7 @@ var macRows = []macRow{
 	{
 		name: "hmbcast",
 		build: func(d *topology.Deployment, rec *core.Recorder) *macnode.Node {
-			return hmbcast.New(hmbcastConfig(d.Lambda()), rec)
+			return hmbcast.New(hmbcast.SimConfig(d.Lambda(), 0.1), rec)
 		},
 		data: []sim.FrameKind{hmbcast.FrameKind},
 	},
@@ -66,7 +44,7 @@ var macRows = []macRow{
 	{
 		name: "approgress",
 		build: func(d *topology.Deployment, rec *core.Recorder) *macnode.Node {
-			cfg := approgConfig(d.Lambda(), d.Params.Alpha)
+			cfg := approgress.SimConfig(d.Lambda(), 0.1, d.Params.Alpha)
 			return approgress.NewNode(cfg, 2*cfg.EpochLen(), rec)
 		},
 		data: []sim.FrameKind{approgress.FrameData},
@@ -74,7 +52,7 @@ var macRows = []macRow{
 	{
 		name: "mac",
 		build: func(d *topology.Deployment, rec *core.Recorder) *macnode.Node {
-			return mac.New(macConfig(d.Lambda(), d.Params.Alpha), rec)
+			return mac.New(mac.SimConfig(d.Lambda(), d.Params.Alpha, core.DefaultParams()), rec)
 		},
 		data: []sim.FrameKind{hmbcast.FrameKind, approgress.FrameData},
 	},
@@ -286,9 +264,9 @@ func TestInvalidConfigFailsEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	badAck := macConfig(16, 3)
+	badAck := mac.SimConfig(16, 3, core.DefaultParams())
 	badAck.Ack.Lambda = 0
-	badProg := macConfig(16, 3)
+	badProg := mac.SimConfig(16, 3, core.DefaultParams())
 	badProg.Prog.Alpha = 1
 	for _, tc := range []struct {
 		name, cause string
@@ -306,7 +284,7 @@ func TestInvalidConfigFailsEngine(t *testing.T) {
 					t.Fatalf("panicked: %v", r)
 				}
 			}()
-			good, bad := hmbcast.New(hmbcastConfig(4), nil), tc.node()
+			good, bad := hmbcast.New(hmbcast.SimConfig(4, 0.1), nil), tc.node()
 			_, err := sim.NewEngine(ch, []sim.Node{good, bad}, sim.Config{Seed: 1})
 			if err == nil {
 				t.Fatal("NewEngine accepted a node with an invalid configuration")
