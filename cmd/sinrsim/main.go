@@ -96,6 +96,10 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "sinrsim: %v\n", err)
 		return 2
 	}
+	if err := checkBroadcasters(*broadcasters, d.NumNodes()); err != nil {
+		fmt.Fprintf(os.Stderr, "sinrsim: %v\n", err)
+		return 2
+	}
 	lambda := d.Lambda()
 	strong := d.StrongGraph()
 	fmt.Printf("deployment %s: n=%d edges=%d maxdeg=%d diam=%d lambda=%.1f connected=%v\n",
@@ -197,6 +201,17 @@ func checkFlags(macKind, evaluator string, broadcasters int, slots int64, r floa
 	return nil
 }
 
+// checkBroadcasters rejects more broadcasters than the deployment has
+// nodes. The node count is known only once the deployment is built (grid
+// rounds n up to a square, two-balls adds its bridge nodes), so this check
+// runs after checkFlags, before anything is printed.
+func checkBroadcasters(broadcasters, nodes int) error {
+	if broadcasters > nodes {
+		return fmt.Errorf("-broadcasters %d exceeds the deployment's %d nodes", broadcasters, nodes)
+	}
+	return nil
+}
+
 func buildDeployment(topo string, n int, r float64, seed uint64) (*topology.Deployment, error) {
 	defRange := func(def float64) float64 {
 		if r > 0 {
@@ -230,9 +245,6 @@ func buildDeployment(topo string, n int, r float64, seed uint64) (*topology.Depl
 }
 
 func buildMACNodes(kind string, d *topology.Deployment, lambda float64, rec *core.Recorder, broadcasters int) ([]sim.Node, int64, error) {
-	if broadcasters > d.NumNodes() {
-		broadcasters = d.NumNodes()
-	}
 	layerFor := func(i int) *broadcaster {
 		l := &broadcaster{}
 		if i < broadcasters {

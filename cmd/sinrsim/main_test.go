@@ -11,8 +11,9 @@ import (
 
 // TestRejectsBadFlags: an unknown -mac or -evaluator, a negative
 // -broadcasters, -slots, -range, -shards or -maxnodes, and -shards on the
-// naive evaluator, exit with status 2 before any deployment is built (so
-// nothing reaches stdout), with an error naming the flag.
+// naive evaluator, exit with status 2 before any deployment is built, and
+// more -broadcasters than the deployment has nodes exits with status 2 once
+// it is built; nothing reaches stdout, and the error names the flag.
 func TestRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		mac          string
@@ -28,6 +29,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"decay", "fast", 0, 50, 12, 4, 100, ""},
 		{"ack", "naive", 3, 0, 0, 0, 0, ""},
 		{"combined", "fast", -1, 0, 0, 0, 0, "-broadcasters"},
+		{"combined", "fast", 20, 0, 0, 0, 0, ""},
+		{"combined", "fast", 21, 0, 0, 0, 0, "-broadcasters"},
 		{"combined", "fast", 1, -5, 0, 0, 0, "-slots"},
 		{"combined", "fast", 1, 0, -3, 0, 0, "-range"},
 		{"combined", "fast", 1, 0, math.NaN(), 0, 0, "-range"},
@@ -45,6 +48,10 @@ func TestRejectsBadFlags(t *testing.T) {
 			"-range", fmt.Sprint(tc.r), "-shards", fmt.Sprint(tc.shards), "-maxnodes", fmt.Sprint(tc.maxNodes),
 		}
 		err := checkFlags(tc.mac, tc.evaluator, tc.broadcasters, tc.slots, tc.r, tc.shards, tc.maxNodes)
+		if err == nil {
+			// The rows run the default deployment: a 20-node cluster.
+			err = checkBroadcasters(tc.broadcasters, 20)
+		}
 		if tc.flag == "" {
 			if err != nil {
 				t.Errorf("%v rejected: %v", args, err)

@@ -45,8 +45,8 @@
 //   - above the threshold (or FastOptions.Shards positive): the cell
 //     lattice — memory O(occupied cells + nodes) with no per-pair state
 //     (measured ~105 heap bytes/node at n = 10⁶ against the documented
-//     sinr.ShardBytesPerNodeBudget); every power is computed by the fused
-//     path-loss kernel. The occupied-cell decomposition is partitioned
+//     sinr.ShardBytesPerNodeBudget); every power is computed by the
+//     path-loss row kernel, one call per receiver row. The occupied-cell decomposition is partitioned
 //     into vertical cell-column stripes, one shard each, over a coarser
 //     supercell layer (8×8 cells). Each shard evaluates its receivers
 //     against exact near-field terms plus certified remote aggregates.

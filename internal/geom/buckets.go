@@ -50,6 +50,25 @@ func (b *Buckets) Insert(id int, p Point) {
 	b.head[x*b.h+y] = int32(id)
 }
 
+// Fill inserts every point of pts under its index, in index order, and
+// leaves the grid exactly as len(pts) calls Insert(i, pts[i]) would: the
+// same cells and the same list order. It is one loop with the cell
+// computed inline, for a caller that indexes a whole point set before its
+// first query; Insert is not inlined, so Fill saves a call per point.
+// None of the ids 0 … len(pts)−1 may have been inserted before.
+func (b *Buckets) Fill(pts []Point) {
+	if len(pts) > len(b.next) {
+		b.next = append(b.next, make([]int32, len(pts)-len(b.next))...)
+	}
+	next, head := b.next[:len(pts)], b.head
+	minX, minY, side, w, h := b.min.X, b.min.Y, b.side, b.w, b.h
+	for i, p := range pts {
+		c := clampCell((p.X-minX)/side, w)*h + clampCell((p.Y-minY)/side, h)
+		next[i] = head[c]
+		head[c] = int32(i)
+	}
+}
+
 // AppendNear appends to dst the ids in the cells around p and returns the
 // extended slice: a superset of every inserted point within one cell side
 // of p. The window is the 5×5 block of cells around p's cell without its

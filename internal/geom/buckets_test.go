@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sinrmac/internal/rng"
@@ -104,7 +105,10 @@ func TestBuckets(t *testing.T) {
 
 // FuzzBuckets fuzzes AppendNear's completeness over a random box, side,
 // point count and query. A quarter of the points are planted on the circle
-// of one cell side around the query, and some fall outside the box.
+// of one cell side around the query, and some fall outside the box. A
+// second grid over the same box, bulk-filled with Fill, must answer
+// AppendNear exactly as the incremental one does — the same ids in the
+// same order — at the query and at every point.
 func FuzzBuckets(f *testing.F) {
 	f.Add(uint64(1), uint8(12), 3.0, 5.0, 5.0)
 	f.Add(uint64(7), uint8(40), 0.0, 0.0, 0.0)
@@ -132,5 +136,12 @@ func FuzzBuckets(f *testing.F) {
 			b.Insert(i, pts[i])
 		}
 		checkNear(t, b, pts, q)
+		bulk := NewBuckets(box, side, n)
+		bulk.Fill(pts)
+		for _, p := range append([]Point{q}, pts...) {
+			if got, want := bulk.AppendNear(p, nil), b.AppendNear(p, nil); !slices.Equal(got, want) {
+				t.Fatalf("AppendNear(%v): bulk-filled grid gives %v, incremental inserts %v", p, got, want)
+			}
+		}
 	})
 }

@@ -151,16 +151,14 @@ func (f *FastChannel) patchAfterEpoch(dirty []int) {
 		f.px[id] = p.X
 		f.py[id] = p.Y
 	}
-	// Power matrix: recompute the row and column of every moved node,
-	// mirroring each value. Pairs of unmoved nodes kept their positions,
-	// so their entries are still exact.
+	// Power matrix: recompute the row of every moved node with one
+	// powerRow call and mirror it into the node's column. Pairs of unmoved
+	// nodes kept their positions, so their entries are still exact.
 	if f.mat != nil {
 		for _, i := range dirty {
-			ix, iy := f.px[i], f.py[i]
-			ri := i * n
-			for s := 0; s < n; s++ {
-				pw := f.pairPower(ix, iy, f.px[s], f.py[s])
-				f.mat[ri+s] = pw
+			row := f.mat[i*n : i*n+n]
+			f.powerRow(f.px, f.py, f.px[i], f.py[i], row)
+			for s, pw := range row {
 				f.mat[s*n+i] = pw
 			}
 		}

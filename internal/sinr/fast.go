@@ -103,9 +103,9 @@ type FastOptions struct {
 //     slack, and only the thin ambiguous band around β refines through the
 //     exact per-receiver arithmetic — sit on top of the cell index: no
 //     matrix or per-pair cache exists, memory is O(occupied cells + nodes),
-//     every power is computed by the fused pairPower kernel, and receivers
-//     are scanned in spatial shards whose knowledge of remote transmitters
-//     is certified aggregate bounds;
+//     every power is computed by the powerRow kernel, one call per
+//     receiver row, and receivers are scanned in spatial shards whose
+//     knowledge of remote transmitters is certified aggregate bounds;
 //   - in either regime sparse slots (estimated transmitter-ball coverage
 //     below sparseCoverageMax) take the sender-centric path, which walks
 //     the cell index to enumerate only the receivers inside some
@@ -143,15 +143,16 @@ type FastChannel struct {
 	workers int
 
 	// SoA mirror of pos plus the hoisted path-loss constants: the pair
-	// loops read coordinates from two flat float64 slices (twice the
-	// density of a []Point per cache line, and indexable without the
-	// struct field loads) and dispatch the path-loss exponent once per
-	// evaluator instead of once per pair. pairPower is the fused kernel
-	// over this layout; it is bit-identical to
-	// params.ReceivedPower(Point.Dist) by construction (same subtraction,
-	// square, Sqrt, clamp and α-multiplication sequence), which
-	// TestPairPowerKernelBitIdentical pins. Mobility epochs patch px/py in
-	// step with pos.
+	// loops read coordinates from flat float64 slices (twice the density
+	// of a []Point per cache line, and indexable without the struct field
+	// loads). powerRow is the row kernel over this layout: one call
+	// computes a receiver's powers from a whole coordinate row, with the
+	// path-loss exponent dispatched once per row rather than once per pair
+	// (a per-pair function holding the switch is too large to inline). It
+	// is bit-identical to params.ReceivedPower(Point.Dist) by construction
+	// (same subtraction, square, Sqrt, clamp and α-multiplication
+	// sequence), which TestPairPowerKernelBitIdentical pins. Mobility
+	// epochs patch px/py in step with pos.
 	px, py []float64
 	power  float64
 	alpha  float64
@@ -184,10 +185,13 @@ type FastChannel struct {
 	// slot path allocation-free.
 	chunkFn func(f *FastChannel, lo, hi, worker int)
 
-	out  []Reception
-	isTx []bool
-	rows [][]float64 // per-worker received-power scratch
-	tx   []int       // transmitter set of the slot being evaluated
+	out     []Reception
+	isTx    []bool
+	scratch []workerScratch // per-worker chunk scratch
+	tx      []int           // transmitter set of the slot being evaluated
+	// txX, txY gather the coordinates of tx once per lattice slot, the
+	// coordinate row every exact decode hands to powerRow.
+	txX, txY []float64
 
 	// decoded[w] lists the receivers worker w decoded a frame for in the
 	// previous slot; resetting exactly those entries restores the all -1
@@ -283,13 +287,13 @@ func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	f.bholder = &boundsHolder{}
 	f.ensureIndex()
 	if f.shards == 0 {
-		f.mat = buildPowerMatrix(c)
+		f.mat = f.buildPowerMatrix()
 	}
 	return f
 }
 
 // alphaCase maps a path-loss exponent to the multiplication fast path
-// pairPower and Params.ReceivedPower share: 2, 3 or 4 for the integer
+// powerRow and Params.ReceivedPower share: 2, 3 or 4 for the integer
 // exponents, 0 for the generic math.Pow fallback.
 func alphaCase(alpha float64) int {
 	switch alpha {
@@ -303,36 +307,77 @@ func alphaCase(alpha float64) int {
 	return 0
 }
 
-// pairPower is the fused path-loss kernel over the SoA layout: the received
-// power at (bx, by) from a transmitter at (ax, ay). It evaluates exactly
-// the reference composition params.ReceivedPower(Point.Dist) — the same
-// coordinate subtractions, the same dx²+dy² and Sqrt, the same near-field
-// clamp, and the same α-specific multiplication sequence (ReceivedPower
-// documents why the multiplications are bit-identical to math.Pow) — with
-// the Params value copy, the method dispatch and the per-pair exponent
-// switch hoisted into evaluator fields, so the result is bit-identical to
-// the naive evaluator's on every input while the pair loops stay free of
-// calls and table loads.
+// powerRow is the path-loss row kernel over the SoA layout: it sets row[j]
+// to the power received at (rx, ry) from a transmitter at (xs[j], ys[j])
+// for every j < len(xs), and returns the row's sum, added in index order.
+// Each entry evaluates exactly the reference composition
+// params.ReceivedPower(Point.Dist) — the same coordinate subtraction, the
+// same dx²+dy² and Sqrt, the same near-field clamp and the same
+// α-specific multiplication sequence (ReceivedPower documents why the
+// multiplications are bit-identical to math.Pow) — so every entry, and a
+// total summed in the caller's transmitter order, is bit-identical to the
+// naive evaluator's arithmetic.
 //
-//sinrlint:allow powfree generic-α fallback in the final return; shipped exponents take the multiplication cases
+// The exponent switch sits outside the loops, one loop body per case: a
+// per-pair function with the switch inside exceeds the inliner's budget,
+// so every pair would pay a call and a switch, while each body here is
+// straight-line arithmetic (math.Sqrt is an intrinsic).
+//
 //sinrlint:hotpath
-func (f *FastChannel) pairPower(ax, ay, bx, by float64) float64 {
-	dx := ax - bx
-	dy := ay - by
-	d := math.Sqrt(dx*dx + dy*dy)
-	if d < 1 {
-		d = 1
-	}
+func (f *FastChannel) powerRow(xs, ys []float64, rx, ry float64, row []float64) (total float64) {
+	ys = ys[:len(xs)]
+	row = row[:len(xs)]
+	p := f.power
 	switch f.alphaK {
 	case 3:
-		return f.power / (d * d * d)
+		for j, x := range xs {
+			dx, dy := x-rx, ys[j]-ry
+			d := math.Sqrt(dx*dx + dy*dy)
+			if d < 1 {
+				d = 1
+			}
+			pw := p / (d * d * d)
+			row[j] = pw
+			total += pw
+		}
 	case 2:
-		return f.power / (d * d)
+		for j, x := range xs {
+			dx, dy := x-rx, ys[j]-ry
+			d := math.Sqrt(dx*dx + dy*dy)
+			if d < 1 {
+				d = 1
+			}
+			pw := p / (d * d)
+			row[j] = pw
+			total += pw
+		}
 	case 4:
-		dd := d * d
-		return f.power / (dd * dd)
+		for j, x := range xs {
+			dx, dy := x-rx, ys[j]-ry
+			d := math.Sqrt(dx*dx + dy*dy)
+			if d < 1 {
+				d = 1
+			}
+			dd := d * d
+			pw := p / (dd * dd)
+			row[j] = pw
+			total += pw
+		}
+	default:
+		alpha := f.alpha
+		for j, x := range xs {
+			dx, dy := x-rx, ys[j]-ry
+			d := math.Sqrt(dx*dx + dy*dy)
+			if d < 1 {
+				d = 1
+			}
+			//sinrlint:allow powfree generic-α case; the shipped exponents take the multiplication loops above
+			pw := p / math.Pow(d, alpha)
+			row[j] = pw
+			total += pw
+		}
 	}
-	return f.power / math.Pow(d, f.alpha)
+	return total
 }
 
 // updateCoverageModel derives logBallMiss — the per-ball miss probability of
@@ -358,7 +403,7 @@ func (f *FastChannel) updateCoverageModel() {
 // channel, node positions, the cell index, the precomputed n×n power matrix
 // of the matrix regime, and the offset power tables and shard partition of
 // the lattice — while owning private mutable scratch
-// (reception slice, transmitter flags, per-worker rows, sparse candidate
+// (reception slice, transmitter flags, per-worker scratch, sparse candidate
 // buffers, per-cell aggregates and counters, worker pool). Forks
 // may evaluate slots concurrently with each other and with f. The
 // experiment scheduler hands each trial worker its own fork, so the power
@@ -427,16 +472,17 @@ type ColumnStats struct {
 // Deprecated: FastChannel keeps no column cache.
 func (f *FastChannel) ColumnStats() ColumnStats { return ColumnStats{} }
 
-// buildPowerMatrix precomputes ReceivedPower(Dist(s, r)) for every node
-// pair, exploiting symmetry to halve the math.Pow calls.
-func buildPowerMatrix(c *Channel) []float64 {
-	n := c.NumNodes()
+// buildPowerMatrix precomputes the received power of every node pair,
+// exploiting symmetry to halve the path-loss evaluations: row r's entries
+// s ≥ r come from one powerRow call, and each is mirrored into column r.
+func (f *FastChannel) buildPowerMatrix() []float64 {
+	n := f.n
 	mat := make([]float64, n*n)
 	for r := 0; r < n; r++ {
-		for s := r; s < n; s++ {
-			pw := c.params.ReceivedPower(c.Dist(s, r))
-			mat[r*n+s] = pw
-			mat[s*n+r] = pw
+		row := mat[r*n+r : r*n+n]
+		f.powerRow(f.px[r:], f.py[r:], f.px[r], f.py[r], row)
+		for j, pw := range row[1:] {
+			mat[(r+1+j)*n+r] = pw
 		}
 	}
 	return mat
@@ -473,6 +519,16 @@ func (f *FastChannel) SetWorkers(workers int) {
 // scan to the pool allocates nothing.
 func (f *FastChannel) RunChunk(lo, hi, worker int) { f.chunkFn(f, lo, hi, worker) }
 
+// workerScratch is one worker's chunk scratch: the received-power row of
+// the receiver being decoded, one entry per slot transmitter, and the
+// near-field transmitters of the receiver cell being certified (their
+// coordinates and ids, gathered once per cell in shardBoundsChunk).
+type workerScratch struct {
+	row          []float64
+	nearX, nearY []float64
+	nearS        []int32
+}
+
 // workerRow returns worker's per-slot received-power scratch row sized for
 // the current transmitter set, growing it when a larger slot arrives. The
 // growth is amortized ownership, not steady-state allocation: capacity only
@@ -481,20 +537,47 @@ func (f *FastChannel) RunChunk(lo, hi, worker int) { f.chunkFn(f, lo, hi, worker
 // the make. Keeping the single make here leaves the chunk kernels
 // statically allocation-free for the hotalloc analyzer.
 func (f *FastChannel) workerRow(worker int) []float64 {
-	row := f.rows[worker]
-	if cap(row) < len(f.tx) {
-		row = make([]float64, len(f.tx))
-		f.rows[worker] = row
+	ws := &f.scratch[worker]
+	if cap(ws.row) < len(f.tx) {
+		ws.row = make([]float64, len(f.tx))
 	}
-	return row[:len(f.tx)]
+	return ws.row[:len(f.tx)]
+}
+
+// nearList returns worker's near-transmitter lists with room for m
+// entries, growing them (to the largest m seen, the same amortized
+// ownership as workerRow) when a receiver cell has more near transmitters
+// than any before it.
+func (f *FastChannel) nearList(worker, m int) (xs, ys []float64, ids []int32) {
+	ws := &f.scratch[worker]
+	if cap(ws.nearS) < m {
+		ws.nearX = make([]float64, m)
+		ws.nearY = make([]float64, m)
+		ws.nearS = make([]int32, m)
+	}
+	return ws.nearX[:m], ws.nearY[:m], ws.nearS[:m]
+}
+
+// gatherTx fills txX and txY with the coordinates of the slot's
+// transmitters, in transmitter order.
+func (f *FastChannel) gatherTx() {
+	k := len(f.tx)
+	if cap(f.txX) < k {
+		f.txX = make([]float64, k)
+		f.txY = make([]float64, k)
+	}
+	f.txX, f.txY = f.txX[:k], f.txY[:k]
+	for j, s := range f.tx {
+		f.txX[j], f.txY[j] = f.px[s], f.py[s]
+	}
 }
 
 // runChunks evaluates fn over [0, n) on the worker pool, growing the
 // per-worker scratch first.
 func (f *FastChannel) runChunks(n int, fn func(f *FastChannel, lo, hi, worker int)) {
 	workers := f.workers
-	if len(f.rows) < workers {
-		f.rows = append(f.rows, make([][]float64, workers-len(f.rows))...)
+	if len(f.scratch) < workers {
+		f.scratch = append(f.scratch, make([]workerScratch, workers-len(f.scratch))...)
 	}
 	for len(f.decoded) < workers {
 		f.decoded = append(f.decoded, nil)
@@ -539,6 +622,9 @@ func (f *FastChannel) SlotReceptions(transmitters []int) []Reception {
 		return out
 	}
 	f.tx = transmitters
+	if f.mat == nil {
+		f.gatherTx()
+	}
 	switch {
 	case f.useSparse(len(transmitters)):
 		f.buildCandidates(transmitters)
@@ -622,7 +708,7 @@ func (f *FastChannel) buildCandidates(tx []int) {
 // so every total — and therefore every decode — is bit-identical to the
 // scalar loop's, while the four independent add chains overlap instead of
 // serialising on one accumulator's add latency. Every other path computes
-// the powers with pairPower through decodeExact.
+// a receiver's powers with one powerRow call through decodeExact.
 
 // matrixTotals4 sums four receivers' row powers over the slot's
 // transmitters in one pass. Four independent accumulators, each added in
@@ -746,20 +832,15 @@ func (f *FastChannel) sparseMatrixChunk(lo, hi, worker int) {
 }
 
 // decodeExact is the exact per-receiver arithmetic of every path without a
-// power matrix: receiver r's power from each transmitter by pairPower into
+// power matrix: receiver r's power from each transmitter by one powerRow
+// call over the slot's gathered transmitter coordinates (txX, txY) into
 // the worker's row, the interference total summed in transmitter order,
 // then the first sender meeting the SINR threshold decodes. It returns dec
 // with r appended when r decoded a frame.
 //
 //sinrlint:hotpath
 func (f *FastChannel) decodeExact(r int, row []float64, dec []int) []int {
-	rx, ry := f.px[r], f.py[r]
-	total := 0.0
-	for j, s := range f.tx {
-		pw := f.pairPower(f.px[s], f.py[s], rx, ry)
-		row[j] = pw
-		total += pw
-	}
+	total := f.powerRow(f.txX, f.txY, f.px[r], f.py[r], row)
 	for j, s := range f.tx {
 		signal := row[j]
 		if signal < f.cullPower {

@@ -56,42 +56,67 @@ func TestReceivedPowerPowFree(t *testing.T) {
 	}
 }
 
-// TestPairPowerKernelBitIdentical pins FastChannel's fused SoA kernel to
-// the reference composition params.ReceivedPower(Point.Dist) on random
-// deployments across fast-pathed and generic exponents. This is the
-// invariant that lets every SoA hot loop (lattice and sparse chunks,
-// bounds near expansion, churn matrix patches) replace the reference
-// composition without changing a single reception decision.
+// TestPairPowerKernelBitIdentical pins FastChannel's path-loss row kernel,
+// powerRow, to the reference composition params.ReceivedPower(Point.Dist)
+// for every exponent case — the integer exponents' multiplication loops
+// (α = 2, 3, 4) and the math.Pow loop (α = 2.5, 5) — on random
+// deployments with coincident and sub-unit pairs (the near-field clamp).
+// Every entry must equal the reference bit for bit, the returned total
+// must equal the reference entries summed in row order, and nothing past
+// the row may be written, for rows of every length from empty to the full
+// deployment. This is the invariant that lets every pair loop (exact
+// decodes, the certified pipeline's near expansion, the matrix build and
+// its churn patch) use the kernel without changing a single reception
+// decision.
 func TestPairPowerKernelBitIdentical(t *testing.T) {
 	src := rng.New(0x50a6e4)
-	for _, alpha := range []float64{3, 4, 2.5, 5} {
+	for _, alpha := range []float64{2, 2.5, 3, 4, 5} {
 		params := DefaultParams(12)
 		params.Alpha = alpha
 		params.Power = params.Beta * params.Noise * math.Pow(12, alpha)
-		n := 60
+		// α = 2 fails Params.Validate, so the kernel runs on an evaluator
+		// holding only the path-loss constants it reads.
+		f := &FastChannel{power: params.Power, alpha: alpha, alphaK: alphaCase(alpha)}
+		const n = 60
 		pos := make([]geom.Point, n)
 		for i := range pos {
 			pos[i] = geom.Point{X: src.Float64() * 40, Y: src.Float64() * 40}
 		}
-		// A couple of coincident and near-field pairs exercise the clamp.
 		pos[1] = pos[0]
 		pos[2] = geom.Point{X: pos[0].X + 0.3, Y: pos[0].Y}
-		ch, err := NewChannel(params, pos)
-		if err != nil {
-			t.Fatal(err)
+		pos[3] = geom.Point{X: pos[0].X, Y: pos[0].Y - 0.99}
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i, p := range pos {
+			xs[i], ys[i] = p.X, p.Y
 		}
-		f := withWorkers(NewFastChannel(ch, FastOptions{}), 1)
-		for s := 0; s < n; s++ {
-			for r := 0; r < n; r++ {
-				got := f.pairPower(f.px[s], f.py[s], f.px[r], f.py[r])
-				want := params.ReceivedPower(pos[s].Dist(pos[r]))
-				if got != want {
-					t.Fatalf("alpha=%v pair (%d,%d): pairPower=%x, reference=%x",
-						alpha, s, r, math.Float64bits(got), math.Float64bits(want))
+		sentinel := math.Float64frombits(0x7ff8dead)
+		row := make([]float64, n+1)
+		for r := range pos {
+			for m := 0; m <= n; m++ {
+				for i := range row {
+					row[i] = sentinel
+				}
+				got := f.powerRow(xs[:m], ys[:m], xs[r], ys[r], row)
+				want := 0.0
+				for s := 0; s < m; s++ {
+					ref := params.ReceivedPower(pos[s].Dist(pos[r]))
+					want += ref
+					if math.Float64bits(row[s]) != math.Float64bits(ref) {
+						t.Fatalf("alpha=%v receiver %d, row of %d: entry %d = %x, reference %x",
+							alpha, r, m, s, math.Float64bits(row[s]), math.Float64bits(ref))
+					}
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("alpha=%v receiver %d, row of %d: total %x, in-order reference sum %x",
+						alpha, r, m, math.Float64bits(got), math.Float64bits(want))
+				}
+				for i := m; i < len(row); i++ {
+					if math.Float64bits(row[i]) != math.Float64bits(sentinel) {
+						t.Fatalf("alpha=%v receiver %d, row of %d: wrote entry %d past the row", alpha, r, m, i)
+					}
 				}
 			}
 		}
-		f.Close()
 	}
 }
 

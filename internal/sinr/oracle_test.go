@@ -644,7 +644,10 @@ var oracleGroups = []struct {
 		{layout: "uniform", n: 20000, seed: 5, shards: 8, pin: "certified", workers: 4},
 		{layout: "uniform", n: 20000, seed: 5, shards: 1, workers: 2},
 	}},
-	// The integer exponents' multiplication kernels and the generic one.
+	// The row kernel's integer-exponent loops (α = 3, 4) and its math.Pow
+	// loop (α = 2.5), each on every path that calls it: the lattice's
+	// sparse path, certified pipeline and dense fallback, and the matrix
+	// build and its move-epoch patch.
 	{"alpha", cross([]string{"uniform"},
 		oracleScenario{n: 90, seed: 17, alpha: 2.5, shards: 4, pin: "certified", workers: 2, epochs: 1},
 		oracleScenario{n: 90, seed: 17, alpha: 3, workers: 1, epochs: 1},
@@ -652,6 +655,14 @@ var oracleGroups = []struct {
 		oracleScenario{n: 90, seed: 18, alpha: 2.5, pin: "dense", workers: 4},
 		oracleScenario{n: 90, seed: 18, alpha: 4, shards: 1, pin: "certified", workers: 1},
 		oracleScenario{n: 90, seed: 18, alpha: 2.5, shards: defaultShardCount, workers: 2},
+		oracleScenario{n: 90, seed: 17, alpha: 2.5, shards: 8, pin: "sparse", workers: 1, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 2.5, shards: 4, pin: "dense", workers: 2, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 2.5, workers: 2, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 3, shards: 4, pin: "sparse", workers: 2, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 3, shards: 8, pin: "certified", workers: 4, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 3, shards: 1, pin: "dense", workers: 1, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 4, shards: 4, pin: "dense", workers: 2, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 4, workers: 4, epochs: 1},
 	)},
 	// Mobility epochs on every configuration, storms included.
 	{"churn", []oracleScenario{

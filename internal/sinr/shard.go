@@ -11,8 +11,13 @@ import (
 // state at all — no n×n matrix, no per-sender power cache — only the
 // shared cell index and the certified-bounds tables of bounds.go (the
 // per-offset power-bound tables and a supercell layer on top), for
-// O(occupied cells + nodes) memory; every power it needs is computed by
-// pairPower.
+// O(occupied cells + nodes) memory. Every power it needs comes from the
+// row kernel powerRow, one call per receiver: over the slot's transmitter
+// coordinates (gathered once per slot) for an exact decode, and over the
+// receiver cell's near transmitters (gathered once per cell) for the
+// certified pipeline. The kernel's exponent switch sits outside its loops
+// because a per-pair function holding it is too large to inline, which
+// would cost every pair a call.
 //
 // Between the matrix threshold and n = 65536 the lattice replaced a spatial
 // grid with a clock-evicted per-sender power-column cache: at GOMAXPROCS = 1
@@ -458,7 +463,7 @@ func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
 			loFar := f.superFarLo[scSelf]
 			hiFar := f.superFarHi[scSelf]
 			farMax := f.superFarMax[scSelf]
-			nearN := 0
+			nearN, nearTx := 0, 0
 			wsxHi, wsyHi := rsx+1, rsy+1
 			if wsxHi >= bi.superW {
 				wsxHi = bi.superW - 1
@@ -476,6 +481,7 @@ func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
 						if bi.nearOff[idx] {
 							near[nearN] = tc
 							nearN++
+							nearTx += int(f.txCellCnt[tc])
 							continue
 						}
 						cnt := float64(f.txCellCnt[tc])
@@ -488,26 +494,33 @@ func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
 					}
 				}
 			}
+			// The near transmitters' coordinates, gathered once per cell in
+			// near-cell then CSR order: every listener sums and scans them
+			// in that order.
+			nearX, nearY, nearS := f.nearList(worker, nearTx)
+			m := 0
+			for i := 0; i < nearN; i++ {
+				c := near[i]
+				cstart := f.txCellStart[c]
+				for _, s := range f.txByCell[cstart : cstart+f.txCellCnt[c]] {
+					nearX[m], nearY[m], nearS[m] = f.px[s], f.py[s], s
+					m++
+				}
+			}
+			nearPow := row[:nearTx]
 			for _, r32 := range nodes {
 				r := int(r32)
 				if f.isTx[r] {
 					continue
 				}
 				evaluated++
-				rx, ry := f.px[r], f.py[r]
-				exactNear := 0.0
+				exactNear := f.powerRow(nearX, nearY, f.px[r], f.py[r], nearPow)
 				best := -1
 				bestPow := 0.0
-				for i := 0; i < nearN; i++ {
-					c := near[i]
-					cstart := f.txCellStart[c]
-					for _, s := range f.txByCell[cstart : cstart+f.txCellCnt[c]] {
-						pw := f.pairPower(f.px[s], f.py[s], rx, ry)
-						exactNear += pw
-						if pw > bestPow {
-							bestPow = pw
-							best = int(s)
-						}
+				for j, pw := range nearPow {
+					if pw > bestPow {
+						bestPow = pw
+						best = int(nearS[j])
 					}
 				}
 				loW := (exactNear + loFar) * f.slackDown
@@ -529,7 +542,8 @@ func (f *FastChannel) shardBoundsChunk(lo, hi, worker int) {
 					continue // certified: nothing decodes here
 				}
 				// Ambiguous band: exact fallback, identical to the dense
-				// scan's arithmetic (pairPower in transmitter order).
+				// scan's arithmetic (powerRow in transmitter order). It
+				// overwrites nearPow, which this listener no longer reads.
 				refined++
 				dec = f.decodeExact(r, row, dec)
 			}

@@ -40,13 +40,18 @@
 // multiplication — bit-identical to math.Pow for those exponents (see the
 // doc of ReceivedPower for the argument, and TestReceivedPowerPowFree for
 // the pin) — and distances come from a fused Sqrt(dx²+dy²) over a
-// structure-of-arrays coordinate mirror (FastChannel.pairPower, pinned
-// bit-identical to the Point.Dist composition by
-// TestPairPowerKernelBitIdentical). Threshold comparisons in the sparse path
-// and the lattice stay in the squared-distance domain (DistSq ≤ r², shared
-// with the geom range queries), which is exact because Sqrt is monotone and
-// correctly rounded; received powers themselves are always computed from
-// the rounded distance, never from its square, so no decision moves.
+// structure-of-arrays coordinate mirror. FastChannel computes every power
+// with one row kernel (FastChannel.powerRow, pinned bit-identical to the
+// ReceivedPower(Point.Dist) composition, total included, by
+// TestPairPowerKernelBitIdentical): one call fills a receiver's powers
+// from a whole coordinate row, with the exponent switch outside the loops,
+// one loop body per case, because a per-pair function holding the switch
+// is too large for the inliner and would cost every pair a call.
+// Threshold comparisons in the sparse path and the lattice stay in the
+// squared-distance domain (DistSq ≤ r², shared with the geom range
+// queries), which is exact because Sqrt is monotone and correctly rounded;
+// received powers themselves are always computed from the rounded
+// distance, never from its square, so no decision moves.
 //
 // Nodes may move: committed topology epochs (sinr.EpochDelta), batches of
 // moves over the fixed node set, are applied to live evaluators via
@@ -148,8 +153,9 @@ func (p Params) StrongRange() float64 {
 // products below reproduce Pow's result on every finite d ≥ 1, including
 // the overflow threshold (the intermediates are monotone in d). The
 // differential suite (TestReceivedPowerPowFree) pins this equality; the
-// exponent dispatch is three float compares, which the evaluators hoist
-// out of their pair loops entirely (FastChannel precomputes the case).
+// exponent dispatch is three float compares, which FastChannel hoists out
+// of its pair loops entirely (its row kernel switches once per row on a
+// precomputed case).
 //
 //sinrlint:allow powfree generic-α reference fallback; integer α ∈ {2,3,4} takes the multiplication cases above it
 func (p Params) ReceivedPower(d float64) float64 {

@@ -103,9 +103,7 @@ func validateEpochSpacing(name string, cand []geom.Point, dirty []int) error {
 		return nil
 	}
 	grid := geom.NewBuckets(geom.BoundingBox(cand), 1, len(cand))
-	for i, p := range cand {
-		grid.Insert(i, p)
-	}
+	grid.Fill(cand)
 	var near []int32
 	for _, id := range dirty {
 		p := cand[id]
