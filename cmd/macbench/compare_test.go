@@ -29,10 +29,10 @@ func record(name string, metrics map[string]float64) benchCase {
 
 func baseReport() benchReport {
 	return benchReport{Cases: []benchCase{
-		record("matrix", map[string]float64{"speedup": 20, "allocs_per_op": 0}),
+		record("lattice", map[string]float64{"speedup": 20, "allocs_per_op": 0}),
 		record("sparse_lattice", map[string]float64{"speedup": 10, "allocs_per_op": 0}),
 		record("bounds_quarter", map[string]float64{"speedup": 6, "allocs_per_op": 0}),
-		record("churn_matrix", map[string]float64{"speedup": 40, "allocs_per_op": 0}),
+		record("churn_lattice", map[string]float64{"speedup": 40, "allocs_per_op": 0}),
 		record("engine_step", map[string]float64{"ns_per_op": 1000, "allocs_per_op": 0}),
 	}}
 }
@@ -55,7 +55,7 @@ func TestCompareReportsPasses(t *testing.T) {
 	// Fresh-only cases stay allowed: adding a benchmark must not break the
 	// first run against an old baseline.
 	fresh := baseReport()
-	fresh.Cases = append(fresh.Cases, record("churn_lattice", map[string]float64{"speedup": 3}))
+	fresh.Cases = append(fresh.Cases, record("shard_n100k", map[string]float64{"speedup": 3}))
 	if err := compareReports(path, fresh); err != nil {
 		t.Fatalf("fresh-only case failed the gate: %v", err)
 	}
@@ -85,8 +85,8 @@ func TestCompareReportsMissingBaselineCase(t *testing.T) {
 	}
 	// Renames surface as missing too.
 	fresh := baseReport()
-	fresh.Cases[caseIndex(t, fresh, "churn_matrix")].Name = "churn_matrix_v2"
-	if err := compareReports(path, fresh); err == nil || !strings.Contains(err.Error(), `"churn_matrix"`) {
+	fresh.Cases[caseIndex(t, fresh, "churn_lattice")].Name = "churn_lattice_v2"
+	if err := compareReports(path, fresh); err == nil || !strings.Contains(err.Error(), `"churn_lattice"`) {
 		t.Fatalf("renaming a case passed the gate: %v", err)
 	}
 }
@@ -94,12 +94,12 @@ func TestCompareReportsMissingBaselineCase(t *testing.T) {
 func TestCompareReportsRegressions(t *testing.T) {
 	path := writeBaseline(t, baseReport())
 	fresh := baseReport()
-	fresh.Cases[caseIndex(t, fresh, "churn_matrix")].Metrics["speedup"] = 5 // 8x shrink > 2x tolerance
-	if err := compareReports(path, fresh); err == nil || !strings.Contains(err.Error(), "churn_matrix: speedup") {
+	fresh.Cases[caseIndex(t, fresh, "churn_lattice")].Metrics["speedup"] = 5 // 8x shrink > 2x tolerance
+	if err := compareReports(path, fresh); err == nil || !strings.Contains(err.Error(), "churn_lattice: speedup") {
 		t.Fatalf("speedup collapse passed the gate: %v", err)
 	}
 	fresh = baseReport()
-	fresh.Cases[caseIndex(t, fresh, "churn_matrix")].Metrics["speedup"] = 21 // within the 2x tolerance
+	fresh.Cases[caseIndex(t, fresh, "churn_lattice")].Metrics["speedup"] = 21 // within the 2x tolerance
 	if err := compareReports(path, fresh); err != nil {
 		t.Fatalf("speedup within tolerance failed the gate: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestCompareReportsRegressions(t *testing.T) {
 	}
 	// Only the optimised side's allocs_per_op is judged.
 	fresh = baseReport()
-	fresh.Cases[caseIndex(t, fresh, "matrix")].Metrics["naive_allocs_per_op"] = 9
+	fresh.Cases[caseIndex(t, fresh, "lattice")].Metrics["naive_allocs_per_op"] = 9
 	if err := compareReports(path, fresh); err != nil {
 		t.Fatalf("reference-side allocations failed the gate: %v", err)
 	}
@@ -254,7 +254,7 @@ func TestWriteSummary(t *testing.T) {
 	basePath := writeBaseline(t, baseReport())
 	fresh := baseReport()
 	fresh.GoMaxProcs, fresh.NumCPU, fresh.GoVersion = 2, 4, "go1.99"
-	fresh.Cases[caseIndex(t, fresh, "matrix")].Metrics["speedup"] = 10
+	fresh.Cases[caseIndex(t, fresh, "lattice")].Metrics["speedup"] = 10
 	path := filepath.Join(t.TempDir(), "summary.md")
 	if err := writeSummary(path, basePath, fresh); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestWriteSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := string(data)
-	for _, want := range []string{"GOMAXPROCS=2, NumCPU=4, go1.99", "| matrix | nodes=5000 |", "| 10.00x | 20.00x | 0.50 |"} {
+	for _, want := range []string{"GOMAXPROCS=2, NumCPU=4, go1.99", "| lattice | nodes=5000 |", "| 10.00x | 20.00x | 0.50 |"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary lacks %q:\n%s", want, out)
 		}

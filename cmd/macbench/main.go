@@ -8,17 +8,17 @@
 // (refine_rate, rss_bytes, bytes_per_node). The case table, benchCases:
 //
 //	case                          reference      optimised side
-//	matrix, lattice               naive channel  fast evaluator, n = 1000 / 4000
-//	sparse_{matrix,lattice}       dense scan     sparse path, |tx| = √n, n = 2048 / 5000
+//	lattice                       naive channel  fast evaluator, n = 4000
+//	sparse_lattice                dense scan     sparse path, |tx| = √n, n = 5000
 //	bounds_{quarter,full}         dense scan     certified bounds, k = n/4 / n
 //	shard_n100k, shard_n1m        dense scan     cell lattice at scale (n1m: -large, no reference)
-//	churn_{matrix,lattice}        rebuild        ApplyEpoch, 1 % of n = 2048 / 5000 moved
+//	churn_lattice                 rebuild        ApplyEpoch, 1 % of n = 5000 moved
 //	engine_step{,_5k}             —              steady-state Engine.Step
 //	engine_step_faults            no hook        zero-fault injector
-//	kernel_pathloss_a{2,3,4}      math.Pow       pow-free path loss
+//	kernel_pathloss_a{3,4}        math.Pow       pow-free path loss
 //
 // Gates judged within every run: speedup ≥ 0.95 on bounds_full, ≥ 1/1.05
-// on engine_step_faults and ≥ 1.0 on kernel_pathloss_a{2,3,4}, each on
+// on engine_step_faults and ≥ 1.0 on kernel_pathloss_a{3,4}, each on
 // per-side minima over up to gateRounds interleaved rounds; zero
 // allocations per Step on engine_step{,_5k}; and bytes_per_node within
 // sinr.ShardBytesPerNodeBudget on the shard cases.
@@ -172,9 +172,7 @@ var serial = engineConf{workers: 1}
 // benchCases is the case table, in report order. Gate thresholds
 // are judged on speedup, the reference cost over the optimised one.
 var benchCases = []caseSpec{
-	{name: "matrix", build: naiveVsFast(1000)},
 	{name: "lattice", build: naiveVsFast(4000)},
-	{name: "sparse_matrix", build: denseVsSparse(sinr.DefaultMatrixThreshold)},
 	{name: "sparse_lattice", build: denseVsSparse(5000)},
 	{name: "bounds_quarter", build: denseVsBounds(5000 / 4)},
 	// With every node transmitting both sides take the same O(k) early-out;
@@ -182,7 +180,6 @@ var benchCases = []caseSpec{
 	{name: "bounds_full", build: denseVsBounds(5000), gate: gate{minSpeedup: 0.95}},
 	{name: "shard_n100k", build: denseVsShard(100_000, 8, true), gate: gate{maxBytesPerNode: sinr.ShardBytesPerNodeBudget}},
 	{name: "shard_n1m", large: true, build: denseVsShard(1_000_000, 0, false), gate: gate{maxBytesPerNode: sinr.ShardBytesPerNodeBudget}},
-	{name: "churn_matrix", build: rebuildVsApply(sinr.DefaultMatrixThreshold)},
 	{name: "churn_lattice", build: rebuildVsApply(5000)},
 	{name: "engine_step", build: engineCase(2000, "", engineConf{}, serial), gate: gate{zeroAllocs: true}},
 	{name: "engine_step_5k", build: engineCase(5000, "", engineConf{}, serial), gate: gate{zeroAllocs: true}},
@@ -190,7 +187,6 @@ var benchCases = []caseSpec{
 	// is the dispatch overhead every healthy simulation pays for the layer.
 	{name: "engine_step_faults", build: engineCase(2000, "nohook", serial, engineConf{workers: 1, faults: true}), gate: gate{minSpeedup: 1 / 1.05}},
 	// Every integer-α path-loss kernel must beat math.Pow.
-	{name: "kernel_pathloss_a2", build: powVsFast(2), gate: gate{minSpeedup: 1}},
 	{name: "kernel_pathloss_a3", build: powVsFast(3), gate: gate{minSpeedup: 1}},
 	{name: "kernel_pathloss_a4", build: powVsFast(4), gate: gate{minSpeedup: 1}},
 }
@@ -349,8 +345,7 @@ func slotSide(ch *sinr.Channel, tx []int, opts sinr.FastOptions, refine map[stri
 }
 
 // naiveVsFast times the naive channel against the fast evaluator on
-// sinr.BenchWorkload: up to sinr.DefaultMatrixThreshold nodes the fast path
-// reads the power matrix, above it the cell lattice.
+// sinr.BenchWorkload at n nodes.
 func naiveVsFast(n int) func(uint64) (*pair, error) {
 	return func(seed uint64) (*pair, error) {
 		ch, tx, err := sinr.BenchWorkload(n, seed)
@@ -366,8 +361,7 @@ func naiveVsFast(n int) func(uint64) (*pair, error) {
 }
 
 // denseVsSparse times the dense receiver scan against the sender-centric
-// sparse path on sinr.SparseBenchWorkload (|tx| = √n) at n nodes: up to
-// sinr.DefaultMatrixThreshold the power matrix, above it the lattice.
+// sparse path on sinr.SparseBenchWorkload (|tx| = √n) at n nodes.
 func denseVsSparse(n int) func(uint64) (*pair, error) {
 	return func(seed uint64) (*pair, error) {
 		ch, tx, err := sinr.SparseBenchWorkload(n, seed)
@@ -445,10 +439,9 @@ func denseVsShard(n, shards int, withDense bool) func(uint64) (*pair, error) {
 
 // rebuildVsApply times rebuilding the fast evaluator against applying a
 // mobility epoch to a live one, on sinr.ChurnBenchWorkload at n nodes with
-// 1 % of them moving: up to sinr.DefaultMatrixThreshold the rebuild pays
-// the O(n²) power matrix the incremental path avoids, above it the lattice's
-// cell index. The apply side cycles an away/back delta pair, so it stays
-// allocation-free.
+// 1 % of them moving: the rebuild pays the cell index and the lattice's
+// offset tables the incremental path reuses. The apply side cycles an
+// away/back delta pair, so it stays allocation-free.
 func rebuildVsApply(n int) func(uint64) (*pair, error) {
 	return func(seed uint64) (*pair, error) {
 		moved := n / 100
@@ -572,8 +565,7 @@ var kernelSink float64
 // powVsFast times the path-loss arithmetic over fixed random point pairs:
 // math.Hypot distance and math.Pow loss against the shipped Sqrt distance
 // and integer-α Params.ReceivedPower, in identical loops, so the ratio
-// isolates the arithmetic. α = 2 is reachable only through Params directly
-// (channels require α > 2) but pins the cheapest fast path.
+// isolates the arithmetic.
 func powVsFast(alpha float64) func(uint64) (*pair, error) {
 	return func(seed uint64) (*pair, error) {
 		const pairs = 4096

@@ -62,8 +62,8 @@ func run(args []string) int {
 		broadcasters = fs.Int("broadcasters", 1, "number of nodes that broadcast one message each at slot 0")
 		slots        = fs.Int64("slots", 0, "number of slots to simulate (0 = a sensible default for the MAC)")
 		seed         = fs.Uint64("seed", 1, "random seed")
-		evaluator    = fs.String("evaluator", "fast", fmt.Sprintf("SINR slot evaluator: fast (power matrix up to %d nodes, cell lattice with certified interference bounds above) or naive (reference scan)", sinr.DefaultMatrixThreshold))
-		shards       = fs.Int("shards", 0, fmt.Sprintf("shards of the fast evaluator's cell lattice (0 = automatic: the power matrix up to %d nodes, the lattice with its default count above; N > 0 = the lattice with N shards at any size; requires -evaluator fast)", sinr.DefaultMatrixThreshold))
+		evaluator    = fs.String("evaluator", "fast", "SINR slot evaluator: fast (cell lattice with certified interference bounds) or naive (reference scan)")
+		shards       = fs.Int("shards", 0, "shards of the fast evaluator's cell lattice (0 = its default count; N > 0 = N shards; requires -evaluator fast)")
 		maxNodes     = fs.Int("maxnodes", 2_000_000, "refuse deployments larger than this many nodes (0 = no limit)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -192,7 +192,7 @@ func checkFlags(macKind, evaluator string, broadcasters int, slots int64, r floa
 	case r < 0:
 		return fmt.Errorf("-range %g is negative; use 0 for the topology's default range", r)
 	case shards < 0:
-		return fmt.Errorf("-shards %d is negative; use 0 for the automatic choice or a positive shard count", shards)
+		return fmt.Errorf("-shards %d is negative; use 0 for the default count or a positive shard count", shards)
 	case maxNodes < 0:
 		return fmt.Errorf("-maxnodes %d is negative; use 0 for no limit", maxNodes)
 	case shards != 0 && evaluator != "fast":

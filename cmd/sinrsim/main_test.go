@@ -92,7 +92,7 @@ func runCapturingStdout(t *testing.T, args []string) (int, string) {
 }
 
 // TestFastMatchesNaive: the fast evaluator prints exactly what the naive
-// one does, in its automatic regime and at any -shards, including a shard
+// one does, at its default shard count and at any -shards, including a shard
 // count far beyond the lattice's columns (it acts as the column count).
 func TestFastMatchesNaive(t *testing.T) {
 	base := []string{"-n", "20", "-seed", "3"}

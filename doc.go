@@ -32,68 +32,66 @@
 //     recomputes every received power. It defines the semantics and is the
 //     default path of sim.Engine.
 //   - the fast engine: sinr.FastChannel, which reuses a per-channel scratch
-//     arena and selects one of two regimes at construction (see below):
-//     the cached power matrix for small deployments and the cell lattice
-//     above it.
+//     arena and runs one regime at every deployment size, the cell lattice
+//     (see below).
 //
-// The regime decision, applied once at construction (FastOptions can pin
-// either branch):
+// The cell lattice has memory O(occupied cells + nodes) with no per-pair
+// state (measured ~51 heap bytes/node at n = 10⁶ against the documented
+// sinr.ShardBytesPerNodeBudget); every power is computed by the path-loss
+// row kernel, one call per receiver row. The occupied-cell decomposition is
+// partitioned into vertical cell-column stripes, one shard each
+// (FastOptions.Shards, 64 by default), over a coarser supercell layer (8×8
+// cells). Each shard evaluates its receivers against exact near-field
+// terms plus certified remote aggregates.
 //
-//   - n ≤ sinr.DefaultMatrixThreshold: the matrix regime — the full n×n
-//     received-power matrix is precomputed and every slot is served from
-//     it. Memory O(n²).
-//   - above the threshold (or FastOptions.Shards positive): the cell
-//     lattice — memory O(occupied cells + nodes) with no per-pair state
-//     (measured ~105 heap bytes/node at n = 10⁶ against the documented
-//     sinr.ShardBytesPerNodeBudget); every power is computed by the
-//     path-loss row kernel, one call per receiver row. The occupied-cell decomposition is partitioned
-//     into vertical cell-column stripes, one shard each, over a coarser
-//     supercell layer (8×8 cells). Each shard evaluates its receivers
-//     against exact near-field terms plus certified remote aggregates.
+// The spatial index is geom.CellIndex with cells of the culling radius,
+// shared by every fork of an evaluator; its inverse map, lattice
+// coordinates to cell, is a dense table over the lattice rectangle, so the
+// sparse path's ball walk and the dense scan's cell cull read an array, not
+// a hash map. A lattice whose per-offset tables would hold more than 16
+// entries per occupied cell (sinr's boundsOffsetsPerCell) — outlier
+// geometry such as clusters a thousand ranges apart, at construction or
+// after churn — keeps its cells, near offsets and shard stripes but builds
+// no tables, so its dense slots run the exact cell-culled scan; the cell
+// index, by the same cap, keeps a map in place of its table. Memory stays
+// O(occupied cells) wherever the nodes sit.
 //
-// Both regimes hold one spatial index, geom.CellIndex with cells of the
-// culling radius, shared by every fork of an evaluator; the sparse path
-// walks it in either regime. A lattice whose per-offset tables would hold
-// more than 16 entries per occupied cell (sinr's boundsOffsetsPerCell) —
-// outlier geometry such as clusters a thousand ranges apart, at
-// construction or after churn — keeps its cells, near offsets and shard
-// stripes but builds no tables, so its dense slots run the exact
-// cell-culled scan; table memory stays O(occupied cells).
-//
-// The lattice replaced a third regime, a spatial grid with a clock-evicted
-// per-sender power-column cache that served 2048 < n ≤ 65536. Measured on
-// a 2-CPU host (GOMAXPROCS = 1, one evaluator, grid → lattice), a slot with
+// The lattice replaced two regimes. A spatial grid with a clock-evicted
+// per-sender power-column cache served 2048 < n ≤ 65536. Measured on a
+// 2-CPU host (GOMAXPROCS = 1, one evaluator, grid → lattice), a slot with
 // k = n/4 transmitters cost 7.9 → 5.4 ms at n = 4k, 141 → 64 ms at 16k and
 // 1.20 → 0.88 s at 64k; a 1 % churn epoch plus one slot 17.4 → 3.1 ms,
 // 239 → 40 ms and 920 → 410 ms, with no allocation on the lattice; and the
 // n = 4096 end-to-end workloads ran 2.10 → 1.97 s (combined MAC) and
 // 2.21 → 1.45 s (Decay) in 29.5 MB instead of 43.9 MB and 111 MB instead of
 // 278 MB. The grid won only sparse slots at 4k repeating one transmitter
-// set (268 vs 376 µs), which kept every column cached.
+// set (268 vs 376 µs), which kept every column cached. An n×n
+// received-power matrix served n ≤ 2048, its dense slots streaming
+// receivers against the cached powers. Before the lattice computed its
+// powers with one row kernel, forcing it at every size (with a dense cell
+// table) ran sinrbench's mac_dense and tables 11.5 % slower. With the
+// kernel, the cell index's dense table and the exact decode dividing only
+// for senders stronger than every one it has rejected, ten alternating
+// pairs of sinrbench `-workload all -seconds 2` (seeds 1–10, 2-CPU host,
+// matrix → lattice medians) read mac_dense 0.407 → 0.392 s in 48.2 →
+// 46.0 MB, a tie, and tables 0.888 → 0.997 s (+12 %, 9 of 10 pairs
+// slower): the tables' small clustered deployments compute on every dense
+// slot the powers the matrix looked up. That is the price of one regime,
+// inside the benchmark's 25 % bound; every other workload already ran the
+// lattice.
 //
-// Per slot, both regimes first take the sparse dispatch when the estimated
-// transmitter-ball coverage is below the documented crossover: sender-
-// centric enumeration of only the receivers inside some transmitter's
-// culling ball (every other receiver provably decodes nothing), making
-// sparse-slot cost output-sensitive instead of Θ(n·k). All-transmit slots
-// short-circuit in O(k) in both regimes (half-duplex leaves no listener).
-// Dense slots of the matrix regime stream receivers against the cached
-// powers. Dense slots of the lattice take its certified pipeline when the
-// per-slot cost model of sinr's prepareShard favours it — transmitters
-// aggregate per cell in O(k), near cells are expanded exactly and far
-// cells bounded via precomputed per-cell-offset and per-supercell-offset
-// power bounds (geom.CellIndex, geom.CellOffsetDistBounds) — or its exact
-// dense scan with whole cells culled otherwise.
-//
-// Dense matrix slots have no certified tier: a flat pass over the same
-// per-cell bounds was selected on no slot of the full E1–E8 and E10 sweeps
-// or of sinrbench's mac_dense, and did not speed up the one workload that
-// took it (Decay on a uniform 2000-node deployment, every node
-// broadcasting). The matrix regime itself pays: with the lattice forced at
-// every size (and a dense cell-id table added to it), sinrbench's mac_dense
-// and tables ran 11.5 % slower in wall time (0.442 → 0.493 s and 0.989 →
-// 1.103 s, 8 of 8 alternating pairs, 2-CPU host), and a mac_dense slot's
-// evaluation took 38 instead of 23 µs.
+// Per slot, the evaluator first takes the sparse dispatch when the
+// estimated transmitter-ball coverage is below the documented crossover:
+// sender-centric enumeration of only the receivers inside some
+// transmitter's culling ball (every other receiver provably decodes
+// nothing), making sparse-slot cost output-sensitive instead of Θ(n·k).
+// All-transmit slots short-circuit in O(k) (half-duplex leaves no
+// listener). Dense slots take the certified pipeline when the per-slot
+// cost model of sinr's prepareShard favours it — transmitters aggregate
+// per cell in O(k), near cells are expanded exactly and far cells bounded
+// via precomputed per-cell-offset and per-supercell-offset power bounds
+// (geom.CellIndex, geom.CellOffsetDistBounds) — or the exact dense scan
+// with whole cells culled otherwise.
 //
 // The lattice's certificate invariant makes it decision-exact: lower- and
 // upper-bound interference aggregates are widened by the rounding slack
@@ -113,15 +111,16 @@
 // Receivers are scanned by a persistent worker pool (internal/workpool)
 // wired to sim.Config.Workers.
 //
-// Both regimes produce bit-identical Reception slices at any shard and
+// The fast engine produces bit-identical Reception slices at any shard and
 // worker count: culling, sparse enumeration and the certificates only skip
 // work whose outcome is provably fixed, and the evaluator oracle
-// (TestEvaluatorOracle and FuzzEvaluatorOracle in internal/sinr) holds
-// them to that: random and planted on-threshold layouts, three path-loss
-// exponents, the matrix and the lattice at S ∈ {1, 4, 8, 64}, every
-// dispatch pin, one, two and four workers, forks and move epochs, every
-// slot compared with Channel.SlotReceptions. One level up, the engine oracle (TestEngineOracle and
-// FuzzEngineOracle in internal/sim) holds every regime, dispatch pin,
+// (TestEvaluatorOracle and FuzzEvaluatorOracle in internal/sinr) holds it
+// to that: random and planted on-threshold layouts, three path-loss
+// exponents, the lattice at S ∈ {1, 4, 8, 64}, every dispatch pin, one,
+// two and four workers, forks and move epochs, every slot compared with
+// Channel.SlotReceptions. One level up, the engine oracle
+// (TestEngineOracle and FuzzEngineOracle in internal/sim) holds every
+// evaluator, shard count, dispatch pin,
 // worker count, fault plan, move-epoch sequence and Step/Run use to the
 // naive evaluator under a serial Step loop: per-slot receptions, engine
 // and fault stats and per-node traffic must match bit for bit.
@@ -155,7 +154,7 @@
 // workers.
 //
 // Path-loss arithmetic is pow-free on the hot paths: integer exponents
-// α ∈ {2, 3, 4} evaluate by multiplication, bit-identical to math.Pow
+// α ∈ {3, 4} evaluate by multiplication, bit-identical to math.Pow
 // (internal/sinr's kernel differential tests pin this), and sparse/bounds
 // threshold comparisons stay in the squared-distance domain.
 //
@@ -210,20 +209,18 @@
 // callback may not do is re-enter the engine: Step and Run panic from
 // inside the slot loop, and ApplyEpoch/Reset return an error — state
 // mutations must land between Step/Run calls. The engine oracle holds Run
-// legs bit-identical to the naive Step loop across evaluator regimes,
+// legs bit-identical to the naive Step loop across evaluators,
 // worker counts, fault plans and mid-run mobility epochs.
 //
-// The evaluation kernels are restructured SIMD-friendly without
-// changing a single emitted bit: the matrix totals gather and the
-// lattice's supercell far-field sums process four receivers (or receiver
-// supercells) per pass over the transmitter data. Blocking is across
-// receivers only — each receiver's interference sum still adds the same terms in
-// the same tx order with one accumulator, so the float result is
-// bit-identical to the scalar loop (remainder lanes run the scalar code);
-// what the restructuring buys is four independent FP add chains instead
-// of one loop-carried one (1.7–2.2× over the scalar chain on a
-// cache-resident n = 512 matrix, measured on 1- and 2-CPU hosts), and the
-// k·ulp certificate slack of the lattice is computed exactly as before.
+// The lattice's supercell far-field sums are restructured SIMD-friendly
+// without changing a single emitted bit: they process four receiver
+// supercells per pass over the occupied transmitter supercells. Blocking
+// is across receivers only — each receiver supercell's bound sums still
+// add the same terms in the same order with one accumulator, so the float
+// result is bit-identical to the scalar loop (remainder lanes run the
+// scalar code); what the restructuring buys is four independent FP add
+// chains instead of one loop-carried one, and the k·ulp certificate slack
+// is computed exactly as before.
 //
 // The protocol automata ticked inside a slot resolve their schedules once,
 // in NewAutomaton: approgress its block boundaries, phase and epoch
@@ -247,18 +244,15 @@
 // positions and lists the nodes that moved. Node ids never change.
 //
 // Applying a delta to a live evaluator is incremental:
-// sinr.FastChannel.ApplyEpoch patches the matrix regime's power-matrix
-// rows and columns of the moved nodes (O(dirty·n) pair powers instead of
-// the O(n²/2) rebuild), and in both regimes re-buckets the shared cell
-// index in place (geom.CellIndex.ApplyChurn — the lattice's per-offset
-// power tables survive unchanged since they depend only on the lattice
-// span; only a node leaving the lattice rebuilds the index). The patch is
+// sinr.FastChannel.ApplyEpoch re-buckets the shared cell index in place
+// (geom.CellIndex.ApplyChurn, O(n + occupied cells) — the lattice's
+// per-offset power tables survive unchanged since they depend only on the
+// lattice span; only a node leaving the lattice rebuilds the index). The patch is
 // held to the naive channel over the moved positions by the evaluator
 // oracle's epoch rows (storm epochs that move half the nodes, moves across
 // every stripe and out of the lattice included), and the steady-state apply
 // path of a mobility cycle performs zero heap allocations
-// (TestChurnApplyAllocFree, the churn_matrix/churn_lattice macbench
-// cases). Applying an epoch is stop-the-world for an evaluator fork family.
+// (TestChurnApplyAllocFree, the churn_lattice macbench case). Applying an epoch is stop-the-world for an evaluator fork family.
 //
 // One level up, sim.Engine.ApplyEpoch applies a delta between slots; every
 // node automaton keeps its id and its protocol state. Experiment E8-churn
@@ -275,7 +269,7 @@
 // stochastic fault decision draws from labelled rng streams derived from
 // the plan seed alone (fault/plan/{crash,jam,deliver,byz}), and the engine
 // consults the hook on the driving goroutine in slot order, so a faulty
-// execution is bit-identical at any evaluator worker count and regime (the
+// execution is bit-identical at any evaluator worker count and shard count (the
 // engine oracle's fault rows). A zero-rate plan consumes no randomness,
 // leaving the execution bit-identical to running with no hook installed — and nearly free, which the
 // engine_step_faults macbench case gates at ≤ 1.05× the hook-free step.
@@ -319,10 +313,10 @@
 //     scheduling order. Results are merged into canonical [point][trial]
 //     order before any aggregation.
 //   - Fixed-cost reuse. Each sweep point's deployment — with its strong
-//     graph, Λ and the fast evaluator's n×n power matrix — is built once
-//     and shared by all trials (topology.Deployment caches the derived
-//     quantities; sinr.FastChannel.Fork shares the immutable matrix with
-//     private scratch). Each worker keeps one engine per point and rewinds
+//     graph, Λ and the fast evaluator's cell index and tables — is built
+//     once and shared by all trials (topology.Deployment caches the
+//     derived quantities; sinr.FastChannel.Fork shares the immutable index
+//     with private scratch). Each worker keeps one engine per point and rewinds
 //     it with sim.Engine.Reset instead of reallocating.
 //
 // TestParallelTablesBitIdentical asserts the contract differentially

@@ -35,7 +35,7 @@
 // Every experiment is a sweep of (point × trial) jobs executed by the
 // deterministic parallel scheduler in sched.go (runTrials). Jobs fan out
 // across Config.Workers workers; each sweep point's deployment — and with
-// it the strong graph, Λ and the fast evaluator's power matrix — is built
+// it the strong graph, Λ and the fast evaluator's cell index — is built
 // once and shared by all trials, while each worker keeps a private
 // evaluator fork and a reusable engine per point (sim.Engine.Reset).
 //

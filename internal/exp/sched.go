@@ -40,10 +40,10 @@ import (
 //
 // The sweep-point deployment is built exactly once (guarded by sync.Once)
 // and shared by every trial: its strong graph, Λ, SINR channel and the fast
-// evaluator's n×n power matrix are all paid once per point. Each worker
-// additionally keeps, per point, a private fork of the point's fast
-// evaluator (sinr.FastChannel.Fork — shared immutable matrix or cell
-// index, private scratch) and one sim.Engine that later trials rewind
+// evaluator's cell index and offset tables are all paid once per point.
+// Each worker additionally keeps, per point, a private fork of the point's
+// fast evaluator (sinr.FastChannel.Fork — shared immutable cell index and
+// tables, private scratch) and one sim.Engine that later trials rewind
 // with Engine.Reset instead of reallocating.
 //
 // Sharing the deployment changes what "trials" sample: they average over
@@ -51,7 +51,7 @@ import (
 // topology draws per trial as the pre-scheduler harness did. Topology
 // randomness enters across sweep points (each point draws its own
 // deployment from its own label). This is a deliberate trade — it is what
-// lets the power matrix and engine be reused at all — and matches the
+// lets the evaluator's index and the engine be reused at all — and matches the
 // common randomized-sweep methodology of fixing an instance per
 // configuration; raise the number of sweep points, not Trials, to sample
 // more topologies.
@@ -66,8 +66,8 @@ func (c Config) workers() int {
 }
 
 // pointState is the shared per-sweep-point state: the deployment, its
-// channel and the base fast evaluator whose power matrix all trial forks
-// share. It is initialised by whichever job reaches the point first; the
+// channel and the base fast evaluator whose cell index and tables all
+// trial forks share. It is initialised by whichever job reaches the point first; the
 // deployment itself is seeded from point-level labels, so the result does
 // not depend on which job that is.
 type pointState struct {
@@ -107,7 +107,7 @@ type TrialContext struct {
 // receives the point-level source, so the deployment depends only on
 // (Config.Seed, experiment, Point) — identical for every trial and worker
 // count. The first build also raises the point's SINR channel and the base
-// fast evaluator whose power matrix all trials share.
+// fast evaluator whose cell index and tables all trials share.
 func (tc *TrialContext) Deployment(build func(src *rng.Source) (*topology.Deployment, error)) (*topology.Deployment, error) {
 	ps := tc.ps
 	ps.once.Do(func() {

@@ -6,10 +6,10 @@ import "math"
 // point set into square lattice cells (cell c of a point p is
 // (floor(p.X/cell), floor(p.Y/cell))). It is the fast SINR evaluator's
 // index and serves nothing else (topology generation, MinPairwiseDist and
-// unit-disk graphs use Buckets). It answers the queries both evaluator
-// regimes are built on: which cell does a node live in, which nodes live
-// in a cell, which occupied cell sits at given lattice coordinates (so a
-// caller can walk the cells around a point), and what are the lattice
+// unit-disk graphs use Buckets). It answers the queries the evaluator's
+// cell lattice is built on: which cell does a node live in, which nodes
+// live in a cell, which occupied cell sits at given lattice coordinates (so
+// a caller can walk the cells around a point), and what are the lattice
 // coordinates of a cell so that conservative cell-pair distance bounds
 // (CellOffsetDistBounds) can be looked up by integer offset.
 //
@@ -17,6 +17,13 @@ import "math"
 // so the numbering is deterministic for a fixed point slice. The node lists
 // are stored in one CSR arena; a CellIndex performs no allocation after
 // construction and is safe for concurrent readers.
+//
+// The inverse map, lattice coordinates to dense id, is a table over the
+// lattice rectangle (−1 for an empty cell) whenever the rectangle holds at
+// most max(cellTablePerCell · occupied cells, cellTableMin) cells. Outlier
+// geometry — clusters so far apart that the rectangle is mostly empty —
+// keeps a map instead, so the index stays O(occupied cells) wherever the
+// points sit.
 //
 // The index is not strictly immutable: ApplyChurn re-buckets moved points
 // in place (appending dense ids for cells that first become occupied inside
@@ -28,58 +35,87 @@ type CellIndex struct {
 	minCX, minCY int
 	spanX, spanY int
 
-	cellOf []int32           // node id -> dense cell id
-	start  []int32           // CSR offsets: nodes of cell c are nodes[start[c]:start[c+1]]
-	nodes  []int32           // node ids grouped by cell
-	cx, cy []int             // dense cell id -> lattice coords relative to (minCX, minCY)
-	ids    map[cellKey]int32 // lattice cell -> dense id, retained for ApplyChurn
-	cursor []int32           // CSR scatter scratch, reused across ApplyChurn calls
+	cellOf []int32 // node id -> dense cell id
+	start  []int32 // CSR offsets: nodes of cell c are nodes[start[c]:start[c+1]]
+	nodes  []int32 // node ids grouped by cell
+	cx, cy []int   // dense cell id -> lattice coords relative to (minCX, minCY)
+	// table[cx·(spanY+1)+cy] is the dense id of the cell at relative
+	// coordinates (cx, cy), −1 if none; nil when the rectangle exceeds the
+	// cap, and ids holds the occupied cells instead.
+	table  []int32
+	ids    map[cellKey]int32
+	cursor []int32 // CSR scatter scratch, reused across ApplyChurn calls
 }
 
-// cellKey identifies one lattice cell of a CellIndex.
+// cellKey identifies one lattice cell of a CellIndex by its relative
+// coordinates.
 type cellKey struct {
 	cx, cy int
+}
+
+// cellTablePerCell and cellTableMin cap the dense cell table relative to
+// occupancy, by the rule the SINR lattice applies to its per-offset tables
+// (which span twice the rectangle, so every lattice with offset tables also
+// has a cell table): a filled rectangle needs one entry per cell, and
+// small deployments may always spend cellTableMin entries (4 KiB).
+const (
+	cellTablePerCell = 16
+	cellTableMin     = 1 << 10
+)
+
+// tableFits reports whether a w×h rectangle is within the cell table's cap
+// for the given number of occupied cells. Bounding each side first keeps
+// the product from overflowing on outlier geometry.
+func tableFits(w, h, cells int) bool {
+	limit := max(cellTablePerCell*cells, cellTableMin)
+	return w <= limit && h <= limit && w*h <= limit
 }
 
 // NewCellIndex decomposes the points into square cells of the given side
 // length. It panics if cell is not positive. Every p.X/cell and p.Y/cell
 // must be finite and well inside the int range (sinr.MaxCoordinate bounds
 // the deployments the SINR evaluator indexes).
+//
+// One pass finds the lattice rectangle, a second numbers the cells. A
+// rectangle within the cap for len(points) occupied cells numbers them on
+// the table; if the cells then turn out too few for it, the table is
+// traded for the map before the index is returned. A wider rectangle
+// numbers them on the map alone.
 func NewCellIndex(points []Point, cell float64) *CellIndex {
 	if cell <= 0 || math.IsNaN(cell) {
 		panic("geom: cell index cell size must be positive")
 	}
 	n := len(points)
 	ci := &CellIndex{cell: cell, cellOf: make([]int32, n)}
-	ids := make(map[cellKey]int32, n)
-	keys := make([]cellKey, 0, n)
-	for i, p := range points {
-		k := cellKey{cx: int(math.Floor(p.X / cell)), cy: int(math.Floor(p.Y / cell))}
-		id, ok := ids[k]
-		if !ok {
-			id = int32(len(keys))
-			ids[k] = id
-			keys = append(keys, k)
+	if n > 0 {
+		minX, minY := math.MaxInt, math.MaxInt
+		maxX, maxY := math.MinInt, math.MinInt
+		for _, p := range points {
+			kx, ky := int(math.Floor(p.X/cell)), int(math.Floor(p.Y/cell))
+			minX, maxX = min(minX, kx), max(maxX, kx)
+			minY, maxY = min(minY, ky), max(maxY, ky)
 		}
-		ci.cellOf[i] = id
+		ci.minCX, ci.minCY = minX, minY
+		ci.spanX, ci.spanY = maxX-minX, maxY-minY
 	}
-	ci.ids = ids
-	nc := len(keys)
-	ci.cx = make([]int, nc)
-	ci.cy = make([]int, nc)
-	if nc > 0 {
-		ci.minCX, ci.minCY = keys[0].cx, keys[0].cy
-		maxCX, maxCY := ci.minCX, ci.minCY
-		for _, k := range keys {
-			ci.minCX = min(ci.minCX, k.cx)
-			ci.minCY = min(ci.minCY, k.cy)
-			maxCX = max(maxCX, k.cx)
-			maxCY = max(maxCY, k.cy)
+	w, h := ci.spanX+1, ci.spanY+1
+	if tableFits(w, h, n) {
+		ci.table = make([]int32, w*h)
+		for i := range ci.table {
+			ci.table[i] = -1
 		}
-		ci.spanX, ci.spanY = maxCX-ci.minCX, maxCY-ci.minCY
-		for c, k := range keys {
-			ci.cx[c] = k.cx - ci.minCX
-			ci.cy[c] = k.cy - ci.minCY
+	} else {
+		ci.ids = make(map[cellKey]int32)
+	}
+	for i, p := range points {
+		ci.cellOf[i] = ci.intern(ci.PointCoord(p))
+	}
+	nc := len(ci.cx)
+	if ci.table != nil && !tableFits(w, h, nc) {
+		ci.table = nil
+		ci.ids = make(map[cellKey]int32, nc)
+		for c := range nc {
+			ci.ids[cellKey{cx: ci.cx[c], cy: ci.cy[c]}] = int32(c)
 		}
 	}
 	// CSR fill: count, prefix, scatter.
@@ -99,6 +135,34 @@ func NewCellIndex(points []Point, cell float64) *CellIndex {
 		cursor[c]++
 	}
 	return ci
+}
+
+// intern returns the dense id of the cell at relative coordinates (cx, cy)
+// inside the lattice rectangle, numbering it next when it is not yet
+// occupied.
+func (ci *CellIndex) intern(cx, cy int) int32 {
+	if ci.table != nil {
+		t := &ci.table[cx*(ci.spanY+1)+cy]
+		if *t < 0 {
+			*t = ci.appendCell(cx, cy)
+		}
+		return *t
+	}
+	k := cellKey{cx: cx, cy: cy}
+	c, ok := ci.ids[k]
+	if !ok {
+		c = ci.appendCell(cx, cy)
+		ci.ids[k] = c
+	}
+	return c
+}
+
+// appendCell numbers the cell at relative coordinates (cx, cy) next.
+func (ci *CellIndex) appendCell(cx, cy int) int32 {
+	c := int32(len(ci.cx))
+	ci.cx = append(ci.cx, cx)
+	ci.cy = append(ci.cy, cy)
+	return c
 }
 
 // NumCells returns the number of occupied cells.
@@ -133,7 +197,18 @@ func (ci *CellIndex) PointCoord(p Point) (cx, cy int) {
 // lattice around a point — the evaluator's sparse candidate enumeration
 // and the lattice's cell-level culling are built on it.
 func (ci *CellIndex) CellAt(cx, cy int) int {
-	c, ok := ci.ids[cellKey{cx: cx + ci.minCX, cy: cy + ci.minCY}]
+	if ci.table == nil {
+		return ci.cellAtMap(cx, cy)
+	}
+	if uint(cx) > uint(ci.spanX) || uint(cy) > uint(ci.spanY) {
+		return -1
+	}
+	return int(ci.table[cx*(ci.spanY+1)+cy])
+}
+
+// cellAtMap is CellAt on an index whose rectangle exceeds the table's cap.
+func (ci *CellIndex) cellAtMap(cx, cy int) int {
+	c, ok := ci.ids[cellKey{cx: cx, cy: cy}]
 	if !ok {
 		return -1
 	}
@@ -157,32 +232,21 @@ func (ci *CellIndex) Rect(c int) Rect {
 // decomposition: the per-offset tables callers build on top of Span would no
 // longer cover the deployment, so they must rebuild from scratch. Cells that
 // first become occupied inside the rectangle are appended to the dense
-// numbering (a cell emptied by churn keeps its id, so NumCells never
-// shrinks), and the CSR arena is rebuilt by one count/prefix/scatter pass —
-// O(len(points) + NumCells), with no allocation once the cell arenas have
-// grown to their steady-state sizes.
+// numbering and written into the cell table (or map); a cell emptied by
+// churn keeps its id, so NumCells never shrinks. The CSR arena is rebuilt
+// by one count/prefix/scatter pass — O(len(points) + NumCells), with no
+// allocation once the cell arenas have grown to their steady-state sizes.
 func (ci *CellIndex) ApplyChurn(points []Point, dirty []int) bool {
 	// Pass 1 is read-only: if any dirty point escapes the lattice the index
 	// must stay untouched so the caller can still read it while rebuilding.
 	for _, id := range dirty {
-		p := points[id]
-		kx := int(math.Floor(p.X / ci.cell))
-		ky := int(math.Floor(p.Y / ci.cell))
-		if kx < ci.minCX || kx > ci.minCX+ci.spanX || ky < ci.minCY || ky > ci.minCY+ci.spanY {
+		cx, cy := ci.PointCoord(points[id])
+		if uint(cx) > uint(ci.spanX) || uint(cy) > uint(ci.spanY) {
 			return false
 		}
 	}
 	for _, id := range dirty {
-		p := points[id]
-		k := cellKey{cx: int(math.Floor(p.X / ci.cell)), cy: int(math.Floor(p.Y / ci.cell))}
-		c, ok := ci.ids[k]
-		if !ok {
-			c = int32(len(ci.cx))
-			ci.ids[k] = c
-			ci.cx = append(ci.cx, k.cx-ci.minCX)
-			ci.cy = append(ci.cy, k.cy-ci.minCY)
-		}
-		ci.cellOf[id] = c
+		ci.cellOf[id] = ci.intern(ci.PointCoord(points[id]))
 	}
 	// CSR rebuild: count, prefix, scatter, reusing the arenas.
 	nc := len(ci.cx)

@@ -48,38 +48,72 @@ func cellIndexEqual(t *testing.T, label string, churned, fresh *CellIndex, point
 
 // TestCellIndexApplyChurn drives random in-lattice mobility — batches of
 // moves over a fixed point set, most of them across cells — against a
-// from-scratch rebuild.
+// from-scratch rebuild, and moves a point into a cell of the rectangle no
+// point occupied before, on the dense table and on the map.
 func TestCellIndexApplyChurn(t *testing.T) {
-	src := rng.New(0xce11)
-	const cell = 2.5
-	// Points strictly inside a fixed box, so every moved position stays in
-	// the original lattice.
-	randIn := func() Point {
-		return Point{X: src.Float64() * 30, Y: src.Float64() * 30}
-	}
-	points := make([]Point, 80)
-	for i := range points {
-		points[i] = randIn()
-	}
-	// Pin the lattice corners so the span covers the whole box.
-	points[0] = Point{X: 0.1, Y: 0.1}
-	points[1] = Point{X: 29.9, Y: 29.9}
-	ci := NewCellIndex(points, cell)
-	for round := 0; round < 30; round++ {
-		var dirty []int
-		moved := map[int]bool{}
-		for k := 0; k < 1+src.Intn(8); k++ {
-			id := 2 + src.Intn(len(points)-2)
-			points[id] = randIn()
-			if !moved[id] {
-				moved[id] = true
-				dirty = append(dirty, id)
+	t.Run("random", func(t *testing.T) {
+		src := rng.New(0xce11)
+		const cell = 2.5
+		// Points strictly inside a fixed box, so every moved position stays
+		// in the original lattice.
+		randIn := func() Point {
+			return Point{X: src.Float64() * 30, Y: src.Float64() * 30}
+		}
+		points := make([]Point, 80)
+		for i := range points {
+			points[i] = randIn()
+		}
+		// Pin the lattice corners so the span covers the whole box.
+		points[0] = Point{X: 0.1, Y: 0.1}
+		points[1] = Point{X: 29.9, Y: 29.9}
+		ci := NewCellIndex(points, cell)
+		for round := 0; round < 30; round++ {
+			var dirty []int
+			moved := map[int]bool{}
+			for k := 0; k < 1+src.Intn(8); k++ {
+				id := 2 + src.Intn(len(points)-2)
+				points[id] = randIn()
+				if !moved[id] {
+					moved[id] = true
+					dirty = append(dirty, id)
+				}
 			}
+			if !ci.ApplyChurn(points, dirty) {
+				t.Fatalf("round %d: in-lattice churn rejected", round)
+			}
+			cellIndexEqual(t, "round", ci, NewCellIndex(points, cell), points)
+			checkCellAt(t, ci)
 		}
-		if !ci.ApplyChurn(points, dirty) {
-			t.Fatalf("round %d: in-lattice churn rejected", round)
-		}
-		cellIndexEqual(t, "round", ci, NewCellIndex(points, cell), points)
+	})
+	for _, tc := range []struct {
+		name  string
+		far   float64 // x of the opposite corner; the rectangle spans [0, far] × [0, 2]
+		table bool
+	}{
+		{"first-occupied/table", 40, true},
+		{"first-occupied/map", 5000, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			points := []Point{{X: 0.5, Y: 0.5}, {X: tc.far, Y: 2.5}, {X: 1.5, Y: 0.5}}
+			ci := NewCellIndex(points, 1)
+			if (ci.table != nil) != tc.table {
+				t.Fatalf("table %v, want %v", ci.table != nil, tc.table)
+			}
+			checkCellAt(t, ci)
+			nc := ci.NumCells()
+			points[2] = Point{X: tc.far / 2, Y: 1.5}
+			if !ci.ApplyChurn(points, []int{2}) {
+				t.Fatal("in-lattice churn rejected")
+			}
+			if ci.NumCells() != nc+1 {
+				t.Fatalf("%d cells after occupying a new one, want %d", ci.NumCells(), nc+1)
+			}
+			if cx, cy := ci.PointCoord(points[2]); ci.CellAt(cx, cy) != ci.CellOf(2) {
+				t.Fatalf("CellAt(%d, %d) = %d, the moved node lives in %d", cx, cy, ci.CellAt(cx, cy), ci.CellOf(2))
+			}
+			cellIndexEqual(t, "after", ci, NewCellIndex(points, 1), points)
+			checkCellAt(t, ci)
+		})
 	}
 }
 

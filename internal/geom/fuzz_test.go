@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sinrmac/internal/rng"
@@ -140,6 +141,80 @@ func FuzzMinPairwiseDist(f *testing.F) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("mode=%d n=%d side=%g: MinPairwiseDist=%x, brute=%x",
 				mode%8, n, side, math.Float64bits(got), math.Float64bits(want))
+		}
+	})
+}
+
+// FuzzCellIndex holds CellAt to a brute scan of Coord (checkCellAt) on
+// fuzzed layouts, before and after fuzzed dirty sets, and each churned
+// index to a fresh build over the same points. Layout modes:
+//
+//	0 uniform in a side×side square
+//	1 a horizontal line of random points
+//	2 a few tight clusters spread over the square
+//	3 uniform, with one outlier 1e9 away
+//
+// Each round moves a random dirty set within the original points' bounding
+// box (plus, sometimes, one point far outside it, which ApplyChurn must
+// reject without touching the index).
+func FuzzCellIndex(f *testing.F) {
+	f.Add(uint64(1), uint8(60), 40.0, 2.5, uint8(0), uint8(3))
+	f.Add(uint64(2), uint8(200), 1e3, 7.0, uint8(1), uint8(2))
+	f.Add(uint64(3), uint8(120), 500.0, 1.0, uint8(2), uint8(4))
+	f.Add(uint64(4), uint8(30), 20.0, 3.0, uint8(3), uint8(2))
+	f.Add(uint64(5), uint8(0), 0.0, 1.0, uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, side, cell float64, mode, rounds uint8) {
+		if math.IsNaN(side) || math.IsInf(side, 0) || math.IsNaN(cell) || math.IsInf(cell, 0) {
+			t.Skip("non-finite side or cell")
+		}
+		side = math.Mod(math.Abs(side), 1e4)
+		cell = 0.5 + math.Mod(math.Abs(cell), 50)
+		n := int(nRaw) + 1
+		src := rng.New(seed)
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{X: src.Float64() * side, Y: src.Float64() * side}
+		}
+		switch mode % 4 {
+		case 1:
+			for i := range pts {
+				pts[i].Y = pts[0].Y
+			}
+		case 2:
+			centres := []Point{pts[0], pts[n/2], pts[n-1]}
+			for i := range pts {
+				c := centres[i%3]
+				pts[i] = Point{X: c.X + src.Float64()*cell, Y: c.Y + src.Float64()*cell}
+			}
+		case 3:
+			pts[n/2].X += 1e9
+		}
+		ci := NewCellIndex(pts, cell)
+		checkCellAt(t, ci)
+		box := BoundingBox(pts)
+		for r := 0; r < int(rounds%6); r++ {
+			moved := slices.Clone(pts)
+			var dirty []int
+			for id := range moved {
+				if src.Bernoulli(0.2) {
+					moved[id] = Point{X: box.Min.X + src.Float64()*box.Width(), Y: box.Min.Y + src.Float64()*box.Height()}
+					dirty = append(dirty, id)
+				}
+			}
+			if len(dirty) > 0 && src.Bernoulli(0.2) {
+				moved[dirty[0]] = Point{X: box.Max.X + 10*cell, Y: box.Min.Y}
+				if ci.ApplyChurn(moved, dirty) {
+					t.Fatalf("round %d: churn out of the lattice accepted", r)
+				}
+				checkCellAt(t, ci)
+				continue
+			}
+			if !ci.ApplyChurn(moved, dirty) {
+				t.Fatalf("round %d: in-lattice churn rejected", r)
+			}
+			pts = moved
+			cellIndexEqual(t, "churned", ci, NewCellIndex(pts, cell), pts)
+			checkCellAt(t, ci)
 		}
 	})
 }

@@ -146,38 +146,115 @@ func BenchmarkMinPairwiseDist1000(b *testing.B) {
 
 // TestCellIndexStructure checks the dense cell decomposition against the
 // definition: every node lands in the cell its floored coordinates name,
-// the CSR node lists partition the ids, and coordinates stay within Span.
+// the CSR node lists partition the ids, coordinates stay within Span, and
+// CellAt inverts Coord. A compact layout numbers its cells on the dense
+// table; an outlier cluster stretches the rectangle past the table's cap,
+// and the index keeps the map; so do two occupied cells at the corners of
+// a rectangle the point count alone would allow a table for.
 func TestCellIndexStructure(t *testing.T) {
 	src := rng.New(42)
-	pts := make([]Point, 500)
-	for i := range pts {
-		pts[i] = Point{X: src.Float64()*90 - 45, Y: src.Float64()*90 - 45}
+	compact := make([]Point, 500)
+	for i := range compact {
+		compact[i] = Point{X: src.Float64()*90 - 45, Y: src.Float64()*90 - 45}
 	}
-	const cell = 7.5
-	ci := NewCellIndex(pts, cell)
+	outlier := make([]Point, 40)
+	for i := range outlier {
+		outlier[i] = Point{X: src.Float64() * 30, Y: src.Float64() * 30}
+	}
+	for i := range outlier[:10] {
+		outlier[i].X += 1e4
+	}
+	// Within the cap for 200 occupied cells, but two are occupied: the
+	// table the numbering pass used is traded for the map.
+	twoCells := make([]Point, 200)
+	for i := range twoCells {
+		c := float64(i % 2 * 39)
+		twoCells[i] = Point{X: c + src.Float64(), Y: c + src.Float64()}
+	}
+	for _, tc := range []struct {
+		name  string
+		pts   []Point
+		cell  float64
+		table bool
+	}{
+		{"compact", compact, 7.5, true},
+		{"outlier", outlier, 7.5, false},
+		{"two-cells", twoCells, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ci := NewCellIndex(tc.pts, tc.cell)
+			if got := ci.table != nil; got != tc.table || (ci.ids != nil) == got {
+				t.Fatalf("table %v, map %v: want exactly the table = %v", got, ci.ids != nil, tc.table)
+			}
+			sx, sy := ci.Span()
+			seen := make(map[int]bool, len(tc.pts))
+			for c := 0; c < ci.NumCells(); c++ {
+				cx, cy := ci.Coord(c)
+				if cx < 0 || cx > sx || cy < 0 || cy > sy {
+					t.Fatalf("cell %d coord (%d,%d) outside span (%d,%d)", c, cx, cy, sx, sy)
+				}
+				rect := ci.Rect(c)
+				for _, id := range ci.Nodes(c) {
+					if seen[int(id)] {
+						t.Fatalf("node %d listed in two cells", id)
+					}
+					seen[int(id)] = true
+					if ci.CellOf(int(id)) != c {
+						t.Fatalf("node %d: CellOf %d, listed under %d", id, ci.CellOf(int(id)), c)
+					}
+					if p := tc.pts[id]; !rect.Contains(p) {
+						t.Fatalf("node %d at %v outside its cell rect %v", id, p, rect)
+					}
+				}
+			}
+			if len(seen) != len(tc.pts) {
+				t.Fatalf("CSR lists cover %d of %d nodes", len(seen), len(tc.pts))
+			}
+			checkCellAt(t, ci)
+		})
+	}
+}
+
+// checkCellAt holds CellAt to a brute scan of Coord at every lattice
+// coordinate within two cells of the span. A span too wide to sweep is
+// probed on the 5×5 windows around every occupied cell and every corner of
+// the rectangle instead.
+func checkCellAt(t testing.TB, ci *CellIndex) {
+	t.Helper()
+	brute := func(cx, cy int) int {
+		for c := 0; c < ci.NumCells(); c++ {
+			if x, y := ci.Coord(c); x == cx && y == cy {
+				return c
+			}
+		}
+		return -1
+	}
+	probe := func(cx, cy int) {
+		t.Helper()
+		if got, want := ci.CellAt(cx, cy), brute(cx, cy); got != want {
+			t.Fatalf("CellAt(%d, %d) = %d, brute scan of Coord %d", cx, cy, got, want)
+		}
+	}
 	sx, sy := ci.Span()
-	seen := make(map[int]bool, len(pts))
+	if sx < 1<<8 && sy < 1<<8 {
+		for cx := -2; cx <= sx+2; cx++ {
+			for cy := -2; cy <= sy+2; cy++ {
+				probe(cx, cy)
+			}
+		}
+		return
+	}
+	centres := [][2]int{{0, 0}, {sx, 0}, {0, sy}, {sx, sy}}
 	for c := 0; c < ci.NumCells(); c++ {
 		cx, cy := ci.Coord(c)
-		if cx < 0 || cx > sx || cy < 0 || cy > sy {
-			t.Fatalf("cell %d coord (%d,%d) outside span (%d,%d)", c, cx, cy, sx, sy)
-		}
-		rect := ci.Rect(c)
-		for _, id := range ci.Nodes(c) {
-			if seen[int(id)] {
-				t.Fatalf("node %d listed in two cells", id)
-			}
-			seen[int(id)] = true
-			if ci.CellOf(int(id)) != c {
-				t.Fatalf("node %d: CellOf %d, listed under %d", id, ci.CellOf(int(id)), c)
-			}
-			if p := pts[id]; !rect.Contains(p) {
-				t.Fatalf("node %d at %v outside its cell rect %v", id, p, rect)
-			}
-		}
+		centres = append(centres, [2]int{cx, cy})
 	}
-	if len(seen) != len(pts) {
-		t.Fatalf("CSR lists cover %d of %d nodes", len(seen), len(pts))
+	for _, o := range centres {
+		for dx := -2; dx <= 2; dx++ {
+			for dy := -2; dy <= 2; dy++ {
+				probe(o[0]+dx, o[1]+dy)
+			}
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package sim_test
 
-// The engine oracle: every configuration of the slot pipeline (evaluator
-// regime and dispatch pin, worker count, fault plan, mobility epochs, Step
-// loop or Run legs) must reproduce bit for bit the same scenario on the
+// The engine oracle: every configuration of the slot pipeline (evaluator,
+// shard count and dispatch pin, worker count, fault plan, mobility epochs,
+// Step loop or Run legs) must reproduce bit for bit the same scenario on the
 // naive evaluator (sinr.Channel) under a serial Step loop. TestEngineOracle
 // runs a fixed table of scenarios and FuzzEngineOracle draws them; the fuzz
 // target also feeds invalid epochs and fault plans, which must be rejected.
@@ -29,7 +29,10 @@ const oracleSlots = 160
 // The scenario axes; the fuzz target draws an index into each. An empty
 // pin is the adaptive dispatch and an empty plan installs no fault hook.
 var (
-	layouts      = []string{"uniform", "line", "clusters", "outlier"}
+	layouts = []string{"uniform", "line", "clusters", "outlier"}
+	// "matrix" is the fast evaluator with default options, named after the
+	// n×n power-matrix regime small deployments ran before the cell
+	// lattice served every size; the name keeps the rows' test ids stable.
 	evals        = []string{"naive", "matrix", "lattice1", "lattice4", "lattice8"}
 	pins         = []string{"", "sparse", "certified", "dense"}
 	plans        = []string{"", "zero", "rich"}
@@ -42,7 +45,7 @@ type scenario struct {
 	n       int     // node count, 1..96
 	layout  string  // uniform, a spacing-2 line, four clusters, or two clusters offset apart
 	offset  float64 // cluster distance of the outlier layout
-	eval    string  // the naive reference, the power matrix, or the lattice at 1, 4 or 8 shards
+	eval    string  // the naive reference, the fast evaluator's defaults ("matrix"), or the lattice at 1, 4 or 8 shards
 	pin     string  // the fast evaluator's dispatch, set through FastOptions
 	workers int     // sim.Config.Workers
 	plan    string  // no hook, a zero-rate plan or richPlan
@@ -333,7 +336,8 @@ var oracleGroups = []struct {
 		{seed: 7, n: 80, layout: "uniform", eval: "matrix", workers: 1},
 		{seed: 7, n: 80, layout: "uniform", eval: "matrix", workers: 4, run: true},
 	}},
-	// Run legs on the reference evaluator itself and on the matrix regime.
+	// Run legs on the reference evaluator itself and on the default fast
+	// evaluator.
 	{"run-legs", []scenario{
 		{seed: 3, n: 24, layout: "line", eval: "naive", workers: 1, epochs: 3, run: true},
 		{seed: 3, n: 24, layout: "line", eval: "naive", workers: 4, epochs: 3, run: true},
@@ -369,7 +373,7 @@ var oracleGroups = []struct {
 		{seed: 11, n: 50, layout: "uniform", eval: "matrix", workers: 4, plan: "zero", run: true},
 		{seed: 11, n: 50, layout: "uniform", eval: "lattice4", pin: "certified", workers: 2, plan: "zero", epochs: 1},
 	}},
-	// richPlan on every regime, static and under moves.
+	// richPlan on every evaluator, static and under moves.
 	{"faults", []scenario{
 		{seed: 5, n: 60, layout: "uniform", eval: "matrix", workers: 1, plan: "rich", run: true},
 		{seed: 5, n: 60, layout: "uniform", eval: "matrix", workers: 4, plan: "rich", run: true},

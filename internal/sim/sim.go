@@ -18,7 +18,7 @@
 // clock. Only a parallel evaluator splits work across goroutines: its
 // receiver scan runs on the evaluator's own worker pool (internal/workpool),
 // sized by Config.Workers, and is bit-identical at any worker count. The
-// engine oracle (oracle_test.go) holds every evaluator regime, worker
+// engine oracle (oracle_test.go) holds every evaluator configuration, worker
 // count, fault plan, epoch sequence and Step/Run use bit-identical to the
 // naive evaluator under a Step loop.
 //

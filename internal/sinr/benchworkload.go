@@ -11,8 +11,8 @@ import (
 // drawn uniformly from a 4√n × 4√n square, so the density stays constant as
 // n grows (the hardest regime for far-field culling — nearly every receiver
 // has transmitters in range), with every tenth node transmitting. It is the
-// workload of cmd/macbench's matrix and lattice cases (naive vs fast at
-// n = 1000 and 4000), fixed so their measurements stay comparable over time.
+// workload of cmd/macbench's lattice case (naive vs fast at n = 4000),
+// fixed so its measurements stay comparable over time.
 func BenchWorkload(n int, seed uint64) (*Channel, []int, error) {
 	src := rng.New(seed)
 	side := 4 * math.Sqrt(float64(n))

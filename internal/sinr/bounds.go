@@ -149,11 +149,11 @@ func (f *FastChannel) ResetBoundsStats() {
 }
 
 // boundsIndex is the evaluator's shared spatial state: the cell
-// decomposition, which both regimes hold, and on the lattice the near
-// offsets, the shard partition and the per-offset power-bound tables of the
-// cells and of the supercells above them. It is built once per fork family
-// and mutated only by mobility epochs, which re-bucket the cell index and
-// append newly occupied cells to the partition.
+// decomposition, the near offsets, the shard partition and the per-offset
+// power-bound tables of the cells and of the supercells above them. It is
+// built once per fork family and mutated only by mobility epochs, which
+// re-bucket the cell index and append newly occupied cells to the
+// partition.
 type boundsIndex struct {
 	cells *geom.CellIndex
 	// pwUB/pwLB bound the received power between any point pair of two
@@ -200,15 +200,12 @@ type boundsHolder struct {
 }
 
 // buildBoundsIndex constructs the cell decomposition from the evaluator's
-// current positions and, on the lattice, the near offsets, the shard
-// partition and — unless the deployment's extent would make them exceed
-// the occupancy cap of boundsOffsetsPerCell — the per-offset power tables.
+// current positions, the near offsets, the shard partition and — unless
+// the deployment's extent would make them exceed the occupancy cap of
+// boundsOffsetsPerCell — the per-offset power tables.
 func (f *FastChannel) buildBoundsIndex() *boundsIndex {
 	cells := geom.NewCellIndex(f.pos, f.cullRadius)
 	bi := &boundsIndex{cells: cells}
-	if f.shards == 0 {
-		return bi
-	}
 	sx, sy := cells.Span()
 	bi.spanX, bi.spanY = sx, sy
 	bi.shardCells = make([][]int32, min(f.shards, sx+1, cells.NumCells()))

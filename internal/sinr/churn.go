@@ -32,20 +32,15 @@ import (
 //
 // # Incremental maintenance
 //
-// FastChannel.ApplyEpoch patches the indices it owns instead of rebuilding
-// them:
-//
-//   - power matrix (matrix regime): only the rows and columns of moved
-//     nodes are recomputed — O(dirty·n) pair powers against the O(n²/2) of
-//     a full rebuild;
-//   - cell index (both regimes): the shared index re-buckets the moved
-//     nodes and rebuilds its CSR in O(n + occupied cells)
-//     (geom.CellIndex.ApplyChurn) while the lattice's per-offset power
-//     tables — the expensive math.Pow part — are reused unchanged, since
-//     they depend only on the lattice span; the per-cell transmitter
-//     aggregates are per-slot state and need no patch. Only when a moved
-//     node leaves the original lattice is the index dropped and rebuilt;
-//     a lattice stretched past the offset-table cap then builds no tables.
+// FastChannel.ApplyEpoch patches the index it owns instead of rebuilding
+// it: the shared cell index re-buckets the moved nodes and rebuilds its
+// CSR in O(n + occupied cells) (geom.CellIndex.ApplyChurn) while the
+// lattice's per-offset power tables — the expensive math.Pow part — are
+// reused unchanged, since they depend only on the lattice span; the
+// per-cell transmitter aggregates are per-slot state and need no patch.
+// Only when a moved node leaves the original lattice is the index dropped
+// and rebuilt; a lattice stretched past the offset-table cap then builds
+// no tables.
 //
 // The evaluator oracle's epoch rows hold the patch bit-identical to the
 // naive channel, storm epochs that move half the nodes included: every
@@ -57,8 +52,8 @@ import (
 // Channel.ApplyEpoch and FastChannel.ApplyEpoch (and, one level up, by
 // sim.Engine.ApplyEpoch). The node set is fixed: every node keeps its id,
 // and Dirty lists, in ascending order, the nodes whose position changed —
-// exactly the matrix rows and columns and cell-index entries an
-// incremental apply must patch.
+// exactly the coordinates and cell-index entries an incremental apply must
+// patch.
 type EpochDelta struct {
 	// Dirty are the ids of the nodes that moved, ascending.
 	Dirty []int
@@ -123,9 +118,9 @@ func (c *Channel) ApplyEpoch(d *EpochDelta) error {
 }
 
 // ApplyEpoch applies a committed epoch to the fast evaluator, patching the
-// moved nodes' power-matrix rows and columns, the cell-index CSR and the
-// coverage model in O(dirty·n) instead of rebuilding the O(n²) state. The
-// underlying channel is updated too.
+// moved nodes' coordinates, the cell-index CSR and the coverage model in
+// O(n + occupied cells) instead of rebuilding the index and its tables.
+// The underlying channel is updated too.
 //
 // The apply is stop-the-world for the evaluator's fork family: it must not
 // overlap slot evaluation anywhere in the family. On the steady state of a
@@ -143,25 +138,10 @@ func (f *FastChannel) ApplyEpoch(d *EpochDelta) error {
 //
 //sinrlint:hotpath
 func (f *FastChannel) patchAfterEpoch(dirty []int) {
-	n := f.n
-	// The SoA mirror is patched before the index patches below read
-	// coordinates through it.
 	for _, id := range dirty {
 		p := f.pos[id]
 		f.px[id] = p.X
 		f.py[id] = p.Y
-	}
-	// Power matrix: recompute the row of every moved node with one
-	// powerRow call and mirror it into the node's column. Pairs of unmoved
-	// nodes kept their positions, so their entries are still exact.
-	if f.mat != nil {
-		for _, i := range dirty {
-			row := f.mat[i*n : i*n+n]
-			f.powerRow(f.px, f.py, f.px[i], f.py[i], row)
-			for s, pw := range row {
-				f.mat[s*n+i] = pw
-			}
-		}
 	}
 	f.patchCellIndex(dirty)
 	// Coverage model: expand the box by the changed positions.
@@ -194,9 +174,7 @@ func (f *FastChannel) patchCellIndex(dirty []int) {
 	h.mu.Lock()
 	if bi := h.idx; bi != nil {
 		if bi.cells.ApplyChurn(f.pos, dirty) {
-			if f.shards > 0 {
-				bi.appendCells()
-			}
+			bi.appendCells()
 		} else {
 			h.idx = nil
 		}

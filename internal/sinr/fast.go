@@ -8,12 +8,6 @@ import (
 	"sinrmac/internal/workpool"
 )
 
-// DefaultMatrixThreshold is the largest deployment size for which
-// FastChannel precomputes the full n×n received-power matrix (n = 2048 uses
-// 32 MiB). Larger deployments, and any deployment with a positive
-// FastOptions.Shards, run the cell-lattice regime of shard.go.
-const DefaultMatrixThreshold = 2048
-
 // sparseCoverageMax is the crossover of the default (adaptive) sparse
 // heuristic: a slot takes the sender-centric sparse path when the estimated
 // fraction of nodes covered by the transmitters' culling balls is at most
@@ -66,17 +60,14 @@ type FastOptions struct {
 	// the certified pipeline onto every such slot (the evaluator oracle
 	// pins it this way), and a negative value disables it (the lattice's
 	// exact dense scan the benchmarks compare against). The β guard
-	// (boundsBetaMin) is respected in every mode. The matrix regime has no
-	// certified tier and ignores it.
+	// (boundsBetaMin) is respected in every mode.
 	BoundsFactor int
 	// Shards is the shard count of the cell lattice (shard.go). Zero or
-	// negative (the default) runs the lattice above DefaultMatrixThreshold
-	// with defaultShardCount shards and the matrix at or below it; a
-	// positive value selects the lattice with that many shards at any
-	// deployment size (the evaluator oracle pins S ∈ {1, 4, 8}). The
-	// shard count is a work-partition width, not a correctness parameter:
-	// results are bit-identical at any value, and values above the
-	// lattice's column or occupied-cell count act as that count.
+	// negative (the default) selects defaultShardCount; a positive value
+	// selects that many shards (the evaluator oracle pins S ∈ {1, 4, 8}).
+	// The shard count is a work-partition width, not a correctness
+	// parameter: results are bit-identical at any value, and values above
+	// the lattice's column or occupied-cell count act as that count.
 	Shards int
 }
 
@@ -88,45 +79,40 @@ type FastOptions struct {
 //     reused across slots (no per-slot map or slice allocations), and only
 //     the receivers that decoded something in the previous slot are reset,
 //     so a quiet slot costs O(k) rather than O(n);
-//   - one spatial index serves both regimes: geom.CellIndex buckets the
-//     deployment into cells of side cullRadius, shared by every fork of
-//     the evaluator;
-//   - up to DefaultMatrixThreshold nodes (the matrix regime) the received
-//     powers are precomputed once into an n×n matrix, eliminating every
-//     path-loss evaluation from the slot path; dense slots stream receivers
-//     against the cached rows;
-//   - above DefaultMatrixThreshold (or when FastOptions.Shards pins it) the
-//     evaluator runs the cell lattice (shard.go): the certified-bounds
-//     tables of bounds.go — per-cell transmitter aggregates bound each
-//     receiver's interference from above and below, the decode decision is
-//     emitted directly when the certificates agree under a k·ulp rounding
-//     slack, and only the thin ambiguous band around β refines through the
-//     exact per-receiver arithmetic — sit on top of the cell index: no
-//     matrix or per-pair cache exists, memory is O(occupied cells + nodes),
-//     every power is computed by the powerRow kernel, one call per
-//     receiver row, and receivers are scanned in spatial shards whose
-//     knowledge of remote transmitters is certified aggregate bounds;
-//   - in either regime sparse slots (estimated transmitter-ball coverage
-//     below sparseCoverageMax) take the sender-centric path, which walks
-//     the cell index to enumerate only the receivers inside some
-//     transmitter's ball — O(Σ_s |ball(s)|) work plus |candidates|·k
-//     arithmetic — instead of scanning all n receivers;
+//   - one spatial index, geom.CellIndex, buckets the deployment into
+//     cells of side cullRadius and is shared by every fork of the
+//     evaluator;
+//   - the evaluator runs the cell lattice (shard.go) at every deployment
+//     size: the certified-bounds tables of bounds.go — per-cell transmitter
+//     aggregates bound each receiver's interference from above and below,
+//     the decode decision is emitted directly when the certificates agree
+//     under a k·ulp rounding slack, and only the thin ambiguous band around
+//     β refines through the exact per-receiver arithmetic — sit on top of
+//     the cell index: no per-pair state exists, memory is
+//     O(occupied cells + nodes), every power is computed by the powerRow
+//     kernel, one call per receiver row, and receivers are scanned in
+//     spatial shards whose knowledge of remote transmitters is certified
+//     aggregate bounds;
+//   - sparse slots (estimated transmitter-ball coverage below
+//     sparseCoverageMax) take the sender-centric path, which walks the cell
+//     index to enumerate only the receivers inside some transmitter's
+//     ball — O(Σ_s |ball(s)|) work plus |candidates|·k arithmetic — instead
+//     of scanning all n receivers;
 //   - receivers are scanned by a persistent pool of worker goroutines
 //     (internal/workpool) woken by a channel handoff instead of spawned per
 //     slot; the partition is deterministic, so results are identical at any
 //     worker count.
 //
-// The regime decision is made once, at construction. A lattice whose
-// extent would make its offset tables exceed boundsOffsetsPerCell entries
-// per occupied cell — outlier geometry such as two clusters a thousand
-// ranges apart, at construction or after a churn epoch — builds no tables
-// and declines the certificates, so its dense slots run the exact
-// cell-culled scan. Within the chosen regime
-// each slot then dispatches — sparse when the estimated candidate coverage
-// is low, on the lattice certified bounds when the per-slot cost model
-// wins, the exact dense scan otherwise — and no path changes results: a
-// sender whose lone-transmitter SINR is below β cannot be decoded under
-// any interference (the denominator only grows), the sparse path skips
+// A lattice whose extent would make its offset tables exceed
+// boundsOffsetsPerCell entries per occupied cell — outlier geometry such
+// as two clusters a thousand ranges apart, at construction or after a
+// churn epoch — builds no tables and declines the certificates, so its
+// dense slots run the exact cell-culled scan. Each slot dispatches —
+// sparse when the estimated candidate coverage is low, on the certified
+// bounds when the per-slot cost model wins, the exact dense scan
+// otherwise — and no path changes results: a sender whose
+// lone-transmitter SINR is below β cannot be decoded under any
+// interference (the denominator only grows), the sparse path skips
 // exactly the receivers whose every received power is provably below that
 // bound, the lattice emits only decisions its conservative certificates
 // prove identical to the exact arithmetic's (bounds.go and shard.go
@@ -156,7 +142,7 @@ type FastChannel struct {
 	px, py []float64
 	power  float64
 	alpha  float64
-	alphaK int // 2, 3, 4 select the multiplication fast paths; 0 → math.Pow
+	alphaK int // 3, 4 select the multiplication fast paths; 0 → math.Pow
 
 	beta, noise float64
 	// cullPower is the received power below which a sender provably cannot
@@ -164,10 +150,6 @@ type FastChannel struct {
 	// provably below cullPower. Both carry cullSlack.
 	cullPower  float64
 	cullRadius float64
-
-	// mat is the received-power matrix (mat[r*n+s]) of the matrix regime,
-	// nil otherwise.
-	mat []float64
 
 	sparseFactor int
 	// box is the (monotonically expanded) bounding box of the deployment and
@@ -189,8 +171,8 @@ type FastChannel struct {
 	isTx    []bool
 	scratch []workerScratch // per-worker chunk scratch
 	tx      []int           // transmitter set of the slot being evaluated
-	// txX, txY gather the coordinates of tx once per lattice slot, the
-	// coordinate row every exact decode hands to powerRow.
+	// txX, txY gather the coordinates of tx once per slot, the coordinate
+	// row every exact decode hands to powerRow.
 	txX, txY []float64
 
 	// decoded[w] lists the receivers worker w decoded a frame for in the
@@ -206,10 +188,9 @@ type FastChannel struct {
 	markGen    uint32
 
 	// The spatial index (bounds.go): bholder shares it across all forks of
-	// a deployment and bidx caches it locally. Both regimes hold its cell
-	// decomposition; the lattice (shards > 0) adds the partition and the
-	// certified-bounds tables in place of the matrix. Everything below them
-	// is per-evaluator lattice slot scratch. superFarLo/Hi/Max hold the
+	// a deployment and bidx caches it locally: the cell decomposition, the
+	// shard partition and the certified-bounds tables. Everything below
+	// them is per-evaluator lattice slot scratch. superFarLo/Hi/Max hold the
 	// far-field interference bounds of each receiver supercell for the
 	// slot being evaluated.
 	shards        int
@@ -243,9 +224,7 @@ var _ ParallelEvaluator = (*FastChannel)(nil)
 
 // NewFastChannel returns a fast evaluator over the given channel. At most
 // one FastOptions value may be supplied; omitting it selects the defaults.
-// Deployments of at most DefaultMatrixThreshold nodes get the matrix
-// regime, larger ones (or any size when Shards is positive) the cell
-// lattice. Both build the shared cell index here.
+// It builds the shared cell index and the lattice's tables here.
 func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	var opt FastOptions
 	if len(opts) > 0 {
@@ -283,22 +262,18 @@ func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	f.cullRadius = math.Max(c.params.Range(), 1) * (1 + cullSlack)
 	f.box = geom.BoundingBox(f.pos)
 	f.updateCoverageModel()
-	f.shards = resolveShards(opt.Shards, n)
+	f.shards = resolveShards(opt.Shards)
 	f.bholder = &boundsHolder{}
 	f.ensureIndex()
-	if f.shards == 0 {
-		f.mat = f.buildPowerMatrix()
-	}
 	return f
 }
 
 // alphaCase maps a path-loss exponent to the multiplication fast path
-// powerRow and Params.ReceivedPower share: 2, 3 or 4 for the integer
-// exponents, 0 for the generic math.Pow fallback.
+// powerRow and Params.ReceivedPower share: 3 or 4 for the integer
+// exponents, 0 for the generic math.Pow fallback (Params.Validate admits
+// only α > 2).
 func alphaCase(alpha float64) int {
 	switch alpha {
-	case 2:
-		return 2
 	case 3:
 		return 3
 	case 4:
@@ -337,17 +312,6 @@ func (f *FastChannel) powerRow(xs, ys []float64, rx, ry float64, row []float64) 
 				d = 1
 			}
 			pw := p / (d * d * d)
-			row[j] = pw
-			total += pw
-		}
-	case 2:
-		for j, x := range xs {
-			dx, dy := x-rx, ys[j]-ry
-			d := math.Sqrt(dx*dx + dy*dy)
-			if d < 1 {
-				d = 1
-			}
-			pw := p / (d * d)
 			row[j] = pw
 			total += pw
 		}
@@ -400,15 +364,16 @@ func (f *FastChannel) updateCoverageModel() {
 }
 
 // Fork returns an evaluator that shares f's immutable state — the underlying
-// channel, node positions, the cell index, the precomputed n×n power matrix
-// of the matrix regime, and the offset power tables and shard partition of
-// the lattice — while owning private mutable scratch
+// channel, node positions, the cell index, and the lattice's offset power
+// tables and shard partition — while owning private mutable scratch
 // (reception slice, transmitter flags, per-worker scratch, sparse candidate
 // buffers, per-cell aggregates and counters, worker pool). Forks
 // may evaluate slots concurrently with each other and with f. The
-// experiment scheduler hands each trial worker its own fork, so the power
-// matrix or cell index of a sweep point's deployment is built once and
-// shared across every parallel trial instead of being rebuilt per trial.
+// experiment scheduler hands each trial worker its own fork, so the cell
+// index and tables of a sweep point's deployment are built once and shared
+// across every parallel trial instead of being rebuilt per trial. The
+// shared index is immutable between epochs; a fork's BoundsStats start at
+// zero.
 func (f *FastChannel) Fork() *FastChannel {
 	g := &FastChannel{
 		ch:           f.ch,
@@ -424,7 +389,6 @@ func (f *FastChannel) Fork() *FastChannel {
 		noise:        f.noise,
 		cullPower:    f.cullPower,
 		cullRadius:   f.cullRadius,
-		mat:          f.mat,
 		sparseFactor: f.sparseFactor,
 		boundsFactor: f.boundsFactor,
 		bholder:      f.bholder,
@@ -440,12 +404,7 @@ func (f *FastChannel) Fork() *FastChannel {
 	for i := range g.out {
 		g.out[i].Sender = -1
 	}
-	if g.shards > 0 {
-		// Cell lattice: the shared index is immutable between epochs; grow
-		// private per-slot scratch and counters (a fork's BoundsStats start
-		// at zero).
-		g.growShardScratch()
-	}
+	g.growShardScratch()
 	return g
 }
 
@@ -471,22 +430,6 @@ type ColumnStats struct {
 //
 // Deprecated: FastChannel keeps no column cache.
 func (f *FastChannel) ColumnStats() ColumnStats { return ColumnStats{} }
-
-// buildPowerMatrix precomputes the received power of every node pair,
-// exploiting symmetry to halve the path-loss evaluations: row r's entries
-// s ≥ r come from one powerRow call, and each is mirrored into column r.
-func (f *FastChannel) buildPowerMatrix() []float64 {
-	n := f.n
-	mat := make([]float64, n*n)
-	for r := 0; r < n; r++ {
-		row := mat[r*n+r : r*n+n]
-		f.powerRow(f.px[r:], f.py[r:], f.px[r], f.py[r], row)
-		for j, pw := range row[1:] {
-			mat[(r+1+j)*n+r] = pw
-		}
-	}
-	return mat
-}
 
 // Params implements ChannelEvaluator.
 func (f *FastChannel) Params() Params { return f.ch.Params() }
@@ -559,7 +502,8 @@ func (f *FastChannel) nearList(worker, m int) (xs, ys []float64, ids []int32) {
 }
 
 // gatherTx fills txX and txY with the coordinates of the slot's
-// transmitters, in transmitter order.
+// transmitters, in transmitter order: the coordinate row every exact
+// decode hands to powerRow.
 func (f *FastChannel) gatherTx() {
 	k := len(f.tx)
 	if cap(f.txX) < k {
@@ -622,21 +566,12 @@ func (f *FastChannel) SlotReceptions(transmitters []int) []Reception {
 		return out
 	}
 	f.tx = transmitters
-	if f.mat == nil {
-		f.gatherTx()
-	}
-	switch {
-	case f.useSparse(len(transmitters)):
+	f.gatherTx()
+	if f.useSparse(len(transmitters)) {
 		f.buildCandidates(transmitters)
-		if f.mat != nil {
-			f.runChunks(len(f.candidates), (*FastChannel).sparseMatrixChunk)
-		} else {
-			f.runChunks(len(f.candidates), (*FastChannel).sparsePairChunk)
-		}
-	case f.shards > 0:
+		f.runChunks(len(f.candidates), (*FastChannel).sparsePairChunk)
+	} else {
 		f.shardSlot(transmitters)
-	default:
-		f.runChunks(f.n, (*FastChannel).matrixChunk)
 	}
 	f.tx = nil
 	for _, t := range transmitters {
@@ -699,165 +634,42 @@ func (f *FastChannel) buildCandidates(tx []int) {
 	}
 }
 
-// The chunk evaluators below share one decode structure — total received
-// power over all transmitters, then the first sender meeting the SINR
-// threshold wins (at most one can, since β > 1). The matrix paths gather
-// listeners into 4-wide blocks whose interference totals are accumulated in
-// one shared pass over the transmitters (matrixTotals4): each receiver's
-// total is still added in exact transmitter order by its own accumulator,
-// so every total — and therefore every decode — is bit-identical to the
-// scalar loop's, while the four independent add chains overlap instead of
-// serialising on one accumulator's add latency. Every other path computes
-// a receiver's powers with one powerRow call through decodeExact.
-
-// matrixTotals4 sums four receivers' row powers over the slot's
-// transmitters in one pass. Four independent accumulators, each added in
-// transmitter order, make every lane's sum the exact floating-point result
-// of the scalar loop; the four-stream layout is also the shape
-// SIMD-capable compilers vectorise (independent lanes, no cross-lane
-// reduction).
+// decodeExact is the exact per-receiver arithmetic every path shares:
+// receiver r's power from each transmitter by one powerRow call over the
+// slot's gathered transmitter coordinates (txX, txY) into the worker's row,
+// the interference total summed in transmitter order, then the first
+// sender meeting the SINR threshold decodes (at most one can, since β > 1).
+// It returns dec with r appended when r decoded a frame.
 //
-//sinrlint:hotpath
-func matrixTotals4(tx []int, row0, row1, row2, row3 []float64) (t0, t1, t2, t3 float64) {
-	for _, s := range tx {
-		t0 += row0[s]
-		t1 += row1[s]
-		t2 += row2[s]
-		t3 += row3[s]
-	}
-	return
-}
-
-// matrixDecodeRow applies the decode scan to one receiver given its matrix
-// row and precomputed interference total.
-//
-//sinrlint:hotpath
-func (f *FastChannel) matrixDecodeRow(r int, row []float64, total float64, dec []int) []int {
-	for _, s := range f.tx {
-		signal := row[s]
-		if signal < f.cullPower {
-			continue // cannot meet β even without interference
-		}
-		if signal/(total-signal+f.noise) >= f.beta {
-			f.out[r].Sender = s
-			dec = append(dec, r)
-			break
-		}
-	}
-	return dec
-}
-
-// matrixBlock4 evaluates four listeners against the cached power matrix:
-// one shared transmitter pass for the four totals, then per-receiver
-// decode scans in block order (ascending within the chunk, so the decode
-// list order matches the scalar loop's).
-//
-//sinrlint:hotpath
-func (f *FastChannel) matrixBlock4(blk *[4]int, dec []int) []int {
-	m, n := f.mat, f.n
-	row0 := m[blk[0]*n : blk[0]*n+n]
-	row1 := m[blk[1]*n : blk[1]*n+n]
-	row2 := m[blk[2]*n : blk[2]*n+n]
-	row3 := m[blk[3]*n : blk[3]*n+n]
-	t0, t1, t2, t3 := matrixTotals4(f.tx, row0, row1, row2, row3)
-	dec = f.matrixDecodeRow(blk[0], row0, t0, dec)
-	dec = f.matrixDecodeRow(blk[1], row1, t1, dec)
-	dec = f.matrixDecodeRow(blk[2], row2, t2, dec)
-	dec = f.matrixDecodeRow(blk[3], row3, t3, dec)
-	return dec
-}
-
-// matrixScalar evaluates one listener against the cached power matrix — the
-// remainder path for blocks of fewer than four listeners.
-func (f *FastChannel) matrixScalar(r int, dec []int) []int {
-	row := f.mat[r*f.n : r*f.n+f.n]
-	total := 0.0
-	for _, s := range f.tx {
-		total += row[s]
-	}
-	return f.matrixDecodeRow(r, row, total, dec)
-}
-
-// matrixChunk evaluates receivers [lo, hi) against the cached power matrix,
-// in 4-wide listener blocks with a scalar remainder.
-//
-//sinrlint:hotpath
-func (f *FastChannel) matrixChunk(lo, hi, worker int) {
-	dec := f.decoded[worker]
-	var blk [4]int
-	nb := 0
-	for r := lo; r < hi; r++ {
-		if f.isTx[r] {
-			continue // half-duplex: a transmitting node cannot receive
-		}
-		blk[nb] = r
-		nb++
-		if nb == 4 {
-			dec = f.matrixBlock4(&blk, dec)
-			nb = 0
-		}
-	}
-	for i := 0; i < nb; i++ {
-		dec = f.matrixScalar(blk[i], dec)
-	}
-	f.decoded[worker] = dec
-}
-
-// sparseMatrixChunk evaluates the slot's candidate receivers [lo, hi) (by
-// candidate index) against the cached power matrix. The arithmetic is
-// identical to matrixChunk — the same 4-wide blocks, filled in candidate
-// order; only the receiver enumeration differs.
-//
-//sinrlint:hotpath
-func (f *FastChannel) sparseMatrixChunk(lo, hi, worker int) {
-	dec := f.decoded[worker]
-	var blk [4]int
-	nb := 0
-	for i := lo; i < hi; i++ {
-		r := f.candidates[i]
-		if f.isTx[r] {
-			continue
-		}
-		blk[nb] = r
-		nb++
-		if nb == 4 {
-			dec = f.matrixBlock4(&blk, dec)
-			nb = 0
-		}
-	}
-	for i := 0; i < nb; i++ {
-		dec = f.matrixScalar(blk[i], dec)
-	}
-	f.decoded[worker] = dec
-}
-
-// decodeExact is the exact per-receiver arithmetic of every path without a
-// power matrix: receiver r's power from each transmitter by one powerRow
-// call over the slot's gathered transmitter coordinates (txX, txY) into
-// the worker's row, the interference total summed in transmitter order,
-// then the first sender meeting the SINR threshold decodes. It returns dec
-// with r appended when r decoded a frame.
+// The scan skips, besides the senders below cullPower, every sender no
+// stronger than one it already rejected: in floating point
+// signal/(total−signal+N) is monotone non-decreasing in the signal (each
+// rounded operation is monotone, and total ≥ every term it sums), so such
+// a sender falls short of β too. Only senders that beat every earlier
+// candidate pay the division.
 //
 //sinrlint:hotpath
 func (f *FastChannel) decodeExact(r int, row []float64, dec []int) []int {
 	total := f.powerRow(f.txX, f.txY, f.px[r], f.py[r], row)
+	rejected := 0.0 // the strongest signal the scan has ruled out
 	for j, s := range f.tx {
 		signal := row[j]
-		if signal < f.cullPower {
-			continue // cannot meet β even without interference
+		if signal < f.cullPower || signal <= rejected {
+			continue // cannot meet β, even without interference or beside a stronger failure
 		}
 		if signal/(total-signal+f.noise) >= f.beta {
 			f.out[r].Sender = s
 			dec = append(dec, r)
 			break
 		}
+		rejected = signal
 	}
 	return dec
 }
 
 // sparsePairChunk evaluates the slot's candidate receivers [lo, hi) (by
-// candidate index) on the lattice: candidates are exactly the receivers a
-// culling probe would pass, so each pays the exact O(k) row directly.
+// candidate index): candidates are exactly the receivers a culling probe
+// would pass, so each pays the exact O(k) row directly.
 //
 //sinrlint:hotpath
 func (f *FastChannel) sparsePairChunk(lo, hi, worker int) {

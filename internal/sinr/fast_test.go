@@ -60,8 +60,8 @@ func TestFastChannelReusesOutput(t *testing.T) {
 }
 
 // TestFastChannelAllocFree verifies the arena property: after the first
-// call, slot evaluation performs no allocations, in both regimes and at one
-// and several workers.
+// call, slot evaluation performs no allocations, on every dispatch path and
+// at one and several workers.
 func TestFastChannelAllocFree(t *testing.T) {
 	src := rng.New(11)
 	pos := make([]geom.Point, 300)
@@ -83,13 +83,11 @@ func TestFastChannelAllocFree(t *testing.T) {
 		opt     FastOptions
 		workers int
 	}{
-		{"matrix/dense", FastOptions{SparseFactor: -1}, 1},
-		{"matrix/sparse", FastOptions{SparseFactor: 1}, 1},
-		{"matrix/sparse/4w", FastOptions{SparseFactor: 1}, 4},
 		{"shard/cert", FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}, 1},
 		{"shard/s1/cert", FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}, 1},
 		{"shard/dense", FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: -1}, 1},
 		{"shard/sparse", FastOptions{Shards: 4, SparseFactor: 1}, 1},
+		{"shard/sparse/4w", FastOptions{SparseFactor: 1}, 4},
 		{"shard/cert/4w", FastOptions{Shards: 8, SparseFactor: -1, BoundsFactor: 1}, 4},
 	} {
 		f := withWorkers(NewFastChannel(ch, tc.opt), tc.workers)

@@ -1,7 +1,7 @@
 package sinr
 
-// The evaluator oracle: every configuration of FastChannel — regime and
-// shard count, dispatch pin, worker count, forks and mobility epochs — must
+// The evaluator oracle: every configuration of FastChannel — shard count,
+// dispatch pin, worker count, forks and mobility epochs — must
 // decide every slot exactly as the naive Channel.SlotReceptions does, at
 // the same positions, and its certified-tier counters must account for
 // each slot. TestEvaluatorOracle runs a fixed table of scenarios in named
@@ -21,8 +21,8 @@ import (
 
 // The scenario axes the fuzz target draws from. An empty pin is the
 // adaptive dispatch, an empty fork mode takes no fork. The table's shard
-// counts are the matrix (0) and the lattice at S ∈ {1, 4, 8,
-// defaultShardCount}; the fuzz target passes any int as FastOptions.Shards.
+// counts are the default (0) and S ∈ {1, 4, 8, defaultShardCount}; the
+// fuzz target passes any int as FastOptions.Shards.
 var (
 	oracleLayouts = slices.Concat(randomLayouts, thresholdLayouts,
 		[]string{"lone-transmitter-ring", "interference-knife-edge", "cull-boundary", "subrange", "beta-guard"})
@@ -44,7 +44,7 @@ type oracleScenario struct {
 	seed    uint64  // layout, range, epoch and slot seed
 	offset  float64 // cluster distance of the outlier layout
 	alpha   float64 // path-loss exponent; 0 means 3
-	shards  int     // FastOptions.Shards: ≤ 0 is the matrix up to DefaultMatrixThreshold nodes
+	shards  int     // FastOptions.Shards: ≤ 0 is defaultShardCount
 	pin     string  // the dispatch FastOptions pins: sparse, certified, dense, or adaptive
 	workers int     // SetWorkers
 	fork    string  // pre: forked at construction; post: forked afresh after every epoch; concurrent: pre, run beside the parent
@@ -67,6 +67,9 @@ func (sc oracleScenario) String() string {
 	if a := cmp.Or(sc.alpha, 3); a != 3 {
 		s += fmt.Sprintf("/a%g", a)
 	}
+	// Rows at the default shard count are named "matrix", after the n×n
+	// power-matrix regime that served small deployments before the lattice
+	// served every size; the name keeps their test ids stable.
 	regime := "matrix"
 	if sc.shards > 0 {
 		regime = fmt.Sprintf("s%d", sc.shards)
@@ -84,7 +87,7 @@ func (sc oracleScenario) String() string {
 	return s
 }
 
-// options maps the regime and pin onto FastOptions.
+// options maps the shard count and pin onto FastOptions.
 func (sc oracleScenario) options() FastOptions {
 	opts := map[string]FastOptions{"sparse": {SparseFactor: 1},
 		"certified": {SparseFactor: -1, BoundsFactor: 1}, "dense": {SparseFactor: -1, BoundsFactor: -1}}[sc.pin]
@@ -380,8 +383,8 @@ func checkOracle(t testing.TB, sc oracleScenario, refs map[oracleScenario]*oracl
 	defer f.Close()
 	f.SetWorkers(sc.workers)
 	shards := f.Shards()
-	if matrix := sc.shards <= 0 && len(ref.pos) <= DefaultMatrixThreshold; matrix != (shards == 0) {
-		t.Fatalf("%v: %d shards, want the matrix regime = %v", sc, shards, matrix)
+	if want := cmp.Or(max(sc.shards, 0), defaultShardCount); shards != want {
+		t.Fatalf("%v: %d shards, want %d", sc, shards, want)
 	}
 	var g *FastChannel
 	defer func() {
@@ -421,8 +424,8 @@ func checkOracle(t testing.TB, sc oracleScenario, refs map[oracleScenario]*oracl
 			t.Fatalf("%v: leg %d: %d shards, %d at construction", sc, l, f.Shards(), shards)
 		case g != nil && g.bidx != bi:
 			t.Fatalf("%v: leg %d: the fork no longer shares the parent's index", sc, l)
-		case shards == 0 && (f.mat == nil || bi.pwUB != nil || bi.pwSuperUB != nil || bi.shardCells != nil):
-			t.Fatalf("%v: leg %d: the matrix regime lacks its matrix or built the lattice's tables", sc, l)
+		case bi == nil || bi.shardCells == nil:
+			t.Fatalf("%v: leg %d: the evaluator does not hold the lattice's index", sc, l)
 		case l == sc.epochs && sc.tables != "" && (bi.pwUB != nil) != (sc.tables == "built"):
 			t.Fatalf("%v: offset tables built = %v in the last leg, want %s", sc, bi.pwUB != nil, sc.tables)
 		}
@@ -490,8 +493,8 @@ func (sc oracleScenario) runLeg(t testing.TB, ref *oracleRef, l int, f, g *FastC
 }
 
 // verify checks one member's slot: its receptions against the naive ones,
-// and its certified-tier counters since before. The matrix regime, an
-// empty and an all-transmit slot count nothing; a certified slot counts
+// and its certified-tier counters since before. An empty and an
+// all-transmit slot count nothing; a certified slot counts
 // every listener once; the certified pin engages exactly when the lattice
 // has its offset tables and β − 1 ≥ boundsBetaMin, the sparse and dense
 // pins never; and a planted threshold slot refines at least its planted
@@ -514,9 +517,9 @@ func (sc oracleScenario) verify(ref *oracleRef, l, j int, m *FastChannel, got []
 	listeners := uint64(n - distinct)
 	eligible := m.bidx.pwUB != nil && m.beta-1 >= boundsBetaMin
 	switch {
-	case m.Shards() == 0 || distinct == 0 || distinct == n:
+	case distinct == 0 || distinct == n:
 		if d != (BoundsStats{}) {
-			return fmt.Sprintf("%s: a matrix, empty or all-transmit slot counted %+v", where, d)
+			return fmt.Sprintf("%s: an empty or all-transmit slot counted %+v", where, d)
 		}
 	case d.Slots > 1 || (d.Slots == 0 && d != BoundsStats{}) || (d.Slots == 1 && (d.Receivers != listeners || d.Refined > d.Receivers)):
 		return fmt.Sprintf("%s: counted %+v for %d listeners", where, d, listeners)
@@ -562,7 +565,9 @@ var oracleGroups = []struct {
 		{layout: "clusters", n: 96, seed: 8, shards: 8, pin: "certified", workers: 4},
 		{layout: "clusters", n: 96, seed: 8, workers: 2},
 	}},
-	// The sender-centric sparse path in both regimes.
+	// The sender-centric sparse path at one and four workers. Shards 0
+	// resolves to defaultShardCount, so the two pairs run one
+	// configuration under both spellings.
 	{"sparse", []oracleScenario{
 		{layout: "uniform", n: 120, seed: 9, pin: "sparse", workers: 1},
 		{layout: "uniform", n: 120, seed: 9, pin: "sparse", workers: 4},
@@ -591,7 +596,8 @@ var oracleGroups = []struct {
 		oracleScenario{shards: 8, pin: "sparse", workers: 4},
 		oracleScenario{shards: 1, workers: 2, epochs: 1},
 	)},
-	// The matrix regime has no certified tier, even with it pinned.
+	// The default shard count under move epochs, adaptive and with the
+	// certified tier pinned.
 	{"matrix", []oracleScenario{
 		{layout: "uniform", n: 120, seed: 12, workers: 2, epochs: 2},
 		{layout: "uniform", n: 120, seed: 12, pin: "certified", workers: 1, epochs: 2},
@@ -645,9 +651,9 @@ var oracleGroups = []struct {
 		{layout: "uniform", n: 20000, seed: 5, shards: 1, workers: 2},
 	}},
 	// The row kernel's integer-exponent loops (α = 3, 4) and its math.Pow
-	// loop (α = 2.5), each on every path that calls it: the lattice's
-	// sparse path, certified pipeline and dense fallback, and the matrix
-	// build and its move-epoch patch.
+	// loop (α = 2.5), each on every path that calls it: the sparse path,
+	// the certified pipeline and the dense fallback, before and after a
+	// move epoch.
 	{"alpha", cross([]string{"uniform"},
 		oracleScenario{n: 90, seed: 17, alpha: 2.5, shards: 4, pin: "certified", workers: 2, epochs: 1},
 		oracleScenario{n: 90, seed: 17, alpha: 3, workers: 1, epochs: 1},
@@ -696,6 +702,10 @@ var oracleGroups = []struct {
 	}},
 }
 
+// oracleShortMaxN is the largest node count a table row may have under
+// -short; the medium group's rows exceed it.
+const oracleShortMaxN = 2048
+
 // TestEvaluatorOracle holds every table scenario to the naive channel.
 func TestEvaluatorOracle(t *testing.T) {
 	refs := map[oracleScenario]*oracleRef{}
@@ -703,8 +713,8 @@ func TestEvaluatorOracle(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			for _, sc := range g.rows {
 				t.Run(sc.String(), func(t *testing.T) {
-					if sc.n > DefaultMatrixThreshold && testing.Short() {
-						t.Skip("n > DefaultMatrixThreshold skipped in -short")
+					if sc.n > oracleShortMaxN && testing.Short() {
+						t.Skip("n > oracleShortMaxN skipped in -short")
 					}
 					checkOracle(t, sc, refs)
 				})

@@ -5,28 +5,23 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the cell lattice, FastChannel's regime for every
-// deployment above DefaultMatrixThreshold nodes (or whenever
-// FastOptions.Shards pins it): a slot evaluator that holds no per-pair
-// state at all — no n×n matrix, no per-sender power cache — only the
-// shared cell index and the certified-bounds tables of bounds.go (the
-// per-offset power-bound tables and a supercell layer on top), for
-// O(occupied cells + nodes) memory. Every power it needs comes from the
-// row kernel powerRow, one call per receiver: over the slot's transmitter
-// coordinates (gathered once per slot) for an exact decode, and over the
-// receiver cell's near transmitters (gathered once per cell) for the
-// certified pipeline. The kernel's exponent switch sits outside its loops
-// because a per-pair function holding it is too large to inline, which
-// would cost every pair a call.
+// This file implements the cell lattice, FastChannel's one regime at every
+// deployment size: a slot evaluator that holds no per-pair state at all —
+// no n×n matrix, no per-sender power cache — only the shared cell index
+// and the certified-bounds tables of bounds.go (the per-offset power-bound
+// tables and a supercell layer on top), for O(occupied cells + nodes)
+// memory. Every power it needs comes from the row kernel powerRow, one
+// call per receiver: over the slot's transmitter coordinates (gathered
+// once per slot) for an exact decode, and over the receiver cell's near
+// transmitters (gathered once per cell) for the certified pipeline. The
+// kernel's exponent switch sits outside its loops because a per-pair
+// function holding it is too large to inline, which would cost every pair
+// a call.
 //
-// Between the matrix threshold and n = 65536 the lattice replaced a spatial
-// grid with a clock-evicted per-sender power-column cache: at GOMAXPROCS = 1
-// it was as fast or faster at n ∈ {4k, 16k, 64k} on k = n/4, k = n/10 and
-// churn slots, allocation-free under churn, and the n = 4096 end-to-end
-// workloads ran in a third to two thirds of the grid's peak memory (the
-// package doc of sinrmac has the numbers). The grid won only sparse 4k
-// slots that repeat one transmitter set, a pattern no simulated protocol
-// produces.
+// The lattice replaced two earlier regimes, a spatial grid with a
+// per-sender power-column cache (2048 < n ≤ 65536) and an n×n power
+// matrix (n ≤ 2048); the package doc of sinrmac has the measurements that
+// retired them.
 //
 // # Structure
 //
@@ -75,10 +70,11 @@ import (
 // to a sharded dense scan: cells with no transmitter in any near cell are
 // culled wholesale (conservative: the cell pair distance lower bound proves
 // every received power below cullPower), and the surviving listeners pay
-// the exact O(k) row. Sparse slots keep the sender-centric path of fast.go,
-// which walks the same cell index in both regimes.
+// the exact O(k) row. Sparse slots take the sender-centric path of
+// fast.go, which walks the same cell index.
 
-// defaultShardCount is the shard count of the automatic cell lattice.
+// defaultShardCount is the lattice's shard count unless FastOptions.Shards
+// sets one.
 // Shards are work-partition units, not threads: the scan runs min(workers,
 // shards) chunks, so 64 stripes load-balance any worker count the pool is
 // likely to see while keeping the per-shard bookkeeping negligible.
@@ -92,13 +88,14 @@ const defaultShardCount = 64
 // aggregate into each supercell row).
 const shardSuperSize = 8
 
-// ShardBytesPerNodeBudget is the documented memory budget of the sharded
-// regime: channel plus evaluator together stay under this many heap bytes
-// per node (measured ~90 B/node at n = 10⁶ on the canonical density —
-// positions and their SoA mirror at 32 B, reception/flag/stamp scratch at
-// 13 B, the cell index CSR at ~13 B, and the offset tables amortizing to
-// ~8 B). TestShardedMillionNodeBudget enforces it with runtime.MemStats,
-// and cmd/sinrsim's -maxnodes guard derives its refusal message from it.
+// ShardBytesPerNodeBudget is the documented memory budget of the cell
+// lattice: channel plus evaluator together stay under this many heap bytes
+// per node (measured ~51 B/node at n = 10⁶ on the canonical density: the
+// channel's positions and their SoA mirror, per-node slot scratch and the
+// cell index's per-node arrays, plus per-cell state — the offset and cell
+// tables and the slot aggregates — that amortizes over the nodes of each
+// cell). TestShardedMillionNodeBudget enforces it with runtime.MemStats, and
+// cmd/sinrsim's -maxnodes guard derives its refusal message from it.
 const ShardBytesPerNodeBudget = 128
 
 // shardForColumn maps a lattice column cx ∈ [0, spanX] to its stripe
@@ -125,23 +122,18 @@ func (bi *boundsIndex) appendCells() {
 }
 
 // resolveShards maps the FastOptions.Shards knob to the lattice's shard
-// count for an n-node deployment: a positive value selects the lattice with
-// that count at any size (the evaluator oracle pins S ∈ {1, 4, 8} this
-// way); otherwise the lattice runs with defaultShardCount shards above
-// DefaultMatrixThreshold and 0 (the matrix regime) at or below it.
-func resolveShards(opt, n int) int {
-	switch {
-	case opt > 0:
+// count: a positive value as given (the evaluator oracle pins S ∈ {1, 4,
+// 8} this way), defaultShardCount otherwise.
+func resolveShards(opt int) int {
+	if opt > 0 {
 		return opt
-	case n > DefaultMatrixThreshold:
-		return defaultShardCount
 	}
-	return 0
+	return defaultShardCount
 }
 
-// Shards returns the shard count of the cell lattice, or 0 when the
-// evaluator runs the matrix regime. The partition holds no more stripes
-// than the lattice has columns or occupied cells (buildBoundsIndex).
+// Shards returns the shard count of the cell lattice, always positive. The
+// partition holds no more stripes than the lattice has columns or occupied
+// cells (buildBoundsIndex).
 func (f *FastChannel) Shards() int { return f.shards }
 
 // ensureIndex resolves the family's shared index, building it if no
@@ -154,9 +146,7 @@ func (f *FastChannel) ensureIndex() {
 	}
 	f.bidx = h.idx
 	h.mu.Unlock()
-	if f.shards > 0 {
-		f.growShardScratch()
-	}
+	f.growShardScratch()
 }
 
 // growShardScratch sizes the lattice's per-slot scratch: the per-cell
@@ -186,9 +176,9 @@ func (f *FastChannel) growShardScratch() {
 	f.superFarMax = make([]float64, ns)
 }
 
-// shardSlot evaluates one non-sparse slot in the lattice: the
-// certified bounds pipeline when the cost model (or BoundsFactor) selects
-// it, the cell-culled dense scan otherwise.
+// shardSlot evaluates one non-sparse slot: the certified bounds pipeline
+// when the cost model (or BoundsFactor) selects it, the cell-culled dense
+// scan otherwise.
 func (f *FastChannel) shardSlot(transmitters []int) {
 	if f.prepareShard(len(transmitters)) {
 		f.runChunks(f.bidx.superW*f.bidx.superH, (*FastChannel).superFarChunk)

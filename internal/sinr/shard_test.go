@@ -1,7 +1,6 @@
 package sinr
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -10,57 +9,42 @@ import (
 	"sinrmac/internal/rng"
 )
 
-// TestShardedDispatchAndGuards covers the regime's dispatch boundary: the
-// automatic selection threshold. The β guard and outlier geometry are rows
+// TestShardedDispatchAndGuards covers the shard-count resolution: every
+// deployment size runs the lattice, with defaultShardCount shards unless
+// FastOptions.Shards is positive. The β guard and outlier geometry are rows
 // of TestEvaluatorOracle.
 func TestShardedDispatchAndGuards(t *testing.T) {
 	t.Run("auto-threshold", func(t *testing.T) {
 		for _, tc := range []struct {
-			opt, n, want int
+			opt, want int
 		}{
-			{0, DefaultMatrixThreshold, 0},
-			{0, DefaultMatrixThreshold + 1, defaultShardCount},
-			{-1, DefaultMatrixThreshold + 1, defaultShardCount},
-			{-1, 1, 0},
-			{3, 100, 3},
+			{0, defaultShardCount},
+			{-1, defaultShardCount},
+			{3, 3},
 		} {
-			if got := resolveShards(tc.opt, tc.n); got != tc.want {
-				t.Errorf("resolveShards(%d, %d) = %d, want %d", tc.opt, tc.n, got, tc.want)
+			if got := resolveShards(tc.opt); got != tc.want {
+				t.Errorf("resolveShards(%d) = %d, want %d", tc.opt, got, tc.want)
 			}
 		}
-		// The same boundary through the constructor: n =
-		// DefaultMatrixThreshold gets the matrix, one node more the lattice.
-		for _, tc := range []struct {
-			n    int
-			want string
-		}{
-			{DefaultMatrixThreshold, "matrix"},
-			{DefaultMatrixThreshold + 1, "lattice"},
-		} {
-			ch, _, err := DenseBenchWorkload(tc.n, 1, 1)
+		// The same through the constructor, at sizes on both sides of
+		// 2048, where small deployments once switched to an n×n matrix.
+		for _, n := range []int{1, 2048, 2049} {
+			ch, _, err := DenseBenchWorkload(n, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			f := withWorkers(NewFastChannel(ch, FastOptions{}), 1)
-			got := fmt.Sprintf("matrix=%v S=%d", f.mat != nil, f.Shards())
-			switch {
-			case f.mat != nil && f.Shards() == 0:
-				got = "matrix"
-			case f.mat == nil && f.Shards() == defaultShardCount:
-				got = "lattice"
+			if f.Shards() != defaultShardCount || f.bidx == nil || f.bidx.shardCells == nil {
+				t.Errorf("n=%d: %d shards, want the lattice with %d", n, f.Shards(), defaultShardCount)
 			}
 			f.Close()
-			if got != tc.want {
-				t.Errorf("n=%d: %s, want %s", tc.n, got, tc.want)
-			}
 		}
 	})
-
 }
 
 // TestShardedMillionNodeBudget is the scale acceptance test: a full slot
-// evaluation at n = 10⁶ must complete in the (automatically selected)
-// sharded regime within the documented memory budget
+// evaluation at n = 10⁶ must complete on the lattice at its default shard
+// count within the documented memory budget
 // (ShardBytesPerNodeBudget heap bytes per node for the channel plus
 // evaluator, measured via runtime.MemStats), and must actually decode
 // frames. Skipped in -short.

@@ -12,17 +12,15 @@
 // induced graphs G_{1-ε} and G_{1-2ε}.
 //
 // Two slot evaluators implement the predicate: the naive reference
-// (Channel.SlotReceptions) and FastChannel, which picks one of two regimes
-// at construction — the precomputed power matrix up to
-// DefaultMatrixThreshold nodes, and above it (or with a positive
-// FastOptions.Shards) the cell lattice (shard.go), whose memory is
-// O(occupied cells + nodes) with no per-pair state. Both regimes index the
-// deployment with one geom.CellIndex; a lattice too stretched for its offset
-// tables builds none and declines the certificates. Within a regime each
-// slot dispatches further: the sender-centric sparse path when the
+// (Channel.SlotReceptions) and FastChannel, which runs one regime at every
+// deployment size: the cell lattice (shard.go), whose memory is
+// O(occupied cells + nodes) with no per-pair state. It indexes the
+// deployment with one geom.CellIndex; a lattice too stretched for its
+// offset tables builds none and declines the certificates. Each slot
+// dispatches further: the sender-centric sparse path when the
 // transmitters' estimated ball coverage is low, an O(k) short-circuit on
-// all-transmit slots, on the lattice its certified bounds (bounds.go) when
-// the transmitter count dwarfs the occupied cells, and the exact dense scan
+// all-transmit slots, the certified bounds (bounds.go) when the
+// transmitter count dwarfs the occupied cells, and the exact dense scan
 // otherwise. All paths are decision-exact: because β > 1 at most one sender
 // can decode at a receiver, so the only output is a discrete decision, and
 // the optimised paths either prove their decision identical to the
@@ -36,7 +34,7 @@
 // # Pow-free arithmetic
 //
 // The hot paths never call math.Pow or math.Hypot. Params.ReceivedPower
-// evaluates the integer path-loss exponents α ∈ {2, 3, 4} by plain
+// evaluates the integer path-loss exponents α ∈ {3, 4} by plain
 // multiplication — bit-identical to math.Pow for those exponents (see the
 // doc of ReceivedPower for the argument, and TestReceivedPowerPowFree for
 // the pin) — and distances come from a fused Sqrt(dx²+dy²) over a
@@ -145,26 +143,25 @@ func (p Params) StrongRange() float64 {
 // near-field clamp of the paper: distances below 1 are treated as 1 so that
 // a receiver never observes more power than was transmitted.
 //
-// Integer path-loss exponents take a multiplication fast path that is
-// bit-identical to math.Pow. math.Pow(d, k) for k ∈ {2, 3, 4} reduces (via
-// Frexp renormalisation, whose doublings are exact) to the same repeated
-// squaring sequence — d·d, (d·d)·d, (d·d)·(d·d) — with one IEEE rounding
-// per multiply, and floating-point rounding is scale-invariant, so the
+// The integer path-loss exponents a valid channel can have (Validate
+// requires α > 2) take a multiplication fast path that is bit-identical to
+// math.Pow. math.Pow(d, k) for k ∈ {3, 4} reduces (via Frexp
+// renormalisation, whose doublings are exact) to the same repeated
+// squaring sequence — (d·d)·d, (d·d)·(d·d) — with one IEEE rounding per
+// multiply, and floating-point rounding is scale-invariant, so the
 // products below reproduce Pow's result on every finite d ≥ 1, including
 // the overflow threshold (the intermediates are monotone in d). The
 // differential suite (TestReceivedPowerPowFree) pins this equality; the
-// exponent dispatch is three float compares, which FastChannel hoists out
-// of its pair loops entirely (its row kernel switches once per row on a
+// exponent dispatch is two float compares, which FastChannel hoists out of
+// its pair loops entirely (its row kernel switches once per row on a
 // precomputed case).
 //
-//sinrlint:allow powfree generic-α reference fallback; integer α ∈ {2,3,4} takes the multiplication cases above it
+//sinrlint:allow powfree generic-α reference fallback; integer α ∈ {3,4} takes the multiplication cases above it
 func (p Params) ReceivedPower(d float64) float64 {
 	if d < 1 {
 		d = 1
 	}
 	switch p.Alpha {
-	case 2:
-		return p.Power / (d * d)
 	case 3:
 		return p.Power / (d * d * d)
 	case 4:
