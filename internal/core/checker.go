@@ -43,8 +43,14 @@ func indexTrace(events []Event, horizon int64) *traceIndex {
 		panic("core: trace too long to index")
 	}
 	ids := make(map[MessageID]int32)
-	ix := &traceIndex{}
-	var rcvMsg []int32
+	nrcv := 0
+	for i := range events {
+		if events[i].Kind == EventRcv {
+			nrcv++
+		}
+	}
+	ix := &traceIndex{rcvPos: make([]int32, 0, nrcv)}
+	rcvMsg := make([]int32, 0, nrcv)
 	for i, ev := range events {
 		if ev.Kind == EventBcast {
 			if _, ok := ids[ev.Msg.ID]; !ok {
@@ -147,22 +153,56 @@ type qualifying struct {
 	slot  []int64
 }
 
+// indexQualifying counts each node's rcvs, places them by receiver, then
+// stamps each receiver's G-neighbourhood once and keeps, in place, the
+// rcvs whose origin carries the stamp.
 func indexQualifying(events []Event, g *graphs.Graph) qualifying {
 	n := g.NumNodes()
-	var nodes []int32
-	var slots []int64
-	for _, ev := range events {
-		j, o := ev.Node, ev.Msg.Origin
-		if ev.Kind == EventRcv && j >= 0 && j < n && o >= 0 && o < n && g.HasEdge(j, o) {
-			nodes = append(nodes, int32(j))
-			slots = append(slots, ev.Slot)
+	inRange := func(ev *Event) bool {
+		return ev.Kind == EventRcv && ev.Node >= 0 && ev.Node < n && ev.Msg.Origin >= 0 && ev.Msg.Origin < n
+	}
+	q := qualifying{start: make([]int32, n+1)}
+	for i := range events {
+		if ev := &events[i]; inRange(ev) {
+			q.start[ev.Node+1]++
 		}
 	}
-	var q qualifying
-	q.start, q.slot = groupCSR(n, nodes, slots)
 	for j := 0; j < n; j++ {
-		slices.Sort(q.slot[q.start[j]:q.start[j+1]])
+		q.start[j+1] += q.start[j]
 	}
+	// cursor[j] is where node j's next rcv goes; origin parallels slot.
+	cursor := slices.Clone(q.start[:n])
+	q.slot = make([]int64, q.start[n])
+	origin := make([]int32, q.start[n])
+	for i := range events {
+		if ev := &events[i]; inRange(ev) {
+			c := cursor[ev.Node]
+			q.slot[c], origin[c] = ev.Slot, int32(ev.Msg.Origin)
+			cursor[ev.Node]++
+		}
+	}
+	stamp := make([]int32, n) // receiver + 1 on that receiver's neighbours
+	kept := int32(0)
+	for j := 0; j < n; j++ {
+		lo, hi := q.start[j], q.start[j+1]
+		q.start[j] = kept
+		if lo == hi {
+			continue
+		}
+		for _, nbr := range g.Neighbors(j) {
+			stamp[nbr] = int32(j + 1)
+		}
+		from := kept
+		for c := lo; c < hi; c++ {
+			if stamp[origin[c]] == int32(j+1) {
+				q.slot[kept] = q.slot[c]
+				kept++
+			}
+		}
+		slices.Sort(q.slot[from:kept])
+	}
+	q.start[n] = kept
+	q.slot = q.slot[:kept]
 	return q
 }
 

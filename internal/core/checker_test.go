@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"sinrmac/internal/graphs"
@@ -23,58 +22,6 @@ func pathGraph(n int) *graphs.Graph {
 
 func msg(id MessageID, origin int) Message {
 	return Message{ID: id, Origin: origin, Payload: nil}
-}
-
-func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder()
-	if r.Len() != 0 {
-		t.Fatal("fresh recorder not empty")
-	}
-	r.Record(Event{Kind: EventRcv, Node: 1, Msg: msg(1, 0), Slot: 5})
-	r.Record(Event{Kind: EventBcast, Node: 0, Msg: msg(1, 0), Slot: 2})
-	evs := r.Events()
-	if len(evs) != 2 || r.Len() != 2 {
-		t.Fatalf("Len/Events mismatch: %d/%d", r.Len(), len(evs))
-	}
-	if evs[0].Slot != 2 || evs[1].Slot != 5 {
-		t.Fatalf("events not sorted by slot: %+v", evs)
-	}
-	if got := r.EventsOfKind(EventBcast); len(got) != 1 || got[0].Kind != EventBcast {
-		t.Fatalf("EventsOfKind = %+v", got)
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("Reset did not clear events")
-	}
-}
-
-func TestRecorderEventsIsCopy(t *testing.T) {
-	r := NewRecorder()
-	r.Record(Event{Kind: EventBcast, Node: 0, Msg: msg(1, 0), Slot: 1})
-	evs := r.Events()
-	evs[0].Slot = 99
-	if r.Events()[0].Slot != 1 {
-		t.Fatal("Events exposed internal storage")
-	}
-}
-
-func TestRecorderConcurrentRecord(t *testing.T) {
-	r := NewRecorder()
-	var wg sync.WaitGroup
-	const goroutines, perG = 8, 200
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				r.Record(Event{Kind: EventRcv, Node: g, Msg: msg(MessageID(i), g), Slot: int64(i)})
-			}
-		}(g)
-	}
-	wg.Wait()
-	if r.Len() != goroutines*perG {
-		t.Fatalf("lost events: %d", r.Len())
-	}
 }
 
 func TestCheckAcksHappyPath(t *testing.T) {

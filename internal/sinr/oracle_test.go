@@ -565,14 +565,10 @@ var oracleGroups = []struct {
 		{layout: "clusters", n: 96, seed: 8, shards: 8, pin: "certified", workers: 4},
 		{layout: "clusters", n: 96, seed: 8, workers: 2},
 	}},
-	// The sender-centric sparse path at one and four workers. Shards 0
-	// resolves to defaultShardCount, so the two pairs run one
-	// configuration under both spellings.
+	// The sender-centric sparse path at one and four workers.
 	{"sparse", []oracleScenario{
 		{layout: "uniform", n: 120, seed: 9, pin: "sparse", workers: 1},
 		{layout: "uniform", n: 120, seed: 9, pin: "sparse", workers: 4},
-		{layout: "uniform", n: 120, seed: 9, shards: defaultShardCount, pin: "sparse", workers: 1},
-		{layout: "uniform", n: 120, seed: 9, shards: defaultShardCount, pin: "sparse", workers: 4},
 	}},
 	// Forks of a cold or warm parent, interleaved and concurrent.
 	{"fork", []oracleScenario{
