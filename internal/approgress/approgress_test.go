@@ -2,6 +2,7 @@ package approgress
 
 import (
 	"slices"
+	"sort"
 	"testing"
 
 	"sinrmac/internal/core"
@@ -208,10 +209,17 @@ func TestAutomatonAbortStopsData(t *testing.T) {
 // label and announce themselves dominators, so node 0 leaves the sender set
 // at the next phase; in every other phase node 0 is the local minimum.
 func feedScript(a *Automaton, pos int64, first, lose int) {
-	s := a.sch
+	if f := scriptedFrame(a.sch, pos, first, lose); f != nil {
+		a.Receive(f)
+	}
+}
+
+// scriptedFrame returns the frame feedScript delivers at epoch position pos
+// of schedule s, or nil in the data block.
+func scriptedFrame(s schedule, pos int64, first, lose int) *sim.Frame {
 	phase, phasePos := int(pos/s.phaseLen), pos%s.phaseLen
 	id := first + int(pos%3)
-	f := sim.Frame{}
+	f := &sim.Frame{}
 	switch {
 	case phasePos < s.discEnd:
 		f.Kind, f.Payload = FrameID, &IDPayload{Phase: phase, ID: id}
@@ -224,9 +232,9 @@ func feedScript(a *Automaton, pos int64, first, lose int) {
 		}
 		f.Kind, f.Payload = FrameMIS, p
 	default:
-		return
+		return nil
 	}
-	a.Receive(&f)
+	return f
 }
 
 // TestPhaseResetForgetsHistory checks that the epoch and phase boundaries
@@ -471,3 +479,537 @@ type captureLayer struct {
 
 func (l *captureLayer) OnRcv(slot int64, m core.Message) { l.rcvs = append(l.rcvs, m) }
 func (l *captureLayer) OnAck(slot int64, m core.Message) { l.acks = append(l.acks, m) }
+
+// refAutomaton is the map-based Algorithm 9.1 automaton that Automaton
+// replaced, kept verbatim as the reference the differential tests hold it
+// to: every Tick divides a slot counter into the schedule, every phase
+// start makes fresh maps for every node, and every MIS round start one more.
+type refAutomaton struct {
+	cfg    Config
+	sch    schedule
+	id     int
+	src    *rng.Source
+	onData func(core.Message)
+
+	msg       *core.Message
+	protoSlot int64
+
+	// Per-epoch state.
+	epochSender bool // member of S₁ this epoch
+
+	// Per-phase state.
+	phaseSender bool // member of S_φ for the current phase
+	nextSender  bool // member of S_{φ+1} (decided during the MIS block)
+	label       uint64
+	idCounts    map[int]int
+	potentials  []int
+	confirmed   map[int][]int // sender id -> its potential list (from FrameList)
+	neighbors   map[int]bool  // H̃̃ neighbours for the current phase
+	misState    uint8
+	heardRound  map[int]MISPayload // MIS messages heard in the current round
+	curRound    int
+
+	// Transmission scratch: the control payloads the automaton points
+	// pooled frames at. Re-filled on every transmitting Tick, so a
+	// receiver's view is stable for exactly one slot (the sim frame
+	// lifecycle). listScratch additionally reuses its Potentials backing
+	// array across slots.
+	idScratch   IDPayload
+	listScratch ListPayload
+	misScratch  MISPayload
+}
+
+func newRefAutomaton(cfg Config, id int, src *rng.Source, onData func(core.Message)) *refAutomaton {
+	return &refAutomaton{cfg: cfg.withDefaults(), sch: cfg.schedule(), id: id, src: src, onData: onData}
+}
+
+// Start sets m as the node's ongoing broadcast. The node joins S₁ at the
+// start of the next epoch (the paper's nodes join at epoch boundaries).
+func (a *refAutomaton) Start(m core.Message) {
+	cp := m
+	a.msg = &cp
+}
+
+// Abort clears the ongoing broadcast. The node keeps participating until
+// the end of the current epoch, as in the paper's abort semantics, because
+// epoch membership was fixed at the epoch boundary.
+func (a *refAutomaton) Abort() {
+	a.msg = nil
+}
+
+// SenderActive reports whether the node is a member of the current phase's
+// sender set S_φ. It is exported for tests and instrumentation.
+func (a *refAutomaton) SenderActive() bool { return a.phaseSender }
+
+// EpochSender reports whether the node joined S₁ in the current epoch.
+func (a *refAutomaton) EpochSender() bool { return a.epochSender }
+
+// Neighbors returns the node's current H̃̃-neighbour set, sorted. It is
+// exported for tests and instrumentation.
+func (a *refAutomaton) Neighbors() []int {
+	out := make([]int, 0, len(a.neighbors))
+	for v := range a.neighbors {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// Tick advances the automaton by one protocol slot; a transmission fills
+// the pooled frame f and returns true.
+func (a *refAutomaton) Tick(f *sim.Frame) bool {
+	slot := a.protoSlot
+	a.protoSlot++
+
+	s := &a.sch
+	epochPos := slot % s.epochLen
+	phase := int(epochPos / s.phaseLen)
+	phasePos := epochPos % s.phaseLen
+
+	// Epoch boundary: recompute S₁ membership.
+	if epochPos == 0 {
+		a.epochSender = a.msg != nil
+		a.phaseSender = a.epochSender
+	}
+	// Phase boundary: reset per-phase state.
+	if phasePos == 0 {
+		if phase > 0 {
+			// S_{φ+1} membership was decided during the previous phase.
+			a.phaseSender = a.phaseSender && a.nextSender
+		}
+		a.resetPhase()
+	}
+
+	switch {
+	case phasePos < s.discEnd:
+		return a.tickDiscovery(phase, f)
+	case phasePos < s.listEnd:
+		if phasePos == s.discEnd {
+			a.finalizePotentials()
+		}
+		return a.tickList(phase, f)
+	case phasePos < s.misEnd:
+		round := int((phasePos - s.listEnd) / s.t)
+		if (phasePos-s.listEnd)%s.t == 0 {
+			if round == 0 {
+				a.finalizeNeighbors()
+			} else {
+				a.processMISRound()
+			}
+			a.curRound = round
+			a.heardRound = make(map[int]MISPayload)
+		}
+		return a.tickMIS(phase, round, f)
+	default:
+		if phasePos == s.misEnd {
+			a.processMISRound()
+			a.finalizeMIS()
+		}
+		return a.tickData(f)
+	}
+}
+
+func (a *refAutomaton) resetPhase() {
+	a.nextSender = false
+	a.label = a.src.Uint64()%a.cfg.LabelRange + 1
+	a.idCounts = make(map[int]int)
+	a.potentials = nil
+	a.confirmed = make(map[int][]int)
+	a.neighbors = make(map[int]bool)
+	a.misState = StateUndecided
+	a.heardRound = make(map[int]MISPayload)
+	a.curRound = 0
+}
+
+func (a *refAutomaton) tickDiscovery(phase int, f *sim.Frame) bool {
+	if !a.phaseSender || !a.src.Bernoulli(a.cfg.P) {
+		return false
+	}
+	a.idScratch = IDPayload{Phase: phase, ID: a.id}
+	f.Kind = FrameID
+	f.Payload = &a.idScratch
+	return true
+}
+
+func (a *refAutomaton) finalizePotentials() {
+	if !a.phaseSender {
+		return
+	}
+	var pots []int
+	for id, count := range a.idCounts {
+		if count >= a.cfg.NeighborThreshold {
+			pots = append(pots, id)
+		}
+	}
+	sort.Ints(pots)
+	a.potentials = pots
+}
+
+func (a *refAutomaton) tickList(phase int, f *sim.Frame) bool {
+	if !a.phaseSender || !a.src.Bernoulli(a.cfg.P) {
+		return false
+	}
+	a.listScratch.Phase = phase
+	a.listScratch.ID = a.id
+	a.listScratch.Potentials = append(a.listScratch.Potentials[:0], a.potentials...)
+	f.Kind = FrameList
+	f.Payload = &a.listScratch
+	return true
+}
+
+// finalizeNeighbors computes the H̃̃ neighbour set: v is a neighbour of u if
+// v is a potential neighbour of u and u appears in the potential list that
+// u received from v (the mutual-confirmation rule of Section 9.3.1).
+func (a *refAutomaton) finalizeNeighbors() {
+	if !a.phaseSender {
+		return
+	}
+	a.neighbors = make(map[int]bool)
+	for _, v := range a.potentials {
+		list, got := a.confirmed[v]
+		if !got {
+			continue
+		}
+		for _, w := range list {
+			if w == a.id {
+				a.neighbors[v] = true
+				break
+			}
+		}
+	}
+}
+
+func (a *refAutomaton) tickMIS(phase, round int, f *sim.Frame) bool {
+	if !a.phaseSender || !a.src.Bernoulli(a.cfg.P) {
+		return false
+	}
+	a.misScratch = MISPayload{
+		Phase: phase, Round: round, ID: a.id, Label: a.label, State: a.misState,
+	}
+	f.Kind = FrameMIS
+	f.Payload = &a.misScratch
+	return true
+}
+
+// processMISRound applies the state transition at the end of an MIS round:
+// a node dominated by an MIS neighbour becomes dominated; an undecided node
+// whose label is a strict local minimum among the neighbours it heard (and
+// which heard all of its neighbours) becomes a dominator. Neighbours that
+// were not heard at all during the round are pruned (see the package
+// comment for how this relates to the paper's drop-out rule).
+func (a *refAutomaton) processMISRound() {
+	if !a.phaseSender {
+		return
+	}
+	// Prune neighbours that stayed silent for the whole round.
+	heardAll := true
+	for v := range a.neighbors {
+		if _, ok := a.heardRound[v]; !ok {
+			delete(a.neighbors, v)
+			heardAll = false
+		}
+	}
+	if a.misState != StateUndecided {
+		return
+	}
+	isMin := true
+	for v := range a.neighbors {
+		msg := a.heardRound[v]
+		if msg.State == StateDominator {
+			a.misState = StateDominated
+			return
+		}
+		if msg.State != StateUndecided {
+			continue
+		}
+		if msg.Label < a.label || (msg.Label == a.label && v < a.id) {
+			isMin = false
+		}
+	}
+	if isMin && heardAll {
+		a.misState = StateDominator
+	}
+}
+
+// finalizeMIS decides S_{φ+1} membership: only dominators continue;
+// undecided nodes are ignored, exactly as in the paper's modified MIS.
+func (a *refAutomaton) finalizeMIS() {
+	if !a.phaseSender {
+		return
+	}
+	// A node with no surviving neighbours is trivially a local minimum.
+	if a.misState == StateUndecided && len(a.neighbors) == 0 {
+		a.misState = StateDominator
+	}
+	a.nextSender = a.misState == StateDominator
+}
+
+func (a *refAutomaton) tickData(f *sim.Frame) bool {
+	if !a.phaseSender || a.msg == nil {
+		return false
+	}
+	if !a.src.Bernoulli(a.sch.dataP) {
+		return false
+	}
+	f.Kind = FrameData
+	f.Msg = *a.msg
+	return true
+}
+
+// Receive processes a frame decoded in one of this automaton's slots. The
+// control payloads point into the sender's scratch and are only valid for
+// this call, so anything retained (the confirmed potential lists, the
+// heard-this-round MIS messages) is copied out here.
+func (a *refAutomaton) Receive(f *sim.Frame) {
+	if f == nil {
+		return
+	}
+	switch f.Kind {
+	case FrameID:
+		if p, ok := f.Payload.(*IDPayload); ok && a.phaseSender {
+			a.idCounts[p.ID]++
+		}
+	case FrameList:
+		if p, ok := f.Payload.(*ListPayload); ok && a.phaseSender {
+			a.confirmed[p.ID] = append([]int(nil), p.Potentials...)
+		}
+	case FrameMIS:
+		if p, ok := f.Payload.(*MISPayload); ok && a.phaseSender {
+			if a.neighbors[p.ID] {
+				a.heardRound[p.ID] = *p
+			}
+		}
+	case FrameData:
+		if a.onData != nil {
+			a.onData(f.Msg)
+		}
+	}
+}
+
+// diffConfig returns the configuration a differential run uses: the
+// simulation preset at Λ = 8 with every control frame sent at P = 1/2,
+// four labels (so labels tie often) and the given discovery threshold.
+func diffConfig(threshold int) Config {
+	cfg := SimConfig(8, 0.1, 3)
+	cfg.P = 0.5
+	cfg.LabelRange = 4
+	cfg.NeighborThreshold = threshold
+	return cfg
+}
+
+// scriptReader yields the bytes of a fuzzed script, then bytes from a
+// random stream.
+type scriptReader struct {
+	data []byte
+	src  *rng.Source
+}
+
+func (r *scriptReader) next() byte {
+	if len(r.data) > 0 {
+		b := r.data[0]
+		r.data = r.data[1:]
+		return b
+	}
+	return byte(r.src.Uint64())
+}
+
+// scriptFrame builds a frame from one of five senders around id (one of
+// them far off, never a discovery-threshold regular), read from r. Most
+// frames are of the kind the block at epoch position pos sends, as from a
+// neighbour in step; the rest are of any kind, as from one out of step.
+// Lists name id or not at random, and MIS labels come from 1..4 so that
+// they tie with each other and with the receiver's.
+func scriptFrame(r *scriptReader, s schedule, id int, pos int64) *sim.Frame {
+	senders := [...]int{id - 2, id - 1, id + 1, id + 2, id + 7}
+	from := senders[int(r.next())%len(senders)]
+	phase, phasePos := int(pos/s.phaseLen), pos%s.phaseLen
+	kind := r.next()
+	if kind < 200 {
+		switch {
+		case phasePos < s.discEnd:
+			kind = 0
+		case phasePos < s.listEnd:
+			kind = 1
+		case phasePos < s.misEnd:
+			kind = 2
+		default:
+			kind = 3
+		}
+	} else {
+		kind %= 5
+	}
+	f := &sim.Frame{From: from}
+	switch kind {
+	case 0:
+		f.Kind, f.Payload = FrameID, &IDPayload{Phase: phase, ID: from}
+	case 1:
+		pots := []int{from, id + 100}
+		if b := r.next(); b%2 == 0 {
+			pots[1] = id
+		} else if b%5 == 0 {
+			pots = nil
+		}
+		f.Kind, f.Payload = FrameList, &ListPayload{Phase: phase, ID: from, Potentials: pots}
+	case 2:
+		states := [...]uint8{StateUndecided, StateUndecided, StateUndecided, StateDominator, StateDominated}
+		b := r.next()
+		f.Kind, f.Payload = FrameMIS, &MISPayload{Phase: phase, ID: from, Label: 1 + uint64(b%4), State: states[int(b/4)%len(states)]}
+	case 3:
+		f.Kind, f.Msg = FrameData, core.Message{ID: core.MessageID(pos), Origin: from}
+	default:
+		f.Kind = otherKind
+	}
+	return f
+}
+
+// otherKind is a frame kind of another MAC, which the automaton ignores.
+var otherKind = sim.RegisterFrameKind("decay.data")
+
+// checkMatchesReference runs Automaton and refAutomaton side by side for
+// the given number of slots on one random stream seed and one script: a
+// Start or an Abort before any Tick, and zero to two frames after it.
+// Each slot it compares what they transmit, their S₁ and S_φ membership,
+// their H̃̃-neighbour sets and the data frames they pass on.
+func checkMatchesReference(t *testing.T, cfg Config, seed uint64, script []byte, slots int64) {
+	t.Helper()
+	const id = 3
+	var gotData, wantData []core.Message
+	aut, err := NewAutomaton(cfg, id, rng.New(seed), func(m core.Message) { gotData = append(gotData, m) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefAutomaton(cfg, id, rng.New(seed), func(m core.Message) { wantData = append(wantData, m) })
+	r := &scriptReader{data: script, src: rng.New(seed ^ 0x9e3779b97f4a7c15)}
+	s := aut.sch
+	for slot := int64(0); slot < slots; slot++ {
+		pos := slot % s.epochLen
+		switch op := r.next(); {
+		case op < 4:
+			m := core.Message{ID: core.MessageID(slot), Origin: id}
+			aut.Start(m)
+			ref.Start(m)
+		case op < 8:
+			aut.Abort()
+			ref.Abort()
+		}
+		var got, want sim.Frame
+		gotSent, wantSent := aut.Tick(&got), ref.Tick(&want)
+		if gotSent != wantSent || (gotSent && !sameFrame(&got, &want)) {
+			t.Fatalf("seed %d slot %d (epoch position %d): sent %v %+v, reference sent %v %+v",
+				seed, slot, pos, gotSent, framePayload(&got), wantSent, framePayload(&want))
+		}
+		for k := [...]int{0, 0, 0, 0, 1, 1, 1, 2}[r.next()%8]; k > 0; k-- {
+			f := scriptFrame(r, s, id, pos)
+			aut.Receive(f)
+			ref.Receive(f)
+		}
+		if aut.SenderActive() != ref.SenderActive() || aut.EpochSender() != ref.EpochSender() {
+			t.Fatalf("seed %d slot %d (epoch position %d): SenderActive/EpochSender %v/%v, reference %v/%v",
+				seed, slot, pos, aut.SenderActive(), aut.EpochSender(), ref.SenderActive(), ref.EpochSender())
+		}
+		if got, want := aut.Neighbors(), ref.Neighbors(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d slot %d (epoch position %d): neighbours %v, reference %v", seed, slot, pos, got, want)
+		}
+	}
+	if !slices.Equal(gotData, wantData) {
+		t.Fatalf("seed %d: data frames passed on %v, reference %v", seed, gotData, wantData)
+	}
+}
+
+func sameFrame(got, want *sim.Frame) bool {
+	if got.Kind != want.Kind || got.Msg != want.Msg {
+		return false
+	}
+	switch g := got.Payload.(type) {
+	case *IDPayload:
+		w, ok := want.Payload.(*IDPayload)
+		return ok && *g == *w
+	case *ListPayload:
+		w, ok := want.Payload.(*ListPayload)
+		return ok && g.Phase == w.Phase && g.ID == w.ID && slices.Equal(g.Potentials, w.Potentials)
+	case *MISPayload:
+		w, ok := want.Payload.(*MISPayload)
+		return ok && *g == *w
+	}
+	return got.Payload == nil && want.Payload == nil
+}
+
+// framePayload returns a frame's payload value for failure messages.
+func framePayload(f *sim.Frame) any {
+	switch p := f.Payload.(type) {
+	case *IDPayload:
+		return *p
+	case *ListPayload:
+		return *p
+	case *MISPayload:
+		return *p
+	}
+	return f.Msg
+}
+
+// TestAutomatonMatchesReference holds Automaton to the map-based reference
+// slot for slot over three epochs of scripted bcasts, aborts and
+// receptions, at discovery thresholds 1 to 3.
+func TestAutomatonMatchesReference(t *testing.T) {
+	for threshold := 1; threshold <= 3; threshold++ {
+		cfg := diffConfig(threshold)
+		for seed := uint64(1); seed <= 12; seed++ {
+			checkMatchesReference(t, cfg, seed, nil, 3*cfg.EpochLen())
+		}
+	}
+}
+
+// FuzzAutomatonMatchesReference is TestAutomatonMatchesReference on fuzzed
+// scripts: the script's bytes choose the bcasts, aborts and frames until
+// they run out, the seed's stream after that.
+func FuzzAutomatonMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(1), []byte{0, 4, 0, 0, 7, 1, 0})
+	f.Add(uint64(2), uint8(2), []byte{2, 7, 3, 201, 1, 7, 4, 202, 0, 7, 2, 203, 9})
+	f.Add(uint64(3), uint8(0), []byte{5, 200, 4, 255, 8, 6})
+	f.Fuzz(func(t *testing.T, seed uint64, threshold uint8, script []byte) {
+		cfg := diffConfig(1 + int(threshold)%3)
+		checkMatchesReference(t, cfg, seed, script, 2*cfg.EpochLen())
+	})
+}
+
+// TestAutomatonSteadyStateAllocFree checks that once its per-phase slices
+// have grown, a broadcasting automaton runs a whole epoch of Ticks and
+// scripted receptions, a bcast included, without allocating.
+func TestAutomatonSteadyStateAllocFree(t *testing.T) {
+	cfg := SimConfig(8, 0.1, 3)
+	aut, err := NewAutomaton(cfg, 0, rng.New(9), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := aut.sch.epochLen
+	// The receptions of each epoch position, built once: feedScript's
+	// frames from nodes 1, 2 and 3, which make node 0 a dominator in every
+	// phase but the third.
+	frames := make([]*sim.Frame, epoch)
+	for pos := range frames {
+		frames[pos] = scriptedFrame(aut.sch, int64(pos), 1, 2)
+	}
+	m := core.Message{ID: 1, Origin: 0}
+	var f sim.Frame
+	withNeighbors := 0
+	runEpoch := func() {
+		aut.Start(m)
+		for pos := int64(0); pos < epoch; pos++ {
+			aut.Tick(&f)
+			if fr := frames[pos]; fr != nil {
+				aut.Receive(fr)
+			}
+			if len(aut.neighbors) > 0 {
+				withNeighbors++
+			}
+		}
+	}
+	runEpoch()
+	runEpoch()
+	if allocs := testing.AllocsPerRun(1, runEpoch); allocs != 0 {
+		t.Fatalf("one epoch allocates %v times", allocs)
+	}
+	if withNeighbors == 0 {
+		t.Fatal("the scripted epochs never gave the automaton a neighbour")
+	}
+}
