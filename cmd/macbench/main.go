@@ -178,8 +178,8 @@ var benchCases = []caseSpec{
 	// With every node transmitting both sides take the same O(k) early-out;
 	// a lower ratio means a tier pays setup cost before declining the slot.
 	{name: "bounds_full", build: denseVsBounds(5000), gate: gate{minSpeedup: 0.95}},
-	{name: "shard_n100k", build: denseVsShard(100_000, 8, true), gate: gate{maxBytesPerNode: sinr.ShardBytesPerNodeBudget}},
-	{name: "shard_n1m", large: true, build: denseVsShard(1_000_000, 0, false), gate: gate{maxBytesPerNode: sinr.ShardBytesPerNodeBudget}},
+	{name: "shard_n100k", build: denseVsShard(100_000, true), gate: gate{maxBytesPerNode: sinr.ShardBytesPerNodeBudget}},
+	{name: "shard_n1m", large: true, build: denseVsShard(1_000_000, false), gate: gate{maxBytesPerNode: sinr.ShardBytesPerNodeBudget}},
 	{name: "churn_lattice", build: rebuildVsApply(5000)},
 	{name: "engine_step", build: engineCase(2000, "", engineConf{}, serial), gate: gate{zeroAllocs: true}},
 	{name: "engine_step_5k", build: engineCase(5000, "", engineConf{}, serial), gate: gate{zeroAllocs: true}},
@@ -404,7 +404,7 @@ func denseVsBounds(k int) func(uint64) (*pair, error) {
 // and evaluator and evaluating one slot: what a simulation at this scale
 // holds live. withDense adds the lattice's dense scan (certified path off)
 // as the reference; at n = 10⁶ it takes minutes per op.
-func denseVsShard(n, shards int, withDense bool) func(uint64) (*pair, error) {
+func denseVsShard(n int, withDense bool) func(uint64) (*pair, error) {
 	return func(seed uint64) (*pair, error) {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -413,25 +413,21 @@ func denseVsShard(n, shards int, withDense bool) func(uint64) (*pair, error) {
 		if err != nil {
 			return nil, err
 		}
-		f := sinr.NewFastChannel(ch, sinr.FastOptions{Shards: shards, SparseFactor: -1})
-		s := f.Shards()
+		f := sinr.NewFastChannel(ch, sinr.FastOptions{SparseFactor: -1})
 		f.SlotReceptions(tx) // warm: builds the shard index and scratch
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		f.Close()
-		if s == 0 {
-			return nil, fmt.Errorf("the sharded configuration did not select the cell lattice")
-		}
 		heap := max(float64(after.HeapAlloc)-float64(before.HeapAlloc), 0)
 		metrics := map[string]float64{"rss_bytes": heap, "bytes_per_node": heap / float64(n)}
 		p := &pair{
-			params:  map[string]float64{"nodes": float64(n), "transmitters": float64(len(tx)), "shards": float64(s)},
-			opt:     slotSide(ch, tx, sinr.FastOptions{Shards: s, SparseFactor: -1}, metrics),
+			params:  map[string]float64{"nodes": float64(n), "transmitters": float64(len(tx))},
+			opt:     slotSide(ch, tx, sinr.FastOptions{SparseFactor: -1}, metrics),
 			metrics: metrics,
 		}
 		if withDense {
 			p.refName = "dense"
-			p.ref = slotSide(ch, tx, sinr.FastOptions{Shards: s, SparseFactor: -1, BoundsFactor: -1}, nil)
+			p.ref = slotSide(ch, tx, sinr.FastOptions{SparseFactor: -1, BoundsFactor: -1}, nil)
 		}
 		return p, nil
 	}

@@ -63,7 +63,6 @@ func run(args []string) int {
 		slots        = fs.Int64("slots", 0, "number of slots to simulate (0 = a sensible default for the MAC)")
 		seed         = fs.Uint64("seed", 1, "random seed")
 		evaluator    = fs.String("evaluator", "fast", "SINR slot evaluator: fast (cell lattice with certified interference bounds) or naive (reference scan)")
-		shards       = fs.Int("shards", 0, "shards of the fast evaluator's cell lattice (0 = its default count; N > 0 = N shards; requires -evaluator fast)")
 		maxNodes     = fs.Int("maxnodes", 2_000_000, "refuse deployments larger than this many nodes (0 = no limit)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -72,7 +71,7 @@ func run(args []string) int {
 		}
 		return 2
 	}
-	if err := checkFlags(*macKind, *evaluator, *broadcasters, *slots, *rangeFlag, *shards, *maxNodes); err != nil {
+	if err := checkFlags(*macKind, *evaluator, *n, *broadcasters, *slots, *rangeFlag, *maxNodes); err != nil {
 		fmt.Fprintf(os.Stderr, "sinrsim: %v\n", err)
 		return 2
 	}
@@ -125,7 +124,7 @@ func run(args []string) int {
 	// in lock-step).
 	var ev sinr.ChannelEvaluator // nil: sim.Engine defaults to the naive reference path
 	if *evaluator == "fast" {
-		ev = sinr.NewFastChannel(ch, sinr.FastOptions{Shards: *shards})
+		ev = sinr.NewFastChannel(ch)
 	}
 	eng, err := sim.NewEngine(ch, nodes, sim.Config{Seed: *seed, Evaluator: ev})
 	if err != nil {
@@ -172,17 +171,20 @@ func run(args []string) int {
 var macKinds = []string{"combined", "ack", "approgress", "decay"}
 
 // checkFlags rejects flag values the simulation cannot honour before any
-// deployment is built: unknown -mac and -evaluator names, negative counts,
-// ranges and limits, which would otherwise run with zero broadcasters or
-// fall back to the defaults silently, a non-finite range, which would
-// either fall back silently (NaN) or fail late on NaN coordinates (±Inf),
-// and -shards without the fast evaluator.
-func checkFlags(macKind, evaluator string, broadcasters int, slots int64, r float64, shards, maxNodes int) error {
+// deployment is built: unknown -mac and -evaluator names, fewer than one
+// node, which every topology would reject late with a misleading message,
+// negative counts, ranges and limits, which would otherwise run with zero
+// broadcasters or fall back to the defaults silently, and a non-finite
+// range, which would either fall back silently (NaN) or fail late on NaN
+// coordinates (±Inf).
+func checkFlags(macKind, evaluator string, n, broadcasters int, slots int64, r float64, maxNodes int) error {
 	switch {
 	case !slices.Contains(macKinds, macKind):
 		return fmt.Errorf("-mac %q is unknown; want one of %s", macKind, strings.Join(macKinds, ", "))
 	case evaluator != "fast" && evaluator != "naive":
 		return fmt.Errorf("-evaluator %q is unknown; want fast or naive", evaluator)
+	case n < 1:
+		return fmt.Errorf("-n %d is below one node", n)
 	case broadcasters < 0:
 		return fmt.Errorf("-broadcasters %d is negative", broadcasters)
 	case slots < 0:
@@ -191,12 +193,8 @@ func checkFlags(macKind, evaluator string, broadcasters int, slots int64, r floa
 		return fmt.Errorf("-range %g is not finite", r)
 	case r < 0:
 		return fmt.Errorf("-range %g is negative; use 0 for the topology's default range", r)
-	case shards < 0:
-		return fmt.Errorf("-shards %d is negative; use 0 for the default count or a positive shard count", shards)
 	case maxNodes < 0:
 		return fmt.Errorf("-maxnodes %d is negative; use 0 for no limit", maxNodes)
-	case shards != 0 && evaluator != "fast":
-		return fmt.Errorf("-shards requires -evaluator fast (the naive reference scan has no sharded regime)")
 	}
 	return nil
 }

@@ -54,10 +54,12 @@
 // state (measured ~51 heap bytes/node at n = 10⁶ against the documented
 // sinr.ShardBytesPerNodeBudget); every power is computed by the path-loss
 // row kernel, one call per receiver row. The occupied-cell decomposition is
-// partitioned into vertical cell-column stripes, one shard each
-// (FastOptions.Shards, 64 by default), over a coarser supercell layer (8×8
-// cells). Each shard evaluates its receivers against exact near-field
-// terms plus certified remote aggregates.
+// partitioned into vertical cell-column stripes, one shard each, over a
+// coarser supercell layer (8×8 cells). The stripe count is fixed at 64,
+// clamped to the lattice's columns and occupied cells; it splits the work
+// and is no model parameter, so no option sets it. Each shard evaluates
+// its receivers against exact near-field terms plus certified remote
+// aggregates.
 //
 // The spatial index is geom.CellIndex with cells of the culling radius,
 // shared by every fork of an evaluator; its inverse map, lattice

@@ -50,9 +50,8 @@ func TestEngineApplyEpochErrors(t *testing.T) {
 		{"+Inf", &sinr.EpochDelta{Dirty: []int{0}, Positions: moved(geom.Point{Y: math.Inf(1)})}, "finite"},
 		{"1e300", &sinr.EpochDelta{Dirty: []int{0}, Positions: moved(geom.Point{X: 1e300})}, "finite"},
 	}
-	// The naive channel and the fast evaluator at its default and at one
-	// shard.
-	for ev, opts := range []*sinr.FastOptions{nil, {}, {Shards: 1}} {
+	// The naive channel and the fast evaluator.
+	for ev, opts := range []*sinr.FastOptions{nil, {}} {
 		ch, err := sinr.NewChannel(sinr.DefaultParams(10), pos)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 package sim_test
 
-// The engine oracle: every configuration of the slot pipeline (evaluator,
-// shard count and dispatch pin, worker count, fault plan, mobility epochs,
+// The engine oracle: every configuration of the slot pipeline (evaluator
+// and dispatch pin, worker count, fault plan, mobility epochs,
 // Step loop or Run legs) must reproduce bit for bit the same scenario on the
 // naive evaluator (sinr.Channel) under a serial Step loop. TestEngineOracle
 // runs a fixed table of scenarios and FuzzEngineOracle draws them; the fuzz
@@ -30,9 +30,12 @@ const oracleSlots = 160
 // pin is the adaptive dispatch and an empty plan installs no fault hook.
 var (
 	layouts = []string{"uniform", "line", "clusters", "outlier"}
-	// "matrix" is the fast evaluator with default options, named after the
-	// n×n power-matrix regime small deployments ran before the cell
-	// lattice served every size; the name keeps the rows' test ids stable.
+	// Every evaluator but "naive" is the fast evaluator with its default
+	// partition. The names are from the n×n power-matrix regime small
+	// deployments ran before the cell lattice served every size
+	// ("matrix") and from the lattice's former shard-count option
+	// ("lattice1/4/8"); they keep the rows' test ids stable.
+	// TestEvaluatorOracle varies the stripe partition.
 	evals        = []string{"naive", "matrix", "lattice1", "lattice4", "lattice8"}
 	pins         = []string{"", "sparse", "certified", "dense"}
 	plans        = []string{"", "zero", "rich"}
@@ -45,7 +48,7 @@ type scenario struct {
 	n       int     // node count, 1..96
 	layout  string  // uniform, a spacing-2 line, four clusters, or two clusters offset apart
 	offset  float64 // cluster distance of the outlier layout
-	eval    string  // the naive reference, the fast evaluator's defaults ("matrix"), or the lattice at 1, 4 or 8 shards
+	eval    string  // the naive reference or the fast evaluator (see evals)
 	pin     string  // the fast evaluator's dispatch, set through FastOptions
 	workers int     // sim.Config.Workers
 	plan    string  // no hook, a zero-rate plan or richPlan
@@ -220,7 +223,6 @@ func (sc scenario) execute(t testing.TB) (outcome, *sim.Engine) {
 	if sc.eval != "naive" {
 		opts := map[string]sinr.FastOptions{"sparse": {SparseFactor: 1},
 			"certified": {SparseFactor: -1, BoundsFactor: 1}, "dense": {SparseFactor: -1, BoundsFactor: -1}}[sc.pin]
-		opts.Shards = map[string]int{"lattice1": 1, "lattice4": 4, "lattice8": 8}[sc.eval]
 		fast := sinr.NewFastChannel(ch, opts)
 		t.Cleanup(fast.Close)
 		cfg.Evaluator = fast

@@ -539,24 +539,21 @@ func TestPooledFrameLifecycle(t *testing.T) {
 // TestEngineStepAllocFree is the slot-pipeline allocation budget: once the
 // engine and evaluator are warm, a steady-state Step — tick, evaluate,
 // deliver — performs zero heap allocations, with the evaluator's receiver
-// scan on one worker and on its pool, on its dense, sparse and sharded
-// paths.
+// scan on one worker and on its pool, on sparse slots and on the lattice's
+// dense slots.
 func TestEngineStepAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
 		p       float64 // per-slot transmit probability (sets tx density)
-		shards  int     // FastOptions.Shards; 0 is the default count
 	}{
-		{"sequential/dense", 1, 0.5, 0},
-		{"sequential/sparse", 1, 0.02, 0},
+		{"sequential/dense", 1, 0.5},
+		{"sequential/sparse", 1, 0.02},
 		// Four pinned workers run the parallel evaluator's pool at any
 		// GOMAXPROCS, so the pool's Run hand-off is held to the zero-alloc
 		// budget.
-		{"parallel-pinned/sparse", 4, 0.02, 0},
-		{"parallel-pinned/dense", 4, 0.5, 0},
-		{"sequential/shard", 1, 0.5, 4},
-		{"parallel-pinned/shard", 4, 0.5, 8},
+		{"parallel-pinned/sparse", 4, 0.02},
+		{"parallel-pinned/dense", 4, 0.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := rng.New(31)
@@ -568,7 +565,7 @@ func TestEngineStepAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast := sinr.NewFastChannel(ch, sinr.FastOptions{Shards: tc.shards})
+			fast := sinr.NewFastChannel(ch)
 			defer fast.Close()
 			nodes := make([]Node, len(pos))
 			for i := range nodes {

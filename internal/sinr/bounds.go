@@ -182,9 +182,9 @@ type boundsIndex struct {
 	// (dx, dy), indexed by (dx+superW-1)·(2·superH-1) + dy+superH-1.
 	pwSuperUB, pwSuperLB []float64
 	// shardCells[s] lists the dense cell ids of shard s; the per-shard
-	// receiver chunks iterate exactly one list each. Its length is the
-	// evaluator's shard count clamped to the lattice's columns and occupied
-	// cells, so more stripes than either never cost memory.
+	// receiver chunks iterate exactly one list each. Its length is
+	// defaultShardCount clamped to the lattice's columns and occupied cells
+	// (stripe), so more stripes than either never cost memory.
 	shardCells [][]int32
 	cellCount  int // cells assigned to a shard so far (== NumCells between epochs)
 }
@@ -208,8 +208,7 @@ func (f *FastChannel) buildBoundsIndex() *boundsIndex {
 	bi := &boundsIndex{cells: cells}
 	sx, sy := cells.Span()
 	bi.spanX, bi.spanY = sx, sy
-	bi.shardCells = make([][]int32, min(f.shards, sx+1, cells.NumCells()))
-	bi.appendCells()
+	bi.stripe(defaultShardCount)
 	// Near offsets lie within the 5×5 neighbourhood; offsets beyond the
 	// span can hold no occupied cell.
 	for dx := -min(sx, 2); dx <= min(sx, 2); dx++ {

@@ -21,10 +21,9 @@ func TestBoundsAdaptiveDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("s%d", shards), func(t *testing.T) {
-			opt := FastOptions{Shards: shards}
-			f := withWorkers(NewFastChannel(ch, opt), 1)
+	for _, stripes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("s%d", stripes), func(t *testing.T) {
+			f := withStripes(withWorkers(NewFastChannel(ch), 1), stripes)
 			defer f.Close()
 
 			f.SlotReceptions(tx)
@@ -73,7 +72,7 @@ func TestBoundsAdaptiveDispatch(t *testing.T) {
 
 			// Forks taken before the parent ever evaluated a slot — the experiment
 			// scheduler's pattern — must still share a single index build.
-			cold := withWorkers(NewFastChannel(ch, opt), 1)
+			cold := withStripes(withWorkers(NewFastChannel(ch), 1), stripes)
 			defer cold.Close()
 			a, b := cold.Fork(), cold.Fork()
 			defer a.Close()

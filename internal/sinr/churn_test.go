@@ -14,15 +14,15 @@ import (
 
 // TestChurnApplyAllocFree pins the benchmark acceptance property: on a
 // steady-state mobility cycle the incremental apply path performs zero heap
-// allocations, at several shard counts, including the cell-index patch and
-// the shard-partition append.
+// allocations, at several stripe counts, including the cell-index patch
+// and the stripe-partition append.
 func TestChurnApplyAllocFree(t *testing.T) {
 	for _, reg := range []struct {
-		name string
-		opts FastOptions
+		name    string
+		stripes int
 	}{
-		{"shard", FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}},
-		{"shard/s1", FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}},
+		{"shard", 4},
+		{"shard/s1", 1},
 	} {
 		t.Run(reg.name, func(t *testing.T) {
 			const n, moved = 1000, 10
@@ -30,7 +30,7 @@ func TestChurnApplyAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := withWorkers(NewFastChannel(ch, reg.opts), 1)
+			f := withStripes(withWorkers(NewFastChannel(ch, FastOptions{SparseFactor: -1, BoundsFactor: 1}), 1), reg.stripes)
 			defer f.Close()
 			// Warm every bucket/arena the cycle will touch.
 			tx := make([]int, 0, n/2)
@@ -54,6 +54,9 @@ func TestChurnApplyAllocFree(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state ApplyEpoch allocates %.1f times per op, want 0", allocs)
+			}
+			if got := len(f.bidx.shardCells); got != reg.stripes {
+				t.Fatalf("the patched lattice has %d stripes, want %d", got, reg.stripes)
 			}
 			// The patched evaluator still matches the naive reference.
 			if !slices.Equal(f.SlotReceptions(tx), ch.SlotReceptions(tx)) {
@@ -132,7 +135,7 @@ func TestChurnShardLatticeEscape(t *testing.T) {
 		{"demote", 3e6, "none"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkOracle(t, oracleScenario{layout: "line", n: 25, seed: 21, shards: 4, pin: "certified",
+			checkOracle(t, oracleScenario{layout: "line", n: 25, seed: 21, stripes: 4, pin: "certified",
 				workers: 1, fork: "pre", epochs: 1, escape: tc.escape, tables: tc.tables}, refs)
 		})
 	}

@@ -62,13 +62,6 @@ type FastOptions struct {
 	// exact dense scan the benchmarks compare against). The β guard
 	// (boundsBetaMin) is respected in every mode.
 	BoundsFactor int
-	// Shards is the shard count of the cell lattice (shard.go). Zero or
-	// negative (the default) selects defaultShardCount; a positive value
-	// selects that many shards (the evaluator oracle pins S ∈ {1, 4, 8}).
-	// The shard count is a work-partition width, not a correctness
-	// parameter: results are bit-identical at any value, and values above
-	// the lattice's column or occupied-cell count act as that count.
-	Shards int
 }
 
 // FastChannel is the scalable SINR slot evaluator. It produces receptions
@@ -193,7 +186,6 @@ type FastChannel struct {
 	// them is per-evaluator lattice slot scratch. superFarLo/Hi/Max hold the
 	// far-field interference bounds of each receiver supercell for the
 	// slot being evaluated.
-	shards        int
 	boundsFactor  int
 	bholder       *boundsHolder
 	bidx          *boundsIndex
@@ -262,7 +254,6 @@ func NewFastChannel(c *Channel, opts ...FastOptions) *FastChannel {
 	f.cullRadius = math.Max(c.params.Range(), 1) * (1 + cullSlack)
 	f.box = geom.BoundingBox(f.pos)
 	f.updateCoverageModel()
-	f.shards = resolveShards(opt.Shards)
 	f.bholder = &boundsHolder{}
 	f.ensureIndex()
 	return f
@@ -393,7 +384,6 @@ func (f *FastChannel) Fork() *FastChannel {
 		boundsFactor: f.boundsFactor,
 		bholder:      f.bholder,
 		bidx:         f.bidx,
-		shards:       f.shards,
 		box:          f.box,
 		logBallMiss:  f.logBallMiss,
 		out:          make([]Reception, f.n),

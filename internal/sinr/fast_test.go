@@ -13,6 +13,25 @@ func withWorkers(f *FastChannel, workers int) *FastChannel {
 	return f
 }
 
+// withStripes re-partitions f's lattice, which its forks share, into
+// stripeCount(bi, s) stripes, as the lattice would be striped with s in
+// place of defaultShardCount; s ≤ 0 keeps the partition. An epoch that
+// rebuilds the index restores the default, so callers re-stripe after
+// every epoch. Tests vary the partition this way to hold the cross-shard
+// certificate invariant (shard.go) at any stripe count.
+func withStripes(f *FastChannel, s int) *FastChannel {
+	if s > 0 {
+		f.bidx.stripe(s)
+	}
+	return f
+}
+
+// stripeCount is the number of stripes stripe(s) gives bi: s clamped to
+// the lattice's columns and occupied cells.
+func stripeCount(bi *boundsIndex, s int) int {
+	return min(s, bi.spanX+1, bi.cells.NumCells())
+}
+
 // TestFastChannelEmptyAndAccessors checks the trivial paths and the
 // evaluator accessors.
 func TestFastChannelEmptyAndAccessors(t *testing.T) {
@@ -79,18 +98,18 @@ func TestFastChannelAllocFree(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name    string
-		opt     FastOptions
-		workers int
+		name             string
+		opt              FastOptions
+		stripes, workers int
 	}{
-		{"shard/cert", FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: 1}, 1},
-		{"shard/s1/cert", FastOptions{Shards: 1, SparseFactor: -1, BoundsFactor: 1}, 1},
-		{"shard/dense", FastOptions{Shards: 4, SparseFactor: -1, BoundsFactor: -1}, 1},
-		{"shard/sparse", FastOptions{Shards: 4, SparseFactor: 1}, 1},
-		{"shard/sparse/4w", FastOptions{SparseFactor: 1}, 4},
-		{"shard/cert/4w", FastOptions{Shards: 8, SparseFactor: -1, BoundsFactor: 1}, 4},
+		{"shard/cert", FastOptions{SparseFactor: -1, BoundsFactor: 1}, 4, 1},
+		{"shard/s1/cert", FastOptions{SparseFactor: -1, BoundsFactor: 1}, 1, 1},
+		{"shard/dense", FastOptions{SparseFactor: -1, BoundsFactor: -1}, 4, 1},
+		{"shard/sparse", FastOptions{SparseFactor: 1}, 4, 1},
+		{"shard/sparse/4w", FastOptions{SparseFactor: 1}, 0, 4},
+		{"shard/cert/4w", FastOptions{SparseFactor: -1, BoundsFactor: 1}, 8, 4},
 	} {
-		f := withWorkers(NewFastChannel(ch, tc.opt), tc.workers)
+		f := withStripes(withWorkers(NewFastChannel(ch, tc.opt), tc.workers), tc.stripes)
 		f.SlotReceptions(tx) // warm the scratch rows and candidate buffers
 		allocs := testing.AllocsPerRun(20, func() { f.SlotReceptions(tx) })
 		if allocs != 0 {

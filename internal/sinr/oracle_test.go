@@ -1,7 +1,7 @@
 package sinr
 
-// The evaluator oracle: every configuration of FastChannel — shard count,
-// dispatch pin, worker count, forks and mobility epochs — must
+// The evaluator oracle: every configuration of FastChannel — stripe
+// partition, dispatch pin, worker count, forks and mobility epochs — must
 // decide every slot exactly as the naive Channel.SlotReceptions does, at
 // the same positions, and its certified-tier counters must account for
 // each slot. TestEvaluatorOracle runs a fixed table of scenarios in named
@@ -20,9 +20,9 @@ import (
 )
 
 // The scenario axes the fuzz target draws from. An empty pin is the
-// adaptive dispatch, an empty fork mode takes no fork. The table's shard
-// counts are the default (0) and S ∈ {1, 4, 8, defaultShardCount}; the
-// fuzz target passes any int as FastOptions.Shards.
+// adaptive dispatch, an empty fork mode takes no fork. The table's stripe
+// counts are the lattice's own (0) and S ∈ {1, 2, 4, 8, defaultShardCount};
+// the fuzz target passes any int to withStripes.
 var (
 	oracleLayouts = slices.Concat(randomLayouts, thresholdLayouts,
 		[]string{"lone-transmitter-ring", "interference-knife-edge", "cull-boundary", "subrange", "beta-guard"})
@@ -44,7 +44,7 @@ type oracleScenario struct {
 	seed    uint64  // layout, range, epoch and slot seed
 	offset  float64 // cluster distance of the outlier layout
 	alpha   float64 // path-loss exponent; 0 means 3
-	shards  int     // FastOptions.Shards: ≤ 0 is defaultShardCount
+	stripes int     // withStripes' count after every (re)build; ≤ 0 keeps the lattice's own partition
 	pin     string  // the dispatch FastOptions pins: sparse, certified, dense, or adaptive
 	workers int     // SetWorkers
 	fork    string  // pre: forked at construction; post: forked afresh after every epoch; concurrent: pre, run beside the parent
@@ -67,12 +67,12 @@ func (sc oracleScenario) String() string {
 	if a := cmp.Or(sc.alpha, 3); a != 3 {
 		s += fmt.Sprintf("/a%g", a)
 	}
-	// Rows at the default shard count are named "matrix", after the n×n
-	// power-matrix regime that served small deployments before the lattice
-	// served every size; the name keeps their test ids stable.
+	// Rows on the lattice's own partition are named "matrix", after the
+	// n×n power-matrix regime that served small deployments before the
+	// lattice served every size; the name keeps their test ids stable.
 	regime := "matrix"
-	if sc.shards > 0 {
-		regime = fmt.Sprintf("s%d", sc.shards)
+	if sc.stripes > 0 {
+		regime = fmt.Sprintf("s%d", sc.stripes)
 	}
 	s += fmt.Sprintf("/%s/%s/w%d", regime, cmp.Or(sc.pin, "auto"), sc.workers)
 	if sc.fork != "" {
@@ -87,12 +87,10 @@ func (sc oracleScenario) String() string {
 	return s
 }
 
-// options maps the shard count and pin onto FastOptions.
+// options maps the pin onto FastOptions.
 func (sc oracleScenario) options() FastOptions {
-	opts := map[string]FastOptions{"sparse": {SparseFactor: 1},
+	return map[string]FastOptions{"sparse": {SparseFactor: 1},
 		"certified": {SparseFactor: -1, BoundsFactor: 1}, "dense": {SparseFactor: -1, BoundsFactor: -1}}[sc.pin]
-	opts.Shards = sc.shards
-	return opts
 }
 
 // oracleParams returns DefaultParams(r) with path-loss exponent alpha and,
@@ -379,13 +377,8 @@ func checkOracle(t testing.TB, sc oracleScenario, refs map[oracleScenario]*oracl
 	if err != nil {
 		t.Fatalf("%v: %v", sc, err)
 	}
-	f := NewFastChannel(ch, sc.options())
+	f := withStripes(withWorkers(NewFastChannel(ch, sc.options()), sc.workers), sc.stripes)
 	defer f.Close()
-	f.SetWorkers(sc.workers)
-	shards := f.Shards()
-	if want := cmp.Or(max(sc.shards, 0), defaultShardCount); shards != want {
-		t.Fatalf("%v: %d shards, want %d", sc, shards, want)
-	}
 	var g *FastChannel
 	defer func() {
 		if g != nil {
@@ -398,7 +391,7 @@ func checkOracle(t testing.TB, sc oracleScenario, refs map[oracleScenario]*oracl
 			g.Close()
 		}
 		g = f.Fork()
-		if g.bidx == nil || g.bidx != f.bidx || g.Shards() != shards || g.BoundsStats() != (BoundsStats{}) {
+		if g.bidx == nil || g.bidx != f.bidx || g.BoundsStats() != (BoundsStats{}) {
 			t.Fatalf("%v: a fork must share the parent's index and start with zero counters, got %+v", sc, g.BoundsStats())
 		}
 	}
@@ -414,18 +407,23 @@ func checkOracle(t testing.TB, sc oracleScenario, refs map[oracleScenario]*oracl
 					}
 				}
 			}
+			withStripes(f, sc.stripes)
 		}
 		if sc.fork == "post" {
 			fork()
 		}
 		bi := f.bidx
-		switch {
-		case f.Shards() != shards:
-			t.Fatalf("%v: leg %d: %d shards, %d at construction", sc, l, f.Shards(), shards)
+		if bi == nil || bi.shardCells == nil {
+			t.Fatalf("%v: leg %d: the evaluator does not hold the lattice's index", sc, l)
+		}
+		// An epoch patched in place keeps the stripe count of the last build
+		// while newly occupied cells join, so the count may fall below the
+		// clamp after an epoch, never above it.
+		switch want := stripeCount(bi, cmp.Or(max(sc.stripes, 0), defaultShardCount)); {
+		case len(bi.shardCells) > want || l == 0 && len(bi.shardCells) != want:
+			t.Fatalf("%v: leg %d: %d stripes, want %d", sc, l, len(bi.shardCells), want)
 		case g != nil && g.bidx != bi:
 			t.Fatalf("%v: leg %d: the fork no longer shares the parent's index", sc, l)
-		case bi == nil || bi.shardCells == nil:
-			t.Fatalf("%v: leg %d: the evaluator does not hold the lattice's index", sc, l)
 		case l == sc.epochs && sc.tables != "" && (bi.pwUB != nil) != (sc.tables == "built"):
 			t.Fatalf("%v: offset tables built = %v in the last leg, want %s", sc, bi.pwUB != nil, sc.tables)
 		}
@@ -555,14 +553,14 @@ var oracleGroups = []struct {
 }{
 	// Random deployments at three densities.
 	{"uniform", []oracleScenario{
-		{layout: "uniform-sparse", n: 90, seed: 1, shards: 4, workers: 2},
-		{layout: "uniform", n: 100, seed: 2, shards: defaultShardCount, pin: "certified", workers: 4},
-		{layout: "uniform-dense", n: 110, seed: 3, shards: 1, pin: "dense", workers: 1},
+		{layout: "uniform-sparse", n: 90, seed: 1, stripes: 4, workers: 2},
+		{layout: "uniform", n: 100, seed: 2, stripes: defaultShardCount, pin: "certified", workers: 4},
+		{layout: "uniform-dense", n: 110, seed: 3, stripes: 1, pin: "dense", workers: 1},
 		{layout: "uniform-sparse", n: 120, seed: 4, workers: 1},
 		{layout: "uniform", n: 60, seed: 5, pin: "dense", workers: 4},
-		{layout: "uniform-dense", n: 70, seed: 6, shards: 8, pin: "sparse", workers: 2},
-		{layout: "line", n: 40, seed: 7, shards: 4, pin: "certified", workers: 2},
-		{layout: "clusters", n: 96, seed: 8, shards: 8, pin: "certified", workers: 4},
+		{layout: "uniform-dense", n: 70, seed: 6, stripes: 8, pin: "sparse", workers: 2},
+		{layout: "line", n: 40, seed: 7, stripes: 4, pin: "certified", workers: 2},
+		{layout: "clusters", n: 96, seed: 8, stripes: 8, pin: "certified", workers: 4},
 		{layout: "clusters", n: 96, seed: 8, workers: 2},
 	}},
 	// The sender-centric sparse path at one and four workers.
@@ -573,26 +571,26 @@ var oracleGroups = []struct {
 	// Forks of a cold or warm parent, interleaved and concurrent.
 	{"fork", []oracleScenario{
 		{layout: "uniform", n: 120, seed: 10, workers: 2, fork: "concurrent"},
-		{layout: "uniform", n: 120, seed: 10, shards: defaultShardCount, workers: 2, fork: "pre"},
-		{layout: "uniform", n: 120, seed: 10, shards: 1, pin: "certified", workers: 2, fork: "post", epochs: 1},
-		{layout: "uniform", n: 120, seed: 10, shards: defaultShardCount, pin: "certified", workers: 2, fork: "concurrent"},
-		{layout: "uniform", n: 500, seed: 11, shards: 4, pin: "certified", workers: 2, fork: "concurrent"},
+		{layout: "uniform", n: 120, seed: 10, stripes: defaultShardCount, workers: 2, fork: "pre"},
+		{layout: "uniform", n: 120, seed: 10, stripes: 1, pin: "certified", workers: 2, fork: "post", epochs: 1},
+		{layout: "uniform", n: 120, seed: 10, stripes: defaultShardCount, pin: "certified", workers: 2, fork: "concurrent"},
+		{layout: "uniform", n: 500, seed: 11, stripes: 4, pin: "certified", workers: 2, fork: "concurrent"},
 	}},
 	// Receivers on the range, near-field and half-duplex edges.
 	{"threshold", cross(thresholdLayouts,
 		oracleScenario{workers: 1},
-		oracleScenario{shards: 1, pin: "certified", workers: 2},
-		oracleScenario{shards: 8, pin: "sparse", workers: 4},
-		oracleScenario{shards: defaultShardCount, pin: "dense", workers: 1},
+		oracleScenario{stripes: 1, pin: "certified", workers: 2},
+		oracleScenario{stripes: 8, pin: "sparse", workers: 4},
+		oracleScenario{stripes: defaultShardCount, pin: "dense", workers: 1},
 	)},
 	// The culling-radius boundary and a range below the near-field clamp.
 	{"planted", cross([]string{"cull-boundary", "subrange"},
 		oracleScenario{pin: "dense", workers: 2},
-		oracleScenario{shards: 4, pin: "certified", workers: 1},
-		oracleScenario{shards: 8, pin: "sparse", workers: 4},
-		oracleScenario{shards: 1, workers: 2, epochs: 1},
+		oracleScenario{stripes: 4, pin: "certified", workers: 1},
+		oracleScenario{stripes: 8, pin: "sparse", workers: 4},
+		oracleScenario{stripes: 1, workers: 2, epochs: 1},
 	)},
-	// The default shard count under move epochs, adaptive and with the
+	// The lattice's own partition under move epochs, adaptive and with the
 	// certified tier pinned.
 	{"matrix", []oracleScenario{
 		{layout: "uniform", n: 120, seed: 12, workers: 2, epochs: 2},
@@ -600,70 +598,70 @@ var oracleGroups = []struct {
 	}},
 	// The certified tier on dense slots.
 	{"bounds", []oracleScenario{
-		{layout: "uniform", n: 400, seed: 13, shards: 1, pin: "certified", workers: 1},
-		{layout: "uniform", n: 400, seed: 13, shards: 4, pin: "certified", workers: 4},
+		{layout: "uniform", n: 400, seed: 13, stripes: 1, pin: "certified", workers: 1},
+		{layout: "uniform", n: 400, seed: 13, stripes: 4, pin: "certified", workers: 4},
 	}},
 	// Planted threshold receivers refine; the rest certify.
 	{"refine", []oracleScenario{
-		{layout: "lone-transmitter-ring", shards: 1, pin: "certified", workers: 1},
-		{layout: "interference-knife-edge", shards: 4, pin: "certified", workers: 4},
+		{layout: "lone-transmitter-ring", stripes: 1, pin: "certified", workers: 1},
+		{layout: "interference-knife-edge", stripes: 4, pin: "certified", workers: 4},
 	}},
 	{"beta-guard", []oracleScenario{
-		{layout: "beta-guard", seed: 3, shards: 1, pin: "certified", workers: 1},
-		{layout: "beta-guard", seed: 3, shards: 4, pin: "certified", workers: 4},
-		{layout: "beta-guard", seed: 3, shards: 4, pin: "certified", workers: 1},
+		{layout: "beta-guard", seed: 3, stripes: 1, pin: "certified", workers: 1},
+		{layout: "beta-guard", seed: 3, stripes: 4, pin: "certified", workers: 4},
+		{layout: "beta-guard", seed: 3, stripes: 4, pin: "certified", workers: 1},
 	}},
-	// Every shard count on the certified, dense, sparse and adaptive paths.
+	// Every stripe count on the certified, dense, sparse and adaptive paths.
 	{"shards", []oracleScenario{
-		{layout: "uniform", n: 400, seed: 14, shards: 1, pin: "certified", workers: 1},
-		{layout: "uniform", n: 400, seed: 14, shards: 4, pin: "certified", workers: 4},
-		{layout: "uniform", n: 400, seed: 14, shards: 8, pin: "certified", workers: 4},
-		{layout: "uniform", n: 400, seed: 14, shards: defaultShardCount, workers: 2},
-		{layout: "uniform", n: 400, seed: 14, shards: 4, pin: "dense", workers: 1},
-		{layout: "uniform", n: 400, seed: 14, shards: 8, pin: "dense", workers: 4},
-		{layout: "uniform", n: 400, seed: 14, shards: 4, pin: "sparse", workers: 2},
+		{layout: "uniform", n: 400, seed: 14, stripes: 1, pin: "certified", workers: 1},
+		{layout: "uniform", n: 400, seed: 14, stripes: 4, pin: "certified", workers: 4},
+		{layout: "uniform", n: 400, seed: 14, stripes: 8, pin: "certified", workers: 4},
+		{layout: "uniform", n: 400, seed: 14, stripes: defaultShardCount, workers: 2},
+		{layout: "uniform", n: 400, seed: 14, stripes: 4, pin: "dense", workers: 1},
+		{layout: "uniform", n: 400, seed: 14, stripes: 8, pin: "dense", workers: 4},
+		{layout: "uniform", n: 400, seed: 14, stripes: 4, pin: "sparse", workers: 2},
 	}},
 	{"shard-refine", []oracleScenario{
-		{layout: "lone-transmitter-ring", shards: 8, pin: "certified", workers: 1},
-		{layout: "interference-knife-edge", shards: 8, pin: "certified", workers: 1},
-		{layout: "lone-transmitter-ring", shards: defaultShardCount, pin: "certified", workers: 2},
-		{layout: "interference-knife-edge", shards: 1, pin: "certified", workers: 2},
+		{layout: "lone-transmitter-ring", stripes: 8, pin: "certified", workers: 1},
+		{layout: "interference-knife-edge", stripes: 8, pin: "certified", workers: 1},
+		{layout: "lone-transmitter-ring", stripes: defaultShardCount, pin: "certified", workers: 2},
+		{layout: "interference-knife-edge", stripes: 1, pin: "certified", workers: 2},
 	}},
 	// Clusters too far apart for the offset tables; at 3e10 the cell span
 	// exceeds the int32 range, on both axes once a node escapes that far.
 	{"outlier", []oracleScenario{
-		{layout: "outlier", n: 80, seed: 15, offset: 1e6, shards: 4, workers: 2, epochs: 1, escape: 3e10, tables: "none"},
-		{layout: "outlier", n: 80, seed: 15, offset: 1e6, shards: 8, pin: "certified", workers: 4, tables: "none"},
-		{layout: "outlier", n: 80, seed: 15, offset: 3e10, shards: 8, pin: "sparse", workers: 1, tables: "none"},
+		{layout: "outlier", n: 80, seed: 15, offset: 1e6, stripes: 4, workers: 2, epochs: 1, escape: 3e10, tables: "none"},
+		{layout: "outlier", n: 80, seed: 15, offset: 1e6, stripes: 8, pin: "certified", workers: 4, tables: "none"},
+		{layout: "outlier", n: 80, seed: 15, offset: 3e10, stripes: 8, pin: "sparse", workers: 1, tables: "none"},
 		{layout: "outlier", n: 80, seed: 15, offset: 1e6, pin: "sparse", workers: 4},
 		{layout: "outlier", n: 80, seed: 15, offset: 3e10, pin: "dense", workers: 1},
-		{layout: "outlier", n: 40, seed: 16, offset: 1e4, shards: 4, pin: "certified", workers: 2, epochs: 2, tables: "none"},
-		{layout: "outlier", n: 40, seed: 16, offset: 100, shards: 4, pin: "certified", workers: 2, tables: "built"},
+		{layout: "outlier", n: 40, seed: 16, offset: 1e4, stripes: 4, pin: "certified", workers: 2, epochs: 2, tables: "none"},
+		{layout: "outlier", n: 40, seed: 16, offset: 100, stripes: 4, pin: "certified", workers: 2, tables: "built"},
 	}},
 	// Hundreds of occupied cells and several supercell rows; skipped in
 	// -short.
 	{"medium", []oracleScenario{
-		{layout: "uniform", n: 20000, seed: 5, shards: 8, pin: "certified", workers: 4},
-		{layout: "uniform", n: 20000, seed: 5, shards: 1, workers: 2},
+		{layout: "uniform", n: 20000, seed: 5, stripes: 8, pin: "certified", workers: 4},
+		{layout: "uniform", n: 20000, seed: 5, stripes: 1, workers: 2},
 	}},
 	// The row kernel's integer-exponent loops (α = 3, 4) and its math.Pow
 	// loop (α = 2.5), each on every path that calls it: the sparse path,
 	// the certified pipeline and the dense fallback, before and after a
 	// move epoch.
 	{"alpha", cross([]string{"uniform"},
-		oracleScenario{n: 90, seed: 17, alpha: 2.5, shards: 4, pin: "certified", workers: 2, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 2.5, stripes: 4, pin: "certified", workers: 2, epochs: 1},
 		oracleScenario{n: 90, seed: 17, alpha: 3, workers: 1, epochs: 1},
-		oracleScenario{n: 90, seed: 17, alpha: 4, shards: 8, pin: "sparse", workers: 4, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 4, stripes: 8, pin: "sparse", workers: 4, epochs: 1},
 		oracleScenario{n: 90, seed: 18, alpha: 2.5, pin: "dense", workers: 4},
-		oracleScenario{n: 90, seed: 18, alpha: 4, shards: 1, pin: "certified", workers: 1},
-		oracleScenario{n: 90, seed: 18, alpha: 2.5, shards: defaultShardCount, workers: 2},
-		oracleScenario{n: 90, seed: 17, alpha: 2.5, shards: 8, pin: "sparse", workers: 1, epochs: 1},
-		oracleScenario{n: 90, seed: 17, alpha: 2.5, shards: 4, pin: "dense", workers: 2, epochs: 1},
+		oracleScenario{n: 90, seed: 18, alpha: 4, stripes: 1, pin: "certified", workers: 1},
+		oracleScenario{n: 90, seed: 18, alpha: 2.5, stripes: defaultShardCount, workers: 2},
+		oracleScenario{n: 90, seed: 17, alpha: 2.5, stripes: 8, pin: "sparse", workers: 1, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 2.5, stripes: 4, pin: "dense", workers: 2, epochs: 1},
 		oracleScenario{n: 90, seed: 17, alpha: 2.5, workers: 2, epochs: 1},
-		oracleScenario{n: 90, seed: 17, alpha: 3, shards: 4, pin: "sparse", workers: 2, epochs: 1},
-		oracleScenario{n: 90, seed: 17, alpha: 3, shards: 8, pin: "certified", workers: 4, epochs: 1},
-		oracleScenario{n: 90, seed: 17, alpha: 3, shards: 1, pin: "dense", workers: 1, epochs: 1},
-		oracleScenario{n: 90, seed: 17, alpha: 4, shards: 4, pin: "dense", workers: 2, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 3, stripes: 4, pin: "sparse", workers: 2, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 3, stripes: 8, pin: "certified", workers: 4, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 3, stripes: 1, pin: "dense", workers: 1, epochs: 1},
+		oracleScenario{n: 90, seed: 17, alpha: 4, stripes: 4, pin: "dense", workers: 2, epochs: 1},
 		oracleScenario{n: 90, seed: 17, alpha: 4, workers: 4, epochs: 1},
 	)},
 	// Mobility epochs on every configuration, storms included.
@@ -671,31 +669,41 @@ var oracleGroups = []struct {
 		{layout: "uniform", n: 64, seed: 19, workers: 2, epochs: 4},
 		{layout: "uniform", n: 64, seed: 19, pin: "sparse", workers: 2, epochs: 4},
 		{layout: "uniform", n: 64, seed: 19, pin: "dense", workers: 1, epochs: 4},
-		{layout: "uniform", n: 64, seed: 19, shards: defaultShardCount, workers: 4, epochs: 4},
-		{layout: "uniform", n: 64, seed: 19, shards: 4, workers: 2, epochs: 4},
-		{layout: "uniform", n: 64, seed: 19, shards: 1, pin: "certified", workers: 2, epochs: 4},
-		{layout: "uniform", n: 64, seed: 19, shards: 1, pin: "certified", workers: 1, epochs: 4},
-		{layout: "uniform", n: 64, seed: 19, shards: 4, pin: "dense", workers: 1, epochs: 4},
-		{layout: "uniform", n: 64, seed: 19, shards: 8, pin: "sparse", workers: 2, epochs: 4},
+		{layout: "uniform", n: 64, seed: 19, stripes: defaultShardCount, workers: 4, epochs: 4},
+		{layout: "uniform", n: 64, seed: 19, stripes: 4, workers: 2, epochs: 4},
+		{layout: "uniform", n: 64, seed: 19, stripes: 1, pin: "certified", workers: 2, epochs: 4},
+		{layout: "uniform", n: 64, seed: 19, stripes: 1, pin: "certified", workers: 1, epochs: 4},
+		{layout: "uniform", n: 64, seed: 19, stripes: 4, pin: "dense", workers: 1, epochs: 4},
+		{layout: "uniform", n: 64, seed: 19, stripes: 8, pin: "sparse", workers: 2, epochs: 4},
 	}},
 	// Pre-epoch forks patched beside the parent and post-epoch forks.
 	{"churn-fork", []oracleScenario{
 		{layout: "uniform", n: 40, seed: 20, workers: 2, fork: "pre", epochs: 4},
-		{layout: "uniform", n: 40, seed: 20, shards: defaultShardCount, workers: 2, fork: "post", epochs: 4},
-		{layout: "uniform", n: 40, seed: 20, shards: 1, pin: "certified", workers: 2, fork: "concurrent", epochs: 4},
+		{layout: "uniform", n: 40, seed: 20, stripes: defaultShardCount, workers: 2, fork: "post", epochs: 4},
+		{layout: "uniform", n: 40, seed: 20, stripes: 1, pin: "certified", workers: 2, fork: "concurrent", epochs: 4},
 	}},
 	// A node leaves the lattice rectangle and a pre-epoch fork follows the
 	// parent. TestChurnShardLatticeEscape covers the sharded outcomes.
 	{"escape", []oracleScenario{
-		{layout: "line", n: 25, seed: 21, shards: 1, pin: "certified", workers: 1, fork: "pre", epochs: 1, escape: 100},
+		{layout: "line", n: 25, seed: 21, stripes: 1, pin: "certified", workers: 1, fork: "pre", epochs: 1, escape: 100},
 	}},
 	// Mirror moves carry nodes across every stripe boundary.
 	{"stripes", []oracleScenario{
-		{layout: "line", n: 96, seed: 22, shards: 2, pin: "certified", workers: 2, fork: "pre", epochs: 4},
-		{layout: "line", n: 96, seed: 22, shards: 4, workers: 2, fork: "post", epochs: 4},
-		{layout: "line", n: 96, seed: 22, shards: 4, pin: "dense", workers: 2, epochs: 4},
-		{layout: "line", n: 96, seed: 22, shards: 8, pin: "certified", workers: 1, fork: "pre", epochs: 4},
+		{layout: "line", n: 96, seed: 22, stripes: 2, pin: "certified", workers: 2, fork: "pre", epochs: 4},
+		{layout: "line", n: 96, seed: 22, stripes: 4, workers: 2, fork: "post", epochs: 4},
+		{layout: "line", n: 96, seed: 22, stripes: 4, pin: "dense", workers: 2, epochs: 4},
+		{layout: "line", n: 96, seed: 22, stripes: 8, pin: "certified", workers: 1, fork: "pre", epochs: 4},
 	}},
+	// The lattice's own partition of an 80-column line: 64 stripes, some
+	// of them two columns wide, on the certified and dense scans.
+	{"wide-stripes", cross([]string{"line"},
+		oracleScenario{n: 400, seed: 23, stripes: defaultShardCount, pin: "certified", workers: 1},
+		oracleScenario{n: 400, seed: 23, stripes: defaultShardCount, pin: "certified", workers: 2},
+		oracleScenario{n: 400, seed: 23, stripes: defaultShardCount, pin: "certified", workers: 4},
+		oracleScenario{n: 400, seed: 23, stripes: defaultShardCount, pin: "dense", workers: 1},
+		oracleScenario{n: 400, seed: 23, stripes: defaultShardCount, pin: "dense", workers: 2},
+		oracleScenario{n: 400, seed: 23, stripes: defaultShardCount, pin: "dense", workers: 4},
+	)},
 }
 
 // oracleShortMaxN is the largest node count a table row may have under
@@ -721,21 +729,22 @@ func TestEvaluatorOracle(t *testing.T) {
 
 // FuzzEvaluatorOracle draws scenarios and holds each to the naive channel.
 // The decoding caps the node count at 128, the epochs at 4 and the offset
-// and escape distances within MaxCoordinate; the shard count is passed to
-// FastOptions as drawn.
+// and escape distances within MaxCoordinate; the stripe count is passed to
+// withStripes as drawn.
 func FuzzEvaluatorOracle(f *testing.F) {
 	add := func(sc oracleScenario) {
 		f.Add(sc.seed, uint8(max(sc.n-1, 0)), uint8(slices.Index(oracleLayouts, sc.layout)), sc.offset,
-			uint8(slices.Index(oracleAlphas, cmp.Or(sc.alpha, 3))), sc.shards, uint8(slices.Index(oraclePins, sc.pin)),
+			uint8(slices.Index(oracleAlphas, cmp.Or(sc.alpha, 3))), sc.stripes, uint8(slices.Index(oraclePins, sc.pin)),
 			uint8(slices.Index(oracleWorkers, sc.workers)), uint8(slices.Index(oracleForks, sc.fork)),
 			uint8(sc.epochs), sc.escape)
 	}
-	add(oracleScenario{layout: "clusters", n: 20, seed: 3, shards: math.MaxInt, workers: 1})
-	add(oracleScenario{layout: "outlier", n: 40, seed: 16, offset: 1e4, shards: 8, pin: "certified", workers: 2, fork: "concurrent", epochs: 2})
-	add(oracleScenario{layout: "interference-knife-edge", alpha: 2.5, shards: 4, pin: "certified", workers: 4, fork: "post", epochs: 3})
+	add(oracleScenario{layout: "clusters", n: 20, seed: 3, stripes: math.MaxInt, workers: 1})
+	add(oracleScenario{layout: "outlier", n: 40, seed: 16, offset: 1e4, stripes: 8, pin: "certified", workers: 2, fork: "concurrent", epochs: 2})
+	add(oracleScenario{layout: "interference-knife-edge", alpha: 2.5, stripes: 4, pin: "certified", workers: 4, fork: "post", epochs: 3})
 	add(oracleScenario{layout: "uniform-dense", n: 128, seed: 4, alpha: 4, pin: "sparse", workers: 2, fork: "pre", epochs: 4, escape: 50})
-	add(oracleScenario{layout: "line", n: 1, seed: 5, shards: 1, workers: 4, epochs: 1})
-	f.Fuzz(func(t *testing.T, seed uint64, n, layout uint8, offset float64, alpha uint8, shards int,
+	add(oracleScenario{layout: "line", n: 1, seed: 5, stripes: 1, workers: 4, epochs: 1})
+	add(oracleScenario{layout: "uniform-dense", n: 51, seed: 4, alpha: 4, pin: "sparse", workers: 2, fork: "pre", epochs: 4, escape: 120})
+	f.Fuzz(func(t *testing.T, seed uint64, n, layout uint8, offset float64, alpha uint8, stripes int,
 		pin, workers, fork, epochs uint8, escape float64) {
 		dist := func(x, limit float64) float64 {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -747,7 +756,7 @@ func FuzzEvaluatorOracle(f *testing.F) {
 			layout:  oracleLayouts[int(layout)%len(oracleLayouts)],
 			seed:    seed,
 			alpha:   oracleAlphas[int(alpha)%len(oracleAlphas)],
-			shards:  shards,
+			stripes: stripes,
 			pin:     oraclePins[int(pin)%len(oraclePins)],
 			workers: oracleWorkers[int(workers)%len(oracleWorkers)],
 			fork:    oracleForks[int(fork)%len(oracleForks)],

@@ -62,8 +62,14 @@ import (
 // the 4·(k+64)·ulp slack budget, so loW ≤ Ŝ ≤ hiW still brackets the exact
 // path's floating-point interference sum in any summation order; receivers
 // whose certificates disagree refine through the exact per-receiver
-// arithmetic as bounds.go describes. S ∈ {1, 2, 4, 8, …} therefore yields
-// identical Reception slices, which TestEvaluatorOracle pins.
+// arithmetic as bounds.go describes. Any stripe count therefore yields
+// identical Reception slices. The lattice fixes S = defaultShardCount, and
+// the geometry clamps it: a deployment gets one stripe per column up to 64
+// (one stripe for a single node, 60 for a 60-column line), 64 stripes of
+// one or two columns beyond that, and on sparse outlier geometry no more
+// stripes than occupied cells. TestEvaluatorOracle holds every one of
+// those to the naive channel, and re-stripes the same deployments into
+// S ∈ {1, 2, 4, 8} to pin the invariant directly.
 //
 // Slots that decline the certificates (β guard, cost model, forced via
 // BoundsFactor < 0, or a lattice too wide for its offset tables) fall back
@@ -73,11 +79,12 @@ import (
 // the exact O(k) row. Sparse slots take the sender-centric path of
 // fast.go, which walks the same cell index.
 
-// defaultShardCount is the lattice's shard count unless FastOptions.Shards
-// sets one.
-// Shards are work-partition units, not threads: the scan runs min(workers,
-// shards) chunks, so 64 stripes load-balance any worker count the pool is
-// likely to see while keeping the per-shard bookkeeping negligible.
+// defaultShardCount is the lattice's stripe count before stripe clamps it
+// to the lattice's columns and occupied cells. Stripes are work-partition
+// units, not threads: the scan runs min(workers, stripes) chunks, so 64
+// stripes load-balance any worker count the pool is likely to see while
+// keeping the per-stripe bookkeeping negligible. It is not a model
+// parameter, so no option sets it.
 const defaultShardCount = 64
 
 // shardSuperSize is the supercell side length in cells. Supercells at
@@ -107,6 +114,14 @@ func (bi *boundsIndex) shardForColumn(cx int) int {
 	return int(sh)
 }
 
+// stripe partitions the occupied cells into min(s, columns, occupied cells)
+// stripes of lattice columns; more stripes than either would stay empty.
+func (bi *boundsIndex) stripe(s int) {
+	bi.shardCells = make([][]int32, min(s, bi.spanX+1, bi.cells.NumCells()))
+	bi.cellCount = 0
+	bi.appendCells()
+}
+
 // appendCells extends the partition to cells the churn patch appended to
 // the decomposition (always inside the original lattice, so the stripe
 // function still applies). Steady-state mobility cycles re-occupy existing
@@ -120,21 +135,6 @@ func (bi *boundsIndex) appendCells() {
 	}
 	bi.cellCount = nc
 }
-
-// resolveShards maps the FastOptions.Shards knob to the lattice's shard
-// count: a positive value as given (the evaluator oracle pins S ∈ {1, 4,
-// 8} this way), defaultShardCount otherwise.
-func resolveShards(opt int) int {
-	if opt > 0 {
-		return opt
-	}
-	return defaultShardCount
-}
-
-// Shards returns the shard count of the cell lattice, always positive. The
-// partition holds no more stripes than the lattice has columns or occupied
-// cells (buildBoundsIndex).
-func (f *FastChannel) Shards() int { return f.shards }
 
 // ensureIndex resolves the family's shared index, building it if no
 // member has yet, and sizes this evaluator's lattice scratch for it.

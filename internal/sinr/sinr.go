@@ -29,7 +29,7 @@
 // what crosses shard boundaries, so shards never read each other's
 // per-receiver state) or fall back to it.
 // The evaluator oracle (oracle_test.go) holds every path bit-identical to
-// the reference at any shard and worker count.
+// the reference at any stripe partition and worker count.
 //
 // # Pow-free arithmetic
 //

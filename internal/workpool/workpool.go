@@ -1,8 +1,8 @@
 // Package workpool provides the persistent worker pool the fast SINR
 // evaluator splits its receiver scan across.
 //
-// The evaluator partitions a dense index space (receivers, receiver cells,
-// shards) into contiguous chunks and evaluates the chunks concurrently,
+// The evaluator partitions a dense index space (receivers, supercells,
+// lattice stripes) into contiguous chunks and evaluates the chunks concurrently,
 // thousands of times per second. The obvious fork/join — spawn a goroutine
 // per chunk, wait on a WaitGroup — pays goroutine creation, stack setup and
 // scheduler churn on every single slot. A Pool instead keeps its helper goroutines alive across calls,
